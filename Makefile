@@ -14,20 +14,12 @@ test:
 	go test ./...
 
 # Reduced-scale benchmarks for every paper figure plus micro/ablation
-# benches. The raw `go test` output is preserved on stdout/BENCH_raw.txt
-# and also distilled into machine-readable BENCH_results.json
-# (name, iterations, ns/op, B/op, allocs/op) for trend tracking.
-#
-# BENCH_results.json is committed as the repository's performance baseline:
-# CI's bench job compares fresh numbers against it (and against the base
-# branch via benchstat). After a deliberate performance change, refresh the
-# baseline by re-running `make bench` on a quiet machine and committing the
-# regenerated BENCH_results.json alongside the change; BENCH_raw.txt stays
-# untracked scratch output (bench_results.txt is the separate, committed
-# experiment log that README and EXPERIMENTS reference).
+# benches, for measuring while you work; the raw `go test` output is kept
+# on stdout and in the untracked scratch file BENCH_raw.txt. The
+# repository's measured baseline is the end-to-end benchmark in benchmark/
+# (BENCHMARK.json; `bash benchmark/run.sh --workload W`).
 bench:
 	go test -bench=. -benchmem ./... | tee BENCH_raw.txt
-	go run ./cmd/benchjson < BENCH_raw.txt > BENCH_results.json
 
 # Serving-path load benchmark: a wall-clock caqe-serve instance driven by
 # caqe-loadgen with 1000 concurrent client sessions cycling through mixed

@@ -262,17 +262,6 @@ func StrategyNames() []StrategyName {
 	return names
 }
 
-// Strategies returns the strategy names as plain strings.
-//
-// Deprecated: use StrategyNames.
-func Strategies() []string {
-	var names []string
-	for _, n := range StrategyNames() {
-		names = append(names, string(n))
-	}
-	return names
-}
-
 func allStrategies(opt baseline.Options) []baseline.Strategy {
 	return append(baseline.All(opt), baseline.Extra(opt)...)
 }
@@ -384,22 +373,6 @@ func topkOptions(cfg core.RunConfig) TopKOptions {
 		DataOrder:      cfg.Opt.DataOrderScheduling,
 		Tracer:         cfg.Opt.Tracer,
 	}
-}
-
-// RunTopKWithOptions is RunTopK with the top-k engine's struct options and
-// explicit totals.
-//
-// Deprecated: use RunTopK with a bare Options value (or WithWorkers /
-// WithTracer) and WithTotals; DataOrder is Options.DataOrderScheduling.
-func RunTopKWithOptions(w *TopKWorkload, r, t *Relation, opt TopKOptions, estTotals []int) (*Report, error) {
-	return topk.Run(w, r, t, opt, estTotals)
-}
-
-// RunTopKSequentialWithTotals is RunTopKSequential with explicit totals.
-//
-// Deprecated: use RunTopKSequential with WithTotals.
-func RunTopKSequentialWithTotals(w *TopKWorkload, r, t *Relation, estTotals []int) (*Report, error) {
-	return topk.Sequential(w, r, t, estTotals)
 }
 
 // ProductContract combines component contracts multiplicatively — the

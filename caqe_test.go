@@ -204,7 +204,9 @@ func TestRunTopKPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := caqe.RunTopKSequential(w, r, tt)
+	// A literal nil option (the totals slot of the old struct-options
+	// signatures) is skipped, not dereferenced.
+	seq, err := caqe.RunTopKSequential(w, r, tt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

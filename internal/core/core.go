@@ -75,16 +75,6 @@ type Options struct {
 	// behaviour of the S-JFSL comparison strategy (§7.1).
 	DataOrderScheduling bool
 
-	// Trace, when set, receives one event per scheduling decision: regions
-	// picked for tuple-level processing, deferred after a score refresh, or
-	// discarded by generated results.
-	//
-	// Deprecated: Trace predates the structured observability layer and
-	// carries only a fraction of each decision. Use Tracer, which records
-	// the chosen region's CSM, the runner-up, the scheduling frontier,
-	// emission batches and feedback updates. Both hooks keep firing.
-	Trace func(TraceEvent)
-
 	// Tracer, when set, receives the structured execution trace of the
 	// run: one event per optimizer decision (chosen region, its CSM, the
 	// runner-up and the frontier size), per region defer/discard, per
@@ -93,18 +83,6 @@ type Options struct {
 	// virtual timestamps and counters of a traced run are byte-identical
 	// to an untraced one — and costs a single nil check when unset.
 	Tracer trace.Tracer
-}
-
-// TraceEvent describes one optimizer decision.
-type TraceEvent struct {
-	// Kind is "schedule" (region sent to tuple-level processing), "defer"
-	// (region re-queued after a lazy score refresh), or "discard" (region
-	// killed for one query by a generated result).
-	Kind   string
-	Region int     // region ID
-	Score  float64 // CSM at the decision (schedule/defer)
-	Query  int     // affected query (discard), -1 otherwise
-	Time   float64 // virtual seconds
 }
 
 // NewClock builds the clock the options select: a wall clock when WallClock

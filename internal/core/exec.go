@@ -15,7 +15,7 @@ import (
 
 // ErrQuerySlotsExhausted is returned by Admit when all 64 query bit
 // positions hold queries that are still live — neither cancelled nor
-// drained — so no slot can be reclaimed for the new query. Sessions bound
+// sealed — so no slot can be reclaimed for the new query. Sessions bound
 // live queries well below 64 (Config.MaxConcurrent), so hitting this means
 // the caller admitted past its own concurrency gate.
 var ErrQuerySlotsExhausted = errors.New("core: all query slots hold live queries")
@@ -114,27 +114,31 @@ func (x *Exec) Finish() {
 // from session start. Admission performs real, clock-charged work:
 //
 //   - the shared skyline gains a dedicated window node for the query
-//     (skycube.AddDynamicQuery) and every existing result produced under
-//     the query's join condition is seeded into it;
+//     (skycube.AddDynamicQuery);
 //   - if no earlier query used the join condition, its signature test runs
 //     over every retained cell pair (region.Space.ExtendJC);
 //   - regions whose pair passed the join condition are coarse-pruned for
 //     the new query alone, mirroring the build-time coarse skyline;
-//   - surviving regions are revived: live ones extend their Alive set,
-//     already-processed (or retired) ones reopen for the new query only —
-//     joinedJC guarantees a reopened region never re-joins a condition it
-//     already produced, so no earlier emission can be duplicated or
-//     retracted.
+//   - every existing result produced under the query's join condition in
+//     a surviving region is seeded into its window;
+//   - surviving regions are revived (state.reopen) unless a seeded
+//     candidate already dominates their best corner: live ones extend
+//     their Alive set, already-processed (or retired) ones whose join
+//     under the condition is incomplete reopen for the new query only —
+//     the join cursor guarantees a reopened region never re-joins a tuple
+//     pair it already produced, so no earlier emission can be duplicated
+//     or retracted.
 //
 // Finally the new query's seeded candidates get their first safety check,
 // emitting any result already guaranteed final.
 //
 // Local indices are recycled: when all 64 bit positions are occupied, the
-// lowest slot whose query is finished (cancelled, or drained with nothing
-// pending) is scrubbed — skyline, regions, payload lineage — and handed to
-// the new query, which gets a fresh report index (ReportIndex; report
-// indices are never reused, so emissions of successive occupants of one
-// slot stay distinct). Only when every slot holds a live query does Admit
+// lowest slot whose query is cancelled, or sealed and drained, is scrubbed
+// — skyline, regions, payload lineage — and handed to the new query, which
+// gets a fresh report index (ReportIndex; report indices are never reused,
+// so emissions of successive occupants of one slot stay distinct). A query
+// that is merely done keeps its slot: it may be a standing query a later
+// mutation revives. Only when every slot holds a live query does Admit
 // fail, with ErrQuerySlotsExhausted.
 func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	st := x.st
@@ -142,10 +146,7 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	reuse := -1
 	if len(w.Queries) >= workload.MaxQueries {
 		for i := range w.Queries {
-			// In a mutable execution a done-but-unsealed query may be a
-			// standing query that a later mutation revives, so only sealed
-			// (or cancelled) slots are reclaimable there.
-			if st.cancelled.Has(i) || (x.QueryDone(i) && (!st.mutable || st.sealed.Has(i))) {
+			if st.cancelled.Has(i) || (st.sealed.Has(i) && x.QueryDone(i)) {
 				reuse = i
 				break
 			}
@@ -215,19 +216,59 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	// no earlier query used it; fresh tail regions start retired and only
 	// the candidacy pass below can revive them.
 	st.space.ExtendJC(q.JC, st.clock)
-	st.regions = st.space.Regions
-	for len(st.processed) < len(st.regions) {
-		st.processed = append(st.processed, true)
-		st.joinedJC = append(st.joinedJC, 0)
-		st.inQueue = append(st.inQueue, false)
-		st.outEdges = append(st.outEdges, nil)
-		st.indegree = append(st.indegree, 0)
+	st.growRegions()
+
+	serve := st.admissionCandidates(qi, q.JC)
+
+	// Seed existing results produced under the query's join condition into
+	// its window, in deterministic ascending payload order; survivors queue
+	// for their first safety check. Results from regions the admission-time
+	// coarse prune rejected are skipped — a batch build would never have
+	// considered them for this query, and seeding them could perturb the
+	// final result set when the dominating region's join is empty. Results
+	// of deleted rows carry no condition (Delete sets jc to -1): they are
+	// history, not data, and no new query may see them.
+	for p := range st.payloads {
+		info := &st.payloads[p]
+		if info.jc != q.JC || !st.regions[info.reg].RQL.Has(qi) {
+			continue
+		}
+		info.lineage = info.lineage.Add(qi)
+		if st.shared.InsertForQuery(p, qi) {
+			st.pending[qi] = append(st.pending[qi], p)
+		}
 	}
 
-	// Coarse-level skyline for the new query alone (§5.2 at admission): a
-	// candidate region fully dominated in q.Pref by another candidate
-	// cannot contribute a result.
-	jbit := uint64(1) << uint(q.JC)
+	// Revive the surviving regions for the new query. A processed region
+	// whose join under the condition is complete stays closed — its results
+	// were just seeded — and a region whose best corner a seeded candidate
+	// already dominates is discarded for the query exactly as Algorithm 1
+	// discards it mid-run, before it costs a scheduling decision.
+	qbit := skycube.QSet(0).Add(qi)
+	champs := st.champions(qi, st.pending[qi])
+	for _, r := range serve {
+		if st.processed[r.ID] && st.joinComplete(r, q.JC) {
+			continue
+		}
+		if !st.e.opt.DisableRegionDiscard && st.cornerDominated(qi, champs, r) {
+			st.traceDiscard(r.ID, qi)
+			st.clock.CountRegionPruned()
+			continue
+		}
+		st.reopen(r, qbit)
+	}
+	st.emitSafe(qbit)
+	x.drained = false
+	return qi, nil
+}
+
+// admissionCandidates runs the coarse-level skyline for the new query alone
+// (§5.2 at admission): of the regions whose pair passed join condition jc,
+// one fully dominated in the query's preference by another cannot
+// contribute a result. The survivors gain the query in their lineage and
+// are returned.
+func (st *state) admissionCandidates(qi, jc int) []*region.Region {
+	jbit := uint64(1) << uint(jc)
 	var cands []*region.Region
 	for _, r := range st.regions {
 		if r.JCPass&jbit != 0 {
@@ -235,6 +276,7 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 		}
 	}
 	pm := st.prefMask[qi]
+	var serve []*region.Region
 	for _, r := range cands {
 		dead := false
 		for _, o := range cands {
@@ -252,44 +294,10 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 			st.clock.CountRegionPruned()
 			continue
 		}
-		ri := r.ID
 		r.RQL = r.RQL.Add(qi)
-		if !st.processed[ri] {
-			r.Alive = r.Alive.Add(qi)
-		} else if st.joinedJC[ri]&jbit == 0 {
-			// Reopen for the new query only: the old queries already took
-			// (and emitted) everything they needed from this region, so
-			// restoring their bits would wrongly re-block their emissions.
-			r.Alive = skycube.QSet(0).Add(qi)
-			st.processed[ri] = false
-			if !st.inQueue[ri] {
-				st.pq.push(ri, st.csm(r))
-				st.inQueue[ri] = true
-			}
-		}
-		// Processed regions that already joined this condition stay closed:
-		// their results exist and are seeded below.
+		serve = append(serve, r)
 	}
-
-	// Seed existing results produced under the query's join condition into
-	// its window, in deterministic ascending payload order; survivors queue
-	// for their first safety check. Results from regions the admission-time
-	// coarse prune rejected are skipped — a batch build would never have
-	// considered them for this query, and seeding them could perturb the
-	// final result set when the dominating region's join is empty.
-	for p := range st.payloads {
-		info := &st.payloads[p]
-		if info.jc != q.JC || !st.regions[info.reg].RQL.Has(qi) {
-			continue
-		}
-		info.lineage = info.lineage.Add(qi)
-		if st.shared.InsertForQuery(p, qi) {
-			st.pending[qi] = append(st.pending[qi], p)
-		}
-	}
-	st.emitSafe(skycube.QSet(0).Add(qi))
-	x.drained = false
-	return qi, nil
+	return serve
 }
 
 // Cancel retires a query mid-run: its regions lose their annotation (a

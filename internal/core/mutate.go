@@ -45,7 +45,7 @@ type DeltaStats struct {
 
 // Deleted tuples stay in place under reserved join keys that can never
 // match a live tuple: cell positions, cell sizes and row IDs are stable
-// across deletes, so delta-join cursors and already-emitted history remain
+// across deletes, so join cursors and already-emitted history remain
 // valid without rewriting anything. The two sides use distinct sentinels
 // so a deleted R-tuple cannot equi-join a deleted T-tuple either.
 const (
@@ -60,47 +60,16 @@ func tombstoneFor(tab Table) int64 {
 	return TombstoneKeyT
 }
 
-// joinKey addresses one (region, join condition) delta-join cursor.
-type joinKey struct{ region, jc int }
-
-// joinCursor records how many leading tuples of each input cell a region's
-// tuple-level join has consumed for one condition. A reopened region joins
-// only the pairs beyond its cursor: new-left × all-right, then old-left ×
-// new-right.
-type joinCursor struct{ nr, nt int }
-
-// cellPair indexes regions by their (R cell, T cell) identity.
-type cellPair struct{ r, t int }
-
 // tupleAddr locates a tuple inside the partition: cell index and position
 // in the cell's member slice.
 type tupleAddr struct{ cell, pos int }
 
-// enableMutations switches the executor into mutable mode on the first
-// base-table mutation, materializing the bookkeeping the immutable path
-// never needs: delta-join cursors for every condition already joined
-// (cell lengths have not changed yet, so current lengths are the cursor),
-// the cell-pair → region index, and per-relation tuple locations. A run
-// that never mutates takes the exact immutable code path.
-func (st *state) enableMutations() {
-	if st.mutable {
+// indexTuples builds, on the first mutation, the row-ID → (cell, position)
+// lookup of both relations: a cache over the partition that placeTuple
+// keeps current from then on.
+func (st *state) indexTuples() {
+	if st.tupleLoc[0] != nil {
 		return
-	}
-	st.mutable = true
-	st.joinCursor = make(map[joinKey]joinCursor)
-	for ri, mask := range st.joinedJC {
-		r := st.regions[ri]
-		for j := 0; mask != 0; j++ {
-			if mask&(1<<uint(j)) == 0 {
-				continue
-			}
-			mask &^= 1 << uint(j)
-			st.joinCursor[joinKey{ri, j}] = joinCursor{len(r.RCell.Tuples), len(r.TCell.Tuples)}
-		}
-	}
-	st.cellPair = make(map[cellPair]*region.Region, len(st.regions))
-	for _, r := range st.regions {
-		st.cellPair[cellPair{r.RCell.ID, r.TCell.ID}] = r
 	}
 	for side, cells := range [2][]*partition.Cell{st.space.RCells, st.space.TCells} {
 		st.tupleLoc[side] = make(map[int]tupleAddr)
@@ -130,11 +99,11 @@ func (st *state) cellsFor(tab Table) []*partition.Cell {
 // Append applies new rows to one base relation of a running execution.
 // Each row is delta-partitioned into the best-fitting existing leaf cell,
 // the touched cells re-run their signature tests against the opposite
-// side (ExtendJC-style, charged like build-time tests), and every region
-// over a touched cell is revived or extended for all live queries of its
-// passing conditions. Reprocessing a revived region joins only the tuple
-// pairs its delta-join cursor has not seen, so results already emitted
-// are neither retracted nor duplicated. Row IDs are assigned sequentially
+// side (region.Space.Retest, charged like build-time tests), and every
+// region over a touched cell is revived or extended for all live queries
+// of its passing conditions. Reprocessing a revived region joins only the
+// tuple pairs its join cursor has not seen, so results already emitted are
+// neither retracted nor duplicated. Row IDs are assigned sequentially
 // and returned. Cell assignment itself is uncharged, mirroring the
 // uncharged initial Partition.
 func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
@@ -155,7 +124,7 @@ func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 			}
 		}
 	}
-	st.enableMutations()
+	st.indexTuples()
 
 	ids := make([]int, len(rows))
 	touched := make(map[int]bool)
@@ -182,7 +151,12 @@ func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 	stats.Appended = len(rows)
 	stats.CellsTouched = len(touchedOrder)
 
-	st.retestCells(tab, touchedOrder, &stats)
+	cells := make([]*partition.Cell, len(touchedOrder))
+	for i, ci := range touchedOrder {
+		cells[i] = st.cellsFor(tab)[ci]
+	}
+	stats.RegionsCreated = st.space.Retest(cells, tab == TableT, st.clock)
+	st.growRegions()
 	st.reviveAfterAppend(tab, touched, &stats)
 	st.traceDelta("append", tab, &stats)
 	x.drained = false
@@ -249,77 +223,6 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple) int {
 	return best
 }
 
-// retestCells re-runs the coarse-level signature tests for every touched
-// cell against all opposite cells, over every condition tested so far —
-// charged exactly like BuildSpace/ExtendJC. A pair that starts passing
-// marks JCPass on its existing region; a pair with no region gains a
-// fresh tail region (born processed, revived by the caller).
-func (st *state) retestCells(tab Table, touchedOrder []int, stats *DeltaStats) {
-	cells := st.cellsFor(tab)
-	var opp []*partition.Cell
-	if tab == TableR {
-		opp = st.space.TCells
-	} else {
-		opp = st.space.RCells
-	}
-	for _, ci := range touchedOrder {
-		c := cells[ci]
-		for _, oc := range opp {
-			rc, tc := c, oc
-			if tab == TableT {
-				rc, tc = oc, c
-			}
-			key := cellPair{rc.ID, tc.ID}
-			reg := st.cellPair[key]
-			for j, jc := range st.w.JoinConds {
-				jbit := uint64(1) << uint(j)
-				if st.space.TestedJC&jbit == 0 {
-					continue
-				}
-				if reg != nil && reg.JCPass&jbit != 0 {
-					// Signatures only grow: a passing test keeps passing.
-					continue
-				}
-				st.clock.CountCellOp(1)
-				if !rc.Sigs[jc.LeftKey].Intersects(tc.Sigs[jc.RightKey], st.clock) {
-					continue
-				}
-				if reg == nil {
-					reg = st.newTailRegion(rc, tc)
-					st.cellPair[key] = reg
-					stats.RegionsCreated++
-				}
-				reg.JCPass |= jbit
-			}
-		}
-	}
-}
-
-// newTailRegion appends a fresh region for a cell pair that had none,
-// extending the per-region executor state exactly like Admit's tail
-// extension: born processed with nothing joined, costing the scheduler
-// nothing until revived.
-func (st *state) newTailRegion(rc, tc *partition.Cell) *region.Region {
-	reg := &region.Region{
-		ID:    len(st.space.Regions),
-		RCell: rc,
-		TCell: tc,
-		Lo:    make([]float64, len(st.w.OutDims)),
-		Hi:    make([]float64, len(st.w.OutDims)),
-	}
-	for k, f := range st.w.OutDims {
-		reg.Lo[k], reg.Hi[k] = f.Bounds(rc.Lo, rc.Hi, tc.Lo, tc.Hi)
-	}
-	st.space.Regions = append(st.space.Regions, reg)
-	st.regions = st.space.Regions
-	st.processed = append(st.processed, true)
-	st.joinedJC = append(st.joinedJC, 0)
-	st.inQueue = append(st.inQueue, false)
-	st.outEdges = append(st.outEdges, nil)
-	st.indegree = append(st.indegree, 0)
-	return reg
-}
-
 // liveFor returns every query a region can serve now: the union of live
 // queries over its passing conditions. Cancelled and sealed queries are
 // already absent from jcQueries.
@@ -333,34 +236,15 @@ func (st *state) liveFor(r *region.Region) skycube.QSet {
 	return qs &^ st.cancelled
 }
 
-// reviveRegion reopens one region for the given queries: lineage and
-// liveness are extended, and a processed region re-enters the scheduling
-// queue. Unlike admission's revive-for-the-new-query-only, mutations
-// revive for every live query — new data is new results for all of them,
-// and batch equality at every offset depends on it. The admission-time
-// coarse prune is deliberately skipped: dominance among regions may have
-// been broken by the mutation, and tuple-level discarding re-derives any
-// still-valid prune.
-func (st *state) reviveRegion(r *region.Region, live skycube.QSet, stats *DeltaStats) {
-	r.RQL |= live
-	st.markFrontiersDirty(live)
-	if !st.processed[r.ID] {
-		r.Alive |= live
-		return
-	}
-	r.Alive = live
-	st.processed[r.ID] = false
-	if !st.inQueue[r.ID] {
-		st.pq.push(r.ID, st.csm(r))
-		st.inQueue[r.ID] = true
-	}
-	stats.RegionsRevived++
-}
-
 // reviveAfterAppend recomputes the output bounds of every region over a
-// touched cell (the cell's box may have grown) and revives it for all
-// live queries of its passing conditions. Untouched regions keep their
-// state: appends only add results, so prior discards remain sound.
+// touched cell (the cell's box may have grown) and reopens it for all
+// live queries of its passing conditions — unlike admission's
+// reopen-for-the-new-query-only, new data is new results for every one of
+// them, and batch equality at every offset depends on it. The
+// admission-time coarse prune is deliberately skipped: dominance among
+// regions may have been broken by the mutation, and tuple-level discarding
+// re-derives any still-valid prune. Untouched regions keep their state:
+// appends only add results, so prior discards remain sound.
 func (st *state) reviveAfterAppend(tab Table, touched map[int]bool, stats *DeltaStats) {
 	for _, r := range st.regions {
 		c := r.RCell
@@ -373,11 +257,9 @@ func (st *state) reviveAfterAppend(tab Table, touched map[int]bool, stats *Delta
 		for k, f := range st.w.OutDims {
 			r.Lo[k], r.Hi[k] = f.Bounds(r.RCell.Lo, r.RCell.Hi, r.TCell.Lo, r.TCell.Hi)
 		}
-		live := st.liveFor(r)
-		if live == 0 {
-			continue
+		if live := st.liveFor(r); live != 0 && st.reopen(r, live) {
+			stats.RegionsRevived++
 		}
-		st.reviveRegion(r, live, stats)
 	}
 }
 
@@ -397,7 +279,7 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	if len(ids) == 0 {
 		return stats, nil
 	}
-	st.enableMutations()
+	st.indexTuples()
 	side := int(tab)
 	rel := st.relFor(tab)
 	seen := make(map[int]bool, len(ids))
@@ -442,8 +324,11 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	// a now-deleted dominator, is exactly what this repairs.
 	for p := range st.payloads {
 		info := &st.payloads[p]
+		if info.jc < 0 {
+			continue // killed by an earlier delete
+		}
 		if st.deleted[0][info.rid] || st.deleted[1][info.tid] {
-			info.lineage = 0
+			info.lineage, info.jc = 0, -1
 			continue
 		}
 		info.lineage |= st.jcQueries[info.jc] &^ st.cancelled
@@ -460,15 +345,13 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 		if live == 0 {
 			continue
 		}
-		if !st.processed[r.ID] {
-			st.reviveRegion(r, live, &stats)
-			continue
-		}
-		if st.fullyJoined(r) {
+		if st.processed[r.ID] && st.fullyJoined(r) {
 			r.RQL |= live
 			continue
 		}
-		st.reviveRegion(r, live, &stats)
+		if st.reopen(r, live) {
+			stats.RegionsRevived++
+		}
 	}
 
 	// Rebuild candidacy from the surviving points: clear every parked or
@@ -511,15 +394,7 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 // every current tuple pair for every condition with live queries.
 func (st *state) fullyJoined(r *region.Region) bool {
 	for j := range st.w.JoinConds {
-		jbit := uint64(1) << uint(j)
-		if r.JCPass&jbit == 0 || st.jcQueries[j] == 0 {
-			continue
-		}
-		if st.joinedJC[r.ID]&jbit == 0 {
-			return false
-		}
-		cur := st.joinCursor[joinKey{r.ID, j}]
-		if cur.nr != len(r.RCell.Tuples) || cur.nt != len(r.TCell.Tuples) {
+		if r.JCPass&(1<<uint(j)) != 0 && st.jcQueries[j] != 0 && !st.joinComplete(r, j) {
 			return false
 		}
 	}

@@ -5,8 +5,11 @@ import (
 	"reflect"
 	"testing"
 
+	"caqe/internal/contract"
 	"caqe/internal/datagen"
+	"caqe/internal/join"
 	"caqe/internal/metrics"
+	"caqe/internal/preference"
 	"caqe/internal/run"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
@@ -302,4 +305,191 @@ func labelOff(kind string, off int) string {
 		return kind + "@drained"
 	}
 	return fmt.Sprintf("%s@%d", kind, off)
+}
+
+// The schedules below run a standing query (JC0, dims {0,1,2}) over the
+// first 50 rows of a seeded two-key 80-row pair, with a second join
+// condition on key column 1 that only queries admitted mid-schedule use.
+
+func lateQuery(name string, jc int) workload.Query {
+	return workload.Query{Name: name, JC: jc, Pref: preference.NewSubspace(0, 1, 2), Priority: 0.5, Contract: contract.C3(10)}
+}
+
+// standingWorkload is the standing query followed by n queries on JC1.
+func standingWorkload(n int) *workload.Workload {
+	standing := lateQuery("standing", 0)
+	standing.Standing = true
+	w := &workload.Workload{
+		JoinConds: []join.EquiJoin{{Name: "JC0", LeftKey: 0, RightKey: 0}, {Name: "JC1", LeftKey: 1, RightKey: 1}},
+		OutDims:   testWorkload(1, 3, workload.UniformPriority, c3s).OutDims,
+		Queries:   []workload.Query{standing},
+	}
+	for i := 0; i < n; i++ {
+		w.Queries = append(w.Queries, lateQuery(fmt.Sprintf("late%d", i), 1))
+	}
+	return w
+}
+
+func standingExec(t *testing.T) (x *Exec, rep *run.Report, fullR, fullT *tuple.Relation) {
+	t.Helper()
+	fullR, fullT, err := datagen.Pair(80, 3, datagen.Independent, []float64{0.05, 0.05}, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := standingWorkload(0)
+	rep = run.NewReport("CAQE", w, nil)
+	x, err = mustEngine(t, w, cloneRel(fullR, 50), cloneRel(fullT, 50), Options{Workers: 1}).StartExec(metrics.NewClock(), rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, rep, fullR, fullT
+}
+
+func batchReport(t *testing.T, w *workload.Workload, r, tt *tuple.Relation) *run.Report {
+	t.Helper()
+	batch, err := mustEngine(t, w, r, tt, Options{Workers: 1}).Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return batch
+}
+
+func idle(x *Exec) {
+	for x.Step() {
+	}
+}
+
+func mustAppend(t *testing.T, x *Exec, tab Table, rows []TupleData) {
+	t.Helper()
+	if _, _, err := x.Append(tab, rows); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustAdmit(t *testing.T, x *Exec, q workload.Query) int {
+	t.Helper()
+	qi, err := x.Admit(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qi
+}
+
+// TestAdmitAfterUnservedAppendMatchesBatch: rows appended while no open
+// query held a join condition must still reach a query admitted on that
+// condition later — the regions' join cursors, not a per-condition
+// "joined once" mark, decide whether they reopen.
+func TestAdmitAfterUnservedAppendMatchesBatch(t *testing.T) {
+	x, rep, fullR, fullT := standingExec(t)
+	idle(x)
+	a := mustAdmit(t, x, lateQuery("a", 1))
+	idle(x)
+	if err := x.Seal(a); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, x, TableR, rowsFrom(fullR, 50, 80))
+	mustAppend(t, x, TableT, rowsFrom(fullT, 50, 80))
+	lastMut := x.Now()
+	idle(x)
+	b := mustAdmit(t, x, lateQuery("b", 1))
+	idle(x)
+	x.Finish()
+
+	batch := batchReport(t, standingWorkload(2), fullR, fullT)
+	checkIncremental(t, "seal-append-admit", batch, rep, b, lastMut, nil, nil)
+	if !reflect.DeepEqual(batch.ResultSet(b), rep.ResultSet(b)) {
+		t.Errorf("query admitted after the appends delivered %d results, batch over the final data %d",
+			len(rep.ResultSet(b)), len(batch.ResultSet(b)))
+	}
+}
+
+// TestAppendAfterExtendJCKeepsCellPairsUnique: regions an admission adds
+// for a newly tested condition must be visible to the next append's
+// retest, or the pair gains a second region and its results a second
+// emission.
+func TestAppendAfterExtendJCKeepsCellPairsUnique(t *testing.T) {
+	x, rep, fullR, fullT := standingExec(t)
+	idle(x)
+	mustAppend(t, x, TableR, rowsFrom(fullR, 50, 60))
+	idle(x)
+	a := mustAdmit(t, x, lateQuery("a", 1))
+	idle(x)
+	mustAppend(t, x, TableR, rowsFrom(fullR, 60, 80))
+	mustAppend(t, x, TableT, rowsFrom(fullT, 50, 80))
+	lastMut := x.Now()
+	idle(x)
+	x.Finish()
+
+	pairs := make(map[[2]int]int)
+	for _, r := range x.st.regions {
+		pairs[[2]int{r.RCell.ID, r.TCell.ID}]++
+	}
+	dup := 0
+	for _, n := range pairs {
+		dup += n - 1
+	}
+	if dup > 0 {
+		t.Errorf("%d regions duplicate another region's cell pair", dup)
+	}
+	checkIncremental(t, "append-admit-append", batchReport(t, standingWorkload(1), fullR, fullT), rep, a, lastMut, nil, nil)
+}
+
+// TestAdmitKeepsUnsealedDoneSlot: with every slot taken, a query that is
+// done but not sealed — a standing query awaiting the next mutation —
+// must not lose its slot to the next admission, mutation or no mutation.
+func TestAdmitKeepsUnsealedDoneSlot(t *testing.T) {
+	x, rep, fullR, _ := standingExec(t)
+	for len(x.st.w.Queries) < workload.MaxQueries {
+		mustAdmit(t, x, lateQuery(fmt.Sprintf("q%d", len(x.st.w.Queries)), 1))
+	}
+	idle(x)
+	if !x.QueryDone(0) {
+		t.Fatal("standing query not done after drain")
+	}
+	if _, err := x.Admit(lateQuery("overflow", 1), 0); err != ErrQuerySlotsExhausted {
+		t.Fatalf("admission with 64 unsealed queries: err = %v, want ErrQuerySlotsExhausted", err)
+	}
+	if err := x.Seal(5); err != nil {
+		t.Fatal(err)
+	}
+	if qi := mustAdmit(t, x, lateQuery("reuse", 1)); qi != 5 {
+		t.Errorf("admission reclaimed slot %d, want the sealed slot 5", qi)
+	}
+	// The standing query kept its slot: an append still streams to it.
+	before := len(rep.PerQuery[0])
+	mustAppend(t, x, TableR, rowsFrom(fullR, 50, 80))
+	idle(x)
+	if x.ReportIndex(0) != 0 || len(rep.PerQuery[0]) < before {
+		t.Error("standing query lost its slot or its stream")
+	}
+}
+
+// TestAdmitAfterDeleteSkipsDeletedResults: results of deleted rows stay in
+// the payload history but must not be seeded into a query admitted after
+// the delete, where they would pose as (and dominate) live results.
+func TestAdmitAfterDeleteSkipsDeletedResults(t *testing.T) {
+	x, rep, fullR, fullT := standingExec(t)
+	idle(x)
+	var del []int
+	delSet := make(map[int]bool)
+	for _, e := range rep.PerQuery[0] {
+		if !delSet[e.RID] {
+			delSet[e.RID] = true
+			del = append(del, e.RID)
+		}
+	}
+	if _, err := x.Delete(TableR, del); err != nil {
+		t.Fatal(err)
+	}
+	idle(x)
+	b := mustAdmit(t, x, lateQuery("b", 0))
+	idle(x)
+	x.Finish()
+
+	refR := cloneRel(fullR, 50)
+	tombstone(refR, del, TombstoneKeyR)
+	batch := batchReport(t, standingWorkload(0), refR, cloneRel(fullT, 50))
+	if !reflect.DeepEqual(batch.ResultSet(0), rep.ResultSet(b)) {
+		t.Errorf("query admitted after the delete got %v, batch over the tombstoned data %v", rep.ResultSet(b), batch.ResultSet(0))
+	}
 }

@@ -29,10 +29,11 @@ import (
 //     close it retires the region (processed, CountRegionDone) and marks
 //     the served queries' emission frontiers dirty.
 //   - SignatureJoin: the JC mask test (queries alive on the region that
-//     use the condition, minus conditions already joined — the joinedJC
-//     mask that late admissions rely on to reopen regions without
-//     re-emitting), then the tuple-level nested-loop join fanned over the
-//     worker pool, materialized into a coordinate batch.
+//     use the condition, minus conditions whose join cursor already covers
+//     the cells — what late admissions and mutations rely on to reopen
+//     regions without re-emitting), then the tuple-level nested-loop join
+//     of the pairs beyond the cursor fanned over the worker pool,
+//     materialized into a coordinate batch.
 //   - DominanceFilter: dominance kernel dispatch — inserts every result
 //     into the shared min-max cuboid skyline (window updates, candidate
 //     lineage), then on close discards regions dominated by the new
@@ -140,7 +141,7 @@ func (o *scanOp) Close(region int) {
 
 // joinOp tests each offered (cell pair, join condition) against the
 // signature-join mask — queries alive on the region that use the condition
-// and conditions not already joined at tuple level — and materializes the
+// and tuple pairs its join cursor has not consumed — and materializes the
 // survivors' nested-loop join into a flat-coordinate batch.
 type joinOp struct {
 	st   *state
@@ -164,28 +165,13 @@ func (o *joinOp) Open(region int) {}
 func (o *joinOp) Push(b *op.Batch) {
 	st := o.st
 	rc := st.regions[b.Region]
-	jbit := uint64(1) << uint(b.JC)
 	qmask := st.jcQueries[b.JC] & rc.Alive
-	if qmask == 0 {
+	if qmask == 0 || st.joinComplete(rc, b.JC) {
 		return
 	}
-	cl, ct := 0, 0
-	if st.joinedJC[b.Region]&jbit != 0 {
-		if !st.mutable {
-			return
-		}
-		// Mutable sessions reopen regions after base-table mutations; the
-		// delta-join cursor marks the tuple pairs already consumed.
-		cur := st.joinCursor[joinKey{b.Region, b.JC}]
-		if cur.nr == len(b.Left) && cur.nt == len(b.Right) {
-			return
-		}
-		cl, ct = cur.nr, cur.nt
-	}
-	st.joinedJC[b.Region] |= jbit
-	if st.mutable {
-		st.joinCursor[joinKey{b.Region, b.JC}] = joinCursor{len(b.Left), len(b.Right)}
-	}
+	cur := st.cursor(b.Region, b.JC)
+	cl, ct := cur.nr, cur.nt
+	*cur = joinCursor{len(b.Left), len(b.Right)}
 	out := o.pool.Get(len(st.w.OutDims))
 	out.Region, out.JC, out.Qmask = b.Region, b.JC, uint64(qmask)
 	// The scratch results (and their flat coordinate backing) are only

@@ -118,7 +118,11 @@ func TestPipelineProcessRetiresRegion(t *testing.T) {
 	if after.RegionsDone != before.RegionsDone+1 {
 		t.Errorf("RegionsDone %d → %d, want +1", before.RegionsDone, after.RegionsDone)
 	}
-	if st.joinedJC[ri] == 0 {
+	joined := false
+	for j := range st.w.JoinConds {
+		joined = joined || st.joinComplete(st.regions[ri], j)
+	}
+	if !joined {
 		t.Error("SignatureJoin did not record the joined conditions")
 	}
 	if after.JoinProbes == before.JoinProbes {
@@ -129,7 +133,7 @@ func TestPipelineProcessRetiresRegion(t *testing.T) {
 	}
 }
 
-// TestSignatureJoinSkipsJoinedConditions pins the joinedJC reopening
+// TestSignatureJoinSkipsJoinedConditions pins the join-cursor reopening
 // guard: a region whose conditions are all marked joined (the state a late
 // admission revives) must flow through the pipeline without producing a
 // single probe or payload.
@@ -138,7 +142,8 @@ func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 	st.initQueue()
 	ri := firstLiveRegion(t, st)
 	for j := range st.w.JoinConds {
-		st.joinedJC[ri] |= 1 << uint(j)
+		r := st.regions[ri]
+		*st.cursor(ri, j) = joinCursor{len(r.RCell.Tuples), len(r.TCell.Tuples)}
 	}
 	before := st.clock.Counters()
 	st.pipe.Process(ri)

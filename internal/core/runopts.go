@@ -38,9 +38,6 @@ func (o Options) ApplyRun(c *RunConfig) {
 	if o.Tracer == nil {
 		o.Tracer = c.Opt.Tracer
 	}
-	if o.Trace == nil {
-		o.Trace = c.Opt.Trace
-	}
 	c.Opt = o
 }
 

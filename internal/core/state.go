@@ -18,7 +18,7 @@ import (
 // payloadInfo records one materialized join result.
 type payloadInfo struct {
 	rid, tid int
-	jc       int // join condition that produced the result
+	jc       int // join condition that produced the result; -1 once a row of it is deleted
 	reg      int // region (cell pair) that produced the result
 	out      []float64
 	lineage  skycube.QSet
@@ -70,29 +70,26 @@ type state struct {
 	// skipped by the feedback update and the final flush. Always zero in
 	// batch executions.
 	cancelled skycube.QSet
-	// joinedJC records, per region, the join conditions already evaluated at
-	// tuple level, so a region reopened for a late-admitted query never
-	// re-joins (and re-emits) a condition it already produced.
-	joinedJC []uint64
+	// cursors records, per (region, join condition), how far the tuple-level
+	// join has consumed the region's input cells (flat, region-major; see
+	// cursor), so a region reopened for a late-admitted query or after a
+	// base-table mutation never re-joins (and re-emits) a tuple pair it
+	// already produced.
+	cursors []joinCursor
 	// rate measures the processing rate (work units per real second) in
 	// wall-clock mode; untouched in virtual mode, where counted work *is*
 	// the clock.
 	rate rateEstimator
 
-	// Mutable-session bookkeeping, materialized by enableMutations on the
-	// first base-table mutation and untouched (mutable false, maps nil) in
-	// runs that never mutate: per-(region, condition) delta-join cursors,
-	// the cell-pair → region index, per-relation tuple locations, and the
-	// tombstoned row IDs of each side.
-	mutable    bool
-	joinCursor map[joinKey]joinCursor
-	cellPair   map[cellPair]*region.Region
-	tupleLoc   [2]map[int]tupleAddr
-	deleted    [2]map[int]bool
+	// tupleLoc locates every row of each relation inside the partition — a
+	// cache built by indexTuples on the first mutation — and deleted holds
+	// the tombstoned row IDs of each side.
+	tupleLoc [2]map[int]tupleAddr
+	deleted  [2]map[int]bool
 	// sealed marks queries permanently closed by Exec.Seal: done, and no
-	// longer revivable by mutations. In a mutable execution only sealed
-	// (or cancelled) slots are safe for Admit to reclaim — an unsealed
-	// done query may be a standing query a later mutation will revive.
+	// longer revivable by mutations. Only sealed (or cancelled) slots are
+	// safe for Admit to reclaim — an unsealed done query may be a standing
+	// query a later mutation will revive.
 	sealed skycube.QSet
 
 	frontier      [][]frontierCorner // per query: minimal best corners of live regions
@@ -141,7 +138,7 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		blocked:       make([]map[int][]int, nq),
 		frontier:      make([][]frontierCorner, nq),
 		frontierDirty: make([]bool, nq),
-		joinedJC:      make([]uint64, len(space.Regions)),
+		cursors:       make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
 	}
 	for i := range st.blocked {
 		st.blocked[i] = make(map[int][]int)
@@ -166,6 +163,64 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 	st.buildDepGraph()
 	st.buildPipeline()
 	return st
+}
+
+// joinCursor records how many leading tuples of each input cell a region's
+// tuple-level join has consumed for one condition. A fresh region sits at
+// (0, 0); a region whose cells grew since its last join resumes with only
+// the pairs beyond its cursor: new-left × all-right, then old-left ×
+// new-right.
+type joinCursor struct{ nr, nt int }
+
+func (st *state) cursor(ri, jc int) *joinCursor {
+	return &st.cursors[ri*len(st.w.JoinConds)+jc]
+}
+
+// joinComplete reports whether the region's tuple-level join under
+// condition jc has consumed every current tuple pair of its cells.
+func (st *state) joinComplete(r *region.Region, jc int) bool {
+	cur := st.cursor(r.ID, jc)
+	return cur.nr == len(r.RCell.Tuples) && cur.nt == len(r.TCell.Tuples)
+}
+
+// growRegions extends the per-region executor state over the regions the
+// space gained (ExtendJC at admission, Retest after an append): each is
+// born processed with nothing joined, costing the scheduler nothing until
+// reopen revives it.
+func (st *state) growRegions() {
+	st.regions = st.space.Regions
+	for len(st.processed) < len(st.regions) {
+		st.processed = append(st.processed, true)
+		st.inQueue = append(st.inQueue, false)
+		st.outEdges = append(st.outEdges, nil)
+		st.indegree = append(st.indegree, 0)
+	}
+	if n := len(st.regions) * len(st.w.JoinConds); n > len(st.cursors) {
+		st.cursors = append(st.cursors, make([]joinCursor, n-len(st.cursors))...)
+	}
+}
+
+// reopen makes a region serve the queries qs. A live region just extends
+// its Alive set; a processed (or retired) one re-enters the scheduling
+// queue alive for qs only — whatever queries it served before already took
+// (and emitted) everything they needed from it, so restoring their bits
+// would wrongly re-block their emissions. The join cursors guarantee the
+// reprocessing never repeats a tuple pair. Reports whether a processed
+// region was revived.
+func (st *state) reopen(r *region.Region, qs skycube.QSet) bool {
+	r.RQL |= qs
+	st.markFrontiersDirty(qs)
+	if !st.processed[r.ID] {
+		r.Alive |= qs
+		return false
+	}
+	r.Alive = qs
+	st.processed[r.ID] = false
+	if !st.inQueue[r.ID] {
+		st.pq.push(r.ID, st.csm(r))
+		st.inQueue[r.ID] = true
+	}
+	return true
 }
 
 // run executes Algorithm 1: iteratively pick the root region with the
@@ -220,19 +275,7 @@ func (st *state) step() bool {
 		st.deferrals = 0
 		st.traceDecision(ri, score)
 
-		var workBefore, wallBefore float64
-		wall := st.clock.Wall()
-		if wall {
-			workBefore, wallBefore = st.clock.WorkUnits(), st.clock.Now()
-		}
-		st.pipe.Process(ri)
-		if !st.e.opt.DisableFeedback {
-			st.updateWeights()
-		}
-		if wall {
-			st.rate.observe(st.clock.WorkUnits()-workBefore,
-				(st.clock.Now()-wallBefore)/metrics.VirtualSecond)
-		}
+		st.process(ri)
 		return true
 	}
 	return false
@@ -247,21 +290,28 @@ func (st *state) runDataOrder() {
 			continue
 		}
 		st.traceDataOrderDecision(ri)
-		var workBefore, wallBefore float64
-		wall := st.clock.Wall()
-		if wall {
-			workBefore, wallBefore = st.clock.WorkUnits(), st.clock.Now()
-		}
-		st.pipe.Process(ri)
-		if !st.e.opt.DisableFeedback {
-			st.updateWeights()
-		}
-		if wall {
-			st.rate.observe(st.clock.WorkUnits()-workBefore,
-				(st.clock.Now()-wallBefore)/metrics.VirtualSecond)
-		}
+		st.process(ri)
 	}
 	st.flushRemaining()
+}
+
+// process drives one scheduled region through the operator pipeline and
+// applies the Eq. 11 feedback. In wall-clock mode the region doubles as one
+// sample of the processing rate the CSM horizon extrapolates from.
+func (st *state) process(ri int) {
+	var workBefore, wallBefore float64
+	wall := st.clock.Wall()
+	if wall {
+		workBefore, wallBefore = st.clock.WorkUnits(), st.clock.Now()
+	}
+	st.pipe.Process(ri)
+	if !st.e.opt.DisableFeedback {
+		st.updateWeights()
+	}
+	if wall {
+		st.rate.observe(st.clock.WorkUnits()-workBefore,
+			(st.clock.Now()-wallBefore)/metrics.VirtualSecond)
+	}
 }
 
 // initQueue seeds the priority queue with the dependency-graph roots.
@@ -287,48 +337,61 @@ func (st *state) initQueue() {
 func (st *state) discardDominated(rc *region.Region, newPayloads []int) skycube.QSet {
 	var killedQueries skycube.QSet
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
-		kern := st.kerns[qi]
-		// Candidates for query qi among the new results: only current
-		// skyline candidates can wholesale-dominate a region (dominance is
-		// transitive, so the dominators of dominators suffice).
-		champs := st.champScratch[:0]
-		for _, p := range newPayloads {
-			if st.payloads[p].lineage.Has(qi) && st.shared.IsCandidate(p, qi) {
-				champs = append(champs, st.payloads[p].out)
-			}
-		}
-		st.champScratch = champs[:0]
+		champs := st.champions(qi, newPayloads)
 		if len(champs) == 0 {
 			continue
 		}
 		for fi, rf := range st.regions {
-			if st.processed[fi] || rf == rc || !rf.Alive.Has(qi) {
+			if st.processed[fi] || rf == rc || !rf.Alive.Has(qi) || !st.cornerDominated(qi, champs, rf) {
 				continue
 			}
-			for _, x := range champs {
-				st.clock.CountCellOp(1)
-				if kern.Dominates(x, rf.Lo) {
-					rf.Alive &^= 1 << uint(qi)
-					killedQueries = killedQueries.Add(qi)
-					st.traceDiscard(fi, qi)
-					if rf.Alive == 0 {
-						st.processed[fi] = true
-						if st.inQueue != nil {
-							// The region dies with its queue entry still
-							// enqueued; mark it out so a later reopen (online
-							// admission) knows to re-push it.
-							st.inQueue[fi] = false
-						}
-						st.clock.CountRegionPruned()
-						st.releaseEdges(fi)
-					}
-					break
+			rf.Alive &^= 1 << uint(qi)
+			killedQueries = killedQueries.Add(qi)
+			st.traceDiscard(fi, qi)
+			if rf.Alive == 0 {
+				st.processed[fi] = true
+				if st.inQueue != nil {
+					// The region dies with its queue entry still
+					// enqueued; mark it out so a later reopen (online
+					// admission) knows to re-push it.
+					st.inQueue[fi] = false
 				}
+				st.clock.CountRegionPruned()
+				st.releaseEdges(fi)
 			}
 		}
 	}
 	st.markFrontiersDirty(killedQueries)
 	return killedQueries
+}
+
+// champions returns the output points of the results among payloads that
+// are current skyline candidates of query qi: only those can
+// wholesale-dominate a region (dominance is transitive, so the dominators
+// of dominators suffice). The slice is scratch, valid until the next call.
+func (st *state) champions(qi int, payloads []int) [][]float64 {
+	champs := st.champScratch[:0]
+	for _, p := range payloads {
+		if st.payloads[p].lineage.Has(qi) && st.shared.IsCandidate(p, qi) {
+			champs = append(champs, st.payloads[p].out)
+		}
+	}
+	st.champScratch = champs[:0]
+	return champs
+}
+
+// cornerDominated reports whether one of champs dominates the region's best
+// corner in query qi's preference — proof that the region cannot contribute
+// a result to qi. Each test is charged as one cell-level operation.
+func (st *state) cornerDominated(qi int, champs [][]float64, r *region.Region) bool {
+	kern := st.kerns[qi]
+	for _, x := range champs {
+		st.clock.CountCellOp(1)
+		if kern.Dominates(x, r.Lo) {
+			return true
+		}
+	}
+	return false
 }
 
 // emitSafe re-evaluates the results of the affected queries and emits every
@@ -542,23 +605,12 @@ func (st *state) flushRemaining() {
 	}
 }
 
-// trace forwards an optimizer decision to the configured hook, stamping
-// the current virtual time.
-func (st *state) trace(ev TraceEvent) {
-	if st.e.opt.Trace == nil {
-		return
-	}
-	ev.Time = st.clock.Now() / metrics.VirtualSecond
-	st.e.opt.Trace(ev)
-}
-
-// The structured trace helpers below fire both the legacy Options.Trace
-// hook and the Options.Tracer sink. They perform no counted work: scores
-// are the ones the scheduler acted on (never recomputed), the runner-up
-// and frontier come from a plain scan of the queue's backing slice, and
-// everything beyond the nil check is skipped when tracing is off — so a
-// traced run's schedule, timestamps and counters are byte-identical to an
-// untraced one.
+// The structured trace helpers below feed the Options.Tracer sink. They
+// perform no counted work: scores are the ones the scheduler acted on
+// (never recomputed), the runner-up and frontier come from a plain scan of
+// the queue's backing slice, and everything beyond the nil check is skipped
+// when tracing is off — so a traced run's schedule, timestamps and counters
+// are byte-identical to an untraced one.
 
 // newEvent starts a structured event stamped with the report's strategy
 // label and the current virtual time, flushing any pending emission batch
@@ -575,7 +627,6 @@ func (st *state) newEvent(kind trace.Kind) trace.Event {
 // (possibly stale) CSM the scheduler compared, the best remaining
 // candidate and the scheduling frontier size.
 func (st *state) traceDecision(ri int, score float64) {
-	st.trace(TraceEvent{Kind: "schedule", Region: ri, Score: score, Query: -1})
 	if st.tracer == nil {
 		return
 	}
@@ -601,7 +652,6 @@ func (st *state) traceDecision(ri int, score float64) {
 // DataOrderScheduling / S-JFSL mode): no CSM, no runner-up; the frontier
 // is the count of still-unprocessed regions.
 func (st *state) traceDataOrderDecision(ri int) {
-	st.trace(TraceEvent{Kind: "schedule", Region: ri, Query: -1})
 	if st.tracer == nil {
 		return
 	}
@@ -619,7 +669,6 @@ func (st *state) traceDataOrderDecision(ri int) {
 // traceDefer records a region re-queued after its lazy score refresh fell
 // below the next-best bucket.
 func (st *state) traceDefer(ri int, score float64) {
-	st.trace(TraceEvent{Kind: "defer", Region: ri, Score: score, Query: -1})
 	if st.tracer == nil {
 		return
 	}
@@ -645,7 +694,6 @@ func (st *state) traceOpBatch(opName string, region, rows int) {
 
 // traceDiscard records a region killed for one query by a generated result.
 func (st *state) traceDiscard(fi, qi int) {
-	st.trace(TraceEvent{Kind: "discard", Region: fi, Query: st.qremap[qi]})
 	if st.tracer == nil {
 		return
 	}

@@ -102,6 +102,10 @@ type Space struct {
 	// tests have run over every cell pair (at build time: the conditions
 	// referenced by at least one query; ExtendJC adds the rest on demand).
 	TestedJC uint64
+
+	// byPair indexes Regions by (R cell ID, T cell ID): every cell pair has
+	// at most one region, and joinPair is the only place one is created.
+	byPair map[[2]int]*Region
 }
 
 // Options configures MQLA.
@@ -139,7 +143,7 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 		jcQueries[j] = w.QueriesWithJC(j)
 	}
 
-	s := &Space{W: w, RCells: rcells, TCells: tcells}
+	s := &Space{W: w, RCells: rcells, TCells: tcells, byPair: make(map[[2]int]*Region)}
 	for j := range w.JoinConds {
 		if jcQueries[j] != 0 {
 			s.TestedJC |= 1 << uint(j)
@@ -147,46 +151,65 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 	}
 	for _, rc := range rcells {
 		for _, tc := range tcells {
-			var rql skycube.QSet
-			var jcPass uint64
-			for j, jc := range w.JoinConds {
-				if jcQueries[j] == 0 {
-					continue
-				}
-				if clock != nil {
-					clock.CountCellOp(1)
-				}
-				if rc.Sigs[jc.LeftKey].Intersects(tc.Sigs[jc.RightKey], clock) {
-					rql |= jcQueries[j]
-					jcPass |= 1 << uint(j)
-				}
-			}
-			if rql == 0 {
+			reg := s.joinPair(rc, tc, s.TestedJC, clock)
+			if reg == nil {
 				if clock != nil {
 					clock.CountRegionPruned()
 				}
 				continue
 			}
-			reg := &Region{
-				ID:     len(s.Regions),
-				RCell:  rc,
-				TCell:  tc,
-				Lo:     make([]float64, len(w.OutDims)),
-				Hi:     make([]float64, len(w.OutDims)),
-				RQL:    rql,
-				Alive:  rql,
-				JCPass: jcPass,
+			for j := range w.JoinConds {
+				if reg.JCPass&(1<<uint(j)) != 0 {
+					reg.RQL |= jcQueries[j]
+				}
 			}
-			for k, f := range w.OutDims {
-				reg.Lo[k], reg.Hi[k] = f.Bounds(rc.Lo, rc.Hi, tc.Lo, tc.Hi)
-			}
-			s.Regions = append(s.Regions, reg)
+			reg.Alive = reg.RQL
 		}
 	}
 
 	s.initGrid(res)
 	s.coarsePrune(clock, opt.KeepPruned)
 	return s, nil
+}
+
+// joinPair runs the coarse-level join of one cell pair: the signature test
+// of every condition in jcs the pair does not already pass (signatures only
+// grow, so a passing test keeps passing), each charged to the clock as one
+// cell operation plus the intersection probes. A pair whose first test
+// passes gains its region, appended at the tail with exact output bounds
+// and empty lineage. The pair's region, or nil if it still has none, is
+// returned.
+func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Clock) *Region {
+	key := [2]int{rc.ID, tc.ID}
+	reg := s.byPair[key]
+	for j, jc := range s.W.JoinConds {
+		jbit := uint64(1) << uint(j)
+		if jcs&jbit == 0 || (reg != nil && reg.JCPass&jbit != 0) {
+			continue
+		}
+		if clock != nil {
+			clock.CountCellOp(1)
+		}
+		if !rc.Sigs[jc.LeftKey].Intersects(tc.Sigs[jc.RightKey], clock) {
+			continue
+		}
+		if reg == nil {
+			reg = &Region{
+				ID:    len(s.Regions),
+				RCell: rc,
+				TCell: tc,
+				Lo:    make([]float64, len(s.W.OutDims)),
+				Hi:    make([]float64, len(s.W.OutDims)),
+			}
+			for k, f := range s.W.OutDims {
+				reg.Lo[k], reg.Hi[k] = f.Bounds(rc.Lo, rc.Hi, tc.Lo, tc.Hi)
+			}
+			s.Regions = append(s.Regions, reg)
+			s.byPair[key] = reg
+		}
+		reg.JCPass |= jbit
+	}
+	return reg
 }
 
 // initGrid derives the global output bounds and grid steps.
@@ -275,6 +298,8 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 		}
 		if keepPruned {
 			pruned = append(pruned, r)
+		} else {
+			delete(s.byPair, [2]int{r.RCell.ID, r.TCell.ID})
 		}
 	}
 	for _, r := range pruned {
@@ -288,47 +313,44 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 // tested when the space was built — a query admitted mid-run references it.
 // Every retained cell pair gets the signature test, charged to the clock
 // exactly as at build time; passing pairs mark JCPass on their existing
-// region, or, when the pair produced no region at build time, gain a fresh
-// region appended at the tail with empty lineage (the admitting session
-// re-opens it for the new query). Grid geometry is left untouched so
-// emission decisions for pre-existing queries cannot shift.
+// region, or, when the pair has no region yet, gain a fresh one appended at
+// the tail with empty lineage (the admitting session re-opens it for the
+// new query). Grid geometry is left untouched so emission decisions for
+// pre-existing queries cannot shift.
 func (s *Space) ExtendJC(j int, clock *metrics.Clock) {
 	if s.TestedJC&(1<<uint(j)) != 0 {
 		return
 	}
 	s.TestedJC |= 1 << uint(j)
-	jc := s.W.JoinConds[j]
-	type pair struct{ r, t int }
-	byPair := make(map[pair]*Region, len(s.Regions))
-	for _, r := range s.Regions {
-		byPair[pair{r.RCell.ID, r.TCell.ID}] = r
-	}
 	for _, rc := range s.RCells {
 		for _, tc := range s.TCells {
-			if clock != nil {
-				clock.CountCellOp(1)
-			}
-			if !rc.Sigs[jc.LeftKey].Intersects(tc.Sigs[jc.RightKey], clock) {
-				continue
-			}
-			if r := byPair[pair{rc.ID, tc.ID}]; r != nil {
-				r.JCPass |= 1 << uint(j)
-				continue
-			}
-			reg := &Region{
-				ID:     len(s.Regions),
-				RCell:  rc,
-				TCell:  tc,
-				Lo:     make([]float64, len(s.W.OutDims)),
-				Hi:     make([]float64, len(s.W.OutDims)),
-				JCPass: 1 << uint(j),
-			}
-			for k, f := range s.W.OutDims {
-				reg.Lo[k], reg.Hi[k] = f.Bounds(rc.Lo, rc.Hi, tc.Lo, tc.Hi)
-			}
-			s.Regions = append(s.Regions, reg)
+			s.joinPair(rc, tc, 1<<uint(j), clock)
 		}
 	}
+}
+
+// Retest re-runs the coarse-level join for leaf cells whose signatures
+// grew (an append placed tuples in them): each of cells — R cells, or T
+// cells when onT is set — is paired with every cell of the opposite side
+// over every condition tested so far. A pair that starts passing marks
+// JCPass on its region or gains a fresh tail region exactly as in ExtendJC;
+// the number of regions created is returned.
+func (s *Space) Retest(cells []*partition.Cell, onT bool, clock *metrics.Clock) int {
+	before := len(s.Regions)
+	opp := s.TCells
+	if onT {
+		opp = s.RCells
+	}
+	for _, c := range cells {
+		for _, oc := range opp {
+			rc, tc := c, oc
+			if onT {
+				rc, tc = oc, c
+			}
+			s.joinPair(rc, tc, s.TestedJC, clock)
+		}
+	}
+	return len(s.Regions) - before
 }
 
 // DomMasks resolves the dominance geometry of an ordered region pair once,

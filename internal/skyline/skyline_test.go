@@ -244,91 +244,6 @@ func TestSubspaceSkylineSupersetsFullSpace(t *testing.T) {
 	}
 }
 
-func TestBBSAgreesWithNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		d := 2 + rng.Intn(3)
-		n := rng.Intn(120)
-		domain := 2 + rng.Intn(20)
-		pts := randPoints(rng, n, d, domain)
-		var dims []int
-		for k := 0; k < d; k++ {
-			dims = append(dims, k)
-		}
-		v := preference.NewSubspace(dims[:1+rng.Intn(d)]...)
-		naive := Naive(v, pts, nil)
-		bbs := BBS(v, pts, nil)
-		if !samePayloads(naive, bbs) {
-			t.Fatalf("trial %d: BBS %v != naive %v (v=%v, n=%d)", trial, payloads(bbs), payloads(naive), v, n)
-		}
-	}
-}
-
-func TestBBSProgressiveOrder(t *testing.T) {
-	// BBS emits skyline points in non-decreasing subspace-sum order, and
-	// every emitted point is final immediately.
-	rng := rand.New(rand.NewSource(8))
-	pts := randPoints(rng, 300, 3, 50)
-	v := preference.NewSubspace(0, 1, 2)
-	var emitted []Point
-	BBSProgressive(v, pts, nil, func(p Point) { emitted = append(emitted, p) })
-	last := -1.0
-	for _, e := range emitted {
-		s := e.Vals[0] + e.Vals[1] + e.Vals[2]
-		if s < last {
-			t.Fatalf("BBS emission order not monotone in sum: %g after %g", s, last)
-		}
-		last = s
-		for _, p := range pts {
-			if preference.DominatesIn(v, p.Vals, e.Vals) {
-				t.Fatalf("BBS emitted dominated point %v", e)
-			}
-		}
-	}
-}
-
-func TestBBSEmpty(t *testing.T) {
-	if got := BBS(preference.NewSubspace(0), nil, nil); got != nil {
-		t.Fatalf("BBS(nil) = %v", got)
-	}
-}
-
-func TestBBSComparisonsCharged(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	pts := randPoints(rng, 200, 3, 50)
-	v := preference.NewSubspace(0, 1, 2)
-	clock := metrics.NewClock()
-	BBS(v, pts, clock)
-	if clock.Counters().SkylineCmps == 0 {
-		t.Fatal("BBS charged no comparisons")
-	}
-}
-
-func TestBBSPrunesVersusBNL(t *testing.T) {
-	// On correlated-ish data BBS's wholesale MBR pruning should need far
-	// fewer comparisons than BNL.
-	rng := rand.New(rand.NewSource(10))
-	n := 2000
-	pts := make([]Point, n)
-	for i := range pts {
-		base := rng.Float64() * 100
-		pts[i] = Point{Vals: []float64{
-			base + rng.Float64()*5,
-			base + rng.Float64()*5,
-			base + rng.Float64()*5,
-		}, Payload: i}
-	}
-	v := preference.NewSubspace(0, 1, 2)
-	cb := metrics.NewClock()
-	BNL(v, pts, cb)
-	cx := metrics.NewClock()
-	BBS(v, pts, cx)
-	if cx.Counters().SkylineCmps >= cb.Counters().SkylineCmps {
-		t.Fatalf("BBS (%d cmps) not better than BNL (%d) on correlated data",
-			cx.Counters().SkylineCmps, cb.Counters().SkylineCmps)
-	}
-}
-
 func TestSaLSaAgreesWithNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 60; trial++ {

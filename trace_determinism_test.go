@@ -164,54 +164,6 @@ func TestTraceAggregatorIntegration(t *testing.T) {
 	}
 }
 
-// TestDeprecatedEntryPointsEquivalent pins the compatibility contract of
-// the API redesign: the deprecated struct-options wrappers must produce
-// reports byte-identical to the variadic entry points they forward to.
-func TestDeprecatedEntryPointsEquivalent(t *testing.T) {
-	r, tt, err := caqe.GeneratePair(300, 3, caqe.AntiCorrelated, []float64{0.05}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &caqe.TopKWorkload{
-		JoinConds: []caqe.EquiJoin{{Name: "JC1", LeftKey: 0, RightKey: 0}},
-		OutDims:   []caqe.MapFunc{caqe.SumDim("x", 0), caqe.SumDim("y", 1), caqe.SumDim("z", 2)},
-		Queries: []caqe.TopKQuery{
-			{Name: "K1", JC: 0, Weights: []float64{1, 1, 0}, K: 8, Priority: 0.8, Contract: caqe.Deadline(80)},
-			{Name: "K2", JC: 0, Weights: []float64{0, 1, 2}, K: 5, Priority: 0.4, Contract: caqe.LogDecay()},
-		},
-	}
-	totals := []int{8, 5}
-
-	//lint:ignore SA1019 this test pins the deprecated wrappers to the new API
-	oldRun, err := caqe.RunTopKWithOptions(w, r, tt, caqe.TopKOptions{Workers: 2, DataOrder: true}, totals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newRun, err := caqe.RunTopK(w, r, tt,
-		caqe.Options{Workers: 2, DataOrderScheduling: true}, caqe.WithTotals(totals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalReports(t, oldRun, newRun)
-
-	//lint:ignore SA1019 this test pins the deprecated wrappers to the new API
-	oldSeq, err := caqe.RunTopKSequentialWithTotals(w, r, tt, totals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newSeq, err := caqe.RunTopKSequential(w, r, tt, caqe.WithTotals(totals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalReports(t, oldSeq, newSeq)
-
-	// Legacy struct-options call sites passed nil totals positionally; the
-	// variadic entry points must tolerate a literal nil option.
-	if _, err := caqe.RunTopK(w, r, tt, nil); err != nil {
-		t.Fatalf("nil RunOption rejected: %v", err)
-	}
-}
-
 // TestStrategyNameConstants pins the typed names to the strategy table.
 func TestStrategyNameConstants(t *testing.T) {
 	want := []caqe.StrategyName{
