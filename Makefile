@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench loadbench figures examples clean
+.PHONY: all build test vet loc bench loadbench figures examples clean
 
 all: build vet test
 
@@ -12,6 +12,11 @@ vet:
 
 test:
 	go test ./...
+
+# Non-test Go lines outside the benchmark: the one number every simplicity
+# PR reports in CHANGES.md, always counted this way.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # Reduced-scale benchmarks for every paper figure plus micro/ablation
 # benches, for measuring while you work; the raw `go test` output is kept

@@ -55,6 +55,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"caqe"
+	"caqe/internal/cluster"
 )
 
 type config struct {
@@ -179,52 +182,6 @@ func drawClass(rng *rand.Rand, mix []mixEntry) string {
 	return mix[len(mix)-1].class
 }
 
-// submitBody mirrors caqe-serve's queryRequest.
-type submitBody struct {
-	Name     string       `json:"name"`
-	JC       int          `json:"jc"`
-	Pref     []int        `json:"pref"`
-	Priority float64      `json:"priority"`
-	Contract contractSpec `json:"contract"`
-}
-
-type contractSpec struct {
-	Class    string  `json:"class"`
-	Deadline float64 `json:"deadline,omitempty"`
-	Frac     float64 `json:"frac,omitempty"`
-	Interval float64 `json:"interval,omitempty"`
-}
-
-type submitReply struct {
-	ID int `json:"id"`
-}
-
-// streamProbe distinguishes control records from emissions on the NDJSON
-// stream without decoding full emission payloads. Partial is only ever set
-// on coordinator done records (a shard failed mid-query).
-type streamProbe struct {
-	Done    *bool  `json:"done"`
-	Lag     *int64 `json:"lag"`
-	Partial bool   `json:"partial"`
-}
-
-// statsProbe extracts only the satisfaction figures from /stats.
-type statsProbe struct {
-	Now     float64 `json:"now"`
-	Open    int     `json:"open"`
-	Queries []struct {
-		Satisfaction float64 `json:"satisfaction"`
-	} `json:"queries"`
-}
-
-// coordStatsProbe extracts the coordinator's progress figures from /stats;
-// coordinator nodes report scatter/gather/merge work, not satisfactions.
-type coordStatsProbe struct {
-	Open      int   `json:"open"`
-	Submitted int   `json:"submitted"`
-	MergeCmps int64 `json:"mergeCmps"`
-}
-
 // pScoreSample is one point of the satisfaction trajectory. Against a
 // coordinator target the pScore column carries cumulative merge
 // comparisons instead (perSec then reads as merge throughput) and the
@@ -293,7 +250,7 @@ func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
 	npref := 1 + rng.Intn(min(3, cfg.Dims))
 	pref := rng.Perm(cfg.Dims)[:npref]
 	sort.Ints(pref)
-	spec := contractSpec{Class: drawClass(rng, mix)}
+	spec := cluster.ContractSpec{Class: drawClass(rng, mix)}
 	switch spec.Class {
 	case "softdeadline", "deadline":
 		spec.Deadline = cfg.Deadline * (0.5 + rng.Float64())
@@ -304,7 +261,7 @@ func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
 			spec.Deadline = cfg.Deadline * (0.5 + rng.Float64())
 		}
 	}
-	body, _ := json.Marshal(submitBody{
+	body, _ := json.Marshal(cluster.QuerySpec{
 		Name:     fmt.Sprintf("lg-%d", id),
 		JC:       rng.Intn(cfg.Keys),
 		Pref:     pref,
@@ -330,7 +287,7 @@ func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
 	}()
 	switch resp.StatusCode {
 	case http.StatusCreated:
-		var rep submitReply
+		var rep cluster.SubmitReply
 		if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 			cnt.streamErrors.Add(1)
 			return 0, false
@@ -422,7 +379,9 @@ func streamOne(ctx context.Context, cfg config, client *http.Client, qid int,
 		if len(line) == 0 {
 			continue
 		}
-		var probe streamProbe
+		// Partial is only ever set on coordinator done records (a shard
+		// failed mid-query).
+		var probe cluster.StreamRecord
 		if err := json.Unmarshal(line, &probe); err != nil {
 			cnt.streamErrors.Add(1)
 			return
@@ -512,11 +471,11 @@ func scrapePScore(ctx context.Context, cfg config, client *http.Client, start ti
 			open, nq     int
 		)
 		if cfg.Target == "coordinator" {
-			var st coordStatsProbe
+			var st cluster.CoordStats
 			err = json.NewDecoder(resp.Body).Decode(&st)
 			score, open, nq = float64(st.MergeCmps), st.Open, st.Submitted
 		} else {
-			var st statsProbe
+			var st caqe.SessionStats
 			err = json.NewDecoder(resp.Body).Decode(&st)
 			for _, q := range st.Queries {
 				score += q.Satisfaction
@@ -676,11 +635,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "caqe-loadgen: FAIL: no queries were admitted")
 		os.Exit(1)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,7 +12,6 @@ import (
 	"caqe"
 	"caqe/internal/cluster"
 	"caqe/internal/metrics"
-	"caqe/internal/run"
 )
 
 // coordServer exposes a cluster coordinator over the same endpoint shapes
@@ -30,11 +27,9 @@ import (
 // deterministic (virtual time, shard id, rid) order. Progressive delivery
 // remains available directly from the shard nodes.
 type coordServer struct {
-	coord      *cluster.Coordinator
-	logger     *log.Logger
-	sm         *serveMetrics
-	retryAfter int
-	draining   atomic.Bool
+	front
+	coord    *cluster.Coordinator
+	draining atomic.Bool
 }
 
 // coordDaemonConfig carries the coordinator role's flag set: either remote
@@ -55,20 +50,38 @@ type coordDaemonConfig struct {
 
 	Retries                                    int
 	RetryBackoff, SubmitTimeout, GatherTimeout time.Duration
-	RetryAfterSeconds                          int
-	Logger                                     *log.Logger
+
+	frontConfig
 }
 
 // newCoordinatorDaemon builds the shard transports and the coordinator
 // behind a coordServer.
 func newCoordinatorDaemon(cfg coordDaemonConfig) (*coordServer, error) {
-	var conns []cluster.ShardConn
-	switch {
-	case cfg.LocalShards > 0:
-		m, err := cluster.NewShardMap(cfg.LocalShards, cluster.Strategy(cfg.Partition))
-		if err != nil {
-			return nil, err
+	var urls []string
+	for _, u := range strings.Split(cfg.ShardURLs, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
 		}
+	}
+	shards := cfg.LocalShards
+	if shards <= 0 {
+		shards = len(urls)
+	}
+	if shards == 0 {
+		return nil, fmt.Errorf("coordinator role needs -shards=<url,...> or -local-shards=N")
+	}
+	// The coordinator derives the same partition tables the shards derive
+	// their slices from — pure topology, no data exchange.
+	m, err := cluster.NewShardMap(shards, cluster.Strategy(cfg.Partition))
+	if err != nil {
+		return nil, err
+	}
+	var tables [][]int
+	if shards > 1 {
+		tables = m.Table(cfg.N)
+	}
+	var conns []cluster.ShardConn
+	if cfg.LocalShards > 0 {
 		r, t, joinConds, outDims, err := buildDataset(cfg.N, cfg.Dims, cfg.Keys, cfg.Dist, cfg.Sel, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -82,32 +95,12 @@ func newCoordinatorDaemon(cfg coordDaemonConfig) (*coordServer, error) {
 		if err != nil {
 			return nil, err
 		}
-	case cfg.ShardURLs != "":
-		var urls []string
-		for _, u := range strings.Split(cfg.ShardURLs, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		if len(urls) == 0 {
-			return nil, fmt.Errorf("coordinator role: -shards is empty")
-		}
-		// The coordinator derives the same partition tables the shard nodes
-		// derive their slices from — pure topology, no data exchange.
-		var tables [][]int
-		if len(urls) > 1 {
-			m, err := cluster.NewShardMap(len(urls), cluster.Strategy(cfg.Partition))
-			if err != nil {
-				return nil, err
-			}
-			tables = m.Table(cfg.N)
-		}
-		conns = cluster.NewHTTPShards(urls, tables, cfg.Retries, cfg.RetryBackoff, cfg.SubmitTimeout)
-	default:
-		return nil, fmt.Errorf("coordinator role needs -shards=<url,...> or -local-shards=N")
+	} else {
+		conns = cluster.NewHTTPShards(urls, cfg.Retries, cfg.RetryBackoff, cfg.SubmitTimeout)
 	}
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
 		Conns:         conns,
+		RIDs:          tables,
 		GatherTimeout: cfg.GatherTimeout,
 	})
 	if err != nil {
@@ -116,17 +109,7 @@ func newCoordinatorDaemon(cfg coordDaemonConfig) (*coordServer, error) {
 		}
 		return nil, err
 	}
-	return newCoordServer(coord, cfg.RetryAfterSeconds, cfg.Logger), nil
-}
-
-func newCoordServer(coord *cluster.Coordinator, retryAfter int, logger *log.Logger) *coordServer {
-	if logger == nil {
-		logger = log.Default()
-	}
-	if retryAfter <= 0 {
-		retryAfter = 1
-	}
-	return &coordServer{coord: coord, logger: logger, sm: newServeMetrics(), retryAfter: retryAfter}
+	return &coordServer{front: newFront(cfg.frontConfig), coord: coord}, nil
 }
 
 // drain stops admitting, waits for every in-flight gather, and closes the
@@ -146,62 +129,30 @@ func (s *coordServer) routes() http.Handler {
 	s.route(mux, "GET /queries/{id}/results", s.handleResults)
 	s.route(mux, "GET /stats", s.handleStats)
 	s.route(mux, "GET /healthz", s.handleHealthz)
-	s.route(mux, "GET /metrics", s.handleMetrics)
+	s.route(mux, "GET /metrics", s.metricsHandler(s.coordFamilies))
 	return mux
 }
 
-func (s *coordServer) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc) {
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r)
-		s.sm.observeRequest(pattern, sw.code, time.Since(start))
-	})
-}
-
-func (s *coordServer) fail(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-// coordErrStatus maps coordinator submission errors: a draining or
-// all-shards-down cluster is temporarily unavailable, anything else is a
-// bad submission.
-func coordErrStatus(err error) int {
-	switch {
-	case errors.Is(err, cluster.ErrCoordinatorClosed), errors.Is(err, cluster.ErrScatterFailed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
 func (s *coordServer) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var req cluster.QuerySpec
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	h, err := s.coord.Submit(req)
 	if err != nil {
-		status := coordErrStatus(err)
+		status := errStatus(err)
 		if status == http.StatusServiceUnavailable {
 			s.logger.Printf("caqe-serve: coordinator rejecting %q: %v", req.Name, err)
 		}
 		s.fail(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, queryResponse{ID: h.ID(), Name: h.Name(), State: h.State()})
+	writeJSON(w, http.StatusCreated, cluster.SubmitReply{ID: h.ID(), Name: h.Name(), State: h.State()})
 }
 
 func (s *coordServer) lookup(w http.ResponseWriter, r *http.Request) (*cluster.Handle, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad query id %q", r.PathValue("id")))
+	id, ok := s.pathID(w, r, "query")
+	if !ok {
 		return nil, false
 	}
 	h, ok := s.coord.Query(id)
@@ -246,29 +197,14 @@ func (s *coordServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.status(h))
 }
 
-// coordEmission is one merged result line: the shard-local emission
-// (capitalized run.Emission fields, matching shard streams) tagged with its
-// source shard.
-type coordEmission struct {
-	run.Emission
-	Shard int `json:"shard"`
-}
-
-// coordStreamEnd closes a merged result stream.
-type coordStreamEnd struct {
-	Done         bool   `json:"done"`
-	State        string `json:"state"`
-	Partial      bool   `json:"partial,omitempty"`
-	FailedShards []int  `json:"failedShards,omitempty"`
-	Results      int    `json:"results"`
-	MergeCmps    int64  `json:"mergeCmps"`
-}
-
 // handleResults streams the merged global result set as NDJSON. The
 // response blocks until the gather and merge complete (exactness needs
 // every local skyline), then delivers every merged emission — tagged with
 // its source shard — followed by a done record carrying the partial flag
-// and any failed shards.
+// and any failed shards, in one burst (flushed when the handler returns).
+// Writes go through the shared stream writer, so a stalled or vanished
+// client fails a write, is logged and counted, and the rest of the set is
+// not written.
 func (s *coordServer) handleResults(w http.ResponseWriter, r *http.Request) {
 	h, ok := s.lookup(w, r)
 	if !ok {
@@ -280,26 +216,20 @@ func (s *coordServer) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, mst, failed := h.Results()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
+	st := s.openStream(w, h.ID(), false)
+	defer st.clearDeadline()
 	for _, c := range results {
-		if err := enc.Encode(coordEmission{Emission: c.Emission, Shard: c.Shard}); err != nil {
-			s.sm.encodeErrors.Add(1)
+		if !st.write("", c) {
 			return
 		}
 	}
-	end := coordStreamEnd{
+	st.write("done", cluster.StreamEnd{
 		Done: true, State: h.State(),
-		Partial: len(failed) > 0, FailedShards: failed,
-		Results: len(results), MergeCmps: mst.Cmps,
-	}
-	if err := enc.Encode(end); err != nil {
-		s.sm.encodeErrors.Add(1)
-	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+		MergedEnd: &cluster.MergedEnd{
+			Partial: len(failed) > 0, FailedShards: failed,
+			Results: len(results), MergeCmps: mst.Cmps,
+		},
+	})
 }
 
 func (s *coordServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -320,16 +250,17 @@ func (s *coordServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *coordServer) coordFamilies() []metrics.PromFamily {
 	st := s.coord.Stats()
 	perShard := func(name, help string, v func(cluster.ShardStat) int64) metrics.PromFamily {
-		f := metrics.PromFamily{Name: name, Help: help, Kind: metrics.PromCounter}
-		for _, ss := range st.Shards {
-			f.Samples = append(f.Samples, metrics.PromSample{
-				Labels: []metrics.PromLabel{{Name: "shard", Value: strconv.Itoa(ss.Shard)}},
-				Value:  float64(v(ss)),
-			})
+		samples := make([]sample, len(st.Shards))
+		for i, ss := range st.Shards {
+			samples[i] = sample{strconv.Itoa(ss.Shard), float64(v(ss))}
 		}
-		return f
+		return labeled(metrics.PromCounter, name, help, "shard", samples...)
 	}
-	fams := []metrics.PromFamily{
+	states := map[string]float64{}
+	for _, q := range st.Queries {
+		states[q.State]++
+	}
+	return []metrics.PromFamily{
 		gaugeFamily("caqe_coordinator_shards", "Shards in the cluster topology.", float64(len(st.Shards))),
 		gaugeFamily("caqe_coordinator_draining", "Whether the coordinator is draining for shutdown.", boolGauge(st.Draining)),
 		counterFamily("caqe_coordinator_queries_submitted_total", "Queries scattered over the coordinator lifetime.", int64(st.Submitted)),
@@ -343,30 +274,8 @@ func (s *coordServer) coordFamilies() []metrics.PromFamily {
 			"Dominance comparisons charged at the coordinator by the final merge pass.", st.MergeCmps),
 		s.coord.GatherSeconds().Family("caqe_gather_duration_seconds",
 			"Wall time from scatter acceptance to merged result set, per query."),
-	}
-
-	states := map[string]int{"running": 0, "done": 0, "partial": 0, "cancelled": 0}
-	for _, q := range st.Queries {
-		states[q.State]++
-	}
-	byState := metrics.PromFamily{
-		Name: "caqe_coordinator_queries",
-		Help: "Coordinated queries by lifecycle state.",
-		Kind: metrics.PromGauge,
-	}
-	for _, name := range []string{"cancelled", "done", "partial", "running"} {
-		byState.Samples = append(byState.Samples, metrics.PromSample{
-			Labels: []metrics.PromLabel{{Name: "state", Value: name}},
-			Value:  float64(states[name]),
-		})
-	}
-	return append(fams, byState)
-}
-
-func (s *coordServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	fams := append(s.sm.families(), s.coordFamilies()...)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := metrics.WriteProm(w, fams); err != nil {
-		s.logger.Printf("caqe-serve: metrics exposition: %v", err)
+		labeled(metrics.PromGauge, "caqe_coordinator_queries", "Coordinated queries by lifecycle state.", "state",
+			sample{"cancelled", states["cancelled"]}, sample{"done", states["done"]},
+			sample{"partial", states["partial"]}, sample{"running", states["running"]}),
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"caqe/internal/cluster"
 )
 
 // startShardNodes launches count shard-role servers over httptest, each
@@ -57,21 +59,9 @@ func startCoordinator(t *testing.T, urls []string, retries int) (*coordServer, *
 	return cs, ts
 }
 
-// coordEndProbe is the coordinator stream's done record.
-type coordEndProbe struct {
-	Done         *bool  `json:"done"`
-	State        string `json:"state"`
-	Partial      bool   `json:"partial"`
-	FailedShards []int  `json:"failedShards"`
-	Results      int    `json:"results"`
-	Shard        *int   `json:"shard"`
-	RID          int    `json:"RID"`
-	TID          int    `json:"TID"`
-}
-
 // streamCoordResults drains a merged NDJSON stream into (RID, TID) keys
 // plus the done record.
-func streamCoordResults(t *testing.T, ts *httptest.Server, id int) (map[[2]int]bool, coordEndProbe) {
+func streamCoordResults(t *testing.T, ts *httptest.Server, id int) (map[[2]int]bool, cluster.StreamRecord) {
 	t.Helper()
 	resp, err := http.Get(fmt.Sprintf("%s/queries/%d/results", ts.URL, id))
 	if err != nil {
@@ -82,14 +72,14 @@ func streamCoordResults(t *testing.T, ts *httptest.Server, id int) (map[[2]int]b
 		t.Fatalf("results status %d", resp.StatusCode)
 	}
 	got := make(map[[2]int]bool)
-	var end coordEndProbe
+	var end cluster.StreamRecord
 	ends := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var ln coordEndProbe
+		var ln cluster.StreamRecord
 		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}
@@ -99,7 +89,7 @@ func streamCoordResults(t *testing.T, ts *httptest.Server, id int) (map[[2]int]b
 		case ln.Shard == nil:
 			t.Fatalf("emission without shard tag: %q", sc.Text())
 		default:
-			got[[2]int{ln.RID, ln.TID}] = true
+			got[[2]int{*ln.RID, ln.TID}] = true
 		}
 	}
 	if err := sc.Err(); err != nil {

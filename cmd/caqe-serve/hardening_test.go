@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"caqe/internal/cluster"
 )
 
 // TestHeaderStallDropped is the regression test for the unhardened
@@ -257,6 +259,36 @@ func TestEncodeErrorSurfaced(t *testing.T) {
 	if v := metricValue(t, body, "caqe_stream_abandons_total"); v == 0 {
 		t.Error("failed stream was not abandoned")
 	}
+
+	// A coordinator's merged stream goes through the same writer: the
+	// failure is logged and counted there too, and exactly once — the rest
+	// of the merged set is not written into the dead connection.
+	logBuf.Reset()
+	cs, err := newCoordinatorDaemon(coordDaemonConfig{
+		LocalShards: 2, Partition: "range",
+		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
+		Workers: 1, frontConfig: frontConfig{Logger: log.New(&logBuf, "", 0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cs.drain()
+	cts := httptest.NewServer(cs.routes())
+	defer cts.Close()
+	if qres, status = submit(t, cts, testQueries()[1]); status != http.StatusCreated {
+		t.Fatalf("coordinator submit: %d", status)
+	}
+	req = httptest.NewRequest("GET", fmt.Sprintf("/queries/%d/results", qres.ID), nil)
+	cs.routes().ServeHTTP(&failingWriter{}, req) // blocks until gathered and merged
+	if got := logBuf.String(); !strings.Contains(got, "client write failed") {
+		t.Errorf("coordinator write failure not logged; log buffer: %q", got)
+	}
+	if n := cs.sm.encodeErrors.Load(); n != 1 {
+		t.Errorf("coordinator counted %d encode errors, want 1", n)
+	}
+	if v := metricValue(t, scrapeMetrics(t, cts), "caqe_stream_encode_errors_total"); v != 1 {
+		t.Errorf("coordinator caqe_stream_encode_errors_total %g, want 1", v)
+	}
 }
 
 func waitState(t *testing.T, ts *httptest.Server, id int, want string) {
@@ -267,7 +299,7 @@ func waitState(t *testing.T, ts *httptest.Server, id int, want string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var qr queryResponse
+		var qr cluster.SubmitReply
 		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@
 //
 // Endpoints:
 //
-//	POST   /queries              submit a query (JSON body; see queryRequest)
+//	POST   /queries              submit a query (JSON body: cluster.QuerySpec)
 //	GET    /queries/{id}         one query's status
 //	DELETE /queries/{id}         cancel a query
 //	GET    /queries/{id}/results stream guaranteed-final results (NDJSON, or
@@ -67,7 +67,7 @@ func newHTTPServer(addr string, h http.Handler, readHeaderTimeout, idleTimeout t
 		Handler:           h,
 		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
-		MaxHeaderBytes:    1 << 20,
+		MaxHeaderBytes:    maxRequestBytes,
 	}
 }
 
@@ -115,6 +115,7 @@ func main() {
 	}
 	var srv daemon
 	var err error
+	fc := frontConfig{RetryAfterSeconds: *retryAfter, StreamWriteTimeout: *streamWrite}
 	switch *role {
 	case "server", "shard":
 		if *role == "shard" && *shardCount < 2 {
@@ -124,9 +125,8 @@ func main() {
 		cfg := serverConfig{
 			N: *n, Dims: *dims, Dist: *dist, Sel: *sel, Keys: *keys, Seed: *seed,
 			MaxConcurrent: *maxConc, Workers: *workers, TargetCells: *cells,
-			Clock: *clock, RetryAfterSeconds: *retryAfter,
-			MaxBuffered: *maxBuffered, BufferPolicy: *bufPolicy,
-			MaxBufferedTotal: *maxBufTotal, StreamWriteTimeout: *streamWrite,
+			Clock: *clock, MaxBuffered: *maxBuffered, BufferPolicy: *bufPolicy,
+			MaxBufferedTotal: *maxBufTotal, frontConfig: fc,
 		}
 		if *role == "shard" {
 			cfg.ShardIndex, cfg.ShardCount, cfg.Partition = *shardIndex, *shardCount, *partition
@@ -139,7 +139,7 @@ func main() {
 			Workers: *workers, TargetCells: *cells, MaxConcurrent: *maxConc,
 			Retries: *shardRetries, RetryBackoff: *shardBackoff,
 			SubmitTimeout: *shardTimeout, GatherTimeout: *gatherTimeout,
-			RetryAfterSeconds: *retryAfter,
+			frontConfig: fc,
 		})
 	default:
 		err = fmt.Errorf("unknown role %q (server, shard or coordinator)", *role)

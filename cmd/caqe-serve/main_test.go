@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"caqe"
+	"caqe/internal/cluster"
 	"caqe/internal/run"
 )
 
@@ -33,11 +34,11 @@ func testConfig() serverConfig {
 
 // testQueries is the workload the end-to-end test submits over HTTP; the
 // batch reference run uses the exact same queries.
-func testQueries() []queryRequest {
-	return []queryRequest{
-		{Name: "alpha", JC: 0, Pref: []int{0, 1}, Priority: 0.4, Contract: contractRequest{Class: "softdeadline", Deadline: 10}},
-		{Name: "beta", JC: 0, Pref: []int{1, 2, 3}, Priority: 0.8, Contract: contractRequest{Class: "softdeadline", Deadline: 10}},
-		{Name: "gamma", JC: 1, Pref: []int{0, 2}, Priority: 0.1, Contract: contractRequest{Class: "softdeadline", Deadline: 10}},
+func testQueries() []cluster.QuerySpec {
+	return []cluster.QuerySpec{
+		{Name: "alpha", JC: 0, Pref: []int{0, 1}, Priority: 0.4, Contract: cluster.ContractSpec{Class: "softdeadline", Deadline: 10}},
+		{Name: "beta", JC: 0, Pref: []int{1, 2, 3}, Priority: 0.8, Contract: cluster.ContractSpec{Class: "softdeadline", Deadline: 10}},
+		{Name: "gamma", JC: 1, Pref: []int{0, 2}, Priority: 0.1, Contract: cluster.ContractSpec{Class: "softdeadline", Deadline: 10}},
 	}
 }
 
@@ -73,7 +74,7 @@ func batchReference(t *testing.T) *run.Report {
 	return rep
 }
 
-func submit(t *testing.T, ts *httptest.Server, qr queryRequest) (queryResponse, int) {
+func submit(t *testing.T, ts *httptest.Server, qr cluster.QuerySpec) (cluster.SubmitReply, int) {
 	t.Helper()
 	body, _ := json.Marshal(qr)
 	resp, err := http.Post(ts.URL+"/queries", "application/json", bytes.NewReader(body))
@@ -81,7 +82,7 @@ func submit(t *testing.T, ts *httptest.Server, qr queryRequest) (queryResponse, 
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out queryResponse
+	var out cluster.SubmitReply
 	if resp.StatusCode == http.StatusCreated {
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
@@ -90,21 +91,10 @@ func submit(t *testing.T, ts *httptest.Server, qr queryRequest) (queryResponse, 
 	return out, resp.StatusCode
 }
 
-// controlProbe distinguishes the NDJSON control records (lag notices and
-// the final done record) from result emissions: control keys are
-// lowercase, emission fields capitalized, so they cannot collide.
-type controlProbe struct {
-	Done      *bool  `json:"done"`
-	Lag       *int64 `json:"lag"`
-	State     string `json:"state"`
-	Coalesced int64  `json:"coalesced"`
-	Reason    string `json:"reason"`
-}
-
 // streamResults reads a query's NDJSON result stream to completion,
 // returning its emissions plus any lag notices and the terminal done
 // record. Every stream must end with exactly one done record.
-func streamResults(t *testing.T, ts *httptest.Server, id int) ([]run.Emission, []int64, controlProbe) {
+func streamResults(t *testing.T, ts *httptest.Server, id int) ([]run.Emission, []int64, cluster.StreamRecord) {
 	t.Helper()
 	resp, err := http.Get(fmt.Sprintf("%s/queries/%d/results", ts.URL, id))
 	if err != nil {
@@ -120,7 +110,7 @@ func streamResults(t *testing.T, ts *httptest.Server, id int) ([]run.Emission, [
 	var (
 		got  []run.Emission
 		lags []int64
-		end  controlProbe
+		end  cluster.StreamRecord
 		ends int
 	)
 	sc := bufio.NewScanner(resp.Body)
@@ -128,7 +118,7 @@ func streamResults(t *testing.T, ts *httptest.Server, id int) ([]run.Emission, [
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue
 		}
-		var cp controlProbe
+		var cp cluster.StreamRecord
 		if err := json.Unmarshal(sc.Bytes(), &cp); err != nil {
 			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
 		}

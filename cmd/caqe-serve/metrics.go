@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net/http"
 	"sort"
 	"strconv"
 	"sync"
@@ -113,14 +112,41 @@ func gaugeFamily(name, help string, v float64) metrics.PromFamily {
 	}
 }
 
+// sample is one value of a family whose series differ in a single label.
+type sample struct {
+	label string
+	v     float64
+}
+
+// labeled renders a family with one series per sample, in the order given.
+func labeled(kind metrics.PromKind, name, help, label string, samples ...sample) metrics.PromFamily {
+	f := metrics.PromFamily{Name: name, Help: help, Kind: kind}
+	for _, s := range samples {
+		f.Samples = append(f.Samples, metrics.PromSample{
+			Labels: []metrics.PromLabel{{Name: label, Value: s.label}}, Value: s.v,
+		})
+	}
+	return f
+}
+
 // sessionFamilies renders the session, delivery and engine series from a
-// live stats snapshot. ok is false once the session has fully closed, in
-// which case only liveness is reported.
+// live stats snapshot; once the session has fully closed only liveness is
+// reported.
 func (s *server) sessionFamilies() []metrics.PromFamily {
 	st, err := s.sess.Stats()
 	if err != nil {
 		return []metrics.PromFamily{gaugeFamily("caqe_sessions_open",
 			"Whether the serving session is open (0 after final drain).", 0)}
+	}
+	// Known states render even at zero so scrapes see stable series.
+	states := map[string]float64{}
+	var delivered, buffered, satisfaction []sample
+	for _, q := range st.Queries {
+		states[q.State]++
+		id := strconv.Itoa(q.ID)
+		delivered = append(delivered, sample{id, float64(q.Delivered)})
+		buffered = append(buffered, sample{id, float64(q.Buffered)})
+		satisfaction = append(satisfaction, sample{id, q.Satisfaction})
 	}
 	fams := []metrics.PromFamily{
 		gaugeFamily("caqe_sessions_open",
@@ -136,33 +162,11 @@ func (s *server) sessionFamilies() []metrics.PromFamily {
 			"Queries admitted and not yet finished.", float64(st.Open)),
 		counterFamily("caqe_session_queries_submitted_total",
 			"Queries submitted over the session lifetime.", int64(st.Submitted)),
-	}
-
-	// Per-state query counts; known states render even at zero so scrapes
-	// see stable series.
-	states := map[string]int{"queued": 0, "running": 0, "lagging": 0, "done": 0, "cancelled": 0}
-	for _, q := range st.Queries {
-		states[q.State]++
-	}
-	stateNames := make([]string, 0, len(states))
-	for name := range states {
-		stateNames = append(stateNames, name)
-	}
-	sort.Strings(stateNames)
-	byState := metrics.PromFamily{
-		Name: "caqe_session_queries",
-		Help: "Queries by lifecycle state (lagging is the over-high-water sub-state of running).",
-		Kind: metrics.PromGauge,
-	}
-	for _, name := range stateNames {
-		byState.Samples = append(byState.Samples, metrics.PromSample{
-			Labels: []metrics.PromLabel{{Name: "state", Value: name}},
-			Value:  float64(states[name]),
-		})
-	}
-	fams = append(fams, byState)
-
-	fams = append(fams,
+		labeled(metrics.PromGauge, "caqe_session_queries",
+			"Queries by lifecycle state (lagging is the over-high-water sub-state of running).", "state",
+			sample{"cancelled", states["cancelled"]}, sample{"done", states["done"]},
+			sample{"lagging", states["lagging"]}, sample{"queued", states["queued"]},
+			sample{"running", states["running"]}),
 		gaugeFamily("caqe_stream_buffered_emissions",
 			"Emissions currently buffered between the executor and stream consumers, all queries.",
 			float64(st.Delivery.Buffered)),
@@ -178,97 +182,37 @@ func (s *server) sessionFamilies() []metrics.PromFamily {
 			"Streams severed by the disconnect-slow policy.", st.Delivery.Disconnects),
 		counterFamily("caqe_stream_abandons_total",
 			"Streams abandoned by their consumer (client disconnect).", st.Delivery.Abandons),
-	)
-
-	delivered := metrics.PromFamily{
-		Name: "caqe_query_delivered",
-		Help: "Results delivered per query.",
-		Kind: metrics.PromGauge,
-	}
-	buffered := metrics.PromFamily{
-		Name: "caqe_query_buffered_emissions",
-		Help: "Emissions awaiting the consumer, per query.",
-		Kind: metrics.PromGauge,
-	}
-	satisfaction := metrics.PromFamily{
-		Name: "caqe_query_satisfaction",
-		Help: "Contract satisfaction so far, per query.",
-		Kind: metrics.PromGauge,
-	}
-	for _, q := range st.Queries {
-		labels := []metrics.PromLabel{{Name: "query", Value: strconv.Itoa(q.ID)}}
-		delivered.Samples = append(delivered.Samples, metrics.PromSample{Labels: labels, Value: float64(q.Delivered)})
-		buffered.Samples = append(buffered.Samples, metrics.PromSample{Labels: labels, Value: float64(q.Buffered)})
-		satisfaction.Samples = append(satisfaction.Samples, metrics.PromSample{Labels: labels, Value: q.Satisfaction})
-	}
-	fams = append(fams, delivered, buffered, satisfaction)
-
-	muts := metrics.PromFamily{
-		Name: "caqe_mutations_total",
-		Help: "Base-table mutation work applied over the session lifetime, by kind.",
-		Kind: metrics.PromCounter,
-	}
-	for _, mv := range []struct {
-		name string
-		v    int
-	}{
-		{"tuples_appended", st.Mutations.Appended},
-		{"tuples_deleted", st.Mutations.Deleted},
-		{"cells_touched", st.Mutations.CellsTouched},
-		{"regions_revived", st.Mutations.RegionsRevived},
-		{"regions_created", st.Mutations.RegionsCreated},
-	} {
-		muts.Samples = append(muts.Samples, metrics.PromSample{
-			Labels: []metrics.PromLabel{{Name: "kind", Value: mv.name}},
-			Value:  float64(mv.v),
-		})
-	}
-	fams = append(fams, muts,
+		labeled(metrics.PromGauge, "caqe_query_delivered", "Results delivered per query.", "query", delivered...),
+		labeled(metrics.PromGauge, "caqe_query_buffered_emissions", "Emissions awaiting the consumer, per query.", "query", buffered...),
+		labeled(metrics.PromGauge, "caqe_query_satisfaction", "Contract satisfaction so far, per query.", "query", satisfaction...),
+		labeled(metrics.PromCounter, "caqe_mutations_total",
+			"Base-table mutation work applied over the session lifetime, by kind.", "kind",
+			sample{"tuples_appended", float64(st.Mutations.Appended)},
+			sample{"tuples_deleted", float64(st.Mutations.Deleted)},
+			sample{"cells_touched", float64(st.Mutations.CellsTouched)},
+			sample{"regions_revived", float64(st.Mutations.RegionsRevived)},
+			sample{"regions_created", float64(st.Mutations.RegionsCreated)}),
 		gaugeFamily("caqe_mutations_pending",
 			"Accepted mutations still waiting on their virtual-time anchor.",
-			float64(st.Mutations.Pending)))
-
-	ops := metrics.PromFamily{
-		Name: "caqe_engine_ops_total",
-		Help: "Elementary engine operations (the virtual clock's cost drivers).",
-		Kind: metrics.PromCounter,
+			float64(st.Mutations.Pending)),
+		labeled(metrics.PromCounter, "caqe_engine_ops_total",
+			"Elementary engine operations (the virtual clock's cost drivers).", "op",
+			sample{"join_probes", float64(st.Counters.JoinProbes)},
+			sample{"join_results", float64(st.Counters.JoinResults)},
+			sample{"skyline_cmps", float64(st.Counters.SkylineCmps)},
+			sample{"cell_ops", float64(st.Counters.CellOps)},
+			sample{"tuples_emitted", float64(st.Counters.TuplesEmitted)},
+			sample{"regions_done", float64(st.Counters.RegionsDone)},
+			sample{"regions_pruned", float64(st.Counters.RegionsPruned)},
+			sample{"cuboid_subspaces", float64(st.Counters.CuboidSubspace)}),
 	}
-	for _, op := range []struct {
-		name string
-		v    int64
-	}{
-		{"join_probes", st.Counters.JoinProbes},
-		{"join_results", st.Counters.JoinResults},
-		{"skyline_cmps", st.Counters.SkylineCmps},
-		{"cell_ops", st.Counters.CellOps},
-		{"tuples_emitted", st.Counters.TuplesEmitted},
-		{"regions_done", st.Counters.RegionsDone},
-		{"regions_pruned", st.Counters.RegionsPruned},
-		{"cuboid_subspaces", st.Counters.CuboidSubspace},
-	} {
-		ops.Samples = append(ops.Samples, metrics.PromSample{
-			Labels: []metrics.PromLabel{{Name: "op", Value: op.name}},
-			Value:  float64(op.v),
-		})
+	snap := s.agg.Snapshot()
+	var events []sample
+	for _, kind := range trace.Kinds() {
+		events = append(events, sample{string(kind), float64(snap.Events[kind])})
 	}
-	fams = append(fams, ops)
-
-	if s.agg != nil {
-		snap := s.agg.Snapshot()
-		events := metrics.PromFamily{
-			Name: "caqe_trace_events_total",
-			Help: "Structured trace events observed in the current run, by kind.",
-			Kind: metrics.PromCounter,
-		}
-		for _, kind := range trace.Kinds() {
-			events.Samples = append(events.Samples, metrics.PromSample{
-				Labels: []metrics.PromLabel{{Name: "kind", Value: string(kind)}},
-				Value:  float64(snap.Events[kind]),
-			})
-		}
-		fams = append(fams, events)
-	}
-	return fams
+	return append(fams, labeled(metrics.PromCounter, "caqe_trace_events_total",
+		"Structured trace events observed in the current run, by kind.", "kind", events...))
 }
 
 func boolGauge(b bool) float64 {
@@ -276,14 +220,4 @@ func boolGauge(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-// handleMetrics serves the Prometheus text exposition: serving-side
-// families first, then the live session snapshot.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	fams := append(s.sm.families(), s.sessionFamilies()...)
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := metrics.WriteProm(w, fams); err != nil {
-		s.logger.Printf("caqe-serve: metrics exposition: %v", err)
-	}
 }

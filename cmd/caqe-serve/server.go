@@ -1,15 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"log"
 	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"caqe"
 	"caqe/internal/cluster"
@@ -39,9 +34,6 @@ type serverConfig struct {
 	// deadlines are wall deadlines and Eq. 11 feedback runs off measured
 	// processing rates).
 	Clock string
-	// RetryAfterSeconds is the Retry-After header value sent with every 429
-	// and 503 rejection (0 = default 1s).
-	RetryAfterSeconds int
 
 	// MaxBuffered is the per-query delivery-buffer high-water mark
 	// (0 = unbounded); BufferPolicy selects what happens past it
@@ -51,14 +43,8 @@ type serverConfig struct {
 	// MaxBufferedTotal sheds new submissions with 503 while the aggregate
 	// buffered-emission count is at or above it (0 = no shedding).
 	MaxBufferedTotal int
-	// StreamWriteTimeout bounds each individual write on a result stream;
-	// a stalled client fails the write and the stream is abandoned
-	// (0 = no per-write deadline).
-	StreamWriteTimeout time.Duration
 
-	// Logger receives delivery-failure and lifecycle logs (default
-	// log.Default()).
-	Logger *log.Logger
+	frontConfig
 
 	// noAutoStart keeps submitted queries queued instead of starting
 	// execution on first admission; tests use it to pin down admission-cap
@@ -67,20 +53,14 @@ type serverConfig struct {
 }
 
 // server wires one online CAQE session to HTTP handlers. All shared state
-// lives in the session, which is safe for concurrent use; the server keeps
-// only the immutable query vocabulary and its metrics registry.
+// lives in the session, which is safe for concurrent use.
 type server struct {
+	front
 	sess      *caqe.Session
-	joinConds []caqe.EquiJoin
-	outDims   []caqe.MapFunc
 	autoStart bool
-
-	logger       *log.Logger
-	sm           *serveMetrics
-	agg          *trace.Aggregator
-	writeTimeout time.Duration
-	wallClock    bool
-	retryAfter   int // seconds, sent as Retry-After on 429/503
+	sharded   bool // one shard of a cluster: base tables are read-only
+	agg       *trace.Aggregator
+	wallClock bool
 }
 
 // buildDataset generates the served pair and the query vocabulary — one
@@ -134,10 +114,6 @@ func newServer(cfg serverConfig) (*server, error) {
 		return nil, fmt.Errorf("max-concurrent %d outside [0, %d] (0 = engine limit)",
 			cfg.MaxConcurrent, caqe.MaxConcurrentQueries)
 	}
-	retryAfter := cfg.RetryAfterSeconds
-	if retryAfter <= 0 {
-		retryAfter = 1
-	}
 	r, t, joinConds, outDims, err := buildDataset(cfg.N, cfg.Dims, cfg.Keys, cfg.Dist, cfg.Sel, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -154,15 +130,11 @@ func newServer(cfg serverConfig) (*server, error) {
 		r = parts[cfg.ShardIndex]
 	}
 
-	logger := cfg.Logger
-	if logger == nil {
-		logger = log.Default()
-	}
 	// The aggregator feeds /metrics with live trace-event counts; tracing
 	// performs no counted work, so serving with it attached stays
 	// byte-identical to an untraced run.
 	agg := trace.NewAggregator(nil, nil)
-	sm := newServeMetrics()
+	f := newFront(cfg.frontConfig)
 	sess, err := caqe.OpenSession(caqe.SessionConfig{
 		R: r, T: t,
 		JoinConds:     joinConds,
@@ -175,15 +147,14 @@ func newServer(cfg serverConfig) (*server, error) {
 			Policy:    caqe.SessionDeliveryPolicy(cfg.BufferPolicy),
 		},
 		GlobalHighWater: cfg.MaxBufferedTotal,
-		OnFirstResult:   func(id int, seconds float64) { sm.ttfr.Observe(seconds) },
+		OnFirstResult:   func(id int, seconds float64) { f.sm.ttfr.Observe(seconds) },
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &server{
-		sess: sess, joinConds: joinConds, outDims: outDims, autoStart: !cfg.noAutoStart,
-		logger: logger, sm: sm, agg: agg, writeTimeout: cfg.StreamWriteTimeout,
-		wallClock: wall, retryAfter: retryAfter,
+		front: f, sess: sess, autoStart: !cfg.noAutoStart, sharded: cfg.ShardCount > 1,
+		agg: agg, wallClock: wall,
 	}, nil
 }
 
@@ -197,70 +168,22 @@ func (s *server) routes() http.Handler {
 	s.route(mux, "GET /queries/{id}", s.handleStatus)
 	s.route(mux, "DELETE /queries/{id}", s.handleCancel)
 	s.route(mux, "GET /queries/{id}/results", s.handleResults)
-	s.route(mux, "POST /data/{table}", s.handleMutate)
-	s.route(mux, "DELETE /data/{table}/{id}", s.handleDeleteRow)
+	if !s.sharded {
+		// The coordinator translates a shard's row IDs by pure (n, N,
+		// strategy) arithmetic; mutating one shard would silently
+		// invalidate it, so a shard node serves no /data routes.
+		s.route(mux, "POST /data/{table}", s.handleMutate)
+		s.route(mux, "DELETE /data/{table}/{id}", s.handleDeleteRow)
+	}
 	s.route(mux, "GET /stats", s.handleStats)
 	s.route(mux, "GET /healthz", s.handleHealthz)
-	s.route(mux, "GET /metrics", s.handleMetrics)
+	s.route(mux, "GET /metrics", s.metricsHandler(s.sessionFamilies))
 	return mux
 }
 
-// route registers a handler wrapped with request instrumentation: status
-// code and latency per route pattern. The pattern is passed explicitly so
-// the label set stays bounded (no per-id cardinality).
-func (s *server) route(mux *http.ServeMux, pattern string, fn http.HandlerFunc) {
-	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r)
-		s.sm.observeRequest(pattern, sw.code, time.Since(start))
-	})
-}
-
-// statusWriter records the response status for instrumentation while
-// keeping the streaming capabilities (Flush, per-request deadlines via
-// Unwrap) of the underlying writer available.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
-
-// contractRequest selects and parameterizes a contract class (Table 2). It
-// is the cluster package's transport-neutral spec, so a coordinator can
-// forward submission bodies to shard nodes verbatim.
-type contractRequest = cluster.ContractSpec
-
-// queryRequest is the POST /queries body — the same wire spec the cluster
-// coordinator scatters, so shard nodes and plain servers decode one shape.
-type queryRequest = cluster.QuerySpec
-
-// queryResponse describes one submitted query.
-type queryResponse struct {
-	ID      int     `json:"id"`
-	Name    string  `json:"name"`
-	State   string  `json:"state"`
-	Arrival float64 `json:"arrival"` // virtual seconds at admission
-}
-
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	var req cluster.QuerySpec
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	q, err := req.Query()
@@ -283,43 +206,16 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// after the first call.
 		_ = s.sess.Start()
 	}
-	writeJSON(w, http.StatusCreated, queryResponse{
-		ID: h.ID(), Name: h.Name(), State: h.State(), Arrival: h.Arrival(),
-	})
+	writeJSON(w, http.StatusCreated, submitReply(h))
 }
 
-// errStatus maps typed session errors onto HTTP status codes, the one
-// vocabulary every handler speaks: the -max-concurrent admission cap is
-// retryable (429), slot exhaustion is a resource conflict (409), and a
-// draining, closed or overloaded session is temporarily unavailable (503).
-func errStatus(err error) int {
-	switch {
-	case errors.Is(err, caqe.ErrAdmissionFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, caqe.ErrSessionFull):
-		return http.StatusConflict
-	case errors.Is(err, caqe.ErrSessionDraining), errors.Is(err, caqe.ErrSessionClosed),
-		errors.Is(err, caqe.ErrSessionOverloaded):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusBadRequest
-	}
-}
-
-// fail writes a JSON error response. Retryable rejections — 429 from the
-// admission cap, 503 from drain/shutdown/overload — carry a Retry-After
-// hint so well-behaved clients back off instead of hammering the server.
-func (s *server) fail(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter))
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+func submitReply(h *caqe.SessionHandle) cluster.SubmitReply {
+	return cluster.SubmitReply{ID: h.ID(), Name: h.Name(), State: h.State(), Arrival: h.Arrival()}
 }
 
 func (s *server) handle(w http.ResponseWriter, r *http.Request) (*caqe.SessionHandle, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad query id %q", r.PathValue("id")))
+	id, ok := s.pathID(w, r, "query")
+	if !ok {
 		return nil, false
 	}
 	h, err := s.sess.Query(id)
@@ -339,9 +235,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		ID: h.ID(), Name: h.Name(), State: h.State(), Arrival: h.Arrival(),
-	})
+	writeJSON(w, http.StatusOK, submitReply(h))
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -374,10 +268,7 @@ type mutateRequest struct {
 // the appended rows and whether the mutation has already applied.
 func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	var req mutateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	s.mutate(w, caqe.SessionMutation{
@@ -390,9 +281,8 @@ func (s *server) handleMutate(w http.ResponseWriter, r *http.Request) {
 
 // handleDeleteRow retires one row: DELETE /data/{table}/{id}.
 func (s *server) handleDeleteRow(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad row id %q", r.PathValue("id")))
+	id, ok := s.pathID(w, r, "row")
+	if !ok {
 		return
 	}
 	s.mutate(w, caqe.SessionMutation{Table: r.PathValue("table"), Delete: []int{id}})
@@ -405,24 +295,6 @@ func (s *server) mutate(w http.ResponseWriter, m caqe.SessionMutation) {
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
-}
-
-// streamEnd is the terminal record of a result stream. Done reports
-// whether the stream carried the query to its terminal state — a client
-// that never sees a streamEnd record knows the connection was severed
-// mid-run, and one that sees Done false knows the server cut a lagging
-// stream loose (Reason "slow-consumer") while the query kept running.
-type streamEnd struct {
-	Done      bool   `json:"done"`
-	State     string `json:"state"`
-	Coalesced int64  `json:"coalesced,omitempty"` // emissions dropped from this stream
-	Reason    string `json:"reason,omitempty"`
-}
-
-// lagRecord notifies the stream that Lag emissions were coalesced away
-// because the client fell behind the delivery high-water mark.
-type lagRecord struct {
-	Lag int64 `json:"lag"`
 }
 
 // handleResults streams a query's guaranteed-final results until its
@@ -440,97 +312,42 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	// The server's WriteTimeout is zero so streams can live arbitrarily
-	// long; instead each individual write gets its own deadline. Clear it
-	// on exit so a keep-alive connection isn't poisoned for the next
-	// request. Both calls are best-effort: writers that don't support
-	// deadlines (test recorders) just proceed without them.
-	defer rc.SetWriteDeadline(time.Time{})
-
-	enc := json.NewEncoder(w)
+	st := s.openStream(w, h.ID(), strings.Contains(r.Header.Get("Accept"), "text/event-stream"))
+	defer st.clearDeadline()
 	ctx := r.Context()
-	// write runs one framed record through the per-write deadline, logging
-	// and counting a failure instead of swallowing it, and abandoning the
-	// stream so the pump and buffer are released immediately.
-	write := func(fn func() error) bool {
-		if s.writeTimeout > 0 {
-			_ = rc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-		}
-		if err := fn(); err != nil {
-			s.logger.Printf("caqe-serve: query %d results stream: client write failed: %v", h.ID(), err)
-			s.sm.encodeErrors.Add(1)
-			h.Abandon()
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
 	for {
 		select {
 		case ev, open := <-h.Events():
-			if !open {
+			var ok bool
+			switch {
+			case !open:
 				ss := h.StreamStats()
-				end := streamEnd{Done: true, State: h.State(), Coalesced: ss.Coalesced}
+				end := cluster.StreamEnd{Done: true, State: h.State(), Coalesced: ss.Coalesced}
 				if ss.Disconnected {
 					end.Done = false
 					end.Reason = "slow-consumer"
 				}
-				write(func() error { return encodeFramed(w, enc, sse, "done", end) })
-				return
-			}
-			if ev.Lag > 0 {
+				ok = st.write("done", end)
+			case ev.Lag > 0:
 				s.sm.lagNotices.Add(1)
-				if !write(func() error { return encodeFramed(w, enc, sse, "lag", lagRecord{Lag: ev.Lag}) }) {
-					return
-				}
-				continue
+				ok = st.write("lag", cluster.LagRecord{Lag: ev.Lag})
+			default:
+				ok = st.write("", ev.Emission)
 			}
-			if !write(func() error { return encodeFramed(w, enc, sse, "", ev.Emission) }) {
+			if !ok {
+				// Release the pump and buffer at once; the query runs on.
+				h.Abandon()
+			}
+			if !ok || !open {
 				return
 			}
+			st.flush() // each result reaches the client as it becomes final
 		case <-ctx.Done():
 			// Client went away; free the pump but keep the query running.
 			h.Abandon()
 			return
 		}
 	}
-}
-
-// encodeFramed writes one record in the stream's framing: a bare JSON line
-// for NDJSON, an "event:"-prefixed frame for SSE (plain data frames carry
-// no event name).
-func encodeFramed(w io.Writer, enc *json.Encoder, sse bool, event string, v any) error {
-	if sse {
-		if event != "" {
-			if _, err := fmt.Fprintf(w, "event: %s\n", event); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprint(w, "data: "); err != nil {
-			return err
-		}
-	}
-	if err := enc.Encode(v); err != nil {
-		return err
-	}
-	if sse {
-		if _, err := fmt.Fprint(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -549,10 +366,4 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

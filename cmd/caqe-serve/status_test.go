@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +10,7 @@ import (
 	"testing"
 
 	"caqe"
+	"caqe/internal/cluster"
 )
 
 // TestErrStatusMatrix pins the full error-to-status vocabulary shared by
@@ -23,11 +26,83 @@ func TestErrStatusMatrix(t *testing.T) {
 		{caqe.ErrSessionClosed, http.StatusServiceUnavailable},
 		{caqe.ErrSessionOverloaded, http.StatusServiceUnavailable},
 		{caqe.ErrUnknownQuery, http.StatusBadRequest},
+		{cluster.ErrCoordinatorClosed, http.StatusServiceUnavailable},
+		{fmt.Errorf("%w (2 shards)", cluster.ErrScatterFailed), http.StatusServiceUnavailable},
 	}
 	for _, c := range cases {
 		if got := errStatus(c.err); got != c.want {
 			t.Errorf("errStatus(%v) = %d, want %d", c.err, got, c.want)
 		}
+	}
+}
+
+// TestRequestBodyStatus pins what every role answers to a request body it
+// will not take: 413 with the JSON error reply past the 1 MiB bound, 400
+// for one it cannot decode — and that a shard node, whose rows the
+// coordinator addresses by pure topology arithmetic, serves no /data
+// routes at all.
+func TestRequestBodyStatus(t *testing.T) {
+	srv, err := newServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.drain()
+	shardCfg := testConfig()
+	shardCfg.ShardIndex, shardCfg.ShardCount = 0, 2
+	shard, err := newServer(shardCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.drain()
+	coord, err := newCoordinatorDaemon(coordDaemonConfig{
+		LocalShards: 2,
+		N:           testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.drain()
+
+	huge := `{"name":"` + strings.Repeat("x", maxRequestBytes) + `"}`
+	hugeRows := `{"rows":[{"attrs":[` + strings.Repeat("1,", maxRequestBytes/2) + `1]}]}`
+	cases := []struct {
+		name      string
+		h         http.Handler
+		method    string
+		path      string
+		body      string
+		want      int
+		jsonError bool
+	}{
+		{"server oversized query", srv.routes(), "POST", "/queries", huge, http.StatusRequestEntityTooLarge, true},
+		{"server oversized rows", srv.routes(), "POST", "/data/r", hugeRows, http.StatusRequestEntityTooLarge, true},
+		{"shard oversized query", shard.routes(), "POST", "/queries", huge, http.StatusRequestEntityTooLarge, true},
+		{"coordinator oversized query", coord.routes(), "POST", "/queries", huge, http.StatusRequestEntityTooLarge, true},
+		{"server malformed query", srv.routes(), "POST", "/queries", "{nope", http.StatusBadRequest, true},
+		{"coordinator malformed query", coord.routes(), "POST", "/queries", "{nope", http.StatusBadRequest, true},
+		{"server unknown table", srv.routes(), "POST", "/data/x", `{"delete":[0]}`, http.StatusBadRequest, true},
+		{"shard refuses append", shard.routes(), "POST", "/data/r", `{"delete":[0]}`, http.StatusNotFound, false},
+		{"shard refuses delete", shard.routes(), "DELETE", "/data/r/0", "", http.StatusNotFound, false},
+		{"coordinator has no data routes", coord.routes(), "POST", "/data/r", `{"delete":[0]}`, http.StatusNotFound, false},
+	}
+	for _, c := range cases {
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, rec.Code, c.want)
+		}
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if c.jsonError && (json.Unmarshal(rec.Body.Bytes(), &reply) != nil || reply.Error == "") {
+			t.Errorf("%s: reply %q is not the JSON error body", c.name, rec.Body.String())
+		}
+	}
+	// A plain server does take the request a shard refuses.
+	rec := httptest.NewRecorder()
+	srv.routes().ServeHTTP(rec, httptest.NewRequest("DELETE", "/data/r/0", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("server DELETE /data/r/0: status %d, want 200", rec.Code)
 	}
 }
 

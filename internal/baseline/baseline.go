@@ -128,9 +128,9 @@ func toPoints(results []join.Result) []skyline.Point {
 // GroundTruth computes the exact final result set of every query with a
 // full join followed by an SFS skyline, without cost accounting. It returns
 // the per-query skyline results and their cardinalities (the N of Table 2's
-// cardinality contracts). The joins and the per-query skylines fan out over
-// all available cores; the oracle carries no clock, and the per-query
-// outputs are position-indexed, so the fan-out cannot perturb the result.
+// cardinality contracts). The per-query skylines fan out over all
+// available cores; the oracle carries no clock, and the per-query outputs
+// are position-indexed, so the fan-out cannot perturb the result.
 func GroundTruth(w *workload.Workload, r, t *tuple.Relation) ([][]join.Result, []int, error) {
 	if err := w.Validate(); err != nil {
 		return nil, nil, err
@@ -142,7 +142,7 @@ func GroundTruth(w *workload.Workload, r, t *tuple.Relation) ([][]join.Result, [
 	joined := make(map[int][]join.Result)
 	for _, q := range w.Queries {
 		if _, ok := joined[q.JC]; !ok {
-			joined[q.JC] = join.HashJoinPool(w.JoinConds[q.JC], w.OutDims, rs, ts, nil, pool)
+			joined[q.JC] = join.HashJoin(w.JoinConds[q.JC], w.OutDims, rs, ts, nil)
 		}
 	}
 	results := make([][]join.Result, len(w.Queries))
@@ -206,7 +206,9 @@ func jfsl(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Optio
 	for _, qi := range w.ByPriority() {
 		q := w.Queries[qi]
 		traceQueryDecision(rep, clock, qi)
-		results := join.NestedLoopPool(w.JoinConds[q.JC], w.OutDims, rs, ts, clock, pool)
+		// A scratch per query: the emissions below keep its output points.
+		var js join.Scratch
+		results := js.NestedLoopPool(w.JoinConds[q.JC], w.OutDims, rs, ts, clock, pool)
 		sky := skyline.BNL(q.Pref, toPoints(results), clock)
 		now := clock.Now() / metrics.VirtualSecond
 		for _, p := range sky {

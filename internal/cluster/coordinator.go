@@ -10,13 +10,12 @@ import (
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
 	"caqe/internal/run"
-	"caqe/internal/trace"
 )
 
 // ShardQuery is one scattered query's leg on one shard.
 type ShardQuery interface {
 	// Gather consumes the shard's result stream to completion and returns
-	// the emissions with global row IDs. An error means the gathered set
+	// the emissions as the shard numbered them. An error means the gathered set
 	// may be incomplete (stream lost, coalesced, or ctx done); whatever was
 	// gathered is still returned — every emission a shard delivers is a
 	// guaranteed-final local result, so partial gathers remain sound, just
@@ -28,10 +27,10 @@ type ShardQuery interface {
 }
 
 // ShardConn is a coordinator's transport to one shard worker: an in-process
-// session (InProcConn) or a remote caqe-serve node (HTTPConn). Submit may be
-// called from multiple goroutines.
+// session (InProcConn) or a remote caqe-serve node (HTTPConn). It knows
+// nothing of the topology: shard-local query and row IDs pass through
+// untranslated. Submit may be called from multiple goroutines.
 type ShardConn interface {
-	Shard() int
 	Submit(spec QuerySpec) (ShardQuery, error)
 	Close() error
 }
@@ -49,15 +48,12 @@ var ErrScatterFailed = errors.New("cluster: scatter rejected by every shard")
 
 // CoordinatorConfig configures a scatter–gather coordinator.
 type CoordinatorConfig struct {
-	// Conns are the shard transports in shard order: Conns[i].Shard() must
-	// equal i — the merge fold order and the determinism rules depend on it.
+	// Conns are the shard transports; Conns[i] reaches shard i — the row ID
+	// tables, the merge fold order and the determinism rules depend on it.
 	Conns []ShardConn
-	// Strategy labels trace events and gathered reports (default CAQE — the
-	// session engine behind caqe-serve).
-	Strategy string
-	// Tracer, when set, receives one KindShardMerge event per non-empty
-	// merge fold step.
-	Tracer trace.Tracer
+	// RIDs translates each shard's local row IDs of R to global ones
+	// (ShardMap.Table(rows)); nil means identity, the single-shard case.
+	RIDs [][]int
 	// GatherTimeout bounds each query's gather phase; 0 means no bound
 	// (shard streams end when the query completes or is cancelled).
 	GatherTimeout time.Duration
@@ -70,8 +66,7 @@ type CoordinatorConfig struct {
 // byte-identical to unsharded runs over their partitions.
 type Coordinator struct {
 	conns         []ShardConn
-	strategy      string
-	tracer        trace.Tracer
+	rids          [][]int
 	gatherTimeout time.Duration
 	gatherSeconds *metrics.Histogram
 
@@ -90,19 +85,12 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(cfg.Conns) == 0 {
 		return nil, fmt.Errorf("cluster: coordinator needs at least one shard connection")
 	}
-	for i, conn := range cfg.Conns {
-		if conn.Shard() != i {
-			return nil, fmt.Errorf("cluster: connection %d reports shard id %d; connections must be in shard order", i, conn.Shard())
-		}
-	}
-	strategy := cfg.Strategy
-	if strategy == "" {
-		strategy = "CAQE"
+	if cfg.RIDs != nil && len(cfg.RIDs) != len(cfg.Conns) {
+		return nil, fmt.Errorf("cluster: row ID tables for %d shards, %d connections", len(cfg.RIDs), len(cfg.Conns))
 	}
 	c := &Coordinator{
 		conns:         cfg.Conns,
-		strategy:      strategy,
-		tracer:        cfg.Tracer,
+		rids:          cfg.RIDs,
 		gatherTimeout: cfg.GatherTimeout,
 		gatherSeconds: metrics.NewHistogram(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 2.5, 5, 10, 30),
 		clock:         metrics.NewClock(),
@@ -113,9 +101,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	return c, nil
 }
-
-// Shards returns the shard count.
-func (c *Coordinator) Shards() int { return len(c.conns) }
 
 // GatherSeconds is the wall-clock gather+merge latency histogram (one
 // observation per query), for metrics exposition.
@@ -199,7 +184,8 @@ func (h *Handle) Cancel() {
 // wrapped error is the first shard's); accepted-by-some submissions
 // proceed and surface the failed shards as a partial result.
 func (c *Coordinator) Submit(spec QuerySpec) (*Handle, error) {
-	if _, err := spec.Query(); err != nil {
+	q, err := spec.Query()
+	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
@@ -209,13 +195,9 @@ func (c *Coordinator) Submit(spec QuerySpec) (*Handle, error) {
 	}
 	c.mu.Unlock()
 
-	name := spec.Name
-	if name == "" {
-		name = fmt.Sprintf("q-jc%d", spec.JC)
-	}
 	h := &Handle{
-		name:  name,
-		pref:  preference.NewSubspace(spec.Pref...),
+		name:  q.Name,
+		pref:  q.Pref,
 		c:     c,
 		legs:  make([]ShardQuery, len(c.conns)),
 		done:  make(chan struct{}),
@@ -253,11 +235,7 @@ func (c *Coordinator) Submit(spec QuerySpec) (*Handle, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		for _, leg := range h.legs {
-			if leg != nil {
-				_ = leg.Cancel()
-			}
-		}
+		h.Cancel()
 		return nil, ErrCoordinatorClosed
 	}
 	h.id = len(c.queries)
@@ -319,25 +297,34 @@ func (c *Coordinator) gather(h *Handle) {
 		if h.legs[i] == nil {
 			continue // scatter failure, already recorded
 		}
-		if gerrs[i] != nil {
-			gatherFailed = append(gatherFailed, i)
-		}
+		failed := gerrs[i] != nil
 		cands := make([]Candidate, 0, len(results[i]))
 		for _, e := range results[i] {
 			// Shard-local query ids differ across shards (each session
 			// numbers its own submissions); the coordinator id is the one
-			// identity of the merged stream.
+			// identity of the merged stream. Row IDs of R are shard-local
+			// too, and this is the one place they become global.
 			e.Query = h.id
+			if c.rids != nil {
+				if e.RID < 0 || e.RID >= len(c.rids[i]) {
+					failed = true // not a row of this shard's partition
+					continue
+				}
+				e.RID = c.rids[i][e.RID]
+			}
 			cands = append(cands, Candidate{Shard: i, Emission: e})
+		}
+		if failed {
+			gatherFailed = append(gatherFailed, i)
 		}
 		byShard[i] = cands
 	}
 
-	// Merge under the coordinator lock: the clock and tracer are shared
-	// across concurrently gathering queries.
+	// Merge under the coordinator lock: the clock is shared across
+	// concurrently gathering queries. Shard sessions run the CAQE strategy.
 	kern := preference.NewKernel(h.pref)
 	c.mu.Lock()
-	surv, mst := Merge(&kern, byShard, c.clock, c.tracer, c.strategy, h.id)
+	surv, mst := Merge(&kern, byShard, c.clock, nil, "CAQE", h.id)
 	c.mergeCmps += mst.Cmps
 	for i := range c.conns {
 		if h.legs[i] != nil {
@@ -347,12 +334,16 @@ func (c *Coordinator) gather(h *Handle) {
 	for _, i := range gatherFailed {
 		c.shards[i].Failures++
 	}
+	// h.failed holds the scatter failures, fixed since Submit.
+	partial := len(h.failed)+len(gatherFailed) > 0
+	if partial {
+		c.partials++
+	}
 	c.mu.Unlock()
 	c.gatherSeconds.Observe(time.Since(start).Seconds())
 
 	h.mu.Lock()
 	h.failed = append(h.failed, gatherFailed...)
-	partial := len(h.failed) > 0
 	h.results, h.merge = surv, mst
 	switch {
 	case h.cancelled:
@@ -363,11 +354,6 @@ func (c *Coordinator) gather(h *Handle) {
 		h.state = "done"
 	}
 	h.mu.Unlock()
-	if partial {
-		c.mu.Lock()
-		c.partials++
-		c.mu.Unlock()
-	}
 	close(h.done)
 }
 
@@ -440,14 +426,13 @@ func (c *Coordinator) Stats() CoordStats {
 // in-flight gather runs to completion, then the shard connections close.
 func (c *Coordinator) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.wg.Wait()
-		return nil
-	}
+	already := c.closed
 	c.closed = true
 	c.mu.Unlock()
 	c.wg.Wait()
+	if already {
+		return nil
+	}
 	var first error
 	for _, conn := range c.conns {
 		if err := conn.Close(); err != nil && first == nil {

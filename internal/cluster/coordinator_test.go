@@ -29,7 +29,7 @@ func openTestCluster(t *testing.T, shards int) (*cluster.Coordinator, *caqe.Work
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Conns: conns})
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Conns: conns, RIDs: m.Table(r.Len())})
 	if err != nil {
 		t.Fatal(err)
 	}

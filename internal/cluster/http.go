@@ -20,13 +20,8 @@ import (
 
 // HTTPConnConfig configures one coordinator→shard HTTP transport leg.
 type HTTPConnConfig struct {
-	// Shard is the shard id this node serves.
-	Shard int
 	// BaseURL is the shard node's root (e.g. http://127.0.0.1:8081).
 	BaseURL string
-	// RIDs translates the shard's local row IDs to global ones
-	// (ShardMap.Table(n)[Shard]); nil means identity (single shard).
-	RIDs []int
 	// Client is the HTTP client; nil uses a dedicated default. No global
 	// client timeout is applied — result streams are long-lived; per-attempt
 	// submit deadlines come from SubmitTimeout.
@@ -66,25 +61,16 @@ func NewHTTPConn(cfg HTTPConnConfig) *HTTPConn {
 }
 
 // NewHTTPShards builds connections to n shard nodes in shard order, ready
-// for NewCoordinator. tables is the local→global row ID translation
-// (ShardMap.Table(rows)); nil means identity on every shard.
-func NewHTTPShards(urls []string, tables [][]int, retries int, backoff, submitTimeout time.Duration) []ShardConn {
+// for NewCoordinator.
+func NewHTTPShards(urls []string, retries int, backoff, submitTimeout time.Duration) []ShardConn {
 	conns := make([]ShardConn, len(urls))
 	for i, u := range urls {
-		cfg := HTTPConnConfig{
-			Shard: i, BaseURL: u,
-			Retries: retries, RetryBackoff: backoff, SubmitTimeout: submitTimeout,
-		}
-		if tables != nil {
-			cfg.RIDs = tables[i]
-		}
-		conns[i] = NewHTTPConn(cfg)
+		conns[i] = NewHTTPConn(HTTPConnConfig{
+			BaseURL: u, Retries: retries, RetryBackoff: backoff, SubmitTimeout: submitTimeout,
+		})
 	}
 	return conns
 }
-
-// Shard returns the shard id.
-func (c *HTTPConn) Shard() int { return c.cfg.Shard }
 
 // Retries returns the total submit retries performed on this connection.
 func (c *HTTPConn) Retries() int64 { return c.retries.Load() }
@@ -223,9 +209,7 @@ func (c *HTTPConn) submitOnce(body []byte) (int, error) {
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
-	var qr struct {
-		ID int `json:"id"`
-	}
+	var qr SubmitReply
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		return 0, fmt.Errorf("bad submit response: %w", err)
 	}
@@ -237,26 +221,11 @@ type httpQuery struct {
 	id   int
 }
 
-// streamLine is the union of the three NDJSON record shapes a caqe-serve
-// result stream carries: emissions (capitalized run.Emission fields), lag
-// notices and the final done record.
-type streamLine struct {
-	Done      *bool  `json:"done"`
-	State     string `json:"state"`
-	Coalesced int64  `json:"coalesced"`
-	Lag       *int64 `json:"lag"`
-
-	Query int       `json:"Query"`
-	RID   *int      `json:"RID"`
-	TID   int       `json:"TID"`
-	Out   []float64 `json:"Out"`
-	Time  float64   `json:"Time"`
-}
-
-// Gather streams the shard's NDJSON results to completion. Any lossiness —
-// a lag notice, a non-zero coalesced count, a disconnect-policy end, a
-// dropped connection — is an error: a lossy stream is not a complete local
-// skyline. Whatever was gathered is returned regardless.
+// Gather streams the shard's NDJSON results to completion, row IDs as the
+// shard sent them. Any lossiness — a lag notice, a non-zero coalesced
+// count, a disconnect-policy end, a dropped connection — is an error: a
+// lossy stream is not a complete local skyline. Whatever was gathered is
+// returned regardless.
 func (q *httpQuery) Gather(ctx context.Context) ([]run.Emission, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/queries/%d/results", q.conn.cfg.BaseURL, q.id), nil)
@@ -280,7 +249,7 @@ func (q *httpQuery) Gather(ctx context.Context) ([]run.Emission, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var ln streamLine
+		var ln StreamRecord
 		if err := json.Unmarshal(line, &ln); err != nil {
 			return out, fmt.Errorf("bad stream line: %w", err)
 		}
@@ -296,11 +265,7 @@ func (q *httpQuery) Gather(ctx context.Context) ([]run.Emission, error) {
 		case ln.Lag != nil:
 			return out, fmt.Errorf("stream lagged, %d emissions coalesced: incomplete", *ln.Lag)
 		case ln.RID != nil:
-			rid := *ln.RID
-			if q.conn.cfg.RIDs != nil {
-				rid = q.conn.cfg.RIDs[rid]
-			}
-			out = append(out, run.Emission{Query: ln.Query, RID: rid, TID: ln.TID, Out: ln.Out, Time: ln.Time})
+			out = append(out, run.Emission{Query: ln.Query, RID: *ln.RID, TID: ln.TID, Out: ln.Out, Time: ln.Time})
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -58,7 +58,7 @@ func emitLine(query, rid, tid int, t float64) string {
 }
 
 // TestHTTPConnRetrySucceeds retries a 503-then-accepting shard and gathers
-// its stream with local→global RID translation.
+// its stream, row IDs untranslated: a ShardConn is pure transport.
 func TestHTTPConnRetrySucceeds(t *testing.T) {
 	shard := &fakeShard{
 		rejections: 1,
@@ -67,7 +67,7 @@ func TestHTTPConnRetrySucceeds(t *testing.T) {
 	srv := httptest.NewServer(shard.handler())
 	defer srv.Close()
 	conn := cluster.NewHTTPConn(cluster.HTTPConnConfig{
-		Shard: 0, BaseURL: srv.URL, RIDs: []int{10, 20, 30},
+		BaseURL: srv.URL,
 		Retries: 2, RetryBackoff: time.Millisecond,
 	})
 	q, err := conn.Submit(cluster.QuerySpec{JC: 0, Pref: []int{0}})
@@ -81,7 +81,7 @@ func TestHTTPConnRetrySucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ems) != 2 || ems[0].RID != 10 || ems[1].RID != 20 || ems[1].TID != 9 {
+	if len(ems) != 2 || ems[0].RID != 0 || ems[1].RID != 1 || ems[1].TID != 9 {
 		t.Fatalf("gathered %+v", ems)
 	}
 }
@@ -180,7 +180,7 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	badSrv := httptest.NewServer(bad.handler())
 	defer badSrv.Close()
 
-	conns := cluster.NewHTTPShards([]string{goodSrv.URL, badSrv.URL}, nil, 1, time.Millisecond, time.Second)
+	conns := cluster.NewHTTPShards([]string{goodSrv.URL, badSrv.URL}, 1, time.Millisecond, time.Second)
 	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Conns: conns})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	}
 
 	// Both shards down: the submission itself fails.
-	allBad := cluster.NewHTTPShards([]string{badSrv.URL, badSrv.URL}, nil, 0, time.Millisecond, time.Second)
+	allBad := cluster.NewHTTPShards([]string{badSrv.URL, badSrv.URL}, 0, time.Millisecond, time.Second)
 	coord2, err := cluster.NewCoordinator(cluster.CoordinatorConfig{Conns: allBad})
 	if err != nil {
 		t.Fatal(err)
@@ -216,5 +216,58 @@ func TestCoordinatorPartialFailure(t *testing.T) {
 	defer coord2.Close()
 	if _, err := coord2.Submit(cluster.QuerySpec{JC: 0, Pref: []int{0}}); err == nil {
 		t.Fatal("expected scatter failure")
+	}
+}
+
+// TestCoordinatorTranslatesRIDs: the coordinator's gather is the one place
+// shard-local row IDs become global, and a row ID outside a shard's table
+// marks that shard failed instead of indexing past it.
+func TestCoordinatorTranslatesRIDs(t *testing.T) {
+	done := `{"done":true,"state":"done"}`
+	streams := [][]string{
+		{emitLine(0, 0, 7, 1.5), emitLine(0, 2, 9, 2.5), done},
+		{emitLine(0, 1, 7, 1), emitLine(0, 5, 8, 2), done}, // local row 5 of a 2-row partition
+	}
+	urls := make([]string, len(streams))
+	for i, lines := range streams {
+		srv := httptest.NewServer((&fakeShard{stream: lines}).handler())
+		defer srv.Close()
+		urls[i] = srv.URL
+	}
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		Conns: cluster.NewHTTPShards(urls, 0, time.Millisecond, time.Second),
+		RIDs:  [][]int{{10, 20, 30}, {40, 50}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	// One preference dimension, equal Out everywhere: nothing dominates.
+	h, err := coord.Submit(cluster.QuerySpec{JC: 0, Pref: []int{0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	results, _, failed := h.Results()
+	got := make(map[[2]int]bool)
+	for _, c := range results {
+		got[[2]int{c.Shard, c.RID}] = true
+	}
+	if len(got) != 3 || !got[[2]int{0, 10}] || !got[[2]int{0, 30}] || !got[[2]int{1, 50}] {
+		t.Fatalf("merged (shard, rid) pairs %v, want (0,10) (0,30) (1,50)", got)
+	}
+	if h.State() != "partial" || len(failed) != 1 || failed[0] != 1 {
+		t.Fatalf("state %s failed %v, want partial with shard 1 failed", h.State(), failed)
+	}
+
+	if _, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		Conns: cluster.NewHTTPShards(urls, 0, time.Millisecond, time.Second),
+		RIDs:  [][]int{{0}},
+	}); err == nil {
+		t.Fatal("one row ID table for two connections accepted")
 	}
 }

@@ -30,7 +30,7 @@ type InProcConfig struct {
 // NewCoordinator. Delivery buffers stay unbounded (the coordinator is the
 // only consumer and drains promptly), so gathered streams are lossless.
 func NewInProcShards(cfg InProcConfig) ([]ShardConn, error) {
-	parts, table := cfg.Map.Partition(cfg.R)
+	parts, _ := cfg.Map.Partition(cfg.R)
 	conns := make([]ShardConn, len(parts))
 	for s := range parts {
 		sess, err := session.Open(session.Config{
@@ -47,27 +47,15 @@ func NewInProcShards(cfg InProcConfig) ([]ShardConn, error) {
 			}
 			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
 		}
-		var rids []int
-		if cfg.Map.Shards > 1 {
-			rids = table[s]
-		}
-		conns[s] = &InProcConn{shard: s, sess: sess, rids: rids}
+		conns[s] = &InProcConn{sess: sess}
 	}
 	return conns, nil
 }
 
 // InProcConn drives one shard session in this process.
 type InProcConn struct {
-	shard int
-	sess  *session.Session
-	rids  []int // local→global row IDs; nil = identity
+	sess *session.Session
 }
-
-// Shard returns the shard id.
-func (c *InProcConn) Shard() int { return c.shard }
-
-// Session exposes the underlying shard session (stats, drain inspection).
-func (c *InProcConn) Session() *session.Session { return c.sess }
 
 // Submit admits the query into the shard session (quota-blind: shards
 // never see the global cardinality estimate) and starts execution.
@@ -105,13 +93,9 @@ func (q *inprocQuery) Gather(ctx context.Context) ([]run.Emission, error) {
 				// Cannot happen with unbounded buffers, but a configured
 				// session could coalesce; a lossy stream is not a local
 				// skyline, so surface it as a gather failure.
-				return out, fmt.Errorf("cluster: shard %d stream coalesced %d emissions", q.conn.shard, ev.Lag)
+				return out, fmt.Errorf("cluster: shard stream coalesced %d emissions", ev.Lag)
 			}
-			e := ev.Emission
-			if q.conn.rids != nil {
-				e.RID = q.conn.rids[e.RID]
-			}
-			out = append(out, e)
+			out = append(out, ev.Emission)
 		case <-ctx.Done():
 			q.h.Abandon()
 			return out, ctx.Err()

@@ -5,18 +5,8 @@ import (
 
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
-	"caqe/internal/run"
 	"caqe/internal/trace"
 )
-
-// Candidate is one gathered local-skyline member at the coordinator: a
-// shard emission tagged with its source shard. RID/TID are global (the
-// gather layer translates shard-local row IDs through the ShardMap table)
-// and Time is the shard-local virtual time of the emission.
-type Candidate struct {
-	Shard int
-	run.Emission
-}
 
 // MergeStats summarizes one query's final dominance-merge pass.
 type MergeStats struct {

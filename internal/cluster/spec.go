@@ -6,6 +6,7 @@ import (
 
 	"caqe/internal/contract"
 	"caqe/internal/preference"
+	"caqe/internal/run"
 	"caqe/internal/workload"
 )
 
@@ -84,4 +85,84 @@ func (qs QuerySpec) Query() (workload.Query, error) {
 		Contract: c,
 		Standing: qs.Standing,
 	}, nil
+}
+
+// The rest of this file is the caqe-serve wire protocol: every JSON shape a
+// server, shard or coordinator node writes to a client. The daemon encodes
+// these types; the HTTP shard transport, caqe-loadgen and the tests decode
+// them. Emission lines of a server or shard stream are bare run.Emission
+// values (capitalized field names), which is what keeps them apart from
+// the lowercase control records below.
+
+// SubmitReply is the body of a 201 from POST /queries, and of GET
+// /queries/{id} on a server or shard node.
+type SubmitReply struct {
+	ID      int     `json:"id"`
+	Name    string  `json:"name"`
+	State   string  `json:"state"`
+	Arrival float64 `json:"arrival"` // virtual seconds at admission; 0 on a coordinator
+}
+
+// LagRecord notifies the stream that Lag emissions were coalesced away
+// because the client fell behind the delivery high-water mark.
+type LagRecord struct {
+	Lag int64 `json:"lag"`
+}
+
+// Candidate is one line of a coordinator's merged stream, and the unit of
+// the merge that produces it: a shard emission tagged with its source
+// shard. RID/TID are global (Coordinator.gather translates shard-local row
+// IDs through the ShardMap table) and Time is the shard-local virtual time
+// of the emission.
+type Candidate struct {
+	run.Emission
+	Shard int `json:"shard"`
+}
+
+// StreamEnd is the terminal record of a result stream. Done reports
+// whether the stream carried the query to its terminal state — a client
+// that never sees a StreamEnd knows the connection was severed mid-run, and
+// one that sees Done false knows the server cut a lagging stream loose
+// (Reason "slow-consumer") while the query kept running. MergedEnd is set
+// on coordinator streams only.
+type StreamEnd struct {
+	Done      bool   `json:"done"`
+	State     string `json:"state"`
+	Coalesced int64  `json:"coalesced,omitempty"` // emissions dropped from this stream
+	Reason    string `json:"reason,omitempty"`
+	*MergedEnd
+}
+
+// MergedEnd is the coordinator's part of a terminal record: whether any
+// shard failed (the merged set is then sound but not exhaustive), the size
+// of the merged set and the comparisons the final dominance pass charged.
+type MergedEnd struct {
+	Partial      bool  `json:"partial,omitempty"`
+	FailedShards []int `json:"failedShards,omitempty"`
+	Results      int   `json:"results"`
+	MergeCmps    int64 `json:"mergeCmps"`
+}
+
+// StreamRecord decodes any line of a result stream from either role. The
+// record kinds are told apart by which pointer field is set: Done for a
+// StreamEnd, Lag for a LagRecord, RID for an emission (Shard too when a
+// coordinator sent it).
+type StreamRecord struct {
+	Done         *bool  `json:"done"`
+	State        string `json:"state"`
+	Coalesced    int64  `json:"coalesced"`
+	Reason       string `json:"reason"`
+	Partial      bool   `json:"partial"`
+	FailedShards []int  `json:"failedShards"`
+	Results      int    `json:"results"`
+	MergeCmps    int64  `json:"mergeCmps"`
+
+	Lag *int64 `json:"lag"`
+
+	Shard *int      `json:"shard"`
+	Query int       `json:"Query"`
+	RID   *int      `json:"RID"`
+	TID   int       `json:"TID"`
+	Out   []float64 `json:"Out"`
+	Time  float64   `json:"Time"`
 }

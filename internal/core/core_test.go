@@ -119,7 +119,7 @@ func TestEmittedResultsAreFinal(t *testing.T) {
 		for i := range ts {
 			ts[i] = tt.At(i)
 		}
-		all := join.NestedLoop(w.JoinConds[0], w.OutDims, rs, ts, nil)
+		all := new(join.Scratch).NestedLoop(w.JoinConds[0], w.OutDims, rs, ts, nil)
 		for qi, q := range w.Queries {
 			inSky := map[[2]int]bool{}
 			for i, a := range all {

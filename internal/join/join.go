@@ -163,20 +163,25 @@ func nestedLoopAppend(dst []Result, flat []float64, jc EquiJoin, fs []MapFunc,
 	return dst, flat
 }
 
-// NestedLoop materializes the equi-join of two tuple slices under jc,
-// projecting with fs, charging every probe and result to the clock. It is
-// the tuple-level join primitive used for cell pairs and the full-relation
-// baseline path. Output points are packed into one flat allocation shared
-// by the whole result batch.
-func NestedLoop(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
-	out, _ := nestedLoopAppend(nil, nil, jc, fs, rs, ts, clock)
-	return out
-}
-
-// hashProbeAppend probes the prebuilt right-side index with every left
-// tuple, appending into dst/flat as nestedLoopAppend does.
-func hashProbeAppend(dst []Result, flat []float64, jc EquiJoin, fs []MapFunc,
-	rs []*tuple.Tuple, idx map[int64][]*tuple.Tuple, clock *metrics.Clock) ([]Result, []float64) {
+// HashJoin materializes the same result as a nested-loop join using a hash
+// table on the right side, into fresh allocations. The virtual clock is
+// charged one coarse operation per right tuple inserted during the build —
+// real work the nested-loop strategies never perform; leaving it free would
+// time-advantage every hash-join strategy's emissions over theirs — then
+// one probe per left tuple (plus one result cost per produced result),
+// reflecting the cheaper per-tuple work of a hash join; baselines that the
+// paper describes as nested-loop style should use Scratch.NestedLoop to
+// preserve relative costs.
+func HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
+	idx := make(map[int64][]*tuple.Tuple, len(ts))
+	for _, t := range ts {
+		if clock != nil {
+			clock.CountCellOp(1)
+		}
+		idx[t.Key(jc.RightKey)] = append(idx[t.Key(jc.RightKey)], t)
+	}
+	var dst []Result
+	var flat []float64
 	for _, r := range rs {
 		if clock != nil {
 			clock.CountJoinProbe(1)
@@ -190,74 +195,16 @@ func hashProbeAppend(dst []Result, flat []float64, jc EquiJoin, fs []MapFunc,
 			dst = append(dst, Result{RID: r.ID, TID: t.ID, Out: out})
 		}
 	}
-	return dst, flat
+	return dst
 }
-
-// HashJoin materializes the same result as NestedLoop using a hash table on
-// the right side. The virtual clock is charged one coarse operation per
-// right tuple inserted during the build, then one probe per left tuple
-// (plus one result cost per produced result), reflecting the cheaper
-// per-tuple work of a hash join; baselines that the paper describes as
-// nested-loop style should use NestedLoop to preserve relative costs.
-func HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
-	idx := buildHashIndex(jc, ts, clock)
-	out, _ := hashProbeAppend(nil, nil, jc, fs, rs, idx, clock)
-	return out
-}
-
-// buildHashIndex builds the right-side hash index of a hash join, charging
-// one coarse operation per inserted tuple. The build is real work that the
-// nested-loop strategies never perform; leaving it free would time-advantage
-// every hash-join strategy's emissions over the NestedLoop ones.
-func buildHashIndex(jc EquiJoin, ts []*tuple.Tuple, clock *metrics.Clock) map[int64][]*tuple.Tuple {
-	idx := make(map[int64][]*tuple.Tuple, len(ts))
-	for _, t := range ts {
-		if clock != nil {
-			clock.CountCellOp(1)
-		}
-		idx[t.Key(jc.RightKey)] = append(idx[t.Key(jc.RightKey)], t)
-	}
-	return idx
-}
-
-// ---------------------------------------------------------------------------
-// Parallel variants
-//
-// The parallel joins shard the *left* input into contiguous ranges, run the
-// serial algorithm per shard with a private clock, and then fold the shards
-// back in ascending shard order: results are concatenated (reproducing the
-// serial output order exactly) and each shard's counters are merged into
-// the caller's clock (reproducing the serial clock exactly — see
-// metrics.Clock.Merge). A run with a multi-worker pool is therefore
-// bit-identical to the serial functions above, including every virtual
-// timestamp derived downstream.
 
 // ParallelProbeCutoff is the minimum number of candidate pairs
-// (len(rs)·len(ts)) below which the parallel join variants fall back to the
+// (len(rs)·len(ts)) below which Scratch.NestedLoopPool falls back to the
 // serial path: fanning a tiny join out over goroutines costs more than it
 // saves. The cutoff only gates a performance choice — output and clock are
 // identical either way. Tests lower it to force the parallel path on small
 // inputs.
 var ParallelProbeCutoff = 4096
-
-// NestedLoopPool is NestedLoop fanned out over a worker pool. With a nil or
-// 1-worker pool, or below ParallelProbeCutoff candidate pairs, it is the
-// serial NestedLoop.
-func NestedLoopPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock, pool *parallel.Pool) []Result {
-	var s Scratch
-	out := s.NestedLoopPool(jc, fs, rs, ts, clock, pool)
-	return append([]Result(nil), out...)
-}
-
-// HashJoinPool is HashJoin fanned out over a worker pool: the right-side
-// index is built once serially (charged as in HashJoin), then the left-side
-// probes are sharded. Falls back to the serial HashJoin under the same
-// conditions as NestedLoopPool.
-func HashJoinPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock, pool *parallel.Pool) []Result {
-	var s Scratch
-	out := s.HashJoinPool(jc, fs, rs, ts, clock, pool)
-	return append([]Result(nil), out...)
-}
 
 // ---------------------------------------------------------------------------
 // Scratch: reusable join buffers
@@ -265,15 +212,13 @@ func HashJoinPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metri
 // A Scratch owns the result headers, the flat coordinate backing of the
 // output points, and the per-shard buffers of the pool variants, so a
 // caller that joins many cell pairs in sequence (the region executor, the
-// top-k engine) performs zero steady-state allocations per join. Buffer
-// reuse is invisible to every observable: outputs, output order and clock
-// charges are identical to the allocating package functions.
+// top-k engine) performs zero steady-state allocations per join.
 
 // Scratch holds reusable join buffers. The zero value is ready to use. A
 // Scratch must not be used concurrently, and the results of a call are
 // valid only until the next call on the same Scratch (the buffers are
-// recycled). Callers that need durable results must copy them out — or use
-// the package-level functions, which do exactly that.
+// recycled). Callers that need durable results use a Scratch of their own
+// per join and let it go.
 type Scratch struct {
 	results []Result
 	flat    []float64 // packed backing for Result.Out
@@ -283,70 +228,42 @@ type Scratch struct {
 	subs      []metrics.Counters
 }
 
-// NestedLoop is the serial nested-loop join into the scratch buffers.
+// NestedLoop materializes the equi-join of two tuple slices under jc into
+// the scratch buffers, projecting with fs and charging every probe and
+// result to the clock (nil charges nothing). It is the tuple-level join
+// primitive used for cell pairs and the full-relation baseline path.
 func (s *Scratch) NestedLoop(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
 	s.results, s.flat = nestedLoopAppend(s.results[:0], s.flat[:0], jc, fs, rs, ts, clock)
 	return s.results
 }
 
-// HashJoin is the hash join into the scratch buffers.
-func (s *Scratch) HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
-	idx := buildHashIndex(jc, ts, clock)
-	s.results, s.flat = hashProbeAppend(s.results[:0], s.flat[:0], jc, fs, rs, idx, clock)
-	return s.results
-}
-
-// ensureShards sizes the per-shard buffer sets.
-func (s *Scratch) ensureShards(n int) {
+// NestedLoopPool is NestedLoop fanned out over a worker pool, reusing the
+// scratch's per-shard buffers. With a nil or 1-worker pool, or below
+// ParallelProbeCutoff candidate pairs, it is the serial NestedLoop.
+// Otherwise the left input is sharded into contiguous ranges, each shard
+// runs the serial algorithm with a private clock, and the shards are folded
+// back in ascending shard order: results are concatenated (reproducing the
+// serial output order exactly) and each shard's counters are merged into
+// the caller's clock (reproducing the serial clock exactly — see
+// metrics.Clock.Merge). A run with a multi-worker pool is therefore
+// bit-identical to the serial one, including every virtual timestamp
+// derived downstream.
+func (s *Scratch) NestedLoopPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock, pool *parallel.Pool) []Result {
+	if pool.Workers() <= 1 || len(rs)*len(ts) < ParallelProbeCutoff {
+		return s.NestedLoop(jc, fs, rs, ts, clock)
+	}
+	n := len(pool.Shards(len(rs)))
 	for len(s.shardOuts) < n {
 		s.shardOuts = append(s.shardOuts, nil)
 		s.shardFlat = append(s.shardFlat, nil)
 		s.subs = append(s.subs, metrics.Counters{})
 	}
-}
-
-// NestedLoopPool is NestedLoop fanned out over a worker pool, reusing the
-// scratch's per-shard buffers. Shards run the serial algorithm with a
-// private clock and are folded back in ascending shard order, so output
-// order and clock state reproduce the serial run exactly.
-func (s *Scratch) NestedLoopPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock, pool *parallel.Pool) []Result {
-	if pool.Workers() <= 1 || len(rs)*len(ts) < ParallelProbeCutoff {
-		return s.NestedLoop(jc, fs, rs, ts, clock)
-	}
-	shards := pool.Shards(len(rs))
-	s.ensureShards(len(shards))
 	pool.Run(len(rs), func(i, lo, hi int) {
 		sub := metrics.NewClock()
 		s.shardOuts[i], s.shardFlat[i] = nestedLoopAppend(
 			s.shardOuts[i][:0], s.shardFlat[i][:0], jc, fs, rs[lo:hi], ts, sub)
 		s.subs[i] = sub.Counters()
 	})
-	return s.foldShards(len(shards), clock)
-}
-
-// HashJoinPool is HashJoin fanned out over a worker pool, reusing the
-// scratch's per-shard buffers; the right-side index is built once serially
-// (charged as in HashJoin), then the left-side probes are sharded.
-func (s *Scratch) HashJoinPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock, pool *parallel.Pool) []Result {
-	if pool.Workers() <= 1 || len(rs)*len(ts) < ParallelProbeCutoff {
-		return s.HashJoin(jc, fs, rs, ts, clock)
-	}
-	idx := buildHashIndex(jc, ts, clock)
-	shards := pool.Shards(len(rs))
-	s.ensureShards(len(shards))
-	pool.Run(len(rs), func(i, lo, hi int) {
-		sub := metrics.NewClock()
-		s.shardOuts[i], s.shardFlat[i] = hashProbeAppend(
-			s.shardOuts[i][:0], s.shardFlat[i][:0], jc, fs, rs[lo:hi], idx, sub)
-		s.subs[i] = sub.Counters()
-	})
-	return s.foldShards(len(shards), clock)
-}
-
-// foldShards concatenates the first n per-shard results into the scratch's
-// result buffer and merges the per-shard counters in ascending shard order,
-// reproducing the serial output order and clock state.
-func (s *Scratch) foldShards(n int, clock *metrics.Clock) []Result {
 	s.results = s.results[:0]
 	for i := 0; i < n; i++ {
 		if clock != nil {

@@ -134,7 +134,7 @@ func TestNestedLoopEqualsHashJoin(t *testing.T) {
 		ts := mkTuples(rng, 40, 2, 1, 8)
 		jc := EquiJoin{Name: "JC", LeftKey: 0, RightKey: 0}
 		fs := []MapFunc{Sum("x", 0)}
-		a := NestedLoop(jc, fs, rs, ts, nil)
+		a := new(Scratch).NestedLoop(jc, fs, rs, ts, nil)
 		b := HashJoin(jc, fs, rs, ts, nil)
 		sortResults(a)
 		sortResults(b)
@@ -154,7 +154,7 @@ func TestJoinResultCorrectness(t *testing.T) {
 	rs := mkTuples(rng, 30, 1, 1, 5)
 	ts := mkTuples(rng, 30, 1, 1, 5)
 	jc := EquiJoin{Name: "JC", LeftKey: 0, RightKey: 0}
-	got := NestedLoop(jc, []MapFunc{Sum("x", 0)}, rs, ts, nil)
+	got := new(Scratch).NestedLoop(jc, []MapFunc{Sum("x", 0)}, rs, ts, nil)
 	seen := map[[2]int]bool{}
 	for _, res := range got {
 		seen[[2]int{res.RID, res.TID}] = true
@@ -181,7 +181,7 @@ func TestNestedLoopAccounting(t *testing.T) {
 	ts := mkTuples(rng, 17, 1, 1, 4)
 	jc := EquiJoin{Name: "JC", LeftKey: 0, RightKey: 0}
 	clock := metrics.NewClock()
-	out := NestedLoop(jc, []MapFunc{Sum("x", 0)}, rs, ts, clock)
+	out := new(Scratch).NestedLoop(jc, []MapFunc{Sum("x", 0)}, rs, ts, clock)
 	c := clock.Counters()
 	if c.JoinProbes != int64(25*17) {
 		t.Errorf("probes = %d, want %d", c.JoinProbes, 25*17)
@@ -225,7 +225,7 @@ func TestHashJoinBuildNotFree(t *testing.T) {
 	fs := []MapFunc{Sum("x", 0)}
 
 	nl := metrics.NewClock()
-	NestedLoop(jc, fs, rs, ts, nl)
+	new(Scratch).NestedLoop(jc, fs, rs, ts, nl)
 	hj := metrics.NewClock()
 	HashJoin(jc, fs, rs, ts, hj)
 
@@ -259,7 +259,7 @@ func requireSameResults(t *testing.T, label string, a, b []Result) {
 	}
 }
 
-// TestPoolJoinsBitIdenticalToSerial: the parallel variants must produce the
+// TestPoolJoinsBitIdenticalToSerial: the pool variant must produce the
 // serial result order and the serial clock state exactly, for any worker
 // count, including when the clock starts at a fractional virtual time.
 func TestPoolJoinsBitIdenticalToSerial(t *testing.T) {
@@ -274,29 +274,17 @@ func TestPoolJoinsBitIdenticalToSerial(t *testing.T) {
 
 	serialNL := metrics.NewClock()
 	serialNL.CountCellOp(7) // fractional starting time
-	wantNL := NestedLoop(jc, fs, rs, ts, serialNL)
-	serialHJ := metrics.NewClock()
-	serialHJ.CountCellOp(7)
-	wantHJ := HashJoin(jc, fs, rs, ts, serialHJ)
+	wantNL := new(Scratch).NestedLoop(jc, fs, rs, ts, serialNL)
 
 	for _, workers := range []int{1, 2, 3, 4, 16} {
 		pool := parallel.New(workers)
 		clk := metrics.NewClock()
 		clk.CountCellOp(7)
-		got := NestedLoopPool(jc, fs, rs, ts, clk, pool)
+		got := new(Scratch).NestedLoopPool(jc, fs, rs, ts, clk, pool)
 		requireSameResults(t, "nested-loop", wantNL, got)
 		if clk.Now() != serialNL.Now() || clk.Counters() != serialNL.Counters() {
 			t.Fatalf("nested-loop workers=%d: clock %v/%+v, want %v/%+v",
 				workers, clk.Now(), clk.Counters(), serialNL.Now(), serialNL.Counters())
-		}
-
-		clk = metrics.NewClock()
-		clk.CountCellOp(7)
-		got = HashJoinPool(jc, fs, rs, ts, clk, pool)
-		requireSameResults(t, "hash", wantHJ, got)
-		if clk.Now() != serialHJ.Now() || clk.Counters() != serialHJ.Counters() {
-			t.Fatalf("hash workers=%d: clock %v/%+v, want %v/%+v",
-				workers, clk.Now(), clk.Counters(), serialHJ.Now(), serialHJ.Counters())
 		}
 	}
 }
@@ -309,11 +297,9 @@ func TestPoolJoinsNilClock(t *testing.T) {
 	ts := mkTuples(rng, 30, 1, 1, 4)
 	jc := EquiJoin{Name: "JC", LeftKey: 0, RightKey: 0}
 	fs := []MapFunc{Sum("x", 0)}
-	want := NestedLoop(jc, fs, rs, ts, nil)
+	want := new(Scratch).NestedLoop(jc, fs, rs, ts, nil)
 	requireSameResults(t, "nil-clock nested-loop", want,
-		NestedLoopPool(jc, fs, rs, ts, nil, parallel.New(4)))
-	requireSameResults(t, "nil-clock hash", want,
-		HashJoinPool(jc, fs, rs, ts, nil, parallel.New(4)))
+		new(Scratch).NestedLoopPool(jc, fs, rs, ts, nil, parallel.New(4)))
 }
 
 func TestEquiJoinString(t *testing.T) {

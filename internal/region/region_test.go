@@ -85,7 +85,7 @@ func TestRegionBoundsContainJoinOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, reg := range s.Regions {
-		results := join.NestedLoop(w.JoinConds[0], w.OutDims, reg.RCell.Tuples, reg.TCell.Tuples, nil)
+		results := new(join.Scratch).NestedLoop(w.JoinConds[0], w.OutDims, reg.RCell.Tuples, reg.TCell.Tuples, nil)
 		for _, res := range results {
 			for k := range res.Out {
 				if res.Out[k] < reg.Lo[k]-1e-9 || res.Out[k] > reg.Hi[k]+1e-9 {
@@ -114,7 +114,7 @@ func TestCoarsePruneSound(t *testing.T) {
 	for i := range ts {
 		ts[i] = tt.At(i)
 	}
-	all := join.NestedLoop(w.JoinConds[0], w.OutDims, rs, ts, nil)
+	all := new(join.Scratch).NestedLoop(w.JoinConds[0], w.OutDims, rs, ts, nil)
 	for qi, q := range w.Queries {
 		var sky []join.Result
 		for i, a := range all {

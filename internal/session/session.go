@@ -23,6 +23,8 @@ package session
 import (
 	"errors"
 	"fmt"
+	"log"
+	"runtime/debug"
 
 	"caqe/internal/contract"
 	"caqe/internal/core"
@@ -203,7 +205,9 @@ func Open(cfg Config) (*Session, error) {
 	return s, nil
 }
 
-// do runs fn on the executor goroutine and waits for it.
+// do runs fn on the executor goroutine and waits for it. A command the
+// executor died in (see loop's recover) never completes; its caller gets
+// ErrClosed like everyone arriving later.
 func (s *Session) do(fn func()) error {
 	done := make(chan struct{})
 	select {
@@ -211,15 +215,40 @@ func (s *Session) do(fn func()) error {
 	case <-s.closed:
 		return ErrClosed
 	}
-	<-done
+	select {
+	case <-done:
+	case <-s.closed:
+		select {
+		case <-done: // completed before an orderly shutdown
+		default:
+			return ErrClosed
+		}
+	}
 	return nil
 }
 
 // loop is the executor: commands take priority, then one scheduling step;
 // when neither is available it blocks for the next command. On drain it
 // steps until no work remains, finalizes, and exits.
+//
+// A panic on this goroutine — an engine invariant slip, a faulty
+// OnFirstResult callback — must not take the process and every other
+// stream in it down: it is logged with its stack, every open query's
+// stream is ended (state cancelled: what was delivered stands, the rest
+// will not come), and the session closes, so later calls return ErrClosed.
+// The engine state is not touched again.
 func (s *Session) loop() {
 	defer close(s.closed)
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("session: executor panic, closing the session: %v\n%s", p, debug.Stack())
+			for _, h := range s.handles {
+				if st := h.state(); st != StateDone && st != StateCancelled {
+					h.finish(StateCancelled)
+				}
+			}
+		}
+	}()
 	for {
 		select {
 		case fn := <-s.cmds:

@@ -516,3 +516,48 @@ func TestAnchoredContractSatisfaction(t *testing.T) {
 		t.Errorf("anchored deadline satisfaction = %v; contract clock not anchored at arrival", sat)
 	}
 }
+
+// TestExecutorPanicContained: a panic on the executor goroutine (here a
+// faulty OnFirstResult, standing in for any invariant slip) must not kill
+// the process. Every open stream ends, in state cancelled, keeping what it
+// had delivered; the session closes and every later call says so.
+func TestExecutorPanicContained(t *testing.T) {
+	const nq, dims = 4, 4
+	w := testWorkload(t, nq, dims)
+	r, tt := testData(t, 80, dims, 7)
+	s, err := Open(Config{
+		R: r, T: tt, JoinConds: w.JoinConds, OutDims: w.OutDims,
+		Engine:        core.Options{Workers: 1},
+		OnFirstResult: func(int, float64) { panic("injected") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles := make([]*Handle, nq)
+	for i, q := range w.Queries {
+		if handles[i], err = s.Submit(q, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The panic fires inside the Start command or a later step; either way
+	// Start's caller must get an answer instead of waiting forever.
+	if err := s.Start(); err != nil && !errors.Is(err, ErrClosed) {
+		t.Fatalf("Start: %v", err)
+	}
+	for _, h := range handles {
+		for range h.Events() { // must terminate: the stream was finished
+		}
+		if st := h.State(); st != string(StateCancelled) {
+			t.Errorf("query %d state %s after executor panic, want cancelled", h.ID(), st)
+		}
+	}
+	if _, err := s.Submit(w.Queries[0], 0); !errors.Is(err, ErrClosed) {
+		t.Errorf("Submit after executor panic: %v, want ErrClosed", err)
+	}
+	if _, err := s.Stats(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Stats after executor panic: %v, want ErrClosed", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Errorf("Close after executor panic: %v", err)
+	}
+}

@@ -57,7 +57,7 @@ func oracle(w *Workload, r, t *tuple.Relation) [][]result {
 	out := make([][]result, len(w.Queries))
 	for qi := range w.Queries {
 		q := &w.Queries[qi]
-		results := join.NestedLoop(w.JoinConds[q.JC], w.OutDims, rs, ts, nil)
+		results := new(join.Scratch).NestedLoop(w.JoinConds[q.JC], w.OutDims, rs, ts, nil)
 		cands := make([]result, len(results))
 		for i, res := range results {
 			cands[i] = result{score: q.Score(res.Out), rid: res.RID, tid: res.TID}
