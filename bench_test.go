@@ -9,7 +9,6 @@ package caqe_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"caqe/internal/baseline"
@@ -304,9 +303,10 @@ func BenchmarkAblations(b *testing.B) {
 // tuple-level executor on a join-heavy configuration (large relations, few
 // coarse cells → big per-region probe counts that clear the parallel
 // cutoff). The reports are bit-identical across subtests — see
-// TestParallelWorkersBitIdentical — so any delta is pure wall-clock. On a
-// single-core runner the Workers:N subtests only pay goroutine overhead;
-// speedup needs GOMAXPROCS > 1.
+// TestParallelWorkersBitIdentical — so any delta is pure wall-clock. The
+// worker counts are fixed so that every runner records the same three
+// series; on a single-core runner workers-2 and workers-4 only pay
+// goroutine overhead, and speedup needs GOMAXPROCS > 1.
 func BenchmarkWorkersScaling(b *testing.B) {
 	w := workload.MustBenchmark(workload.BenchmarkConfig{
 		NumQueries: 11, Dims: 4, Priority: workload.UniformPriority,
@@ -316,7 +316,7 @@ func BenchmarkWorkersScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng, err := core.New(w, r, t, core.Options{

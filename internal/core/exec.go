@@ -228,14 +228,16 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	// final result set when the dominating region's join is empty. Results
 	// of deleted rows carry no condition (Delete sets jc to -1): they are
 	// history, not data, and no new query may see them.
-	for p := range st.payloads {
-		info := &st.payloads[p]
-		if info.jc != q.JC || !st.regions[info.reg].RQL.Has(qi) {
-			continue
-		}
-		info.lineage = info.lineage.Add(qi)
-		if st.shared.InsertForQuery(p, qi) {
-			st.pending[qi] = append(st.pending[qi], p)
+	for c, chunk := range st.payloads {
+		for i := range chunk {
+			info := &chunk[i]
+			if info.jc != q.JC || !st.regions[info.reg].RQL.Has(qi) {
+				continue
+			}
+			info.lineage = info.lineage.Add(qi)
+			if p := c<<payloadShift + i; st.shared.InsertForQuery(p, qi) {
+				st.pending[qi] = append(st.pending[qi], p)
+			}
 		}
 	}
 
@@ -362,9 +364,11 @@ func (st *state) retireSlot(qi int, now float64) {
 			st.releaseEdges(ri)
 		}
 	}
-	for p := range st.payloads {
-		st.payloads[p].lineage &^= bit
-		st.payloads[p].emitted &^= bit
+	for _, chunk := range st.payloads {
+		for i := range chunk {
+			chunk[i].lineage &^= bit
+			chunk[i].emitted &^= bit
+		}
 	}
 	st.pending[qi] = st.pending[qi][:0]
 	st.blocked[qi] = make(map[int][]int)

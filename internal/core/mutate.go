@@ -322,16 +322,18 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	// extra candidacy it grants is re-dominated (or parked behind a
 	// revived region's frontier) below — while an unsound one, resting on
 	// a now-deleted dominator, is exactly what this repairs.
-	for p := range st.payloads {
-		info := &st.payloads[p]
-		if info.jc < 0 {
-			continue // killed by an earlier delete
+	for _, chunk := range st.payloads {
+		for i := range chunk {
+			info := &chunk[i]
+			if info.jc < 0 {
+				continue // killed by an earlier delete
+			}
+			if st.deleted[0][info.rid] || st.deleted[1][info.tid] {
+				info.lineage, info.jc = 0, -1
+				continue
+			}
+			info.lineage |= st.jcQueries[info.jc] &^ st.cancelled
 		}
-		if st.deleted[0][info.rid] || st.deleted[1][info.tid] {
-			info.lineage, info.jc = 0, -1
-			continue
-		}
-		info.lineage |= st.jcQueries[info.jc] &^ st.cancelled
 	}
 
 	// Revive every region with live queries whose tuple-level join is
@@ -367,19 +369,22 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	}
 	st.shared.ResetWindows()
 	var affected skycube.QSet
-	for p := range st.payloads {
-		info := &st.payloads[p]
-		if info.lineage == 0 {
-			continue
-		}
-		alive := st.shared.Insert(p, info.out, info.lineage)
-		for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
-			if st.cancelled.Has(qi) || info.emitted.Has(qi) {
+	for c, chunk := range st.payloads {
+		for i := range chunk {
+			info := &chunk[i]
+			if info.lineage == 0 {
 				continue
 			}
-			st.pending[qi] = append(st.pending[qi], p)
+			p := c<<payloadShift + i
+			alive := st.shared.Insert(p, st.shared.PointVals(p), info.lineage)
+			for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
+				if st.cancelled.Has(qi) || info.emitted.Has(qi) {
+					continue
+				}
+				st.pending[qi] = append(st.pending[qi], p)
+			}
+			affected |= alive
 		}
-		affected |= alive
 	}
 	affected &^= st.cancelled
 	st.markFrontiersDirty(affected)

@@ -233,19 +233,17 @@ func (o *domOp) Detail() string {
 func (o *domOp) Open(region int) { o.created = o.created[:0] }
 
 // Push inserts one coordinate batch into the shared skyline in row order:
-// payload IDs are assigned sequentially, each point's durable coordinates
-// are read back from the shared arena, and every query still alive for the
-// point gains a pending candidate.
+// payload IDs are assigned sequentially, the shared arena keeps each
+// point's durable coordinates, and every query still alive for the point
+// gains a pending candidate.
 func (o *domOp) Push(b *op.Batch) {
 	st := o.st
 	lineage := skycube.QSet(b.Qmask)
 	for i := 0; i < b.Len(); i++ {
-		payload := len(st.payloads)
-		alive := st.shared.Insert(payload, b.Row(i), lineage)
-		st.payloads = append(st.payloads, payloadInfo{
-			rid: b.RIDs[i], tid: b.TIDs[i], jc: b.JC, reg: b.Region,
-			out: st.shared.PointVals(payload), lineage: lineage,
+		payload := st.payloads.add(payloadInfo{
+			rid: b.RIDs[i], tid: b.TIDs[i], jc: b.JC, reg: b.Region, lineage: lineage,
 		})
+		alive := st.shared.Insert(payload, b.Row(i), lineage)
 		o.created = append(o.created, payload)
 		for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
 			st.pending[qi] = append(st.pending[qi], payload)

@@ -15,14 +15,42 @@ import (
 	"caqe/internal/workload"
 )
 
-// payloadInfo records one materialized join result.
+// payloadInfo records one materialized join result. Its output point lives
+// in the shared skyline's arena (SharedSkyline.PointVals); the record itself
+// is pointer-free, so the collector never scans the store.
 type payloadInfo struct {
 	rid, tid int
 	jc       int // join condition that produced the result; -1 once a row of it is deleted
 	reg      int // region (cell pair) that produced the result
-	out      []float64
 	lineage  skycube.QSet
 	emitted  skycube.QSet
+}
+
+// payloadStore holds the payloadInfo of every join result, indexed by
+// payload ID, in fixed-capacity chunks: every chunk but the last is full,
+// and adding a result appends within the last chunk's capacity or starts a
+// new one, so growth never copies and pointers from at stay valid. Full
+// scans range over the chunks; payload c<<payloadShift+i is chunk c's
+// element i.
+type payloadStore [][]payloadInfo
+
+const (
+	payloadShift = 12
+	payloadChunk = 1 << payloadShift
+)
+
+func (ps payloadStore) at(p int) *payloadInfo {
+	return &ps[p>>payloadShift][p&(payloadChunk-1)]
+}
+
+// add stores the next result and returns its payload ID.
+func (ps *payloadStore) add(info payloadInfo) int {
+	if n := len(*ps); n == 0 || len((*ps)[n-1]) == payloadChunk {
+		*ps = append(*ps, make([]payloadInfo, 0, payloadChunk))
+	}
+	c := len(*ps) - 1
+	(*ps)[c] = append((*ps)[c], info)
+	return c<<payloadShift + len((*ps)[c]) - 1
 }
 
 // state is the mutable execution state of one CAQE run: Algorithm 1's
@@ -56,7 +84,7 @@ type state struct {
 	pipe *op.Pipeline
 
 	weights  []float64
-	payloads []payloadInfo
+	payloads payloadStore
 	pending  [][]int         // per query: new candidate payloads awaiting their first safety check
 	blocked  []map[int][]int // per query: blocking live region index -> parked payloads
 	qremap   []int           // local query index -> report query index
@@ -372,8 +400,8 @@ func (st *state) discardDominated(rc *region.Region, newPayloads []int) skycube.
 func (st *state) champions(qi int, payloads []int) [][]float64 {
 	champs := st.champScratch[:0]
 	for _, p := range payloads {
-		if st.payloads[p].lineage.Has(qi) && st.shared.IsCandidate(p, qi) {
-			champs = append(champs, st.payloads[p].out)
+		if st.payloads.at(p).lineage.Has(qi) && st.shared.IsCandidate(p, qi) {
+			champs = append(champs, st.shared.PointVals(p))
 		}
 	}
 	st.champScratch = champs[:0]
@@ -432,17 +460,17 @@ func (st *state) emitSafe(affected skycube.QSet) {
 // vet emits a candidate if no live region can dominate it; otherwise parks
 // it under the first frontier corner that blocks it.
 func (st *state) vet(qi, p int) {
-	info := &st.payloads[p]
-	if info.emitted.Has(qi) {
+	if st.payloads.at(p).emitted.Has(qi) {
 		return
 	}
 	if !st.shared.IsCandidate(p, qi) {
 		return // dominated since insertion: drop
 	}
 	kern := st.kerns[qi]
+	out := st.shared.PointVals(p)
 	for _, fc := range st.frontier[qi] {
 		st.clock.CountCellOp(1)
-		if kern.WeakDominates(fc.corner, info.out) {
+		if kern.WeakDominates(fc.corner, out) {
 			st.blocked[qi][fc.region] = append(st.blocked[qi][fc.region], p)
 			return
 		}
@@ -450,16 +478,19 @@ func (st *state) vet(qi, p int) {
 	st.emit(qi, p)
 }
 
-// emit delivers one result to one query at the current virtual time.
+// emit delivers one result to one query at the current virtual time. The
+// emission owns its output point: a view into the arena would keep the
+// point's whole slab reachable from the report for as long as a caller holds
+// it, and emissions are few where join results are many.
 func (st *state) emit(qi, payload int) {
-	info := &st.payloads[payload]
+	info := st.payloads.at(payload)
 	info.emitted = info.emitted.Add(qi)
 	st.clock.CountEmit(1)
 	st.rep.Emit(run.Emission{
 		Query: st.qremap[qi],
 		RID:   info.rid,
 		TID:   info.tid,
-		Out:   info.out,
+		Out:   append([]float64(nil), st.shared.PointVals(payload)...),
 		Time:  st.clock.Now() / metrics.VirtualSecond,
 	})
 }
@@ -593,8 +624,7 @@ func (st *state) flushRemaining() {
 		st.pending[qi] = st.pending[qi][:0]
 		sort.Ints(rest)
 		for _, p := range rest {
-			info := &st.payloads[p]
-			if info.emitted.Has(qi) {
+			if st.payloads.at(p).emitted.Has(qi) {
 				continue
 			}
 			if !st.shared.IsCandidate(p, qi) {

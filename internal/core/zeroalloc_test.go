@@ -47,3 +47,40 @@ func TestDisabledTracerZeroAllocReport(t *testing.T) {
 		t.Fatalf("disabled-tracer report hooks allocate %.1f per run", allocs)
 	}
 }
+
+// TestPayloadStoreGrowsWithoutCopying pins the result store's layout
+// contract: adding results — across several chunk boundaries — never moves
+// an earlier one, IDs are dense, and the chunk-wise scan visits every
+// result once in ID order.
+func TestPayloadStoreGrowsWithoutCopying(t *testing.T) {
+	var ps payloadStore
+	var first *payloadInfo
+	const n = 2*payloadChunk + 3
+	for i := 0; i < n; i++ {
+		if p := ps.add(payloadInfo{rid: i, tid: -i}); p != i {
+			t.Fatalf("add #%d returned payload %d", i, p)
+		}
+		if i == 0 {
+			first = ps.at(0)
+		}
+	}
+	if len(ps) != 3 || len(ps[2]) != 3 {
+		t.Fatalf("%d results in %d chunks, the last holding %d", n, len(ps), len(ps[len(ps)-1]))
+	}
+	if first != ps.at(0) {
+		t.Fatal("growth moved payload 0")
+	}
+	next := 0
+	for c, chunk := range ps {
+		for i := range chunk {
+			p := c<<payloadShift + i
+			if p != next || chunk[i].rid != p || ps.at(p) != &chunk[i] {
+				t.Fatalf("scan reached payload %d (rid %d) at position %d", p, chunk[i].rid, next)
+			}
+			next++
+		}
+	}
+	if next != n {
+		t.Fatalf("scan visited %d results, want %d", next, n)
+	}
+}

@@ -140,53 +140,59 @@ func (k *Kernel) Sum(a []float64) float64 {
 	return s
 }
 
-// FlatPoints is a flat, stride-indexed coordinate arena: point i occupies
-// Data()[i*Stride() : (i+1)*Stride()]. Storing every point contiguously
-// replaces one heap object (and pointer chase) per point with an offset
-// computation, keeping dominance scans cache-friendly.
+// FlatPoints is a coordinate arena of fixed-size slabs: point i occupies
+// stride consecutive floats of slab i/slabPoints. Storing points
+// contiguously replaces one heap object (and pointer chase) per point with
+// an offset computation, keeping dominance scans cache-friendly; fixed
+// slabs mean growth allocates one more slab and never copies, so a slice
+// returned by At aliases the live arena for good, and a holder of a few
+// such slices keeps only their slabs reachable.
 //
 // Slots are write-once: a slot's values must be treated as immutable once
-// any reader has taken its At slice (growth copies the backing array, so
-// slices taken earlier keep reading the old, value-identical backing).
+// any reader has taken its At slice.
 type FlatPoints struct {
-	data   []float64
+	slabs  [][]float64 // slabPoints*stride floats each
 	stride int
+	n      int // point slots in use: 1 + the highest index Set
 }
 
-// NewFlatPoints creates an arena for points of the given dimensionality,
-// pre-sized for capHint points.
-func NewFlatPoints(stride, capHint int) *FlatPoints {
+const (
+	slabShift  = 12
+	slabPoints = 1 << slabShift
+)
+
+// NewFlatPoints creates an arena for points of the given dimensionality.
+func NewFlatPoints(stride int) *FlatPoints {
 	if stride <= 0 {
 		panic("preference: FlatPoints stride must be positive")
 	}
-	return &FlatPoints{data: make([]float64, 0, stride*capHint), stride: stride}
+	return &FlatPoints{stride: stride}
 }
 
 // Stride returns the per-point coordinate count.
 func (f *FlatPoints) Stride() int { return f.stride }
 
 // Len returns the number of point slots currently backed by the arena.
-func (f *FlatPoints) Len() int { return len(f.data) / f.stride }
+func (f *FlatPoints) Len() int { return f.n }
 
-// At returns the coordinates of point i as a capacity-clamped subslice of
-// the arena. It never allocates.
+// At returns the coordinates of point i < Len() as a capacity-clamped
+// subslice of its slab. It never allocates.
 func (f *FlatPoints) At(i int) []float64 {
-	off := i * f.stride
-	return f.data[off : off+f.stride : off+f.stride]
+	off := (i & (slabPoints - 1)) * f.stride
+	return f.slabs[i>>slabShift][off : off+f.stride : off+f.stride]
 }
 
-// Set copies vals into slot i, growing the arena as needed (intermediate
-// slots are zero-filled). len(vals) must equal the stride.
+// Set copies vals into slot i, adding slabs as needed (slots never set read
+// as zeros). len(vals) must equal the stride.
 func (f *FlatPoints) Set(i int, vals []float64) {
 	if len(vals) != f.stride {
 		panic("preference: FlatPoints.Set dimensionality mismatch")
 	}
-	if need := (i + 1) * f.stride; need > len(f.data) {
-		if need <= cap(f.data) {
-			f.data = f.data[:need]
-		} else {
-			f.data = append(f.data, make([]float64, need-len(f.data))...)
-		}
+	for i>>slabShift >= len(f.slabs) {
+		f.slabs = append(f.slabs, make([]float64, slabPoints*f.stride))
 	}
-	copy(f.data[i*f.stride:], vals)
+	if i >= f.n {
+		f.n = i + 1
+	}
+	copy(f.At(i), vals)
 }

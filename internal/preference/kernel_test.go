@@ -119,26 +119,46 @@ func BenchmarkKernelDominates(b *testing.B) {
 	}
 }
 
-// TestFlatPointsAt pins At at zero allocations and verifies value stability
-// of previously-taken slices across arena growth.
+// TestFlatPointsAt pins At at zero allocations and growth at zero copies:
+// a slice taken before the arena grew past a slab boundary still is the
+// arena's storage afterwards.
 func TestFlatPointsAt(t *testing.T) {
-	f := NewFlatPoints(3, 1)
+	f := NewFlatPoints(3)
 	f.Set(0, []float64{1, 2, 3})
 	first := f.At(0)
 	allocs := testing.AllocsPerRun(100, func() { _ = f.At(0) })
 	if allocs != 0 {
 		t.Fatalf("FlatPoints.At: %v allocs/op, want 0", allocs)
 	}
-	for i := 1; i < 100; i++ {
+	last := 2*slabPoints + 5
+	for i := 1; i < last; i++ {
 		f.Set(i, []float64{float64(i), 0, 0})
+	}
+	if &first[0] != &f.At(0)[0] {
+		t.Fatal("growth moved slot 0: a slice taken earlier no longer aliases the arena")
 	}
 	if first[0] != 1 || first[1] != 2 || first[2] != 3 {
 		t.Fatalf("slice taken before growth changed values: %v", first)
 	}
-	if got := f.At(0); got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("slot 0 after growth: %v", got)
+	for _, i := range []int{slabPoints - 1, slabPoints, slabPoints + 1, last - 1} {
+		if got := f.At(i); len(got) != 3 || cap(got) != 3 || got[0] != float64(i) {
+			t.Fatalf("slot %d across the slab boundary: %v", i, got)
+		}
 	}
-	if f.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", f.Len())
+	if f.Len() != last {
+		t.Fatalf("Len = %d, want %d", f.Len(), last)
+	}
+	// Set past Len: the skipped slots read as zeros.
+	f.Set(last+slabPoints, []float64{7, 8, 9})
+	if f.Len() != last+slabPoints+1 {
+		t.Fatalf("Len after sparse Set = %d", f.Len())
+	}
+	for _, i := range []int{last, last + 1, last + slabPoints - 1} {
+		if got := f.At(i); got[0] != 0 || got[1] != 0 || got[2] != 0 {
+			t.Fatalf("skipped slot %d not zero: %v", i, got)
+		}
+	}
+	if got := f.At(last + slabPoints); got[0] != 7 || got[2] != 9 {
+		t.Fatalf("sparse Set slot: %v", got)
 	}
 }

@@ -68,10 +68,10 @@ type StreamStats struct {
 }
 
 // emitRing is the handle's delivery buffer: a flat-coordinate ring holding
-// emissions as parallel primitive arrays (one []float64 coordinate arena
-// indexed by stride, like preference.FlatPoints) instead of boxed
-// run.Emission values, so a full buffer costs a few contiguous allocations
-// rather than one Out slice per tuple. With limit > 0 the ring never holds
+// emissions as parallel primitive arrays (one contiguous []float64 of
+// coordinates indexed by stride) instead of boxed run.Emission values, so a
+// full buffer costs a few contiguous allocations rather than one Out slice
+// per tuple. With limit > 0 the ring never holds
 // more than limit entries: pushing into a full ring overwrites the oldest
 // entry and counts it as coalesced. With limit == 0 it grows unboundedly.
 //

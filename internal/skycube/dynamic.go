@@ -59,17 +59,11 @@ func (s *SharedSkyline) AddDynamicQuery(pref preference.Subspace) (int, error) {
 // points — and seeding may in turn evict earlier seeds). Comparisons are
 // counted: admission performs real work on the virtual clock.
 func (s *SharedSkyline) InsertForQuery(payload, qi int) bool {
-	sn := s.prefSN[qi]
-	if sn.memberAt(payload) != nil {
-		return sn.memberAt(payload).alive.Has(qi)
-	}
 	vals := s.PointVals(payload)
 	if vals == nil {
 		return false
 	}
-	s.insertAt(sn, payload, vals, QSet(0).Add(qi))
-	e := sn.memberAt(payload)
-	return e != nil && e.alive.Has(qi)
+	return s.insertAt(s.prefSN[qi], payload, vals, QSet(0).Add(qi)).Has(qi)
 }
 
 // NumQueries returns the number of queries the shared skyline currently
@@ -115,12 +109,7 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 			e.lineage &^= bit
 			e.alive &^= bit
 			if e.alive == 0 {
-				sn.members[e.payload] = nil
-				if s.useMasks {
-					b := uint64(1) << uint(sn.idx)
-					s.memberBits[e.payload] &^= b
-					s.cleanBits[e.payload] &^= b
-				}
+				s.clearMasks(sn, e.payload)
 				sn.dead++
 			}
 		}
@@ -135,14 +124,9 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 // payload-mask bits are cleared. The node keeps its slot in s.nodes (masks
 // and iteration stay index-stable) but holds no state.
 func (s *SharedSkyline) resetNode(sn *sharedNode) {
-	b := uint64(1) << uint(sn.idx)
 	for _, e := range sn.window {
-		if e.alive != 0 && sn.memberAt(e.payload) == e {
-			sn.members[e.payload] = nil
-			if s.useMasks {
-				s.memberBits[e.payload] &^= b
-				s.cleanBits[e.payload] &^= b
-			}
+		if e.alive != 0 {
+			s.clearMasks(sn, e.payload)
 		}
 		s.free = append(s.free, e)
 	}

@@ -28,11 +28,14 @@ import (
 // queries in the dominator's lineage. Correctness across removals follows
 // from the transitivity of strict dominance within a fixed subspace.
 //
-// Memory layout (DESIGN.md §7): point coordinates live in one flat
-// stride-indexed arena instead of a per-point heap slice; window entries
-// are recycled through a freelist; per-node dominance runs through a
-// preference.Kernel monomorphized for the node's subspace; and the
-// child-protection test is a 3-way AND over payload-indexed node bitmasks.
+// Memory layout (DESIGN.md §7): point coordinates live in one slab arena
+// instead of a per-point heap slice; window entries are recycled through a
+// freelist; per-node dominance runs through a preference.Kernel
+// monomorphized for the node's subspace; and the child-protection test is a
+// 3-way AND over payload-indexed node bitmasks. Nothing is kept per (node,
+// payload): a node knows its members only through its window (see find), so
+// standing state is the size of the windows plus a few pointer-free words
+// per join result.
 // Entries killed by KillForQueries are marked dead and batch-compacted
 // instead of spliced one at a time. None of this changes any observable:
 // candidate sets, comparison counts and iteration orders are identical to
@@ -40,13 +43,13 @@ import (
 // accounting, exactly as if they had been removed eagerly.
 //
 // Payloads must be small non-negative integers (the engine assigns them
-// sequentially); per-node membership is payload-indexed for O(1) access.
+// sequentially): they index the arena and the masks.
 type SharedSkyline struct {
 	cuboid *Cuboid
 	clock  *metrics.Clock
 	nodes  []*sharedNode          // aligned with cuboid.Nodes (ascending level)
 	prefSN []*sharedNode          // query index -> node of its full preference
-	points *preference.FlatPoints // payload-indexed coordinate arena (sized at first Insert)
+	points *preference.FlatPoints // payload-indexed coordinate arena (created at first Insert)
 	free   []*sharedEntry         // recycled window entries
 
 	// freeNodes holds dedicated dynamic-query nodes whose query retired;
@@ -58,14 +61,26 @@ type SharedSkyline struct {
 	freeNodes []*sharedNode
 
 	// Per-payload bitmasks over node indices, maintained iff the plan has at
-	// most 64 nodes (childProtects falls back to the member scan otherwise):
-	// memberBits[p] bit n ⇔ p is a live member at node n; cleanBits[p] bit n
-	// additionally requires the entry's clean flag.
-	useMasks   bool
-	memberBits []uint64
-	cleanBits  []uint64
+	// most 64 nodes (childProtects falls back to the member scan otherwise).
+	// Fixed-size chunks, so covering one more payload never copies.
+	useMasks bool
+	masks    []*[maskChunk]payloadMasks
 
 	_ [0]func(*SharedSkyline) // incomparable
+}
+
+// payloadMasks are one payload's node bitmasks: member bit n ⇔ the payload
+// is a live member at node n; clean bit n additionally requires the entry's
+// clean flag.
+type payloadMasks struct{ member, clean uint64 }
+
+const (
+	maskShift = 12
+	maskChunk = 1 << maskShift
+)
+
+func (s *SharedSkyline) mask(payload int) *payloadMasks {
+	return &s.masks[payload>>maskShift][payload&(maskChunk-1)]
 }
 
 type sharedEntry struct {
@@ -98,23 +113,35 @@ type sharedNode struct {
 	kern      preference.Kernel
 	qserve    QSet
 	window    []*sharedEntry
-	dead      int            // window entries with alive == 0 awaiting compaction
-	members   []*sharedEntry // payload-indexed; nil = not a member
+	dead      int // window entries with alive == 0 awaiting compaction
 	children  []*sharedNode
 }
 
-func (sn *sharedNode) memberAt(payload int) *sharedEntry {
-	if payload >= len(sn.members) {
-		return nil
-	}
-	return sn.members[payload]
+// sumLowerBound returns the first index of window whose sum is ≥ sp.
+func sumLowerBound(window []*sharedEntry, sp float64) int {
+	return sort.Search(len(window), func(i int) bool { return window[i].sum >= sp })
 }
 
-func (sn *sharedNode) setMember(payload int, e *sharedEntry) {
-	for payload >= len(sn.members) {
-		sn.members = append(sn.members, nil)
+// find returns the live window entry of payload at sn, or nil. Arena slots
+// are write-once while a point is live, so the entry's sort key is
+// recomputable from the arena and the entry can only sit in the window's run
+// of that exact sum — one binary search plus a walk over the ties. Dead
+// entries of the same payload (killed, not yet compacted) are passed over.
+func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
+	if s.useMasks && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&(1<<uint(sn.idx)) == 0) {
+		return nil
 	}
-	sn.members[payload] = e
+	vals := s.PointVals(payload)
+	if vals == nil {
+		return nil
+	}
+	sp := sn.kern.Sum(vals)
+	for i := sumLowerBound(sn.window, sp); i < len(sn.window) && sn.window[i].sum == sp; i++ {
+		if w := sn.window[i]; w.payload == payload && w.alive != 0 {
+			return w
+		}
+	}
+	return nil
 }
 
 // windowPresize is the initial window capacity of every node.
@@ -165,11 +192,10 @@ func NewSharedSkyline(c *Cuboid, clock *metrics.Clock) *SharedSkyline {
 // Cuboid returns the plan this state executes.
 func (s *SharedSkyline) Cuboid() *Cuboid { return s.cuboid }
 
-// growMasks ensures the per-payload bitmask arrays cover payload.
+// growMasks ensures the per-payload bitmasks cover payload.
 func (s *SharedSkyline) growMasks(payload int) {
-	for payload >= len(s.memberBits) {
-		s.memberBits = append(s.memberBits, 0)
-		s.cleanBits = append(s.cleanBits, 0)
+	for payload>>maskShift >= len(s.masks) {
+		s.masks = append(s.masks, new([maskChunk]payloadMasks))
 	}
 }
 
@@ -190,35 +216,34 @@ func (s *SharedSkyline) newEntry() *sharedEntry {
 // coordinates are copied into the shared arena; the caller keeps vals.
 func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
 	if s.points == nil {
-		s.points = preference.NewFlatPoints(len(vals), 1024)
+		s.points = preference.NewFlatPoints(len(vals))
 	}
 	s.points.Set(payload, vals)
 	if s.useMasks {
 		s.growMasks(payload)
 	}
+	var out QSet
 	for _, sn := range s.nodes {
 		relevant := sn.qserve & lineage
 		if relevant == 0 {
 			continue
 		}
-		s.insertAt(sn, payload, vals, relevant)
-	}
-	// Candidacy is read from the full-preference node of each query
-	// (prefSN covers the cuboid's queries plus any added dynamically).
-	var out QSet
-	for i := 0; i < len(s.prefSN); i++ {
-		if !lineage.Has(i) {
-			continue
-		}
-		if e := s.prefSN[i].memberAt(payload); e != nil && e.alive.Has(i) {
-			out = out.Add(i)
+		// Candidacy is read at the full-preference node of each query
+		// (prefSN covers the cuboid's queries plus any added dynamically).
+		alive := s.insertAt(sn, payload, vals, relevant)
+		for i := alive.Next(0); i >= 0; i = alive.Next(i + 1) {
+			if s.prefSN[i] == sn {
+				out = out.Add(i)
+			}
 		}
 	}
 	return out
 }
 
-// insertAt performs the windowed insert of one point at one node.
-func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) {
+// insertAt performs the windowed insert of one point at one node and
+// returns the queries the point is alive for there (zero: dominated, not
+// inserted). A point that already is a live member is left alone.
+func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
 	sp := sn.kern.Sum(vals)
 	// Project the incoming point onto the subspace, zero-padded (see
 	// sharedEntry.proj). Subspaces of ≥ 5 dimensions take the kernel path.
@@ -231,8 +256,15 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	}
 	// Entries with sum ≤ sp form the dominator candidates; entries with
 	// sum ≥ sp are the eviction candidates (equal sums appear in both).
-	lowIdx := sort.Search(len(sn.window), func(i int) bool { return sn.window[i].sum >= sp })
-	hiIdx := lowIdx + sort.Search(len(sn.window)-lowIdx, func(i int) bool { return sn.window[lowIdx+i].sum > sp })
+	// Ties are rare, so the run of equal sums is walked rather than searched
+	// — the same walk find makes, which is where a re-insert is caught.
+	lowIdx := sumLowerBound(sn.window, sp)
+	hiIdx := lowIdx
+	for ; hiIdx < len(sn.window) && sn.window[hiIdx].sum == sp; hiIdx++ {
+		if w := sn.window[hiIdx]; w.payload == payload && w.alive != 0 {
+			return w.alive
+		}
+	}
 
 	aliveP := relevant
 	cleanP := true
@@ -243,8 +275,9 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	// single payload-indexed load.
 	var pCleanChildren, pMemberChildren uint64
 	if s.useMasks {
-		pCleanChildren = s.cleanBits[payload] & sn.childMask
-		pMemberChildren = s.memberBits[payload] & sn.childMask
+		pm := s.mask(payload)
+		pCleanChildren = pm.clean & sn.childMask
+		pMemberChildren = pm.member & sn.childMask
 	}
 
 	// Prefix scan: can some member dominate p? The reverse direction is
@@ -254,7 +287,7 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 			continue // dead, or disjoint lineages never interact
 		}
 		if s.useMasks {
-			if pCleanChildren&s.memberBits[w.payload] != 0 {
+			if pCleanChildren&s.mask(w.payload).member != 0 {
 				continue // w provably cannot weakly dominate p here
 			}
 		} else if s.childProtects(sn, payload, w.payload) {
@@ -288,7 +321,7 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		if s.clock != nil && cmpCount > 0 {
 			s.clock.CountSkylineCmp(cmpCount)
 		}
-		return
+		return 0
 	}
 
 	// Suffix scan: which members does p dominate? Dead entries encountered
@@ -311,7 +344,7 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		if w.lineage&relevant != 0 {
 			protected := false
 			if s.useMasks {
-				protected = s.cleanBits[w.payload]&pMemberChildren != 0
+				protected = s.mask(w.payload).clean&pMemberChildren != 0
 			} else {
 				protected = s.childProtects(sn, w.payload, payload)
 			}
@@ -333,18 +366,13 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 					if w.clean {
 						w.clean = false
 						if s.useMasks {
-							s.cleanBits[w.payload] &^= 1 << uint(sn.idx)
+							s.mask(w.payload).clean &^= 1 << uint(sn.idx)
 						}
 					}
 					if !wWeakP { // strict: p ≺ w
 						w.alive &^= relevant
 						if w.alive == 0 {
-							sn.members[w.payload] = nil
-							if s.useMasks {
-								bit := uint64(1) << uint(sn.idx)
-								s.memberBits[w.payload] &^= bit
-								s.cleanBits[w.payload] &^= bit
-							}
+							s.clearMasks(sn, w.payload)
 							s.free = append(s.free, w)
 							drop = true // remove w from the window
 						}
@@ -375,31 +403,42 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	sn.window = append(sn.window, nil)
 	copy(sn.window[pos+1:], sn.window[pos:])
 	sn.window[pos] = e
-	sn.setMember(payload, e)
 	if s.useMasks {
 		bit := uint64(1) << uint(sn.idx)
-		s.memberBits[payload] |= bit
+		pm := s.mask(payload)
+		pm.member |= bit
 		if cleanP {
-			s.cleanBits[payload] |= bit
+			pm.clean |= bit
 		} else {
-			s.cleanBits[payload] &^= bit
+			pm.clean &^= bit
 		}
 	}
+	return aliveP
+}
+
+// clearMasks drops payload's member and clean bits for node sn, if masks
+// are maintained.
+func (s *SharedSkyline) clearMasks(sn *sharedNode, payload int) {
+	if !s.useMasks {
+		return
+	}
+	bit := uint64(1) << uint(sn.idx)
+	pm := s.mask(payload)
+	pm.member &^= bit
+	pm.clean &^= bit
 }
 
 // childProtects reports whether some cuboid child of sn's node contains both
 // points as current members with the protected point clean there, which
 // proves the attacker cannot dominate the protected point in sn's subspace.
+// It is the protection test of plans too large for the payload masks.
 func (s *SharedSkyline) childProtects(sn *sharedNode, protectedID, attackerID int) bool {
-	if s.useMasks {
-		return s.cleanBits[protectedID]&s.memberBits[attackerID]&sn.childMask != 0
-	}
 	for _, cn := range sn.children {
-		pe := cn.memberAt(protectedID)
+		pe := s.find(cn, protectedID)
 		if pe == nil || !pe.clean {
 			continue
 		}
-		if cn.memberAt(attackerID) != nil {
+		if s.find(cn, attackerID) != nil {
 			return true
 		}
 	}
@@ -414,18 +453,13 @@ func (s *SharedSkyline) childProtects(sn *sharedNode, protectedID, attackerID in
 // at a time.
 func (s *SharedSkyline) KillForQueries(payload int, dead QSet) {
 	for _, sn := range s.nodes {
-		e := sn.memberAt(payload)
+		e := s.find(sn, payload)
 		if e == nil {
 			continue
 		}
 		e.alive &^= dead
 		if e.alive == 0 {
-			sn.members[payload] = nil
-			if s.useMasks {
-				bit := uint64(1) << uint(sn.idx)
-				s.memberBits[payload] &^= bit
-				s.cleanBits[payload] &^= bit
-			}
+			s.clearMasks(sn, payload)
 			sn.dead++
 			if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
 				s.compact(sn)
@@ -465,7 +499,7 @@ func (s *SharedSkyline) Candidates(qi int) []int {
 
 // IsCandidate reports whether a point is currently alive for query qi.
 func (s *SharedSkyline) IsCandidate(payload, qi int) bool {
-	e := s.prefSN[qi].memberAt(payload)
+	e := s.find(s.prefSN[qi], payload)
 	return e != nil && e.alive.Has(qi)
 }
 
