@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet loc bench loadbench figures examples clean
+.PHONY: all build test vet loc counted figures examples clean
 
 all: build vet test
 
@@ -18,29 +18,15 @@ test:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
-# Reduced-scale benchmarks for every paper figure plus micro/ablation
-# benches, for measuring while you work; the raw `go test` output is kept
-# on stdout and in the untracked scratch file BENCH_raw.txt. The
-# repository's measured baseline is the end-to-end benchmark in benchmark/
-# (BENCHMARK.json; `bash benchmark/run.sh --workload W`).
-bench:
-	go test -bench=. -benchmem ./... | tee BENCH_raw.txt
-
-# Serving-path load benchmark: a wall-clock caqe-serve instance driven by
-# caqe-loadgen with 1000 concurrent client sessions cycling through mixed
-# contracts, cancellations and slow consumers. BENCH_load_results.json is
-# the committed baseline (TTFR percentiles, lifecycle counts, pScore
-# trajectory); refresh it on a quiet machine after deliberate serving-path
-# changes.
-loadbench:
-	go build -o /tmp/caqe-serve-bench ./cmd/caqe-serve
-	go build -o /tmp/caqe-loadgen-bench ./cmd/caqe-loadgen
-	/tmp/caqe-serve-bench -addr 127.0.0.1:8790 -n 400 -clock wall \
-		-max-concurrent 64 >/dev/null 2>&1 & echo $$! > /tmp/caqe-serve-bench.pid
-	sleep 1
-	/tmp/caqe-loadgen-bench -url http://127.0.0.1:8790 -sessions 1000 \
-		-duration 15s -out BENCH_load_results.json; \
-		st=$$?; kill `cat /tmp/caqe-serve-bench.pid` 2>/dev/null; exit $$st
+# Counted-work gate: every count-unit metric of the four benchmark workloads
+# at -quick size, traced, seed 2014 (plus core.virtual_s on the batch ones;
+# minus the two of serve-stream that follow its clients' admission race, see
+# the script) must equal testdata/counted_work.json. These repeat exactly
+# across processes, so a difference is a change in the work the engine does;
+# a PR that means one regenerates the manifest with
+# `python3 testdata/counted_work.py --write` in the same diff.
+counted:
+	python3 testdata/counted_work.py
 
 # Full-scale tables for every figure of the paper's evaluation (§7).
 figures:

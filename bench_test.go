@@ -1,8 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (§7), one testing.B benchmark per figure, plus micro-benchmarks of the
-// core building blocks. Figure benchmarks run the full strategy comparison
-// at a reduced scale per iteration and report the headline quantity as a
-// custom metric; use cmd/caqe-bench for the full-scale tables.
+// (§7), one testing.B benchmark per figure, plus the strategy, ablation,
+// workers-scaling, contract, ground-truth and top-k benchmarks. Figure
+// benchmarks run the full strategy comparison at a reduced scale per
+// iteration and report the headline quantity as a custom metric; use
+// cmd/caqe-bench for the full-scale tables. Per-layer timings on real
+// inputs (partition, cuboid, window insert, join, the whole pipeline) are
+// the traced runs of benchmark/.
 //
 //	go test -bench=. -benchmem
 package caqe_test
@@ -17,10 +20,6 @@ import (
 	"caqe/internal/core"
 	"caqe/internal/datagen"
 	"caqe/internal/join"
-	"caqe/internal/partition"
-	"caqe/internal/preference"
-	"caqe/internal/skycube"
-	"caqe/internal/skyline"
 	"caqe/internal/topk"
 	"caqe/internal/workload"
 )
@@ -160,100 +159,6 @@ func BenchmarkStrategySJFSL(b *testing.B)  { benchStrategy(b, "S-JFSL") }
 func BenchmarkStrategyJFSL(b *testing.B)   { benchStrategy(b, "JFSL") }
 func BenchmarkStrategyProgXe(b *testing.B) { benchStrategy(b, "ProgXe+") }
 func BenchmarkStrategySSMJ(b *testing.B)   { benchStrategy(b, "SSMJ") }
-
-// ---------------------------------------------------------------------------
-// Micro-benchmarks of the substrates.
-
-func BenchmarkSkylineBNL(b *testing.B) {
-	rel := datagen.MustGenerate(datagen.Config{Name: "R", N: 2000, Dims: 4,
-		Distribution: datagen.Independent, Seed: 1})
-	pts := make([]skyline.Point, rel.Len())
-	for i := range pts {
-		pts[i] = skyline.Point{Vals: rel.At(i).Attrs, Payload: i}
-	}
-	v := preference.NewSubspace(0, 1, 2, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skyline.BNL(v, pts, nil)
-	}
-}
-
-func BenchmarkSkylineSFS(b *testing.B) {
-	rel := datagen.MustGenerate(datagen.Config{Name: "R", N: 2000, Dims: 4,
-		Distribution: datagen.Independent, Seed: 1})
-	pts := make([]skyline.Point, rel.Len())
-	for i := range pts {
-		pts[i] = skyline.Point{Vals: rel.At(i).Attrs, Payload: i}
-	}
-	v := preference.NewSubspace(0, 1, 2, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		skyline.SFS(v, pts, nil)
-	}
-}
-
-func BenchmarkSharedSkylineInsert(b *testing.B) {
-	prefs := workload.EnumeratePreferences(4)
-	cuboid, err := skycube.BuildCuboid(prefs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rel := datagen.MustGenerate(datagen.Config{Name: "R", N: 2000, Dims: 4,
-		Distribution: datagen.Independent, Seed: 2})
-	var all skycube.QSet
-	for q := range prefs {
-		all = all.Add(q)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := skycube.NewSharedSkyline(cuboid, nil)
-		for j := 0; j < rel.Len(); j++ {
-			s.Insert(j, rel.At(j).Attrs, all)
-		}
-	}
-}
-
-func BenchmarkPartitionKDMedian(b *testing.B) {
-	rel := datagen.MustGenerate(datagen.Config{Name: "R", N: 10000, Dims: 4,
-		Distribution: datagen.Independent, NumKeys: 1, KeyDomain: []int64{100}, Seed: 3})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.Partition(rel, partition.DefaultOptions(rel.Len(), 32)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBuildCuboid(b *testing.B) {
-	prefs := workload.EnumeratePreferences(6)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := skycube.BuildCuboid(prefs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCAQEPipeline(b *testing.B) {
-	w := workload.MustBenchmark(workload.BenchmarkConfig{
-		NumQueries: 11, Dims: 4, Priority: workload.UniformPriority,
-		NewContract: func(int) contract.Contract { return contract.C2() },
-	})
-	r, t, err := datagen.Pair(500, 4, datagen.Independent, []float64{0.05}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng, err := core.New(w, r, t, core.Options{TargetCells: 12, GridResolution: 32})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := eng.Execute(nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkAblations measures the design-choice toggles DESIGN.md calls
 // out: dependency graph, region discard, contract benefit, feedback,

@@ -38,9 +38,9 @@ func TestErrStatusMatrix(t *testing.T) {
 
 // TestRequestBodyStatus pins what every role answers to a request body it
 // will not take: 413 with the JSON error reply past the 1 MiB bound, 400
-// for one it cannot decode — and that a shard node, whose rows the
-// coordinator addresses by pure topology arithmetic, serves no /data
-// routes at all.
+// for one it cannot decode or whose contract parameters are out of range —
+// and that a shard node, whose rows the coordinator addresses by pure
+// topology arithmetic, serves no /data routes at all.
 func TestRequestBodyStatus(t *testing.T) {
 	srv, err := newServer(testConfig())
 	if err != nil {
@@ -80,6 +80,10 @@ func TestRequestBodyStatus(t *testing.T) {
 		{"coordinator oversized query", coord.routes(), "POST", "/queries", huge, http.StatusRequestEntityTooLarge, true},
 		{"server malformed query", srv.routes(), "POST", "/queries", "{nope", http.StatusBadRequest, true},
 		{"coordinator malformed query", coord.routes(), "POST", "/queries", "{nope", http.StatusBadRequest, true},
+		{"server ratequota without frac", srv.routes(), "POST", "/queries", `{"jc":0,"pref":[0,1],"contract":{"class":"ratequota"}}`, http.StatusBadRequest, true},
+		{"server hybrid negative frac", srv.routes(), "POST", "/queries", `{"jc":0,"pref":[0,1],"contract":{"class":"hybrid","frac":-1,"interval":5}}`, http.StatusBadRequest, true},
+		{"coordinator ratequota without frac", coord.routes(), "POST", "/queries", `{"jc":0,"pref":[0,1],"contract":{"class":"ratequota"}}`, http.StatusBadRequest, true},
+		{"coordinator hybrid negative frac", coord.routes(), "POST", "/queries", `{"jc":0,"pref":[0,1],"contract":{"class":"hybrid","frac":-1,"interval":5}}`, http.StatusBadRequest, true},
 		{"server unknown table", srv.routes(), "POST", "/data/x", `{"delete":[0]}`, http.StatusBadRequest, true},
 		{"shard refuses append", shard.routes(), "POST", "/data/r", `{"delete":[0]}`, http.StatusNotFound, false},
 		{"shard refuses delete", shard.routes(), "DELETE", "/data/r/0", "", http.StatusNotFound, false},

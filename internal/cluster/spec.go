@@ -24,7 +24,7 @@ type ContractSpec struct {
 
 // Build constructs the contract the spec describes.
 func (cr ContractSpec) Build() (contract.Contract, error) {
-	switch strings.ToLower(cr.Class) {
+	switch class := strings.ToLower(cr.Class); class {
 	case "", "softdeadline":
 		d := cr.Deadline
 		if d <= 0 {
@@ -38,10 +38,15 @@ func (cr ContractSpec) Build() (contract.Contract, error) {
 		return contract.C1(cr.Deadline), nil
 	case "logdecay":
 		return contract.C2(), nil
-	case "ratequota":
+	case "ratequota", "hybrid":
+		// C4 and C5 panic on these; a request body must not reach them.
+		if cr.Frac <= 0 || cr.Interval <= 0 {
+			return nil, fmt.Errorf("contract class %s needs a positive frac and interval", class)
+		}
+		if class == "hybrid" {
+			return contract.C5(cr.Frac, cr.Interval), nil
+		}
 		return contract.C4(cr.Frac, cr.Interval), nil
-	case "hybrid":
-		return contract.C5(cr.Frac, cr.Interval), nil
 	}
 	return contract.Contract(nil), fmt.Errorf("unknown contract class %q", cr.Class)
 }

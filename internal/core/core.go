@@ -186,24 +186,9 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 	if qremap != nil && len(qremap) != len(e.w.Queries) {
 		return fmt.Errorf("core: qremap has %d entries for %d queries", len(qremap), len(e.w.Queries))
 	}
-	rcells, err := partition.Partition(e.r, partition.DefaultOptions(e.r.Len(), e.opt.TargetCells))
+	cuboid, space, err := e.plan(clock, false)
 	if err != nil {
-		return fmt.Errorf("core: partitioning %s: %w", e.r.Schema.Name, err)
-	}
-	tcells, err := partition.Partition(e.t, partition.DefaultOptions(e.t.Len(), e.opt.TargetCells))
-	if err != nil {
-		return fmt.Errorf("core: partitioning %s: %w", e.t.Schema.Name, err)
-	}
-
-	space, err := region.BuildSpace(e.w, rcells, tcells,
-		region.Options{GridResolution: e.opt.GridResolution}, clock)
-	if err != nil {
-		return fmt.Errorf("core: building output space: %w", err)
-	}
-
-	cuboid, err := skycube.BuildCuboid(e.w.Prefs())
-	if err != nil {
-		return fmt.Errorf("core: building min-max cuboid: %w", err)
+		return err
 	}
 	shared := skycube.NewSharedSkyline(cuboid, clock)
 
@@ -218,22 +203,30 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 // Plan exposes the derived shared plan and output space without executing;
 // used by diagnostics, examples and tests.
 func (e *Engine) Plan() (*skycube.Cuboid, *region.Space, error) {
+	return e.plan(nil, false)
+}
+
+// plan derives the shared plan every execution starts from: both inputs
+// partitioned into leaf cells, the output space built over the cell pairs
+// (its cell-level work charged to clock, which may be nil) and the min-max
+// cuboid over the queries' preferences. keepPruned is region.Options'.
+func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *region.Space, error) {
 	rcells, err := partition.Partition(e.r, partition.DefaultOptions(e.r.Len(), e.opt.TargetCells))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: partitioning %s: %w", e.r.Schema.Name, err)
 	}
 	tcells, err := partition.Partition(e.t, partition.DefaultOptions(e.t.Len(), e.opt.TargetCells))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: partitioning %s: %w", e.t.Schema.Name, err)
 	}
 	space, err := region.BuildSpace(e.w, rcells, tcells,
-		region.Options{GridResolution: e.opt.GridResolution}, nil)
+		region.Options{GridResolution: e.opt.GridResolution, KeepPruned: keepPruned}, clock)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: building output space: %w", err)
 	}
 	cuboid, err := skycube.BuildCuboid(e.w.Prefs())
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("core: building min-max cuboid: %w", err)
 	}
 	return cuboid, space, nil
 }

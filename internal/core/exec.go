@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"caqe/internal/metrics"
-	"caqe/internal/partition"
 	"caqe/internal/preference"
 	"caqe/internal/region"
 	"caqe/internal/run"
@@ -46,22 +45,9 @@ func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error)
 	if e.opt.DataOrderScheduling {
 		return nil, fmt.Errorf("core: stepping execution requires CSM scheduling (DataOrderScheduling is a batch-only ablation)")
 	}
-	rcells, err := partition.Partition(e.r, partition.DefaultOptions(e.r.Len(), e.opt.TargetCells))
+	cuboid, space, err := e.plan(clock, true)
 	if err != nil {
-		return nil, fmt.Errorf("core: partitioning %s: %w", e.r.Schema.Name, err)
-	}
-	tcells, err := partition.Partition(e.t, partition.DefaultOptions(e.t.Len(), e.opt.TargetCells))
-	if err != nil {
-		return nil, fmt.Errorf("core: partitioning %s: %w", e.t.Schema.Name, err)
-	}
-	space, err := region.BuildSpace(e.w, rcells, tcells,
-		region.Options{GridResolution: e.opt.GridResolution, KeepPruned: true}, clock)
-	if err != nil {
-		return nil, fmt.Errorf("core: building output space: %w", err)
-	}
-	cuboid, err := skycube.BuildCuboid(e.w.Prefs())
-	if err != nil {
-		return nil, fmt.Errorf("core: building min-max cuboid: %w", err)
+		return nil, err
 	}
 	shared := skycube.NewSharedSkyline(cuboid, clock)
 
@@ -155,22 +141,8 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 			return -1, ErrQuerySlotsExhausted
 		}
 	}
-	if q.JC < 0 || q.JC >= len(w.JoinConds) {
-		return -1, fmt.Errorf("core: query %s references join condition %d of %d", q.Name, q.JC, len(w.JoinConds))
-	}
-	if len(q.Pref) == 0 {
-		return -1, fmt.Errorf("core: query %s has an empty skyline preference", q.Name)
-	}
-	for _, d := range q.Pref {
-		if d < 0 || d >= len(w.OutDims) {
-			return -1, fmt.Errorf("core: query %s preference uses output dimension %d of %d", q.Name, d, len(w.OutDims))
-		}
-	}
-	if q.Priority < 0 || q.Priority > 1 {
-		return -1, fmt.Errorf("core: query %s priority %g outside [0,1]", q.Name, q.Priority)
-	}
-	if q.Contract == nil {
-		return -1, fmt.Errorf("core: query %s has no contract", q.Name)
+	if err := q.Validate(len(w.JoinConds), len(w.OutDims)); err != nil {
+		return -1, fmt.Errorf("core: %w", err)
 	}
 
 	var qi int

@@ -34,6 +34,23 @@ type TupleData struct {
 	Keys  []int64   `json:"keys"`
 }
 
+// Check is the appended-row rule, stated once for the engine and the
+// session that queues rows ahead of it: the row has the schema's arity and
+// none of its join keys is a reserved tombstone. Callers prefix the error
+// with their package name, the row's index and the table.
+func (row TupleData) Check(schema *tuple.Schema) error {
+	if len(row.Attrs) != schema.NumAttrs() || len(row.Keys) != schema.NumKeys() {
+		return fmt.Errorf("got %d attrs, %d keys; schema wants %d, %d",
+			len(row.Attrs), len(row.Keys), schema.NumAttrs(), schema.NumKeys())
+	}
+	for _, k := range row.Keys {
+		if k == TombstoneKeyR || k == TombstoneKeyT {
+			return fmt.Errorf("join key %d is reserved for deletes", k)
+		}
+	}
+	return nil
+}
+
 // DeltaStats summarizes one applied mutation.
 type DeltaStats struct {
 	Appended       int `json:"appended"`
@@ -114,14 +131,8 @@ func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 	}
 	rel := st.relFor(tab)
 	for i, row := range rows {
-		if len(row.Attrs) != rel.Schema.NumAttrs() || len(row.Keys) != rel.Schema.NumKeys() {
-			return nil, stats, fmt.Errorf("core: append row %d to %s: got %d attrs, %d keys; schema wants %d, %d",
-				i, rel.Schema.Name, len(row.Attrs), len(row.Keys), rel.Schema.NumAttrs(), rel.Schema.NumKeys())
-		}
-		for _, k := range row.Keys {
-			if k == TombstoneKeyR || k == TombstoneKeyT {
-				return nil, stats, fmt.Errorf("core: append row %d to %s: join key %d is reserved for deletes", i, rel.Schema.Name, k)
-			}
+		if err := row.Check(&rel.Schema); err != nil {
+			return nil, stats, fmt.Errorf("core: append row %d to %s: %w", i, rel.Schema.Name, err)
 		}
 	}
 	st.indexTuples()

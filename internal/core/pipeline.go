@@ -223,9 +223,9 @@ type domOp struct {
 func (o *domOp) Name() string { return opNameDominanceFilter }
 
 func (o *domOp) Detail() string {
-	d := "shared skycube insert (monomorphized d≤4 kernels) + dominated-region discard"
+	d := "shared skycube insert + dominated-region discard"
 	if o.st.e.opt.DisableRegionDiscard {
-		d = "shared skycube insert (monomorphized d≤4 kernels); region discard disabled"
+		d = "shared skycube insert; region discard disabled"
 	}
 	return d
 }

@@ -71,7 +71,7 @@ type state struct {
 	jcQueries []skycube.QSet
 	jcSigma   []float64
 	prefMask  []uint64            // per-query preference bitmask
-	kerns     []preference.Kernel // per-query dominance kernel (monomorphized once)
+	kerns     []preference.Kernel // per-query dominance comparator over its preference
 
 	outEdges [][]depEdge
 	indegree []int

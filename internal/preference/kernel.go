@@ -1,97 +1,35 @@
 package preference
 
-// Kernel is a dominance comparator bound to one subspace, with the dimension
-// list resolved once at construction instead of re-walked per comparison.
-// The d = 1..4 cases are monomorphized into straight-line code over scalar
-// dimension indices (the common output dimensionalities of the paper's
-// workloads); larger subspaces fall back to the generic loop. A Kernel is a
-// small value type: methods never allocate, so hot loops can hold one by
-// value and run allocation-free.
-//
-// All methods agree exactly with the generic DominatesIn / WeakDominatesIn /
-// CompareIn functions on the same subspace (see TestKernelAgreesWithGeneric).
+// Kernel is a dominance comparator bound to one subspace: the value hot
+// loops hold so that a comparison names two points and nothing else. Every
+// relation is one loop over the subspace that leaves on the first dimension
+// that decides it; DominatesIn, WeakDominatesIn and CompareIn are the same
+// loops under their free-function names. Straight-line d = 1..4 arms were
+// tried here and measured slower than the loop at every d (DESIGN.md §7);
+// the one specialisation that pays is local to the sum-sorted window scan
+// (skycube's sharedEntry.proj). Methods never allocate.
 type Kernel struct {
-	d              int // 1..4 = specialized; 0 = generic (len(sub) == 0 or ≥ 5)
-	k0, k1, k2, k3 int
-	sub            Subspace
+	sub Subspace
 }
 
 // NewKernel builds the comparator for subspace v. The subspace is captured
-// by reference; callers must not mutate it afterwards.
-func NewKernel(v Subspace) Kernel {
-	k := Kernel{sub: v}
-	switch len(v) {
-	case 1:
-		k.d, k.k0 = 1, v[0]
-	case 2:
-		k.d, k.k0, k.k1 = 2, v[0], v[1]
-	case 3:
-		k.d, k.k0, k.k1, k.k2 = 3, v[0], v[1], v[2]
-	case 4:
-		k.d, k.k0, k.k1, k.k2, k.k3 = 4, v[0], v[1], v[2], v[3]
-	}
-	return k
-}
+// by reference and read on every comparison; callers must not mutate it
+// afterwards.
+func NewKernel(v Subspace) Kernel { return Kernel{sub: v} }
 
 // Sub returns the subspace the kernel compares in.
 func (k *Kernel) Sub() Subspace { return k.sub }
 
 // Dominates reports a ≺_V b (strict subspace dominance, Definition 2).
-func (k *Kernel) Dominates(a, b []float64) bool {
-	switch k.d {
-	case 1:
-		return a[k.k0] < b[k.k0]
-	case 2:
-		a0, b0, a1, b1 := a[k.k0], b[k.k0], a[k.k1], b[k.k1]
-		return a0 <= b0 && a1 <= b1 && (a0 < b0 || a1 < b1)
-	case 3:
-		a0, b0, a1, b1, a2, b2 := a[k.k0], b[k.k0], a[k.k1], b[k.k1], a[k.k2], b[k.k2]
-		return a0 <= b0 && a1 <= b1 && a2 <= b2 && (a0 < b0 || a1 < b1 || a2 < b2)
-	case 4:
-		a0, b0, a1, b1 := a[k.k0], b[k.k0], a[k.k1], b[k.k1]
-		a2, b2, a3, b3 := a[k.k2], b[k.k2], a[k.k3], b[k.k3]
-		return a0 <= b0 && a1 <= b1 && a2 <= b2 && a3 <= b3 &&
-			(a0 < b0 || a1 < b1 || a2 < b2 || a3 < b3)
-	}
-	return DominatesIn(k.sub, a, b)
-}
+func (k *Kernel) Dominates(a, b []float64) bool { return DominatesIn(k.sub, a, b) }
 
 // WeakDominates reports a ⪯_V b (a[k] ≤ b[k] on every dimension of V).
-func (k *Kernel) WeakDominates(a, b []float64) bool {
-	switch k.d {
-	case 1:
-		return a[k.k0] <= b[k.k0]
-	case 2:
-		return a[k.k0] <= b[k.k0] && a[k.k1] <= b[k.k1]
-	case 3:
-		return a[k.k0] <= b[k.k0] && a[k.k1] <= b[k.k1] && a[k.k2] <= b[k.k2]
-	case 4:
-		return a[k.k0] <= b[k.k0] && a[k.k1] <= b[k.k1] &&
-			a[k.k2] <= b[k.k2] && a[k.k3] <= b[k.k3]
-	}
-	return WeakDominatesIn(k.sub, a, b)
-}
+func (k *Kernel) WeakDominates(a, b []float64) bool { return WeakDominatesIn(k.sub, a, b) }
 
 // Relate reports (a ⪯_V b, b ⪯_V a) in one pass. The four combinations
 // classify the pair completely: (true, true) = equal in V, (true, false) =
 // a ≺_V b, (false, true) = b ≺_V a, (false, false) = incomparable.
 func (k *Kernel) Relate(a, b []float64) (aWeakB, bWeakA bool) {
-	switch k.d {
-	case 1:
-		a0, b0 := a[k.k0], b[k.k0]
-		return a0 <= b0, b0 <= a0
-	case 2:
-		a0, b0, a1, b1 := a[k.k0], b[k.k0], a[k.k1], b[k.k1]
-		return a0 <= b0 && a1 <= b1, b0 <= a0 && b1 <= a1
-	case 3:
-		a0, b0, a1, b1, a2, b2 := a[k.k0], b[k.k0], a[k.k1], b[k.k1], a[k.k2], b[k.k2]
-		return a0 <= b0 && a1 <= b1 && a2 <= b2, b0 <= a0 && b1 <= a1 && b2 <= a2
-	case 4:
-		a0, b0, a1, b1 := a[k.k0], b[k.k0], a[k.k1], b[k.k1]
-		a2, b2, a3, b3 := a[k.k2], b[k.k2], a[k.k3], b[k.k3]
-		return a0 <= b0 && a1 <= b1 && a2 <= b2 && a3 <= b3,
-			b0 <= a0 && b1 <= a1 && b2 <= a2 && b3 <= a3
-	}
 	aWeakB, bWeakA = true, true
 	for _, d := range k.sub {
 		if a[d] > b[d] {
@@ -121,18 +59,10 @@ func (k *Kernel) Compare(a, b []float64) int {
 }
 
 // Sum returns the coordinate sum of a over the subspace — the monotone
-// score used by the sum-sorted window algorithms.
+// score used by the sum-sorted window algorithms. It adds left to right:
+// window sort keys are recomputed from the arena (skycube's find) and must
+// come out bit-equal.
 func (k *Kernel) Sum(a []float64) float64 {
-	switch k.d {
-	case 1:
-		return a[k.k0]
-	case 2:
-		return a[k.k0] + a[k.k1]
-	case 3:
-		return a[k.k0] + a[k.k1] + a[k.k2]
-	case 4:
-		return a[k.k0] + a[k.k1] + a[k.k2] + a[k.k3]
-	}
 	s := 0.0
 	for _, d := range k.sub {
 		s += a[d]

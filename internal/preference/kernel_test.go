@@ -1,7 +1,6 @@
 package preference
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,9 +23,10 @@ func randomPoint(rng *rand.Rand, dims int) []float64 {
 	return p
 }
 
-// TestKernelAgreesWithGeneric cross-checks every kernel method against the
-// generic subspace functions on randomized tied/duplicated points, for every
-// subspace size from 1 (fully specialized) through 6 (generic fallback).
+// TestKernelAgreesWithGeneric checks every Kernel method, and the free
+// functions that share its loops, against the definitions written out here
+// per dimension — not against code they call — on randomized tied and
+// duplicated points, for every subspace size from 1 through 6.
 func TestKernelAgreesWithGeneric(t *testing.T) {
 	const dims = 7
 	rng := rand.New(rand.NewSource(99))
@@ -40,33 +40,61 @@ func TestKernelAgreesWithGeneric(t *testing.T) {
 				copy(b, a) // force exact duplicates regularly
 			}
 
-			if got, want := k.Dominates(a, b), DominatesIn(v, a, b); got != want {
-				t.Fatalf("size %d: Dominates(%v,%v) in %v = %v, generic %v", size, a, b, v, got, want)
-			}
-			if got, want := k.WeakDominates(a, b), WeakDominatesIn(v, a, b); got != want {
-				t.Fatalf("size %d: WeakDominates(%v,%v) in %v = %v, generic %v", size, a, b, v, got, want)
-			}
-			if got, want := k.Compare(a, b), CompareIn(v, a, b); got != want {
-				t.Fatalf("size %d: Compare(%v,%v) in %v = %v, generic %v", size, a, b, v, got, want)
-			}
-			aWeakB, bWeakA := k.Relate(a, b)
-			if aWeakB != WeakDominatesIn(v, a, b) || bWeakA != WeakDominatesIn(v, b, a) {
-				t.Fatalf("size %d: Relate(%v,%v) in %v = (%v,%v), generic (%v,%v)",
-					size, a, b, v, aWeakB, bWeakA, WeakDominatesIn(v, a, b), WeakDominatesIn(v, b, a))
-			}
+			// Definition 2, dimension by dimension.
+			le, ge, lt, gt := 0, 0, 0, 0
 			wantSum := 0.0
 			for _, d := range v {
+				if a[d] <= b[d] {
+					le++
+				}
+				if a[d] >= b[d] {
+					ge++
+				}
+				if a[d] < b[d] {
+					lt++
+				}
+				if a[d] > b[d] {
+					gt++
+				}
 				wantSum += a[d]
+			}
+			aWeakB, bWeakA := le == size, ge == size
+			aDomB, bDomA := aWeakB && lt > 0, bWeakA && gt > 0
+			wantCmp := 0
+			if aDomB {
+				wantCmp = -1
+			} else if bDomA {
+				wantCmp = 1
+			}
+
+			if got := k.Dominates(a, b); got != aDomB {
+				t.Fatalf("size %d: Dominates(%v,%v) in %v = %v, want %v", size, a, b, v, got, aDomB)
+			}
+			if got := k.Dominates(b, a); got != bDomA {
+				t.Fatalf("size %d: Dominates(%v,%v) in %v = %v, want %v", size, b, a, v, got, bDomA)
+			}
+			if got := k.WeakDominates(a, b); got != aWeakB {
+				t.Fatalf("size %d: WeakDominates(%v,%v) in %v = %v, want %v", size, a, b, v, got, aWeakB)
+			}
+			if got := k.Compare(a, b); got != wantCmp {
+				t.Fatalf("size %d: Compare(%v,%v) in %v = %v, want %v", size, a, b, v, got, wantCmp)
+			}
+			if g1, g2 := k.Relate(a, b); g1 != aWeakB || g2 != bWeakA {
+				t.Fatalf("size %d: Relate(%v,%v) in %v = (%v,%v), want (%v,%v)",
+					size, a, b, v, g1, g2, aWeakB, bWeakA)
 			}
 			if got := k.Sum(a); got != wantSum {
 				t.Fatalf("size %d: Sum(%v) in %v = %v, want %v", size, a, v, got, wantSum)
+			}
+			if DominatesIn(v, a, b) != aDomB || WeakDominatesIn(v, b, a) != bWeakA || CompareIn(v, a, b) != wantCmp {
+				t.Fatalf("size %d: free functions disagree with the definition on (%v,%v) in %v", size, a, b, v)
 			}
 		}
 	}
 }
 
-// TestKernelZeroAllocs pins the specialized kernels at zero heap
-// allocations per comparison.
+// TestKernelZeroAllocs pins the kernel at zero heap allocations per
+// comparison.
 func TestKernelZeroAllocs(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	b := []float64{2, 1, 3, 0, 4}
@@ -85,37 +113,6 @@ func TestKernelZeroAllocs(t *testing.T) {
 			t.Fatalf("d=%d kernel: %v allocs/op, want 0", size, allocs)
 		}
 		_ = sink
-	}
-}
-
-// BenchmarkKernelDominates measures the specialized dominance kernels
-// against the generic loop at each supported dimensionality.
-func BenchmarkKernelDominates(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const n = 256
-	for _, size := range []int{2, 3, 4} {
-		v := NewSubspace([]int{0, 1, 2, 3}[:size]...)
-		k := NewKernel(v)
-		pts := make([][]float64, n)
-		for i := range pts {
-			pts[i] = randomPoint(rng, 4)
-		}
-		b.Run(fmt.Sprintf("kernel-d%d", size), func(b *testing.B) {
-			sink := false
-			for i := 0; i < b.N; i++ {
-				a, c := pts[i%n], pts[(i+7)%n]
-				sink = sink != k.Dominates(a, c)
-			}
-			_ = sink
-		})
-		b.Run(fmt.Sprintf("generic-d%d", size), func(b *testing.B) {
-			sink := false
-			for i := 0; i < b.N; i++ {
-				a, c := pts[i%n], pts[(i+7)%n]
-				sink = sink != DominatesIn(v, a, c)
-			}
-			_ = sink
-		})
 	}
 }
 

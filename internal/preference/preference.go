@@ -102,23 +102,9 @@ func SubspaceFromMask(m uint64) Subspace {
 	return s
 }
 
-// Dominates implements full-space dominance (Definition 1) over points of
-// equal dimensionality: a ≺ b iff a[k] ≤ b[k] for all k and a[l] < b[l] for
-// some l. Smaller is better.
-func Dominates(a, b []float64) bool {
-	strictly := false
-	for k := range a {
-		if a[k] > b[k] {
-			return false
-		}
-		if a[k] < b[k] {
-			strictly = true
-		}
-	}
-	return strictly
-}
-
-// DominatesIn implements subspace dominance (Definition 2): a ≺_V b.
+// DominatesIn implements subspace dominance (Definition 2): a ≺_V b iff
+// a[k] ≤ b[k] for all k ∈ V and a[l] < b[l] for some l ∈ V. Smaller is
+// better. Full-space dominance (Definition 1) is the case V = D.
 func DominatesIn(v Subspace, a, b []float64) bool {
 	strictly := false
 	for _, k := range v {
@@ -146,26 +132,8 @@ func WeakDominatesIn(v Subspace, a, b []float64) bool {
 // CompareIn classifies the dominance relationship between a and b in V:
 // -1 if a ≺_V b, +1 if b ≺_V a, 0 if incomparable or equal.
 func CompareIn(v Subspace, a, b []float64) int {
-	aBetter, bBetter := false, false
-	for _, k := range v {
-		switch {
-		case a[k] < b[k]:
-			aBetter = true
-		case a[k] > b[k]:
-			bBetter = true
-		}
-		if aBetter && bBetter {
-			return 0
-		}
-	}
-	switch {
-	case aBetter && !bBetter:
-		return -1
-	case bBetter && !aBetter:
-		return 1
-	default:
-		return 0
-	}
+	k := Kernel{sub: v}
+	return k.Compare(a, b)
 }
 
 // HasDistinctValues reports whether the DVA property (no two points share a

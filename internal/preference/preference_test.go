@@ -115,13 +115,14 @@ func TestDominatesExamples(t *testing.T) {
 	h3 := []float64{89, 2, 3, 0}
 	// Ratings use "smaller is better" here, so equal values on all but
 	// price make h1 dominate h2.
-	if !Dominates(h1, h2) {
+	full := NewSubspace(0, 1, 2, 3)
+	if !DominatesIn(full, h1, h2) {
 		t.Error("h1 should dominate h2")
 	}
-	if Dominates(h2, h1) {
+	if DominatesIn(full, h2, h1) {
 		t.Error("h2 must not dominate h1")
 	}
-	if Dominates(h1, h3) || Dominates(h3, h1) {
+	if DominatesIn(full, h1, h3) || DominatesIn(full, h3, h1) {
 		t.Error("h1 and h3 must be incomparable")
 	}
 }
@@ -139,7 +140,7 @@ func TestSubspaceDominanceExample(t *testing.T) {
 
 func TestDominatesRequiresStrict(t *testing.T) {
 	a := []float64{1, 2, 3}
-	if Dominates(a, a) {
+	if DominatesIn(NewSubspace(0, 1, 2), a, a) {
 		t.Error("a point must not dominate itself")
 	}
 	if DominatesIn(NewSubspace(0, 1), a, a) {

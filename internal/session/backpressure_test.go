@@ -16,7 +16,7 @@ func emission(i int) run.Emission {
 // TestEmitRingUnbounded exercises the growth path: with no limit the ring
 // doubles as needed and drains every emission in push order.
 func TestEmitRingUnbounded(t *testing.T) {
-	r := emitRing{stride: -1}
+	r := emitRing{}
 	for i := 0; i < 100; i++ {
 		if r.push(emission(i)) {
 			t.Fatalf("push %d coalesced in an unbounded ring", i)
@@ -40,7 +40,7 @@ func TestEmitRingUnbounded(t *testing.T) {
 // its oldest entry, counts it as lag, and drains exactly the newest limit
 // emissions in order — including across interleaved partial drains.
 func TestEmitRingOverwrite(t *testing.T) {
-	r := emitRing{stride: -1, limit: 4}
+	r := emitRing{limit: 4}
 	for i := 0; i < 10; i++ {
 		coalesced := r.push(emission(i))
 		if want := i >= 4; coalesced != want {

@@ -20,7 +20,7 @@ const (
 	// buffered emission is coalesced away for each new one, and the stream
 	// receives a lag notice (StreamEvent.Lag) carrying the coalesced count
 	// before delivery resumes. Memory stays O(HighWater): the buffer is a
-	// flat-coordinate ring that never grows past the mark.
+	// ring that never grows past the mark.
 	PolicyBlockExecutorNever DeliveryPolicy = "block-executor-never"
 	// PolicyDisconnectSlow severs the stream at the high-water mark: the
 	// buffer is released, the events channel closes, and the query keeps
@@ -67,58 +67,41 @@ type StreamStats struct {
 	Abandoned    bool  `json:"abandoned,omitempty"`    // consumer called Abandon
 }
 
-// emitRing is the handle's delivery buffer: a flat-coordinate ring holding
-// emissions as parallel primitive arrays (one contiguous []float64 of
-// coordinates indexed by stride) instead of boxed run.Emission values, so a
-// full buffer costs a few contiguous allocations rather than one Out slice
-// per tuple. With limit > 0 the ring never holds
-// more than limit entries: pushing into a full ring overwrites the oldest
-// entry and counts it as coalesced. With limit == 0 it grows unboundedly.
-//
-// All emissions of one handle share the same Query index and Out length,
-// so both are stored once.
+// emitRing is the handle's delivery buffer: a ring of emissions. An
+// emission's Out is allocated once, when the engine emits it, and is
+// immutable from then on — the session's report holds the same slice for the
+// session's life — so buffering and delivering a result copies the Emission
+// value and never its coordinates. With limit > 0 the ring never holds more
+// than limit entries: pushing into a full ring overwrites the oldest entry
+// and counts it as coalesced. With limit == 0 it grows unboundedly.
 type emitRing struct {
-	limit  int
-	query  int
-	stride int // coords per emission; -1 until the first push
-	rids   []int
-	tids   []int
-	times  []float64
-	outs   []float64
-	start  int // index of the oldest entry
-	n      int
-	lag    int64 // coalesced since the last drain
-}
-
-func (r *emitRing) writeAt(i int, e run.Emission) {
-	r.rids[i], r.tids[i], r.times[i] = e.RID, e.TID, e.Time
-	copy(r.outs[i*r.stride:(i+1)*r.stride], e.Out)
+	limit int
+	buf   []run.Emission
+	start int // index of the oldest entry
+	n     int
+	lag   int64 // coalesced since the last drain
 }
 
 // push buffers one emission, reporting whether it displaced (coalesced) an
 // older one.
 func (r *emitRing) push(e run.Emission) bool {
-	if r.stride < 0 {
-		r.stride = len(e.Out)
-		r.query = e.Query
-	}
 	if r.limit > 0 && r.n == r.limit {
-		r.writeAt(r.start, e)
+		r.buf[r.start] = e
 		r.start++
-		if r.start == len(r.rids) {
+		if r.start == len(r.buf) {
 			r.start = 0
 		}
 		r.lag++
 		return true
 	}
-	if r.n == len(r.rids) {
+	if r.n == len(r.buf) {
 		r.grow()
 	}
 	i := r.start + r.n
-	if i >= len(r.rids) {
-		i -= len(r.rids)
+	if i >= len(r.buf) {
+		i -= len(r.buf)
 	}
-	r.writeAt(i, e)
+	r.buf[i] = e
 	r.n++
 	return false
 }
@@ -126,28 +109,17 @@ func (r *emitRing) push(e run.Emission) bool {
 // grow enlarges the ring (doubling, clamped to limit), linearizing the
 // entries so start returns to zero.
 func (r *emitRing) grow() {
-	oldCap := len(r.rids)
-	newCap := oldCap * 2
+	newCap := len(r.buf) * 2
 	if newCap < 16 {
 		newCap = 16
 	}
 	if r.limit > 0 && newCap > r.limit {
 		newCap = r.limit
 	}
-	rids := make([]int, newCap)
-	tids := make([]int, newCap)
-	times := make([]float64, newCap)
-	outs := make([]float64, newCap*r.stride)
-	for i := 0; i < r.n; i++ {
-		j := r.start + i
-		if j >= oldCap {
-			j -= oldCap
-		}
-		rids[i], tids[i], times[i] = r.rids[j], r.tids[j], r.times[j]
-		copy(outs[i*r.stride:(i+1)*r.stride], r.outs[j*r.stride:(j+1)*r.stride])
-	}
-	r.rids, r.tids, r.times, r.outs = rids, tids, times, outs
-	r.start = 0
+	buf := make([]run.Emission, newCap)
+	k := copy(buf, r.buf[r.start:])
+	copy(buf[k:], r.buf[:r.start])
+	r.buf, r.start = buf, 0
 }
 
 // drain appends every buffered emission to dst in delivery order, empties
@@ -156,19 +128,12 @@ func (r *emitRing) grow() {
 func (r *emitRing) drain(dst []run.Emission) ([]run.Emission, int64) {
 	lag := r.lag
 	r.lag = 0
-	for i := 0; i < r.n; i++ {
-		j := r.start + i
-		if j >= len(r.rids) {
-			j -= len(r.rids)
-		}
-		var out []float64
-		if r.stride > 0 {
-			out = make([]float64, r.stride)
-			copy(out, r.outs[j*r.stride:(j+1)*r.stride])
-		}
-		dst = append(dst, run.Emission{
-			Query: r.query, RID: r.rids[j], TID: r.tids[j], Out: out, Time: r.times[j],
-		})
+	end := r.start + r.n
+	if end <= len(r.buf) {
+		dst = append(dst, r.buf[r.start:end]...)
+	} else {
+		dst = append(dst, r.buf[r.start:]...)
+		dst = append(dst, r.buf[:end-len(r.buf)]...)
 	}
 	r.start, r.n = 0, 0
 	return dst, lag
@@ -176,18 +141,18 @@ func (r *emitRing) drain(dst []run.Emission) ([]run.Emission, int64) {
 
 // reset releases the ring's storage (disconnect path).
 func (r *emitRing) reset() {
-	r.rids, r.tids, r.times, r.outs = nil, nil, nil, nil
+	r.buf = nil
 	r.start, r.n = 0, 0
 }
 
 // Handle is one submitted query's view of the session: identity, arrival
 // time, lifecycle state and the stream of guaranteed-final results.
 //
-// The executor pushes emissions into a per-handle flat-coordinate ring
-// bounded by the session's Backpressure configuration and never blocks on
-// a consumer; a per-handle pump goroutine (started by the first Events or
-// Results call) drains the ring into the public channel and closes it when
-// the query can receive no further results.
+// The executor pushes emissions into a per-handle ring bounded by the
+// session's Backpressure configuration and never blocks on a consumer; a
+// per-handle pump goroutine (started by the first Events or Results call)
+// drains the ring into the public channel and closes it when the query can
+// receive no further results.
 type Handle struct {
 	id        int
 	name      string
@@ -238,7 +203,6 @@ func newHandle(id int, name string, bp Backpressure) *Handle {
 		dropped:   make(chan struct{}),
 		discon:    make(chan struct{}),
 	}
-	h.ring.stride = -1
 	h.ring.limit = bp.HighWater
 	return h
 }
@@ -368,7 +332,8 @@ func (h *Handle) nudge() {
 // the query has received its full result set, was cancelled, or the stream
 // was severed by PolicyDisconnectSlow (StreamStats.Disconnected tells the
 // difference). The stream is single-consumer: all calls return the same
-// channel, and Events and Results must not be mixed on one handle.
+// channel, and Events and Results must not be mixed on one handle. An
+// emission's Out is the slice the session's report holds: read-only.
 func (h *Handle) Events() <-chan StreamEvent {
 	h.pumpOnce.Do(func() {
 		h.out = make(chan StreamEvent)

@@ -101,14 +101,8 @@ func (s *Session) mutate(m Mutation) (MutationResult, error) {
 	side := int(tab)
 	rel := s.relFor(tab)
 	for i, row := range m.Append {
-		if len(row.Attrs) != rel.Schema.NumAttrs() || len(row.Keys) != rel.Schema.NumKeys() {
-			return res, fmt.Errorf("session: append row %d to %s: got %d attrs, %d keys; schema wants %d, %d",
-				i, m.Table, len(row.Attrs), len(row.Keys), rel.Schema.NumAttrs(), rel.Schema.NumKeys())
-		}
-		for _, k := range row.Keys {
-			if k == core.TombstoneKeyR || k == core.TombstoneKeyT {
-				return res, fmt.Errorf("session: append row %d to %s: join key %d is reserved for deletes", i, m.Table, k)
-			}
+		if err := row.Check(&rel.Schema); err != nil {
+			return res, fmt.Errorf("session: append row %d to %s: %w", i, m.Table, err)
 		}
 	}
 	// Deletes are validated against the session's ID horizon — including

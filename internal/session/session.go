@@ -8,9 +8,9 @@
 // close) is a closure handed to that goroutine over an unbuffered channel
 // and executed between scheduling steps, so the engine state needs no
 // locking and the virtual clock stays strictly serial. Result delivery
-// never blocks the executor: each query's emissions go to a per-handle
-// flat-coordinate ring — bounded by Config.Backpressure — drained by the
-// handle's own pump goroutine.
+// never blocks the executor: each query's emissions go to a per-handle ring
+// — bounded by Config.Backpressure — drained by the handle's own pump
+// goroutine.
 //
 // Queries submitted before execution starts form the initial workload and
 // take the exact batch path — a session whose queries are all
@@ -323,30 +323,6 @@ func (s *Session) shutdown() {
 	}
 }
 
-// validate checks a query against the session's shared vocabulary — the
-// same rules workload.Validate and core.Exec.Admit apply, surfaced before
-// the query is accepted into the buffer.
-func (s *Session) validate(q workload.Query) error {
-	if q.JC < 0 || q.JC >= len(s.cfg.JoinConds) {
-		return fmt.Errorf("session: query %s references join condition %d of %d", q.Name, q.JC, len(s.cfg.JoinConds))
-	}
-	if len(q.Pref) == 0 {
-		return fmt.Errorf("session: query %s has an empty skyline preference", q.Name)
-	}
-	for _, d := range q.Pref {
-		if d < 0 || d >= len(s.cfg.OutDims) {
-			return fmt.Errorf("session: query %s preference uses output dimension %d of %d", q.Name, d, len(s.cfg.OutDims))
-		}
-	}
-	if q.Priority < 0 || q.Priority > 1 {
-		return fmt.Errorf("session: query %s priority %g outside [0,1]", q.Name, q.Priority)
-	}
-	if q.Contract == nil {
-		return fmt.Errorf("session: query %s has no contract", q.Name)
-	}
-	return nil
-}
-
 // buffered sums the emissions currently sitting in delivery buffers across
 // every handle — the quantity the global high-water mark sheds load on.
 func (s *Session) buffered() int {
@@ -397,8 +373,8 @@ func (s *Session) submit(q workload.Query, estTotal int) (*Handle, error) {
 	if s.cfg.GlobalHighWater > 0 && s.buffered() >= s.cfg.GlobalHighWater {
 		return nil, ErrOverloaded
 	}
-	if err := s.validate(q); err != nil {
-		return nil, err
+	if err := q.Validate(len(s.cfg.JoinConds), len(s.cfg.OutDims)); err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
 
 	h := newHandle(len(s.handles), q.Name, s.cfg.Backpressure)

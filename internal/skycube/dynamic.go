@@ -31,25 +31,32 @@ func (s *SharedSkyline) AddDynamicQuery(pref preference.Subspace) (int, error) {
 	if len(pref) == 0 {
 		return -1, fmt.Errorf("skycube: dynamic query with empty preference")
 	}
-	sn := &sharedNode{
-		idx:    len(s.nodes),
-		sub:    append(preference.Subspace(nil), pref...),
-		kern:   preference.NewKernel(pref),
-		qserve: QSet(0).Add(qi),
-		window: make([]*sharedEntry, 0, windowPresize),
+	s.prefSN = append(s.prefSN, s.bindDynamic(nil, qi, pref))
+	return qi, nil
+}
+
+// bindDynamic keys a dedicated node — sn, or a fresh one appended to the
+// plan when sn is nil — to query qi over pref. The node compares in its own
+// copy of the preference: the kernel reads its subspace on every comparison,
+// so it must not alias a slice the caller may still write.
+func (s *SharedSkyline) bindDynamic(sn *sharedNode, qi int, pref preference.Subspace) *sharedNode {
+	if sn == nil {
+		sn = &sharedNode{idx: len(s.nodes), window: make([]*sharedEntry, 0, windowPresize)}
+		s.nodes = append(s.nodes, sn)
+		// The payload-indexed protection masks are bitmasks over node
+		// indices; past 64 nodes every protection test falls back to the
+		// (equivalent) child-member scan.
+		if len(s.nodes) > 64 {
+			s.useMasks = false
+		}
 	}
-	s.nodes = append(s.nodes, sn)
-	s.prefSN = append(s.prefSN, sn)
-	// The payload-indexed protection masks are bitmasks over node indices;
-	// past 64 nodes every protection test falls back to the (equivalent)
-	// child-member scan.
-	if len(s.nodes) > 64 {
-		s.useMasks = false
-	}
+	sn.sub = append(preference.Subspace(nil), pref...)
+	sn.kern = preference.NewKernel(sn.sub)
+	sn.qserve = QSet(0).Add(qi)
 	if s.clock != nil {
 		s.clock.CountCuboidSubspace(1)
 	}
-	return qi, nil
+	return sn
 }
 
 // InsertForQuery seeds one already-inserted point into the dedicated node
@@ -153,25 +160,7 @@ func (s *SharedSkyline) SetDynamicQuery(qi int, pref preference.Subspace) error 
 	if n := len(s.freeNodes); n > 0 {
 		sn = s.freeNodes[n-1]
 		s.freeNodes = s.freeNodes[:n-1]
-		sn.sub = append(preference.Subspace(nil), pref...)
-		sn.kern = preference.NewKernel(pref)
-		sn.qserve = QSet(0).Add(qi)
-	} else {
-		sn = &sharedNode{
-			idx:    len(s.nodes),
-			sub:    append(preference.Subspace(nil), pref...),
-			kern:   preference.NewKernel(pref),
-			qserve: QSet(0).Add(qi),
-			window: make([]*sharedEntry, 0, windowPresize),
-		}
-		s.nodes = append(s.nodes, sn)
-		if len(s.nodes) > 64 {
-			s.useMasks = false
-		}
 	}
-	s.prefSN[qi] = sn
-	if s.clock != nil {
-		s.clock.CountCuboidSubspace(1)
-	}
+	s.prefSN[qi] = s.bindDynamic(sn, qi, pref)
 	return nil
 }

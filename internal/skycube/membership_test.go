@@ -303,3 +303,69 @@ func TestReinsertAfterKillFindsLiveEntry(t *testing.T) {
 	}
 	checkMembership(t, s, 3, "reinsert")
 }
+
+// TestDynamicNodeOwnsItsPreference: a dynamic node compares in its own copy
+// of the preference it was admitted with. The kernel reads its subspace on
+// every comparison (sum key and Relate both, at 5 dimensions), so a node
+// whose kernel aliased the caller's slice would follow whatever the caller
+// writes there next. Both admission paths are driven: a fresh node
+// (AddDynamicQuery) and a recycled one (RetireQuery + SetDynamicQuery).
+func TestDynamicNodeOwnsItsPreference(t *testing.T) {
+	c, err := BuildCuboid([]preference.Subspace{preference.NewSubspace(0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSharedSkyline(c, nil)
+	want := preference.NewSubspace(0, 1, 2, 3, 4)
+	paths := []struct {
+		name  string
+		admit func(pref preference.Subspace) int
+	}{
+		{"add", func(pref preference.Subspace) int {
+			qi, err := s.AddDynamicQuery(pref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return qi
+		}},
+		{"set", func(pref preference.Subspace) int {
+			s.RetireQuery(1)
+			if err := s.SetDynamicQuery(1, pref); err != nil {
+				t.Fatal(err)
+			}
+			return 1
+		}},
+	}
+	rng := rand.New(rand.NewSource(17))
+	var pts [][]float64
+	var lineages []QSet
+	for _, path := range paths {
+		pref := append(preference.Subspace(nil), want...)
+		qi := path.admit(pref)
+		for i := range pref {
+			pref[i] = 5 // the caller reuses its slice
+		}
+		// Every earlier point belongs to the retired occupant of the slot.
+		for i := range lineages {
+			lineages[i] = 0
+		}
+		q := QSet(0).Add(qi)
+		batch := [][]float64{{1, 1, 1, 1, 1, 9}, {2, 2, 2, 2, 2, 0}}
+		for i := 0; i < 40; i++ {
+			p := make([]float64, 6)
+			for k := range p {
+				p[k] = float64(rng.Intn(4))
+			}
+			batch = append(batch, p)
+		}
+		for _, p := range batch {
+			s.Insert(len(pts), p, q)
+			pts = append(pts, p)
+			lineages = append(lineages, q)
+		}
+		if got, oracle := s.Candidates(qi), naiveQuerySkyline(want, pts, lineages, qi); !sameInts(got, oracle) {
+			t.Fatalf("%s: Candidates = %v, skyline over %v is %v", path.name, got, want, oracle)
+		}
+		checkMembership(t, s, len(pts), path.name)
+	}
+}

@@ -30,12 +30,11 @@ import (
 //
 // Memory layout (DESIGN.md §7): point coordinates live in one slab arena
 // instead of a per-point heap slice; window entries are recycled through a
-// freelist; per-node dominance runs through a preference.Kernel
-// monomorphized for the node's subspace; and the child-protection test is a
-// 3-way AND over payload-indexed node bitmasks. Nothing is kept per (node,
-// payload): a node knows its members only through its window (see find), so
-// standing state is the size of the windows plus a few pointer-free words
-// per join result.
+// freelist; window scans compare entry-local projections (sharedEntry.proj);
+// and the child-protection test is a 3-way AND over payload-indexed node
+// bitmasks. Nothing is kept per (node, payload): a node knows its members
+// only through its window (see find), so standing state is the size of the
+// windows plus a few pointer-free words per join result.
 // Entries killed by KillForQueries are marked dead and batch-compacted
 // instead of spliced one at a time. None of this changes any observable:
 // candidate sets, comparison counts and iteration orders are identical to
@@ -97,6 +96,16 @@ type sharedEntry struct {
 	// compares entry-local fixed-size arrays with no arena access, bounds
 	// checks or per-dimension branching. Subspaces with ≥ 5 dimensions leave
 	// proj zero and compare through the kernel against the arena.
+	//
+	// This is the one specialised comparator in the repository, kept because
+	// it was measured: with the four lane conjunctions of insertAt replaced
+	// by sn.kern.Relate against the arena, batch-anti done_p50_ms went from
+	// 1252–1360 to 2213–2249 (+77 %) and cpu_ms_per_query from 118–131 to
+	// 210–214 on the prototype (3 of 3 pairs), and from 1257–1450 to
+	// 2140–2422 (+71 % in the median; 122–138 to 202–227) on this code (4 of
+	// 4), in alternating runs of
+	//   bash benchmark/run.sh --workload batch-anti --seed 2014 --seconds 8
+	// with every comparison count equal (DESIGN.md §7.1, EXPERIMENTS.md).
 	proj [4]float64
 }
 

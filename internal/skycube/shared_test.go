@@ -7,7 +7,6 @@ import (
 
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
-	"caqe/internal/skyline"
 )
 
 // naiveQuerySkyline computes query qi's skyline over the points whose
@@ -280,65 +279,5 @@ func TestCuboidSubspaceCounter(t *testing.T) {
 	NewSharedSkyline(c, clock)
 	if got := clock.Counters().CuboidSubspace; got != 8 {
 		t.Fatalf("cuboid subspaces counted = %d, want 8", got)
-	}
-}
-
-// TestSharedSkylineAgreesWithSkycube cross-validates the two sharing
-// engines: for a workload whose queries cover several subspaces, the
-// SharedSkyline candidates of each query must equal the corresponding
-// subspace skyline of ComputeSkycube.
-func TestSharedSkylineAgreesWithSkycube(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 25; trial++ {
-		d := 3 + rng.Intn(2)
-		var dims []int
-		for k := 0; k < d; k++ {
-			dims = append(dims, k)
-		}
-		full := preference.NewSubspace(dims...)
-		// Queries: a handful of random subspaces.
-		nq := 2 + rng.Intn(4)
-		prefs := make([]preference.Subspace, nq)
-		for i := range prefs {
-			var sub []int
-			for len(sub) == 0 {
-				sub = sub[:0]
-				for k := 0; k < d; k++ {
-					if rng.Intn(2) == 1 {
-						sub = append(sub, k)
-					}
-				}
-			}
-			prefs[i] = preference.NewSubspace(sub...)
-		}
-		cuboid, err := BuildCuboid(prefs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := NewSharedSkyline(cuboid, nil)
-
-		n := 10 + rng.Intn(80)
-		domain := 3 + rng.Intn(8)
-		pts := make([]skyline.Point, n)
-		var all QSet
-		for q := 0; q < nq; q++ {
-			all = all.Add(q)
-		}
-		for i := range pts {
-			v := make([]float64, d)
-			for k := range v {
-				v[k] = float64(rng.Intn(domain))
-			}
-			pts[i] = skyline.Point{Vals: v, Payload: i}
-			shared.Insert(i, v, all)
-		}
-		cube := ComputeSkycube(full, pts, nil)
-		for qi, pref := range prefs {
-			want := cube.Skyline(pref)
-			got := shared.Candidates(qi)
-			if !sameInts(want, got) {
-				t.Fatalf("trial %d query %d (%v): shared %v != skycube %v", trial, qi, pref, got, want)
-			}
-		}
 	}
 }

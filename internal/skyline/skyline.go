@@ -6,9 +6,7 @@
 // All algorithms operate over arbitrary point sets in a given subspace and
 // count every pairwise dominance comparison through an optional
 // metrics.Clock, so that competing strategies can be compared on the paper's
-// "CPU usage" metric. Dominance tests run through a preference.Kernel
-// resolved once per call — the subspace dimension list is never re-walked
-// per comparison — and the sort-based algorithms precompute their monotone
+// "CPU usage" metric. The sort-based algorithms precompute their monotone
 // scores once instead of re-deriving them inside the comparator.
 package skyline
 
@@ -98,18 +96,25 @@ func BNL(v preference.Subspace, points []Point, clock *metrics.Clock) []Point {
 // SFS computes the skyline with Sort-Filter-Skyline: first sort by a
 // monotone scoring function (the sum over the subspace dimensions), then run
 // a single filtering pass. After sorting, no point can dominate an earlier
-// point, so survivors are final as soon as they enter the window — SFS is
-// therefore *progressive*: survivors can be emitted immediately.
+// point, so survivors are final as soon as they enter the window.
 func SFS(v preference.Subspace, points []Point, clock *metrics.Clock) []Point {
-	sorted := SortByMonotoneScore(v, points)
-	return sfsFiltered(v, sorted, clock, nil)
-}
-
-// SFSProgressive is SFS with a callback invoked for each survivor at the
-// moment it is known to be final (i.e. when it enters the window).
-func SFSProgressive(v preference.Subspace, points []Point, clock *metrics.Clock, emit func(Point)) []Point {
-	sorted := SortByMonotoneScore(v, points)
-	return sfsFiltered(v, sorted, clock, emit)
+	c := counter{clock}
+	kern := preference.NewKernel(v)
+	window := make([]Point, 0, 16)
+	for _, p := range SortByMonotoneScore(v, points) {
+		dominated := false
+		for _, w := range window {
+			c.cmp(1)
+			if kern.Dominates(w.Vals, p.Vals) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			window = append(window, p)
+		}
+	}
+	return window
 }
 
 // scoredSorter stable-sorts points by a precomputed primary key, breaking
@@ -145,50 +150,4 @@ func SortByMonotoneScore(v preference.Subspace, points []Point) []Point {
 	}
 	sort.Stable(&scoredSorter{pts: sorted, key: keys})
 	return sorted
-}
-
-func sfsFiltered(v preference.Subspace, sorted []Point, clock *metrics.Clock, emit func(Point)) []Point {
-	c := counter{clock}
-	kern := preference.NewKernel(v)
-	window := make([]Point, 0, 16)
-	for _, p := range sorted {
-		dominated := false
-		for _, w := range window {
-			c.cmp(1)
-			if kern.Dominates(w.Vals, p.Vals) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			window = append(window, p)
-			if emit != nil {
-				emit(p)
-			}
-		}
-	}
-	return window
-}
-
-// Filter removes from candidates every point dominated in v by some point in
-// filters (candidates are not compared against each other). It is the
-// primitive used for incremental skyline maintenance.
-func Filter(v preference.Subspace, candidates, filters []Point, clock *metrics.Clock) []Point {
-	c := counter{clock}
-	kern := preference.NewKernel(v)
-	out := candidates[:0:0]
-	for _, p := range candidates {
-		dominated := false
-		for _, f := range filters {
-			c.cmp(1)
-			if kern.Dominates(f.Vals, p.Vals) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, p)
-		}
-	}
-	return out
 }

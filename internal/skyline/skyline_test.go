@@ -138,26 +138,6 @@ func TestDuplicatePointsAllSurvive(t *testing.T) {
 	}
 }
 
-func TestSFSProgressiveEmitsExactlySkyline(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randPoints(rng, 100, 3, 20)
-	v := preference.NewSubspace(0, 1, 2)
-	var emitted []Point
-	sky := SFSProgressive(v, pts, nil, func(p Point) { emitted = append(emitted, p) })
-	if !samePayloads(sky, emitted) {
-		t.Fatalf("emitted %v != skyline %v", payloads(emitted), payloads(sky))
-	}
-	// Progressiveness: every emitted point must be final immediately, i.e.
-	// not dominated by anything that comes later either (checked globally).
-	for _, e := range emitted {
-		for _, p := range pts {
-			if preference.DominatesIn(v, p.Vals, e.Vals) {
-				t.Fatalf("emitted point %v dominated by %v", e, p)
-			}
-		}
-	}
-}
-
 func TestSortByMonotoneScoreRespectsDominance(t *testing.T) {
 	// If a dominates b in v, a must sort strictly before b.
 	rng := rand.New(rand.NewSource(4))
@@ -174,19 +154,6 @@ func TestSortByMonotoneScoreRespectsDominance(t *testing.T) {
 				t.Fatalf("dominating point sorted after dominated one")
 			}
 		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	v := preference.NewSubspace(0, 1)
-	candidates := []Point{
-		{Vals: []float64{5, 5}, Payload: 0},
-		{Vals: []float64{1, 9}, Payload: 1},
-	}
-	filters := []Point{{Vals: []float64{2, 2}, Payload: 99}}
-	got := Filter(v, candidates, filters, nil)
-	if len(got) != 1 || got[0].Payload != 1 {
-		t.Fatalf("Filter got %v", payloads(got))
 	}
 }
 

@@ -54,6 +54,33 @@ type Query struct {
 	Standing bool
 }
 
+// Validate is the per-query admission rule, stated once for every path a
+// query can enter by (a batch workload, core.Exec.Admit, a session): the
+// join condition and every preference dimension must exist in a vocabulary
+// of numJoinConds join conditions and numOutDims output dimensions, the
+// preference must be non-empty, the priority within [0,1] and the contract
+// set. Callers prefix the error with their package name.
+func (q Query) Validate(numJoinConds, numOutDims int) error {
+	if q.JC < 0 || q.JC >= numJoinConds {
+		return fmt.Errorf("query %s references join condition %d of %d", q.Name, q.JC, numJoinConds)
+	}
+	if len(q.Pref) == 0 {
+		return fmt.Errorf("query %s has an empty skyline preference", q.Name)
+	}
+	for _, d := range q.Pref {
+		if d < 0 || d >= numOutDims {
+			return fmt.Errorf("query %s preference uses output dimension %d of %d", q.Name, d, numOutDims)
+		}
+	}
+	if q.Priority < 0 || q.Priority > 1 {
+		return fmt.Errorf("query %s priority %g outside [0,1]", q.Name, q.Priority)
+	}
+	if q.Contract == nil {
+		return fmt.Errorf("query %s has no contract", q.Name)
+	}
+	return nil
+}
+
 // Workload is a set of queries over a shared output space. OutDims is the
 // union of all mapping functions used by any query (the workload's
 // d-dimensional output abstraction of §4); each query's preference indexes
@@ -81,22 +108,8 @@ func (w *Workload) Validate() error {
 		}
 	}
 	for i, q := range w.Queries {
-		if q.JC < 0 || q.JC >= len(w.JoinConds) {
-			return fmt.Errorf("workload: query %s references join condition %d of %d", q.Name, q.JC, len(w.JoinConds))
-		}
-		if len(q.Pref) == 0 {
-			return fmt.Errorf("workload: query %s has an empty skyline preference", q.Name)
-		}
-		for _, d := range q.Pref {
-			if d < 0 || d >= len(w.OutDims) {
-				return fmt.Errorf("workload: query %s preference uses output dimension %d of %d", q.Name, d, len(w.OutDims))
-			}
-		}
-		if q.Priority < 0 || q.Priority > 1 {
-			return fmt.Errorf("workload: query %s priority %g outside [0,1]", q.Name, q.Priority)
-		}
-		if q.Contract == nil {
-			return fmt.Errorf("workload: query %s has no contract (query %d)", q.Name, i)
+		if err := q.Validate(len(w.JoinConds), len(w.OutDims)); err != nil {
+			return fmt.Errorf("workload: %w (query %d)", err, i)
 		}
 	}
 	return nil
