@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"caqe"
 	"caqe/internal/cluster"
@@ -107,6 +108,70 @@ func TestRequestBodyStatus(t *testing.T) {
 	srv.routes().ServeHTTP(rec, httptest.NewRequest("DELETE", "/data/r/0", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("server DELETE /data/r/0: status %d, want 200", rec.Code)
+	}
+}
+
+// TestTinyIntervalContractDoesNotStall: a rate-quota interval many orders
+// below the run's virtual duration is valid input, and serving it must cost
+// no more than any other contract — 201 within a second and a finished
+// stream, on server and coordinator. One ordinary query runs to completion
+// first so the tiny-interval query arrives late on the virtual clock.
+func TestTinyIntervalContractDoesNotStall(t *testing.T) {
+	const body = `{"jc":0,"pref":[0,2],"contract":{"class":"ratequota","frac":0.1,"interval":1e-12}}`
+	srv, err := newServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.drain()
+	coord, err := newCoordinatorDaemon(coordDaemonConfig{
+		LocalShards: 2,
+		N:           testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed, Workers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.drain()
+
+	for _, role := range []struct {
+		name string
+		h    http.Handler
+	}{{"server", srv.routes()}, {"coordinator", coord.routes()}} {
+		ts := httptest.NewServer(role.h)
+		defer ts.Close()
+		stream := func(id int, within time.Duration) string {
+			t.Helper()
+			client := &http.Client{Timeout: within}
+			resp, err := client.Get(fmt.Sprintf("%s/queries/%d/results", ts.URL, id))
+			if err != nil {
+				t.Fatalf("%s: stream of query %d: %v", role.name, id, err)
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatalf("%s: stream of query %d not finished within %v: %v", role.name, id, within, err)
+			}
+			return string(data)
+		}
+		first, code := submit(t, ts, testQueries()[0])
+		if code != http.StatusCreated {
+			t.Fatalf("%s: first submit: status %d", role.name, code)
+		}
+		stream(first.ID, time.Minute)
+
+		client := &http.Client{Timeout: time.Second}
+		resp, err := client.Post(ts.URL+"/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: tiny-interval submit: %v", role.name, err)
+		}
+		var reply cluster.SubmitReply
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated || err != nil {
+			t.Fatalf("%s: tiny-interval submit: status %d, decode %v", role.name, resp.StatusCode, err)
+		}
+		if out := stream(reply.ID, 5*time.Second); !strings.Contains(out, `"done":true`) {
+			t.Errorf("%s: tiny-interval stream ended without a done record:\n%s", role.name, out)
+		}
 	}
 }
 

@@ -206,23 +206,37 @@ func (t *cardTracker) intervalUtility(n int) float64 {
 	return float64(n)/q - 1
 }
 
+// closeThrough resolves the open interval once idx lies past it and opens
+// interval idx. The intervals skipped in between are empty, so the cost does
+// not grow with their number however short the contract's interval is.
 func (t *cardTracker) closeThrough(idx int) {
-	for t.curIdx < idx {
-		if t.curCount > 0 {
-			u := t.intervalUtility(t.curCount)
-			for i := 0; i < t.curCount; i++ {
-				t.utils = append(t.utils, u)
-				t.sum += u
-			}
-		}
-		t.curCount = 0
-		t.curIdx++
+	if t.curIdx >= idx {
+		return
 	}
+	if t.curCount > 0 {
+		u := t.intervalUtility(t.curCount)
+		for i := 0; i < t.curCount; i++ {
+			t.utils = append(t.utils, u)
+			t.sum += u
+		}
+	}
+	t.curCount = 0
+	t.curIdx = idx
+}
+
+// intervalIndex returns the index of the interval containing ts, saturating
+// where the quotient leaves the integer range (a float-to-int conversion out
+// of range is implementation-defined) with room left for Finalize's +1.
+func (t *cardTracker) intervalIndex(ts float64) int {
+	q := ts / t.c.interval
+	if !(q < math.MaxInt/2) {
+		return math.MaxInt / 2
+	}
+	return int(q)
 }
 
 func (t *cardTracker) Observe(ts float64) {
-	idx := int(ts / t.c.interval)
-	t.closeThrough(idx)
+	t.closeThrough(t.intervalIndex(ts))
 	t.curCount++
 }
 
@@ -230,7 +244,7 @@ func (t *cardTracker) Finalize(end float64) {
 	if t.finalized {
 		return
 	}
-	t.closeThrough(int(end/t.c.interval) + 1)
+	t.closeThrough(t.intervalIndex(end) + 1)
 	t.finalized = true
 }
 

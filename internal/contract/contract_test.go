@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestC1HardDeadline(t *testing.T) {
@@ -385,6 +386,49 @@ func TestObserveOutOfOrderIntervalsClose(t *testing.T) {
 	}
 	if got := tr.PScore(); got != 2 {
 		t.Fatalf("pScore = %g (both intervals meet the quota of 1)", got)
+	}
+}
+
+// TestTinyIntervalResolvesAtOnce: the cost of closing intervals must not grow
+// with the number of empty intervals skipped. A 1e-12 s interval puts 1e15
+// of them before t = 1000 s; an interval so short that the quotient leaves
+// the integer range must still resolve, with every observation in the one
+// saturated interval.
+func TestTinyIntervalResolvesAtOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    Contract
+		est  int
+		want []float64
+	}{
+		// Quota 10: two tuples in one interval, one in a later one.
+		{"C4", C4(0.1, 1e-12), 100, []float64{2.0/10 - 1, 2.0/10 - 1, 1.0/10 - 1}},
+		// Quota 1: every interval meets it, leaving the 1/ts decay.
+		{"C5", C5(0.1, 1e-12), 10, []float64{1e-3, 1e-3, 1 / 2e3}},
+		{"C4 saturated", C4(0.1, 1e-300), 100, []float64{3.0/10 - 1, 3.0/10 - 1, 3.0/10 - 1}},
+	} {
+		done := make(chan []float64, 1)
+		go func() {
+			tr := tc.c.NewTracker(tc.est)
+			tr.Observe(1e3)
+			tr.Observe(1e3)
+			tr.Observe(2e3)
+			tr.Finalize(2e3)
+			done <- tr.Utilities()
+		}()
+		select {
+		case got := <-done:
+			if len(got) != len(tc.want) {
+				t.Fatalf("%s: utilities %v, want %v", tc.name, got, tc.want)
+			}
+			for i := range got {
+				if math.Abs(got[i]-tc.want[i]) > 1e-12 {
+					t.Fatalf("%s: utilities %v, want %v", tc.name, got, tc.want)
+				}
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: tracker still walking empty intervals after 2 s", tc.name)
+		}
 	}
 }
 

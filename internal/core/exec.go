@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"caqe/internal/metrics"
-	"caqe/internal/preference"
 	"caqe/internal/region"
 	"caqe/internal/run"
 	"caqe/internal/skycube"
@@ -155,11 +154,6 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 		}
 		qi = reuse
 		w.Queries[qi] = q
-		st.weights[qi] = 1 + q.Priority
-		st.frontierDirty[qi] = true
-		st.qremap[qi] = x.rep.AddQuery(q.Contract.NewTracker(estTotal))
-		st.prefMask[qi] = q.Pref.Mask()
-		st.kerns[qi] = preference.NewKernel(q.Pref)
 	} else {
 		var err error
 		qi, err = st.shared.AddDynamicQuery(q.Pref)
@@ -170,17 +164,8 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 			return -1, fmt.Errorf("core: skyline query index %d out of sync with workload size %d", qi, len(w.Queries))
 		}
 		w.Queries = append(w.Queries, q)
-
-		// Per-query executor state, exactly what newState derives per query.
-		st.weights = append(st.weights, 1+q.Priority)
-		st.pending = append(st.pending, nil)
-		st.blocked = append(st.blocked, make(map[int][]int))
-		st.frontier = append(st.frontier, nil)
-		st.frontierDirty = append(st.frontierDirty, true)
-		st.qremap = append(st.qremap, x.rep.AddQuery(q.Contract.NewTracker(estTotal)))
-		st.prefMask = append(st.prefMask, q.Pref.Mask())
-		st.kerns = append(st.kerns, preference.NewKernel(q.Pref))
 	}
+	st.bindQuery(qi, q, x.rep.AddQuery(q.Contract.NewTracker(estTotal)))
 	st.jcQueries[q.JC] = st.jcQueries[q.JC].Add(qi)
 	st.domScratch = nil // re-sized lazily on next use
 
@@ -289,12 +274,23 @@ func (x *Exec) Cancel(qi int) error {
 		return nil
 	}
 	st.cancelled = st.cancelled.Add(qi)
-	st.jcQueries[st.w.Queries[qi].JC] &^= 1 << uint(qi)
+	st.dropQuery(qi)
+	st.rep.Trackers[st.qremap[qi]].Finalize(x.Now())
+	return nil
+}
+
+// dropQuery takes query qi out of scheduling: no condition or region serves
+// it any longer — a region left serving nobody is discarded exactly like one
+// killed by generated results — and its parked candidates and emission
+// frontier are emptied.
+func (st *state) dropQuery(qi int) {
+	bit := skycube.QSet(0).Add(qi)
+	st.jcQueries[st.w.Queries[qi].JC] &^= bit
 	for ri, r := range st.regions {
 		if !r.Alive.Has(qi) {
 			continue
 		}
-		r.Alive &^= 1 << uint(qi)
+		r.Alive &^= bit
 		if r.Alive == 0 && !st.processed[ri] {
 			st.processed[ri] = true
 			st.inQueue[ri] = false
@@ -306,17 +302,16 @@ func (x *Exec) Cancel(qi int) error {
 	st.blocked[qi] = make(map[int][]int)
 	st.frontier[qi] = nil
 	st.frontierDirty[qi] = false
-	st.rep.Trackers[st.qremap[qi]].Finalize(x.Now())
-	return nil
 }
 
 // retireSlot scrubs every trace of the finished query at local index qi so
 // the bit position can be handed to a new occupant: its tracker is
-// finalized (if cancellation didn't already do so), region annotations and
-// payload lineage/emitted bits are cleared — a stale lineage or emitted bit
-// would leak the predecessor's result bookkeeping into the new query — and
-// the shared skyline retires the bit. The slot's report index remains
-// untouched: delivered results and final satisfaction stay in the report.
+// finalized (if cancellation didn't already do so), it is dropped from
+// scheduling, region lineage and payload lineage/emitted bits are cleared —
+// a stale lineage or emitted bit would leak the predecessor's result
+// bookkeeping into the new query — and the shared skyline retires the bit.
+// The slot's report index remains untouched: delivered results and final
+// satisfaction stay in the report.
 func (st *state) retireSlot(qi int, now float64) {
 	bit := skycube.QSet(0).Add(qi)
 	if !st.cancelled.Has(qi) {
@@ -324,17 +319,9 @@ func (st *state) retireSlot(qi int, now float64) {
 	}
 	st.cancelled &^= bit
 	st.sealed &^= bit
-	st.jcQueries[st.w.Queries[qi].JC] &^= bit
-	for ri, r := range st.regions {
-		had := r.Alive.Has(qi)
-		r.Alive &^= bit
+	st.dropQuery(qi)
+	for _, r := range st.regions {
 		r.RQL &^= bit
-		if had && r.Alive == 0 && !st.processed[ri] {
-			st.processed[ri] = true
-			st.inQueue[ri] = false
-			st.clock.CountRegionPruned()
-			st.releaseEdges(ri)
-		}
 	}
 	for _, chunk := range st.payloads {
 		for i := range chunk {
@@ -342,10 +329,6 @@ func (st *state) retireSlot(qi int, now float64) {
 			chunk[i].emitted &^= bit
 		}
 	}
-	st.pending[qi] = st.pending[qi][:0]
-	st.blocked[qi] = make(map[int][]int)
-	st.frontier[qi] = nil
-	st.frontierDirty[qi] = false
 	st.shared.RetireQuery(qi)
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"caqe/internal/core/op"
 	"caqe/internal/region"
 	"caqe/internal/skycube"
 )
@@ -30,10 +29,37 @@ type PlanExplain struct {
 	CoarsePruned        int     `json:"coarsePruned"` // cell pairs discarded before tuple-level processing
 	AvgQueriesPerRegion float64 `json:"avgQueriesPerRegion"`
 
-	// Operators is the executor's operator tree for the engine's options:
-	// the scheduler at the root driving the pipeline
+	// Operators is the executor's shape for the engine's options: the
+	// scheduler at the root, then the stages of the region step
 	// PartitionScan → SignatureJoin → DominanceFilter → Emit.
-	Operators op.Node `json:"operators"`
+	Operators OpNode `json:"operators"`
+}
+
+// OpNode is one vertex of the executor tree (rendered by explain tooling
+// as text or JSON).
+type OpNode struct {
+	Name     string   `json:"name"`
+	Detail   string   `json:"detail,omitempty"`
+	Children []OpNode `json:"children,omitempty"`
+}
+
+// String renders the tree indented, one operator per line.
+func (n OpNode) String() string {
+	var b strings.Builder
+	n.render(&b, 0)
+	return b.String()
+}
+
+func (n OpNode) render(b *strings.Builder, depth int) {
+	b.WriteString(strings.Repeat("  ", depth))
+	b.WriteString(n.Name)
+	if n.Detail != "" {
+		b.WriteString("  [" + n.Detail + "]")
+	}
+	b.WriteString("\n")
+	for _, c := range n.Children {
+		c.render(b, depth+1)
+	}
 }
 
 // ExplainLevel summarizes one level of the min-max cuboid.
@@ -96,13 +122,35 @@ func explain(e *Engine, cuboid *skycube.Cuboid, space *region.Space) *PlanExplai
 	return ex
 }
 
-// OperatorTree returns the executor's operator tree for the engine's
-// options without deriving the plan: the pipeline is wired exactly as an
-// execution would wire it, but never run.
-func (e *Engine) OperatorTree() op.Node {
-	st := &state{e: e}
-	st.buildPipeline()
-	return st.operatorTree()
+// OperatorTree returns the executor's shape for the engine's options
+// without deriving the plan: the scheduler that picks regions, then the
+// stages of processRegion nested in the order a region passes them.
+func (e *Engine) OperatorTree() OpNode {
+	root := OpNode{
+		Name:   "CSMScheduler",
+		Detail: "Algorithm 1: pop max-CSM root region, lazy score refresh, Eq. 11 feedback",
+	}
+	if e.opt.DataOrderScheduling {
+		root = OpNode{
+			Name:   "DataOrderScheduler",
+			Detail: "blind pipeline order (S-JFSL): regions in construction order, no contract scheduling",
+		}
+	}
+	dom := "shared skycube insert + dominated-region discard"
+	if e.opt.DisableRegionDiscard {
+		dom = "shared skycube insert; region discard disabled"
+	}
+	stages := []OpNode{
+		root,
+		{Name: opNamePartitionScan, Detail: fmt.Sprintf("region → quad-tree cell pair, %d join condition(s)", len(e.w.JoinConds))},
+		{Name: opNameSignatureJoin, Detail: fmt.Sprintf("JC mask test + nested-loop join over %d worker(s)", e.opt.Workers)},
+		{Name: opNameDominanceFilter, Detail: dom},
+		{Name: opNameEmit, Detail: "frontier refresh + safety vet, progressive emission of final results"},
+	}
+	for i := len(stages) - 1; i > 0; i-- {
+		stages[i-1].Children = []OpNode{stages[i]}
+	}
+	return stages[0]
 }
 
 // String renders the explanation for terminals.

@@ -53,7 +53,9 @@ func TestExplain(t *testing.T) {
 
 // TestExplainOperatorTree pins the executor shape the explanation carries:
 // the scheduler at the root (per the engine's options), then the four-stage
-// operator chain — and a JSON round trip, the -explain -json contract.
+// operator chain — the exact text rendering of the tree, the detail string
+// that follows DisableRegionDiscard, and a JSON round trip, the -explain
+// -json contract.
 func TestExplainOperatorTree(t *testing.T) {
 	w := testWorkload(4, 3, workload.UniformPriority, c3s)
 	r, tt := testPair(t, 100, 3, datagen.Independent, 0.05, 67)
@@ -90,9 +92,22 @@ func TestExplainOperatorTree(t *testing.T) {
 		}
 	}
 
-	eng, err := New(w, r, tt, Options{TargetCells: 4})
+	eng, err := New(w, r, tt, Options{TargetCells: 4, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
+	}
+	const rendered = `CSMScheduler  [Algorithm 1: pop max-CSM root region, lazy score refresh, Eq. 11 feedback]
+  PartitionScan  [region → quad-tree cell pair, 1 join condition(s)]
+    SignatureJoin  [JC mask test + nested-loop join over 3 worker(s)]
+      DominanceFilter  [shared skycube insert + dominated-region discard]
+        Emit  [frontier refresh + safety vet, progressive emission of final results]
+`
+	if got := eng.OperatorTree().String(); got != rendered {
+		t.Errorf("tree renders as\n%swant\n%s", got, rendered)
+	}
+	noDiscard := mustEngine(t, w, r, tt, Options{DisableRegionDiscard: true}).OperatorTree()
+	if got := noDiscard.Children[0].Children[0].Children[0].Detail; got != "shared skycube insert; region discard disabled" {
+		t.Errorf("DominanceFilter detail under DisableRegionDiscard = %q", got)
 	}
 	ex, err := eng.Explain()
 	if err != nil {

@@ -1,46 +1,38 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"caqe/internal/datagen"
-	"caqe/internal/partition"
-	"caqe/internal/region"
 	"caqe/internal/run"
 	"caqe/internal/skycube"
+	"caqe/internal/trace"
+	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
 
 // newPipelineTestState wires a real state (plan, space, shared skyline)
-// without running it, so tests can drive the operator pipeline one region
-// at a time.
+// without running it, so tests can drive processRegion one region at a
+// time.
 func newPipelineTestState(t *testing.T, opt Options) *state {
 	t.Helper()
 	w := testWorkload(4, 3, workload.UniformPriority, c3s)
 	r, tt := testPair(t, 200, 3, datagen.Independent, 0.04, 31)
-	eng, err := New(w, r, tt, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return newTestState(t, w, r, tt, opt)
+}
+
+func newTestState(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, opt Options) *state {
+	t.Helper()
+	eng := mustEngine(t, w, r, tt, opt)
 	clock := eng.opt.NewClock()
-	rcells, err := partition.Partition(eng.r, partition.DefaultOptions(eng.r.Len(), eng.opt.TargetCells))
+	cuboid, space, err := eng.plan(clock, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcells, err := partition.Partition(eng.t, partition.DefaultOptions(eng.t.Len(), eng.opt.TargetCells))
-	if err != nil {
-		t.Fatal(err)
-	}
-	space, err := region.BuildSpace(eng.w, rcells, tcells,
-		region.Options{GridResolution: eng.opt.GridResolution}, clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cuboid, err := skycube.BuildCuboid(eng.w.Prefs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newState(eng, clock, space, skycube.NewSharedSkyline(cuboid, clock), run.NewReport("CAQE", w, nil))
+	rep := run.NewReport("CAQE", w, nil)
+	rep.StartTrace(eng.opt.Tracer)
+	return newState(eng, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep)
 }
 
 // firstLiveRegion returns the first unprocessed region still serving a
@@ -56,64 +48,19 @@ func firstLiveRegion(t *testing.T, st *state) int {
 	return -1
 }
 
-// TestBuildPipelineShape pins the operator chain: four stages in handoff
-// order, the dependency-release hook wired only under CSM scheduling, and
-// the explain tree rooted at the matching scheduler.
-func TestBuildPipelineShape(t *testing.T) {
-	csm := newPipelineTestState(t, Options{TargetCells: 6, Workers: 1})
-	order := []string{opNamePartitionScan, opNameSignatureJoin, opNameDominanceFilter, opNameEmit}
-	ops := csm.pipe.Operators()
-	if len(ops) != len(order) {
-		t.Fatalf("pipeline has %d operators, want %d", len(ops), len(order))
-	}
-	for i, o := range ops {
-		if o.Name() != order[i] {
-			t.Errorf("operator %d is %s, want %s", i, o.Name(), order[i])
-		}
-		if o.Detail() == "" {
-			t.Errorf("operator %s has no detail", o.Name())
-		}
-	}
-	if ops[2].(*domOp).retire == nil {
-		t.Error("CSM pipeline must wire the dependency-release hook")
-	}
-	if root := csm.operatorTree(); root.Name != "CSMScheduler" {
-		t.Errorf("CSM tree rooted at %s", root.Name)
-	}
-
-	do := newPipelineTestState(t, Options{TargetCells: 6, Workers: 1, DataOrderScheduling: true})
-	if do.pipe.Operators()[2].(*domOp).retire != nil {
-		t.Error("data-order pipeline must not release dependency edges")
-	}
-	root := do.operatorTree()
-	if root.Name != "DataOrderScheduler" {
-		t.Errorf("data-order tree rooted at %s", root.Name)
-	}
-	if len(root.Children) != 1 || root.Children[0].Name != opNamePartitionScan {
-		t.Errorf("tree child %+v", root.Children)
-	}
-	depth := 0
-	for n := &root; len(n.Children) > 0; n = &n.Children[0] {
-		depth++
-	}
-	if depth != 4 {
-		t.Errorf("tree depth %d, want 4 (scheduler + operator chain)", depth)
-	}
-}
-
-// TestPipelineProcessRetiresRegion drives one region through the chain and
-// checks the per-stage effects: the scan retires the region and charges the
-// region-done work, the join marks its conditions joined, and the dominance
-// stage materializes payloads into the shared skyline.
+// TestPipelineProcessRetiresRegion drives one region through processRegion
+// and checks its effects: the region retires and the region-done work is
+// charged, the join marks its conditions joined, and the results are
+// materialized as payloads into the shared skyline.
 func TestPipelineProcessRetiresRegion(t *testing.T) {
 	st := newPipelineTestState(t, Options{TargetCells: 6, Workers: 1})
 	st.initQueue()
 	ri := firstLiveRegion(t, st)
 	before := st.clock.Counters()
-	st.pipe.Process(ri)
+	st.processRegion(ri)
 	after := st.clock.Counters()
 	if !st.processed[ri] {
-		t.Error("region not retired by PartitionScan close")
+		t.Error("region not retired")
 	}
 	if after.RegionsDone != before.RegionsDone+1 {
 		t.Errorf("RegionsDone %d → %d, want +1", before.RegionsDone, after.RegionsDone)
@@ -135,7 +82,7 @@ func TestPipelineProcessRetiresRegion(t *testing.T) {
 
 // TestSignatureJoinSkipsJoinedConditions pins the join-cursor reopening
 // guard: a region whose conditions are all marked joined (the state a late
-// admission revives) must flow through the pipeline without producing a
+// admission revives) must go through processRegion without producing a
 // single probe or payload.
 func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 	st := newPipelineTestState(t, Options{TargetCells: 6, Workers: 1})
@@ -146,7 +93,7 @@ func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 		*st.cursor(ri, j) = joinCursor{len(r.RCell.Tuples), len(r.TCell.Tuples)}
 	}
 	before := st.clock.Counters()
-	st.pipe.Process(ri)
+	st.processRegion(ri)
 	after := st.clock.Counters()
 	if after.JoinProbes != before.JoinProbes {
 		t.Errorf("probes charged on a fully-joined region: %d → %d", before.JoinProbes, after.JoinProbes)
@@ -156,5 +103,89 @@ func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 	}
 	if !st.processed[ri] {
 		t.Error("region must still retire")
+	}
+}
+
+// recorder is a tracer that keeps every event.
+type recorder struct{ evs []trace.Event }
+
+func (r *recorder) Trace(ev trace.Event) { r.evs = append(r.evs, ev) }
+
+// TestProcessRegionTraceOrder pins the event sequence of one scheduling
+// step over a fresh region of a two-condition workload — what
+// benchmark/stats.go turns into the scheduler/join/dominance wall split:
+// the decision, PartitionScan once per condition in condition order (rows =
+// |left|·|right|), SignatureJoin only after a condition that produced
+// results (rows = results), discards, one DominanceFilter (rows = results
+// created), then only emissions and the feedback update.
+func TestProcessRegionTraceOrder(t *testing.T) {
+	rec := &recorder{}
+	r, tt, err := datagen.Pair(80, 3, datagen.Independent, []float64{0.05, 0.05}, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newTestState(t, standingWorkload(1), r, tt, Options{Workers: 1, TargetCells: 4, Tracer: rec})
+	st.initQueue()
+	rec.evs = nil
+	if !st.step() {
+		t.Fatal("no region scheduled")
+	}
+	st.rep.FlushTrace()
+	evs := rec.evs
+	if len(evs) == 0 || evs[0].Kind != trace.KindDecision {
+		t.Fatalf("step opened with %+v, want a decision", evs)
+	}
+	ri := evs[0].Region
+	rc := st.regions[ri]
+
+	type opEv struct {
+		op   string
+		rows int
+	}
+	var want []opEv
+	created := 0
+	for _, jc := range st.w.JoinConds {
+		want = append(want, opEv{opNamePartitionScan, len(rc.RCell.Tuples) * len(rc.TCell.Tuples)})
+		results := 0
+		for _, l := range rc.RCell.Tuples {
+			for _, rt := range rc.TCell.Tuples {
+				if jc.Matches(l, rt) {
+					results++
+				}
+			}
+		}
+		if results > 0 {
+			want = append(want, opEv{opNameSignatureJoin, results})
+		}
+		created += results
+	}
+	if created == 0 {
+		t.Fatal("scheduled region joined to nothing; pick another seed")
+	}
+	want = append(want, opEv{opNameDominanceFilter, created})
+
+	var got []opEv
+	for _, ev := range evs[1:] {
+		dominanceDone := len(got) > 0 && got[len(got)-1].op == opNameDominanceFilter
+		switch ev.Kind {
+		case trace.KindOpBatch:
+			if ev.Region != ri {
+				t.Errorf("op event for region %d during region %d", ev.Region, ri)
+			}
+			got = append(got, opEv{ev.Op, ev.Count})
+		case trace.KindDiscard:
+			if len(got) != len(want)-1 {
+				t.Errorf("discard after %d op events, want it between the last join and DominanceFilter", len(got))
+			}
+		case trace.KindEmit, trace.KindFeedback:
+			if !dominanceDone {
+				t.Errorf("%s event before DominanceFilter", ev.Kind)
+			}
+		default:
+			t.Errorf("unexpected %s event inside a scheduling step", ev.Kind)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("op events %v, want %v", got, want)
 	}
 }

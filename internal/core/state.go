@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"caqe/internal/core/op"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/parallel"
@@ -78,11 +77,6 @@ type state struct {
 	pq       *csmHeap
 	inQueue  []bool
 
-	// pipe is the operator pipeline (PartitionScan → SignatureJoin →
-	// DominanceFilter → Emit) that performs all per-region work; the
-	// schedulers (step, runDataOrder) only pick regions and drive it.
-	pipe *op.Pipeline
-
 	weights  []float64
 	payloads payloadStore
 	pending  [][]int         // per query: new candidate payloads awaiting their first safety check
@@ -123,11 +117,14 @@ type state struct {
 	frontier      [][]frontierCorner // per query: minimal best corners of live regions
 	frontierDirty []bool
 
-	// Reused scratch (see DESIGN.md §7): join result buffers, dominance
-	// champions, frontier corner candidates with their sort keys, and the
-	// gone-region list of emitSafe. All are recycled between calls so the
-	// steady state of the executor allocates only for durable results.
-	js            join.Scratch
+	// Reused scratch (see DESIGN.md §7): join result buffers (one per segment
+	// of a reopened region, see processRegion; the second grows only after a
+	// mutation), the payloads the open region created, dominance champions,
+	// frontier corner candidates with their sort keys, and the gone-region
+	// list of emitSafe. All are recycled between calls so the steady state of
+	// the executor allocates only for durable results.
+	js            [2]join.Scratch
+	created       []int
 	champScratch  [][]float64
 	cornerScratch []frontierCorner
 	cornerKeys    []float64
@@ -149,39 +146,21 @@ type depEdge struct {
 }
 
 func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skycube.SharedSkyline, rep *run.Report) *state {
-	nq := len(e.w.Queries)
 	st := &state{
-		e:             e,
-		w:             e.w,
-		clock:         clock,
-		tracer:        e.opt.Tracer,
-		pool:          parallel.New(e.opt.Workers),
-		space:         space,
-		shared:        shared,
-		rep:           rep,
-		regions:       space.Regions,
-		processed:     make([]bool, len(space.Regions)),
-		weights:       make([]float64, nq),
-		pending:       make([][]int, nq),
-		blocked:       make([]map[int][]int, nq),
-		frontier:      make([][]frontierCorner, nq),
-		frontierDirty: make([]bool, nq),
-		cursors:       make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
+		e:         e,
+		w:         e.w,
+		clock:     clock,
+		tracer:    e.opt.Tracer,
+		pool:      parallel.New(e.opt.Workers),
+		space:     space,
+		shared:    shared,
+		rep:       rep,
+		regions:   space.Regions,
+		processed: make([]bool, len(space.Regions)),
+		cursors:   make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
 	}
-	for i := range st.blocked {
-		st.blocked[i] = make(map[int][]int)
-	}
-	st.qremap = make([]int, nq)
-	st.prefMask = make([]uint64, nq)
-	st.kerns = make([]preference.Kernel, nq)
 	for i, q := range e.w.Queries {
-		// Initial weights fold the query priority into the benefit model;
-		// Eq. 11 feedback then re-balances toward unsatisfied queries.
-		st.weights[i] = 1 + q.Priority
-		st.frontierDirty[i] = true
-		st.qremap[i] = i
-		st.prefMask[i] = q.Pref.Mask()
-		st.kerns[i] = preference.NewKernel(q.Pref)
+		st.bindQuery(i, q, i)
 	}
 	st.jcQueries = make([]skycube.QSet, len(e.w.JoinConds))
 	for j := range e.w.JoinConds {
@@ -189,8 +168,30 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 	}
 	st.jcSigma = estimateSelectivities(e.w.JoinConds, e.r.Len(), e.t.Len(), st)
 	st.buildDepGraph()
-	st.buildPipeline()
 	return st
+}
+
+// bindQuery derives the per-query executor state of slot qi from q, reporting
+// under reportIdx. A slot one past the last grows every per-query slice; a
+// reclaimed one (already emptied by retireSlot) is overwritten.
+func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
+	if qi == len(st.weights) {
+		st.weights = append(st.weights, 0)
+		st.pending = append(st.pending, nil)
+		st.blocked = append(st.blocked, make(map[int][]int))
+		st.frontier = append(st.frontier, nil)
+		st.frontierDirty = append(st.frontierDirty, false)
+		st.qremap = append(st.qremap, 0)
+		st.prefMask = append(st.prefMask, 0)
+		st.kerns = append(st.kerns, preference.Kernel{})
+	}
+	// Initial weights fold the query priority into the benefit model;
+	// Eq. 11 feedback then re-balances toward unsatisfied queries.
+	st.weights[qi] = 1 + q.Priority
+	st.frontierDirty[qi] = true
+	st.qremap[qi] = reportIdx
+	st.prefMask[qi] = q.Pref.Mask()
+	st.kerns[qi] = preference.NewKernel(q.Pref)
 }
 
 // joinCursor records how many leading tuples of each input cell a region's
@@ -323,8 +324,8 @@ func (st *state) runDataOrder() {
 	st.flushRemaining()
 }
 
-// process drives one scheduled region through the operator pipeline and
-// applies the Eq. 11 feedback. In wall-clock mode the region doubles as one
+// process runs one scheduled region's tuple-level step and applies the
+// Eq. 11 feedback. In wall-clock mode the region doubles as one
 // sample of the processing rate the CSM horizon extrapolates from.
 func (st *state) process(ri int) {
 	var workBefore, wallBefore float64
@@ -332,7 +333,7 @@ func (st *state) process(ri int) {
 	if wall {
 		workBefore, wallBefore = st.clock.WorkUnits(), st.clock.Now()
 	}
-	st.pipe.Process(ri)
+	st.processRegion(ri)
 	if !st.e.opt.DisableFeedback {
 		st.updateWeights()
 	}
@@ -708,9 +709,9 @@ func (st *state) traceDefer(ri int, score float64) {
 	st.tracer.Trace(ev)
 }
 
-// traceOpBatch records one batch handoff between pipeline operators. The
-// arguments are values the producing operator already has on hand, so a
-// disabled tracer costs only the nil check and no counted work ever runs.
+// traceOpBatch records the rows leaving one stage of processRegion. The
+// arguments are values the caller already has on hand, so a disabled tracer
+// costs only the nil check and no counted work ever runs.
 func (st *state) traceOpBatch(opName string, region, rows int) {
 	if st.tracer == nil {
 		return

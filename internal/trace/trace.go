@@ -45,9 +45,9 @@ const (
 	// KindDiscard records a region killed for one query by a generated
 	// result (Algorithm 1's region discarding).
 	KindDiscard Kind = "discard"
-	// KindOpBatch records one batch handoff inside the pipelined executor:
-	// operator Op pushed Count rows for region Region. Purely
-	// introspective — batch events never carry counted work.
+	// KindOpBatch records the rows leaving one stage of the executor's
+	// region step: stage Op passed on Count rows for region Region. Purely
+	// introspective — these events never carry counted work.
 	KindOpBatch Kind = "op"
 	// KindEmit records one batch of consecutive result deliveries to a
 	// single query: Count results between virtual times T and TEnd.
