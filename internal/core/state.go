@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"caqe/internal/join"
@@ -120,14 +121,13 @@ type state struct {
 	// Reused scratch (see DESIGN.md §7): join result buffers (one per segment
 	// of a reopened region, see processRegion; the second grows only after a
 	// mutation), the payloads the open region created, dominance champions,
-	// frontier corner candidates with their sort keys, and the gone-region
-	// list of emitSafe. All are recycled between calls so the steady state of
-	// the executor allocates only for durable results.
+	// frontier corner sort keys, and the gone-region list of emitSafe. All
+	// are recycled between calls so the steady state of the executor
+	// allocates only for durable results.
 	js            [2]join.Scratch
 	created       []int
 	champScratch  [][]float64
-	cornerScratch []frontierCorner
-	cornerKeys    []float64
+	cornerScratch []cornerKey
 	goneScratch   []int
 	domScratch    [][]*region.Region
 }
@@ -138,6 +138,13 @@ type state struct {
 type frontierCorner struct {
 	region int
 	corner []float64
+}
+
+// cornerKey is refreshFrontier's sort record, a live region and its best
+// corner's sum over the query's preference: the sort moves 16-byte keys.
+type cornerKey struct {
+	key    float64
+	region int
 }
 
 type depEdge struct {
@@ -508,55 +515,41 @@ func (st *state) refreshFrontier(qi int) {
 	}
 	st.frontierDirty[qi] = false
 	kern := st.kerns[qi]
-	corners := st.cornerScratch[:0]
-	keys := st.cornerKeys[:0]
+	keys := st.cornerScratch[:0]
 	for fi, rf := range st.regions {
 		if st.processed[fi] || !rf.Alive.Has(qi) {
 			continue
 		}
-		corners = append(corners, frontierCorner{region: fi, corner: rf.Lo})
-		keys = append(keys, kern.Sum(rf.Lo))
+		keys = append(keys, cornerKey{key: kern.Sum(rf.Lo), region: fi})
 	}
-	sort.Sort(&cornerSorter{cs: corners, key: keys})
+	// By sum, then by the (unique) region index: a total order, and — regions
+	// being collected in ascending index order — a stable sort on the sum.
+	slices.SortFunc(keys, func(a, b cornerKey) int {
+		if a.key != b.key {
+			if a.key < b.key {
+				return -1
+			}
+			return 1
+		}
+		return a.region - b.region
+	})
 	minimal := st.frontier[qi][:0]
-	for _, c := range corners {
+	for _, k := range keys {
+		corner := st.regions[k.region].Lo
 		dominated := false
 		for _, o := range minimal {
 			st.clock.CountCellOp(1)
-			if kern.WeakDominates(o.corner, c.corner) {
+			if kern.WeakDominates(o.corner, corner) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			minimal = append(minimal, c)
+			minimal = append(minimal, frontierCorner{region: k.region, corner: corner})
 		}
 	}
 	st.frontier[qi] = minimal
-	st.cornerScratch = corners[:0]
-	st.cornerKeys = keys[:0]
-}
-
-// cornerSorter sorts frontier corners by their precomputed subspace sum
-// with the (unique) region index as tie-breaker. Corners are collected in
-// ascending region order, so this total order reproduces exactly the
-// permutation of the reference stable sort on the sum alone — which lets
-// the faster unstable sort.Sort stand in for sort.SliceStable.
-type cornerSorter struct {
-	cs  []frontierCorner
-	key []float64
-}
-
-func (s *cornerSorter) Len() int { return len(s.cs) }
-func (s *cornerSorter) Less(i, j int) bool {
-	if s.key[i] != s.key[j] {
-		return s.key[i] < s.key[j]
-	}
-	return s.cs[i].region < s.cs[j].region
-}
-func (s *cornerSorter) Swap(i, j int) {
-	s.cs[i], s.cs[j] = s.cs[j], s.cs[i]
-	s.key[i], s.key[j] = s.key[j], s.key[i]
+	st.cornerScratch = keys[:0]
 }
 
 func (st *state) markFrontiersDirty(qs skycube.QSet) {

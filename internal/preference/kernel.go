@@ -7,7 +7,8 @@ package preference
 // loops under their free-function names. Straight-line d = 1..4 arms were
 // tried here and measured slower than the loop at every d (DESIGN.md §7);
 // the one specialisation that pays is local to the sum-sorted window scan
-// (skycube's sharedEntry.proj). Methods never allocate.
+// (skycube's sharedEntry.proj under weak4: all four lanes, no branch, on
+// operands in the line the scan just loaded). Methods never allocate.
 type Kernel struct {
 	sub Subspace
 }

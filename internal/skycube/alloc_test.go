@@ -9,9 +9,11 @@ import (
 
 // TestSharedSkylineInsertZeroAllocs pins the steady state of the shared
 // skyline at zero heap allocations per insert: once the arena, the
-// per-payload bitmask arrays, the windows and the freelist have grown to
-// working size, inserting (and killing) further points must recycle rather
-// than allocate.
+// per-payload bitmask arrays and the windows have grown to working size,
+// inserting (and killing) further points must not allocate. Window entries
+// are values inside the window's backing array — truncation, compaction and
+// reset all keep its capacity — so there is no per-entry object to recycle
+// and only growth past the high-water mark allocates.
 func TestSharedSkylineInsertZeroAllocs(t *testing.T) {
 	prefs := []preference.Subspace{
 		preference.NewSubspace(0, 1),
@@ -30,9 +32,9 @@ func TestSharedSkylineInsertZeroAllocs(t *testing.T) {
 		return []float64{rng.Float64(), rng.Float64(), rng.Float64()}
 	}
 
-	// Populate a working set, then warm the steady-state cycle on one
-	// recycled payload slot until every internal buffer has reached its
-	// high-water capacity.
+	// Populate a working set, then warm the steady-state cycle on one reused
+	// payload slot until every internal buffer has reached its high-water
+	// capacity.
 	const base = 256
 	for p := 0; p < base; p++ {
 		s.Insert(p, point(), all)

@@ -41,7 +41,7 @@ func (s *SharedSkyline) AddDynamicQuery(pref preference.Subspace) (int, error) {
 // so it must not alias a slice the caller may still write.
 func (s *SharedSkyline) bindDynamic(sn *sharedNode, qi int, pref preference.Subspace) *sharedNode {
 	if sn == nil {
-		sn = &sharedNode{idx: len(s.nodes), window: make([]*sharedEntry, 0, windowPresize)}
+		sn = &sharedNode{idx: len(s.nodes), window: make([]sharedEntry, 0, windowPresize)}
 		s.nodes = append(s.nodes, sn)
 		// The payload-indexed protection masks are bitmasks over node
 		// indices; past 64 nodes every protection test falls back to the
@@ -109,33 +109,33 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 		}
 		// Shared cuboid node: scrub the bit entry by entry. Entries dead for
 		// all remaining queries are retired exactly like KillForQueries does.
-		for _, e := range sn.window {
+		for i := range sn.window {
+			e := &sn.window[i]
 			if e.alive == 0 {
 				continue
 			}
 			e.lineage &^= bit
 			e.alive &^= bit
 			if e.alive == 0 {
-				s.clearMasks(sn, e.payload)
+				s.clearMasks(sn, int(e.payload))
 				sn.dead++
 			}
 		}
 		if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
-			s.compact(sn)
+			compact(sn)
 		}
 	}
 	s.prefSN[qi] = nil
 }
 
-// resetNode empties a node: every window entry is recycled, memberships and
-// payload-mask bits are cleared. The node keeps its slot in s.nodes (masks
-// and iteration stay index-stable) but holds no state.
+// resetNode empties a node: the window is truncated (keeping its capacity),
+// memberships and payload-mask bits are cleared. The node keeps its slot in
+// s.nodes (masks and iteration stay index-stable) but holds no state.
 func (s *SharedSkyline) resetNode(sn *sharedNode) {
-	for _, e := range sn.window {
-		if e.alive != 0 {
-			s.clearMasks(sn, e.payload)
+	for i := range sn.window {
+		if e := &sn.window[i]; e.alive != 0 {
+			s.clearMasks(sn, int(e.payload))
 		}
-		s.free = append(s.free, e)
 	}
 	sn.window = sn.window[:0]
 	sn.dead = 0

@@ -17,7 +17,8 @@ func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*shared
 	t.Helper()
 	m := make(map[int]*sharedEntry)
 	dead := 0
-	for i, e := range sn.window {
+	for i := range sn.window {
+		e := &sn.window[i]
 		if i > 0 && sn.window[i-1].sum > e.sum {
 			t.Fatalf("node %d: window out of sum order at %d", sn.idx, i)
 		}
@@ -25,13 +26,13 @@ func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*shared
 			dead++
 			continue
 		}
-		if m[e.payload] != nil {
+		if m[int(e.payload)] != nil {
 			t.Fatalf("node %d: payload %d has two live entries", sn.idx, e.payload)
 		}
-		if got := sn.kern.Sum(s.PointVals(e.payload)); got != e.sum {
+		if got := sn.kern.Sum(s.PointVals(int(e.payload))); got != e.sum {
 			t.Fatalf("node %d: payload %d sorted under %v, arena sums to %v", sn.idx, e.payload, e.sum, got)
 		}
-		m[e.payload] = e
+		m[int(e.payload)] = e
 	}
 	if dead != sn.dead {
 		t.Fatalf("node %d: %d dead entries in the window, counter says %d", sn.idx, dead, sn.dead)

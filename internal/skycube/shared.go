@@ -1,6 +1,8 @@
 package skycube
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"caqe/internal/metrics"
@@ -29,12 +31,12 @@ import (
 // from the transitivity of strict dominance within a fixed subspace.
 //
 // Memory layout (DESIGN.md §7): point coordinates live in one slab arena
-// instead of a per-point heap slice; window entries are recycled through a
-// freelist; window scans compare entry-local projections (sharedEntry.proj);
-// and the child-protection test is a 3-way AND over payload-indexed node
-// bitmasks. Nothing is kept per (node, payload): a node knows its members
-// only through its window (see find), so standing state is the size of the
-// windows plus a few pointer-free words per join result.
+// instead of a per-point heap slice; a window holds its entries by value, one
+// cache line each, so a scan walks contiguous memory and compares entry-local
+// projections (sharedEntry.proj); and the child-protection test is a 3-way
+// AND over payload-indexed node bitmasks. Nothing is kept per (node, payload):
+// a node knows its members only through its window (see find), so standing
+// state is the windows plus a few pointer-free words per join result.
 // Entries killed by KillForQueries are marked dead and batch-compacted
 // instead of spliced one at a time. None of this changes any observable:
 // candidate sets, comparison counts and iteration orders are identical to
@@ -42,14 +44,13 @@ import (
 // accounting, exactly as if they had been removed eagerly.
 //
 // Payloads must be small non-negative integers (the engine assigns them
-// sequentially): they index the arena and the masks.
+// sequentially): they index the arena and the masks; Insert states the range.
 type SharedSkyline struct {
 	cuboid *Cuboid
 	clock  *metrics.Clock
 	nodes  []*sharedNode          // aligned with cuboid.Nodes (ascending level)
 	prefSN []*sharedNode          // query index -> node of its full preference
 	points *preference.FlatPoints // payload-indexed coordinate arena (created at first Insert)
-	free   []*sharedEntry         // recycled window entries
 
 	// freeNodes holds dedicated dynamic-query nodes whose query retired;
 	// SetDynamicQuery re-keys one of these before appending a fresh node, so
@@ -82,31 +83,48 @@ func (s *SharedSkyline) mask(payload int) *payloadMasks {
 	return &s.masks[payload>>maskShift][payload&(maskChunk-1)]
 }
 
+// sharedEntry is one window slot, stored by value and exactly one cache line
+// (TestSharedEntryIsOneCacheLine). Entries move when the window shifts: a
+// *sharedEntry (find's result) is good only until that window's next mutation.
 type sharedEntry struct {
-	payload int
+	payload int32   // Insert guards the range
+	clean   bool    // no compared point weakly dominates it in this subspace
 	sum     float64 // Σ coordinates over the node's subspace (window sort key)
 	lineage QSet    // immutable: queries this point competes for at this node
 	alive   QSet    // queries for which the point is still a skyline candidate here
-	clean   bool    // no compared point weakly dominates it in this subspace
 
 	// proj holds the point's coordinates projected onto the node's subspace,
 	// zero-padded beyond len(sub), for subspaces of at most 4 dimensions.
 	// Zero-padding makes 0 ≤ 0 hold on every unused lane, so weak dominance
-	// over the subspace is the unconditional 4-lane conjunction — the scan
-	// compares entry-local fixed-size arrays with no arena access, bounds
+	// over the subspace is the unconditional 4-lane conjunction (weak4) — the
+	// scan compares entry-local fixed-size arrays with no arena access, bounds
 	// checks or per-dimension branching. Subspaces with ≥ 5 dimensions leave
 	// proj zero and compare through the kernel against the arena.
 	//
 	// This is the one specialised comparator in the repository, kept because
-	// it was measured: with the four lane conjunctions of insertAt replaced
-	// by sn.kern.Relate against the arena, batch-anti done_p50_ms went from
-	// 1252–1360 to 2213–2249 (+77 %) and cpu_ms_per_query from 118–131 to
-	// 210–214 on the prototype (3 of 3 pairs), and from 1257–1450 to
-	// 2140–2422 (+71 % in the median; 122–138 to 202–227) on this code (4 of
-	// 4), in alternating runs of
-	//   bash benchmark/run.sh --workload batch-anti --seed 2014 --seconds 8
-	// with every comparison count equal (DESIGN.md §7.1, EXPERIMENTS.md).
+	// it was measured: with the lane conjunctions of insertAt replaced by
+	// sn.kern.Relate against the arena, batch-anti done_p50_ms went from
+	// 1257–1450 to 2140–2422 (+71 % in the median) and cpu_ms_per_query from
+	// 122–138 to 202–227, 4 of 4 alternating pairs on PR 17's code, every
+	// comparison count equal. PR 22 made the lanes branch-free and the window
+	// a value slice: 1328 → 816 (−39 %), 10 of 10 pairs, counts equal again
+	// (DESIGN.md §7.1, EXPERIMENTS.md).
 	proj [4]float64
+}
+
+// le is a ≤ b as a 0/1 byte: the compiler emits one SETcc, no jump.
+func le(a, b float64) uint8 {
+	if a <= b {
+		return 1
+	}
+	return 0
+}
+
+// weak4 reports a ⪯ b over four zero-padded lanes without a branch: each lane
+// of `a0<=b0 && a1<=b1 && …` is a coin flip on anti-correlated data, four
+// SETcc ANDed have nothing to mispredict. NaN (never ≤), ±Inf, −0 as before.
+func weak4(a, b *[4]float64) bool {
+	return le(a[0], b[0])&le(a[1], b[1])&le(a[2], b[2])&le(a[3], b[3]) != 0
 }
 
 // sharedNode keeps its window sorted ascending by the monotone coordinate
@@ -121,13 +139,13 @@ type sharedNode struct {
 	sub       preference.Subspace
 	kern      preference.Kernel
 	qserve    QSet
-	window    []*sharedEntry
-	dead      int // window entries with alive == 0 awaiting compaction
+	window    []sharedEntry // by value, sum-ascending; entries move when it shifts
+	dead      int           // window entries with alive == 0 awaiting compaction
 	children  []*sharedNode
 }
 
 // sumLowerBound returns the first index of window whose sum is ≥ sp.
-func sumLowerBound(window []*sharedEntry, sp float64) int {
+func sumLowerBound(window []sharedEntry, sp float64) int {
 	return sort.Search(len(window), func(i int) bool { return window[i].sum >= sp })
 }
 
@@ -137,7 +155,7 @@ func sumLowerBound(window []*sharedEntry, sp float64) int {
 // of that exact sum — one binary search plus a walk over the ties. Dead
 // entries of the same payload (killed, not yet compacted) are passed over.
 func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
-	if s.useMasks && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&(1<<uint(sn.idx)) == 0) {
+	if payload < 0 || s.useMasks && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&(1<<uint(sn.idx)) == 0) {
 		return nil
 	}
 	vals := s.PointVals(payload)
@@ -146,7 +164,7 @@ func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
 	}
 	sp := sn.kern.Sum(vals)
 	for i := sumLowerBound(sn.window, sp); i < len(sn.window) && sn.window[i].sum == sp; i++ {
-		if w := sn.window[i]; w.payload == payload && w.alive != 0 {
+		if w := &sn.window[i]; int(w.payload) == payload && w.alive != 0 {
 			return w
 		}
 	}
@@ -175,7 +193,7 @@ func NewSharedSkyline(c *Cuboid, clock *metrics.Clock) *SharedSkyline {
 	for i, n := range c.Nodes {
 		sn := &sharedNode{
 			node: n, idx: i, sub: n.Sub, kern: preference.NewKernel(n.Sub),
-			qserve: n.QServe, window: make([]*sharedEntry, 0, windowPresize),
+			qserve: n.QServe, window: make([]sharedEntry, 0, windowPresize),
 		}
 		s.nodes = append(s.nodes, sn)
 		byNode[n] = sn
@@ -208,22 +226,15 @@ func (s *SharedSkyline) growMasks(payload int) {
 	}
 }
 
-// newEntry returns a recycled window entry, or a fresh one if the freelist
-// is empty.
-func (s *SharedSkyline) newEntry() *sharedEntry {
-	if n := len(s.free); n > 0 {
-		e := s.free[n-1]
-		s.free = s.free[:n-1]
-		return e
-	}
-	return &sharedEntry{}
-}
-
 // Insert adds a point with the given unique payload identifier and query
 // lineage. It returns the set of queries for which the point is currently a
 // skyline candidate (zero if immediately dominated everywhere). The
 // coordinates are copied into the shared arena; the caller keeps vals.
+// A payload outside [0, MaxInt32] (an entry's int32) is a caller bug: panic.
 func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
+	if payload < 0 || payload > math.MaxInt32 {
+		panic(fmt.Sprintf("skycube: Insert payload %d outside [0, %d]", payload, math.MaxInt32))
+	}
 	if s.points == nil {
 		s.points = preference.NewFlatPoints(len(vals))
 	}
@@ -270,7 +281,7 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	lowIdx := sumLowerBound(sn.window, sp)
 	hiIdx := lowIdx
 	for ; hiIdx < len(sn.window) && sn.window[hiIdx].sum == sp; hiIdx++ {
-		if w := sn.window[hiIdx]; w.payload == payload && w.alive != 0 {
+		if w := &sn.window[hiIdx]; int(w.payload) == payload && w.alive != 0 {
 			return w.alive
 		}
 	}
@@ -279,9 +290,9 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	cleanP := true
 	var cmpCount int64
 
-	// Hoist the incoming point's halves of the child-protection masks: its
-	// bits are only mutated after both scans, so each window entry costs a
-	// single payload-indexed load.
+	// Hoist the incoming point's halves of the child-protection masks (its bits
+	// change only after both scans): a window entry costs one payload-indexed
+	// load, and none while the hoisted half is zero, the usual case at the top.
 	var pCleanChildren, pMemberChildren uint64
 	if s.useMasks {
 		pm := s.mask(payload)
@@ -291,26 +302,28 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 
 	// Prefix scan: can some member dominate p? The reverse direction is
 	// only consulted when the forward one holds, so it is computed lazily.
-	for _, w := range sn.window[:hiIdx] {
+	prefix := sn.window[:hiIdx]
+	for i := range prefix {
+		w := &prefix[i]
 		if w.alive == 0 || w.lineage&relevant == 0 {
 			continue // dead, or disjoint lineages never interact
 		}
 		if s.useMasks {
-			if pCleanChildren&s.mask(w.payload).member != 0 {
+			if pCleanChildren != 0 && pCleanChildren&s.mask(int(w.payload)).member != 0 {
 				continue // w provably cannot weakly dominate p here
 			}
-		} else if s.childProtects(sn, payload, w.payload) {
+		} else if s.childProtects(sn, payload, int(w.payload)) {
 			continue
 		}
 		cmpCount++
 		var wWeakP, pWeakW bool
 		if fast {
-			wWeakP = w.proj[0] <= p[0] && w.proj[1] <= p[1] && w.proj[2] <= p[2] && w.proj[3] <= p[3]
+			wWeakP = weak4(&w.proj, &p)
 			if wWeakP {
-				pWeakW = p[0] <= w.proj[0] && p[1] <= w.proj[1] && p[2] <= w.proj[2] && p[3] <= w.proj[3]
+				pWeakW = weak4(&p, &w.proj)
 			}
 		} else {
-			wWeakP, pWeakW = sn.kern.Relate(s.points.At(w.payload), vals)
+			wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
 		}
 		if wWeakP {
 			cleanP = false
@@ -334,39 +347,37 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	}
 
 	// Suffix scan: which members does p dominate? Dead entries encountered
-	// here are compacted away for free. Pointer slots are rewritten only
-	// once a removal has actually happened — the common no-eviction scan
-	// touches no window slot (and pays no write barriers).
+	// here are compacted away for free. Survivors move down only once a removal
+	// has actually happened — the common no-eviction scan writes no slot.
 	keepLen := lowIdx
 	pos := -1 // insertion slot for p: keepLen when the scan crosses hiIdx
 	for idx := lowIdx; idx < len(sn.window); idx++ {
 		if idx == hiIdx {
 			pos = keepLen
 		}
-		w := sn.window[idx]
+		w := &sn.window[idx]
 		if w.alive == 0 {
 			sn.dead--
-			s.free = append(s.free, w)
 			continue
 		}
 		drop := false
 		if w.lineage&relevant != 0 {
 			protected := false
 			if s.useMasks {
-				protected = s.mask(w.payload).clean&pMemberChildren != 0
+				protected = pMemberChildren != 0 && s.mask(int(w.payload)).clean&pMemberChildren != 0
 			} else {
-				protected = s.childProtects(sn, w.payload, payload)
+				protected = s.childProtects(sn, int(w.payload), payload)
 			}
 			if !protected {
 				cmpCount++
 				var pWeakW, wWeakP bool
 				if fast {
-					pWeakW = p[0] <= w.proj[0] && p[1] <= w.proj[1] && p[2] <= w.proj[2] && p[3] <= w.proj[3]
+					pWeakW = weak4(&p, &w.proj)
 					if pWeakW {
-						wWeakP = w.proj[0] <= p[0] && w.proj[1] <= p[1] && w.proj[2] <= p[2] && w.proj[3] <= p[3]
+						wWeakP = weak4(&w.proj, &p)
 					}
 				} else {
-					pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(w.payload))
+					pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(int(w.payload)))
 				}
 				if wWeakP && pWeakW { // equal in the subspace (sum tie)
 					cleanP = false
@@ -375,14 +386,13 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 					if w.clean {
 						w.clean = false
 						if s.useMasks {
-							s.mask(w.payload).clean &^= 1 << uint(sn.idx)
+							s.mask(int(w.payload)).clean &^= 1 << uint(sn.idx)
 						}
 					}
 					if !wWeakP { // strict: p ≺ w
 						w.alive &^= relevant
 						if w.alive == 0 {
-							s.clearMasks(sn, w.payload)
-							s.free = append(s.free, w)
+							s.clearMasks(sn, int(w.payload))
 							drop = true // remove w from the window
 						}
 					}
@@ -393,7 +403,7 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 			continue
 		}
 		if keepLen != idx {
-			sn.window[keepLen] = w
+			sn.window[keepLen] = *w
 		}
 		keepLen++
 	}
@@ -407,11 +417,9 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 
 	// Insert p at its sorted position (end of its equal-sum run within the
 	// kept prefix; lowIdx..hiIdx survivors precede it).
-	e := s.newEntry()
-	*e = sharedEntry{payload: payload, sum: sp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p}
-	sn.window = append(sn.window, nil)
+	sn.window = append(sn.window, sharedEntry{})
 	copy(sn.window[pos+1:], sn.window[pos:])
-	sn.window[pos] = e
+	sn.window[pos] = sharedEntry{payload: int32(payload), sum: sp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p}
 	if s.useMasks {
 		bit := uint64(1) << uint(sn.idx)
 		pm := s.mask(payload)
@@ -471,22 +479,20 @@ func (s *SharedSkyline) KillForQueries(payload int, dead QSet) {
 			s.clearMasks(sn, payload)
 			sn.dead++
 			if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
-				s.compact(sn)
+				compact(sn)
 			}
 		}
 	}
 }
 
-// compact rewrites a node's window without its dead entries, preserving the
-// order of the live ones, and recycles the dead through the freelist.
-func (s *SharedSkyline) compact(sn *sharedNode) {
+// compact rewrites a node's window in place without its dead entries,
+// preserving the order of the live ones.
+func compact(sn *sharedNode) {
 	keep := sn.window[:0]
-	for _, w := range sn.window {
-		if w.alive == 0 {
-			s.free = append(s.free, w)
-			continue
+	for i := range sn.window {
+		if sn.window[i].alive != 0 {
+			keep = append(keep, sn.window[i])
 		}
-		keep = append(keep, w)
 	}
 	sn.window = keep
 	sn.dead = 0
@@ -497,9 +503,9 @@ func (s *SharedSkyline) compact(sn *sharedNode) {
 func (s *SharedSkyline) Candidates(qi int) []int {
 	sn := s.prefSN[qi]
 	var out []int
-	for _, e := range sn.window {
-		if e.alive.Has(qi) {
-			out = append(out, e.payload)
+	for i := range sn.window {
+		if e := &sn.window[i]; e.alive.Has(qi) {
+			out = append(out, int(e.payload))
 		}
 	}
 	sort.Ints(out)
@@ -513,10 +519,10 @@ func (s *SharedSkyline) IsCandidate(payload, qi int) bool {
 }
 
 // PointVals returns the stored coordinates of an inserted point (a view
-// into the shared arena, immutable once read), or nil for payloads beyond
+// into the shared arena, immutable once read), or nil for payloads outside
 // the arena.
 func (s *SharedSkyline) PointVals(payload int) []float64 {
-	if s.points != nil && payload < s.points.Len() {
+	if s.points != nil && payload >= 0 && payload < s.points.Len() {
 		return s.points.At(payload)
 	}
 	return nil
