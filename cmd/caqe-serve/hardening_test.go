@@ -156,6 +156,7 @@ func TestMetricsExposition(t *testing.T) {
 	defer srv.drain()
 
 	total := 0
+	rid := -1 // R row behind some delivered result
 	for qi, qr := range testQueries() {
 		qres, status := submit(t, ts, qr)
 		if status != http.StatusCreated {
@@ -163,11 +164,36 @@ func TestMetricsExposition(t *testing.T) {
 		}
 		es, _, _ := streamResults(t, ts, qres.ID)
 		total += len(es)
+		if len(es) > 0 {
+			rid = es[0].RID
+		}
 		_ = qi
+	}
+
+	// Delete a row behind a delivered result: its window entry is live, so
+	// the repair counters of the mutation family must move.
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/data/r/%d", ts.URL, rid), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE /data/r/%d: status %d", rid, resp.StatusCode)
 	}
 
 	body := scrapeMetrics(t, ts)
 	validateExposition(t, body)
+	if v := metricValue(t, body, `caqe_mutations_total{kind="tuples_deleted"}`); v != 1 {
+		t.Errorf("tuples_deleted %g, want 1", v)
+	}
+	if v := metricValue(t, body, `caqe_mutations_total{kind="entries_removed"}`); v < 1 {
+		t.Errorf("entries_removed %g after deleting a skyline row, want at least 1", v)
+	}
+	metricValue(t, body, `caqe_mutations_total{kind="results_resettled"}`) // present, whatever its value
 
 	for _, name := range []string{
 		"caqe_http_requests_total", "caqe_http_request_duration_seconds_bucket",

@@ -191,7 +191,9 @@ func (s *server) sessionFamilies() []metrics.PromFamily {
 			sample{"tuples_deleted", float64(st.Mutations.Deleted)},
 			sample{"cells_touched", float64(st.Mutations.CellsTouched)},
 			sample{"regions_revived", float64(st.Mutations.RegionsRevived)},
-			sample{"regions_created", float64(st.Mutations.RegionsCreated)}),
+			sample{"regions_created", float64(st.Mutations.RegionsCreated)},
+			sample{"entries_removed", float64(st.Mutations.EntriesRemoved)},
+			sample{"results_resettled", float64(st.Mutations.Resettled)}),
 		gaugeFamily("caqe_mutations_pending",
 			"Accepted mutations still waiting on their virtual-time anchor.",
 			float64(st.Mutations.Pending)),

@@ -58,6 +58,11 @@ type DeltaStats struct {
 	CellsTouched   int `json:"cellsTouched"`
 	RegionsRevived int `json:"regionsRevived"`
 	RegionsCreated int `json:"regionsCreated"`
+	// What a delete's repair touched: live window entries of the deleted
+	// rows' results taken out of the shared skyline, and surviving results
+	// re-settled in it because they rested on one or gained a query.
+	EntriesRemoved int `json:"entriesRemoved"`
+	Resettled      int `json:"resettled"`
 }
 
 // Deleted tuples stay in place under reserved join keys that can never
@@ -276,14 +281,17 @@ func (st *state) reviveAfterAppend(tab Table, touched map[int]bool, stats *Delta
 
 // Delete retires rows from one base relation of a running execution.
 // The tuples stay in place under tombstone join keys (positions, cell
-// sizes and IDs never shift), their join results lose all candidacy, and
-// — because dominance recorded before the delete may rest on the deleted
-// rows — surviving results are re-granted candidacy for every live
-// same-condition query, every region whose tuple-level join is incomplete
-// is revived, and the shared skyline windows are rebuilt from the
-// surviving points. Results already emitted are never retracted; the
-// emitted marks keep them from being duplicated. History is append-only:
-// a delete changes what remains to be emitted, not what was.
+// sizes and IDs never shift) and their join results lose all candidacy.
+// Whatever was decided with the help of the deleted rows is then redone,
+// and nothing else (DESIGN.md §15): the touched cells' signatures are
+// rebuilt from their live tuples and conditions that no longer pass are
+// withdrawn from their regions; surviving results are granted the live
+// same-condition queries their lineage lacks; every region whose
+// tuple-level join is incomplete is revived; and the results that rested on
+// a deleted result's window entries — or were granted a query — are
+// re-settled in the shared skyline. Results already emitted are never
+// retracted; the emitted marks keep them from being duplicated. History is
+// append-only: a delete changes what remains to be emitted, not what was.
 func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	st := x.st
 	var stats DeltaStats
@@ -303,7 +311,6 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 
 	sentinel := tombstoneFor(tab)
 	touched := make(map[int]bool)
-	var touchedOrder []int
 	for _, id := range ids {
 		loc := st.tupleLoc[side][id]
 		c := st.cellsFor(tab)[loc.cell]
@@ -318,41 +325,52 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 			rt.Keys[k] = sentinel
 		}
 		st.deleted[side][id] = true
-		if !touched[loc.cell] {
-			touched[loc.cell] = true
-			touchedOrder = append(touchedOrder, loc.cell)
-		}
+		touched[loc.cell] = true
 	}
-	sort.Ints(touchedOrder)
 	stats.Deleted = len(ids)
-	stats.CellsTouched = len(touchedOrder)
+	stats.CellsTouched = len(touched)
 
-	// Kill deleted results; extend surviving lineage to every live
-	// same-condition query. The extension deliberately ignores per-region
-	// prunes: a sound prune only ever removed dominated results, so any
-	// extra candidacy it grants is re-dominated (or parked behind a
-	// revived region's frontier) below — while an unsound one, resting on
-	// a now-deleted dominator, is exactly what this repairs.
-	for _, chunk := range st.payloads {
-		for i := range chunk {
-			info := &chunk[i]
-			if info.jc < 0 {
-				continue // killed by an earlier delete
-			}
-			if st.deleted[0][info.rid] || st.deleted[1][info.tid] {
-				info.lineage, info.jc = 0, -1
+	// A signature is the key set of the cell's live tuples. Left as it was,
+	// a pair whose only matches were deleted would keep passing its
+	// condition, and the next admission would prune other regions against
+	// one that can no longer produce anything.
+	for ci := range touched {
+		c := st.cellsFor(tab)[ci]
+		for k := range c.Sigs {
+			c.Sigs[k] = partition.Signature{}
+		}
+		for _, tp := range c.Tuples {
+			if st.deleted[side][tp.ID] {
 				continue
 			}
-			info.lineage |= st.jcQueries[info.jc] &^ st.cancelled
+			for k := range c.Sigs {
+				c.Sigs[k][tp.Key(k)] = struct{}{}
+			}
 		}
 	}
+	st.space.Withdraw(touched, tab == TableT, st.clock)
+
+	// Kill the deleted rows' results and take their live window entries
+	// out: what those entries dominated, where they were still alive, is
+	// what the windows may be missing now.
+	removed := st.removedScratch[:0]
+	for c, chunk := range st.payloads {
+		for i := range chunk {
+			info := &chunk[i]
+			if info.jc >= 0 && (st.deleted[0][info.rid] || st.deleted[1][info.tid]) {
+				info.lineage, info.jc = 0, -1
+				removed = st.shared.Remove(c<<payloadShift+i, removed)
+			}
+		}
+	}
+	stats.EntriesRemoved = len(removed)
 
 	// Revive every region with live queries whose tuple-level join is
 	// incomplete for some live condition: build-time prunes, admission
 	// prunes and result-driven discards all fold into "never fully
 	// joined", and any of them may have rested on a deleted dominator.
 	// Fully-joined regions already contributed all their results, so the
-	// lineage extension plus the window rebuild below covers them.
+	// lineage grant below covers them.
 	for _, r := range st.regions {
 		live := st.liveFor(r)
 		if live == 0 {
@@ -367,38 +385,62 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 		}
 	}
 
-	// Rebuild candidacy from the surviving points: clear every parked or
-	// pending reference, reset the shared windows (structure, bindings
-	// and the point arena stay), and re-insert every surviving payload in
-	// deterministic payload order, re-pending unemitted candidates. The
-	// re-inserts are charged as ordinary skyline comparisons.
-	for qi := range st.w.Queries {
-		st.pending[qi] = st.pending[qi][:0]
-		for k := range st.blocked[qi] {
-			delete(st.blocked[qi], k)
-		}
-	}
-	st.shared.ResetWindows()
-	var affected skycube.QSet
+	// The results to re-settle, in payload order: a survivor whose lineage
+	// lacks a live query of its condition is granted it (the grant ignores
+	// per-region prunes: a sound prune only ever removed dominated results,
+	// so the extra candidacy is re-dominated or parked behind a revived
+	// region's frontier, while an unsound one, resting on a now-deleted
+	// dominator, is exactly what this repairs), and so is one a removed
+	// entry dominates in its node's subspace for a query of its lineage the
+	// entry was alive for. Each dominance test is a charged comparison.
+	resettle := st.resettleScratch[:0]
+	var cmps int64
 	for c, chunk := range st.payloads {
 		for i := range chunk {
 			info := &chunk[i]
-			if info.lineage == 0 {
-				continue
+			if info.jc < 0 {
+				continue // a deleted row's result
 			}
 			p := c<<payloadShift + i
-			alive := st.shared.Insert(p, st.shared.PointVals(p), info.lineage)
-			for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
-				if st.cancelled.Has(qi) || info.emitted.Has(qi) {
+			if grant := st.jcQueries[info.jc] &^ st.cancelled &^ info.lineage; grant != 0 {
+				info.lineage |= grant
+				resettle = append(resettle, p)
+				continue
+			}
+			for k := range removed {
+				rm := &removed[k]
+				if info.lineage&rm.Alive == 0 {
 					continue
 				}
-				st.pending[qi] = append(st.pending[qi], p)
+				cmps++
+				if rm.Kern.Dominates(rm.Point, st.shared.PointVals(p)) {
+					resettle = append(resettle, p)
+					break
+				}
 			}
-			affected |= alive
 		}
 	}
-	affected &^= st.cancelled
-	st.markFrontiersDirty(affected)
+	st.clock.CountSkylineCmp(cmps)
+	stats.Resettled = len(resettle)
+
+	// Re-settle: judged afresh under the full lineage at every node serving
+	// it, and queued for a safety check only where the result is newly a
+	// candidate. Everything else — entries, alive bits, clean flags, parked
+	// results, emitted marks — stays as it is.
+	var live, affected skycube.QSet
+	for _, qs := range st.jcQueries {
+		live |= qs &^ st.cancelled
+	}
+	for _, p := range resettle {
+		info := st.payloads.at(p)
+		now, was := st.shared.Resettle(p, info.lineage)
+		fresh := now &^ was &^ info.emitted & live
+		for qi := fresh.Next(0); qi >= 0; qi = fresh.Next(qi + 1) {
+			st.pending[qi] = append(st.pending[qi], p)
+		}
+		affected |= fresh
+	}
+	st.removedScratch, st.resettleScratch = removed[:0], resettle[:0]
 	st.emitSafe(affected)
 
 	st.traceDelta("delete", tab, &stats)
@@ -443,5 +485,7 @@ func (st *state) traceDelta(op string, tab Table, d *DeltaStats) {
 	ev.Count = d.Appended + d.Deleted
 	ev.Cells = d.CellsTouched
 	ev.Revived = d.RegionsRevived
+	ev.Removed = d.EntriesRemoved
+	ev.Resettled = d.Resettled
 	st.tracer.Trace(ev)
 }

@@ -130,6 +130,9 @@ type state struct {
 	cornerScratch []cornerKey
 	goneScratch   []int
 	domScratch    [][]*region.Region
+	// Delete's repair lists: window entries taken out, results to re-settle.
+	removedScratch  []skycube.Removed
+	resettleScratch []int
 }
 
 // frontierCorner is one minimal best corner of the live regions of a query,

@@ -173,8 +173,9 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 }
 
 // joinPair runs the coarse-level join of one cell pair: the signature test
-// of every condition in jcs the pair does not already pass (signatures only
-// grow, so a passing test keeps passing), each charged to the clock as one
+// of every condition in jcs the pair does not already pass (a signature
+// grows until a delete rebuilds it, and Withdraw follows every rebuild, so a
+// recorded pass still holds), each charged to the clock as one
 // cell operation plus the intersection probes. A pair whose first test
 // passes gains its region, appended at the tail with exact output bounds
 // and empty lineage. The pair's region, or nil if it still has none, is
@@ -351,6 +352,39 @@ func (s *Space) Retest(cells []*partition.Cell, onT bool, clock *metrics.Clock) 
 		}
 	}
 	return len(s.Regions) - before
+}
+
+// Withdraw is Retest's counterpart for leaf cells whose signatures shrank (a
+// delete rebuilt them from their live tuples): every region over a cell of
+// touched — R cell IDs, or T cell IDs when onT is set — re-runs the signature
+// test of each condition it passes, charged like any other, and loses the
+// JCPass bit of one that fails. A pair whose only matches were deleted thus
+// stops posing as a source of results: mutations no longer revive it, and an
+// admission neither serves a query from it nor prunes another region against
+// it. The region keeps its slot and cursors; joinPair re-tests a withdrawn
+// condition on the next Retest of either cell.
+func (s *Space) Withdraw(touched map[int]bool, onT bool, clock *metrics.Clock) {
+	for _, reg := range s.Regions {
+		c := reg.RCell
+		if onT {
+			c = reg.TCell
+		}
+		if !touched[c.ID] {
+			continue
+		}
+		for j, jc := range s.W.JoinConds {
+			jbit := uint64(1) << uint(j)
+			if reg.JCPass&jbit == 0 {
+				continue
+			}
+			if clock != nil {
+				clock.CountCellOp(1)
+			}
+			if !reg.RCell.Sigs[jc.LeftKey].Intersects(reg.TCell.Sigs[jc.RightKey], clock) {
+				reg.JCPass &^= jbit
+			}
+		}
+	}
 }
 
 // DomMasks resolves the dominance geometry of an ordered region pair once,

@@ -44,6 +44,8 @@ type MutationStats struct {
 	CellsTouched   int `json:"cellsTouched"`   // partition cells touched
 	RegionsRevived int `json:"regionsRevived"` // processed regions reopened
 	RegionsCreated int `json:"regionsCreated"` // regions born from new cell pairs
+	EntriesRemoved int `json:"entriesRemoved"` // live skyline window entries of deleted rows' results taken out
+	Resettled      int `json:"resettled"`      // surviving results re-settled in the skyline by deletes
 	Pending        int `json:"pending"`        // accepted mutations awaiting their anchor
 }
 
@@ -215,4 +217,6 @@ func (s *Session) accumulate(d core.DeltaStats) {
 	s.mstats.CellsTouched += d.CellsTouched
 	s.mstats.RegionsRevived += d.RegionsRevived
 	s.mstats.RegionsCreated += d.RegionsCreated
+	s.mstats.EntriesRemoved += d.EntriesRemoved
+	s.mstats.Resettled += d.Resettled
 }

@@ -40,3 +40,32 @@ func TestQueryStatsJSONRoundTrip(t *testing.T) {
 		t.Errorf("round trip lost data:\n%+v\n%+v", full, back)
 	}
 }
+
+// TestMutationStatsJSONRoundTrip pins the wire shape of the mutation
+// counters /stats serves: every key is present at zero — the two that
+// explain a delete's cost included — and a marshal/unmarshal cycle is
+// lossless.
+func TestMutationStatsJSONRoundTrip(t *testing.T) {
+	b, err := json.Marshal(MutationStats{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"appended", "deleted", "cellsTouched", "regionsRevived", "regionsCreated", "entriesRemoved", "resettled", "pending"} {
+		if !strings.Contains(string(b), `"`+key+`":0`) {
+			t.Errorf("zero-valued %q missing from %s", key, b)
+		}
+	}
+
+	full := MutationStats{Appended: 9, Deleted: 4, CellsTouched: 7, RegionsRevived: 31, RegionsCreated: 2, EntriesRemoved: 5, Resettled: 40, Pending: 1}
+	b, err = json.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back MutationStats
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	if full != back {
+		t.Errorf("round trip lost data:\n%+v\n%+v", full, back)
+	}
+}

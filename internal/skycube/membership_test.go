@@ -251,13 +251,43 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {
 				}
 				dynamic[qi] = true
 			}
-		default: // the delete rebuild: clear every window, re-insert the survivors
-			name = "reset"
-			s.ResetWindows()
-			checkMembership(t, s, len(pts), "reset (empty)")
-			for p, l := range lineages {
-				if l &= live(); l != 0 && rng.Intn(4) > 0 {
-					insert(p, l)
+		default: // the delete repair: a point leaves every window, or is judged afresh
+			p := rng.Intn(len(pts))
+			var wantWas QSet
+			wantNodes := 0
+			for _, sn := range s.nodes {
+				e := liveMembers(t, s, sn)[p]
+				if e == nil {
+					continue
+				}
+				wantNodes++
+				for qi := e.alive.Next(0); qi >= 0; qi = e.alive.Next(qi + 1) {
+					if s.prefSN[qi] == sn {
+						wantWas = wantWas.Add(qi)
+					}
+				}
+			}
+			if l := lineages[p] & live(); l != 0 && rng.Intn(2) == 0 {
+				name = "resettle"
+				now, was := s.Resettle(p, l)
+				var wantNow QSet
+				for qi := l.Next(0); qi >= 0; qi = l.Next(qi + 1) {
+					if e := liveMembers(t, s, s.prefSN[qi])[p]; e != nil && e.alive.Has(qi) {
+						wantNow = wantNow.Add(qi)
+					}
+				}
+				if now != wantNow || was != wantWas&l {
+					t.Fatalf("Resettle(%d, %v) = now %v, was %v; windows say %v, held %v", p, l, now, was, wantNow, wantWas&l)
+				}
+			} else {
+				name = "remove"
+				if rem := s.Remove(p, nil); len(rem) != wantNodes {
+					t.Fatalf("Remove(%d) took out %d entries, windows held %d", p, len(rem), wantNodes)
+				}
+				for _, sn := range s.nodes {
+					if liveMembers(t, s, sn)[p] != nil {
+						t.Fatalf("Remove(%d) left a live entry at node %d", p, sn.idx)
+					}
 				}
 			}
 		}

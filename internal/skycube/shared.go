@@ -66,6 +66,18 @@ type SharedSkyline struct {
 	useMasks bool
 	masks    []*[maskChunk]payloadMasks
 
+	// Resettle's channel into insertAt, kept off the insert path's signature:
+	// while replacing is set, insertAt kills the point's live entry where it
+	// meets one — in the tie-run walk every insert makes anyway — and leaves
+	// that entry's alive set in replaced. As a parameter and a second result
+	// of insertAt the same thing read slower on batch-indep, where an insert
+	// meets few comparisons: done_p50_ms +5.6 % against PR 22 (0 of 5 pairs)
+	// where this form reads +3.5 % and +1.5 % (0 of 4, 1 of 6), and +1.6 %
+	// head to head (1 of 5) — small, but it is the one path every join
+	// result takes (EXPERIMENTS.md "What a delete costs").
+	replacing bool
+	replaced  QSet
+
 	_ [0]func(*SharedSkyline) // incomparable
 }
 
@@ -260,9 +272,40 @@ func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
 	return out
 }
 
+// Resettle judges an already-inserted point afresh under lineage, at every
+// node serving it: where the point is a live member its entry is replaced,
+// where it is not it is offered again. It is how a caller repairs what Remove
+// may have invalidated, and how a member's lineage grows (Insert leaves a
+// live member alone). It returns the queries the point is a candidate for
+// now and those it was one for before.
+func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
+	vals := s.points.At(payload)
+	s.replacing = true
+	for _, sn := range s.nodes {
+		relevant := sn.qserve & lineage
+		if relevant == 0 {
+			continue
+		}
+		s.replaced = 0
+		alive := s.insertAt(sn, payload, vals, relevant)
+		either := alive | s.replaced
+		for i := either.Next(0); i >= 0; i = either.Next(i + 1) {
+			if s.prefSN[i] == sn {
+				bit := QSet(0).Add(i)
+				now |= alive & bit
+				was |= s.replaced & bit
+			}
+		}
+	}
+	s.replacing = false
+	return now, was
+}
+
 // insertAt performs the windowed insert of one point at one node and
 // returns the queries the point is alive for there (zero: dominated, not
-// inserted). A point that already is a live member is left alone.
+// inserted). A point that already is a live member is left alone — unless
+// Resettle is replacing: then the entry dies, its alive set is left in
+// s.replaced, and the point is judged afresh under relevant.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
 	sp := sn.kern.Sum(vals)
 	// Project the incoming point onto the subspace, zero-padded (see
@@ -282,7 +325,14 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	hiIdx := lowIdx
 	for ; hiIdx < len(sn.window) && sn.window[hiIdx].sum == sp; hiIdx++ {
 		if w := &sn.window[hiIdx]; int(w.payload) == payload && w.alive != 0 {
-			return w.alive
+			if !s.replacing {
+				return w.alive
+			}
+			// The dead slot sits in the tie run: the suffix scan below
+			// reclaims it, a later compaction otherwise.
+			s.replaced, w.alive = w.alive, 0
+			s.clearMasks(sn, payload)
+			sn.dead++
 		}
 	}
 
@@ -476,13 +526,54 @@ func (s *SharedSkyline) KillForQueries(payload int, dead QSet) {
 		}
 		e.alive &^= dead
 		if e.alive == 0 {
-			s.clearMasks(sn, payload)
-			sn.dead++
-			if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
-				compact(sn)
-			}
+			s.bury(sn, payload)
 		}
 	}
+}
+
+// bury retires the window entry of payload at sn that just lost its last
+// alive bit outside a scan: its mask bits go, and its slot waits for the
+// node's next batched compaction.
+func (s *SharedSkyline) bury(sn *sharedNode, payload int) {
+	s.clearMasks(sn, payload)
+	sn.dead++
+	if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
+		compact(sn)
+	}
+}
+
+// Removed is one live window entry Remove took out: the point, the
+// comparator of the node it sat at and the queries it was still alive for
+// there — what a caller needs to find the points that rested on it.
+type Removed struct {
+	Point []float64 // view into the arena, never rewritten
+	Kern  preference.Kernel
+	Alive QSet
+}
+
+// Remove takes a point out of every window it is a live member of, whichever
+// query the window serves, appending one Removed per such node to dst. It is
+// the base-table delete primitive.
+//
+// Taking an entry out is safe for the entries that stay: their alive sets were
+// decided by comparisons that did happen, their clean flags only err towards
+// "not clean", and the protection proof reads member bits of points that are
+// both present. What it can invalidate is the absence of points the entry
+// dominated, and only where it was still alive: for a query it had lost, the
+// entry that evicted it dominates everything it dominated (transitivity of
+// strict dominance in the node's subspace) and stands in for it. The caller
+// finds those points and Resettles them.
+func (s *SharedSkyline) Remove(payload int, dst []Removed) []Removed {
+	for _, sn := range s.nodes {
+		e := s.find(sn, payload)
+		if e == nil {
+			continue
+		}
+		dst = append(dst, Removed{Point: s.points.At(payload), Kern: sn.kern, Alive: e.alive})
+		e.alive = 0
+		s.bury(sn, payload)
+	}
+	return dst
 }
 
 // compact rewrites a node's window in place without its dead entries,

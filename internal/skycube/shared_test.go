@@ -109,6 +109,43 @@ func TestSharedSkylineMatchesNaive(t *testing.T) {
 				}
 			}
 		}
+
+		// The delete repair: a third of the points leave, a few survivors gain
+		// queries, and re-settling only those plus what a removed entry
+		// dominated — in its node's subspace, for a query it was still alive
+		// for — must leave exactly the skylines of the survivors.
+		var removed []Removed
+		for i := range pts {
+			if rng.Intn(3) == 0 {
+				removed = s.Remove(i, removed)
+				lineages[i] = 0
+			}
+		}
+		for i := range pts {
+			if lineages[i] == 0 {
+				continue
+			}
+			rests := false
+			for _, rm := range removed {
+				if lineages[i]&rm.Alive != 0 && rm.Kern.Dominates(rm.Point, pts[i]) {
+					rests = true
+					break
+				}
+			}
+			grown := lineages[i]
+			if rng.Intn(8) == 0 {
+				grown = grown.Add(rng.Intn(nq))
+			}
+			if rests || grown != lineages[i] {
+				lineages[i] = grown
+				s.Resettle(i, grown)
+			}
+		}
+		for qi := 0; qi < nq; qi++ {
+			if want, got := naiveQuerySkyline(prefs[qi], pts, lineages, qi), s.Candidates(qi); !sameInts(want, got) {
+				t.Fatalf("trial %d query %d (pref %v) after the repair:\n got %v\nwant %v", trial, qi, prefs[qi], got, want)
+			}
+		}
 	}
 }
 

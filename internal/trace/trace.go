@@ -55,8 +55,10 @@ const (
 	// KindDelta records one base-table mutation applied to a running
 	// executor: Op names the mutation and table ("append-r", "append-t",
 	// "delete-r", "delete-t"), Count the tuples appended or deleted, Cells
-	// the partition cells touched and Revived the processed regions
-	// reopened for rescheduling.
+	// the partition cells touched, Revived the processed regions reopened
+	// for rescheduling, and — what a delete's repair cost — Removed the live
+	// skyline window entries taken out and Resettled the surviving results
+	// re-inserted.
 	KindDelta Kind = "delta"
 	// KindShardMerge records one fold step of a cluster coordinator's final
 	// dominance-merge pass: shard Shard's CandsIn local-skyline candidates
@@ -100,6 +102,8 @@ type Event struct {
 	Op          string  `json:"op,omitempty"`          // op: operator that pushed the batch; delta: mutation kind and table ("append-r", "delete-t", ...)
 	Cells       int     `json:"cells,omitempty"`       // delta: partition cells touched
 	Revived     int     `json:"revived,omitempty"`     // delta: processed regions reopened for rescheduling
+	Removed     int     `json:"removed,omitempty"`     // delta (delete): live skyline window entries of the deleted rows' results taken out
+	Resettled   int     `json:"resettled,omitempty"`   // delta (delete): surviving results re-settled in the shared skyline
 
 	Shard    int `json:"shard"`              // shardmerge: source shard id, -1 otherwise
 	CandsIn  int `json:"candsIn,omitempty"`  // shardmerge: local-skyline candidates folded in
@@ -185,8 +189,8 @@ func (e Event) Validate() error {
 		if e.Count < 1 {
 			return fmt.Errorf("trace: delta of %d tuples", e.Count)
 		}
-		if e.Cells < 0 || e.Revived < 0 {
-			return fmt.Errorf("trace: delta with negative cells/revived (%d, %d)", e.Cells, e.Revived)
+		if e.Cells < 0 || e.Revived < 0 || e.Removed < 0 || e.Resettled < 0 {
+			return fmt.Errorf("trace: delta with negative cells/revived/removed/resettled (%d, %d, %d, %d)", e.Cells, e.Revived, e.Removed, e.Resettled)
 		}
 	case KindShardMerge:
 		if e.Shard < 0 {

@@ -23,6 +23,8 @@ func TestValidateKinds(t *testing.T) {
 		{Kind: KindShardMerge, Strategy: "CAQE", Region: -1, Query: 2, RunnerUp: -1,
 			Shard: 1, CandsIn: 4, CandsOut: 3, Count: 7},
 		{Kind: KindShardMerge, Strategy: "CAQE", Region: -1, Query: 0, RunnerUp: -1, Shard: 0},
+		{Kind: KindDelta, Strategy: "CAQE", Region: -1, Query: -1, RunnerUp: -1, Op: "append-t", Count: 4, Cells: 2, Revived: 9},
+		{Kind: KindDelta, Strategy: "CAQE", Region: -1, Query: -1, RunnerUp: -1, Op: "delete-r", Count: 1, Cells: 1, Removed: 3, Resettled: 17},
 		{Kind: KindEnd, Strategy: "CAQE", Region: -1, Query: -1, RunnerUp: -1, EndTime: 10, Counters: c},
 	}
 	for _, ev := range good {
@@ -49,6 +51,9 @@ func TestValidateKinds(t *testing.T) {
 			RunnerUp: -1, Shard: 0, CandsIn: -1}, // negative candidates
 		{Kind: KindShardMerge, Strategy: "X", Region: -1, Query: 0,
 			RunnerUp: -1, Shard: 0, Count: -1}, // negative comparisons
+		{Kind: KindDelta, Strategy: "X", Op: "delete-x", Count: 1},                // unknown table
+		{Kind: KindDelta, Strategy: "X", Op: "delete-r", Count: 1, Removed: -1},   // negative removals
+		{Kind: KindDelta, Strategy: "X", Op: "delete-r", Count: 1, Resettled: -1}, // negative re-settles
 	}
 	for i, ev := range bad {
 		if err := ev.Validate(); err == nil {
