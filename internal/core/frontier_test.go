@@ -1,0 +1,340 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"caqe/internal/contract"
+	"caqe/internal/datagen"
+	"caqe/internal/join"
+	"caqe/internal/metrics"
+	"caqe/internal/preference"
+	"caqe/internal/run"
+	"caqe/internal/skycube"
+	"caqe/internal/tuple"
+	"caqe/internal/workload"
+)
+
+// referenceFrontier is the refresh the kept order replaced: collect every
+// live region of query qi, sort by (best-corner sum over the preference,
+// region), and keep each corner no kept one weakly dominates, comparing
+// through the kernel on the regions' Lo. It returns the frontier's regions
+// in order and the number of comparisons made.
+func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
+	kern := st.kerns[qi]
+	type key struct {
+		sum    float64
+		region int
+	}
+	var keys []key
+	for fi, rf := range st.regions {
+		if !st.processed[fi] && rf.Alive.Has(qi) {
+			keys = append(keys, key{kern.Sum(rf.Lo), fi})
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].sum != keys[j].sum {
+			return keys[i].sum < keys[j].sum
+		}
+		return keys[i].region < keys[j].region
+	})
+	for _, k := range keys {
+		dominated := false
+		for _, o := range regions {
+			cmps++
+			if kern.WeakDominates(st.regions[o].Lo, st.regions[k.region].Lo) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			regions = append(regions, k.region)
+		}
+	}
+	return regions, cmps
+}
+
+// checkFrontiers refreshes every query's frontier from its kept order and
+// compares the corners, their lanes and the comparisons charged with the
+// reference refresh over the current state. The refresh is charged to a
+// scratch clock and the frontier and its dirty flag are put back afterwards,
+// so the execution proceeds exactly as if unchecked (the kept order is left
+// filtered, which is what the next real refresh would do to it first). A
+// frontier no refresh is due for must hold every corner where it lies now.
+func checkFrontiers(t *testing.T, label string, st *state) int {
+	t.Helper()
+	for qi := range st.frontier {
+		kern := &st.kerns[qi]
+		lanesOf := func(c liveCorner) (l preference.Lanes) {
+			kern.Project(st.regions[c.region].Lo, &l)
+			return l
+		}
+		if !st.frontierDirty[qi] {
+			for _, c := range st.frontier[qi] {
+				if c.lanes != lanesOf(c) {
+					t.Fatalf("%s: query %d: clean frontier holds region %d at %v, its corner is at %v", label, qi, c.region, c.lanes, lanesOf(c))
+				}
+			}
+		}
+		saved, dirty, clock := slices.Clone(st.frontier[qi]), st.frontierDirty[qi], st.clock
+		st.clock = metrics.NewClock()
+		st.frontierDirty[qi] = true
+		st.refreshFrontier(qi)
+		charged := st.clock.Counters().CellOps
+		var got []int
+		for _, c := range st.frontier[qi] {
+			got = append(got, c.region)
+			if c.lanes != lanesOf(c) {
+				t.Fatalf("%s: query %d: refreshed corner of region %d has lanes %v, want %v", label, qi, c.region, c.lanes, lanesOf(c))
+			}
+		}
+		st.frontier[qi], st.frontierDirty[qi], st.clock = saved, dirty, clock
+		want, cmps := referenceFrontier(st, qi)
+		if !slices.Equal(got, want) || charged != cmps {
+			t.Fatalf("%s: query %d (pref %v): frontier %v charging %d comparisons, the sorted live set gives %v charging %d",
+				label, qi, kern.Sub(), got, charged, want, cmps)
+		}
+	}
+	return len(st.frontier)
+}
+
+// keptOrderQuery draws a query over dims output dimensions: a random
+// non-empty preference, either join condition.
+func keptOrderQuery(rng *rand.Rand, dims int, name string) workload.Query {
+	var pref []int
+	for len(pref) == 0 {
+		pref = pref[:0]
+		for d := 0; d < dims; d++ {
+			if rng.Intn(2) == 0 {
+				pref = append(pref, d)
+			}
+		}
+	}
+	return workload.Query{Name: name, JC: rng.Intn(2), Pref: preference.NewSubspace(pref...),
+		Priority: rng.Float64(), Contract: contract.C3(10)}
+}
+
+// keptOrderOp is one entry of a random Exec schedule. Which query a cancel or
+// seal picks and which rows a delete takes are resolved against the
+// execution's state from arg, so a schedule replays identically on any run
+// whose state is identical.
+type keptOrderOp struct {
+	kind  int // 0 step, 1 admit, 2 cancel, 3 seal, 4 append, 5 delete
+	arg   int
+	tab   Table
+	query workload.Query
+	rows  []TupleData
+}
+
+// TestKeptOrderIsTheSortedLiveSet is the oracle of refreshFrontier's kept
+// order: after every step of a batch run and after every operation of a
+// random StartExec schedule of Admit, Cancel, Seal, Append (including rows
+// that stretch a cell's box, moving region corners) and Delete, each query's
+// frontier refreshed from its kept order must be the one the reference
+// collect-and-sort refresh derives from the current state, charging the same
+// comparisons. Each run is repeated unchecked, and the two reports must be
+// identical.
+func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
+	dists := []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated, datagen.Correlated}
+	var checked, moved int
+	const seeds = 60
+	for seed := int64(0); seed < seeds; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dims, dist := 3+int(seed%4), dists[seed/4%3]
+		const full = 100
+		base := 45 + rng.Intn(20)
+		fullR, fullT, err := datagen.Pair(full, dims, dist, []float64{0.05, 0.05}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var queries []workload.Query
+		for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+			q := keptOrderQuery(rng, dims, fmt.Sprintf("q%d", i))
+			q.JC = 0
+			queries = append(queries, q)
+		}
+		mkWorkload := func() *workload.Workload {
+			w := &workload.Workload{
+				JoinConds: []join.EquiJoin{{Name: "JC0", LeftKey: 0, RightKey: 0}, {Name: "JC1", LeftKey: 1, RightKey: 1}},
+				Queries:   append([]workload.Query(nil), queries...),
+			}
+			for k := 0; k < dims; k++ {
+				w.OutDims = append(w.OutDims, join.Sum(fmt.Sprintf("x%d", k), k))
+			}
+			return w
+		}
+		label := fmt.Sprintf("seed %d %v d=%d", seed, dist, dims)
+
+		// A batch run, checked after every step.
+		batch := func(check bool) *run.Report {
+			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1})
+			clock := metrics.NewClock()
+			rep := run.NewReport("CAQE", e.w, nil)
+			cuboid, space, err := e.plan(clock, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := newState(e, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep)
+			st.initQueue()
+			for i := 0; st.step(); i++ {
+				if check {
+					checked += checkFrontiers(t, fmt.Sprintf("%s batch step %d", label, i), st)
+				}
+			}
+			st.flushRemaining()
+			rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
+			return rep
+		}
+		sameReports(t, label+" batch", batch(false), batch(true))
+		if ref, err := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1}).Execute(nil); err != nil {
+			t.Fatal(err)
+		} else {
+			sameReports(t, label+" batch vs Execute", ref, batch(false))
+		}
+
+		// A random Exec schedule.
+		var ops []keptOrderOp
+		next := [2]int{base, base}
+		for i := 0; i < 60; i++ {
+			op := keptOrderOp{kind: rng.Intn(6), arg: rng.Intn(1 << 20), tab: Table(rng.Intn(2))}
+			switch op.kind {
+			case 1:
+				op.query = keptOrderQuery(rng, dims, fmt.Sprintf("late%d", i))
+			case 4:
+				src := [2]*tuple.Relation{fullR, fullT}[op.tab]
+				if n := 1 + rng.Intn(4); next[op.tab]+n <= full {
+					op.rows = rowsFrom(src, next[op.tab], next[op.tab]+n)
+					next[op.tab] += n
+				}
+				if rng.Intn(3) == 0 {
+					// A row below every cell on one dimension: the cell it joins
+					// grows, and so do the best corners of its regions. Half of
+					// them carry keys no row has, so that the append reopens
+					// nothing where a delete withdrew the conditions.
+					k := rng.Intn(base)
+					row := rowsFrom(src, k, k+1)[0]
+					row.Attrs[rng.Intn(dims)] = datagen.AttrMin / 2
+					if rng.Intn(2) == 0 {
+						for j := range row.Keys {
+							row.Keys[j] = int64(1<<40 + i)
+						}
+					}
+					op.rows = append(op.rows, row)
+				}
+			}
+			ops = append(ops, op)
+		}
+		execRun := func(check bool) *run.Report {
+			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1})
+			rep := run.NewReport("CAQE", e.w, nil)
+			x, err := e.StartExec(metrics.NewClock(), rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := x.st
+			at := func(what string) {
+				if check {
+					checked += checkFrontiers(t, fmt.Sprintf("%s after %s", label, what), st)
+				}
+			}
+			at("start")
+			for i, op := range ops {
+				what := fmt.Sprintf("op %d", i)
+				switch op.kind {
+				case 0:
+					for k := 0; k <= op.arg%4 && x.Step(); k++ {
+						at(fmt.Sprintf("%s step %d", what, k))
+					}
+				case 1:
+					if _, err := x.Admit(op.query, 0); err != nil {
+						t.Fatal(err)
+					}
+				case 2, 3:
+					var picks []int
+					for qi := range st.w.Queries {
+						if !st.cancelled.Has(qi) && !st.sealed.Has(qi) && (op.kind == 2 || x.QueryDone(qi)) {
+							picks = append(picks, qi)
+						}
+					}
+					if len(picks) == 0 {
+						continue
+					}
+					qi := picks[op.arg%len(picks)]
+					if op.kind == 2 {
+						err = x.Cancel(qi)
+					} else {
+						err = x.Seal(qi)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				case 4:
+					if len(op.rows) == 0 {
+						continue
+					}
+					before := cornersOf(st)
+					if _, _, err := x.Append(op.tab, op.rows); err != nil {
+						t.Fatal(err)
+					}
+					if check && !reflect.DeepEqual(before, cornersOf(st)[:len(before)]) {
+						moved++
+					}
+				case 5:
+					// A few rows, or (one delete in four) two thirds of the
+					// table, which withdraws conditions from cell pairs.
+					rel := st.relFor(op.tab)
+					n := 1 + op.arg%3
+					if op.arg%4 == 0 {
+						n = rel.Len() * 2 / 3
+					}
+					var ids []int
+					for k := 0; k < rel.Len() && len(ids) < n; k++ {
+						id := (op.arg/4 + 7*k) % rel.Len()
+						if !st.deleted[op.tab][id] && !slices.Contains(ids, id) {
+							ids = append(ids, id)
+						}
+					}
+					if len(ids) == 0 {
+						continue
+					}
+					if _, err := x.Delete(op.tab, ids); err != nil {
+						t.Fatal(err)
+					}
+				}
+				at(what)
+			}
+			for i := 0; x.Step(); i++ {
+				at(fmt.Sprintf("drain step %d", i))
+			}
+			x.Finish()
+			return rep
+		}
+		sameReports(t, label+" exec", execRun(false), execRun(true))
+	}
+	t.Logf("%d seeds: %d frontier checks, %d appends that moved a region's corner", seeds, checked, moved)
+	if moved == 0 {
+		t.Error("no append moved a corner: reviveAfterAppend's recomputation went unexercised")
+	}
+}
+
+// cornersOf copies every region's best corner.
+func cornersOf(st *state) [][]float64 {
+	out := make([][]float64, len(st.regions))
+	for i, r := range st.regions {
+		out[i] = slices.Clone(r.Lo)
+	}
+	return out
+}
+
+// sameReports fails unless two reports are identical: emissions, end time
+// and counters.
+func sameReports(t *testing.T, label string, a, b *run.Report) {
+	t.Helper()
+	if !reflect.DeepEqual(a.PerQuery, b.PerQuery) || a.EndTime != b.EndTime || a.Counters != b.Counters {
+		t.Fatalf("%s: reports differ: end %v vs %v, counters\n%+v\n%+v", label, a.EndTime, b.EndTime, a.Counters, b.Counters)
+	}
+}

@@ -115,39 +115,45 @@ type state struct {
 	// query a later mutation will revive.
 	sealed skycube.QSet
 
-	frontier      [][]frontierCorner // per query: minimal best corners of live regions
+	frontier      [][]liveCorner // per query: minimal best corners of live regions
 	frontierDirty []bool
+	// order holds, per query, the best corners of its live regions in
+	// (sum, region) order as of its last frontier refresh. Between refreshes a
+	// live set only loses members, so a refresh filters the list instead of
+	// re-collecting and re-sorting it — unless gen moved past orderGen: every
+	// site that can add to a live set or move a corner bumps gen (reopen,
+	// bindQuery, reviveAfterAppend's bound recomputation).
+	order    [][]liveCorner
+	orderGen []uint64
+	gen      uint64
 
 	// Reused scratch (see DESIGN.md §7): join result buffers (one per segment
 	// of a reopened region, see processRegion; the second grows only after a
 	// mutation), the payloads the open region created, dominance champions,
-	// frontier corner sort keys, and the gone-region list of emitSafe. All
-	// are recycled between calls so the steady state of the executor
-	// allocates only for durable results.
-	js            [2]join.Scratch
-	created       []int
-	champScratch  [][]float64
-	cornerScratch []cornerKey
-	goneScratch   []int
-	domScratch    [][]*region.Region
+	// the gone-region list of emitSafe and updateWeights' satisfaction
+	// values. All are recycled between calls so the steady state of the
+	// executor allocates only for durable results.
+	js           [2]join.Scratch
+	created      []int
+	champScratch [][]float64
+	goneScratch  []int
+	vsScratch    []float64
+	domScratch   [][]*region.Region
 	// Delete's repair lists: window entries taken out, results to re-settle.
 	removedScratch  []skycube.Removed
 	resettleScratch []int
 }
 
-// frontierCorner is one minimal best corner of the live regions of a query,
-// remembering which region it belongs to so parked results can be re-vetted
-// exactly when their blocking region disappears.
-type frontierCorner struct {
+// liveCorner is the best corner of one live region of a query: its sum over
+// the query's preference (the order's sort key), the region (so parked
+// results can be re-vetted exactly when their blocking region disappears)
+// and the corner projected onto the preference. A preference of ≥ 5
+// dimensions does not fit the lanes; its corners compare through the kernel
+// on the region's Lo.
+type liveCorner struct {
+	sum    float64
 	region int
-	corner []float64
-}
-
-// cornerKey is refreshFrontier's sort record, a live region and its best
-// corner's sum over the query's preference: the sort moves 16-byte keys.
-type cornerKey struct {
-	key    float64
-	region int
+	lanes  preference.Lanes
 }
 
 type depEdge struct {
@@ -191,6 +197,8 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.blocked = append(st.blocked, make(map[int][]int))
 		st.frontier = append(st.frontier, nil)
 		st.frontierDirty = append(st.frontierDirty, false)
+		st.order = append(st.order, nil)
+		st.orderGen = append(st.orderGen, 0)
 		st.qremap = append(st.qremap, 0)
 		st.prefMask = append(st.prefMask, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
@@ -199,6 +207,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 	// Eq. 11 feedback then re-balances toward unsatisfied queries.
 	st.weights[qi] = 1 + q.Priority
 	st.frontierDirty[qi] = true
+	st.gen++ // a new preference: the slot's order is collected afresh
 	st.qremap[qi] = reportIdx
 	st.prefMask[qi] = q.Pref.Mask()
 	st.kerns[qi] = preference.NewKernel(q.Pref)
@@ -249,6 +258,7 @@ func (st *state) growRegions() {
 func (st *state) reopen(r *region.Region, qs skycube.QSet) bool {
 	r.RQL |= qs
 	st.markFrontiersDirty(qs)
+	st.gen++ // live sets grow: the kept orders are stale
 	if !st.processed[r.ID] {
 		r.Alive |= qs
 		return false
@@ -477,16 +487,36 @@ func (st *state) vet(qi, p int) {
 	if !st.shared.IsCandidate(p, qi) {
 		return // dominated since insertion: drop
 	}
-	kern := st.kerns[qi]
 	out := st.shared.PointVals(p)
-	for _, fc := range st.frontier[qi] {
-		st.clock.CountCellOp(1)
-		if kern.WeakDominates(fc.corner, out) {
-			st.blocked[qi][fc.region] = append(st.blocked[qi][fc.region], p)
-			return
-		}
+	var lanes preference.Lanes
+	st.kerns[qi].Project(out, &lanes)
+	fr := st.frontier[qi]
+	if i := st.firstBlocker(qi, fr, &lanes, out); i < len(fr) {
+		f := fr[i].region
+		st.blocked[qi][f] = append(st.blocked[qi][f], p)
+		return
 	}
 	st.emit(qi, p)
+}
+
+// firstBlocker returns the index of the first of query qi's corners cs that
+// weakly dominates point x in the query's preference — lanes being x's
+// projection, which the test reads when the preference fits the lanes — or
+// len(cs) if none does. Each test is charged as one cell-level operation.
+func (st *state) firstBlocker(qi int, cs []liveCorner, lanes *preference.Lanes, x []float64) int {
+	kern := &st.kerns[qi]
+	i := 0
+	if kern.FitsLanes() {
+		for i < len(cs) && !preference.WeakLanes(&cs[i].lanes, lanes) {
+			i++
+		}
+	} else {
+		for i < len(cs) && !kern.WeakDominates(st.regions[cs[i].region].Lo, x) {
+			i++
+		}
+	}
+	st.clock.CountCellOp(int64(min(i+1, len(cs))))
+	return i
 }
 
 // emit delivers one result to one query at the current virtual time. The
@@ -507,52 +537,84 @@ func (st *state) emit(qi, payload int) {
 }
 
 // refreshFrontier recomputes the minimal best corners of the live regions
-// of a query (the only corners that matter for the safety test) and
-// reports whether the frontier actually changed. Corners are sorted by
-// coordinate sum — a monotone function of weak dominance — so each corner
-// need only be checked against the already-accepted minima (the SFS
-// trick), keeping the refresh near-linear.
+// of a query (the only corners that matter for the safety test). Corners
+// are taken in coordinate-sum order — a monotone function of weak
+// dominance — so each corner need only be checked against the
+// already-accepted minima (the SFS trick), keeping the refresh near-linear.
+//
+// The sorted live set is kept across refreshes (state.order): since the
+// last one, regions can only have been processed or discarded for the
+// query, and a stable filter of a sorted list is the sorted remainder, so
+// only after a gen bump is the order collected and sorted afresh. Either
+// way the corners, their order and hence every charged comparison are those
+// of a fresh collect-and-sort.
 func (st *state) refreshFrontier(qi int) {
 	if !st.frontierDirty[qi] {
 		return
 	}
 	st.frontierDirty[qi] = false
-	kern := st.kerns[qi]
-	keys := st.cornerScratch[:0]
+	if st.orderGen[qi] != st.gen {
+		st.collectOrder(qi)
+	}
+	order := st.order[qi]
+	live := order[:0]
+	minimal := st.frontier[qi][:0]
+	for _, c := range order {
+		rf := st.regions[c.region]
+		if st.processed[c.region] || !rf.Alive.Has(qi) {
+			continue
+		}
+		live = append(live, c)
+		if st.firstBlocker(qi, minimal, &c.lanes, rf.Lo) == len(minimal) {
+			minimal = append(minimal, c)
+		}
+	}
+	st.order[qi], st.frontier[qi] = live, minimal
+}
+
+// collectOrder rebuilds query qi's kept order: the best corner of every live
+// region, by sum over the preference, then by the (unique) region index — a
+// total order, and, regions being collected in ascending index order, a
+// stable sort on the sum.
+func (st *state) collectOrder(qi int) {
+	kern := &st.kerns[qi]
+	order := st.order[qi][:0]
 	for fi, rf := range st.regions {
 		if st.processed[fi] || !rf.Alive.Has(qi) {
 			continue
 		}
-		keys = append(keys, cornerKey{key: kern.Sum(rf.Lo), region: fi})
+		order = append(order, liveCorner{sum: kern.Sum(rf.Lo), region: fi})
+		kern.Project(rf.Lo, &order[len(order)-1].lanes)
 	}
-	// By sum, then by the (unique) region index: a total order, and — regions
-	// being collected in ascending index order — a stable sort on the sum.
-	slices.SortFunc(keys, func(a, b cornerKey) int {
-		if a.key != b.key {
-			if a.key < b.key {
+	slices.SortFunc(order, func(a, b liveCorner) int {
+		if a.sum != b.sum {
+			if a.sum < b.sum {
 				return -1
 			}
 			return 1
 		}
 		return a.region - b.region
 	})
-	minimal := st.frontier[qi][:0]
-	for _, k := range keys {
-		corner := st.regions[k.region].Lo
-		dominated := false
-		for _, o := range minimal {
-			st.clock.CountCellOp(1)
-			if kern.WeakDominates(o.corner, corner) {
-				dominated = true
-				break
+	st.order[qi], st.orderGen[qi] = order, st.gen
+}
+
+// cornerMoved follows a region's best corner recomputed in place: every kept
+// order is stale (its sums and lanes are the old corner's), and a frontier
+// holding the corner takes the new lanes. reopen marks dirty only the
+// queries of the region's passing conditions; a query the region is still
+// alive for after Withdraw took its condition keeps its frontier, whose
+// safety test then reads the corner where it lies now, as it would through
+// the region's Lo.
+func (st *state) cornerMoved(r *region.Region) {
+	st.gen++
+	for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
+		fr := st.frontier[qi]
+		for i := range fr {
+			if fr[i].region == r.ID {
+				st.kerns[qi].Project(r.Lo, &fr[i].lanes)
 			}
 		}
-		if !dominated {
-			minimal = append(minimal, frontierCorner{region: k.region, corner: corner})
-		}
 	}
-	st.frontier[qi] = minimal
-	st.cornerScratch = keys[:0]
 }
 
 func (st *state) markFrontiersDirty(qs skycube.QSet) {
@@ -567,16 +629,18 @@ func (st *state) markFrontiersDirty(qs skycube.QSet) {
 func (st *state) updateWeights() {
 	n := len(st.w.Queries)
 	vmax := 0.0
-	vs := make([]float64, n)
+	vs := st.vsScratch[:0]
 	for i := 0; i < n; i++ {
-		if st.cancelled.Has(i) {
-			continue
+		v := 0.0
+		if !st.cancelled.Has(i) {
+			v = st.rep.Trackers[st.qremap[i]].Runtime()
 		}
-		vs[i] = st.rep.Trackers[st.qremap[i]].Runtime()
-		if vs[i] > vmax {
-			vmax = vs[i]
+		if v > vmax {
+			vmax = v
 		}
+		vs = append(vs, v)
 	}
+	st.vsScratch = vs
 	den := 0.0
 	for i, v := range vs {
 		if st.cancelled.Has(i) {

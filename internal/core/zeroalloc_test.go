@@ -5,6 +5,7 @@ import (
 
 	"caqe/internal/metrics"
 	"caqe/internal/run"
+	"caqe/internal/workload"
 )
 
 // TestDisabledTracerZeroAlloc pins the fast path of the instrumentation:
@@ -28,6 +29,31 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		st.traceFeedback(vs, 0.75, 0.5)
 	}); allocs != 0 {
 		t.Fatalf("disabled-tracer trace helpers allocate %.1f per run", allocs)
+	}
+}
+
+// TestUpdateWeightsZeroAlloc pins the Eq. 11 feedback, which runs after
+// every scheduling decision, at zero allocations once its scratch has grown:
+// the steady state of the executor allocates only for durable results.
+func TestUpdateWeightsZeroAlloc(t *testing.T) {
+	w := testWorkload(4, 3, workload.UniformPriority, c3s)
+	rep := run.NewReport("CAQE", w, nil)
+	st := &state{
+		e:       &Engine{opt: Options{}},
+		w:       w,
+		clock:   metrics.NewClock(),
+		rep:     rep,
+		qremap:  []int{0, 1, 2, 3},
+		weights: []float64{1, 1, 1, 1},
+	}
+	st.cancelled = st.cancelled.Add(2)
+	rep.Emit(run.Emission{Query: 1, Out: []float64{1, 1, 1}, Time: 1})
+	st.updateWeights()
+	if st.weights[0] == 1 || st.weights[2] != 1 {
+		t.Fatalf("weights %v: the feedback did not run, or moved a cancelled query", st.weights)
+	}
+	if allocs := testing.AllocsPerRun(200, st.updateWeights); allocs != 0 {
+		t.Fatalf("updateWeights allocates %.1f per decision", allocs)
 	}
 }
 

@@ -6,9 +6,10 @@ package preference
 // that decides it; DominatesIn, WeakDominatesIn and CompareIn are the same
 // loops under their free-function names. Straight-line d = 1..4 arms were
 // tried here and measured slower than the loop at every d (DESIGN.md §7);
-// the one specialisation that pays is local to the sum-sorted window scan
-// (skycube's sharedEntry.proj under weak4: all four lanes, no branch, on
-// operands in the line the scan just loaded). Methods never allocate.
+// the one specialisation that pays compares points projected ahead of time
+// (Project, WeakLanes: all four lanes, no branch, on operands the scan has
+// in hand), which the sum-sorted windows and the scheduler's frontier both
+// use. Methods never allocate.
 type Kernel struct {
 	sub Subspace
 }
@@ -69,6 +70,52 @@ func (k *Kernel) Sum(a []float64) float64 {
 		s += a[d]
 	}
 	return s
+}
+
+// Lanes is a point projected onto a subspace of at most four dimensions,
+// zero-padded beyond it. Zero-padding makes 0 ≤ 0 hold on every unused lane,
+// so weak dominance over the subspace is the unconditional conjunction of
+// the four lanes (WeakLanes): fixed-size operands a scan holds by value, with
+// no arena access, bounds checks or branching on the dimensionality.
+type Lanes [4]float64
+
+// FitsLanes reports whether the kernel's subspace fits Lanes: at most four
+// dimensions.
+func (k *Kernel) FitsLanes() bool { return len(k.sub) <= len(Lanes{}) }
+
+// Project writes a projected onto the kernel's subspace into p and reports
+// whether the subspace fits Lanes (FitsLanes); one that does not leaves p
+// all zero, and the caller compares through the kernel instead. It fills the
+// caller's lanes in place: returned by value, the lanes were stored one at a
+// time and then copied out whole, and the wide load of that copy waited on
+// the narrow stores — on serve-mutate, where an insert scans a short window,
+// that stall made the projection the hottest line of skycube's insertAt.
+func (k *Kernel) Project(a []float64, p *Lanes) bool {
+	*p = Lanes{}
+	if !k.FitsLanes() {
+		return false
+	}
+	for i, d := range k.sub {
+		p[i] = a[d]
+	}
+	return true
+}
+
+// le is a ≤ b as a 0/1 byte: the compiler emits one SETcc, no jump.
+func le(a, b float64) uint8 {
+	if a <= b {
+		return 1
+	}
+	return 0
+}
+
+// WeakLanes reports a ⪯ b over two projections of one subspace without a
+// branch: each lane of `a0<=b0 && a1<=b1 && …` is a coin flip on
+// anti-correlated data, four SETcc ANDed have nothing to mispredict. A NaN
+// lane is never ≤ (the kernel's loops read it as a tie instead); ±Inf and −0
+// compare as ≤ does.
+func WeakLanes(a, b *Lanes) bool {
+	return le(a[0], b[0])&le(a[1], b[1])&le(a[2], b[2])&le(a[3], b[3]) != 0
 }
 
 // FlatPoints is a coordinate arena of fixed-size slabs: point i occupies

@@ -1,6 +1,7 @@
 package preference
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -93,6 +94,82 @@ func TestKernelAgreesWithGeneric(t *testing.T) {
 	}
 }
 
+// TestWeakLanesMatchesKernel checks the branch-free lane comparator, in both
+// directions, on Project's lanes for every subspace size 1–4 of a 6-d space
+// (sizes 5 and 6 must not fit). It must equal the short-circuit conjunction
+// of the same four ≤ on every input — that is the form it replaced, NaN
+// included: a NaN lane is never ≤, so the pair is incomparable — and
+// Kernel.Relate on every NaN-free input (Relate reads a NaN dimension as a
+// tie, which is why the two are not compared there).
+func TestWeakLanesMatchesKernel(t *testing.T) {
+	const dims = 6
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(22))
+	coord := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return float64(rng.Intn(3)) - 1 // ties and negatives
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	shortCircuit := func(a, b *Lanes) bool {
+		return a[0] <= b[0] && a[1] <= b[1] && a[2] <= b[2] && a[3] <= b[3]
+	}
+	for size := 1; size <= dims; size++ {
+		for trial := 0; trial < 5000; trial++ {
+			kern := NewKernel(randomSubspace(rng, size, dims))
+			a, b := make([]float64, dims), make([]float64, dims)
+			hasNaN := false
+			for k := range a {
+				a[k], b[k] = coord(), coord()
+				if rng.Intn(3) == 0 {
+					b[k] = a[k]
+				}
+				hasNaN = hasNaN || kern.Sub().Contains(k) && (math.IsNaN(a[k]) || math.IsNaN(b[k]))
+			}
+			la, lb := Lanes{7, 7, 7, 7}, Lanes{-7, -7, -7, -7} // stale lanes Project must overwrite
+			okA, okB := kern.Project(a, &la), kern.Project(b, &lb)
+			if fits := size <= 4; okA != fits || okB != fits {
+				t.Fatalf("size %d: Project ok = (%v, %v), want %v", size, okA, okB, fits)
+			}
+			if !okA {
+				if la != (Lanes{}) || lb != (Lanes{}) {
+					t.Fatalf("size %d: Project left lanes %v, %v it does not fit", size, la, lb)
+				}
+				continue
+			}
+			for i, d := range kern.Sub() {
+				if !sameFloat(la[i], a[d]) || !sameFloat(lb[i], b[d]) {
+					t.Fatalf("size %d: lane %d of %v is %v, want dimension %d", size, i, kern.Sub(), la[i], d)
+				}
+			}
+			for i := size; i < len(la); i++ {
+				if la[i] != 0 || lb[i] != 0 || math.Signbit(la[i]) || math.Signbit(lb[i]) {
+					t.Fatalf("size %d: padding lane %d is (%v, %v), want +0", size, i, la[i], lb[i])
+				}
+			}
+			aWeakB, bWeakA := WeakLanes(&la, &lb), WeakLanes(&lb, &la)
+			if aWeakB != shortCircuit(&la, &lb) || bWeakA != shortCircuit(&lb, &la) {
+				t.Fatalf("size %d a=%v b=%v: WeakLanes = (%v, %v), short-circuit ≤ = (%v, %v)",
+					size, la, lb, aWeakB, bWeakA, shortCircuit(&la, &lb), shortCircuit(&lb, &la))
+			}
+			if hasNaN {
+				continue
+			}
+			if wantAB, wantBA := kern.Relate(a, b); aWeakB != wantAB || bWeakA != wantBA {
+				t.Fatalf("size %d a=%v b=%v in %v: WeakLanes = (%v, %v), Relate = (%v, %v)",
+					size, a, b, kern.Sub(), aWeakB, bWeakA, wantAB, wantBA)
+			}
+		}
+	}
+}
+
+// sameFloat reports bit equality, so a NaN lane matches the NaN it copies.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
 // TestKernelZeroAllocs pins the kernel at zero heap allocations per
 // comparison.
 func TestKernelZeroAllocs(t *testing.T) {
@@ -108,6 +185,8 @@ func TestKernelZeroAllocs(t *testing.T) {
 			w1, w2 := k.Relate(a, b)
 			sink = sink || w1 || w2 || k.Compare(a, b) != 0
 			sinkF += k.Sum(a)
+			var la, lb Lanes
+			sink = sink || k.Project(a, &la) && k.Project(b, &lb) && WeakLanes(&la, &lb)
 		})
 		if allocs != 0 {
 			t.Fatalf("d=%d kernel: %v allocs/op, want 0", size, allocs)

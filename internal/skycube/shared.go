@@ -105,13 +105,11 @@ type sharedEntry struct {
 	lineage QSet    // immutable: queries this point competes for at this node
 	alive   QSet    // queries for which the point is still a skyline candidate here
 
-	// proj holds the point's coordinates projected onto the node's subspace,
-	// zero-padded beyond len(sub), for subspaces of at most 4 dimensions.
-	// Zero-padding makes 0 ≤ 0 hold on every unused lane, so weak dominance
-	// over the subspace is the unconditional 4-lane conjunction (weak4) — the
-	// scan compares entry-local fixed-size arrays with no arena access, bounds
-	// checks or per-dimension branching. Subspaces with ≥ 5 dimensions leave
-	// proj zero and compare through the kernel against the arena.
+	// proj holds the point projected onto the node's subspace
+	// (preference.Lanes), for subspaces of at most 4 dimensions: the scan
+	// compares entry-local fixed-size arrays under preference.WeakLanes.
+	// Subspaces with ≥ 5 dimensions leave proj zero and compare through the
+	// kernel against the arena.
 	//
 	// This is the one specialised comparator in the repository, kept because
 	// it was measured: with the lane conjunctions of insertAt replaced by
@@ -121,22 +119,7 @@ type sharedEntry struct {
 	// comparison count equal. PR 22 made the lanes branch-free and the window
 	// a value slice: 1328 → 816 (−39 %), 10 of 10 pairs, counts equal again
 	// (DESIGN.md §7.1, EXPERIMENTS.md).
-	proj [4]float64
-}
-
-// le is a ≤ b as a 0/1 byte: the compiler emits one SETcc, no jump.
-func le(a, b float64) uint8 {
-	if a <= b {
-		return 1
-	}
-	return 0
-}
-
-// weak4 reports a ⪯ b over four zero-padded lanes without a branch: each lane
-// of `a0<=b0 && a1<=b1 && …` is a coin flip on anti-correlated data, four
-// SETcc ANDed have nothing to mispredict. NaN (never ≤), ±Inf, −0 as before.
-func weak4(a, b *[4]float64) bool {
-	return le(a[0], b[0])&le(a[1], b[1])&le(a[2], b[2])&le(a[3], b[3]) != 0
+	proj preference.Lanes
 }
 
 // sharedNode keeps its window sorted ascending by the monotone coordinate
@@ -308,15 +291,9 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 // s.replaced, and the point is judged afresh under relevant.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
 	sp := sn.kern.Sum(vals)
-	// Project the incoming point onto the subspace, zero-padded (see
-	// sharedEntry.proj). Subspaces of ≥ 5 dimensions take the kernel path.
-	var p [4]float64
-	fast := len(sn.sub) <= 4
-	if fast {
-		for i, k := range sn.sub {
-			p[i] = vals[k]
-		}
-	}
+	// Subspaces of ≥ 5 dimensions do not fit the lanes: the kernel path.
+	var p preference.Lanes
+	fast := sn.kern.Project(vals, &p)
 	// Entries with sum ≤ sp form the dominator candidates; entries with
 	// sum ≥ sp are the eviction candidates (equal sums appear in both).
 	// Ties are rare, so the run of equal sums is walked rather than searched
@@ -368,9 +345,9 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		cmpCount++
 		var wWeakP, pWeakW bool
 		if fast {
-			wWeakP = weak4(&w.proj, &p)
+			wWeakP = preference.WeakLanes(&w.proj, &p)
 			if wWeakP {
-				pWeakW = weak4(&p, &w.proj)
+				pWeakW = preference.WeakLanes(&p, &w.proj)
 			}
 		} else {
 			wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
@@ -422,9 +399,9 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 				cmpCount++
 				var pWeakW, wWeakP bool
 				if fast {
-					pWeakW = weak4(&p, &w.proj)
+					pWeakW = preference.WeakLanes(&p, &w.proj)
 					if pWeakW {
-						wWeakP = weak4(&w.proj, &p)
+						wWeakP = preference.WeakLanes(&w.proj, &p)
 					}
 				} else {
 					pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(int(w.payload)))

@@ -50,15 +50,20 @@ func sameInts(a, b []int) bool {
 // TestSharedSkylineMatchesNaive is the central property test: for random
 // workloads, points and lineages (including ties from small domains), the
 // shared cuboid state must report exactly the per-query skylines a naive
-// independent evaluation produces — in any insertion order.
+// independent evaluation produces — in any insertion order. Spaces run up
+// to 6 dimensions, and a trial in 5 or 6 draws its first preference over all
+// of them, so nodes too wide for preference.Lanes compare through the kernel.
 func TestSharedSkylineMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 80; trial++ {
-		d := 3 + rng.Intn(2)
+	for trial := 0; trial < 120; trial++ {
+		d := 3 + rng.Intn(4)
 		nq := 1 + rng.Intn(4)
 		prefs := make([]preference.Subspace, nq)
 		for i := range prefs {
 			var dims []int
+			if i == 0 && d >= 5 {
+				dims = rng.Perm(d)
+			}
 			for len(dims) == 0 {
 				dims = dims[:0]
 				for k := 0; k < d; k++ {

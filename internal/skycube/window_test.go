@@ -2,7 +2,6 @@ package skycube
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -14,57 +13,6 @@ import (
 func TestSharedEntryIsOneCacheLine(t *testing.T) {
 	if got := unsafe.Sizeof(sharedEntry{}); got != 64 {
 		t.Fatalf("sharedEntry is %d bytes, want 64", got)
-	}
-}
-
-// TestWeak4MatchesKernel checks the branch-free lane comparator, in both
-// directions, for every subspace size 1–4 with the unused lanes zero-padded
-// as insertAt pads them. It must equal the short-circuit conjunction of the
-// same four ≤ on every input — that is the form it replaced, NaN included:
-// a NaN lane is never ≤, so the pair is incomparable — and Kernel.Relate on
-// every NaN-free input (Relate reads a NaN dimension as a tie, which is why
-// the two are not compared there).
-func TestWeak4MatchesKernel(t *testing.T) {
-	specials := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, math.Inf(1), math.Inf(-1), math.NaN()}
-	rng := rand.New(rand.NewSource(22))
-	coord := func() float64 {
-		switch rng.Intn(4) {
-		case 0:
-			return specials[rng.Intn(len(specials))]
-		case 1:
-			return float64(rng.Intn(3)) - 1 // ties and negatives
-		default:
-			return rng.NormFloat64()
-		}
-	}
-	shortCircuit := func(a, b *[4]float64) bool {
-		return a[0] <= b[0] && a[1] <= b[1] && a[2] <= b[2] && a[3] <= b[3]
-	}
-	for d := 1; d <= 4; d++ {
-		sub := preference.SubspaceFromMask(1<<uint(d) - 1)
-		kern := preference.NewKernel(sub)
-		for trial := 0; trial < 20000; trial++ {
-			var a, b [4]float64 // lanes ≥ d stay zero
-			hasNaN := false
-			for k := 0; k < d; k++ {
-				a[k], b[k] = coord(), coord()
-				if rng.Intn(3) == 0 {
-					b[k] = a[k]
-				}
-				hasNaN = hasNaN || math.IsNaN(a[k]) || math.IsNaN(b[k])
-			}
-			aWeakB, bWeakA := weak4(&a, &b), weak4(&b, &a)
-			if aWeakB != shortCircuit(&a, &b) || bWeakA != shortCircuit(&b, &a) {
-				t.Fatalf("d=%d a=%v b=%v: weak4 = (%v, %v), short-circuit ≤ = (%v, %v)",
-					d, a, b, aWeakB, bWeakA, shortCircuit(&a, &b), shortCircuit(&b, &a))
-			}
-			if hasNaN {
-				continue
-			}
-			if wantAB, wantBA := kern.Relate(a[:], b[:]); aWeakB != wantAB || bWeakA != wantBA {
-				t.Fatalf("d=%d a=%v b=%v: weak4 = (%v, %v), Relate = (%v, %v)", d, a, b, aWeakB, bWeakA, wantAB, wantBA)
-			}
-		}
 	}
 }
 
