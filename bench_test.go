@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§7), one testing.B benchmark per figure, plus the strategy, ablation,
-// workers-scaling, contract, ground-truth and top-k benchmarks. Figure
+// contract, ground-truth and top-k benchmarks. Figure
 // benchmarks run the full strategy comparison at a reduced scale per
 // iteration and report the headline quantity as a custom metric; use
 // cmd/caqe-bench for the full-scale tables. Per-layer timings on real
@@ -11,7 +11,6 @@
 package caqe_test
 
 import (
-	"fmt"
 	"testing"
 
 	"caqe/internal/baseline"
@@ -199,42 +198,6 @@ func BenchmarkAblations(b *testing.B) {
 				}
 				b.ReportMetric(rep.AvgSatisfaction(), "avg-sat")
 				b.ReportMetric(float64(rep.Counters.SkylineCmps), "cmps")
-			}
-		})
-	}
-}
-
-// BenchmarkWorkersScaling measures the wall-clock effect of the parallel
-// tuple-level executor on a join-heavy configuration (large relations, few
-// coarse cells → big per-region probe counts that clear the parallel
-// cutoff). The reports are bit-identical across subtests — see
-// TestParallelWorkersBitIdentical — so any delta is pure wall-clock. The
-// worker counts are fixed so that every runner records the same three
-// series; on a single-core runner workers-2 and workers-4 only pay
-// goroutine overhead, and speedup needs GOMAXPROCS > 1.
-func BenchmarkWorkersScaling(b *testing.B) {
-	w := workload.MustBenchmark(workload.BenchmarkConfig{
-		NumQueries: 11, Dims: 4, Priority: workload.UniformPriority,
-		NewContract: func(int) contract.Contract { return contract.C2() },
-	})
-	r, t, err := datagen.Pair(2000, 4, datagen.Independent, []float64{0.02}, 2014)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := core.New(w, r, t, core.Options{
-					TargetCells: 6, GridResolution: 32, Workers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, err := eng.Execute(nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.EndTime, "virtual-sec")
 			}
 		})
 	}

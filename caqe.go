@@ -187,7 +187,7 @@ func CustomContract(name string, fn func(ts float64) float64) Contract {
 }
 
 // RunOption configures one aspect of an execution — see WithTotals,
-// WithWorkers, WithOnEmit and WithTracer. A bare Options value is also a
+// WithOnEmit and WithTracer. A bare Options value is also a
 // RunOption (it installs the whole engine-options block). Options apply in
 // the order given.
 type RunOption = core.RunOption
@@ -197,14 +197,6 @@ type RunOption = core.RunOption
 // delivery as quota-meeting; use GroundTruth to obtain exact totals.
 func WithTotals(estTotals []int) RunOption {
 	return core.RunOptionFunc(func(c *core.RunConfig) { c.Totals = estTotals })
-}
-
-// WithWorkers sizes the join worker pool (0 = all cores, 1 = serial). The
-// report is bit-identical for any worker count — same emissions, same
-// virtual timestamps, same counters — only wall-clock time changes; see
-// the determinism contract in internal/metrics.
-func WithWorkers(n int) RunOption {
-	return core.RunOptionFunc(func(c *core.RunConfig) { c.Opt.Workers = n })
 }
 
 // WithOnEmit installs a consumption hook called synchronously for every
@@ -269,15 +261,13 @@ func allStrategies(opt baseline.Options) []baseline.Strategy {
 // RunStrategy executes the workload under the named strategy, enabling
 // side-by-side comparisons on identical inputs. It accepts the same
 // options as Run; of a bare Options value the comparison strategies honor
-// the granularity knobs (TargetCells, GridResolution, Workers) and the
-// tracer, while engine-specific ablation toggles apply only to CAQE runs
-// via Run.
+// the granularity knobs (TargetCells, GridResolution) and the tracer,
+// while engine-specific ablation toggles apply only to CAQE runs via Run.
 func RunStrategy(name StrategyName, w *Workload, r, t *Relation, opts ...RunOption) (*Report, error) {
 	cfg := core.NewRunConfig(opts...)
 	bopt := baseline.Options{
 		TargetCells:    cfg.Opt.TargetCells,
 		GridResolution: cfg.Opt.GridResolution,
-		Workers:        cfg.Opt.Workers,
 		OnEmit:         cfg.OnEmit,
 		Tracer:         cfg.Opt.Tracer,
 	}
@@ -344,11 +334,10 @@ type (
 
 // RunTopK executes a top-k workload with contract-driven scheduling. It
 // accepts the same options as Run; of a bare Options value the top-k
-// engine honors the granularity knobs (TargetCells, GridResolution,
-// Workers), DataOrderScheduling and the tracer.
+// engine honors the granularity knobs (TargetCells, GridResolution),
+// DataOrderScheduling and the tracer.
 //
-//	rep, err := caqe.RunTopK(w, carriers, lanes,
-//	    caqe.WithTotals(totals), caqe.WithWorkers(1))
+//	rep, err := caqe.RunTopK(w, carriers, lanes, caqe.WithTotals(totals))
 func RunTopK(w *TopKWorkload, r, t *Relation, opts ...RunOption) (*Report, error) {
 	cfg := core.NewRunConfig(opts...)
 	return topk.Run(w, r, t, topkOptions(cfg), cfg.Totals)
@@ -369,7 +358,6 @@ func topkOptions(cfg core.RunConfig) TopKOptions {
 	return TopKOptions{
 		TargetCells:    cfg.Opt.TargetCells,
 		GridResolution: cfg.Opt.GridResolution,
-		Workers:        cfg.Opt.Workers,
 		DataOrder:      cfg.Opt.DataOrderScheduling,
 		Tracer:         cfg.Opt.Tracer,
 	}

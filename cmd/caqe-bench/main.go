@@ -7,7 +7,7 @@
 //
 //	caqe-bench [-fig 9a|9b|9c|10|10a|10b|10c|11a|11b|all] [-n rows]
 //	           [-queries k] [-dims d] [-sel σ] [-seed s] [-cells c]
-//	           [-workers w] [-trace file] [-cpuprofile file] [-memprofile file]
+//	           [-trace file] [-cpuprofile file] [-memprofile file]
 //
 // With -trace every measured strategy run streams its structured execution
 // trace (scheduling decisions, emission batches, feedback updates) to the
@@ -38,7 +38,6 @@ func main() {
 		sel        = flag.Float64("sel", 0, "join selectivity σ (default 0.01)")
 		seed       = flag.Int64("seed", 0, "dataset seed (default 2014)")
 		cells      = flag.Int("cells", 0, "quad-tree leaf cells per relation (default 24)")
-		workers    = flag.Int("workers", 0, "join worker pool size (default all cores; any value yields identical results)")
 		traceFile  = flag.String("trace", "", "write the structured execution trace of every measured run to this JSONL file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -48,7 +47,6 @@ func main() {
 	cfg := bench.Config{
 		N: *n, NumQueries: *queries, Dims: *dims,
 		Selectivity: *sel, Seed: *seed, TargetCells: *cells,
-		Workers: *workers,
 	}
 
 	if *traceFile != "" {

@@ -41,12 +41,12 @@ type coordDaemonConfig struct {
 	LocalShards int    // >0: run the shards in this process instead
 	Partition   string
 
-	N, Dims, Keys        int
-	Dist                 string
-	Sel                  float64
-	Seed                 int64
-	Workers, TargetCells int
-	MaxConcurrent        int
+	N, Dims, Keys int
+	Dist          string
+	Sel           float64
+	Seed          int64
+	TargetCells   int
+	MaxConcurrent int
 
 	Retries                                    int
 	RetryBackoff, SubmitTimeout, GatherTimeout time.Duration
@@ -89,7 +89,7 @@ func newCoordinatorDaemon(cfg coordDaemonConfig) (*coordServer, error) {
 		conns, err = cluster.NewInProcShards(cluster.InProcConfig{
 			Map: m, R: r, T: t,
 			JoinConds: joinConds, OutDims: outDims,
-			Engine:        caqe.Options{Workers: cfg.Workers, TargetCells: cfg.TargetCells},
+			Engine:        caqe.Options{TargetCells: cfg.TargetCells},
 			MaxConcurrent: cfg.MaxConcurrent,
 		})
 		if err != nil {

@@ -249,7 +249,6 @@ func TestCoordinatorLocalShards(t *testing.T) {
 	cs, err := newCoordinatorDaemon(coordDaemonConfig{
 		LocalShards: 3, Partition: "hash",
 		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
-		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -293,7 +293,7 @@ func TestEncodeErrorSurfaced(t *testing.T) {
 	cs, err := newCoordinatorDaemon(coordDaemonConfig{
 		LocalShards: 2, Partition: "range",
 		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
-		Workers: 1, frontConfig: frontConfig{Logger: log.New(&logBuf, "", 0)},
+		frontConfig: frontConfig{Logger: log.New(&logBuf, "", 0)},
 	})
 	if err != nil {
 		t.Fatal(err)

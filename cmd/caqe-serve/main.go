@@ -7,7 +7,7 @@
 // Usage:
 //
 //	caqe-serve [-addr :8734] [-n rows] [-dims d] [-dist independent|correlated|anticorrelated]
-//	           [-sel σ] [-keys k] [-seed s] [-max-concurrent m] [-workers w] [-cells c]
+//	           [-sel σ] [-keys k] [-seed s] [-max-concurrent m] [-cells c]
 //	           [-clock virtual|wall] [-retry-after s]
 //	           [-max-buffered n] [-buffer-policy block-executor-never|disconnect-slow]
 //	           [-max-buffered-total n] [-stream-write-timeout d]
@@ -81,7 +81,6 @@ func main() {
 		keys    = flag.Int("keys", 2, "key columns per relation (one join condition each)")
 		seed    = flag.Int64("seed", 2014, "dataset seed")
 		maxConc = flag.Int("max-concurrent", 16, "maximum simultaneously open queries (0 = engine limit)")
-		workers = flag.Int("workers", 0, "join worker pool size (default all cores)")
 		cells   = flag.Int("cells", 0, "quad-tree leaf cells per relation (default engine choice)")
 
 		clock      = flag.String("clock", "virtual", "engine clock: virtual (deterministic) or wall (real-time deadlines)")
@@ -124,7 +123,7 @@ func main() {
 		}
 		cfg := serverConfig{
 			N: *n, Dims: *dims, Dist: *dist, Sel: *sel, Keys: *keys, Seed: *seed,
-			MaxConcurrent: *maxConc, Workers: *workers, TargetCells: *cells,
+			MaxConcurrent: *maxConc, TargetCells: *cells,
 			Clock: *clock, MaxBuffered: *maxBuffered, BufferPolicy: *bufPolicy,
 			MaxBufferedTotal: *maxBufTotal, frontConfig: fc,
 		}
@@ -136,7 +135,7 @@ func main() {
 		srv, err = newCoordinatorDaemon(coordDaemonConfig{
 			ShardURLs: *shardURLs, LocalShards: *localShards, Partition: *partition,
 			N: *n, Dims: *dims, Dist: *dist, Sel: *sel, Keys: *keys, Seed: *seed,
-			Workers: *workers, TargetCells: *cells, MaxConcurrent: *maxConc,
+			TargetCells: *cells, MaxConcurrent: *maxConc,
 			Retries: *shardRetries, RetryBackoff: *shardBackoff,
 			SubmitTimeout: *shardTimeout, GatherTimeout: *gatherTimeout,
 			frontConfig: fc,

@@ -28,7 +28,6 @@ const (
 func testConfig() serverConfig {
 	return serverConfig{
 		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
-		Workers: 1,
 	}
 }
 
@@ -67,7 +66,7 @@ func batchReference(t *testing.T) *run.Report {
 			Priority: qr.Priority, Contract: caqe.SoftDeadline(qr.Contract.Deadline),
 		})
 	}
-	rep, err := caqe.Run(w, r, tt, caqe.Options{Workers: 1})
+	rep, err := caqe.Run(w, r, tt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,12 +14,12 @@ import (
 // serverConfig describes the served dataset, admission limits and
 // delivery-side backpressure.
 type serverConfig struct {
-	N, Dims, Keys        int
-	Dist                 string
-	Sel                  float64
-	Seed                 int64
-	MaxConcurrent        int
-	Workers, TargetCells int
+	N, Dims, Keys int
+	Dist          string
+	Sel           float64
+	Seed          int64
+	MaxConcurrent int
+	TargetCells   int
 
 	// ShardCount > 1 runs this node as shard ShardIndex of an N-shard
 	// cluster: the node generates the full dataset from the shared
@@ -139,7 +139,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		R: r, T: t,
 		JoinConds:     joinConds,
 		OutDims:       outDims,
-		Engine:        caqe.Options{Workers: cfg.Workers, TargetCells: cfg.TargetCells, WallClock: wall},
+		Engine:        caqe.Options{TargetCells: cfg.TargetCells, WallClock: wall},
 		MaxConcurrent: cfg.MaxConcurrent,
 		Tracer:        agg,
 		Backpressure: caqe.SessionBackpressure{

@@ -57,7 +57,7 @@ func TestRequestBodyStatus(t *testing.T) {
 	defer shard.drain()
 	coord, err := newCoordinatorDaemon(coordDaemonConfig{
 		LocalShards: 2,
-		N:           testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed, Workers: 1,
+		N:           testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestTinyIntervalContractDoesNotStall(t *testing.T) {
 	defer srv.drain()
 	coord, err := newCoordinatorDaemon(coordDaemonConfig{
 		LocalShards: 2,
-		N:           testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed, Workers: 1,
+		N:           testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,16 @@
 package caqe_test
 
 import (
-	"fmt"
+	"sync"
 	"testing"
 
 	"caqe"
-	"caqe/internal/join"
 	"caqe/internal/run"
 )
 
 // determinismWorkload exercises every contract class over two join
-// conditions so the parallel fan-out touches both the nested-loop and
-// hash-join paths of every strategy.
+// conditions, so every strategy runs both its nested-loop and hash-join
+// paths.
 func determinismWorkload() *caqe.Workload {
 	return &caqe.Workload{
 		JoinConds: []caqe.EquiJoin{
@@ -68,25 +67,21 @@ func requireIdenticalReports(t *testing.T, want, got *run.Report) {
 		}
 	}
 	if want.Counters != got.Counters {
-		t.Fatalf("counters differ:\n  serial:   %+v\n  parallel: %+v", want.Counters, got.Counters)
+		t.Fatalf("counters differ:\n  want: %+v\n  got:  %+v", want.Counters, got.Counters)
 	}
 	if want.EndTime != got.EndTime {
 		t.Fatalf("end time %v vs %v", want.EndTime, got.EndTime)
 	}
 }
 
-// TestParallelWorkersBitIdentical is the determinism contract of the
-// parallel executor: for every strategy and every data distribution, any
-// worker count must reproduce the Workers:1 report exactly — results,
-// emission order, virtual timestamps, counters and end time. Run with
-// -race, this also shakes out data races in the fan-out.
+// TestParallelWorkersBitIdentical is the determinism contract for engines
+// that run side by side, as cluster.Run's shards do: for every strategy and
+// every data distribution, several runs on their own goroutines over the
+// same shared inputs must each reproduce the serial report exactly —
+// results, emission order, virtual timestamps, counters and end time. A run
+// that wrote to its inputs or to package-level state would break this;
+// under -race it also shakes out the data race itself.
 func TestParallelWorkersBitIdentical(t *testing.T) {
-	// The parallel path only engages above the probe-count cutoff; at test
-	// scale the per-region probe counts sit below the production default,
-	// so lower it to force every join through the sharded path.
-	defer func(v int) { join.ParallelProbeCutoff = v }(join.ParallelProbeCutoff)
-	join.ParallelProbeCutoff = 1
-
 	dists := []struct {
 		name string
 		d    caqe.Distribution
@@ -108,8 +103,7 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 			}
 			for _, name := range caqe.StrategyNames() {
 				t.Run(string(name), func(t *testing.T) {
-					serial, err := caqe.RunStrategy(name, w, r, tt,
-						caqe.WithTotals(totals), caqe.WithWorkers(1))
+					serial, err := caqe.RunStrategy(name, w, r, tt, caqe.WithTotals(totals))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -120,40 +114,26 @@ func TestParallelWorkersBitIdentical(t *testing.T) {
 					if emitted == 0 {
 						t.Fatal("strategy emitted nothing; determinism check is vacuous")
 					}
-					for _, workers := range []int{2, 4} {
-						par, err := caqe.RunStrategy(name, w, r, tt,
-							caqe.WithTotals(totals), caqe.WithWorkers(workers))
-						if err != nil {
-							t.Fatalf("workers=%d: %v", workers, err)
+					const runs = 3
+					reps := make([]*run.Report, runs)
+					errs := make([]error, runs)
+					var wg sync.WaitGroup
+					for i := range reps {
+						wg.Add(1)
+						go func(i int) {
+							defer wg.Done()
+							reps[i], errs[i] = caqe.RunStrategy(name, w, r, tt, caqe.WithTotals(totals))
+						}(i)
+					}
+					wg.Wait()
+					for i, rep := range reps {
+						if errs[i] != nil {
+							t.Fatalf("run %d: %v", i, errs[i])
 						}
-						par.Strategy = fmt.Sprintf("%s/w%d", name, workers)
-						requireIdenticalReports(t, serial, par)
+						requireIdenticalReports(t, serial, rep)
 					}
 				})
 			}
 		})
 	}
-}
-
-// TestRunOptionsWorkersBitIdentical covers the public Options.Workers knob
-// on the primary entry point (caqe.Run) as well, independent of the
-// strategy table.
-func TestRunOptionsWorkersBitIdentical(t *testing.T) {
-	defer func(v int) { join.ParallelProbeCutoff = v }(join.ParallelProbeCutoff)
-	join.ParallelProbeCutoff = 1
-
-	w := determinismWorkload()
-	r, tt, err := caqe.GeneratePair(400, 3, caqe.Independent, []float64{0.05, 0.05}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := caqe.Run(w, r, tt, caqe.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := caqe.Run(w, r, tt, caqe.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalReports(t, serial, par)
 }

@@ -64,9 +64,6 @@ const goldenPath = "testdata/golden_reports.json"
 // goldenConfigs enumerates the executions the golden file pins: every
 // strategy over every distribution on the shared determinism workload, plus
 // a deterministic fake-clock wall-mode CAQE run and a data-order ablation.
-// All run with Workers:1; the worker-count axis is covered separately by
-// TestParallelWorkersBitIdentical, which proves any worker count reproduces
-// the Workers:1 report the golden file pins.
 func goldenConfigs(t *testing.T) map[string]func() (*run.Report, error) {
 	t.Helper()
 	w := determinismWorkload()
@@ -90,14 +87,12 @@ func goldenConfigs(t *testing.T) map[string]func() (*run.Report, error) {
 		for _, name := range caqe.StrategyNames() {
 			name := name
 			configs[fmt.Sprintf("%s/%s", name, dist.name)] = func() (*run.Report, error) {
-				return caqe.RunStrategy(name, w, r, tt,
-					caqe.WithTotals(totals), caqe.WithWorkers(1))
+				return caqe.RunStrategy(name, w, r, tt, caqe.WithTotals(totals))
 			}
 		}
 		configs[fmt.Sprintf("CAQE-wall-fakens/%s", dist.name)] = func() (*run.Report, error) {
 			var ns atomic.Int64
 			return caqe.Run(w, r, tt, caqe.Options{
-				Workers:   1,
 				WallClock: true,
 				WallNowNS: func() int64 { return ns.Add(2000) },
 			}, caqe.WithTotals(totals))

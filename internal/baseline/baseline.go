@@ -16,7 +16,6 @@ import (
 	"caqe/internal/core"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
-	"caqe/internal/parallel"
 	"caqe/internal/run"
 	"caqe/internal/skyline"
 	"caqe/internal/trace"
@@ -25,15 +24,10 @@ import (
 )
 
 // Options tunes the strategies that use the partitioned/region machinery so
-// they match the CAQE engine's granularity. Workers sizes the join worker
-// pool exactly as core.Options.Workers does (default runtime.GOMAXPROCS(0);
-// 1 = serial): any worker count yields reports bit-identical to serial
-// execution. SSMJ and TimeShared interleave their joins with inherently
-// sequential windowed state and always run serially.
+// they match the CAQE engine's granularity.
 type Options struct {
 	TargetCells    int
 	GridResolution int
-	Workers        int
 
 	// OnEmit is forwarded to every strategy's report: it fires synchronously
 	// for each result the moment the strategy delivers it.
@@ -44,14 +38,6 @@ type Options struct {
 	// tracer, it performs no counted work — reports are byte-identical with
 	// tracing on or off.
 	Tracer trace.Tracer
-}
-
-// pool returns the join worker pool for the configured worker count.
-func (o Options) pool() *parallel.Pool {
-	if o.Workers <= 0 {
-		return parallel.Default()
-	}
-	return parallel.New(o.Workers)
 }
 
 // Strategy is one runnable execution technique.
@@ -67,7 +53,7 @@ func All(opt Options) []Strategy {
 		{Name: "CAQE", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
 			eng, err := core.New(w, r, t, core.Options{
 				TargetCells: opt.TargetCells, GridResolution: opt.GridResolution,
-				Workers: opt.Workers, Tracer: opt.Tracer,
+				Tracer: opt.Tracer,
 			})
 			if err != nil {
 				return nil, err
@@ -128,15 +114,12 @@ func toPoints(results []join.Result) []skyline.Point {
 // GroundTruth computes the exact final result set of every query with a
 // full join followed by an SFS skyline, without cost accounting. It returns
 // the per-query skyline results and their cardinalities (the N of Table 2's
-// cardinality contracts). The per-query skylines fan out over all
-// available cores; the oracle carries no clock, and the per-query outputs
-// are position-indexed, so the fan-out cannot perturb the result.
+// cardinality contracts).
 func GroundTruth(w *workload.Workload, r, t *tuple.Relation) ([][]join.Result, []int, error) {
 	if err := w.Validate(); err != nil {
 		return nil, nil, err
 	}
 	rs, ts := tuplesOf(r), tuplesOf(t)
-	pool := parallel.Default()
 	// Share the join across queries with the same join condition: the
 	// oracle only cares about correctness, not costs.
 	joined := make(map[int][]join.Result)
@@ -147,19 +130,16 @@ func GroundTruth(w *workload.Workload, r, t *tuple.Relation) ([][]join.Result, [
 	}
 	results := make([][]join.Result, len(w.Queries))
 	totals := make([]int, len(w.Queries))
-	pool.Run(len(w.Queries), func(_, lo, hi int) {
-		for qi := lo; qi < hi; qi++ {
-			q := w.Queries[qi]
-			jr := joined[q.JC]
-			sky := skyline.SFS(q.Pref, toPoints(jr), nil)
-			out := make([]join.Result, len(sky))
-			for i, p := range sky {
-				out[i] = jr[p.Payload]
-			}
-			results[qi] = out
-			totals[qi] = len(out)
+	for qi, q := range w.Queries {
+		jr := joined[q.JC]
+		sky := skyline.SFS(q.Pref, toPoints(jr), nil)
+		out := make([]join.Result, len(sky))
+		for i, p := range sky {
+			out[i] = jr[p.Payload]
 		}
-	})
+		results[qi] = out
+		totals[qi] = len(out)
+	}
 	return results, totals, nil
 }
 
@@ -191,13 +171,11 @@ func JFSL(w *workload.Workload, r, t *tuple.Relation, estTotals []int) (*run.Rep
 	return jfsl(w, r, t, estTotals, Options{})
 }
 
-// jfsl runs JFSL with the full nested-loop joins fanned out over the
-// configured pool; the report is bit-identical for any pool size.
+// jfsl runs JFSL reporting to opt's emission callback and tracer.
 func jfsl(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Options) (*run.Report, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
-	pool := opt.pool()
 	clock := metrics.NewClock()
 	rep := run.NewReport("JFSL", w, estTotals)
 	rep.OnEmit = opt.OnEmit
@@ -208,7 +186,7 @@ func jfsl(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Optio
 		traceQueryDecision(rep, clock, qi)
 		// A scratch per query: the emissions below keep its output points.
 		var js join.Scratch
-		results := js.NestedLoopPool(w.JoinConds[q.JC], w.OutDims, rs, ts, clock, pool)
+		results := js.NestedLoop(w.JoinConds[q.JC], w.OutDims, rs, ts, clock)
 		sky := skyline.BNL(q.Pref, toPoints(results), clock)
 		now := clock.Now() / metrics.VirtualSecond
 		for _, p := range sky {
@@ -230,7 +208,6 @@ func SJFSL(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Opti
 	eng, err := core.New(w, r, t, core.Options{
 		TargetCells:            opt.TargetCells,
 		GridResolution:         opt.GridResolution,
-		Workers:                opt.Workers,
 		Tracer:                 opt.Tracer,
 		DataOrderScheduling:    true,
 		DisableRegionDiscard:   true,
@@ -270,7 +247,6 @@ func ProgXe(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Opt
 		eng, err := core.New(sub, r, t, core.Options{
 			TargetCells:            opt.TargetCells,
 			GridResolution:         opt.GridResolution,
-			Workers:                opt.Workers,
 			Tracer:                 opt.Tracer,
 			DisableContractBenefit: true,
 			DisableFeedback:        true,

@@ -12,42 +12,36 @@ import (
 )
 
 // TestVirtualClockByteIdentityMatrix is the virtual-mode regression gate
-// for the wall-clock work: across every strategy, data distribution and
-// worker count, a virtual-clock run must stay bit-identical — same
-// emission order, same virtual timestamps, same counters, same end time.
-// Any change that perturbs the default clock path (the wall clock, the
-// rate estimator, slot reclamation) trips this immediately.
+// for the wall-clock work: across every strategy and data distribution, a
+// virtual-clock run must be a pure function of its inputs — a rerun
+// reproduces the same emission order, virtual timestamps, counters and end
+// time. Any change that lets ambient state into the default clock path
+// (the wall clock, the rate estimator, slot reclamation) trips this
+// immediately.
 func TestVirtualClockByteIdentityMatrix(t *testing.T) {
 	w := workload.MustBenchmark(workload.BenchmarkConfig{
 		NumQueries: 4, Dims: 3, Priority: workload.HighDimsHigh,
 		NewContract: func(int) contract.Contract { return contract.C3(15) },
 	})
 	dists := []datagen.Distribution{datagen.Independent, datagen.Correlated, datagen.AntiCorrelated}
-	workers := []int{1, 4}
 	for _, dist := range dists {
 		r, tt, err := datagen.Pair(140, 3, dist, []float64{0.05}, 31)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reference reports per strategy at Workers: 1; every other worker
-		// count must reproduce them exactly.
-		refs := map[string]*run.Report{}
-		for _, nw := range workers {
-			strategies := All(Options{TargetCells: 6, GridResolution: 16, Workers: nw})
-			for _, s := range strategies {
-				t.Run(fmt.Sprintf("%s-%s-w%d", s.Name, dist, nw), func(t *testing.T) {
-					rep, err := s.Run(w, r, tt, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ref, seen := refs[s.Name]
-					if !seen {
-						refs[s.Name] = rep
-						return
-					}
-					assertIdenticalReports(t, ref, rep)
-				})
-			}
+		for _, s := range All(Options{TargetCells: 6, GridResolution: 16}) {
+			// "w1": every run is one executor on one goroutine.
+			t.Run(fmt.Sprintf("%s-%s-w1", s.Name, dist), func(t *testing.T) {
+				ref, err := s.Run(w, r, tt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := s.Run(w, r, tt, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertIdenticalReports(t, ref, rep)
+			})
 		}
 	}
 }

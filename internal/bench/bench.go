@@ -37,7 +37,6 @@ type Config struct {
 	Seed           int64   // dataset seed
 	TargetCells    int     // quad-tree leaves per relation
 	GridResolution int     // output grid resolution
-	Workers        int     // join worker pool size (0 = all cores; results identical)
 
 	// Tracer, when set, receives the structured execution trace of every
 	// measured strategy run. Calibration passes stay untraced so the stream
@@ -87,7 +86,7 @@ func (c Config) withDefaults() Config {
 func (c Config) baselineOptions() baseline.Options {
 	return baseline.Options{
 		TargetCells: c.TargetCells, GridResolution: c.GridResolution,
-		Workers: c.Workers, Tracer: c.Tracer,
+		Tracer: c.Tracer,
 	}
 }
 

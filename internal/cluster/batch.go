@@ -31,7 +31,7 @@ type Options struct {
 	// byte-identity with an unsharded run.
 	Totals []int
 	// Engine granularity knobs, forwarded to every shard executor.
-	Workers, TargetCells, GridResolution int
+	TargetCells, GridResolution int
 	// OnEmit fires synchronously for each merged delivery.
 	OnEmit func(run.Emission)
 	// Tracer receives the coordinator's event stream: one run bracket
@@ -106,7 +106,6 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 	bopt := baseline.Options{
 		TargetCells:    opt.TargetCells,
 		GridResolution: opt.GridResolution,
-		Workers:        opt.Workers,
 	}
 	parts, table := m.Partition(r)
 	stats := &RunStats{Map: m, Shards: make([]ShardRun, m.Shards)}

@@ -291,6 +291,12 @@ func (c *Coordinator) gather(h *Handle) {
 	}
 	wg.Wait()
 
+	// An emission must carry every preference dimension the merge compares
+	// (the subspace is sorted, so its last entry is the widest).
+	width := 0
+	if len(h.pref) > 0 {
+		width = h.pref[len(h.pref)-1] + 1
+	}
 	var gatherFailed []int
 	byShard := make([][]Candidate, len(c.conns))
 	for i := range c.conns {
@@ -305,6 +311,10 @@ func (c *Coordinator) gather(h *Handle) {
 			// identity of the merged stream. Row IDs of R are shard-local
 			// too, and this is the one place they become global.
 			e.Query = h.id
+			if len(e.Out) < width {
+				failed = true // a point the merge would index past
+				continue
+			}
 			if c.rids != nil {
 				if e.RID < 0 || e.RID >= len(c.rids[i]) {
 					failed = true // not a row of this shard's partition

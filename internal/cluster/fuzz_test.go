@@ -2,9 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"caqe/internal/run"
 )
 
 // FuzzQuerySpec drives the one wire spec the way a POST /queries body
@@ -60,6 +67,100 @@ func FuzzQuerySpec(f *testing.F) {
 		case <-done:
 		case <-time.After(2 * time.Second):
 			t.Fatalf("tracker calls still running after 2 s")
+		}
+	})
+}
+
+// replayConn is a shard transport whose every query gathers a fixed,
+// already-gathered outcome.
+type replayConn struct {
+	ems []run.Emission
+	err error
+}
+
+func (c replayConn) Submit(QuerySpec) (ShardQuery, error) { return c, nil }
+func (c replayConn) Close() error                         { return nil }
+func (c replayConn) Cancel() error                        { return nil }
+func (c replayConn) Gather(context.Context) ([]run.Emission, error) {
+	return c.ems, c.err
+}
+
+// FuzzStreamRecord drives a shard's NDJSON result stream the way it reaches
+// a coordinator: the fuzzed bytes are served as the body of GET
+// /queries/0/results, httpQuery.Gather parses them, and a two-shard
+// coordinator gathers and merges that outcome beside a well-formed shard
+// under a 4-dim preference. Nothing may panic, everything must finish
+// within 2 s, and the query must end done exactly when the fuzzed stream
+// was complete and well-formed — otherwise partial, with the fuzzed shard
+// (and only it) listed as failed. The seeds run under plain `go test`.
+func FuzzStreamRecord(f *testing.F) {
+	const done = `{"done":true,"state":"done"}`
+	for _, seed := range []string{
+		`{"Query":0,"RID":1,"TID":1,"Out":[1,2,3,4],"Time":1}` + "\n" + done,
+		`{"Query":0,"RID":0,"TID":1,"Out":[1],"Time":1}` + "\n" + done,
+		`{"Query":0,"RID":-1,"TID":1,"Out":[1,2,3,4],"Time":1}` + "\n" + done,
+		`{"Query":0,"RID":9223372036854775807,"TID":1,"Out":[1,2,3,4],"Time":1}` + "\n" + done,
+		`{"done":false}`,
+		`{"lag":3}`,
+		`{"RID":0,"Out":[` + strings.Repeat("1,", 600_000) + `1]}` + "\n" + done,
+		`{"Query":0,"RID":2,"TID":1,"Out":[4,3,2,1],"Time":1}`,
+		done,
+		`{nope`,
+	} {
+		f.Add([]byte(seed))
+	}
+	var body atomic.Pointer[[]byte]
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = w.Write(*body.Load())
+	}))
+	f.Cleanup(srv.Close)
+	conn := NewHTTPConn(HTTPConnConfig{BaseURL: srv.URL})
+	good := replayConn{ems: []run.Emission{{RID: 0, TID: 0, Out: []float64{2, 2, 2, 2}, Time: 1}}}
+	ids := []int{0, 1, 2, 3}
+
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		body.Store(&stream)
+		finished := make(chan struct{})
+		go func() {
+			defer close(finished)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			ems, gerr := (&httpQuery{conn: conn, id: 0}).Gather(ctx)
+			coord, err := NewCoordinator(CoordinatorConfig{
+				Conns: []ShardConn{replayConn{ems, gerr}, good},
+				RIDs:  [][]int{ids, ids},
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer coord.Close()
+			h, err := coord.Submit(QuerySpec{JC: 0, Pref: []int{0, 1, 2, 3}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := h.Wait(ctx); err != nil {
+				t.Errorf("gather and merge: %v", err)
+				return
+			}
+			wellFormed := gerr == nil
+			for _, e := range ems {
+				wellFormed = wellFormed && e.RID >= 0 && e.RID < len(ids) && len(e.Out) >= 4
+			}
+			_, _, failed := h.Results()
+			switch st := h.State(); {
+			case st == "done" && wellFormed && len(failed) == 0:
+			case st == "partial" && !wellFormed && len(failed) == 1 && failed[0] == 0:
+			default:
+				t.Errorf("state %s, failed shards %v, for a stream with gather error %v and %d emissions",
+					st, failed, gerr, len(ems))
+			}
+		}()
+		select {
+		case <-finished:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("gather and merge still running after 2 s")
 		}
 	})
 }

@@ -271,3 +271,47 @@ func TestCoordinatorTranslatesRIDs(t *testing.T) {
 		t.Fatal("one row ID table for two connections accepted")
 	}
 }
+
+// TestCoordinatorShortOutMarksShardFailed: an emission whose output point
+// does not cover the query's preference dimensions is dropped and its shard
+// marked failed, like an out-of-range row ID, instead of reaching the merge
+// (where comparing it against a full point would index past its end).
+func TestCoordinatorShortOutMarksShardFailed(t *testing.T) {
+	done := `{"done":true,"state":"done"}`
+	streams := [][]string{
+		{`{"Query":0,"RID":0,"TID":1,"Out":[1],"Time":1}`, done},
+		{`{"Query":0,"RID":0,"TID":2,"Out":[1,2,3,4],"Time":1}`, done},
+	}
+	urls := make([]string, len(streams))
+	for i, lines := range streams {
+		srv := httptest.NewServer((&fakeShard{stream: lines}).handler())
+		defer srv.Close()
+		urls[i] = srv.URL
+	}
+	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
+		Conns: cluster.NewHTTPShards(urls, 0, time.Millisecond, time.Second),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	h, err := coord.Submit(cluster.QuerySpec{JC: 0, Pref: []int{0, 1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := h.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	results, _, failed := h.Results()
+	if h.State() != "partial" || len(failed) != 1 || failed[0] != 0 {
+		t.Fatalf("state %s failed %v, want partial with shard 0 failed", h.State(), failed)
+	}
+	if len(results) != 1 || results[0].Shard != 1 {
+		t.Fatalf("results %+v, want shard 1's point alone", results)
+	}
+	if st := coord.Stats(); st.Partials != 1 || st.Shards[0].Failures != 1 {
+		t.Fatalf("stats %+v", st)
+	}
+}

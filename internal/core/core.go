@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"caqe/internal/metrics"
 	"caqe/internal/partition"
@@ -21,14 +20,6 @@ import (
 
 // Options tunes the CAQE engine. The zero value selects sensible defaults.
 type Options struct {
-	// Workers is the size of the worker pool for tuple-level join
-	// processing (default runtime.GOMAXPROCS(0); 1 selects the serial
-	// path). Parallel workers charge private counter shards that are merged
-	// back into the virtual clock in deterministic (region, join-condition,
-	// shard) order, so any worker count produces a report bit-identical to
-	// Workers: 1 — same results, same emission timestamps, same counters.
-	// Only wall-clock time changes.
-	Workers int
 	// TargetCells is the desired number of quad-tree leaf cells per input
 	// relation (default 24). More cells mean finer-grained scheduling at
 	// higher coarse-level cost.
@@ -96,9 +87,6 @@ func (o Options) NewClock() *metrics.Clock {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.TargetCells <= 0 {
 		o.TargetCells = 24
 	}

@@ -34,7 +34,7 @@ func stepRun(t *testing.T, e *Engine) *run.Report {
 func TestExecMatchesBatch(t *testing.T) {
 	w := testWorkload(6, 4, workload.UniformPriority, c3s)
 	r, tt := testPair(t, 80, 4, datagen.Independent, 0.05, 7)
-	eb, err := New(w, r, tt, Options{Workers: 1})
+	eb, err := New(w, r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestExecMatchesBatch(t *testing.T) {
 	}
 
 	w2 := testWorkload(6, 4, workload.UniformPriority, c3s)
-	es, err := New(w2, r, tt, Options{Workers: 1})
+	es, err := New(w2, r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestExecAdmitMidRun(t *testing.T) {
 				NumQueries: nq + 1, Dims: dims, Priority: workload.UniformPriority, NewContract: c3s,
 			})
 		}
-		ef, err := New(full, r, tt, Options{Workers: 1})
+		ef, err := New(full, r, tt, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestExecAdmitMidRun(t *testing.T) {
 				})
 			}
 			late := fresh.Queries[nq]
-			e, err := New(prefix(fresh, nq), r, tt, Options{Workers: 1})
+			e, err := New(prefix(fresh, nq), r, tt, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestExecAdmitPreservesEmissions(t *testing.T) {
 	})
 	late := w.Queries[nq]
 	r, tt := testPair(t, 70, dims, datagen.Independent, 0.05, 11)
-	e, err := New(prefix(w, nq), r, tt, Options{Workers: 1})
+	e, err := New(prefix(w, nq), r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestExecCancel(t *testing.T) {
 		NumQueries: nq, Dims: dims, Priority: workload.UniformPriority, NewContract: c3s,
 	})
 	r, tt := testPair(t, 70, dims, datagen.Independent, 0.05, 13)
-	ef, err := New(w, r, tt, Options{Workers: 1})
+	ef, err := New(w, r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestExecCancel(t *testing.T) {
 	w2 := workload.MustBenchmark(workload.BenchmarkConfig{
 		NumQueries: nq, Dims: dims, Priority: workload.UniformPriority, NewContract: c3s,
 	})
-	e, err := New(w2, r, tt, Options{Workers: 1})
+	e, err := New(w2, r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestExecCancel(t *testing.T) {
 func TestExecAdmitValidates(t *testing.T) {
 	w := testWorkload(3, 3, workload.UniformPriority, c3s)
 	r, tt := testPair(t, 40, 3, datagen.Independent, 0.05, 3)
-	e, err := New(w, r, tt, Options{Workers: 1})
+	e, err := New(w, r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

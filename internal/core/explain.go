@@ -143,7 +143,7 @@ func (e *Engine) OperatorTree() OpNode {
 	stages := []OpNode{
 		root,
 		{Name: opNamePartitionScan, Detail: fmt.Sprintf("region → quad-tree cell pair, %d join condition(s)", len(e.w.JoinConds))},
-		{Name: opNameSignatureJoin, Detail: fmt.Sprintf("JC mask test + nested-loop join over %d worker(s)", e.opt.Workers)},
+		{Name: opNameSignatureJoin, Detail: "JC mask test + nested-loop join"},
 		{Name: opNameDominanceFilter, Detail: dom},
 		{Name: opNameEmit, Detail: "frontier refresh + safety vet, progressive emission of final results"},
 	}

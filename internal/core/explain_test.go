@@ -92,13 +92,13 @@ func TestExplainOperatorTree(t *testing.T) {
 		}
 	}
 
-	eng, err := New(w, r, tt, Options{TargetCells: 4, Workers: 3})
+	eng, err := New(w, r, tt, Options{TargetCells: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	const rendered = `CSMScheduler  [Algorithm 1: pop max-CSM root region, lazy score refresh, Eq. 11 feedback]
   PartitionScan  [region → quad-tree cell pair, 1 join condition(s)]
-    SignatureJoin  [JC mask test + nested-loop join over 3 worker(s)]
+    SignatureJoin  [JC mask test + nested-loop join]
       DominanceFilter  [shared skycube insert + dominated-region discard]
         Emit  [frontier refresh + safety vet, progressive emission of final results]
 `

@@ -171,7 +171,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 
 		// A batch run, checked after every step.
 		batch := func(check bool) *run.Report {
-			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1})
+			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{})
 			clock := metrics.NewClock()
 			rep := run.NewReport("CAQE", e.w, nil)
 			cuboid, space, err := e.plan(clock, false)
@@ -190,7 +190,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			return rep
 		}
 		sameReports(t, label+" batch", batch(false), batch(true))
-		if ref, err := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1}).Execute(nil); err != nil {
+		if ref, err := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{}).Execute(nil); err != nil {
 			t.Fatal(err)
 		} else {
 			sameReports(t, label+" batch vs Execute", ref, batch(false))
@@ -229,7 +229,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			ops = append(ops, op)
 		}
 		execRun := func(check bool) *run.Report {
-			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1})
+			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{})
 			rep := run.NewReport("CAQE", e.w, nil)
 			x, err := e.StartExec(metrics.NewClock(), rep)
 			if err != nil {

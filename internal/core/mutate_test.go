@@ -67,7 +67,7 @@ type mutStep struct {
 // mutation applied and what the deletes' repairs touched, summed.
 func runWithMutations(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, sched []mutStep) (*run.Report, float64, DeltaStats) {
 	t.Helper()
-	e, err := New(w, r, tt, Options{Workers: 1})
+	e, err := New(w, r, tt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ var stepOffsets = []int{0, 1, 2, 5, 10, 25, 1 << 20}
 func TestAppendEveryOffsetMatchesBatch(t *testing.T) {
 	const dims, nq, full, base = 3, 4, 60, 45
 	fullR, fullT := testPair(t, full, dims, datagen.Independent, 0.05, 21)
-	batch, err := mustEngine(t, testWorkload(nq, dims, workload.UniformPriority, c3s), fullR, fullT, Options{Workers: 1}).Execute(nil)
+	batch, err := mustEngine(t, testWorkload(nq, dims, workload.UniformPriority, c3s), fullR, fullT, Options{}).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDeleteEveryOffsetMatchesBatch(t *testing.T) {
 	refR, refT := cloneRel(srcR, n), cloneRel(srcT, n)
 	tombstone(refR, delR, TombstoneKeyR)
 	tombstone(refT, delT, TombstoneKeyT)
-	batch, err := mustEngine(t, testWorkload(nq, dims, workload.UniformPriority, c3s), refR, refT, Options{Workers: 1}).Execute(nil)
+	batch, err := mustEngine(t, testWorkload(nq, dims, workload.UniformPriority, c3s), refR, refT, Options{}).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestMixedMutationsEveryOffsetMatchesBatch(t *testing.T) {
 	refR, refT := cloneRel(fullR, full), cloneRel(fullT, full)
 	tombstone(refR, delR, TombstoneKeyR)
 	tombstone(refT, delT, TombstoneKeyT)
-	batch, err := mustEngine(t, testWorkload(nq, dims, workload.UniformPriority, c3s), refR, refT, Options{Workers: 1}).Execute(nil)
+	batch, err := mustEngine(t, testWorkload(nq, dims, workload.UniformPriority, c3s), refR, refT, Options{}).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestMutateValidation(t *testing.T) {
 	const dims, nq, n = 3, 2, 40
 	w := testWorkload(nq, dims, workload.UniformPriority, c3s)
 	r, tt := testPair(t, n, dims, datagen.Independent, 0.05, 37)
-	e := mustEngine(t, w, r, tt, Options{Workers: 1})
+	e := mustEngine(t, w, r, tt, Options{})
 	x, err := e.StartExec(metrics.NewClock(), run.NewReport("CAQE", w, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func standingExecOver(t *testing.T, seed int64, base int) (x *Exec, rep *run.Rep
 	}
 	w := standingWorkload(0)
 	rep = run.NewReport("CAQE", w, nil)
-	x, err = mustEngine(t, w, cloneRel(fullR, base), cloneRel(fullT, base), Options{Workers: 1}).StartExec(metrics.NewClock(), rep)
+	x, err = mustEngine(t, w, cloneRel(fullR, base), cloneRel(fullT, base), Options{}).StartExec(metrics.NewClock(), rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func standingExecOver(t *testing.T, seed int64, base int) (x *Exec, rep *run.Rep
 
 func batchReport(t *testing.T, w *workload.Workload, r, tt *tuple.Relation) *run.Report {
 	t.Helper()
-	batch, err := mustEngine(t, w, r, tt, Options{Workers: 1}).Execute(nil)
+	batch, err := mustEngine(t, w, r, tt, Options{}).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (st *state) processRegion(ri int) {
 		var segs [2][]join.Result
 		for s, seg := range [2][2][]*tuple.Tuple{{left[cl:], right}, {left[:cl], right[ct:]}} {
 			if len(seg[0]) != 0 && len(seg[1]) != 0 {
-				segs[s] = st.js[s].NestedLoopPool(jc, st.w.OutDims, seg[0], seg[1], st.clock, st.pool)
+				segs[s] = st.js[s].NestedLoop(jc, st.w.OutDims, seg[0], seg[1], st.clock)
 			}
 		}
 		if len(segs[0])+len(segs[1]) == 0 {

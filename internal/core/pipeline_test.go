@@ -53,7 +53,7 @@ func firstLiveRegion(t *testing.T, st *state) int {
 // charged, the join marks its conditions joined, and the results are
 // materialized as payloads into the shared skyline.
 func TestPipelineProcessRetiresRegion(t *testing.T) {
-	st := newPipelineTestState(t, Options{TargetCells: 6, Workers: 1})
+	st := newPipelineTestState(t, Options{TargetCells: 6})
 	st.initQueue()
 	ri := firstLiveRegion(t, st)
 	before := st.clock.Counters()
@@ -85,7 +85,7 @@ func TestPipelineProcessRetiresRegion(t *testing.T) {
 // admission revives) must go through processRegion without producing a
 // single probe or payload.
 func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
-	st := newPipelineTestState(t, Options{TargetCells: 6, Workers: 1})
+	st := newPipelineTestState(t, Options{TargetCells: 6})
 	st.initQueue()
 	ri := firstLiveRegion(t, st)
 	for j := range st.w.JoinConds {
@@ -124,7 +124,7 @@ func TestProcessRegionTraceOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newTestState(t, standingWorkload(1), r, tt, Options{Workers: 1, TargetCells: 4, Tracer: rec})
+	st := newTestState(t, standingWorkload(1), r, tt, Options{TargetCells: 4, Tracer: rec})
 	st.initQueue()
 	rec.evs = nil
 	if !st.step() {

@@ -6,7 +6,6 @@ import (
 
 	"caqe/internal/join"
 	"caqe/internal/metrics"
-	"caqe/internal/parallel"
 	"caqe/internal/preference"
 	"caqe/internal/region"
 	"caqe/internal/run"
@@ -60,7 +59,6 @@ type state struct {
 	e      *Engine
 	w      *workload.Workload
 	clock  *metrics.Clock
-	pool   *parallel.Pool
 	space  *region.Space
 	shared *skycube.SharedSkyline
 	rep    *run.Report
@@ -167,7 +165,6 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		w:         e.w,
 		clock:     clock,
 		tracer:    e.opt.Tracer,
-		pool:      parallel.New(e.opt.Workers),
 		space:     space,
 		shared:    shared,
 		rep:       rep,

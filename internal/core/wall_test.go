@@ -77,11 +77,10 @@ func TestWallClockNoDeadlineRegressions(t *testing.T) {
 	}
 }
 
-// TestWallClockRealTimeSmoke runs the engine on the real monotonic clock
-// with a parallel worker pool: answers still match the virtual run,
-// emission times never go backwards, and satisfaction stays in range. This
-// is the nondeterministic smoke counterpart of the fake-source tests (run
-// under -race in CI).
+// TestWallClockRealTimeSmoke runs the engine on the real monotonic clock:
+// answers still match the virtual run, emission times never go backwards,
+// and satisfaction stays in range. This is the nondeterministic smoke
+// counterpart of the fake-source tests (run under -race in CI).
 func TestWallClockRealTimeSmoke(t *testing.T) {
 	w := wallWorkload(6, 4)
 	r, tt := testPair(t, 300, 4, datagen.AntiCorrelated, 0.04, 7)
@@ -90,9 +89,7 @@ func TestWallClockRealTimeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wall, err := mustEngine(t, w, r, tt, Options{
-		TargetCells: 8, Workers: 4, WallClock: true,
-	}).Execute(nil)
+	wall, err := mustEngine(t, w, r, tt, Options{TargetCells: 8, WallClock: true}).Execute(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

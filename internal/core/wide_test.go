@@ -63,7 +63,7 @@ func TestWidePreferencesMatchGroundTruth(t *testing.T) {
 			}
 		}
 
-		e, err := core.New(workloadOf(narrow, wide5, wide6), r, tt, core.Options{Workers: 1})
+		e, err := core.New(workloadOf(narrow, wide5, wide6), r, tt, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestWidePreferencesMatchGroundTruth(t *testing.T) {
 
 		for _, off := range []int{0, 3, 1 << 20} {
 			w := workloadOf(narrow)
-			e, err := core.New(w, r, tt, core.Options{Workers: 1})
+			e, err := core.New(w, r, tt, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"caqe/internal/metrics"
-	"caqe/internal/parallel"
 	"caqe/internal/tuple"
 )
 
@@ -139,30 +138,6 @@ type Result struct {
 	Out      []float64
 }
 
-// nestedLoopAppend runs the nested-loop join appending into dst, with the
-// projected output points packed into the flat backing buffer (Result.Out
-// slices alias flat). Returns the grown buffers.
-func nestedLoopAppend(dst []Result, flat []float64, jc EquiJoin, fs []MapFunc,
-	rs, ts []*tuple.Tuple, clock *metrics.Clock) ([]Result, []float64) {
-	for _, r := range rs {
-		for _, t := range ts {
-			if clock != nil {
-				clock.CountJoinProbe(1)
-			}
-			if !jc.Matches(r, t) {
-				continue
-			}
-			if clock != nil {
-				clock.CountJoinResult(1)
-			}
-			var out []float64
-			flat, out = projectAppend(flat, fs, r, t)
-			dst = append(dst, Result{RID: r.ID, TID: t.ID, Out: out})
-		}
-	}
-	return dst, flat
-}
-
 // HashJoin materializes the same result as a nested-loop join using a hash
 // table on the right side, into fresh allocations. The virtual clock is
 // charged one coarse operation per right tuple inserted during the build —
@@ -198,21 +173,13 @@ func HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.C
 	return dst
 }
 
-// ParallelProbeCutoff is the minimum number of candidate pairs
-// (len(rs)·len(ts)) below which Scratch.NestedLoopPool falls back to the
-// serial path: fanning a tiny join out over goroutines costs more than it
-// saves. The cutoff only gates a performance choice — output and clock are
-// identical either way. Tests lower it to force the parallel path on small
-// inputs.
-var ParallelProbeCutoff = 4096
-
 // ---------------------------------------------------------------------------
 // Scratch: reusable join buffers
 //
-// A Scratch owns the result headers, the flat coordinate backing of the
-// output points, and the per-shard buffers of the pool variants, so a
-// caller that joins many cell pairs in sequence (the region executor, the
-// top-k engine) performs zero steady-state allocations per join.
+// A Scratch owns the result headers and the flat coordinate backing of the
+// output points, so a caller that joins many cell pairs in sequence (the
+// region executor, the top-k engine) performs zero steady-state allocations
+// per join.
 
 // Scratch holds reusable join buffers. The zero value is ready to use. A
 // Scratch must not be used concurrently, and the results of a call are
@@ -222,54 +189,32 @@ var ParallelProbeCutoff = 4096
 type Scratch struct {
 	results []Result
 	flat    []float64 // packed backing for Result.Out
-
-	shardOuts [][]Result
-	shardFlat [][]float64
-	subs      []metrics.Counters
 }
 
 // NestedLoop materializes the equi-join of two tuple slices under jc into
 // the scratch buffers, projecting with fs and charging every probe and
 // result to the clock (nil charges nothing). It is the tuple-level join
 // primitive used for cell pairs and the full-relation baseline path.
+// The projected output points are packed into one flat buffer that every
+// Result.Out aliases.
 func (s *Scratch) NestedLoop(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
-	s.results, s.flat = nestedLoopAppend(s.results[:0], s.flat[:0], jc, fs, rs, ts, clock)
-	return s.results
-}
-
-// NestedLoopPool is NestedLoop fanned out over a worker pool, reusing the
-// scratch's per-shard buffers. With a nil or 1-worker pool, or below
-// ParallelProbeCutoff candidate pairs, it is the serial NestedLoop.
-// Otherwise the left input is sharded into contiguous ranges, each shard
-// runs the serial algorithm with a private clock, and the shards are folded
-// back in ascending shard order: results are concatenated (reproducing the
-// serial output order exactly) and each shard's counters are merged into
-// the caller's clock (reproducing the serial clock exactly — see
-// metrics.Clock.Merge). A run with a multi-worker pool is therefore
-// bit-identical to the serial one, including every virtual timestamp
-// derived downstream.
-func (s *Scratch) NestedLoopPool(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock, pool *parallel.Pool) []Result {
-	if pool.Workers() <= 1 || len(rs)*len(ts) < ParallelProbeCutoff {
-		return s.NestedLoop(jc, fs, rs, ts, clock)
-	}
-	n := len(pool.Shards(len(rs)))
-	for len(s.shardOuts) < n {
-		s.shardOuts = append(s.shardOuts, nil)
-		s.shardFlat = append(s.shardFlat, nil)
-		s.subs = append(s.subs, metrics.Counters{})
-	}
-	pool.Run(len(rs), func(i, lo, hi int) {
-		sub := metrics.NewClock()
-		s.shardOuts[i], s.shardFlat[i] = nestedLoopAppend(
-			s.shardOuts[i][:0], s.shardFlat[i][:0], jc, fs, rs[lo:hi], ts, sub)
-		s.subs[i] = sub.Counters()
-	})
-	s.results = s.results[:0]
-	for i := 0; i < n; i++ {
-		if clock != nil {
-			clock.Merge(s.subs[i])
+	dst, flat := s.results[:0], s.flat[:0]
+	for _, r := range rs {
+		for _, t := range ts {
+			if clock != nil {
+				clock.CountJoinProbe(1)
+			}
+			if !jc.Matches(r, t) {
+				continue
+			}
+			if clock != nil {
+				clock.CountJoinResult(1)
+			}
+			var out []float64
+			flat, out = projectAppend(flat, fs, r, t)
+			dst = append(dst, Result{RID: r.ID, TID: t.ID, Out: out})
 		}
-		s.results = append(s.results, s.shardOuts[i]...)
 	}
-	return s.results
+	s.results, s.flat = dst, flat
+	return dst
 }

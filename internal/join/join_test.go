@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"caqe/internal/metrics"
-	"caqe/internal/parallel"
 	"caqe/internal/tuple"
 )
 
@@ -238,68 +237,6 @@ func TestHashJoinBuildNotFree(t *testing.T) {
 	if hj.Counters().CellOps == 0 {
 		t.Fatal("hash build charged nothing")
 	}
-}
-
-// requireSameResults asserts two result slices are identical element-wise,
-// including order.
-func requireSameResults(t *testing.T, label string, a, b []Result) {
-	t.Helper()
-	if len(a) != len(b) {
-		t.Fatalf("%s: %d vs %d results", label, len(a), len(b))
-	}
-	for i := range a {
-		if a[i].RID != b[i].RID || a[i].TID != b[i].TID {
-			t.Fatalf("%s: result %d differs: %+v vs %+v", label, i, a[i], b[i])
-		}
-		for k := range a[i].Out {
-			if a[i].Out[k] != b[i].Out[k] {
-				t.Fatalf("%s: result %d output differs: %v vs %v", label, i, a[i].Out, b[i].Out)
-			}
-		}
-	}
-}
-
-// TestPoolJoinsBitIdenticalToSerial: the pool variant must produce the
-// serial result order and the serial clock state exactly, for any worker
-// count, including when the clock starts at a fractional virtual time.
-func TestPoolJoinsBitIdenticalToSerial(t *testing.T) {
-	defer func(old int) { ParallelProbeCutoff = old }(ParallelProbeCutoff)
-	ParallelProbeCutoff = 1 // force the parallel path even on small inputs
-
-	rng := rand.New(rand.NewSource(7))
-	rs := mkTuples(rng, 83, 2, 1, 6)
-	ts := mkTuples(rng, 61, 2, 1, 6)
-	jc := EquiJoin{Name: "JC", LeftKey: 0, RightKey: 0}
-	fs := []MapFunc{Sum("x", 0), Sum("y", 1)}
-
-	serialNL := metrics.NewClock()
-	serialNL.CountCellOp(7) // fractional starting time
-	wantNL := new(Scratch).NestedLoop(jc, fs, rs, ts, serialNL)
-
-	for _, workers := range []int{1, 2, 3, 4, 16} {
-		pool := parallel.New(workers)
-		clk := metrics.NewClock()
-		clk.CountCellOp(7)
-		got := new(Scratch).NestedLoopPool(jc, fs, rs, ts, clk, pool)
-		requireSameResults(t, "nested-loop", wantNL, got)
-		if clk.Now() != serialNL.Now() || clk.Counters() != serialNL.Counters() {
-			t.Fatalf("nested-loop workers=%d: clock %v/%+v, want %v/%+v",
-				workers, clk.Now(), clk.Counters(), serialNL.Now(), serialNL.Counters())
-		}
-	}
-}
-
-func TestPoolJoinsNilClock(t *testing.T) {
-	defer func(old int) { ParallelProbeCutoff = old }(ParallelProbeCutoff)
-	ParallelProbeCutoff = 1
-	rng := rand.New(rand.NewSource(8))
-	rs := mkTuples(rng, 30, 1, 1, 4)
-	ts := mkTuples(rng, 30, 1, 1, 4)
-	jc := EquiJoin{Name: "JC", LeftKey: 0, RightKey: 0}
-	fs := []MapFunc{Sum("x", 0)}
-	want := new(Scratch).NestedLoop(jc, fs, rs, ts, nil)
-	requireSameResults(t, "nil-clock nested-loop", want,
-		new(Scratch).NestedLoopPool(jc, fs, rs, ts, nil, parallel.New(4)))
 }
 
 func TestEquiJoinString(t *testing.T) {

@@ -17,9 +17,7 @@
 // multiple. Integer addition is associative and exact, so the clock reading
 // after a set of counted operations depends only on the operation *totals* —
 // never on the order they were counted in, and never on floating-point
-// rounding. This is what allows parallel executors to tally work on private
-// Counters shards and Merge them back: the merged clock is bit-identical to
-// a serial run that performed the same operations one at a time.
+// rounding.
 package metrics
 
 import (
@@ -90,8 +88,7 @@ func (c Counters) cost() int64 {
 }
 
 // Cost returns the total virtual-time cost of the counted operations in
-// virtual units — the amount a clock advances when these operations are
-// merged into it.
+// virtual units — the amount a clock advances when it counts them.
 func (c Counters) Cost() float64 { return float64(c.cost()) / deciPerUnit }
 
 // String renders the counters in a compact single line.
@@ -106,9 +103,7 @@ func (c *Counters) String() string {
 // exact integer count of deci-units; see the package comment for why that
 // makes clock readings independent of counting order and batching.
 //
-// A Clock is not safe for concurrent use. Parallel executors give each
-// worker a private Clock (or Counters) shard and Merge the shards back in a
-// deterministic order.
+// A Clock is not safe for concurrent use.
 type Clock struct {
 	deci     int64 // accumulated work in deci-units (tenths of a virtual unit)
 	counters Counters
@@ -175,17 +170,6 @@ func (k *Clock) Advance(d float64) {
 
 // Counters returns a snapshot of the operation counters.
 func (k *Clock) Counters() Counters { return k.counters }
-
-// Merge folds a privately-accumulated counter shard into the clock:
-// counters are added and the clock advances by the shard's exact integer
-// cost. Because clock time is integral, merging shards — in any order —
-// yields a clock bit-identical to having counted the same operations one by
-// one on this clock. This is the substrate of the parallel executors'
-// determinism guarantee.
-func (k *Clock) Merge(c Counters) {
-	k.counters.Add(c)
-	k.deci += c.cost()
-}
 
 // CountJoinProbe records n candidate-pair evaluations.
 func (k *Clock) CountJoinProbe(n int64) {

@@ -99,41 +99,6 @@ func TestDeciCostsMatchFloatCosts(t *testing.T) {
 	}
 }
 
-func TestMergeEqualsSerialCounting(t *testing.T) {
-	// A clock that merges counter shards must be bit-identical to one that
-	// counted the same operations one at a time, regardless of how the work
-	// is split — the parallel executors' determinism guarantee.
-	serial := NewClock()
-	serial.CountCellOp(3) // leave a fractional time before the shard work
-	for i := 0; i < 1000; i++ {
-		serial.CountJoinProbe(1)
-	}
-	for i := 0; i < 77; i++ {
-		serial.CountJoinResult(1)
-	}
-	for i := 0; i < 13; i++ {
-		serial.CountEmit(1)
-	}
-
-	merged := NewClock()
-	merged.CountCellOp(3)
-	shards := []Counters{
-		{JoinProbes: 400, JoinResults: 10, TuplesEmitted: 5},
-		{JoinProbes: 350, JoinResults: 60},
-		{JoinProbes: 250, JoinResults: 7, TuplesEmitted: 8},
-	}
-	for _, s := range shards {
-		merged.Merge(s)
-	}
-
-	if serial.Now() != merged.Now() {
-		t.Fatalf("merged clock %v != serial clock %v", merged.Now(), serial.Now())
-	}
-	if serial.Counters() != merged.Counters() {
-		t.Fatalf("merged counters %+v != serial %+v", merged.Counters(), serial.Counters())
-	}
-}
-
 func TestCountersCost(t *testing.T) {
 	c := Counters{JoinProbes: 10, JoinResults: 2, SkylineCmps: 3, CellOps: 4, TuplesEmitted: 5,
 		RegionsDone: 9, RegionsPruned: 9, CuboidSubspace: 9} // bookkeeping: no cost

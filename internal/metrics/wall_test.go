@@ -65,19 +65,3 @@ func TestRealWallClockAdvances(t *testing.T) {
 		}
 	}
 }
-
-// TestWallMergeKeepsWorkUnits: merging worker counter shards charges work
-// units on a wall clock exactly as on the virtual clock.
-func TestWallMergeKeepsWorkUnits(t *testing.T) {
-	var ns int64
-	k := NewWallClockFunc(func() int64 { return ns })
-	var c Counters
-	c.JoinProbes = 10 // 10 * 10 deci = 10 units
-	k.Merge(c)
-	if got := k.WorkUnits(); got != 10 {
-		t.Fatalf("WorkUnits() after merge = %g, want 10", got)
-	}
-	if k.Now() != 0 {
-		t.Fatalf("merge moved the wall clock: %g", k.Now())
-	}
-}

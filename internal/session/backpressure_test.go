@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"caqe/internal/core"
 	"caqe/internal/run"
 )
 
@@ -153,7 +152,6 @@ func openBP(t *testing.T, nq int, bp Backpressure, global int) (*Session, *run.R
 		R: r, T: tt,
 		JoinConds:       w2.JoinConds,
 		OutDims:         w2.OutDims,
-		Engine:          core.Options{Workers: 1},
 		Backpressure:    bp,
 		GlobalHighWater: global,
 	})
@@ -253,7 +251,6 @@ func TestSessionGlobalHighWater(t *testing.T) {
 		R: r, T: tt,
 		JoinConds:       w.JoinConds,
 		OutDims:         w.OutDims,
-		Engine:          core.Options{Workers: 1},
 		GlobalHighWater: 1,
 	})
 	if err != nil {

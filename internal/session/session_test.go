@@ -38,7 +38,6 @@ func openFrom(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, maxConc
 		R: r, T: tt,
 		JoinConds:     w.JoinConds,
 		OutDims:       w.OutDims,
-		Engine:        core.Options{Workers: 1},
 		MaxConcurrent: maxConc,
 	})
 	if err != nil {
@@ -49,7 +48,7 @@ func openFrom(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, maxConc
 
 func batchReference(t *testing.T, w *workload.Workload, r, tt *tuple.Relation) *run.Report {
 	t.Helper()
-	e, err := core.New(w, r, tt, core.Options{Workers: 1})
+	e, err := core.New(w, r, tt, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +376,7 @@ func TestSessionMaxConcurrentValidation(t *testing.T) {
 	for _, bad := range []int{-1, workload.MaxQueries + 1, 1000} {
 		if _, err := Open(Config{
 			R: r, T: tt, JoinConds: w.JoinConds, OutDims: w.OutDims,
-			Engine: core.Options{Workers: 1}, MaxConcurrent: bad,
+			MaxConcurrent: bad,
 		}); err == nil {
 			t.Errorf("MaxConcurrent %d accepted", bad)
 		}
@@ -527,7 +526,6 @@ func TestExecutorPanicContained(t *testing.T) {
 	r, tt := testData(t, 80, dims, 7)
 	s, err := Open(Config{
 		R: r, T: tt, JoinConds: w.JoinConds, OutDims: w.OutDims,
-		Engine:        core.Options{Workers: 1},
 		OnFirstResult: func(int, float64) { panic("injected") },
 	})
 	if err != nil {

@@ -17,13 +17,11 @@ package topk
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"caqe/internal/contract"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
-	"caqe/internal/parallel"
 	"caqe/internal/partition"
 	"caqe/internal/run"
 	"caqe/internal/trace"
@@ -103,10 +101,6 @@ func (q *Query) Score(out []float64) float64 {
 type Options struct {
 	TargetCells    int
 	GridResolution int // reserved; top-k needs no output grid
-	// Workers sizes the join worker pool (default runtime.GOMAXPROCS(0);
-	// 1 = serial). As in the skyline engine, any worker count produces
-	// reports bit-identical to serial execution.
-	Workers int
 	// DataOrder disables benefit-driven scheduling (ablation / shared
 	// blind pipeline).
 	DataOrder bool
@@ -119,9 +113,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.TargetCells <= 0 {
 		o.TargetCells = 24
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -164,7 +155,7 @@ func Run(w *Workload, r, t *tuple.Relation, opt Options, estTotals []int) (*run.
 	}
 
 	e := &engine{
-		w: w, opt: opt, clock: clock, pool: parallel.New(opt.Workers), rep: rep,
+		w: w, opt: opt, clock: clock, rep: rep,
 		kth:     make([]float64, len(w.Queries)),
 		top:     make([][]result, len(w.Queries)),
 		emitted: make([]int, len(w.Queries)),
@@ -185,7 +176,6 @@ type engine struct {
 	w     *Workload
 	opt   Options
 	clock *metrics.Clock
-	pool  *parallel.Pool
 	rep   *run.Report
 
 	regions []*tkRegion
@@ -361,7 +351,7 @@ func (e *engine) processRegion(reg *tkRegion) {
 		}
 		// Scratch results are valid only until the next join; offer copies
 		// the coordinates of the candidates it actually keeps.
-		results := e.js.NestedLoopPool(e.w.JoinConds[j], e.w.OutDims, reg.rc.Tuples, reg.tc.Tuples, e.clock, e.pool)
+		results := e.js.NestedLoop(e.w.JoinConds[j], e.w.OutDims, reg.rc.Tuples, reg.tc.Tuples, e.clock)
 		for _, res := range results {
 			for qi := range e.w.Queries {
 				if !reg.alive[qi] || e.w.Queries[qi].JC != j {
@@ -550,7 +540,7 @@ func SequentialTraced(w *Workload, r, t *tuple.Relation, estTotals []int, tracer
 			ev.Queries = []int{qi}
 			tracer.Trace(ev)
 		}
-		results := js.NestedLoopPool(w.JoinConds[q.JC], w.OutDims, rs, ts, clock, parallel.Default())
+		results := js.NestedLoop(w.JoinConds[q.JC], w.OutDims, rs, ts, clock)
 		cands = cands[:0]
 		for _, res := range results {
 			cands = append(cands, result{score: q.Score(res.Out), rid: res.RID, tid: res.TID, out: res.Out})

@@ -5,20 +5,16 @@ import (
 	"testing"
 
 	"caqe"
-	"caqe/internal/join"
 	"caqe/internal/trace"
 )
 
 // TestTracingByteIdentical is the zero-overhead contract of the trace
-// layer: for every strategy, distribution and worker count, a run with a
-// JSONL tracer attached must reproduce the untraced report exactly —
-// results, emission order, virtual timestamps, counters and end time.
+// layer: for every strategy and distribution, a run with a JSONL tracer
+// attached must reproduce the untraced report exactly — results, emission
+// order, virtual timestamps, counters and end time.
 // Along the way every emitted event must validate against the schema and
 // reconcile with the report it describes.
 func TestTracingByteIdentical(t *testing.T) {
-	defer func(v int) { join.ParallelProbeCutoff = v }(join.ParallelProbeCutoff)
-	join.ParallelProbeCutoff = 1
-
 	dists := []struct {
 		name string
 		d    caqe.Distribution
@@ -39,31 +35,29 @@ func TestTracingByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, name := range caqe.StrategyNames() {
-				for _, workers := range []int{1, 4} {
-					t.Run(string(name)+"/w"+string(rune('0'+workers)), func(t *testing.T) {
-						plain, err := caqe.RunStrategy(name, w, r, tt,
-							caqe.WithTotals(totals), caqe.WithWorkers(workers))
-						if err != nil {
-							t.Fatal(err)
-						}
-						var buf bytes.Buffer
-						jw := caqe.NewJSONLTracer(&buf)
-						traced, err := caqe.RunStrategy(name, w, r, tt,
-							caqe.WithTotals(totals), caqe.WithWorkers(workers), caqe.WithTracer(jw))
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := jw.Flush(); err != nil {
-							t.Fatal(err)
-						}
-						requireIdenticalReports(t, plain, traced)
-						events, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
-						if err != nil {
-							t.Fatalf("trace stream invalid: %v", err)
-						}
-						checkTraceInvariants(t, string(name), traced, events)
-					})
-				}
+				// "w1": every run is one executor on one goroutine.
+				t.Run(string(name)+"/w1", func(t *testing.T) {
+					plain, err := caqe.RunStrategy(name, w, r, tt, caqe.WithTotals(totals))
+					if err != nil {
+						t.Fatal(err)
+					}
+					var buf bytes.Buffer
+					jw := caqe.NewJSONLTracer(&buf)
+					traced, err := caqe.RunStrategy(name, w, r, tt,
+						caqe.WithTotals(totals), caqe.WithTracer(jw))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := jw.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					requireIdenticalReports(t, plain, traced)
+					events, err := trace.ReadAll(bytes.NewReader(buf.Bytes()))
+					if err != nil {
+						t.Fatalf("trace stream invalid: %v", err)
+					}
+					checkTraceInvariants(t, string(name), traced, events)
+				})
 			}
 		})
 	}
