@@ -38,7 +38,6 @@ examples:
 	go run ./examples/stockticker
 	go run ./examples/supplychain
 	go run ./examples/adaptive
-	go run ./examples/topk
 
 clean:
 	go clean ./...

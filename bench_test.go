@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§7), one testing.B benchmark per figure, plus the strategy, ablation,
-// contract, ground-truth and top-k benchmarks. Figure
+// contract and ground-truth benchmarks. Figure
 // benchmarks run the full strategy comparison at a reduced scale per
 // iteration and report the headline quantity as a custom metric; use
 // cmd/caqe-bench for the full-scale tables. Per-layer timings on real
@@ -18,8 +18,6 @@ import (
 	"caqe/internal/contract"
 	"caqe/internal/core"
 	"caqe/internal/datagen"
-	"caqe/internal/join"
-	"caqe/internal/topk"
 	"caqe/internal/workload"
 )
 
@@ -234,40 +232,4 @@ func BenchmarkGroundTruth(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkTopKExtension compares the contract-driven top-k engine against
-// its sequential baseline on the freight-style ranked workload.
-func BenchmarkTopKExtension(b *testing.B) {
-	w := &topk.Workload{
-		JoinConds: []join.EquiJoin{{Name: "JC1", LeftKey: 0, RightKey: 0}},
-		OutDims:   []join.MapFunc{join.Sum("x0", 0), join.Sum("x1", 1), join.Sum("x2", 2)},
-		Queries: []topk.Query{
-			{Name: "Q1", JC: 0, Weights: []float64{1, 0, 0}, K: 10, Priority: 0.9, Contract: contract.C1(60)},
-			{Name: "Q2", JC: 0, Weights: []float64{1, 1, 1}, K: 25, Priority: 0.5, Contract: contract.C2()},
-			{Name: "Q3", JC: 0, Weights: []float64{0, 1, 3}, K: 5, Priority: 0.3, Contract: contract.C3(90)},
-		},
-	}
-	r, t, err := datagen.Pair(600, 3, datagen.Independent, []float64{0.05}, 77)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("CAQE-TopK", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := topk.Run(w, r, t, topk.Options{}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(rep.EndTime, "virtual-sec")
-		}
-	})
-	b.Run("Sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rep, err := topk.Sequential(w, r, t, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(rep.EndTime, "virtual-sec")
-		}
-	})
 }

@@ -64,7 +64,6 @@ import (
 	"caqe/internal/preference"
 	"caqe/internal/run"
 	"caqe/internal/session"
-	"caqe/internal/topk"
 	"caqe/internal/trace"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
@@ -316,51 +315,6 @@ func GeneratePair(n, d int, dist Distribution, selectivities []float64, seed int
 // record is skipped.
 func ReadRelationCSV(r io.Reader, schema Schema, header bool) (*Relation, error) {
 	return tuple.ReadCSV(r, schema, header)
-}
-
-// Top-k extension: the paper develops CAQE for skyline-over-join queries
-// and positions its principles as general across multi-criteria decision
-// support query classes (§1.2); the topk package realizes that extension
-// for contract-driven top-k-over-join workloads on the same substrates.
-type (
-	// TopKWorkload is a set of top-k-over-join queries.
-	TopKWorkload = topk.Workload
-	// TopKQuery scores join results with a non-negative linear combination
-	// of the output dimensions (smaller is better) and asks for the K best.
-	TopKQuery = topk.Query
-	// TopKOptions tunes the top-k engine.
-	TopKOptions = topk.Options
-)
-
-// RunTopK executes a top-k workload with contract-driven scheduling. It
-// accepts the same options as Run; of a bare Options value the top-k
-// engine honors the granularity knobs (TargetCells, GridResolution),
-// DataOrderScheduling and the tracer.
-//
-//	rep, err := caqe.RunTopK(w, carriers, lanes, caqe.WithTotals(totals))
-func RunTopK(w *TopKWorkload, r, t *Relation, opts ...RunOption) (*Report, error) {
-	cfg := core.NewRunConfig(opts...)
-	return topk.Run(w, r, t, topkOptions(cfg), cfg.Totals)
-}
-
-// RunTopKSequential is the unshared, blocking per-query baseline for the
-// top-k extension. It accepts the same options as RunTopK; the engine
-// knobs are ignored (the baseline has no shared plan), while WithTotals
-// and WithTracer apply.
-func RunTopKSequential(w *TopKWorkload, r, t *Relation, opts ...RunOption) (*Report, error) {
-	cfg := core.NewRunConfig(opts...)
-	return topk.SequentialTraced(w, r, t, cfg.Totals, cfg.Opt.Tracer)
-}
-
-// topkOptions maps a resolved run configuration onto the top-k engine's
-// options (DataOrderScheduling selects the blind pipeline order there too).
-func topkOptions(cfg core.RunConfig) TopKOptions {
-	return TopKOptions{
-		TargetCells:    cfg.Opt.TargetCells,
-		GridResolution: cfg.Opt.GridResolution,
-		DataOrder:      cfg.Opt.DataOrderScheduling,
-		Tracer:         cfg.Opt.Tracer,
-	}
 }
 
 // ProductContract combines component contracts multiplicatively — the

@@ -1,6 +1,7 @@
 package caqe_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,6 +99,33 @@ func TestStrategiesAndRunStrategy(t *testing.T) {
 	if _, err := caqe.RunStrategy("nope", w, r, tt); err == nil {
 		t.Error("unknown strategy accepted")
 	}
+
+	// A literal nil option (the totals slot of the old struct-options
+	// signatures) is skipped, not dereferenced: the report equals the
+	// no-option call's.
+	runs := []struct {
+		name string
+		run  func(opts ...caqe.RunOption) (*caqe.Report, error)
+	}{
+		{"Run", func(opts ...caqe.RunOption) (*caqe.Report, error) { return caqe.Run(w, r, tt, opts...) }},
+		{"RunStrategy", func(opts ...caqe.RunOption) (*caqe.Report, error) {
+			return caqe.RunStrategy(caqe.StrategySJFSL, w, r, tt, opts...)
+		}},
+	}
+	for _, c := range runs {
+		plain, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		withNil, err := c.run(nil)
+		if err != nil {
+			t.Fatalf("%s(nil): %v", c.name, err)
+		}
+		if !reflect.DeepEqual(plain.PerQuery, withNil.PerQuery) || plain.EndTime != withNil.EndTime ||
+			plain.Counters != withNil.Counters || !reflect.DeepEqual(plain.Satisfaction(), withNil.Satisfaction()) {
+			t.Errorf("%s: a nil option changed the report", c.name)
+		}
+	}
 }
 
 func TestContractConstructors(t *testing.T) {
@@ -187,31 +215,6 @@ func TestContractCombinatorsPublic(t *testing.T) {
 	tb.Finalize(50)
 	if got := tb.PScore(); got != 0.75 {
 		t.Fatalf("blended pScore = %g", got)
-	}
-}
-
-func TestRunTopKPublic(t *testing.T) {
-	r, tt := exampleData(t)
-	w := &caqe.TopKWorkload{
-		JoinConds: []caqe.EquiJoin{{Name: "JC1", LeftKey: 0, RightKey: 0}},
-		OutDims:   []caqe.MapFunc{caqe.SumDim("x", 0), caqe.SumDim("y", 1)},
-		Queries: []caqe.TopKQuery{
-			{Name: "Q1", JC: 0, Weights: []float64{1, 1}, K: 5, Priority: 0.8,
-				Contract: caqe.Deadline(60)},
-		},
-	}
-	rep, err := caqe.RunTopK(w, r, tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A literal nil option (the totals slot of the old struct-options
-	// signatures) is skipped, not dereferenced.
-	seq, err := caqe.RunTopKSequential(w, r, tt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.PerQuery[0]) != len(seq.PerQuery[0]) {
-		t.Fatalf("topk result counts differ: %d vs %d", len(rep.PerQuery[0]), len(seq.PerQuery[0]))
 	}
 }
 

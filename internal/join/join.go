@@ -178,8 +178,8 @@ func HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.C
 //
 // A Scratch owns the result headers and the flat coordinate backing of the
 // output points, so a caller that joins many cell pairs in sequence (the
-// region executor, the top-k engine) performs zero steady-state allocations
-// per join.
+// region executor, the nested-loop baselines) performs zero steady-state
+// allocations per join.
 
 // Scratch holds reusable join buffers. The zero value is ready to use. A
 // Scratch must not be used concurrently, and the results of a call are

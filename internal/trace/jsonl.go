@@ -63,14 +63,19 @@ func (j *JSONLWriter) Err() error {
 	return j.err
 }
 
-// ValidateLine decodes one JSONL line strictly (unknown fields rejected)
-// and validates the event against the schema.
+// ValidateLine decodes one JSONL line strictly (unknown fields and
+// anything but whitespace after the event rejected) and validates the
+// event against the schema.
 func ValidateLine(line []byte) (Event, error) {
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	ev := New("")
 	if err := dec.Decode(&ev); err != nil {
 		return ev, fmt.Errorf("trace: malformed event line: %w", err)
+	}
+	var rest json.RawMessage
+	if err := dec.Decode(&rest); err != io.EOF {
+		return ev, fmt.Errorf("trace: trailing data after event")
 	}
 	if err := ev.Validate(); err != nil {
 		return ev, err

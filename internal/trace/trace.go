@@ -4,8 +4,8 @@
 // run — for CAQE and for every comparison strategy, so schedules produced
 // by different techniques are directly comparable artifacts.
 //
-// Producers (the core optimizer loop, the baseline strategies, the top-k
-// engine and the shared run.Report) call Tracer.Trace with one Event per
+// Producers (the core optimizer loop, the baseline strategies and the
+// shared run.Report) call Tracer.Trace with one Event per
 // observation. Tracing never performs counted work: no event construction
 // touches the virtual clock, so a traced run produces a report
 // byte-identical to an untraced one (the determinism suite enforces this).

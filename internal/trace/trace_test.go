@@ -114,6 +114,22 @@ func TestValidateLineRejectsUnknownFields(t *testing.T) {
 	if _, err := ValidateLine([]byte(`not json`)); err == nil {
 		t.Fatal("malformed line accepted")
 	}
+	// Anything after the first JSON value but whitespace is rejected: a
+	// second event on the same line would otherwise be silently dropped.
+	for _, line := range []string{
+		`{"kind":"start","strategy":"CAQE","t":0} {"kind":"bogus"}`,
+		`{"kind":"start","strategy":"CAQE","t":0}garbage`,
+	} {
+		if _, err := ValidateLine([]byte(line)); err == nil {
+			t.Errorf("trailing data accepted: %s", line)
+		}
+		if evs, err := ReadAll(strings.NewReader(line)); err == nil {
+			t.Errorf("ReadAll accepted trailing data, returned %d event(s): %s", len(evs), line)
+		}
+	}
+	if _, err := ValidateLine([]byte("{\"kind\":\"start\",\"strategy\":\"CAQE\",\"t\":0} \t\r\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
 }
 
 func TestReadAllReportsLineNumber(t *testing.T) {
