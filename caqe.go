@@ -312,7 +312,7 @@ func GeneratePair(n, d int, dist Distribution, selectivities []float64, seed int
 
 // ReadRelationCSV loads a relation from CSV data: numeric attributes first,
 // join key columns last, one record per tuple. With header true the first
-// record is skipped.
+// record is skipped. An attribute that is NaN or infinite is an error.
 func ReadRelationCSV(r io.Reader, schema Schema, header bool) (*Relation, error) {
 	return tuple.ReadCSV(r, schema, header)
 }

@@ -109,13 +109,22 @@ type Engine struct {
 	opt  Options
 }
 
-// New validates the inputs and returns an engine.
+// New validates the inputs — among them that every attribute of both
+// relations is finite, however the relations were built — and returns an
+// engine.
 func New(w *workload.Workload, r, t *tuple.Relation, opt Options) (*Engine, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	if r == nil || t == nil {
 		return nil, fmt.Errorf("core: nil input relation")
+	}
+	for _, rel := range []*tuple.Relation{r, t} {
+		for i := range rel.Tuples {
+			if err := tuple.CheckFinite(rel.Tuples[i].Attrs); err != nil {
+				return nil, fmt.Errorf("core: relation %s row %d: %w", rel.Schema.Name, rel.Tuples[i].ID, err)
+			}
+		}
 	}
 	for _, jc := range w.JoinConds {
 		if jc.LeftKey < 0 || jc.LeftKey >= r.Schema.NumKeys() {

@@ -50,6 +50,20 @@ func TestNewValidatesInputs(t *testing.T) {
 	if _, err := New(&bad, r, tt, Options{}); err == nil {
 		t.Error("out-of-range right key accepted")
 	}
+	// An attribute edited in place after Append, on either side.
+	for _, rel := range []*tuple.Relation{r, tt} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			old := rel.At(7).Attrs[2]
+			rel.At(7).Attrs[2] = v
+			if _, err := New(w, r, tt, Options{}); err == nil {
+				t.Errorf("%s: attribute %v accepted", rel.Schema.Name, v)
+			}
+			rel.At(7).Attrs[2] = old
+		}
+	}
+	if _, err := New(w, r, tt, Options{}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestOptionDefaults(t *testing.T) {

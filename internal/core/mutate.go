@@ -35,13 +35,17 @@ type TupleData struct {
 }
 
 // Check is the appended-row rule, stated once for the engine and the
-// session that queues rows ahead of it: the row has the schema's arity and
-// none of its join keys is a reserved tombstone. Callers prefix the error
-// with their package name, the row's index and the table.
+// session that queues rows ahead of it: the row has the schema's arity, its
+// attributes are finite (tuple.CheckFinite) and none of its join keys is a
+// reserved tombstone. Callers prefix the error with their package name, the
+// row's index and the table.
 func (row TupleData) Check(schema *tuple.Schema) error {
 	if len(row.Attrs) != schema.NumAttrs() || len(row.Keys) != schema.NumKeys() {
 		return fmt.Errorf("got %d attrs, %d keys; schema wants %d, %d",
 			len(row.Attrs), len(row.Keys), schema.NumAttrs(), schema.NumKeys())
+	}
+	if err := tuple.CheckFinite(row.Attrs); err != nil {
+		return err
 	}
 	for _, k := range row.Keys {
 		if k == TombstoneKeyR || k == TombstoneKeyT {

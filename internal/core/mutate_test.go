@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -344,8 +345,8 @@ func TestMutationReplayByteIdentical(t *testing.T) {
 }
 
 // TestMutateValidation pins the mutation error surface: shape mismatches,
-// reserved keys, and unknown / duplicate / repeated deletes are rejected
-// without disturbing the run.
+// reserved keys, non-finite attributes, and unknown / duplicate / repeated
+// deletes are rejected without disturbing the run.
 func TestMutateValidation(t *testing.T) {
 	const dims, nq, n = 3, 2, 40
 	w := testWorkload(nq, dims, workload.UniformPriority, c3s)
@@ -362,6 +363,16 @@ func TestMutateValidation(t *testing.T) {
 	bad[0].Keys[0] = TombstoneKeyR
 	if _, _, err := x.Append(TableR, bad); err == nil {
 		t.Error("reserved key accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad := rowsFrom(r, 0, 1)
+		bad[0].Attrs[1] = v
+		if err := bad[0].Check(&r.Schema); err == nil {
+			t.Errorf("Check passed attribute %v", v)
+		}
+		if _, _, err := x.Append(TableR, bad); err == nil {
+			t.Errorf("attribute %v accepted", v)
+		}
 	}
 	if _, err := x.Delete(TableT, []int{n + 5}); err == nil {
 		t.Error("unknown row delete accepted")

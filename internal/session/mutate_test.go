@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -252,9 +253,9 @@ func TestSessionAnchoredMutationWaits(t *testing.T) {
 }
 
 // TestSessionMutateValidation pins the accept-time error surface: bad
-// table names, empty mutations, shape mismatches, reserved keys and
-// invalid deletes are rejected before any ID is reserved, and draining
-// sessions reject mutations outright.
+// table names, empty mutations, shape mismatches, reserved keys, non-finite
+// attributes and invalid deletes are rejected before any ID is reserved,
+// and draining sessions reject mutations outright.
 func TestSessionMutateValidation(t *testing.T) {
 	const dims, n = 3, 30
 	w := testWorkload(t, 1, dims)
@@ -275,6 +276,13 @@ func TestSessionMutateValidation(t *testing.T) {
 		Keys:  func() []int64 { k := make([]int64, tt.Schema.NumKeys()); k[0] = core.TombstoneKeyT; return k }(),
 	}}}); err == nil {
 		t.Error("reserved key accepted")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		attrs := make([]float64, r.Schema.NumAttrs())
+		attrs[0] = v
+		if _, err := s.Mutate(Mutation{Table: "r", Append: []core.TupleData{{Attrs: attrs, Keys: make([]int64, r.Schema.NumKeys())}}}); err == nil {
+			t.Errorf("attribute %v accepted", v)
+		}
 	}
 	if _, err := s.Mutate(Mutation{Table: "r", Delete: []int{n + 10}}); err == nil {
 		t.Error("out-of-range delete accepted")

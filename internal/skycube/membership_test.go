@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"caqe/internal/metrics"
 	"caqe/internal/preference"
 )
 
@@ -96,6 +97,11 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 // the payload masks, one that outgrows them mid-schedule, one that never
 // had them (so childProtects takes its find-based fallback over real
 // cuboid children).
+//
+// Each schedule also runs under a clock, and its total comparison count is
+// pinned: the schedules are the one place where re-inserts, dead entries in
+// the tie run and the masks-off fallback all meet the insert path's
+// accounting, so a rework of that path must charge exactly these.
 func TestMembershipMatchesReference(t *testing.T) {
 	all := func(d int) []preference.Subspace { // every subspace of ≥ 2 of d dimensions
 		var out []preference.Subspace
@@ -111,11 +117,12 @@ func TestMembershipMatchesReference(t *testing.T) {
 		d                 int
 		prefs             []preference.Subspace
 		masksAtStart, end bool
+		cmps              [3]int64 // SkylineCmps of seeds 1, 2, 3
 	}{
 		{"masks", 4, []preference.Subspace{preference.NewSubspace(0, 1), preference.NewSubspace(1, 2, 3),
-			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, true, true},
-		{"outgrows-masks", 6, all(6), true, false},
-		{"no-masks", 7, all(7)[:60], false, false},
+			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, true, true, [3]int64{2212, 2566, 1256}},
+		{"outgrows-masks", 6, all(6), true, false, [3]int64{87703, 72453, 79457}},
+		{"no-masks", 7, all(7)[:60], false, false, [3]int64{72026, 81853, 79860}},
 	}
 	for _, plan := range plans {
 		t.Run(plan.name, func(t *testing.T) {
@@ -124,13 +131,17 @@ func TestMembershipMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for seed := int64(1); seed <= 3; seed++ {
-				s := NewSharedSkyline(c, nil)
+				clock := metrics.NewClock()
+				s := NewSharedSkyline(c, clock)
 				if s.useMasks != plan.masksAtStart {
 					t.Fatalf("%d nodes: useMasks = %v at start", len(s.nodes), s.useMasks)
 				}
 				runMembershipSchedule(t, s, plan.d, seed)
 				if s.useMasks != plan.end {
 					t.Fatalf("%d nodes: useMasks = %v at end", len(s.nodes), s.useMasks)
+				}
+				if got, want := clock.Counters().SkylineCmps, plan.cmps[seed-1]; got != want {
+					t.Errorf("seed %d: %d comparisons, want %d", seed, got, want)
 				}
 			}
 		})

@@ -68,9 +68,9 @@ type SharedSkyline struct {
 
 	// Resettle's channel into insertAt, kept off the insert path's signature:
 	// while replacing is set, insertAt kills the point's live entry where it
-	// meets one — in the tie-run walk every insert makes anyway — and leaves
-	// that entry's alive set in replaced. As a parameter and a second result
-	// of insertAt the same thing read slower on batch-indep, where an insert
+	// meets one — in the tie-run search a possible member makes anyway — and
+	// leaves that entry's alive set in replaced. As a parameter and a second
+	// result of insertAt the same thing read slower on batch-indep, where an insert
 	// meets few comparisons: done_p50_ms +5.6 % against PR 22 (0 of 5 pairs)
 	// where this form reads +3.5 % and +1.5 % (0 of 4, 1 of 6), and +1.6 %
 	// head to head (1 of 5) — small, but it is the one path every join
@@ -126,7 +126,10 @@ type sharedEntry struct {
 // sum: a point can only be weakly dominated by entries with sum ≤ its own
 // and can only dominate entries with sum ≥ its own, so each insert scans a
 // prefix for dominators and a suffix for evictions — the SFS presorting
-// idea applied incrementally inside the shared plan.
+// idea applied incrementally inside the shared plan. The prefix scan finds
+// its own end (the first entry with a larger sum); only member lookups
+// (find, and an insert of a payload that may already be a member)
+// binary-search the sum key.
 type sharedNode struct {
 	node      *Node
 	idx       int    // position in SharedSkyline.nodes (bit index of the masks)
@@ -139,16 +142,10 @@ type sharedNode struct {
 	children  []*sharedNode
 }
 
-// sumLowerBound returns the first index of window whose sum is ≥ sp.
-func sumLowerBound(window []sharedEntry, sp float64) int {
-	return sort.Search(len(window), func(i int) bool { return window[i].sum >= sp })
-}
-
 // find returns the live window entry of payload at sn, or nil. Arena slots
 // are write-once while a point is live, so the entry's sort key is
 // recomputable from the arena and the entry can only sit in the window's run
-// of that exact sum — one binary search plus a walk over the ties. Dead
-// entries of the same payload (killed, not yet compacted) are passed over.
+// of that exact sum (liveInRun).
 func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
 	if payload < 0 || s.useMasks && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&(1<<uint(sn.idx)) == 0) {
 		return nil
@@ -157,9 +154,17 @@ func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
 	if vals == nil {
 		return nil
 	}
-	sp := sn.kern.Sum(vals)
-	for i := sumLowerBound(sn.window, sp); i < len(sn.window) && sn.window[i].sum == sp; i++ {
-		if w := &sn.window[i]; int(w.payload) == payload && w.alive != 0 {
+	return liveInRun(sn, payload, sn.kern.Sum(vals))
+}
+
+// liveInRun returns the live entry of payload in sn's run of entries with
+// sum sp, or nil: one binary search plus a walk over the ties. Dead entries
+// of the same payload (killed, not yet compacted) are passed over.
+func liveInRun(sn *sharedNode, payload int, sp float64) *sharedEntry {
+	window := sn.window
+	i := sort.Search(len(window), func(i int) bool { return window[i].sum >= sp })
+	for ; i < len(window) && window[i].sum == sp; i++ {
+		if w := &window[i]; int(w.payload) == payload && w.alive != 0 {
 			return w
 		}
 	}
@@ -289,19 +294,28 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 // inserted). A point that already is a live member is left alone — unless
 // Resettle is replacing: then the entry dies, its alive set is left in
 // s.replaced, and the point is judged afresh under relevant.
+//
+// Entries with sum ≤ sp are the dominator candidates and entries with
+// sum ≥ sp the eviction candidates (equal sums are in both). The prefix scan
+// walks the window from its start and stops at the first larger sum, so it
+// finds the end of the prefix itself; a point dominated for every query
+// returns from inside it without ever locating its own slot, and one that
+// survives finds the start of the run of equal sums by walking back over it
+// — ties are rare. A live entry of the payload can only sit in that run, and
+// only a payload whose member bit is set (or any, without the masks) can
+// have one, so only those look it up before the scan, as find does.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
 	sp := sn.kern.Sum(vals)
 	// Subspaces of ≥ 5 dimensions do not fit the lanes: the kernel path.
 	var p preference.Lanes
 	fast := sn.kern.Project(vals, &p)
-	// Entries with sum ≤ sp form the dominator candidates; entries with
-	// sum ≥ sp are the eviction candidates (equal sums appear in both).
-	// Ties are rare, so the run of equal sums is walked rather than searched
-	// — the same walk find makes, which is where a re-insert is caught.
-	lowIdx := sumLowerBound(sn.window, sp)
-	hiIdx := lowIdx
-	for ; hiIdx < len(sn.window) && sn.window[hiIdx].sum == sp; hiIdx++ {
-		if w := &sn.window[hiIdx]; int(w.payload) == payload && w.alive != 0 {
+	bit := uint64(1) << uint(sn.idx)
+	var pm *payloadMasks // the payload's masks, loaded once, nil without them
+	if s.useMasks {
+		pm = s.mask(payload)
+	}
+	if pm == nil || pm.member&bit != 0 {
+		if w := liveInRun(sn, payload, sp); w != nil {
 			if !s.replacing {
 				return w.alive
 			}
@@ -321,17 +335,20 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	// change only after both scans): a window entry costs one payload-indexed
 	// load, and none while the hoisted half is zero, the usual case at the top.
 	var pCleanChildren, pMemberChildren uint64
-	if s.useMasks {
-		pm := s.mask(payload)
+	if pm != nil {
 		pCleanChildren = pm.clean & sn.childMask
 		pMemberChildren = pm.member & sn.childMask
 	}
 
 	// Prefix scan: can some member dominate p? The reverse direction is
 	// only consulted when the forward one holds, so it is computed lazily.
-	prefix := sn.window[:hiIdx]
-	for i := range prefix {
-		w := &prefix[i]
+	hiIdx := len(sn.window)
+	for i := range sn.window {
+		w := &sn.window[i]
+		if w.sum > sp {
+			hiIdx = i
+			break
+		}
 		if w.alive == 0 || w.lineage&relevant == 0 {
 			continue // dead, or disjoint lineages never interact
 		}
@@ -371,6 +388,10 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 			s.clock.CountSkylineCmp(cmpCount)
 		}
 		return 0
+	}
+	lowIdx := hiIdx
+	for lowIdx > 0 && sn.window[lowIdx-1].sum == sp {
+		lowIdx--
 	}
 
 	// Suffix scan: which members does p dominate? Dead entries encountered
@@ -447,9 +468,7 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	sn.window = append(sn.window, sharedEntry{})
 	copy(sn.window[pos+1:], sn.window[pos:])
 	sn.window[pos] = sharedEntry{payload: int32(payload), sum: sp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p}
-	if s.useMasks {
-		bit := uint64(1) << uint(sn.idx)
-		pm := s.mask(payload)
+	if pm != nil {
 		pm.member |= bit
 		if cleanP {
 			pm.clean |= bit

@@ -10,7 +10,8 @@ import (
 // ReadCSV loads a relation from CSV data laid out as the schema describes:
 // each record holds the numeric attributes first, then the join key
 // columns. If header is true the first record is skipped (its names are
-// not required to match the schema — the schema is authoritative).
+// not required to match the schema — the schema is authoritative). Every
+// record goes through Append, so a NaN or infinite attribute is an error.
 func ReadCSV(r io.Reader, schema Schema, header bool) (*Relation, error) {
 	if err := schema.Validate(); err != nil {
 		return nil, err

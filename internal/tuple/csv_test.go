@@ -62,6 +62,10 @@ func TestReadCSVErrors(t *testing.T) {
 		{"bad float", "x,2,3\n"},
 		{"bad key", "1,2,notakey\n"},
 		{"float key", "1,2,3.5\n"},
+		{"NaN attribute", "NaN,2,3\n"},
+		{"Inf attribute", "1,Inf,3\n"},
+		{"-Inf attribute", "-Inf,2,3\n"},
+		{"overflowing attribute", "1,1e999,3\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadCSV(strings.NewReader(c.data), schema, false); err == nil {

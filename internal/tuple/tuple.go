@@ -13,6 +13,7 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -134,7 +135,8 @@ func NewRelation(schema Schema) *Relation {
 func (r *Relation) Len() int { return len(r.Tuples) }
 
 // Append adds a tuple, assigning it the next sequential ID. It returns an
-// error if the tuple's shape does not match the schema.
+// error if the tuple's shape does not match the schema or an attribute is
+// not finite (CheckFinite).
 func (r *Relation) Append(attrs []float64, keys []int64) error {
 	if len(attrs) != r.Schema.NumAttrs() {
 		return fmt.Errorf("tuple: relation %s expects %d attrs, got %d",
@@ -144,7 +146,25 @@ func (r *Relation) Append(attrs []float64, keys []int64) error {
 		return fmt.Errorf("tuple: relation %s expects %d keys, got %d",
 			r.Schema.Name, r.Schema.NumKeys(), len(keys))
 	}
+	if err := CheckFinite(attrs); err != nil {
+		return fmt.Errorf("tuple: relation %s: %w", r.Schema.Name, err)
+	}
 	r.Tuples = append(r.Tuples, Tuple{ID: len(r.Tuples), Attrs: attrs, Keys: keys})
+	return nil
+}
+
+// CheckFinite is the attribute rule: every numeric attribute is finite. A
+// NaN compares false both ways, so it is neither dominated nor dominating
+// and breaks the sum order sorted windows are searched by; an infinity
+// makes the region grid's bounds infinite and sums to NaN beside its
+// opposite. Either gives wrong skylines without an error, so no such value
+// enters a relation.
+func CheckFinite(attrs []float64) error {
+	for k, v := range attrs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("attribute %d is %v; attributes must be finite", k, v)
+		}
+	}
 	return nil
 }
 

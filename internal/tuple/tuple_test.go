@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -77,6 +78,24 @@ func TestAppendShapeMismatch(t *testing.T) {
 	}
 	if err := r.Append([]float64{1, 2, 3}, []int64{1}); err == nil {
 		t.Error("long attrs accepted")
+	}
+}
+
+// TestAppendRejectsNonFinite: Append refuses NaN and ±Inf in any attribute
+// and leaves the relation as it was.
+func TestAppendRejectsNonFinite(t *testing.T) {
+	r := NewRelation(validSchema())
+	r.MustAppend([]float64{1, 2}, []int64{1})
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := r.Append([]float64{v, 2}, []int64{1}); err == nil {
+			t.Errorf("Append accepted %v", v)
+		}
+		if err := r.Append([]float64{1, v}, []int64{1}); err == nil {
+			t.Errorf("Append accepted %v", v)
+		}
+	}
+	if r.Len() != 1 {
+		t.Fatalf("len = %d after rejected appends", r.Len())
 	}
 }
 
