@@ -44,8 +44,8 @@ func (s *SharedSkyline) bindDynamic(sn *sharedNode, qi int, pref preference.Subs
 		sn = &sharedNode{idx: len(s.nodes), window: make([]sharedEntry, 0, windowPresize)}
 		s.nodes = append(s.nodes, sn)
 		// The payload-indexed protection masks are bitmasks over node
-		// indices; past 64 nodes every protection test falls back to the
-		// (equivalent) child-member scan.
+		// indices; past 64 nodes insertAt runs its childProtects loops,
+		// which protect exactly the pairs the masks do (TestScanFormsAgree).
 		if len(s.nodes) > 64 {
 			s.useMasks = false
 		}

@@ -93,10 +93,11 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 // lookups against the linear-pass reference after each one. Coordinates come
 // from a three-value domain, so equal sums (and equal points) are the rule:
 // find's walk over the tie run, the dead-entry skip and insertAt's
-// already-a-member exit all run constantly. Three plans: one that stays on
+// already-a-member exit all run constantly. Four plans: one that stays on
 // the payload masks, one that outgrows them mid-schedule, one that never
 // had them (so childProtects takes its find-based fallback over real
-// cuboid children).
+// cuboid children), and one with 5- and 6-dimension nodes that keeps them
+// throughout, so that both masked scans compare through the kernel.
 //
 // Each schedule also runs under a clock, and its total comparison count is
 // pinned: the schedules are the one place where re-inserts, dead entries in
@@ -123,6 +124,8 @@ func TestMembershipMatchesReference(t *testing.T) {
 			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, true, true, [3]int64{2212, 2566, 1256}},
 		{"outgrows-masks", 6, all(6), true, false, [3]int64{87703, 72453, 79457}},
 		{"no-masks", 7, all(7)[:60], false, false, [3]int64{72026, 81853, 79860}},
+		{"wide-masks", 8, []preference.Subspace{preference.NewSubspace(0, 1, 2, 3, 4),
+			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, true, true, [3]int64{992, 1026, 2562}},
 	}
 	for _, plan := range plans {
 		t.Run(plan.name, func(t *testing.T) {

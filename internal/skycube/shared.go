@@ -61,7 +61,7 @@ type SharedSkyline struct {
 	freeNodes []*sharedNode
 
 	// Per-payload bitmasks over node indices, maintained iff the plan has at
-	// most 64 nodes (childProtects falls back to the member scan otherwise).
+	// most 64 nodes (insertAt runs its childProtects loops otherwise).
 	// Fixed-size chunks, so covering one more payload never copies.
 	useMasks bool
 	masks    []*[maskChunk]payloadMasks
@@ -91,8 +91,11 @@ const (
 	maskChunk = 1 << maskShift
 )
 
-func (s *SharedSkyline) mask(payload int) *payloadMasks {
-	return &s.masks[payload>>maskShift][payload&(maskChunk-1)]
+func (s *SharedSkyline) mask(payload int) *payloadMasks { return maskAt(s.masks, payload) }
+
+// maskAt is mask over a table a scan holds in a local.
+func maskAt(masks []*[maskChunk]payloadMasks, payload int) *payloadMasks {
+	return &masks[payload>>maskShift][payload&(maskChunk-1)]
 }
 
 // sharedEntry is one window slot, stored by value and exactly one cache line
@@ -106,10 +109,11 @@ type sharedEntry struct {
 	alive   QSet    // queries for which the point is still a skyline candidate here
 
 	// proj holds the point projected onto the node's subspace
-	// (preference.Lanes), for subspaces of at most 4 dimensions: the scan
-	// compares entry-local fixed-size arrays under preference.WeakLanes.
+	// (preference.Lanes), for subspaces of at most 4 dimensions: every scan
+	// of insertAt and evictMasked compares entry-local fixed-size arrays
+	// under preference.WeakLanes, inlined, so a comparison is no call.
 	// Subspaces with ≥ 5 dimensions leave proj zero and compare through the
-	// kernel against the arena.
+	// kernel against the arena, inlined as well.
 	//
 	// This is the one specialised comparator in the repository, kept because
 	// it was measured: with the lane conjunctions of insertAt replaced by
@@ -304,6 +308,15 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 // — ties are rare. A live entry of the payload can only sit in that run, and
 // only a payload whose member bit is set (or any, without the masks) can
 // have one, so only those look it up before the scan, as find does.
+//
+// Each scan comes in two forms, chosen once per visit on whether the masks
+// are maintained. Go does not unswitch loops, and a loop that calls
+// childProtects re-reads on every entry what the call might have changed:
+// the window's base and length, the masks flag. With the masks neither scan
+// calls anything: the prefix scan runs here, where nearly every visit ends,
+// and the suffix scan in the leaf evictMasked. Plans past 64 nodes run the
+// loops that call childProtects (DESIGN §7.1); TestScanFormsAgree holds the
+// two forms to the same comparisons, entries and flags.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
 	sp := sn.kern.Sum(vals)
 	// Subspaces of ≥ 5 dimensions do not fit the lanes: the kernel path.
@@ -331,50 +344,76 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	cleanP := true
 	var cmpCount int64
 
-	// Hoist the incoming point's halves of the child-protection masks (its bits
-	// change only after both scans): a window entry costs one payload-indexed
-	// load, and none while the hoisted half is zero, the usual case at the top.
-	var pCleanChildren, pMemberChildren uint64
-	if pm != nil {
-		pCleanChildren = pm.clean & sn.childMask
-		pMemberChildren = pm.member & sn.childMask
-	}
-
 	// Prefix scan: can some member dominate p? The reverse direction is
 	// only consulted when the forward one holds, so it is computed lazily.
 	hiIdx := len(sn.window)
-	for i := range sn.window {
-		w := &sn.window[i]
-		if w.sum > sp {
-			hiIdx = i
-			break
-		}
-		if w.alive == 0 || w.lineage&relevant == 0 {
-			continue // dead, or disjoint lineages never interact
-		}
-		if s.useMasks {
+	if pm != nil {
+		// Hoist p's half of the protection test (its bits change only after
+		// both scans): an entry costs one payload-indexed load, and none while
+		// the half is zero, the usual case at the top.
+		pCleanChildren := pm.clean & sn.childMask
+		for i := range sn.window {
+			w := &sn.window[i]
+			if w.sum > sp {
+				hiIdx = i
+				break
+			}
+			if w.alive == 0 || w.lineage&relevant == 0 {
+				continue // dead, or disjoint lineages never interact
+			}
 			if pCleanChildren != 0 && pCleanChildren&s.mask(int(w.payload)).member != 0 {
 				continue // w provably cannot weakly dominate p here
 			}
-		} else if s.childProtects(sn, payload, int(w.payload)) {
-			continue
-		}
-		cmpCount++
-		var wWeakP, pWeakW bool
-		if fast {
-			wWeakP = preference.WeakLanes(&w.proj, &p)
-			if wWeakP {
-				pWeakW = preference.WeakLanes(&p, &w.proj)
+			cmpCount++
+			var wWeakP, pWeakW bool
+			if fast {
+				wWeakP = preference.WeakLanes(&w.proj, &p)
+				if wWeakP {
+					pWeakW = preference.WeakLanes(&p, &w.proj)
+				}
+			} else {
+				wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
 			}
-		} else {
-			wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
+			if wWeakP {
+				cleanP = false
+				if !pWeakW { // strict: w ≺ p
+					aliveP &^= w.lineage
+					if aliveP == 0 {
+						break
+					}
+				}
+			}
 		}
-		if wWeakP {
-			cleanP = false
-			if !pWeakW { // strict: w ≺ p
-				aliveP &^= w.lineage
-				if aliveP == 0 {
-					break
+	} else {
+		for i := range sn.window {
+			w := &sn.window[i]
+			if w.sum > sp {
+				hiIdx = i
+				break
+			}
+			if w.alive == 0 || w.lineage&relevant == 0 {
+				continue
+			}
+			if s.childProtects(sn, payload, int(w.payload)) {
+				continue
+			}
+			cmpCount++
+			var wWeakP, pWeakW bool
+			if fast {
+				wWeakP = preference.WeakLanes(&w.proj, &p)
+				if wWeakP {
+					pWeakW = preference.WeakLanes(&p, &w.proj)
+				}
+			} else {
+				wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
+			}
+			if wWeakP {
+				cleanP = false
+				if !pWeakW {
+					aliveP &^= w.lineage
+					if aliveP == 0 {
+						break
+					}
 				}
 			}
 		}
@@ -394,29 +433,23 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		lowIdx--
 	}
 
-	// Suffix scan: which members does p dominate? Dead entries encountered
-	// here are compacted away for free. Survivors move down only once a removal
+	// Suffix scan: which members does p dominate? Dead entries met here are
+	// compacted away for free, and survivors move down only once a removal
 	// has actually happened — the common no-eviction scan writes no slot.
-	keepLen := lowIdx
-	pos := -1 // insertion slot for p: keepLen when the scan crosses hiIdx
-	for idx := lowIdx; idx < len(sn.window); idx++ {
-		if idx == hiIdx {
-			pos = keepLen
-		}
-		w := &sn.window[idx]
-		if w.alive == 0 {
-			sn.dead--
-			continue
-		}
-		drop := false
-		if w.lineage&relevant != 0 {
-			protected := false
-			if s.useMasks {
-				protected = pMemberChildren != 0 && s.mask(int(w.payload)).clean&pMemberChildren != 0
-			} else {
-				protected = s.childProtects(sn, int(w.payload), payload)
+	var keepLen int
+	if pm != nil {
+		var n int64
+		keepLen, cleanP, n = s.evictMasked(sn, &p, fast, vals, relevant, pm.member&sn.childMask, lowIdx, cleanP)
+		cmpCount += n
+	} else {
+		keepLen = lowIdx
+		for idx := lowIdx; idx < len(sn.window); idx++ {
+			w := &sn.window[idx]
+			if w.alive == 0 {
+				sn.dead--
+				continue
 			}
-			if !protected {
+			if w.lineage&relevant != 0 && !s.childProtects(sn, int(w.payload), payload) {
 				cmpCount++
 				var pWeakW, wWeakP bool
 				if fast {
@@ -431,40 +464,32 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 					cleanP = false
 				}
 				if pWeakW {
-					if w.clean {
-						w.clean = false
-						if s.useMasks {
-							s.mask(int(w.payload)).clean &^= 1 << uint(sn.idx)
-						}
-					}
+					w.clean = false
 					if !wWeakP { // strict: p ≺ w
 						w.alive &^= relevant
 						if w.alive == 0 {
-							s.clearMasks(sn, int(w.payload))
-							drop = true // remove w from the window
+							continue // evicted: w leaves the window
 						}
 					}
 				}
 			}
+			if keepLen != idx {
+				sn.window[keepLen] = *w
+			}
+			keepLen++
 		}
-		if drop {
-			continue
-		}
-		if keepLen != idx {
-			sn.window[keepLen] = *w
-		}
-		keepLen++
-	}
-	sn.window = sn.window[:keepLen]
-	if pos < 0 {
-		pos = keepLen // every survivor has sum ≤ sp
+		sn.window = sn.window[:keepLen]
 	}
 	if s.clock != nil && cmpCount > 0 {
 		s.clock.CountSkylineCmp(cmpCount)
 	}
 
-	// Insert p at its sorted position (end of its equal-sum run within the
-	// kept prefix; lowIdx..hiIdx survivors precede it).
+	// Insert p at its sorted position: after the survivors of its equal-sum
+	// run, which start at lowIdx.
+	pos := lowIdx
+	for pos < keepLen && sn.window[pos].sum == sp {
+		pos++
+	}
 	sn.window = append(sn.window, sharedEntry{})
 	copy(sn.window[pos+1:], sn.window[pos:])
 	sn.window[pos] = sharedEntry{payload: int32(payload), sum: sp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p}
@@ -477,6 +502,66 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		}
 	}
 	return aliveP
+}
+
+// evictMasked is insertAt's suffix scan while the masks are maintained:
+// which members from lowIdx on does p dominate? pMemberChildren is p's
+// member half of the protection test. Dead entries met here are compacted
+// away for free, and survivors move down only once a removal has actually
+// happened — the common no-eviction scan writes no slot. An evicted member
+// loses its mask bits, a member p weakly dominates its clean bit. It
+// returns the survivors' count, p's clean flag and the comparisons made.
+// It calls nothing in its loop, so the window's base and length are read
+// once per scan, not once per entry.
+func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bool, vals []float64, relevant QSet, pMemberChildren uint64, lowIdx int, cleanP bool) (keepLen int, clean bool, cmps int64) {
+	window, masks := sn.window, s.masks
+	keepLen = lowIdx
+	dead := 0
+	for idx := lowIdx; idx < len(window); idx++ {
+		w := &window[idx]
+		if w.alive == 0 {
+			dead++
+			continue
+		}
+		if w.lineage&relevant != 0 && (pMemberChildren == 0 || maskAt(masks, int(w.payload)).clean&pMemberChildren == 0) {
+			cmps++
+			var pWeakW, wWeakP bool
+			if fast {
+				pWeakW = preference.WeakLanes(p, &w.proj)
+				if pWeakW {
+					wWeakP = preference.WeakLanes(&w.proj, p)
+				}
+			} else {
+				pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(int(w.payload)))
+			}
+			if wWeakP && pWeakW { // equal in the subspace (sum tie)
+				cleanP = false
+			}
+			if pWeakW {
+				bit := uint64(1) << uint(sn.idx)
+				if w.clean {
+					w.clean = false
+					maskAt(masks, int(w.payload)).clean &^= bit
+				}
+				if !wWeakP { // strict: p ≺ w
+					w.alive &^= relevant
+					if w.alive == 0 {
+						wm := maskAt(masks, int(w.payload))
+						wm.member &^= bit
+						wm.clean &^= bit
+						continue // evicted: w leaves the window
+					}
+				}
+			}
+		}
+		if keepLen != idx {
+			window[keepLen] = *w
+		}
+		keepLen++
+	}
+	sn.window = window[:keepLen]
+	sn.dead -= dead
+	return keepLen, cleanP, cmps
 }
 
 // clearMasks drops payload's member and clean bits for node sn, if masks
@@ -494,7 +579,10 @@ func (s *SharedSkyline) clearMasks(sn *sharedNode, payload int) {
 // childProtects reports whether some cuboid child of sn's node contains both
 // points as current members with the protected point clean there, which
 // proves the attacker cannot dominate the protected point in sn's subspace.
-// It is the protection test of plans too large for the payload masks.
+// It is the protection test of plans too large for the payload masks, called
+// only from insertAt's loops for them; with the masks the same test is an
+// AND of two words inside the scan, and TestScanFormsAgree checks that both
+// protect exactly the same pairs.
 func (s *SharedSkyline) childProtects(sn *sharedNode, protectedID, attackerID int) bool {
 	for _, cn := range sn.children {
 		pe := s.find(cn, protectedID)
