@@ -39,7 +39,7 @@ func ExampleRun() {
 	}
 	// Output:
 	// impatient: 9 results, satisfaction 1.00
-	// thorough: 42 results, satisfaction 0.98
+	// thorough: 42 results, satisfaction 1.00
 }
 
 // ExampleRun_progressive streams results as they are proven final.

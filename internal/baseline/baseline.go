@@ -112,7 +112,9 @@ func toPoints(results []join.Result) []skyline.Point {
 }
 
 // GroundTruth computes the exact final result set of every query with a
-// full join followed by an SFS skyline, without cost accounting. It returns
+// full join followed by an SFS skyline, without cost accounting. It joins
+// every row, unfiltered: it is the oracle the join-group filter is checked
+// against (DESIGN.md §4). It returns
 // the per-query skyline results and their cardinalities (the N of Table 2's
 // cardinality contracts).
 func GroundTruth(w *workload.Workload, r, t *tuple.Relation) ([][]join.Result, []int, error) {
@@ -163,7 +165,8 @@ func GroundTruthReport(w *workload.Workload, r, t *tuple.Relation) (*run.Report,
 
 // JFSL implements the "Join First, Skyline Later" baseline: each query is
 // processed independently in priority order with a full nested-loop join
-// followed by a block-nested-loops skyline. The skyline operator is
+// (of the rows the join-group filter keeps, core.Survivors, like every
+// strategy) followed by a block-nested-loops skyline. The skyline operator is
 // blocking, so every result of a query is delivered only when the query
 // finishes — the worst case for progressiveness and, with no sharing, for
 // work (§7.3 reports it needs up to 66× more comparisons than CAQE).
@@ -180,13 +183,14 @@ func jfsl(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Optio
 	rep := run.NewReport("JFSL", w, estTotals)
 	rep.OnEmit = opt.OnEmit
 	rep.StartTrace(opt.Tracer)
-	rs, ts := tuplesOf(r), tuplesOf(t)
+	rs, ts := core.Survivors(w, r, t, clock)
 	for _, qi := range w.ByPriority() {
 		q := w.Queries[qi]
+		jc := w.JoinConds[q.JC]
 		traceQueryDecision(rep, clock, qi)
 		// A scratch per query: the emissions below keep its output points.
 		var js join.Scratch
-		results := js.NestedLoop(w.JoinConds[q.JC], w.OutDims, rs, ts, clock)
+		results := js.NestedLoop(jc, w.OutDims, rs[jc.LeftKey], ts[jc.RightKey], clock)
 		sky := skyline.BNL(q.Pref, toPoints(results), clock)
 		now := clock.Now() / metrics.VirtualSecond
 		for _, p := range sky {

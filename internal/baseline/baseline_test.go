@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"caqe/internal/contract"
+	"caqe/internal/core"
 	"caqe/internal/datagen"
 	"caqe/internal/join"
 	"caqe/internal/preference"
@@ -51,8 +52,9 @@ func TestJFSLAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// JFSL probes the full cross product once per query: no sharing.
-	want := int64(len(w.Queries) * r.Len() * tt.Len())
+	// JFSL probes the cross product of the filter's survivors once per
+	// query: no sharing.
+	want := survivorPairs(w, r, tt)
 	if rep.Counters.JoinProbes != want {
 		t.Fatalf("JFSL probes = %d, want %d", rep.Counters.JoinProbes, want)
 	}
@@ -276,10 +278,22 @@ func TestTimeSharedNoSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := int64(len(w.Queries) * r.Len() * tt.Len())
+	want := survivorPairs(w, r, tt)
 	if rep.Counters.JoinProbes != want {
 		t.Fatalf("time-shared probes = %d, want %d (full join per query)", rep.Counters.JoinProbes, want)
 	}
+}
+
+// survivorPairs is the probe count of one full nested-loop join per query
+// over the rows the join-group filter keeps for the query's condition.
+func survivorPairs(w *workload.Workload, r, tt *tuple.Relation) int64 {
+	rs, ts := core.Survivors(w, r, tt, nil)
+	n := int64(0)
+	for _, q := range w.Queries {
+		jc := w.JoinConds[q.JC]
+		n += int64(len(rs[jc.LeftKey]) * len(ts[jc.RightKey]))
+	}
+	return n
 }
 
 func TestExtraStrategies(t *testing.T) {

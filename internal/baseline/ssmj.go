@@ -3,6 +3,7 @@ package baseline
 import (
 	"sort"
 
+	"caqe/internal/core"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
@@ -13,7 +14,8 @@ import (
 )
 
 // SSMJ implements the Skyline-Sort-Merge-Join baseline [14]: each query is
-// processed independently in priority order. Both inputs are sorted on the
+// processed independently in priority order. Both inputs (the rows the
+// join-group filter keeps, core.Survivors) are sorted on the
 // join key and merged; each join-key group's results are first reduced to
 // their group-local skyline, and the survivors stream into a global
 // block-nested-loops window *in key order* — the algorithm cannot presort
@@ -37,11 +39,12 @@ func ssmj(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Optio
 	rep := run.NewReport("SSMJ", w, estTotals)
 	rep.OnEmit = opt.OnEmit
 	rep.StartTrace(opt.Tracer)
+	rs, ts := core.Survivors(w, r, t, clock)
 	for _, qi := range w.ByPriority() {
 		q := w.Queries[qi]
+		jc := w.JoinConds[q.JC]
 		traceQueryDecision(rep, clock, qi)
-		results := streamingSkylineJoin(w.JoinConds[q.JC], w.OutDims, q.Pref,
-			tuplesOf(r), tuplesOf(t), clock)
+		results := streamingSkylineJoin(jc, w.OutDims, q.Pref, rs[jc.LeftKey], ts[jc.RightKey], clock)
 		now := clock.Now() / metrics.VirtualSecond
 		for _, jr := range results {
 			clock.CountEmit(1)

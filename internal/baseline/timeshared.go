@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"caqe/internal/core"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
@@ -17,7 +18,8 @@ const TimeSharedQuantum = 2048
 // TimeShared implements the classical *time-shared* multi-query processing
 // approach of §1.3 [22]: the available processing time is divided into
 // slices allocated to the queries in round-robin fashion. Each query is
-// evaluated completely independently — a nested-loop join feeding an
+// evaluated completely independently — a nested-loop join of the rows the
+// join-group filter keeps (core.Survivors, like every strategy) feeding an
 // incremental BNL skyline window, with no sharing of common
 // sub-expressions — and, the skyline being blocking, delivers its results
 // only when its own evaluation completes. The paper argues this approach is
@@ -37,18 +39,19 @@ func timeShared(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt
 	rep := run.NewReport("TimeShared", w, estTotals)
 	rep.OnEmit = opt.OnEmit
 	rep.StartTrace(opt.Tracer)
-	rs, ts := tuplesOf(r), tuplesOf(t)
+	rs, ts := core.Survivors(w, r, t, clock)
 
 	tasks := make([]*tsTask, len(w.Queries))
 	for qi, q := range w.Queries {
+		jc := w.JoinConds[q.JC]
 		tasks[qi] = &tsTask{
 			query: qi,
-			jc:    w.JoinConds[q.JC],
+			jc:    jc,
 			fs:    w.OutDims,
 			pref:  q.Pref,
 			kern:  preference.NewKernel(q.Pref),
-			rs:    rs,
-			ts:    ts,
+			rs:    rs[jc.LeftKey],
+			ts:    ts[jc.RightKey],
 		}
 	}
 

@@ -110,8 +110,8 @@ type Engine struct {
 }
 
 // New validates the inputs — among them that every attribute of both
-// relations is finite, however the relations were built — and returns an
-// engine.
+// relations is finite and every row's ID is its position, however the
+// relations were built — and returns an engine.
 func New(w *workload.Workload, r, t *tuple.Relation, opt Options) (*Engine, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -120,7 +120,13 @@ func New(w *workload.Workload, r, t *tuple.Relation, opt Options) (*Engine, erro
 		return nil, fmt.Errorf("core: nil input relation")
 	}
 	for _, rel := range []*tuple.Relation{r, t} {
+		if rel.Schema.NumKeys() > 64 {
+			return nil, fmt.Errorf("core: relation %s has %d key columns (at most 64)", rel.Schema.Name, rel.Schema.NumKeys())
+		}
 		for i := range rel.Tuples {
+			if id := rel.Tuples[i].ID; id != i {
+				return nil, fmt.Errorf("core: relation %s row %d has ID %d; IDs are row positions", rel.Schema.Name, i, id)
+			}
 			if err := tuple.CheckFinite(rel.Tuples[i].Attrs); err != nil {
 				return nil, fmt.Errorf("core: relation %s row %d: %w", rel.Schema.Name, rel.Tuples[i].ID, err)
 			}
@@ -183,13 +189,13 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 	if qremap != nil && len(qremap) != len(e.w.Queries) {
 		return fmt.Errorf("core: qremap has %d entries for %d queries", len(qremap), len(e.w.Queries))
 	}
-	cuboid, space, err := e.plan(clock, false)
+	cuboid, space, filter, err := e.plan(clock, false)
 	if err != nil {
 		return err
 	}
 	shared := skycube.NewSharedSkyline(cuboid, clock)
 
-	st := newState(e, clock, space, shared, rep)
+	st := newState(e, clock, space, shared, rep, filter)
 	if qremap != nil {
 		st.qremap = qremap
 	}
@@ -200,30 +206,37 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 // Plan exposes the derived shared plan and output space without executing;
 // used by diagnostics, examples and tests.
 func (e *Engine) Plan() (*skycube.Cuboid, *region.Space, error) {
-	return e.plan(nil, false)
+	cuboid, space, _, err := e.plan(nil, false)
+	return cuboid, space, err
 }
 
-// plan derives the shared plan every execution starts from: both inputs
-// partitioned into leaf cells, the output space built over the cell pairs
-// (its cell-level work charged to clock, which may be nil) and the min-max
-// cuboid over the queries' preferences. keepPruned is region.Options'.
-func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *region.Space, error) {
-	rcells, err := partition.Partition(e.r, partition.DefaultOptions(e.r.Len(), e.opt.TargetCells))
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: partitioning %s: %w", e.r.Schema.Name, err)
+// plan derives the shared plan every execution starts from: the join-group
+// filter's verdict on both inputs, the survivors partitioned into leaf
+// cells (each side sized by its survivor count), the output space built
+// over the cell pairs and the min-max cuboid over the queries' preferences.
+// The filter's comparisons and the space's cell-level work are charged to
+// clock, which may be nil. keepPruned is region.Options'.
+func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *region.Space, *joinFilter, error) {
+	f := newJoinFilter(e.w, e.r, e.t, clock)
+	var cells [2][]*partition.Cell
+	for side, rel := range f.rels {
+		opt := partition.DefaultOptions(f.survivors(side), e.opt.TargetCells)
+		if f.sides[side].on {
+			opt.Keep = f.keep[side]
+		}
+		var err error
+		if cells[side], err = partition.Partition(rel, opt); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: partitioning %s: %w", rel.Schema.Name, err)
+		}
 	}
-	tcells, err := partition.Partition(e.t, partition.DefaultOptions(e.t.Len(), e.opt.TargetCells))
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: partitioning %s: %w", e.t.Schema.Name, err)
-	}
-	space, err := region.BuildSpace(e.w, rcells, tcells,
+	space, err := region.BuildSpace(e.w, cells[0], cells[1],
 		region.Options{GridResolution: e.opt.GridResolution, KeepPruned: keepPruned}, clock)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: building output space: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: building output space: %w", err)
 	}
 	cuboid, err := skycube.BuildCuboid(e.w.Prefs())
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: building min-max cuboid: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: building min-max cuboid: %w", err)
 	}
-	return cuboid, space, nil
+	return cuboid, space, f, nil
 }

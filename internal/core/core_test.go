@@ -61,6 +61,13 @@ func TestNewValidatesInputs(t *testing.T) {
 			rel.At(7).Attrs[2] = old
 		}
 	}
+	// Row IDs that are not positions: the join-group filter indexes its
+	// verdicts by ID.
+	r.Tuples[3].ID, r.Tuples[4].ID = 4, 3
+	if _, err := New(w, r, tt, Options{}); err == nil {
+		t.Error("row IDs out of position accepted")
+	}
+	r.Tuples[3].ID, r.Tuples[4].ID = 3, 4
 	if _, err := New(w, r, tt, Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +304,7 @@ func TestPaperExample20Weights(t *testing.T) {
 // of queries that were satisfied early (Eq. 11 accumulates toward them).
 func TestFeedbackBoostsUnsatisfiedQueries(t *testing.T) {
 	w := testWorkload(4, 3, workload.HighDimsHigh, func(int) contract.Contract {
-		return contract.C1(5) // tight deadline: some queries will miss it
+		return contract.C1(2) // tight deadline: some queries will miss it (the run ends at 2.64 vs)
 	})
 	r, tt := testPair(t, 300, 3, datagen.Independent, 0.05, 17)
 	eng, err := New(w, r, tt, Options{TargetCells: 8})
@@ -356,15 +363,7 @@ func TestSelectivityEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build a state to inspect the σ estimate.
-	cuboid, space, err := eng.Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = cuboid
-	_ = space
-	st := &state{e: eng, w: w}
-	sigmas := estimateSelectivities(w.JoinConds, r.Len(), tt.Len(), st)
+	sigmas := estimateSelectivities(w.JoinConds, newJoinFilter(eng.w, r, tt, nil))
 	if len(sigmas) != 1 {
 		t.Fatalf("got %d sigmas", len(sigmas))
 	}
@@ -387,8 +386,10 @@ func TestSelectivityEstimateSharedLeftKey(t *testing.T) {
 		{Name: "jc0", LeftKey: 0, RightKey: 0},
 		{Name: "jc1", LeftKey: 0, RightKey: 1},
 	}
-	st := &state{e: &Engine{r: r, t: tt}}
-	sigmas := estimateSelectivities(jcs, r.Len(), tt.Len(), st)
+	// A LeftOnly mapping turns the filter off for T and a RightOnly one for
+	// R: every row stays, and σ̂ is the base relations' join probability.
+	w := &workload.Workload{JoinConds: jcs, OutDims: []join.MapFunc{join.LeftOnly("r", 0), join.RightOnly("t", 0)}}
+	sigmas := estimateSelectivities(jcs, newJoinFilter(w, r, tt, nil))
 
 	for j, jc := range jcs {
 		matches := 0

@@ -11,30 +11,41 @@ import (
 )
 
 // estimateSelectivities derives σ per join condition from one pass over the
-// base relations' key histograms: σ̂ = Σ_v n_R(v)·n_T(v) / (|R|·|T|), the
-// exact probability that a random tuple pair joins. The left-relation
-// histogram depends only on the key column, so workloads whose join
-// conditions share a left key build it once and reuse it.
-func estimateSelectivities(jcs []join.EquiJoin, nR, nT int, st *state) []float64 {
+// key histograms of the rows the join-group filter keeps for the
+// condition's key columns: σ̂ = Σ_v n_R(v)·n_T(v) / (|R_k|·|T_k|), the exact
+// probability that a random pair of those rows joins. The left histogram
+// depends only on the key column, so workloads whose join conditions share
+// a left key build it once and reuse it.
+func estimateSelectivities(jcs []join.EquiJoin, f *joinFilter) []float64 {
 	out := make([]float64, len(jcs))
-	if nR == 0 || nT == 0 {
-		return out
+	r, t := f.rels[0], f.rels[1]
+	type hist struct {
+		n      int
+		counts map[int64]int
 	}
-	hists := make(map[int]map[int64]int)
+	hists := make(map[int]hist)
 	for j, jc := range jcs {
-		histR := hists[jc.LeftKey]
-		if histR == nil {
-			histR = make(map[int64]int)
-			for i := 0; i < nR; i++ {
-				histR[st.e.r.At(i).Key(jc.LeftKey)]++
+		histR, ok := hists[jc.LeftKey]
+		if !ok {
+			histR.counts = make(map[int64]int)
+			for i := range r.Tuples {
+				if f.keep[0][i]&(1<<uint(jc.LeftKey)) != 0 {
+					histR.n++
+					histR.counts[r.At(i).Key(jc.LeftKey)]++
+				}
 			}
 			hists[jc.LeftKey] = histR
 		}
-		matches := 0.0
-		for i := 0; i < nT; i++ {
-			matches += float64(histR[st.e.t.At(i).Key(jc.RightKey)])
+		nT, matches := 0, 0.0
+		for i := range t.Tuples {
+			if f.keep[1][i]&(1<<uint(jc.RightKey)) != 0 {
+				nT++
+				matches += float64(histR.counts[t.At(i).Key(jc.RightKey)])
+			}
 		}
-		out[j] = matches / (float64(nR) * float64(nT))
+		if histR.n > 0 && nT > 0 {
+			out[j] = matches / (float64(histR.n) * float64(nT))
+		}
 	}
 	return out
 }
@@ -67,14 +78,13 @@ func (st *state) sigmaFor(qi int) float64 {
 // processing of a region: the join probes of every relevant join condition
 // plus the materialization and skyline handling of the expected results.
 func (st *state) costEstimate(rc *region.Region) float64 {
-	na := float64(rc.RCell.Len())
-	nb := float64(rc.TCell.Len())
 	t := 0.0
 	for j := range st.w.JoinConds {
 		if st.jcQueries[j]&rc.Alive == 0 {
 			continue
 		}
-		pairs := na * nb
+		left, right := st.joinRows(rc, j)
+		pairs := float64(len(left)) * float64(len(right))
 		results := st.jcSigma[j] * pairs
 		t += pairs*metrics.CostJoinProbe +
 			results*(metrics.CostJoinResult+st.e.opt.CmpPerResult*metrics.CostSkylineCmp)
@@ -85,9 +95,8 @@ func (st *state) costEstimate(rc *region.Region) float64 {
 // cardinality implements Eq. 9 for one region and query: the expected
 // number of skyline results among the region's join output.
 func (st *state) cardinality(rc *region.Region, qi int) float64 {
-	na := float64(rc.RCell.Len())
-	nb := float64(rc.TCell.Len())
-	x := st.sigmaFor(qi) * na * nb
+	left, right := st.joinRows(rc, st.w.Queries[qi].JC)
+	x := st.sigmaFor(qi) * float64(len(left)) * float64(len(right))
 	return buchta(x, len(st.w.Queries[qi].Pref))
 }
 

@@ -44,13 +44,13 @@ func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error)
 	if e.opt.DataOrderScheduling {
 		return nil, fmt.Errorf("core: stepping execution requires CSM scheduling (DataOrderScheduling is a batch-only ablation)")
 	}
-	cuboid, space, err := e.plan(clock, true)
+	cuboid, space, filter, err := e.plan(clock, true)
 	if err != nil {
 		return nil, err
 	}
 	shared := skycube.NewSharedSkyline(cuboid, clock)
 
-	st := newState(e, clock, space, shared, rep)
+	st := newState(e, clock, space, shared, rep, filter)
 	for ri, r := range st.regions {
 		if r.Alive == 0 {
 			st.processed[ri] = true

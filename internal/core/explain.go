@@ -19,6 +19,13 @@ type PlanExplain struct {
 	FullSkycubeSize int            `json:"fullSkycubeSize"` // 2^d - 1 over the workload's union of dimensions
 	Levels          []ExplainLevel `json:"levels"`
 
+	// The join-group filter: rows kept per key column of each relation (a
+	// relation the filter is off for keeps every row), and the comparisons
+	// that decided it.
+	RKept      []int `json:"rKept"`
+	TKept      []int `json:"tKept"`
+	FilterCmps int64 `json:"filterCmps"`
+
 	// Input partitioning.
 	RCells int `json:"rCells"`
 	TCells int `json:"tCells"`
@@ -71,19 +78,24 @@ type ExplainLevel struct {
 // Explain derives the shared plan and output space without executing and
 // returns the structured summary.
 func (e *Engine) Explain() (*PlanExplain, error) {
-	cuboid, space, err := e.Plan()
+	cuboid, space, filter, err := e.plan(nil, false)
 	if err != nil {
 		return nil, err
 	}
-	return explain(e, cuboid, space), nil
+	return explain(e, cuboid, space, filter), nil
 }
 
-func explain(e *Engine, cuboid *skycube.Cuboid, space *region.Space) *PlanExplain {
+func explain(e *Engine, cuboid *skycube.Cuboid, space *region.Space, filter *joinFilter) *PlanExplain {
 	ex := &PlanExplain{
 		Queries:         cuboid.NumQueries(),
 		CuboidSubspaces: len(cuboid.Nodes),
 		SkycubeSize:     cuboid.SkycubeSize(),
 		FullSkycubeSize: (1 << uint(len(cuboid.Dims()))) - 1,
+		RKept:           filter.kept(0),
+		TKept:           filter.kept(1),
+		FilterCmps:      filter.cmps,
+		RCells:          len(space.RCells),
+		TCells:          len(space.TCells),
 		Regions:         len(space.Regions),
 	}
 	byLevel := map[int][]string{}
@@ -104,20 +116,8 @@ func explain(e *Engine, cuboid *skycube.Cuboid, space *region.Space) *PlanExplai
 		}
 		ex.AvgQueriesPerRegion = float64(total) / float64(len(space.Regions))
 	}
-	// Cell counts are reconstructed from any region; when the space is
-	// empty they stay zero.
-	seenR := map[int]bool{}
-	seenT := map[int]bool{}
-	for _, r := range space.Regions {
-		seenR[r.RCell.ID] = true
-		seenT[r.TCell.ID] = true
-	}
-	ex.RCells, ex.TCells = len(seenR), len(seenT)
 	ex.CellPairs = ex.RCells * ex.TCells
 	ex.CoarsePruned = ex.CellPairs - ex.Regions
-	if ex.CoarsePruned < 0 {
-		ex.CoarsePruned = 0
-	}
 	ex.Operators = e.OperatorTree()
 	return ex
 }
@@ -161,7 +161,9 @@ func (ex *PlanExplain) String() string {
 	for _, lvl := range ex.Levels {
 		fmt.Fprintf(&b, "  level %d: %s\n", lvl.Level, strings.Join(lvl.Subspaces, "  "))
 	}
-	fmt.Fprintf(&b, "output space: %d regions over ~%d×%d joinable cells (%d cell pairs pruned at coarse level)\n",
+	fmt.Fprintf(&b, "join-group filter: rows kept per key column R %v, T %v (%d comparisons)\n",
+		ex.RKept, ex.TKept, ex.FilterCmps)
+	fmt.Fprintf(&b, "output space: %d regions over %d×%d cells (%d cell pairs pruned at coarse level)\n",
 		ex.Regions, ex.RCells, ex.TCells, ex.CoarsePruned)
 	fmt.Fprintf(&b, "avg queries served per region: %.2f\n", ex.AvgQueriesPerRegion)
 	b.WriteString("executor:\n")

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -172,4 +173,34 @@ func (workloadFig1) build() *workload.Workload {
 	add("Q3", 1, 2)
 	add("Q4", 1, 2, 3)
 	return &base
+}
+
+// TestExplainCountsTheSpace pins what the explanation says about the plan
+// of the 11-query workload over GeneratePair(2000, 4, Correlated, [0.1],
+// 2014): the rows the join-group filter keeps per key column and its
+// comparisons, and the cells, cell pairs and coarse prunes of the space —
+// counted over the space's cells, not over the cells some surviving region
+// happens to use.
+func TestExplainCountsTheSpace(t *testing.T) {
+	w := testWorkload(11, 4, workload.UniformPriority, c3s)
+	r, tt := testPair(t, 2000, 4, datagen.Correlated, 0.1, 2014)
+	ex, err := mustEngine(t, w, r, tt, Options{}).Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, space, err := mustEngine(t, w, r, tt, Options{}).Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.RCells != len(space.RCells) || ex.TCells != len(space.TCells) {
+		t.Errorf("explain counts %d×%d cells, the space holds %d×%d", ex.RCells, ex.TCells, len(space.RCells), len(space.TCells))
+	}
+	got := fmt.Sprintf("kept R %v T %v, %d comparisons; %d×%d cells, %d pairs, %d regions, %d coarse-pruned",
+		ex.RKept, ex.TKept, ex.FilterCmps, ex.RCells, ex.TCells, ex.CellPairs, ex.Regions, ex.CoarsePruned)
+	if want := "kept R [43] T [37], 4076 comparisons; 24×24 cells, 576 pairs, 38 regions, 538 coarse-pruned"; got != want {
+		t.Errorf("explain reads\n%s\nwant\n%s", got, want)
+	}
+	if s := ex.String(); !strings.Contains(s, "join-group filter: rows kept per key column R [43], T [37] (4076 comparisons)") {
+		t.Errorf("rendering lacks the filter line:\n%s", s)
+	}
 }

@@ -174,11 +174,11 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{})
 			clock := metrics.NewClock()
 			rep := run.NewReport("CAQE", e.w, nil)
-			cuboid, space, err := e.plan(clock, false)
+			cuboid, space, filter, err := e.plan(clock, false)
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := newState(e, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep)
+			st := newState(e, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep, filter)
 			st.initQueue()
 			for i := 0; st.step(); i++ {
 				if check {

@@ -92,7 +92,7 @@ type tupleAddr struct{ cell, pos int }
 
 // indexTuples builds, on the first mutation, the row-ID → (cell, position)
 // lookup of both relations: a cache over the partition that placeTuple
-// keeps current from then on.
+// keeps current from then on. A row in no cell has no entry.
 func (st *state) indexTuples() {
 	if st.tupleLoc[0] != nil {
 		return
@@ -123,15 +123,20 @@ func (st *state) cellsFor(tab Table) []*partition.Cell {
 }
 
 // Append applies new rows to one base relation of a running execution.
-// Each row is delta-partitioned into the best-fitting existing leaf cell,
-// the touched cells re-run their signature tests against the opposite
-// side (region.Space.Retest, charged like build-time tests), and every
-// region over a touched cell is revived or extended for all live queries
-// of its passing conditions. Reprocessing a revived region joins only the
-// tuple pairs its join cursor has not seen, so results already emitted are
-// neither retracted nor duplicated. Row IDs are assigned sequentially
-// and returned. Cell assignment itself is uncharged, mirroring the
-// uncharged initial Partition.
+// Each row first meets the join-group filter (joinFilter.admit, each
+// comparison charged): a row a live row of its group beats is left out of
+// that key column's joins, and a row left out of every one enters no cell.
+// The others are delta-partitioned into the best-fitting existing leaf
+// cell, the touched cells re-run their signature tests against the
+// opposite side (region.Space.Retest, charged like build-time tests), and
+// every region over a touched cell is revived or extended for all live
+// queries of its passing conditions. Reprocessing a revived region joins
+// only the row pairs its join cursor has not seen, so results already
+// emitted are neither retracted nor duplicated. A row whose magnitude
+// widens the filter's margin first re-admits, through the same path, the
+// rows of either side the wider margin no longer drops. Row IDs are
+// assigned sequentially and returned. Cell assignment itself is uncharged,
+// mirroring the uncharged initial Partition.
 func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 	st := x.st
 	var stats DeltaStats
@@ -147,48 +152,100 @@ func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 	st.indexTuples()
 
 	ids := make([]int, len(rows))
-	touched := make(map[int]bool)
-	var touchedOrder []int
+	touched := [2]map[int]bool{{}, {}}
+	cmps := st.filter.cmps
 	for i, row := range rows {
-		attrs := append([]float64(nil), row.Attrs...)
-		keys := append([]int64(nil), row.Keys...)
 		id := rel.Len()
-		if err := rel.Append(attrs, keys); err != nil {
+		if err := rel.Append(append([]float64(nil), row.Attrs...), append([]int64(nil), row.Keys...)); err != nil {
 			return nil, stats, err
 		}
 		ids[i] = id
-		// The cell holds a standalone copy: relation backing reallocates
-		// on growth, and cells built at partition time point into the old
-		// backing — mixing the two would let a delete miss a slot.
-		tp := &tuple.Tuple{ID: id, Attrs: append([]float64(nil), attrs...), Keys: append([]int64(nil), keys...)}
-		ci := st.placeTuple(tab, tp)
-		if !touched[ci] {
-			touched[ci] = true
-			touchedOrder = append(touchedOrder, ci)
+		keep, back := st.filter.admit(int(tab), id, st.deleted)
+		for side, readmitted := range back {
+			st.grantAll(Table(side), readmitted, touched[side])
+		}
+		if keep != 0 {
+			touched[tab][st.placeTuple(tab, st.cellCopy(tab, id), keep)] = true
 		}
 	}
-	sort.Ints(touchedOrder)
+	st.clock.CountSkylineCmp(st.filter.cmps - cmps)
 	stats.Appended = len(rows)
-	stats.CellsTouched = len(touchedOrder)
-
-	cells := make([]*partition.Cell, len(touchedOrder))
-	for i, ci := range touchedOrder {
-		cells[i] = st.cellsFor(tab)[ci]
-	}
-	stats.RegionsCreated = st.space.Retest(cells, tab == TableT, st.clock)
-	st.growRegions()
-	st.reviveAfterAppend(tab, touched, &stats)
+	st.spread(touched, &stats)
 	st.traceDelta("append", tab, &stats)
 	x.drained = false
 	return ids, stats, nil
 }
 
+// cellCopy returns the tuple a cell holds for row id: a standalone copy, since
+// relation backing reallocates on growth and cells built at partition time
+// point into the old backing — mixing the two would let a delete miss a
+// slot.
+func (st *state) cellCopy(tab Table, id int) *tuple.Tuple {
+	rt := st.relFor(tab).At(id)
+	return &tuple.Tuple{ID: id, Attrs: append([]float64(nil), rt.Attrs...), Keys: append([]int64(nil), rt.Keys...)}
+}
+
+// grantAll adds rows the join-group filter re-admitted, in ascending ID
+// order, to the lists of the key columns each gained: within its cell when
+// it has one, else placed as an appended row is. The cells that grew are
+// marked in touched.
+func (st *state) grantAll(tab Table, rows map[int]uint64, touched map[int]bool) {
+	ids := make([]int, 0, len(rows))
+	for id := range rows {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	for _, id := range ids {
+		bits := rows[id]
+		loc, ok := st.tupleLoc[tab][id]
+		if !ok {
+			touched[st.placeTuple(tab, st.cellCopy(tab, id), bits)] = true
+			continue
+		}
+		c := st.cellsFor(tab)[loc.cell]
+		tp := c.Tuples[loc.pos]
+		for k := range c.Rows {
+			if bits&(1<<uint(k)) != 0 {
+				c.Rows[k] = append(c.Rows[k], tp)
+				c.Sigs[k][tp.Key(k)] = struct{}{}
+			}
+		}
+		touched[loc.cell] = true
+	}
+}
+
+// spread is the delta path of cells whose row lists grew, side R first:
+// their signatures are re-tested against the opposite side, the regions
+// the space gained join the executor, and every region over a touched cell
+// is revived.
+func (st *state) spread(touched [2]map[int]bool, stats *DeltaStats) {
+	for side, set := range touched {
+		if len(set) == 0 {
+			continue
+		}
+		order := make([]int, 0, len(set))
+		for ci := range set {
+			order = append(order, ci)
+		}
+		sort.Ints(order)
+		cells := make([]*partition.Cell, len(order))
+		for i, ci := range order {
+			cells[i] = st.cellsFor(Table(side))[ci]
+		}
+		stats.CellsTouched += len(order)
+		stats.RegionsCreated += st.space.Retest(cells, side == int(TableT), st.clock)
+		st.growRegions()
+		st.reviveAfterAppend(Table(side), set, stats)
+	}
+}
+
 // placeTuple assigns a new tuple to a leaf cell deterministically: the
 // first existing cell (ascending ID) containing the point, else the cell
 // with the smallest per-dimension overshoot (ties to the lowest ID). The
-// chosen cell's bounds and signatures are extended in place. An append to
-// an empty side opens its first cell.
-func (st *state) placeTuple(tab Table, tp *tuple.Tuple) int {
+// chosen cell's bounds grow in place, and the tuple joins the row lists and
+// signatures of the key columns in keep. An append to an empty side opens
+// its first cell.
+func (st *state) placeTuple(tab Table, tp *tuple.Tuple, keep uint64) int {
 	cells := st.cellsFor(tab)
 	best, bestCost := -1, math.Inf(1)
 	for ci, c := range cells {
@@ -214,7 +271,8 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple) int {
 			Lo: append([]float64(nil), tp.Attrs...),
 			Hi: append([]float64(nil), tp.Attrs...),
 		}
-		c.Sigs = make([]partition.Signature, st.relFor(tab).Schema.NumKeys())
+		c.Rows = make([][]*tuple.Tuple, st.relFor(tab).Schema.NumKeys())
+		c.Sigs = make([]partition.Signature, len(c.Rows))
 		for k := range c.Sigs {
 			c.Sigs[k] = partition.Signature{}
 		}
@@ -237,8 +295,11 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple) int {
 	}
 	st.tupleLoc[int(tab)][tp.ID] = tupleAddr{best, len(c.Tuples)}
 	c.Tuples = append(c.Tuples, tp)
-	for k := range c.Sigs {
-		c.Sigs[k][tp.Key(k)] = struct{}{}
+	for k := range c.Rows {
+		if keep&(1<<uint(k)) != 0 {
+			c.Rows[k] = append(c.Rows[k], tp)
+			c.Sigs[k][tp.Key(k)] = struct{}{}
+		}
 	}
 	return best
 }
@@ -289,8 +350,10 @@ func (st *state) reviveAfterAppend(tab Table, touched map[int]bool, stats *Delta
 // sizes and IDs never shift) and their join results lose all candidacy.
 // Whatever was decided with the help of the deleted rows is then redone,
 // and nothing else (DESIGN.md §15): the touched cells' signatures are
-// rebuilt from their live tuples and conditions that no longer pass are
-// withdrawn from their regions; surviving results are granted the live
+// rebuilt from their live rows and conditions that no longer pass are
+// withdrawn from their regions; rows the join-group filter dropped and no
+// kept live row beats any longer are re-admitted through Append's delta
+// path; surviving results are granted the live
 // same-condition queries their lineage lacks; every region whose
 // tuple-level join is incomplete is revived; and the results that rested on
 // a deleted result's window entries — or were granted a query — are
@@ -308,52 +371,64 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	rel := st.relFor(tab)
 	seen := make(map[int]bool, len(ids))
 	for _, id := range ids {
-		if _, ok := st.tupleLoc[side][id]; !ok || st.deleted[side][id] || seen[id] {
+		if id < 0 || id >= rel.Len() || st.deleted[side][id] || seen[id] {
 			return stats, fmt.Errorf("core: delete of unknown, duplicate or already-deleted %s row %d", tableName(tab), id)
 		}
 		seen[id] = true
 	}
 
+	// Re-admission: a row the join-group filter dropped because a deleted
+	// row beat it may now have no live beater. The groups the deleted rows
+	// were kept in are re-checked while their keys still name them; the rows
+	// that come back go through Append's delta path below, where the cursors
+	// see them as new, so none of their results can repeat an emitted one.
+	for _, id := range ids {
+		st.deleted[side][id] = true
+	}
+	filtered := st.filter.cmps
+	back := st.filter.release(side, ids, st.deleted[side])
+	st.clock.CountSkylineCmp(st.filter.cmps - filtered)
+
+	// Tombstone in place, in the relation and in the row's cell (which holds
+	// its own copy of an appended row).
 	sentinel := tombstoneFor(tab)
 	touched := make(map[int]bool)
 	for _, id := range ids {
-		loc := st.tupleLoc[side][id]
-		c := st.cellsFor(tab)[loc.cell]
-		old := c.Tuples[loc.pos]
-		keys := make([]int64, len(old.Keys))
-		for k := range keys {
-			keys[k] = sentinel
+		keys := [][]int64{rel.At(id).Keys}
+		if loc, ok := st.tupleLoc[side][id]; ok {
+			keys = append(keys, st.cellsFor(tab)[loc.cell].Tuples[loc.pos].Keys)
+			touched[loc.cell] = true
 		}
-		c.Tuples[loc.pos] = &tuple.Tuple{ID: id, Attrs: old.Attrs, Keys: keys}
-		rt := rel.At(id)
-		for k := range rt.Keys {
-			rt.Keys[k] = sentinel
+		for _, ks := range keys {
+			for k := range ks {
+				ks[k] = sentinel
+			}
 		}
-		st.deleted[side][id] = true
-		touched[loc.cell] = true
 	}
 	stats.Deleted = len(ids)
 	stats.CellsTouched = len(touched)
 
-	// A signature is the key set of the cell's live tuples. Left as it was,
-	// a pair whose only matches were deleted would keep passing its
+	// A signature is the key set of the cell's live rows. Left as it was, a
+	// pair whose only matches were deleted would keep passing its
 	// condition, and the next admission would prune other regions against
 	// one that can no longer produce anything.
 	for ci := range touched {
 		c := st.cellsFor(tab)[ci]
-		for k := range c.Sigs {
+		for k, rows := range c.Rows {
 			c.Sigs[k] = partition.Signature{}
-		}
-		for _, tp := range c.Tuples {
-			if st.deleted[side][tp.ID] {
-				continue
-			}
-			for k := range c.Sigs {
-				c.Sigs[k][tp.Key(k)] = struct{}{}
+			for _, tp := range rows {
+				if !st.deleted[side][tp.ID] {
+					c.Sigs[k][tp.Key(k)] = struct{}{}
+				}
 			}
 		}
 	}
 	st.space.Withdraw(touched, tab == TableT, st.clock)
+
+	var grown [2]map[int]bool
+	grown[side] = make(map[int]bool)
+	st.grantAll(tab, back, grown[side])
+	st.spread(grown, &stats)
 
 	// Kill the deleted rows' results and take their live window entries
 	// out: what those entries dominated, where they were still alive, is

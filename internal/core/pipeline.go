@@ -16,16 +16,17 @@ const (
 )
 
 // processRegion is Algorithm 1's tuple-level step for one scheduled region:
-// join its cell pair under every condition some alive query uses, insert the
+// join its cell pair under every condition some alive query uses (each cell's
+// rows that survive the join-group filter for the condition's key column), insert the
 // results into the shared skyline, retire the region, discard the regions
 // its results dominate, release its dependency edges and emit what is now
 // final. The order of the counted operations below is the determinism
 // contract (DESIGN.md §13).
 func (st *state) processRegion(ri int) {
 	rc := st.regions[ri]
-	left, right := rc.RCell.Tuples, rc.TCell.Tuples
 	created := st.created[:0]
 	for j, jc := range st.w.JoinConds {
+		left, right := st.joinRows(rc, j)
 		st.traceOpBatch(opNamePartitionScan, ri, len(left)*len(right))
 		// Signature mask test: queries alive on the region that use the
 		// condition, minus a condition whose cursor already covers the cells —

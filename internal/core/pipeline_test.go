@@ -26,13 +26,13 @@ func newTestState(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, opt
 	t.Helper()
 	eng := mustEngine(t, w, r, tt, opt)
 	clock := eng.opt.NewClock()
-	cuboid, space, err := eng.plan(clock, false)
+	cuboid, space, filter, err := eng.plan(clock, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := run.NewReport("CAQE", w, nil)
 	rep.StartTrace(eng.opt.Tracer)
-	return newState(eng, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep)
+	return newState(eng, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep, filter)
 }
 
 // firstLiveRegion returns the first unprocessed region still serving a
@@ -89,8 +89,8 @@ func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 	st.initQueue()
 	ri := firstLiveRegion(t, st)
 	for j := range st.w.JoinConds {
-		r := st.regions[ri]
-		*st.cursor(ri, j) = joinCursor{len(r.RCell.Tuples), len(r.TCell.Tuples)}
+		left, right := st.joinRows(st.regions[ri], j)
+		*st.cursor(ri, j) = joinCursor{len(left), len(right)}
 	}
 	before := st.clock.Counters()
 	st.processRegion(ri)
@@ -144,11 +144,12 @@ func TestProcessRegionTraceOrder(t *testing.T) {
 	}
 	var want []opEv
 	created := 0
-	for _, jc := range st.w.JoinConds {
-		want = append(want, opEv{opNamePartitionScan, len(rc.RCell.Tuples) * len(rc.TCell.Tuples)})
+	for j, jc := range st.w.JoinConds {
+		left, right := st.joinRows(rc, j)
+		want = append(want, opEv{opNamePartitionScan, len(left) * len(right)})
 		results := 0
-		for _, l := range rc.RCell.Tuples {
-			for _, rt := range rc.TCell.Tuples {
+		for _, l := range left {
+			for _, rt := range right {
 				if jc.Matches(l, rt) {
 					results++
 				}

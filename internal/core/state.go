@@ -11,6 +11,7 @@ import (
 	"caqe/internal/run"
 	"caqe/internal/skycube"
 	"caqe/internal/trace"
+	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
 
@@ -60,6 +61,7 @@ type state struct {
 	w      *workload.Workload
 	clock  *metrics.Clock
 	space  *region.Space
+	filter *joinFilter
 	shared *skycube.SharedSkyline
 	rep    *run.Report
 	tracer trace.Tracer
@@ -159,13 +161,14 @@ type depEdge struct {
 	mask skycube.QSet // W_{i,j}: queries for which src must precede dst
 }
 
-func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skycube.SharedSkyline, rep *run.Report) *state {
+func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skycube.SharedSkyline, rep *run.Report, filter *joinFilter) *state {
 	st := &state{
 		e:         e,
 		w:         e.w,
 		clock:     clock,
 		tracer:    e.opt.Tracer,
 		space:     space,
+		filter:    filter,
 		shared:    shared,
 		rep:       rep,
 		regions:   space.Regions,
@@ -179,7 +182,7 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 	for j := range e.w.JoinConds {
 		st.jcQueries[j] = e.w.QueriesWithJC(j)
 	}
-	st.jcSigma = estimateSelectivities(e.w.JoinConds, e.r.Len(), e.t.Len(), st)
+	st.jcSigma = estimateSelectivities(e.w.JoinConds, filter)
 	st.buildDepGraph()
 	return st
 }
@@ -210,11 +213,11 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 	st.kerns[qi] = preference.NewKernel(q.Pref)
 }
 
-// joinCursor records how many leading tuples of each input cell a region's
-// tuple-level join has consumed for one condition. A fresh region sits at
-// (0, 0); a region whose cells grew since its last join resumes with only
-// the pairs beyond its cursor: new-left × all-right, then old-left ×
-// new-right.
+// joinCursor records how many leading rows of each input cell's list for
+// the condition's key column (partition.Cell.Rows) a region's tuple-level
+// join has consumed for one condition. A fresh region sits at (0, 0); a
+// region whose lists grew since its last join resumes with only the pairs
+// beyond its cursor: new-left × all-right, then old-left × new-right.
 type joinCursor struct{ nr, nt int }
 
 func (st *state) cursor(ri, jc int) *joinCursor {
@@ -222,10 +225,18 @@ func (st *state) cursor(ri, jc int) *joinCursor {
 }
 
 // joinComplete reports whether the region's tuple-level join under
-// condition jc has consumed every current tuple pair of its cells.
+// condition jc has consumed every current row pair of its cells' lists.
 func (st *state) joinComplete(r *region.Region, jc int) bool {
 	cur := st.cursor(r.ID, jc)
-	return cur.nr == len(r.RCell.Tuples) && cur.nt == len(r.TCell.Tuples)
+	left, right := st.joinRows(r, jc)
+	return cur.nr == len(left) && cur.nt == len(right)
+}
+
+// joinRows returns the rows a region joins under condition jc: its cells'
+// lists for the condition's key columns.
+func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple) {
+	c := st.w.JoinConds[jc]
+	return r.RCell.Rows[c.LeftKey], r.TCell.Rows[c.RightKey]
 }
 
 // growRegions extends the per-region executor state over the regions the

@@ -50,11 +50,12 @@ type Cell struct {
 	ID     int
 	Lo, Hi []float64 // tight per-dimension bounds over member tuples
 	Tuples []*tuple.Tuple
-	Sigs   []Signature // index-aligned with the relation's key columns
+	// Rows holds, per key column, the members that survive the join-group
+	// filter for that column (Options.Keep): what the column's signature
+	// and every join on it read. Without a filter each list is Tuples.
+	Rows [][]*tuple.Tuple
+	Sigs []Signature // index-aligned with the relation's key columns, over Rows
 }
-
-// Len returns the number of member tuples.
-func (c *Cell) Len() int { return len(c.Tuples) }
 
 // String renders the cell compactly.
 func (c *Cell) String() string {
@@ -86,6 +87,10 @@ type Options struct {
 	MaxLeafSize int
 	// MaxDepth bounds the recursion; 0 means a sensible default (12).
 	MaxDepth int
+	// Keep, when set, is the join-group filter's verdict per row, indexed
+	// by tuple ID: bit k marks a row that survives for key column k. A row
+	// with no bit set enters no cell. Nil keeps every row for every column.
+	Keep []uint64
 }
 
 // DefaultOptions returns the granularity used by the benchmark harness:
@@ -123,9 +128,14 @@ func Partition(rel *tuple.Relation, opt Options) ([]*Cell, error) {
 		return nil, fmt.Errorf("partition: %d dimensions exceeds the 2^d split limit (max 16)", d)
 	}
 
-	members := make([]*tuple.Tuple, rel.Len())
+	members := make([]*tuple.Tuple, 0, rel.Len())
 	for i := range rel.Tuples {
-		members[i] = rel.At(i)
+		if tp := rel.At(i); opt.Keep == nil || opt.Keep[tp.ID] != 0 {
+			members = append(members, tp)
+		}
+	}
+	if len(members) == 0 {
+		return nil, nil
 	}
 
 	b := &builder{numKeys: rel.Schema.NumKeys(), opt: opt, dims: d}
@@ -238,17 +248,40 @@ func (b *builder) split(members []*tuple.Tuple, lo, hi []float64, depth int) {
 	}
 }
 
-// emit finalizes a leaf: tight bounds and signatures over its members.
+// emit finalizes a leaf: tight bounds, per-key row lists and signatures
+// over its members. The member slice is capacity-clamped, since it shares
+// its backing with the leaf's siblings: a row appended to one leaf later
+// must not overwrite another's. A key column every member survives for
+// shares the member slice the same way.
 func (b *builder) emit(members []*tuple.Tuple) {
+	members = members[:len(members):len(members)]
 	lo, hi := tightBounds(members, b.dims)
 	c := &Cell{ID: len(b.cells), Lo: lo, Hi: hi, Tuples: members}
+	c.Rows = make([][]*tuple.Tuple, b.numKeys)
 	c.Sigs = make([]Signature, b.numKeys)
 	for k := 0; k < b.numKeys; k++ {
+		rows := members
+		if keep := b.opt.Keep; keep != nil {
+			bit, n := uint64(1)<<uint(k), 0
+			for _, t := range members {
+				if keep[t.ID]&bit != 0 {
+					n++
+				}
+			}
+			if n < len(members) {
+				rows = make([]*tuple.Tuple, 0, n)
+				for _, t := range members {
+					if keep[t.ID]&bit != 0 {
+						rows = append(rows, t)
+					}
+				}
+			}
+		}
 		sig := make(Signature)
-		for _, t := range members {
+		for _, t := range rows {
 			sig[t.Key(k)] = struct{}{}
 		}
-		c.Sigs[k] = sig
+		c.Rows[k], c.Sigs[k] = rows, sig
 	}
 	b.cells = append(b.cells, c)
 }

@@ -165,7 +165,7 @@ func TestIdenticalTuples(t *testing.T) {
 		}
 		total := 0
 		for _, c := range cells {
-			total += c.Len()
+			total += len(c.Tuples)
 		}
 		if total != 50 {
 			t.Fatalf("mode %d: %d tuples in cells", mode, total)
@@ -210,8 +210,8 @@ func TestKDMedianBalanced(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range cells {
-		if c.Len() < 16 || c.Len() > 64 {
-			t.Errorf("cell %d holds %d tuples; expected balanced leaves around 32", c.ID, c.Len())
+		if len(c.Tuples) < 16 || len(c.Tuples) > 64 {
+			t.Errorf("cell %d holds %d tuples; expected balanced leaves around 32", c.ID, len(c.Tuples))
 		}
 	}
 }
@@ -224,7 +224,7 @@ func TestDeterministic(t *testing.T) {
 		t.Fatal("nondeterministic cell count")
 	}
 	for i := range a {
-		if a[i].Len() != b[i].Len() {
+		if len(a[i].Tuples) != len(b[i].Tuples) {
 			t.Fatalf("cell %d sizes differ", i)
 		}
 		for j := range a[i].Tuples {
@@ -281,5 +281,78 @@ func TestPartitionCoverageQuick(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKeepSplitsRowsByKeyColumn: with a filter verdict, a row with no bit
+// set enters no cell, each key column's row list holds exactly the members
+// kept for it, and each signature is built over that list.
+func TestKeepSplitsRowsByKeyColumn(t *testing.T) {
+	rel := testRelation(300, 3, 2, 5)
+	keep := make([]uint64, rel.Len())
+	for i := range keep {
+		keep[i] = uint64(i % 4) // none, key 0, key 1, both
+	}
+	cells, err := Partition(rel, Options{Mode: KDMedian, TargetLeaves: 8, MaxLeafSize: 30, Keep: keep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := 0
+	for _, c := range cells {
+		members += len(c.Tuples)
+		for _, tu := range c.Tuples {
+			if keep[tu.ID] == 0 {
+				t.Errorf("cell %d holds row %d, kept for no key column", c.ID, tu.ID)
+			}
+		}
+		for k, rows := range c.Rows {
+			want := 0
+			for _, tu := range c.Tuples {
+				if keep[tu.ID]&(1<<uint(k)) != 0 {
+					want++
+				}
+			}
+			sig := Signature{}
+			for _, tu := range rows {
+				if keep[tu.ID]&(1<<uint(k)) == 0 {
+					t.Errorf("cell %d lists row %d under key %d, not kept for it", c.ID, tu.ID, k)
+				}
+				sig[tu.Key(k)] = struct{}{}
+			}
+			if len(rows) != want || len(sig) != len(c.Sigs[k]) {
+				t.Errorf("cell %d key %d: %d rows, %d signature values; want %d, %d", c.ID, k, len(rows), len(c.Sigs[k]), want, len(sig))
+			}
+		}
+	}
+	if members != 225 {
+		t.Errorf("cells hold %d rows, want the 225 kept for some key column", members)
+	}
+}
+
+// TestAppendStaysInItsCell: the leaves of one split share a backing array,
+// so a row appended to a leaf's member or row list must not land in its
+// sibling — before the lists were capacity-clamped it overwrote the
+// sibling's first member.
+func TestAppendStaysInItsCell(t *testing.T) {
+	rel := testRelation(400, 3, 1, 7)
+	cells, err := Partition(rel, DefaultOptions(rel.Len(), 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before [][]*tuple.Tuple
+	for _, c := range cells {
+		before = append(before, append([]*tuple.Tuple(nil), c.Tuples...))
+	}
+	for _, c := range cells {
+		extra := &tuple.Tuple{ID: -1, Attrs: []float64{0, 0, 0}, Keys: []int64{0}}
+		c.Tuples = append(c.Tuples, extra)
+		c.Rows[0] = append(c.Rows[0], extra)
+	}
+	for i, c := range cells {
+		for j, tu := range before[i] {
+			if c.Tuples[j] != tu || c.Rows[0][j] != tu {
+				t.Fatalf("cell %d member %d overwritten by a sibling's append", c.ID, j)
+			}
+		}
 	}
 }
