@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"caqe/internal/contract"
@@ -274,6 +275,44 @@ func TestScoreBucket(t *testing.T) {
 	}
 	if scoreBucket(0) != -1<<30 || scoreBucket(-5) != -1<<30 {
 		t.Error("non-positive scores must sink")
+	}
+	if scoreBucket(math.Inf(1)) != 1<<30 {
+		t.Error("+Inf must top every bucket")
+	}
+}
+
+// TestScoreBucketMatchesHalvingLoop: on random bit patterns of every finite
+// positive double — subnormals and exact powers of two included —
+// scoreBucket's exponent equals the halving/doubling loop it replaced.
+func TestScoreBucketMatchesHalvingLoop(t *testing.T) {
+	loop := func(score float64) int {
+		b := 0
+		for score >= 2 {
+			score /= 2
+			b++
+		}
+		for score < 1 {
+			score *= 2
+			b--
+		}
+		return b
+	}
+	rng := rand.New(rand.NewSource(5))
+	scores := []float64{math.SmallestNonzeroFloat64, math.MaxFloat64, 1, 2, 0x1p-1022, 0x1p-1023}
+	for i := 0; i < 20000; i++ {
+		bits := rng.Uint64() &^ (1 << 63) // positive
+		if i%4 == 0 {
+			bits &^= 1<<52 - 1 // an exact power of two (or zero)
+		}
+		scores = append(scores, math.Float64frombits(bits))
+	}
+	for _, s := range scores {
+		if s == 0 || s > math.MaxFloat64 || math.IsNaN(s) {
+			continue
+		}
+		if got, want := scoreBucket(s), loop(s); got != want {
+			t.Fatalf("scoreBucket(%g) = %d, loop %d", s, got, want)
+		}
 	}
 }
 

@@ -2,9 +2,7 @@ package core
 
 import (
 	"container/heap"
-
-	"caqe/internal/region"
-	"caqe/internal/skycube"
+	"math"
 )
 
 // buildDepGraph constructs the dependency graph of Definition 9: a directed
@@ -20,7 +18,8 @@ import (
 // are kept, conflicting ones (ambiguous mutual constraints) are dropped.
 // The pipeline order also keeps the root schedule aligned with input
 // cells, which matters when scores tie (see csmHeap).
-// Per-pair dominance geometry is resolved once and shared across queries.
+// Per-pair dominance geometry is resolved once for every query
+// (region.QueryDims.Pair) and charged as one cell-level operation.
 func (st *state) buildDepGraph() {
 	m := len(st.regions)
 	st.outEdges = make([][]depEdge, m)
@@ -28,27 +27,18 @@ func (st *state) buildDepGraph() {
 	if st.e.opt.DisableDependencyGraph {
 		return
 	}
-	prefMask := make([]uint64, len(st.w.Queries))
-	for qi, q := range st.w.Queries {
-		prefMask[qi] = q.Pref.Mask()
-	}
 	for i, ri := range st.regions {
-		for j, rj := range st.regions {
-			if j <= i || ri.Alive&rj.Alive == 0 {
-				continue // only forward edges: the pipeline order is the DAG's linear extension
+		// Only forward edges: the pipeline order is the DAG's linear extension.
+		for j := i + 1; j < m; j++ {
+			rj := st.regions[j]
+			both := ri.Alive & rj.Alive
+			if both == 0 {
+				continue
 			}
 			st.clock.CountCellOp(1)
-			_, _, bestWeak, bestStrict := region.DomMasks(ri, rj)
-			var mask uint64
-			both := ri.Alive & rj.Alive
-			for qi := both.Next(0); qi >= 0; qi = both.Next(qi + 1) {
-				pm := prefMask[qi]
-				if pm&bestWeak == pm && pm&bestStrict != 0 {
-					mask |= 1 << uint(qi)
-				}
-			}
-			if mask != 0 {
-				st.outEdges[i] = append(st.outEdges[i], depEdge{dst: j, mask: skycube.QSet(mask)})
+			notWeak, strict := st.uses.Pair(ri.Lo, rj.Lo)
+			if mask := both & strict &^ notWeak; mask != 0 {
+				st.outEdges[i] = append(st.outEdges[i], depEdge{dst: j, mask: mask})
 				st.indegree[j]++
 			}
 		}
@@ -88,20 +78,20 @@ type csmItem struct {
 	bucket int
 }
 
+// scoreBucket returns ⌊log2 score⌋, the exponent of score's binary form
+// (frexp's exponent less one: 2^b ≤ score < 2^(b+1) holds for every finite
+// positive score, subnormals included). Non-positive scores sink below
+// every bucket and +Inf tops them; neither NaN nor +Inf arises from the
+// CSM's finite factors.
 func scoreBucket(score float64) int {
-	if score <= 0 {
+	switch {
+	case score <= 0:
 		return -1 << 30
+	case score > math.MaxFloat64:
+		return 1 << 30
 	}
-	b := 0
-	for score >= 2 {
-		score /= 2
-		b++
-	}
-	for score < 1 {
-		score *= 2
-		b--
-	}
-	return b
+	_, exp := math.Frexp(score)
+	return exp - 1
 }
 
 func newCSMHeap() *csmHeap { return &csmHeap{} }

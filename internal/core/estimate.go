@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"caqe/internal/contract"
 	"caqe/internal/join"
@@ -102,9 +104,9 @@ func (st *state) cardinality(rc *region.Region, qi int) float64 {
 
 // dominatorsByQuery collects, in one pass over the live regions, the
 // regions whose best corner could dominate at least one output cell of rc,
-// grouped per query of rc.Alive. The per-pair dominance geometry is
-// resolved once as a dimension mask and reused across queries (the
-// coarse-level sharing of §4.1); one cell operation is charged per live
+// grouped per query of rc.Alive, each list in region order. The per-pair
+// dominance geometry is resolved once for every query (region.QueryDims,
+// the coarse-level sharing of §4.1); one cell operation is charged per live
 // pair, not per query. The returned slices are the state's reused
 // dominator scratch, valid until the next call.
 func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
@@ -116,22 +118,15 @@ func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
 		doms[qi] = doms[qi][:0]
 	}
 	for fi, rf := range st.regions {
-		if st.processed[fi] || rf == rc || rf.Alive&rc.Alive == 0 {
+		both := rf.Alive & rc.Alive
+		if st.processed[fi] || rf == rc || both == 0 {
 			continue
 		}
 		st.clock.CountCellOp(1)
-		var mask uint64
-		for k := range rf.Lo {
-			if rf.Lo[k] <= rc.Hi[k] {
-				mask |= 1 << uint(k)
-			}
-		}
-		both := rf.Alive & rc.Alive
-		for qi := both.Next(0); qi >= 0; qi = both.Next(qi + 1) {
-			pm := st.prefMask[qi]
-			if pm&mask == pm {
-				doms[qi] = append(doms[qi], rf)
-			}
+		notWeak, _ := st.uses.Pair(rf.Lo, rc.Hi)
+		for m := uint64(both &^ notWeak); m != 0; m &= m - 1 {
+			qi := bits.TrailingZeros64(m)
+			doms[qi] = append(doms[qi], rf)
 		}
 	}
 	return doms
@@ -150,7 +145,7 @@ func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (pr
 	}
 	cap64 := st.e.opt.ExactProgCountCap
 	if cap64 > 0 && total <= float64(cap64) {
-		return st.exactProgCount(rc, qi, pref, doms), total
+		return st.exactProgCount(rc, pref, doms), total
 	}
 	// Volume estimate: fraction of rc not covered by the union of the
 	// dominated sub-boxes, approximating independence across dominators.
@@ -166,32 +161,41 @@ func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (pr
 
 // exactProgCount enumerates rc's grid cells in the preference subspace and
 // counts those whose lower corner no dominator's best corner weakly
-// dominates.
-func (st *state) exactProgCount(rc *region.Region, qi int, pref preference.Subspace, doms []*region.Region) float64 {
-	lo := make([]int, len(pref))
-	hi := make([]int, len(pref))
+// dominates. The cell's corner is kept per axis and recomputed, by the same
+// expression, only on the axes the odometer moves; the dominators' corners
+// on the preference axes are gathered into one flat scratch, and the one
+// that covered the last covered cell is tested first (neighbouring cells
+// share their dominators). A cell's outcome does not depend on the order
+// the dominators are tested in, so the count and the one cell operation
+// charged per cell are those of testing every dominator in turn. doms is
+// not empty: progCount answers an empty list itself.
+func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, doms []*region.Region) float64 {
+	g := st.space
+	n := len(pref)
+	axes := slices.Grow(st.progAxes[:0], 3*n)[:3*n]
+	lo, hi, coord := axes[:n], axes[n:2*n], axes[2*n:]
+	flat := slices.Grow(st.progCorners[:0], (len(doms)+1)*n)[:(len(doms)+1)*n]
+	corner, domLo := flat[:n], flat[n:]
+	st.progAxes, st.progCorners = axes, flat
 	for i, k := range pref {
-		lo[i] = int(math.Floor((rc.Lo[k] - st.space.GridLo[k]) / st.space.GridStep[k]))
-		hi[i] = int(math.Floor((rc.Hi[k] - st.space.GridLo[k]) / st.space.GridStep[k]))
+		lo[i] = int(math.Floor((rc.Lo[k] - g.GridLo[k]) / g.GridStep[k]))
+		hi[i] = int(math.Floor((rc.Hi[k] - g.GridLo[k]) / g.GridStep[k]))
+		coord[i] = lo[i]
+		corner[i] = g.GridLo[k] + float64(coord[i])*g.GridStep[k]
 	}
-	coord := append([]int(nil), lo...)
+	for j, rf := range doms {
+		for i, k := range pref {
+			domLo[j*n+i] = rf.Lo[k]
+		}
+	}
 	count := 0.0
+	last := 0
 	for {
-		// Lower corner of the current cell.
 		st.clock.CountCellOp(1)
-		dominated := false
-		for _, rf := range doms {
-			ok := true
-			for i, k := range pref {
-				corner := st.space.GridLo[k] + float64(coord[i])*st.space.GridStep[k]
-				if rf.Lo[k] > corner {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				dominated = true
-				break
+		dominated := weakBelow(domLo[last*n:last*n+n], corner)
+		for j := 0; j < len(doms) && !dominated; j++ {
+			if j != last && weakBelow(domLo[j*n:j*n+n], corner) {
+				dominated, last = true, j
 			}
 		}
 		if !dominated {
@@ -199,18 +203,33 @@ func (st *state) exactProgCount(rc *region.Region, qi int, pref preference.Subsp
 		}
 		// Advance the odometer.
 		i := 0
-		for ; i < len(coord); i++ {
+		for ; i < n; i++ {
+			k := pref[i]
 			coord[i]++
 			if coord[i] <= hi[i] {
+				corner[i] = g.GridLo[k] + float64(coord[i])*g.GridStep[k]
 				break
 			}
 			coord[i] = lo[i]
+			corner[i] = g.GridLo[k] + float64(coord[i])*g.GridStep[k]
 		}
-		if i == len(coord) {
+		if i == n {
 			break
 		}
 	}
 	return count
+}
+
+// weakBelow reports whether no lane of d lies above c's: d weakly dominates
+// c. A NaN lane counts as not above, as `>` has it.
+func weakBelow(d, c []float64) bool {
+	c = c[:len(d)]
+	for i, v := range d {
+		if v > c[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // progEst implements Eq. 10: the expected number of results of rc that can

@@ -234,7 +234,6 @@ func (st *state) admissionCandidates(qi, jc int) []*region.Region {
 			cands = append(cands, r)
 		}
 	}
-	pm := st.prefMask[qi]
 	var serve []*region.Region
 	for _, r := range cands {
 		dead := false
@@ -243,8 +242,8 @@ func (st *state) admissionCandidates(qi, jc int) []*region.Region {
 				continue
 			}
 			st.clock.CountCellOp(1)
-			fullWeak, fullStrict, _, _ := region.DomMasks(o, r)
-			if pm&fullWeak == pm && pm&fullStrict != 0 {
+			notWeak, strict := st.uses.Pair(o.Hi, r.Lo)
+			if (strict &^ notWeak).Has(qi) {
 				dead = true
 				break
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,6 +14,7 @@ import (
 	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
+	"caqe/internal/region"
 	"caqe/internal/run"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
@@ -559,6 +561,54 @@ func TestAdmitKeepsUnsealedDoneSlot(t *testing.T) {
 	idle(x)
 	if x.ReportIndex(0) != 0 || len(rep.PerQuery[0]) < before {
 		t.Error("standing query lost its slot or its stream")
+	}
+}
+
+// TestSlotReuseRebindsQueryDims: the per-dimension query sets every region
+// pair test reads must follow each slot's current preference. All 64 slots
+// are filled, then slots are cancelled or sealed and re-admitted with a
+// preference on other dimensions; after every Admit the state's sets equal
+// a recomputation from the workload's queries. A reclaimed slot that kept
+// its predecessor's dimensions would change charges and the schedule but no
+// result set, so only this comparison sees it.
+func TestSlotReuseRebindsQueryDims(t *testing.T) {
+	x, _, _, _ := standingExec(t)
+	prefs := []preference.Subspace{{0}, {1}, {2}, {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}}
+	check := func(label string) {
+		t.Helper()
+		w := x.st.w
+		if want := region.NewQueryDims(w.Queries, len(w.OutDims)); !slices.Equal(x.st.uses, want) {
+			t.Fatalf("%s: query sets per dimension %v, recomputed from the queries %v", label, x.st.uses, want)
+		}
+	}
+	for i := 0; len(x.st.w.Queries) < workload.MaxQueries; i++ {
+		q := lateQuery(fmt.Sprintf("q%d", i), 1)
+		q.Pref = prefs[i%len(prefs)]
+		mustAdmit(t, x, q)
+		check(fmt.Sprintf("fill %d", i))
+	}
+	idle(x)
+	for round := 0; round < 30; round++ {
+		slot := 1 + round*7%63 // never the standing query
+		var err error
+		if round%2 == 0 {
+			err = x.Cancel(slot)
+		} else {
+			err = x.Seal(slot)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := lateQuery(fmt.Sprintf("r%d", round), 1)
+		q.Pref = prefs[round%len(prefs)]
+		if q.Pref.Equal(x.st.w.Queries[slot].Pref) {
+			q.Pref = prefs[(round+1)%len(prefs)]
+		}
+		if qi := mustAdmit(t, x, q); qi != slot {
+			t.Fatalf("round %d: admission took slot %d, want the freed slot %d", round, qi, slot)
+		}
+		check(fmt.Sprintf("round %d", round))
+		idle(x)
 	}
 }
 

@@ -70,7 +70,7 @@ type state struct {
 	processed []bool // tuple-level done OR discarded
 	jcQueries []skycube.QSet
 	jcSigma   []float64
-	prefMask  []uint64            // per-query preference bitmask
+	uses      region.QueryDims    // per output dimension: the queries whose preference reads it
 	kerns     []preference.Kernel // per-query dominance comparator over its preference
 
 	outEdges [][]depEdge
@@ -139,6 +139,10 @@ type state struct {
 	goneScratch  []int
 	vsScratch    []float64
 	domScratch   [][]*region.Region
+	// exactProgCount's odometer (lo, hi and coordinate per axis) and its
+	// flat corners (the cell's, then each dominator's).
+	progAxes    []int
+	progCorners []float64
 	// Delete's repair lists: window entries taken out, results to re-settle.
 	removedScratch  []skycube.Removed
 	resettleScratch []int
@@ -174,6 +178,7 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		regions:   space.Regions,
 		processed: make([]bool, len(space.Regions)),
 		cursors:   make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
+		uses:      make(region.QueryDims, len(e.w.OutDims)),
 	}
 	for i, q := range e.w.Queries {
 		st.bindQuery(i, q, i)
@@ -200,7 +205,6 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.order = append(st.order, nil)
 		st.orderGen = append(st.orderGen, 0)
 		st.qremap = append(st.qremap, 0)
-		st.prefMask = append(st.prefMask, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
 	}
 	// Initial weights fold the query priority into the benefit model;
@@ -209,7 +213,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 	st.frontierDirty[qi] = true
 	st.gen++ // a new preference: the slot's order is collected afresh
 	st.qremap[qi] = reportIdx
-	st.prefMask[qi] = q.Pref.Mask()
+	st.uses.Bind(qi, q.Pref)
 	st.kerns[qi] = preference.NewKernel(q.Pref)
 }
 

@@ -255,35 +255,28 @@ func (s *Space) initGrid(res int) {
 // filtering against all serving regions (dominated or not) is exact.
 // Regions left with an empty Alive set are discarded.
 //
-// Dominance between a region pair is resolved once as per-dimension masks
-// and then reused across every shared query — the coarse-level analogue of
-// the paper's "comparisons along shared dimensions only once" (§4.1); the
-// single mask computation is charged as one cell-level operation.
+// Dominance between a region pair is resolved once for every shared query
+// as query sets (QueryDims.Pair); the pair is charged as one cell-level
+// operation.
 //
 // With keepPruned, dead regions are moved to the tail of the list (IDs
 // after every survivor) instead of discarded; survivors keep the exact IDs
 // of a discarding build and the pruning charges are identical.
 func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
-	prefMask := make([]uint64, len(s.W.Queries))
-	for qi, q := range s.W.Queries {
-		prefMask[qi] = q.Pref.Mask()
-	}
+	uses := NewQueryDims(s.W.Queries, len(s.W.OutDims))
 	for _, r := range s.Regions {
 		for _, o := range s.Regions {
-			if o == r || o.RQL&r.RQL == 0 || r.Alive == 0 {
+			if r.Alive == 0 {
+				break
+			}
+			if o == r || o.RQL&r.RQL == 0 {
 				continue
 			}
 			if clock != nil {
 				clock.CountCellOp(1)
 			}
-			fullWeak, fullStrict, _, _ := DomMasks(o, r)
-			both := o.RQL & r.Alive
-			for qi := both.Next(0); qi >= 0; qi = both.Next(qi + 1) {
-				pm := prefMask[qi]
-				if pm&fullWeak == pm && pm&fullStrict != 0 {
-					r.Alive &^= 1 << uint(qi)
-				}
-			}
+			notWeak, strict := uses.Pair(o.Hi, r.Lo)
+			r.Alive &^= o.RQL & strict &^ notWeak
 		}
 	}
 	var pruned []*Region
@@ -387,32 +380,50 @@ func (s *Space) Withdraw(touched map[int]bool, onT bool, clock *metrics.Clock) {
 	}
 }
 
-// DomMasks resolves the dominance geometry of an ordered region pair once,
-// as per-dimension bitmasks reusable across every subspace:
-//
-//   - fullWeak/fullStrict: dimensions where a's worst corner is ≤ / < b's
-//     best corner. a fully dominates b in subspace V (Definition 8 case 1)
-//     iff V ⊆ fullWeak and V ∩ fullStrict ≠ ∅.
-//   - bestWeak/bestStrict: dimensions where a's best corner is ≤ / < b's
-//     best corner. a's best corner dominates b's (the dependency-graph edge
-//     order) iff V ⊆ bestWeak and V ∩ bestStrict ≠ ∅.
-func DomMasks(a, b *Region) (fullWeak, fullStrict, bestWeak, bestStrict uint64) {
-	for k := range a.Lo {
-		bit := uint64(1) << uint(k)
-		if a.Hi[k] <= b.Lo[k] {
-			fullWeak |= bit
-			if a.Hi[k] < b.Lo[k] {
-				fullStrict |= bit
-			}
-		}
-		if a.Lo[k] <= b.Lo[k] {
-			bestWeak |= bit
-			if a.Lo[k] < b.Lo[k] {
-				bestStrict |= bit
-			}
+// QueryDims holds, per output dimension k, the set of queries whose
+// preference reads k. It resolves a corner pair once for every query at
+// the same time — the coarse-level form of the paper's "comparisons along
+// shared dimensions only once" (§4.1): one pass over the dimensions, and
+// each query's verdict is a bit of the result.
+type QueryDims []skycube.QSet
+
+// NewQueryDims returns the query sets of queries over nd output dimensions.
+func NewQueryDims(queries []workload.Query, nd int) QueryDims {
+	u := make(QueryDims, nd)
+	for qi, q := range queries {
+		u.Bind(qi, q.Pref)
+	}
+	return u
+}
+
+// Bind makes slot qi read exactly the dimensions of pref: the slot's bit
+// leaves every dimension, then joins pref's.
+func (u QueryDims) Bind(qi int, pref preference.Subspace) {
+	bit := skycube.QSet(0).Add(qi)
+	for k := range u {
+		u[k] &^= bit
+	}
+	for _, k := range pref {
+		u[k] |= bit
+	}
+}
+
+// Pair resolves the corner pair (a, b): notWeak is the union of the query
+// sets of the dimensions where !(a[k] <= b[k]), strict that of the
+// dimensions where a[k] < b[k]. So a weakly dominates b in query q's
+// preference iff q ∉ notWeak, and dominates it iff q ∈ strict &^ notWeak.
+// Read on (r.Hi, o.Lo) that is Definition 8's full dominance of o by r; on
+// (r.Lo, o.Lo), best-corner dominance.
+func (u QueryDims) Pair(a, b []float64) (notWeak, strict skycube.QSet) {
+	a, b = a[:len(u)], b[:len(u)]
+	for k, qs := range u {
+		if !(a[k] <= b[k]) {
+			notWeak |= qs
+		} else if a[k] < b[k] {
+			strict |= qs
 		}
 	}
-	return
+	return notWeak, strict
 }
 
 // CellIndex returns the grid coordinate of an output point.

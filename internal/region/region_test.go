@@ -1,6 +1,7 @@
 package region
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -198,32 +199,63 @@ func TestRegionDominanceEqualBoundary(t *testing.T) {
 	}
 }
 
-func TestDomMasksConsistentWithPredicates(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 300; trial++ {
+// TestRegionPairQuerySets holds QueryDims.Pair's three readings to the
+// per-query predicates they replace, on random boxes of 1–6 dimensions whose
+// bounds tie often and include −0 and ±Inf, under random preferences of up
+// to 11 queries, some slots rebound to a new preference on the way:
+// full dominance on (a.Hi, b.Lo), best-corner dominance on (a.Lo, b.Lo), and
+// "a.Lo weakly below b.Hi on every axis the query reads" on (a.Lo, b.Hi).
+func TestRegionPairQuerySets(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	vals := []float64{math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, 2, math.Inf(1)}
+	randPref := func(nd int) preference.Subspace {
+		for {
+			if v := preference.SubspaceFromMask(uint64(rng.Intn(1 << uint(nd)))); len(v) > 0 {
+				return v
+			}
+		}
+	}
+	for trial := 0; trial < 3000; trial++ {
+		nd := 1 + rng.Intn(6)
+		qs := make([]workload.Query, 1+rng.Intn(11))
+		for qi := range qs {
+			qs[qi].Pref = randPref(nd)
+		}
+		u := NewQueryDims(qs, nd)
+		for n := rng.Intn(3); n > 0; n-- {
+			qi := rng.Intn(len(qs))
+			qs[qi].Pref = randPref(nd)
+			u.Bind(qi, qs[qi].Pref)
+		}
 		mk := func() *Region {
-			lo := []float64{float64(rng.Intn(6)), float64(rng.Intn(6)), float64(rng.Intn(6))}
-			hi := []float64{lo[0] + float64(rng.Intn(4)), lo[1] + float64(rng.Intn(4)), lo[2] + float64(rng.Intn(4))}
-			return &Region{Lo: lo, Hi: hi}
+			r := &Region{Lo: make([]float64, nd), Hi: make([]float64, nd)}
+			for k := range r.Lo {
+				x, y := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
+				r.Lo[k], r.Hi[k] = math.Min(x, y), math.Max(x, y)
+			}
+			return r
 		}
 		a, b := mk(), mk()
-		fullWeak, fullStrict, bestWeak, bestStrict := DomMasks(a, b)
-		subs := []preference.Subspace{
-			preference.NewSubspace(0, 1),
-			preference.NewSubspace(1, 2),
-			preference.NewSubspace(0, 1, 2),
-		}
-		for _, v := range subs {
-			pm := v.Mask()
-			wantFull := a.FullyDominatesIn(v, b)
-			gotFull := pm&fullWeak == pm && pm&fullStrict != 0
-			if wantFull != gotFull {
-				t.Fatalf("full dominance mismatch: %v vs %v in %v", a, b, v)
+		fullNotWeak, fullStrict := u.Pair(a.Hi, b.Lo)
+		bestNotWeak, bestStrict := u.Pair(a.Lo, b.Lo)
+		reachNotWeak, _ := u.Pair(a.Lo, b.Hi)
+		for qi, q := range qs {
+			weakReach := true
+			for _, k := range q.Pref {
+				weakReach = weakReach && a.Lo[k] <= b.Hi[k]
 			}
-			wantBest := a.BestCornerDominates(v, b)
-			gotBest := pm&bestWeak == pm && pm&bestStrict != 0
-			if wantBest != gotBest {
-				t.Fatalf("best-corner mismatch: %v vs %v in %v", a, b, v)
+			for _, c := range []struct {
+				name      string
+				got, want bool
+			}{
+				{"full dominance", (fullStrict &^ fullNotWeak).Has(qi), a.FullyDominatesIn(q.Pref, b)},
+				{"best-corner dominance", (bestStrict &^ bestNotWeak).Has(qi), a.BestCornerDominates(q.Pref, b)},
+				{"Lo weakly below Hi", !reachNotWeak.Has(qi), weakReach},
+			} {
+				if c.got != c.want {
+					t.Fatalf("trial %d, query %d %v: %s = %v, predicate %v (a %v, b %v)",
+						trial, qi, q.Pref, c.name, c.got, c.want, a, b)
+				}
 			}
 		}
 	}
@@ -415,34 +447,6 @@ func TestPaperExample17DependencyDirection(t *testing.T) {
 	}
 	if !r2.PartiallyDominatesIn(v, r1) && !r2.FullyDominatesIn(v, r1) {
 		t.Error("R2 should at least partially dominate R1")
-	}
-}
-
-// TestDomMasksQuick is the testing/quick analogue of the mask-consistency
-// test: for arbitrary small-integer boxes, the per-pair masks must agree
-// with the direct predicates on every subspace of the 3-d lattice.
-func TestDomMasksQuick(t *testing.T) {
-	check := func(raw [12]uint8) bool {
-		mk := func(off int) *Region {
-			lo := []float64{float64(raw[off] % 8), float64(raw[off+1] % 8), float64(raw[off+2] % 8)}
-			hi := []float64{lo[0] + float64(raw[off+3]%4), lo[1] + float64(raw[off+4]%4), lo[2] + float64(raw[off+5]%4)}
-			return &Region{Lo: lo, Hi: hi}
-		}
-		a, b := mk(0), mk(6)
-		fullWeak, fullStrict, bestWeak, bestStrict := DomMasks(a, b)
-		for m := uint64(1); m < 8; m++ {
-			v := preference.SubspaceFromMask(m)
-			if (m&fullWeak == m && m&fullStrict != 0) != a.FullyDominatesIn(v, b) {
-				return false
-			}
-			if (m&bestWeak == m && m&bestStrict != 0) != a.BestCornerDominates(v, b) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
 	}
 }
 
