@@ -43,12 +43,6 @@ func (s *SharedSkyline) bindDynamic(sn *sharedNode, qi int, pref preference.Subs
 	if sn == nil {
 		sn = &sharedNode{idx: len(s.nodes), window: make([]sharedEntry, 0, windowPresize)}
 		s.nodes = append(s.nodes, sn)
-		// The payload-indexed protection masks are bitmasks over node
-		// indices; past 64 nodes insertAt runs its childProtects loops,
-		// which protect exactly the pairs the masks do (TestScanFormsAgree).
-		if len(s.nodes) > 64 {
-			s.useMasks = false
-		}
 	}
 	sn.sub = append(preference.Subspace(nil), pref...)
 	sn.kern = preference.NewKernel(sn.sub)
@@ -72,10 +66,6 @@ func (s *SharedSkyline) InsertForQuery(payload, qi int) bool {
 	}
 	return s.insertAt(s.prefSN[qi], payload, vals, QSet(0).Add(qi)).Has(qi)
 }
-
-// NumQueries returns the number of queries the shared skyline currently
-// serves, including dynamically added ones.
-func (s *SharedSkyline) NumQueries() int { return len(s.prefSN) }
 
 // RetireQuery scrubs every trace of query qi from the shared skyline so its
 // bit position can be handed to a new query (SetDynamicQuery): the engine

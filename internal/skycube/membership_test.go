@@ -41,9 +41,9 @@ func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*shared
 	return m
 }
 
-// checkMembership compares every point lookup — find, the masks when they
-// are maintained, IsCandidate, Candidates — with the reference, for every
-// payload ever used plus a few that never were.
+// checkMembership compares every point lookup — find, the mask bits of every
+// node that has them, IsCandidate, Candidates — with the reference, for
+// every payload ever used plus a few that never were.
 func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) {
 	t.Helper()
 	ref := make(map[*sharedNode]map[int]*sharedEntry, len(s.nodes))
@@ -54,8 +54,7 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 			if got := s.find(sn, p); got != m[p] {
 				t.Fatalf("%s: find(node %d, payload %d) = %p, window holds %p", step, sn.idx, p, got, m[p])
 			}
-			if s.useMasks && p < payloads {
-				bit := uint64(1) << uint(sn.idx)
+			if bit := nodeBit(sn); bit != 0 && p < payloads {
 				if (s.mask(p).member&bit != 0) != (m[p] != nil) {
 					t.Fatalf("%s: member bit of payload %d at node %d disagrees with the window", step, p, sn.idx)
 				}
@@ -93,39 +92,29 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 // lookups against the linear-pass reference after each one. Coordinates come
 // from a three-value domain, so equal sums (and equal points) are the rule:
 // find's walk over the tie run, the dead-entry skip and insertAt's
-// already-a-member exit all run constantly. Four plans: one that stays on
-// the payload masks, one that outgrows them mid-schedule, one that never
-// had them (so childProtects takes its find-based fallback over real
-// cuboid children), and one with 5- and 6-dimension nodes that keeps them
-// throughout, so that both masked scans compare through the kernel.
+// already-a-member exit all run constantly. Four plans: a 4-dimension one,
+// one that outgrows the 64 mask bits mid-schedule (its dynamic nodes get
+// none), one past 64 nodes from the start (so cuboid nodes without a bit
+// search their windows and protect nothing), and one with 5- and
+// 6-dimension nodes, so that both scans compare through the kernel.
 //
 // Each schedule also runs under a clock, and its total comparison count is
 // pinned: the schedules are the one place where re-inserts, dead entries in
-// the tie run and the masks-off fallback all meet the insert path's
+// the tie run and nodes without a mask bit all meet the insert path's
 // accounting, so a rework of that path must charge exactly these.
 func TestMembershipMatchesReference(t *testing.T) {
-	all := func(d int) []preference.Subspace { // every subspace of ≥ 2 of d dimensions
-		var out []preference.Subspace
-		for m := uint64(1); m < 1<<uint(d); m++ {
-			if sub := preference.SubspaceFromMask(m); len(sub) >= 2 {
-				out = append(out, sub)
-			}
-		}
-		return out
-	}
 	plans := []struct {
-		name              string
-		d                 int
-		prefs             []preference.Subspace
-		masksAtStart, end bool
-		cmps              [3]int64 // SkylineCmps of seeds 1, 2, 3
+		name  string
+		d     int
+		prefs []preference.Subspace
+		cmps  [3]int64 // SkylineCmps of seeds 1, 2, 3
 	}{
-		{"masks", 4, []preference.Subspace{preference.NewSubspace(0, 1), preference.NewSubspace(1, 2, 3),
-			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, true, true, [3]int64{2212, 2566, 1256}},
-		{"outgrows-masks", 6, all(6), true, false, [3]int64{87703, 72453, 79457}},
-		{"no-masks", 7, all(7)[:60], false, false, [3]int64{72026, 81853, 79860}},
+		{"4d", 4, []preference.Subspace{preference.NewSubspace(0, 1), preference.NewSubspace(1, 2, 3),
+			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, [3]int64{2212, 2566, 1256}},
+		{"outgrows-masks", 6, allSubspaces(6), [3]int64{87703, 72453, 79457}},
+		{"past-64", 7, allSubspaces(7)[:60], [3]int64{72027, 81867, 79875}},
 		{"wide-masks", 8, []preference.Subspace{preference.NewSubspace(0, 1, 2, 3, 4),
-			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, true, true, [3]int64{992, 1026, 2562}},
+			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, [3]int64{992, 1026, 2562}},
 	}
 	for _, plan := range plans {
 		t.Run(plan.name, func(t *testing.T) {
@@ -136,19 +125,24 @@ func TestMembershipMatchesReference(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				clock := metrics.NewClock()
 				s := NewSharedSkyline(c, clock)
-				if s.useMasks != plan.masksAtStart {
-					t.Fatalf("%d nodes: useMasks = %v at start", len(s.nodes), s.useMasks)
-				}
 				runMembershipSchedule(t, s, plan.d, seed)
-				if s.useMasks != plan.end {
-					t.Fatalf("%d nodes: useMasks = %v at end", len(s.nodes), s.useMasks)
-				}
 				if got, want := clock.Counters().SkylineCmps, plan.cmps[seed-1]; got != want {
 					t.Errorf("seed %d: %d comparisons, want %d", seed, got, want)
 				}
 			}
 		})
 	}
+}
+
+// allSubspaces returns every subspace of at least 2 of d dimensions.
+func allSubspaces(d int) []preference.Subspace {
+	var out []preference.Subspace
+	for m := uint64(1); m < 1<<uint(d); m++ {
+		if sub := preference.SubspaceFromMask(m); len(sub) >= 2 {
+			out = append(out, sub)
+		}
+	}
+	return out
 }
 
 func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {

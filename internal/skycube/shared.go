@@ -34,9 +34,11 @@ import (
 // instead of a per-point heap slice; a window holds its entries by value, one
 // cache line each, so a scan walks contiguous memory and compares entry-local
 // projections (sharedEntry.proj); and the child-protection test is a 3-way
-// AND over payload-indexed node bitmasks. Nothing is kept per (node, payload):
-// a node knows its members only through its window (see find), so standing
-// state is the windows plus a few pointer-free words per join result.
+// AND over payload-indexed node bitmasks (a node past the 64th has no bit and
+// protects nothing, which costs comparisons only: nodeBit). Nothing is kept
+// per (node, payload): a node knows its members only through its window (see
+// find), so standing state is the windows plus a few pointer-free words per
+// join result.
 // Entries killed by KillForQueries are marked dead and batch-compacted
 // instead of spliced one at a time. None of this changes any observable:
 // candidate sets, comparison counts and iteration orders are identical to
@@ -54,17 +56,16 @@ type SharedSkyline struct {
 
 	// freeNodes holds dedicated dynamic-query nodes whose query retired;
 	// SetDynamicQuery re-keys one of these before appending a fresh node, so
-	// long sessions with query turnover keep the node count (and the
-	// payload-mask fast path) bounded. Only dynamic nodes are ever recycled:
-	// cuboid nodes are lattice children of other nodes and must keep their
-	// subspace.
+	// long sessions with query turnover keep the node count bounded (and
+	// their nodes within the 64 that have a mask bit). Only dynamic nodes are
+	// ever recycled: cuboid nodes are lattice children of other nodes and
+	// must keep their subspace.
 	freeNodes []*sharedNode
 
-	// Per-payload bitmasks over node indices, maintained iff the plan has at
-	// most 64 nodes (insertAt runs its childProtects loops otherwise).
-	// Fixed-size chunks, so covering one more payload never copies.
-	useMasks bool
-	masks    []*[maskChunk]payloadMasks
+	// Per-payload bitmasks over node indices: bit nodeBit(sn) for each node,
+	// none for a node past the 64th. Fixed-size chunks, so covering one more
+	// payload never copies.
+	masks []*[maskChunk]payloadMasks
 
 	// Resettle's channel into insertAt, kept off the insert path's signature:
 	// while replacing is set, insertAt kills the point's live entry where it
@@ -83,8 +84,17 @@ type SharedSkyline struct {
 
 // payloadMasks are one payload's node bitmasks: member bit n ⇔ the payload
 // is a live member at node n; clean bit n additionally requires the entry's
-// clean flag.
+// clean flag. Only nodes 0–63 have a bit (nodeBit).
 type payloadMasks struct{ member, clean uint64 }
+
+// nodeBit is sn's bit in the payload masks, zero for a node at index ≥ 64
+// (a Go shift by ≥ 64 is 0). A zero bit is in no childMask, so such a node
+// protects no pair in its parents; writing it is a no-op; and membership
+// there is found by searching the window. Nodes are sorted by ascending
+// level, so children have the smaller indices, and dynamic nodes, the only
+// ones appended later, have no children: a plan past 64 nodes keeps nearly
+// all of its protection.
+func nodeBit(sn *sharedNode) uint64 { return uint64(1) << uint(sn.idx) }
 
 const (
 	maskShift = 12
@@ -137,21 +147,21 @@ type sharedEntry struct {
 type sharedNode struct {
 	node      *Node
 	idx       int    // position in SharedSkyline.nodes (bit index of the masks)
-	childMask uint64 // bitmask over the node indices of the cuboid children
+	childMask uint64 // nodeBit of each cuboid child
 	sub       preference.Subspace
 	kern      preference.Kernel
 	qserve    QSet
 	window    []sharedEntry // by value, sum-ascending; entries move when it shifts
 	dead      int           // window entries with alive == 0 awaiting compaction
-	children  []*sharedNode
 }
 
 // find returns the live window entry of payload at sn, or nil. Arena slots
 // are write-once while a point is live, so the entry's sort key is
 // recomputable from the arena and the entry can only sit in the window's run
-// of that exact sum (liveInRun).
+// of that exact sum (liveInRun). A clear member bit answers without the
+// search.
 func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
-	if payload < 0 || s.useMasks && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&(1<<uint(sn.idx)) == 0) {
+	if bit := nodeBit(sn); payload < 0 || bit != 0 && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&bit == 0) {
 		return nil
 	}
 	vals := s.PointVals(payload)
@@ -188,10 +198,9 @@ const compactionSlack = 16
 // be nil (no accounting).
 func NewSharedSkyline(c *Cuboid, clock *metrics.Clock) *SharedSkyline {
 	s := &SharedSkyline{
-		cuboid:   c,
-		clock:    clock,
-		prefSN:   make([]*sharedNode, c.NumQueries()),
-		useMasks: len(c.Nodes) <= 64,
+		cuboid: c,
+		clock:  clock,
+		prefSN: make([]*sharedNode, c.NumQueries()),
 	}
 	byNode := make(map[*Node]*sharedNode, len(c.Nodes))
 	for i, n := range c.Nodes {
@@ -204,11 +213,7 @@ func NewSharedSkyline(c *Cuboid, clock *metrics.Clock) *SharedSkyline {
 	}
 	for _, sn := range s.nodes {
 		for _, ch := range sn.node.Children {
-			csn := byNode[ch]
-			sn.children = append(sn.children, csn)
-			if s.useMasks {
-				sn.childMask |= 1 << uint(csn.idx)
-			}
+			sn.childMask |= nodeBit(byNode[ch])
 		}
 	}
 	for i := 0; i < c.NumQueries(); i++ {
@@ -219,9 +224,6 @@ func NewSharedSkyline(c *Cuboid, clock *metrics.Clock) *SharedSkyline {
 	}
 	return s
 }
-
-// Cuboid returns the plan this state executes.
-func (s *SharedSkyline) Cuboid() *Cuboid { return s.cuboid }
 
 // growMasks ensures the per-payload bitmasks cover payload.
 func (s *SharedSkyline) growMasks(payload int) {
@@ -243,9 +245,7 @@ func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
 		s.points = preference.NewFlatPoints(len(vals))
 	}
 	s.points.Set(payload, vals)
-	if s.useMasks {
-		s.growMasks(payload)
-	}
+	s.growMasks(payload)
 	var out QSet
 	for _, sn := range s.nodes {
 		relevant := sn.qserve & lineage
@@ -306,28 +306,23 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 // returns from inside it without ever locating its own slot, and one that
 // survives finds the start of the run of equal sums by walking back over it
 // — ties are rare. A live entry of the payload can only sit in that run, and
-// only a payload whose member bit is set (or any, without the masks) can
+// only a payload whose member bit is set (or any, at a node with no bit) can
 // have one, so only those look it up before the scan, as find does.
 //
-// Each scan comes in two forms, chosen once per visit on whether the masks
-// are maintained. Go does not unswitch loops, and a loop that calls
-// childProtects re-reads on every entry what the call might have changed:
-// the window's base and length, the masks flag. With the masks neither scan
-// calls anything: the prefix scan runs here, where nearly every visit ends,
-// and the suffix scan in the leaf evictMasked. Plans past 64 nodes run the
-// loops that call childProtects (DESIGN §7.1); TestScanFormsAgree holds the
-// two forms to the same comparisons, entries and flags.
+// Neither scan calls anything in its loop: Go does not unswitch loops, and a
+// loop with a call re-reads on every entry what the call might have changed,
+// the window's base and length. The prefix scan runs here, where nearly
+// every visit ends, and the suffix scan in the leaf evictMasked (DESIGN
+// §7.1). TestProtectionOnlySkipsComparisons holds both to a skyline with
+// no protection.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
 	sp := sn.kern.Sum(vals)
 	// Subspaces of ≥ 5 dimensions do not fit the lanes: the kernel path.
 	var p preference.Lanes
 	fast := sn.kern.Project(vals, &p)
-	bit := uint64(1) << uint(sn.idx)
-	var pm *payloadMasks // the payload's masks, loaded once, nil without them
-	if s.useMasks {
-		pm = s.mask(payload)
-	}
-	if pm == nil || pm.member&bit != 0 {
+	bit := nodeBit(sn)
+	pm := s.mask(payload) // the payload's masks, loaded once
+	if bit == 0 || pm.member&bit != 0 {
 		if w := liveInRun(sn, payload, sp); w != nil {
 			if !s.replacing {
 				return w.alive
@@ -346,74 +341,39 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 
 	// Prefix scan: can some member dominate p? The reverse direction is
 	// only consulted when the forward one holds, so it is computed lazily.
+	// p's half of the protection test is hoisted (its bits change only after
+	// both scans): an entry costs one payload-indexed load, and none while
+	// the half is zero, the usual case at the top.
 	hiIdx := len(sn.window)
-	if pm != nil {
-		// Hoist p's half of the protection test (its bits change only after
-		// both scans): an entry costs one payload-indexed load, and none while
-		// the half is zero, the usual case at the top.
-		pCleanChildren := pm.clean & sn.childMask
-		for i := range sn.window {
-			w := &sn.window[i]
-			if w.sum > sp {
-				hiIdx = i
-				break
-			}
-			if w.alive == 0 || w.lineage&relevant == 0 {
-				continue // dead, or disjoint lineages never interact
-			}
-			if pCleanChildren != 0 && pCleanChildren&s.mask(int(w.payload)).member != 0 {
-				continue // w provably cannot weakly dominate p here
-			}
-			cmpCount++
-			var wWeakP, pWeakW bool
-			if fast {
-				wWeakP = preference.WeakLanes(&w.proj, &p)
-				if wWeakP {
-					pWeakW = preference.WeakLanes(&p, &w.proj)
-				}
-			} else {
-				wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
-			}
-			if wWeakP {
-				cleanP = false
-				if !pWeakW { // strict: w ≺ p
-					aliveP &^= w.lineage
-					if aliveP == 0 {
-						break
-					}
-				}
-			}
+	pCleanChildren := pm.clean & sn.childMask
+	for i := range sn.window {
+		w := &sn.window[i]
+		if w.sum > sp {
+			hiIdx = i
+			break
 		}
-	} else {
-		for i := range sn.window {
-			w := &sn.window[i]
-			if w.sum > sp {
-				hiIdx = i
-				break
-			}
-			if w.alive == 0 || w.lineage&relevant == 0 {
-				continue
-			}
-			if s.childProtects(sn, payload, int(w.payload)) {
-				continue
-			}
-			cmpCount++
-			var wWeakP, pWeakW bool
-			if fast {
-				wWeakP = preference.WeakLanes(&w.proj, &p)
-				if wWeakP {
-					pWeakW = preference.WeakLanes(&p, &w.proj)
-				}
-			} else {
-				wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
-			}
+		if w.alive == 0 || w.lineage&relevant == 0 {
+			continue // dead, or disjoint lineages never interact
+		}
+		if pCleanChildren != 0 && pCleanChildren&s.mask(int(w.payload)).member != 0 {
+			continue // w provably cannot weakly dominate p here
+		}
+		cmpCount++
+		var wWeakP, pWeakW bool
+		if fast {
+			wWeakP = preference.WeakLanes(&w.proj, &p)
 			if wWeakP {
-				cleanP = false
-				if !pWeakW {
-					aliveP &^= w.lineage
-					if aliveP == 0 {
-						break
-					}
+				pWeakW = preference.WeakLanes(&p, &w.proj)
+			}
+		} else {
+			wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
+		}
+		if wWeakP {
+			cleanP = false
+			if !pWeakW { // strict: w ≺ p
+				aliveP &^= w.lineage
+				if aliveP == 0 {
+					break
 				}
 			}
 		}
@@ -433,53 +393,9 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		lowIdx--
 	}
 
-	// Suffix scan: which members does p dominate? Dead entries met here are
-	// compacted away for free, and survivors move down only once a removal
-	// has actually happened — the common no-eviction scan writes no slot.
-	var keepLen int
-	if pm != nil {
-		var n int64
-		keepLen, cleanP, n = s.evictMasked(sn, &p, fast, vals, relevant, pm.member&sn.childMask, lowIdx, cleanP)
-		cmpCount += n
-	} else {
-		keepLen = lowIdx
-		for idx := lowIdx; idx < len(sn.window); idx++ {
-			w := &sn.window[idx]
-			if w.alive == 0 {
-				sn.dead--
-				continue
-			}
-			if w.lineage&relevant != 0 && !s.childProtects(sn, int(w.payload), payload) {
-				cmpCount++
-				var pWeakW, wWeakP bool
-				if fast {
-					pWeakW = preference.WeakLanes(&p, &w.proj)
-					if pWeakW {
-						wWeakP = preference.WeakLanes(&w.proj, &p)
-					}
-				} else {
-					pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(int(w.payload)))
-				}
-				if wWeakP && pWeakW { // equal in the subspace (sum tie)
-					cleanP = false
-				}
-				if pWeakW {
-					w.clean = false
-					if !wWeakP { // strict: p ≺ w
-						w.alive &^= relevant
-						if w.alive == 0 {
-							continue // evicted: w leaves the window
-						}
-					}
-				}
-			}
-			if keepLen != idx {
-				sn.window[keepLen] = *w
-			}
-			keepLen++
-		}
-		sn.window = sn.window[:keepLen]
-	}
+	// Suffix scan: which members does p dominate?
+	keepLen, cleanP, n := s.evictMasked(sn, &p, fast, vals, relevant, pm.member&sn.childMask, lowIdx, cleanP)
+	cmpCount += n
 	if s.clock != nil && cmpCount > 0 {
 		s.clock.CountSkylineCmp(cmpCount)
 	}
@@ -493,22 +409,20 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	sn.window = append(sn.window, sharedEntry{})
 	copy(sn.window[pos+1:], sn.window[pos:])
 	sn.window[pos] = sharedEntry{payload: int32(payload), sum: sp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p}
-	if pm != nil {
-		pm.member |= bit
-		if cleanP {
-			pm.clean |= bit
-		} else {
-			pm.clean &^= bit
-		}
+	pm.member |= bit
+	if cleanP {
+		pm.clean |= bit
+	} else {
+		pm.clean &^= bit
 	}
 	return aliveP
 }
 
-// evictMasked is insertAt's suffix scan while the masks are maintained:
-// which members from lowIdx on does p dominate? pMemberChildren is p's
-// member half of the protection test. Dead entries met here are compacted
-// away for free, and survivors move down only once a removal has actually
-// happened — the common no-eviction scan writes no slot. An evicted member
+// evictMasked is insertAt's suffix scan: which members from lowIdx on does
+// p dominate? pMemberChildren is p's member half of the protection test.
+// Dead entries met here are compacted away for free, and survivors move down
+// only once a removal has actually happened — the common no-eviction scan
+// writes no slot. An evicted member
 // loses its mask bits, a member p weakly dominates its clean bit. It
 // returns the survivors' count, p's clean flag and the comparisons made.
 // It calls nothing in its loop, so the window's base and length are read
@@ -538,7 +452,7 @@ func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bo
 				cleanP = false
 			}
 			if pWeakW {
-				bit := uint64(1) << uint(sn.idx)
+				bit := nodeBit(sn)
 				if w.clean {
 					w.clean = false
 					maskAt(masks, int(w.payload)).clean &^= bit
@@ -564,36 +478,12 @@ func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bo
 	return keepLen, cleanP, cmps
 }
 
-// clearMasks drops payload's member and clean bits for node sn, if masks
-// are maintained.
+// clearMasks drops payload's member and clean bits for node sn.
 func (s *SharedSkyline) clearMasks(sn *sharedNode, payload int) {
-	if !s.useMasks {
-		return
-	}
-	bit := uint64(1) << uint(sn.idx)
+	bit := nodeBit(sn)
 	pm := s.mask(payload)
 	pm.member &^= bit
 	pm.clean &^= bit
-}
-
-// childProtects reports whether some cuboid child of sn's node contains both
-// points as current members with the protected point clean there, which
-// proves the attacker cannot dominate the protected point in sn's subspace.
-// It is the protection test of plans too large for the payload masks, called
-// only from insertAt's loops for them; with the masks the same test is an
-// AND of two words inside the scan, and TestScanFormsAgree checks that both
-// protect exactly the same pairs.
-func (s *SharedSkyline) childProtects(sn *sharedNode, protectedID, attackerID int) bool {
-	for _, cn := range sn.children {
-		pe := s.find(cn, protectedID)
-		if pe == nil || !pe.clean {
-			continue
-		}
-		if s.find(cn, attackerID) != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // KillForQueries removes candidacy of a point for the given queries across
@@ -701,11 +591,4 @@ func (s *SharedSkyline) PointVals(payload int) []float64 {
 		return s.points.At(payload)
 	}
 	return nil
-}
-
-// WindowSize returns the current number of live window entries at the
-// full-preference node of query qi (for diagnostics and tests).
-func (s *SharedSkyline) WindowSize(qi int) int {
-	sn := s.prefSN[qi]
-	return len(sn.window) - sn.dead
 }
