@@ -133,11 +133,9 @@ func benchStrategy(b *testing.B, name string) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var strat baseline.Strategy
-			for _, s := range baseline.All(baseline.Options{TargetCells: 12, GridResolution: 32}) {
-				if s.Name == name {
-					strat = s
-				}
+			strat, err := baseline.Find(name, baseline.Options{TargetCells: 12, GridResolution: 32})
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

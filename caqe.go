@@ -247,14 +247,10 @@ const (
 // paper's comparison order.
 func StrategyNames() []StrategyName {
 	var names []StrategyName
-	for _, s := range allStrategies(baseline.Options{}) {
-		names = append(names, StrategyName(s.Name))
+	for _, n := range baseline.Names() {
+		names = append(names, StrategyName(n))
 	}
 	return names
-}
-
-func allStrategies(opt baseline.Options) []baseline.Strategy {
-	return append(baseline.All(opt), baseline.Extra(opt)...)
 }
 
 // RunStrategy executes the workload under the named strategy, enabling
@@ -264,18 +260,16 @@ func allStrategies(opt baseline.Options) []baseline.Strategy {
 // while engine-specific ablation toggles apply only to CAQE runs via Run.
 func RunStrategy(name StrategyName, w *Workload, r, t *Relation, opts ...RunOption) (*Report, error) {
 	cfg := core.NewRunConfig(opts...)
-	bopt := baseline.Options{
+	s, err := baseline.Find(string(name), baseline.Options{
 		TargetCells:    cfg.Opt.TargetCells,
 		GridResolution: cfg.Opt.GridResolution,
 		OnEmit:         cfg.OnEmit,
 		Tracer:         cfg.Opt.Tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("caqe: %w", err)
 	}
-	for _, s := range allStrategies(bopt) {
-		if s.Name == string(name) {
-			return s.Run(w, r, t, cfg.Totals)
-		}
-	}
-	return nil, fmt.Errorf("caqe: unknown strategy %q (have %v)", name, StrategyNames())
+	return s.Run(w, r, t, cfg.Totals)
 }
 
 // GroundTruth computes the exact final result cardinality of every query

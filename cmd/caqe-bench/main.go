@@ -30,14 +30,15 @@ import (
 )
 
 func main() {
+	d := bench.DefaultConfig()
 	var (
 		fig        = flag.String("fig", "all", "figure to regenerate: 9a, 9b, 9c, 10, 10a, 10b, 10c, 11a, 11b, sweepN, sweepD, sweepSel, or all")
-		n          = flag.Int("n", 0, "rows per relation (default 1200; paper used 500000)")
-		queries    = flag.Int("queries", 0, "workload size |S_Q| (default 11)")
-		dims       = flag.Int("dims", 0, "output dimensionality d (default 4)")
-		sel        = flag.Float64("sel", 0, "join selectivity σ (default 0.01)")
-		seed       = flag.Int64("seed", 0, "dataset seed (default 2014)")
-		cells      = flag.Int("cells", 0, "quad-tree leaf cells per relation (default 24)")
+		n          = flag.Int("n", 0, fmt.Sprintf("rows per relation (default %d; paper used 500000)", d.N))
+		queries    = flag.Int("queries", 0, fmt.Sprintf("workload size |S_Q| (default %d)", d.NumQueries))
+		dims       = flag.Int("dims", 0, fmt.Sprintf("output dimensionality d (default %d)", d.Dims))
+		sel        = flag.Float64("sel", 0, fmt.Sprintf("join selectivity σ (default %g)", d.Selectivity))
+		seed       = flag.Int64("seed", 0, fmt.Sprintf("dataset seed (default %d)", d.Seed))
+		cells      = flag.Int("cells", 0, fmt.Sprintf("quad-tree leaf cells per relation (default %d)", d.TargetCells))
 		traceFile  = flag.String("trace", "", "write the structured execution trace of every measured run to this JSONL file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

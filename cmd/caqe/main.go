@@ -6,7 +6,8 @@
 //
 //	caqe [-n rows] [-queries k] [-dims d] [-dist independent|correlated|anti]
 //	     [-sel σ] [-contract C1|C2|C3|C4|C5] [-deadline vsec] [-seed s]
-//	     [-strategy CAQE|S-JFSL|JFSL|ProgXe+|SSMJ|all] [-v] [-trace out.jsonl]
+//	     [-strategy CAQE|S-JFSL|JFSL|ProgXe+|SSMJ|TimeShared|all] [-v]
+//	     [-trace out.jsonl]
 //	     [-explain [-json]]
 //
 // With -v the chosen strategy's emissions are streamed as they happen.
@@ -14,8 +15,8 @@
 // emission batches, feedback updates) is written as JSON Lines; inspect it
 // with cmd/caqe-trace. With -explain the derived shared plan and the
 // executor's operator tree are printed instead of running (the tree follows
-// -strategy: S-JFSL shows the data-order scheduler variant); -json switches
-// the dump to machine-readable JSON.
+// -strategy: S-JFSL shows the data-order scheduler, ProgXe+ the count-driven
+// one); -json switches the dump to machine-readable JSON.
 package main
 
 import (
@@ -129,23 +130,17 @@ func runCLI(n, queries, dims int, distName string, sel float64, class string, de
 	return nil
 }
 
-// explainOptions maps a strategy name onto the core options whose executor
-// shape -explain should describe: S-JFSL is the shared plan driven in data
-// order, ProgXe+ the count-driven scheduler; every other name (including
-// "all") shows the CAQE defaults.
+// explainOptions returns the engine configuration whose executor shape
+// -explain should describe: the named strategy's (S-JFSL the shared plan
+// driven in data order, ProgXe+ the count-driven scheduler), or the CAQE
+// defaults for a strategy that runs no engine and for "all".
 func explainOptions(strategy string) core.Options {
-	switch strategy {
-	case "S-JFSL":
-		return core.Options{
-			DataOrderScheduling:    true,
-			DisableRegionDiscard:   true,
-			DisableFeedback:        true,
-			DisableDependencyGraph: true,
-		}
-	case "ProgXe+":
-		return core.Options{DisableContractBenefit: true, DisableFeedback: true}
+	s, err := baseline.Find(strategy, baseline.Options{})
+	if err != nil {
+		return core.Options{}
 	}
-	return core.Options{}
+	opt, _ := s.Engine()
+	return opt
 }
 
 // openTracer opens a JSONL trace sink for the given path ("" = tracing

@@ -42,6 +42,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	sjfsl, err := baseline.Find("S-JFSL", baseline.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	dataOrder, _ := sjfsl.Engine()
 	configs := []struct {
 		name string
 		opt  core.Options
@@ -51,9 +56,7 @@ func main() {
 		{"- feedback (Eq.11)", core.Options{DisableFeedback: true}},
 		{"- dependency graph", core.Options{DisableDependencyGraph: true}},
 		{"- region discard", core.Options{DisableRegionDiscard: true}},
-		{"data order (S-JFSL-ish)", core.Options{
-			DataOrderScheduling: true, DisableRegionDiscard: true,
-			DisableFeedback: true, DisableDependencyGraph: true}},
+		{"data order (S-JFSL)", dataOrder},
 	}
 
 	fmt.Printf("deadline-heavy workload: %d queries, C1(t=100s), N=%d\n\n", len(w.Queries), r.Len())

@@ -1,6 +1,9 @@
 // Package baseline implements the comparison strategies of §7.1 — JFSL,
-// SSMJ, ProgXe+ and the shared S-JFSL — plus the ground-truth evaluator
-// used to verify that every strategy produces identical final result sets.
+// SSMJ, ProgXe+ and the shared S-JFSL — and §1.3's TimeShared, plus the
+// ground-truth evaluator used to verify that every strategy produces
+// identical final result sets. It is the one place that knows which
+// strategies exist (All, Names, Find), what engine configuration each runs
+// (Strategy.Engine) and how a strategy run is wired (newStrategy).
 //
 // All strategies share the same substrates and instrumentation as CAQE, so
 // the paper's metrics (join results, skyline comparisons, execution time,
@@ -44,34 +47,106 @@ type Options struct {
 type Strategy struct {
 	Name string
 	Run  func(w *workload.Workload, r, t *tuple.Relation, estTotals []int) (*run.Report, error)
+	// engine is the core engine configuration Run executes; nil for the
+	// strategies that build no engine (JFSL, SSMJ, TimeShared).
+	engine *core.Options
+}
+
+// Engine returns a copy of the core engine configuration the strategy runs,
+// and false for the strategies that run no engine.
+func (s Strategy) Engine() (core.Options, bool) {
+	if s.engine == nil {
+		return core.Options{}, false
+	}
+	return *s.engine, true
+}
+
+// body is one strategy's execution over a validated workload, on the
+// strategy's own virtual clock and report, which newStrategy opens and
+// finishes.
+type body func(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep *run.Report) error
+
+// newStrategy wires a strategy body the way every strategy runs: validate
+// the workload, open a fresh virtual clock and a report named for the
+// strategy (with opt's emission hook and tracer), run the body, finish the
+// report. engine, when non-nil, is the engine configuration the body runs.
+func newStrategy(name string, opt Options, engine *core.Options, b body) Strategy {
+	return Strategy{Name: name, engine: engine, Run: func(w *workload.Workload, r, t *tuple.Relation, estTotals []int) (*run.Report, error) {
+		if err := w.Validate(); err != nil {
+			return nil, err
+		}
+		clock := metrics.NewClock()
+		rep := run.NewReport(name, w, estTotals)
+		rep.OnEmit = opt.OnEmit
+		rep.StartTrace(opt.Tracer)
+		if err := b(w, r, t, clock, rep); err != nil {
+			return nil, err
+		}
+		rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
+		return rep, nil
+	}}
+}
+
+// table is the one list of strategies: the paper's five in its order
+// (CAQE, S-JFSL, JFSL, ProgXe+, SSMJ), then §1.3's TimeShared. It also
+// defines, once, the engine configuration of each strategy that runs the
+// core engine.
+func table(opt Options) []Strategy {
+	engine := func(o core.Options) *core.Options {
+		o.TargetCells, o.GridResolution, o.Tracer = opt.TargetCells, opt.GridResolution, opt.Tracer
+		return &o
+	}
+	caqe := engine(core.Options{})
+	// S-JFSL: the shared plan driven blindly in data order, with no
+	// dependency-graph lookahead, no region discarding and no feedback.
+	sjfsl := engine(core.Options{DataOrderScheduling: true, DisableRegionDiscard: true,
+		DisableFeedback: true, DisableDependencyGraph: true})
+	// ProgXe+: count-driven region ordering, no feedback.
+	progxe := engine(core.Options{DisableContractBenefit: true, DisableFeedback: true})
+	return []Strategy{
+		newStrategy("CAQE", opt, caqe, wholeWorkload(caqe)),
+		newStrategy("S-JFSL", opt, sjfsl, wholeWorkload(sjfsl)),
+		newStrategy("JFSL", opt, nil, jfsl),
+		newStrategy("ProgXe+", opt, progxe, progXe(progxe)),
+		newStrategy("SSMJ", opt, nil, ssmj),
+		newStrategy("TimeShared", opt, nil, timeShared),
+	}
 }
 
 // All returns the five compared techniques in the paper's order:
 // CAQE, S-JFSL, JFSL, ProgXe+, SSMJ.
-func All(opt Options) []Strategy {
-	return []Strategy{
-		{Name: "CAQE", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
-			eng, err := core.New(w, r, t, core.Options{
-				TargetCells: opt.TargetCells, GridResolution: opt.GridResolution,
-				Tracer: opt.Tracer,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return eng.ExecuteRun(est, opt.OnEmit)
-		}},
-		{Name: "S-JFSL", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
-			return SJFSL(w, r, t, est, opt)
-		}},
-		{Name: "JFSL", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
-			return jfsl(w, r, t, est, opt)
-		}},
-		{Name: "ProgXe+", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
-			return ProgXe(w, r, t, est, opt)
-		}},
-		{Name: "SSMJ", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
-			return ssmj(w, r, t, est, opt)
-		}},
+func All(opt Options) []Strategy { return table(opt)[:5] }
+
+// Names lists every strategy Find knows: the paper's five, then TimeShared.
+func Names() []string {
+	all := table(Options{})
+	names := make([]string, len(all))
+	for i, s := range all {
+		names[i] = s.Name
+	}
+	return names
+}
+
+// Find returns the named strategy wired to opt. Its error names the known
+// strategies and carries no package prefix; callers add their own.
+func Find(name string, opt Options) (Strategy, error) {
+	for _, s := range table(opt) {
+		if s.Name == name {
+			return s, nil
+		}
+	}
+	return Strategy{}, fmt.Errorf("unknown strategy %q (have %v)", name, Names())
+}
+
+// wholeWorkload is the body of CAQE and S-JFSL: one engine, configured by
+// cfg, over the whole workload.
+func wholeWorkload(cfg *core.Options) body {
+	return func(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep *run.Report) error {
+		eng, err := core.New(w, r, t, *cfg)
+		if err != nil {
+			return err
+		}
+		return eng.ExecuteInto(clock, rep, nil)
 	}
 }
 
@@ -163,26 +238,14 @@ func GroundTruthReport(w *workload.Workload, r, t *tuple.Relation) (*run.Report,
 	return rep, totals, nil
 }
 
-// JFSL implements the "Join First, Skyline Later" baseline: each query is
+// jfsl implements the "Join First, Skyline Later" baseline: each query is
 // processed independently in priority order with a full nested-loop join
 // (of the rows the join-group filter keeps, core.Survivors, like every
 // strategy) followed by a block-nested-loops skyline. The skyline operator is
 // blocking, so every result of a query is delivered only when the query
 // finishes — the worst case for progressiveness and, with no sharing, for
 // work (§7.3 reports it needs up to 66× more comparisons than CAQE).
-func JFSL(w *workload.Workload, r, t *tuple.Relation, estTotals []int) (*run.Report, error) {
-	return jfsl(w, r, t, estTotals, Options{})
-}
-
-// jfsl runs JFSL reporting to opt's emission callback and tracer.
-func jfsl(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Options) (*run.Report, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	clock := metrics.NewClock()
-	rep := run.NewReport("JFSL", w, estTotals)
-	rep.OnEmit = opt.OnEmit
-	rep.StartTrace(opt.Tracer)
+func jfsl(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep *run.Report) error {
 	rs, ts := core.Survivors(w, r, t, clock)
 	for _, qi := range w.ByPriority() {
 		q := w.Queries[qi]
@@ -199,71 +262,28 @@ func jfsl(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Optio
 			rep.Emit(run.Emission{Query: qi, RID: jr.RID, TID: jr.TID, Out: jr.Out, Time: now})
 		}
 	}
-	rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
-	return rep, nil
+	return nil
 }
 
-// SJFSL is the shared-plan comparison strategy the paper constructs (§7.1):
-// it pipelines the join tuples over the min-max cuboid plan — sharing scans,
-// joins and skyline comparisons exactly like CAQE — but processes the input
-// chunks blindly in data order, with no contract-driven ordering, no
-// dependency-graph lookahead, no region discarding and no feedback.
-func SJFSL(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Options) (*run.Report, error) {
-	eng, err := core.New(w, r, t, core.Options{
-		TargetCells:            opt.TargetCells,
-		GridResolution:         opt.GridResolution,
-		Tracer:                 opt.Tracer,
-		DataOrderScheduling:    true,
-		DisableRegionDiscard:   true,
-		DisableFeedback:        true,
-		DisableDependencyGraph: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	clock := metrics.NewClock()
-	rep := run.NewReport("S-JFSL", w, estTotals)
-	rep.OnEmit = opt.OnEmit
-	rep.StartTrace(opt.Tracer)
-	if err := eng.ExecuteInto(clock, rep, nil); err != nil {
-		return nil, err
-	}
-	rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
-	return rep, nil
-}
-
-// ProgXe implements the ProgXe+ baseline [27]: progressive, region-based
-// result generation for a *single* query at a time. Each workload query is
-// executed in priority order through the region machinery with count-driven
-// (not contract-driven) region ordering; there is no sharing across
-// queries.
-func ProgXe(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Options) (*run.Report, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	clock := metrics.NewClock()
-	rep := run.NewReport("ProgXe+", w, estTotals)
-	rep.OnEmit = opt.OnEmit
-	rep.StartTrace(opt.Tracer)
-	for _, qi := range w.ByPriority() {
-		sub := singleQuery(w, qi)
-		traceQueryDecision(rep, clock, qi)
-		eng, err := core.New(sub, r, t, core.Options{
-			TargetCells:            opt.TargetCells,
-			GridResolution:         opt.GridResolution,
-			Tracer:                 opt.Tracer,
-			DisableContractBenefit: true,
-			DisableFeedback:        true,
-		})
-		if err != nil {
-			return nil, err
+// progXe is the body of the ProgXe+ baseline [27]: progressive,
+// region-based result generation for a *single* query at a time. Each
+// workload query is executed in priority order by its own engine,
+// configured by cfg — count-driven (not contract-driven) region ordering;
+// there is no sharing across queries.
+func progXe(cfg *core.Options) body {
+	return func(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep *run.Report) error {
+		for _, qi := range w.ByPriority() {
+			traceQueryDecision(rep, clock, qi)
+			eng, err := core.New(singleQuery(w, qi), r, t, *cfg)
+			if err != nil {
+				return err
+			}
+			if err := eng.ExecuteInto(clock, rep, []int{qi}); err != nil {
+				return fmt.Errorf("baseline: ProgXe+ on %s: %w", w.Queries[qi].Name, err)
+			}
 		}
-		if err := eng.ExecuteInto(clock, rep, []int{qi}); err != nil {
-			return nil, fmt.Errorf("baseline: ProgXe+ on %s: %w", w.Queries[qi].Name, err)
-		}
+		return nil
 	}
-	rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
-	return rep, nil
 }
 
 // singleQuery extracts a one-query workload preserving the output space and

@@ -1,12 +1,14 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"caqe/internal/contract"
 	"caqe/internal/core"
 	"caqe/internal/datagen"
 	"caqe/internal/join"
+	"caqe/internal/metrics"
 	"caqe/internal/preference"
 	"caqe/internal/run"
 	"caqe/internal/tuple"
@@ -48,7 +50,7 @@ func TestStrategyListOrder(t *testing.T) {
 
 func TestJFSLAccounting(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 4, 3, 150, 31)
-	rep, err := JFSL(w, r, tt, totals)
+	rep, err := find(t, "JFSL", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +64,7 @@ func TestJFSLAccounting(t *testing.T) {
 
 func TestJFSLIsBlockingPerQuery(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 4, 3, 150, 33)
-	rep, err := JFSL(w, r, tt, totals)
+	rep, err := find(t, "JFSL", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestJFSLIsBlockingPerQuery(t *testing.T) {
 
 func TestSSMJIsBlockingPerQuery(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 4, 3, 150, 35)
-	rep, err := SSMJ(w, r, tt, totals)
+	rep, err := find(t, "SSMJ", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +97,8 @@ func TestPriorityOrderRespected(t *testing.T) {
 	// first (they are processed sequentially by priority).
 	w, r, tt, totals := smallSetup(t, 4, 3, 150, 37)
 	order := w.ByPriority()
-	for _, strat := range []Strategy{{Name: "JFSL", Run: JFSL}, {Name: "SSMJ", Run: SSMJ}} {
-		rep, err := strat.Run(w, r, tt, totals)
+	for _, name := range []string{"JFSL", "SSMJ"} {
+		rep, err := find(t, name, Options{}).Run(w, r, tt, totals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +109,7 @@ func TestPriorityOrderRespected(t *testing.T) {
 			}
 			first := rep.PerQuery[qi][0].Time
 			if first < last {
-				t.Fatalf("%s: priority order violated (%g after %g)", strat.Name, first, last)
+				t.Fatalf("%s: priority order violated (%g after %g)", name, first, last)
 			}
 			last = first
 		}
@@ -116,7 +118,7 @@ func TestPriorityOrderRespected(t *testing.T) {
 
 func TestProgXeIsProgressiveWithinQuery(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 4, 3, 300, 39)
-	rep, err := ProgXe(w, r, tt, totals, Options{TargetCells: 8})
+	rep, err := find(t, "ProgXe+", Options{TargetCells: 8}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +137,7 @@ func TestProgXeIsProgressiveWithinQuery(t *testing.T) {
 
 func TestSharingReducesWork(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 6, 4, 300, 41)
-	jfsl, err := JFSL(w, r, tt, totals)
+	jfsl, err := find(t, "JFSL", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestTimeSharedAgreesWithOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := TimeShared(w, r, tt, totals)
+	rep, err := find(t, "TimeShared", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +253,7 @@ func TestTimeSharedInterleavesCompletions(t *testing.T) {
 	// ones regardless of declaration order, and each query's results are
 	// delivered atomically at its own completion time.
 	w, r, tt, totals := smallSetup(t, 4, 3, 200, 49)
-	rep, err := TimeShared(w, r, tt, totals)
+	rep, err := find(t, "TimeShared", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +276,7 @@ func TestTimeSharedInterleavesCompletions(t *testing.T) {
 
 func TestTimeSharedNoSharing(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 4, 3, 150, 51)
-	rep, err := TimeShared(w, r, tt, totals)
+	rep, err := find(t, "TimeShared", Options{}).Run(w, r, tt, totals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +298,89 @@ func survivorPairs(w *workload.Workload, r, tt *tuple.Relation) int64 {
 	return n
 }
 
-func TestExtraStrategies(t *testing.T) {
-	extra := Extra(Options{})
-	if len(extra) != 1 || extra[0].Name != "TimeShared" {
-		t.Fatalf("Extra(Options{}) = %v", extra)
+// find returns the named strategy or fails the test.
+func find(t *testing.T, name string, opt Options) Strategy {
+	t.Helper()
+	s, err := Find(name, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestNamesAndFind pins the strategy table: the paper's five in its order,
+// then TimeShared, each found by name and reporting under its own name, and
+// an unknown name rejected.
+func TestNamesAndFind(t *testing.T) {
+	want := []string{"CAQE", "S-JFSL", "JFSL", "ProgXe+", "SSMJ", "TimeShared"}
+	if got := Names(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Names() = %v, want %v", got, want)
+	}
+	w, r, tt, totals := smallSetup(t, 3, 3, 100, 53)
+	for _, name := range want {
+		rep, err := find(t, name, Options{TargetCells: 6}).Run(w, r, tt, totals)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Strategy != name {
+			t.Errorf("%s's report is named %q", name, rep.Strategy)
+		}
+	}
+	if _, err := Find("bogus", Options{}); err == nil {
+		t.Fatal("Find accepted an unknown strategy")
+	}
+}
+
+// TestEngineConfigIsWhatRuns: a strategy's engine configuration is the one
+// it runs. One engine with S-JFSL's configuration over the workload — and
+// with ProgXe+'s over a one-query workload — reproduces the strategy's
+// report: emissions, counters and end time. The configuration handed out is
+// a copy; changing it changes nothing the strategy holds.
+func TestEngineConfigIsWhatRuns(t *testing.T) {
+	w, r, tt, totals := smallSetup(t, 4, 3, 200, 55)
+	one := singleQuery(w, 0)
+	for _, tc := range []struct {
+		name   string
+		w      *workload.Workload
+		totals []int
+	}{
+		{"S-JFSL", w, totals},
+		{"ProgXe+", one, totals[:1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := find(t, tc.name, Options{TargetCells: 6, GridResolution: 16})
+			cfg, ok := s.Engine()
+			if !ok {
+				t.Fatalf("%s has no engine configuration", tc.name)
+			}
+			eng, err := core.New(tc.w, r, tt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clock := metrics.NewClock()
+			got := run.NewReport(tc.name, tc.w, tc.totals)
+			if err := eng.ExecuteInto(clock, got, nil); err != nil {
+				t.Fatal(err)
+			}
+			got.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
+			want, err := s.Run(tc.w, r, tt, tc.totals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Counters.TuplesEmitted == 0 {
+				t.Fatal("the strategy emitted nothing; the comparison would be vacuous")
+			}
+			assertIdenticalReports(t, want, got)
+
+			cfg.DisableFeedback = !cfg.DisableFeedback
+			if again, _ := s.Engine(); again.DisableFeedback == cfg.DisableFeedback {
+				t.Error("changing the returned configuration changed the strategy's")
+			}
+		})
+	}
+	for _, name := range []string{"JFSL", "SSMJ", "TimeShared"} {
+		if _, ok := find(t, name, Options{}).Engine(); ok {
+			t.Errorf("%s reports an engine configuration", name)
+		}
 	}
 }

@@ -48,8 +48,7 @@ func TestOracleMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				strategies := append(All(Options{TargetCells: 6, GridResolution: 16}), Extra(Options{})...)
-				for _, s := range strategies {
+				for _, s := range table(Options{TargetCells: 6, GridResolution: 16}) {
 					rep, err := s.Run(w, r, tt, totals)
 					if err != nil {
 						t.Fatalf("%s: %v", s.Name, err)

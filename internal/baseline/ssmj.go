@@ -13,7 +13,7 @@ import (
 	"caqe/internal/workload"
 )
 
-// SSMJ implements the Skyline-Sort-Merge-Join baseline [14]: each query is
+// ssmj implements the Skyline-Sort-Merge-Join baseline [14]: each query is
 // processed independently in priority order. Both inputs (the rows the
 // join-group filter keeps, core.Survivors) are sorted on the
 // join key and merged; each join-key group's results are first reduced to
@@ -24,21 +24,8 @@ import (
 // for it, §7.3). The skyline window is blocking: every result of a query is
 // delivered when the query completes (Table 3: not progressive, no
 // sharing). Input sort comparisons are charged as cheap coarse operations;
-// dominance comparisons at full cost.
-func SSMJ(w *workload.Workload, r, t *tuple.Relation, estTotals []int) (*run.Report, error) {
-	return ssmj(w, r, t, estTotals, Options{})
-}
-
-// ssmj runs SSMJ with the report wiring (OnEmit, Tracer) from opt; the
-// join/skyline work itself ignores the partitioning knobs.
-func ssmj(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Options) (*run.Report, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	clock := metrics.NewClock()
-	rep := run.NewReport("SSMJ", w, estTotals)
-	rep.OnEmit = opt.OnEmit
-	rep.StartTrace(opt.Tracer)
+// dominance comparisons at full cost. The partitioning knobs do not apply.
+func ssmj(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep *run.Report) error {
 	rs, ts := core.Survivors(w, r, t, clock)
 	for _, qi := range w.ByPriority() {
 		q := w.Queries[qi]
@@ -51,8 +38,7 @@ func ssmj(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Optio
 			rep.Emit(run.Emission{Query: qi, RID: jr.RID, TID: jr.TID, Out: jr.Out, Time: now})
 		}
 	}
-	rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
-	return rep, nil
+	return nil
 }
 
 // streamingSkylineJoin merges the key-sorted inputs group by group, reduces

@@ -15,7 +15,7 @@ import (
 // round-robin slice of the time-shared executor.
 const TimeSharedQuantum = 2048
 
-// TimeShared implements the classical *time-shared* multi-query processing
+// timeShared implements the classical *time-shared* multi-query processing
 // approach of §1.3 [22]: the available processing time is divided into
 // slices allocated to the queries in round-robin fashion. Each query is
 // evaluated completely independently — a nested-loop join of the rows the
@@ -24,21 +24,9 @@ const TimeSharedQuantum = 2048
 // sub-expressions — and, the skyline being blocking, delivers its results
 // only when its own evaluation completes. The paper argues this approach is
 // not practical for resource-intensive skyline-over-join workloads (§1.3);
-// this implementation lets that claim be measured.
-func TimeShared(w *workload.Workload, r, t *tuple.Relation, estTotals []int) (*run.Report, error) {
-	return timeShared(w, r, t, estTotals, Options{})
-}
-
-// timeShared runs TimeShared with the report wiring (OnEmit, Tracer) from
-// opt. Every round-robin slice grant is traced as one scheduling decision.
-func timeShared(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt Options) (*run.Report, error) {
-	if err := w.Validate(); err != nil {
-		return nil, err
-	}
-	clock := metrics.NewClock()
-	rep := run.NewReport("TimeShared", w, estTotals)
-	rep.OnEmit = opt.OnEmit
-	rep.StartTrace(opt.Tracer)
+// this implementation lets that claim be measured. Every round-robin slice
+// grant is traced as one scheduling decision.
+func timeShared(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep *run.Report) error {
 	rs, ts := core.Survivors(w, r, t, clock)
 
 	tasks := make([]*tsTask, len(w.Queries))
@@ -74,8 +62,7 @@ func timeShared(w *workload.Workload, r, t *tuple.Relation, estTotals []int, opt
 			}
 		}
 	}
-	rep.Finish(clock.Now()/metrics.VirtualSecond, clock.Counters())
-	return rep, nil
+	return nil
 }
 
 // tsTask is the resumable evaluation state of one query: a nested-loop join
@@ -145,15 +132,5 @@ func (k *tsTask) insert(res join.Result, clock *metrics.Clock) {
 	if !dominated {
 		k.window = append(k.window, p)
 		k.kept = append(k.kept, res)
-	}
-}
-
-// Extra returns the additional strategies beyond the paper's five-way
-// comparison: currently the classical time-shared MQP executor.
-func Extra(opt Options) []Strategy {
-	return []Strategy{
-		{Name: "TimeShared", Run: func(w *workload.Workload, r, t *tuple.Relation, est []int) (*run.Report, error) {
-			return timeShared(w, r, t, est, opt)
-		}},
 	}
 }

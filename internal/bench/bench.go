@@ -94,7 +94,13 @@ func (c Config) baselineOptions() baseline.Options {
 var ContractClasses = []string{"C1", "C2", "C3", "C4", "C5"}
 
 // StrategyNames lists the compared techniques in paper order.
-var StrategyNames = []string{"CAQE", "S-JFSL", "JFSL", "ProgXe+", "SSMJ"}
+var StrategyNames = func() []string {
+	var names []string
+	for _, s := range baseline.All(baseline.Options{}) {
+		names = append(names, s.Name)
+	}
+	return names
+}()
 
 // Table is a printable result grid: one row per sweep value, one column per
 // strategy (or metric).
@@ -197,7 +203,11 @@ func (c Config) calibrate(r, t *tuple.Relation) (float64, error) {
 	}
 	opt := c.baselineOptions()
 	opt.Tracer = nil // calibration is not a measured run
-	rep, err := baseline.SJFSL(w, r, t, nil, opt)
+	sjfsl, err := baseline.Find("S-JFSL", opt)
+	if err != nil {
+		return 0, err
+	}
+	rep, err := sjfsl.Run(w, r, t, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -14,15 +14,13 @@ import (
 	"caqe/internal/workload"
 )
 
-// Options configures one sharded batch execution.
+// Options configures one sharded batch execution. R is range-partitioned
+// and every shard executor runs at the engine's default granularity.
 type Options struct {
 	// Shards is the shard count N (0 and 1 both mean unsharded).
 	Shards int
-	// Partition selects the R partitioning strategy (default range).
-	Partition Strategy
-	// Strategy names the per-shard execution technique — any name the
-	// baseline registry knows (CAQE, S-JFSL, JFSL, ProgXe+, SSMJ,
-	// TimeShared); default CAQE.
+	// Strategy names the per-shard execution technique — any name
+	// baseline.Find knows; default CAQE.
 	Strategy string
 	// Totals supplies per-query final cardinalities for cardinality-based
 	// contracts on the merged report. Shard executors always run
@@ -30,10 +28,6 @@ type Options struct {
 	// shard the totals pass through to the (sole) executor, preserving
 	// byte-identity with an unsharded run.
 	Totals []int
-	// Engine granularity knobs, forwarded to every shard executor.
-	TargetCells, GridResolution int
-	// OnEmit fires synchronously for each merged delivery.
-	OnEmit func(run.Emission)
 	// Tracer receives the coordinator's event stream: one run bracket
 	// around the per-(query, shard) merge events and the merged emission
 	// batches. Shard executors run untraced (they execute concurrently;
@@ -58,23 +52,6 @@ type RunStats struct {
 	MergeCmps int64        `json:"mergeCmps"`
 }
 
-// findStrategy resolves a strategy name against the full registry (the
-// paper's five-way comparison plus TimeShared), mirroring the root
-// package's dispatch.
-func findStrategy(name string, bopt baseline.Options) (baseline.Strategy, error) {
-	all := append(baseline.All(bopt), baseline.Extra(bopt)...)
-	for _, s := range all {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
-	return baseline.Strategy{}, fmt.Errorf("cluster: unknown strategy %q (have %v)", name, names)
-}
-
 // Run executes the workload sharded: R is partitioned per the topology,
 // every shard runs the named strategy over its partition (concurrently,
 // each on its own engine and virtual clock), and the coordinator gathers
@@ -95,7 +72,7 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 	if shards == 0 {
 		shards = 1
 	}
-	m, err := NewShardMap(shards, opt.Partition)
+	m, err := NewShardMap(shards, PartitionRange)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -103,23 +80,17 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 	if name == "" {
 		name = "CAQE"
 	}
-	bopt := baseline.Options{
-		TargetCells:    opt.TargetCells,
-		GridResolution: opt.GridResolution,
-	}
 	parts, table := m.Partition(r)
 	stats := &RunStats{Map: m, Shards: make([]ShardRun, m.Shards)}
 
-	// Single shard: the coordinator is the identity. Totals, tracer and
-	// emission hook attach to the one executor, so the report is
-	// byte-identical to an unsharded run (the merge pass and its charges
-	// vanish — a zero-candidate fold costs nothing).
+	// Single shard: the coordinator is the identity. Totals and tracer
+	// attach to the one executor, so the report is byte-identical to an
+	// unsharded run (the merge pass and its charges vanish — a
+	// zero-candidate fold costs nothing).
 	if m.Shards == 1 {
-		bopt.Tracer = opt.Tracer
-		bopt.OnEmit = opt.OnEmit
-		strat, err := findStrategy(name, bopt)
+		strat, err := baseline.Find(name, baseline.Options{Tracer: opt.Tracer})
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("cluster: %w", err)
 		}
 		rep, err := strat.Run(w, parts[0], t, opt.Totals)
 		if err != nil {
@@ -133,9 +104,9 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 		return rep, stats, nil
 	}
 
-	strat, err := findStrategy(name, bopt)
+	strat, err := baseline.Find(name, baseline.Options{})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("cluster: %w", err)
 	}
 
 	// Scatter: every shard executes independently on its own clock.
@@ -169,7 +140,6 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 	// Gather + merge. The coordinator clock starts where the slowest shard
 	// finished; merge comparisons are the only work charged on it.
 	rep := run.NewReport(name, w, opt.Totals)
-	rep.OnEmit = opt.OnEmit
 	rep.StartTrace(opt.Tracer)
 	clock := metrics.NewClock()
 	clock.Advance(maxEnd * metrics.VirtualSecond)

@@ -203,13 +203,6 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 	return nil
 }
 
-// Plan exposes the derived shared plan and output space without executing;
-// used by diagnostics, examples and tests.
-func (e *Engine) Plan() (*skycube.Cuboid, *region.Space, error) {
-	cuboid, space, _, err := e.plan(nil, false)
-	return cuboid, space, err
-}
-
 // plan derives the shared plan every execution starts from: the join-group
 // filter's verdict on both inputs, the survivors partitioned into leaf
 // cells (each side sized by its survivor count), the output space built

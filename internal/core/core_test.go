@@ -225,7 +225,7 @@ func TestPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuboid, space, err := eng.Plan()
+	cuboid, space, _, err := eng.plan(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,9 +126,16 @@ func explain(e *Engine, cuboid *skycube.Cuboid, space *region.Space, filter *joi
 // without deriving the plan: the scheduler that picks regions, then the
 // stages of processRegion nested in the order a region passes them.
 func (e *Engine) OperatorTree() OpNode {
+	pop, feedback := "pop max-CSM root region", "Eq. 11 feedback"
+	if e.opt.DisableContractBenefit {
+		pop = "pop max-count root region (count-driven, no contract benefit)"
+	}
+	if e.opt.DisableFeedback {
+		feedback = "no feedback"
+	}
 	root := OpNode{
 		Name:   "CSMScheduler",
-		Detail: "Algorithm 1: pop max-CSM root region, lazy score refresh, Eq. 11 feedback",
+		Detail: "Algorithm 1: " + pop + ", lazy score refresh, " + feedback,
 	}
 	if e.opt.DataOrderScheduling {
 		root = OpNode{

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -49,81 +48,6 @@ func TestExplain(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("rendering missing %q:\n%s", want, s)
 		}
-	}
-}
-
-// TestExplainOperatorTree pins the executor shape the explanation carries:
-// the scheduler at the root (per the engine's options), then the four-stage
-// operator chain — the exact text rendering of the tree, the detail string
-// that follows DisableRegionDiscard, and a JSON round trip, the -explain
-// -json contract.
-func TestExplainOperatorTree(t *testing.T) {
-	w := testWorkload(4, 3, workload.UniformPriority, c3s)
-	r, tt := testPair(t, 100, 3, datagen.Independent, 0.05, 67)
-	for _, tc := range []struct {
-		opt  Options
-		root string
-	}{
-		{Options{}, "CSMScheduler"},
-		{Options{DataOrderScheduling: true}, "DataOrderScheduler"},
-	} {
-		eng, err := New(w, r, tt, tc.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node := eng.OperatorTree()
-		if node.Name != tc.root {
-			t.Errorf("root = %s, want %s", node.Name, tc.root)
-		}
-		names := []string{}
-		for n := &node; ; n = &n.Children[0] {
-			names = append(names, n.Name)
-			if len(n.Children) == 0 {
-				break
-			}
-		}
-		want := []string{tc.root, "PartitionScan", "SignatureJoin", "DominanceFilter", "Emit"}
-		if len(names) != len(want) {
-			t.Fatalf("chain %v, want %v", names, want)
-		}
-		for i := range want {
-			if names[i] != want[i] {
-				t.Fatalf("chain %v, want %v", names, want)
-			}
-		}
-	}
-
-	eng, err := New(w, r, tt, Options{TargetCells: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rendered = `CSMScheduler  [Algorithm 1: pop max-CSM root region, lazy score refresh, Eq. 11 feedback]
-  PartitionScan  [region → quad-tree cell pair, 1 join condition(s)]
-    SignatureJoin  [JC mask test + nested-loop join]
-      DominanceFilter  [shared skycube insert + dominated-region discard]
-        Emit  [frontier refresh + safety vet, progressive emission of final results]
-`
-	if got := eng.OperatorTree().String(); got != rendered {
-		t.Errorf("tree renders as\n%swant\n%s", got, rendered)
-	}
-	noDiscard := mustEngine(t, w, r, tt, Options{DisableRegionDiscard: true}).OperatorTree()
-	if got := noDiscard.Children[0].Children[0].Children[0].Detail; got != "shared skycube insert; region discard disabled" {
-		t.Errorf("DominanceFilter detail under DisableRegionDiscard = %q", got)
-	}
-	ex, err := eng.Explain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(ex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back PlanExplain
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Operators.Name != "CSMScheduler" || back.Regions != ex.Regions {
-		t.Fatalf("JSON round trip lost structure: %+v", back.Operators)
 	}
 }
 
@@ -188,7 +112,7 @@ func TestExplainCountsTheSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, space, err := mustEngine(t, w, r, tt, Options{}).Plan()
+	_, space, _, err := mustEngine(t, w, r, tt, Options{}).plan(nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,9 +147,6 @@ func NewFlatPoints(stride int) *FlatPoints {
 	return &FlatPoints{stride: stride}
 }
 
-// Stride returns the per-point coordinate count.
-func (f *FlatPoints) Stride() int { return f.stride }
-
 // Len returns the number of point slots currently backed by the arena.
 func (f *FlatPoints) Len() int { return f.n }
 

@@ -426,26 +426,6 @@ func (u QueryDims) Pair(a, b []float64) (notWeak, strict skycube.QSet) {
 	return notWeak, strict
 }
 
-// CellIndex returns the grid coordinate of an output point.
-func (s *Space) CellIndex(pt []float64) []int {
-	idx := make([]int, len(pt))
-	for k, v := range pt {
-		idx[k] = int(math.Floor((v - s.GridLo[k]) / s.GridStep[k]))
-	}
-	return idx
-}
-
-// CellBounds returns the box of the grid cell at the given coordinates.
-func (s *Space) CellBounds(idx []int) (lo, hi []float64) {
-	lo = make([]float64, len(idx))
-	hi = make([]float64, len(idx))
-	for k, i := range idx {
-		lo[k] = s.GridLo[k] + float64(i)*s.GridStep[k]
-		hi[k] = lo[k] + s.GridStep[k]
-	}
-	return lo, hi
-}
-
 // CellCount returns the number of grid cells a region spans in subspace v
 // (Definition 10's CellCount), saturating at math.MaxInt64 conceptually but
 // practically capped by float conversion.

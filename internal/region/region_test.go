@@ -261,26 +261,6 @@ func TestRegionPairQuerySets(t *testing.T) {
 	}
 }
 
-func TestGridRoundtrip(t *testing.T) {
-	w := testWorkload(3, 3)
-	_, _, rc, tc := testData(t, 150, 3, 5)
-	s, err := BuildSpace(w, rc, tc, Options{GridResolution: 32}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(6))
-	for i := 0; i < 100; i++ {
-		pt := []float64{rng.Float64()*150 + 10, rng.Float64()*150 + 10, rng.Float64()*150 + 10}
-		idx := s.CellIndex(pt)
-		lo, hi := s.CellBounds(idx)
-		for k := range pt {
-			if pt[k] < lo[k]-1e-9 || pt[k] > hi[k]+1e-9 {
-				t.Fatalf("point %v outside its own cell [%v, %v]", pt, lo, hi)
-			}
-		}
-	}
-}
-
 func TestCellCountPositive(t *testing.T) {
 	w := testWorkload(3, 3)
 	_, _, rc, tc := testData(t, 150, 3, 7)
@@ -365,9 +345,13 @@ func TestEmptySpaceGrid(t *testing.T) {
 		t.Fatalf("no cells but %d regions", len(s.Regions))
 	}
 	// Grid must still be usable.
-	idx := s.CellIndex([]float64{1, 2, 3})
-	if len(idx) != 3 {
-		t.Fatalf("CellIndex on empty space = %v", idx)
+	if len(s.GridStep) != 3 {
+		t.Fatalf("GridStep on empty space = %v", s.GridStep)
+	}
+	for k, step := range s.GridStep {
+		if !(step > 0) {
+			t.Fatalf("GridStep[%d] on empty space = %g", k, step)
+		}
 	}
 }
 

@@ -248,9 +248,6 @@ func (c *Cuboid) Node(sub preference.Subspace) *Node { return c.byKey[sub.Key()]
 // PreferenceNode returns the node holding query i's full preference.
 func (c *Cuboid) PreferenceNode(i int) *Node { return c.prefN[i] }
 
-// Preferences returns the per-query preferences the cuboid was built from.
-func (c *Cuboid) Preferences() []preference.Subspace { return c.prefs }
-
 // Dims returns the union of all preference dimensions (the workload's
 // full space).
 func (c *Cuboid) Dims() preference.Subspace { return c.dims }
