@@ -1,110 +1,22 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§7), one testing.B benchmark per figure, plus the strategy, ablation,
-// contract and ground-truth benchmarks. Figure
-// benchmarks run the full strategy comparison at a reduced scale per
-// iteration and report the headline quantity as a custom metric; use
-// cmd/caqe-bench for the full-scale tables. Per-layer timings on real
-// inputs (partition, cuboid, window insert, join, the whole pipeline) are
-// the traced runs of benchmark/.
+// Benchmarks of the comparison strategies and the optimizer toggles at a
+// reduced scale, reporting virtual seconds (the determinism reference:
+// BenchmarkStrategyCAQE/anti) and satisfaction beside time and allocations.
+// The paper's figures are cmd/caqe-bench's tables (bench_results.txt), and
+// per-layer timings on real inputs are the traced runs of benchmark/.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package caqe_test
 
 import (
 	"testing"
 
 	"caqe/internal/baseline"
-	"caqe/internal/bench"
 	"caqe/internal/contract"
 	"caqe/internal/core"
 	"caqe/internal/datagen"
 	"caqe/internal/workload"
 )
 
-// benchCfg is the reduced per-iteration scale of the figure benchmarks.
-func benchCfg() bench.Config {
-	return bench.Config{N: 300, Dims: 4, NumQueries: 11, Selectivity: 0.05,
-		Seed: 2014, TargetCells: 12, GridResolution: 32}
-}
-
-func reportSat(b *testing.B, tab *bench.Table) {
-	b.Helper()
-	// Average CAQE satisfaction across the table's rows.
-	sum := 0.0
-	for _, row := range tab.Values {
-		sum += row[0]
-	}
-	b.ReportMetric(sum/float64(len(tab.Values)), "caqe-sat")
-}
-
-func BenchmarkFig9aCorrelated(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure9(benchCfg(), datagen.Correlated)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSat(b, tab)
-	}
-}
-
-func BenchmarkFig9bIndependent(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure9(benchCfg(), datagen.Independent)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSat(b, tab)
-	}
-}
-
-func BenchmarkFig9cAntiCorrelated(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure9(benchCfg(), datagen.AntiCorrelated)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSat(b, tab)
-	}
-}
-
-// BenchmarkFig10 covers Figures 10a (join results), 10b (skyline
-// comparisons) and 10c (execution time) in one run — they share the same
-// executions.
-func BenchmarkFig10Statistics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tabs, err := bench.Figure10(benchCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Report the independent-distribution JFSL ratios, the paper's
-		// headline comparison (§7.3).
-		b.ReportMetric(tabs[0].Values[1][2], "jfsl-joins-x")
-		b.ReportMetric(tabs[1].Values[1][2], "jfsl-cmps-x")
-		b.ReportMetric(tabs[2].Values[1][2], "jfsl-time-x")
-	}
-}
-
-func BenchmarkFig11aWorkloadSizeC2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure11(benchCfg(), "C2")
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSat(b, tab)
-	}
-}
-
-func BenchmarkFig11bWorkloadSizeC3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := bench.Figure11(benchCfg(), "C3")
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportSat(b, tab)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Per-strategy benchmarks on the headline workload (Table-2 contract C2),
 // one sub-benchmark per data distribution. The anti-correlated sub-benchmark
 // is the comparison-bound regime (Figure 10b): skyline dominance tests
@@ -196,38 +108,5 @@ func BenchmarkAblations(b *testing.B) {
 				b.ReportMetric(float64(rep.Counters.SkylineCmps), "cmps")
 			}
 		})
-	}
-}
-
-func BenchmarkContractTracking(b *testing.B) {
-	cs := []contract.Contract{contract.C1(30), contract.C2(), contract.C3(30),
-		contract.C4(0.1, 10), contract.C5(0.1, 10)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, c := range cs {
-			tr := c.NewTracker(1000)
-			for ts := 0.5; ts < 100; ts += 0.1 {
-				tr.Observe(ts)
-			}
-			tr.Finalize(100)
-			_ = tr.PScore()
-		}
-	}
-}
-
-func BenchmarkGroundTruth(b *testing.B) {
-	w := workload.MustBenchmark(workload.BenchmarkConfig{
-		NumQueries: 11, Dims: 4, Priority: workload.UniformPriority,
-		NewContract: func(int) contract.Contract { return contract.C2() },
-	})
-	r, t, err := datagen.Pair(500, 4, datagen.Independent, []float64{0.05}, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := baseline.GroundTruth(w, r, t); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

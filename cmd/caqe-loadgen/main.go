@@ -1,40 +1,30 @@
-// Command caqe-loadgen is an open-loop HTTP load driver for caqe-serve.
-// It sustains -sessions concurrent client sessions, each looping through a
-// full query lifecycle against the server: submit a query with a randomly
-// drawn contract class (-mix), stream its guaranteed-final results, and —
-// for configured fractions of the population — cancel it mid-stream
-// (-cancel-frac) or consume the stream slowly (-slow-frac, exercising the
-// server's delivery backpressure). Sessions keep cycling until -duration
-// elapses, so total submissions far exceed the engine's 64 query slots and
-// every admission after the first 64 exercises mid-run slot reclamation.
+// Command caqe-loadgen is an open-loop overload driver for caqe-serve, a
+// single server or a coordinator alike (both speak the same wire). It
+// sustains -sessions concurrent client sessions, each looping through a
+// full query lifecycle: submit a query with a contract class drawn from a
+// fixed mix, stream its guaranteed-final results, and — for configured
+// fractions of the population — cancel it mid-stream (-cancel-frac) or
+// read the stream slowly (-slow-frac, exercising the server's delivery
+// backpressure). Sessions keep cycling until -duration elapses, so total
+// submissions far exceed the engine's 64 query slots and every admission
+// after the first 64 exercises mid-run slot reclamation.
 //
-// The driver honors Retry-After on 429/503 rejections (they are expected
-// shed behavior under open-loop arrivals, counted but not fatal) and treats
-// any other 5xx as a failure: with -fail-on-5xx (default) the process exits
-// nonzero so CI smoke runs catch serving bugs.
-//
-// Measurements: client-side time-to-first-result percentiles (p50, p90,
-// p99, p999) across all streamed queries, end-to-end lifecycle counts, and
-// a per-second pScore trajectory scraped from /stats (the sum of contract
-// satisfactions across live queries — the quantity CAQE's scheduler
-// maximizes). Results are written as JSON to -out (default stdout).
-//
-// With -target=coordinator the driver points at a scatter–gather
-// coordinator node instead of a single server: the submit and stream wire
-// shapes are identical, merged streams arrive in one burst once every
-// shard's local skyline has been gathered, done records may carry
-// partial=true when a shard failed (counted separately, never fatal), and
-// the /stats scrape records the coordinator's cumulative merge-comparison
-// count in place of the satisfaction pScore (coordinator stats expose
-// merge work, not per-query satisfaction).
+// It measures nothing the server or the repository benchmark already
+// measures: time to first result is the server's caqe_query_ttfr_seconds
+// histogram, and the serving latencies are benchmark/'s serve-* workloads.
+// What it counts is the lifecycle under overload: submissions, completed
+// and partial streams, cancels, emissions, and the shedding the server
+// answers with. 429 and 503 (with Retry-After) and 409 are expected under
+// open-loop arrivals; they are counted, honoured with jittered backoff and
+// never fatal. Any other 5xx is a serving bug, and the process exits
+// non-zero if it saw one. The counts are written as JSON to -out (default
+// stdout).
 //
 // Usage:
 //
-//	caqe-loadgen [-url http://localhost:8734] [-target server|coordinator]
-//	             [-sessions 1000] [-duration 15s]
-//	             [-dims 4] [-keys 2] [-mix softdeadline=0.5,deadline=0.15,logdecay=0.15,ratequota=0.1,hybrid=0.1]
-//	             [-cancel-frac 0.1] [-slow-frac 0.05] [-slow-delay 20ms]
-//	             [-deadline 30] [-seed 1] [-out results.json] [-fail-on-5xx]
+//	caqe-loadgen [-url http://localhost:8734] [-sessions 1000] [-duration 15s]
+//	             [-dims 4] [-keys 2] [-cancel-frac 0.1] [-slow-frac 0.05]
+//	             [-slow-delay 20ms] [-seed 1] [-out results.json]
 package main
 
 import (
@@ -45,34 +35,44 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"caqe"
 	"caqe/internal/cluster"
 )
 
+// baseDeadline is the contract deadline (contract seconds) that deadline
+// and soft-deadline queries draw around: uniform in [0.5, 1.5) times it.
+const baseDeadline = 30
+
+// contractMix is the cumulative draw table of contract classes.
+var contractMix = []struct {
+	class string
+	cum   float64
+}{
+	{"softdeadline", 0.5},
+	{"deadline", 0.65},
+	{"logdecay", 0.8},
+	{"ratequota", 0.9},
+	{"hybrid", 1},
+}
+
 type config struct {
 	URL       string        `json:"url"`
-	Target    string        `json:"target"` // "server" or "coordinator"
 	Sessions  int           `json:"sessions"`
 	Duration  time.Duration `json:"-"`
 	DurSecs   float64       `json:"durationSeconds"`
 	Dims      int           `json:"dims"`
 	Keys      int           `json:"keys"`
-	Mix       string        `json:"mix"`
 	CancelPct float64       `json:"cancelFrac"`
 	SlowPct   float64       `json:"slowFrac"`
 	SlowDelay time.Duration `json:"-"`
-	Deadline  float64       `json:"deadline"`
 	Seed      int64         `json:"seed"`
 }
 
@@ -90,145 +90,27 @@ type counters struct {
 	streamErrors  atomic.Int64 // transport-level stream failures
 }
 
-// sampler collects TTFR observations; bounded lock scope keeps several
-// thousand concurrent recorders cheap.
-type sampler struct {
-	mu sync.Mutex
-	v  []float64
-}
-
-func (s *sampler) add(x float64) {
-	s.mu.Lock()
-	s.v = append(s.v, x)
-	s.mu.Unlock()
-}
-
-func (s *sampler) snapshot() []float64 {
-	s.mu.Lock()
-	out := append([]float64(nil), s.v...)
-	s.mu.Unlock()
-	return out
-}
-
-// percentile returns the p-th percentile (0..100) of sorted samples by
-// nearest-rank.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
-// mixEntry is one contract class with its cumulative draw weight.
-type mixEntry struct {
-	class string
-	cum   float64
-}
-
-// parseMix turns "softdeadline=0.5,deadline=0.2,..." into a cumulative
-// distribution for contract drawing.
-func parseMix(s string) ([]mixEntry, error) {
-	known := map[string]bool{
-		"softdeadline": true, "deadline": true, "logdecay": true,
-		"ratequota": true, "hybrid": true,
-	}
-	var (
-		entries []mixEntry
-		total   float64
-	)
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, weight, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad mix entry %q (want class=weight)", part)
-		}
-		name = strings.ToLower(strings.TrimSpace(name))
-		if !known[name] {
-			return nil, fmt.Errorf("unknown contract class %q in mix", name)
-		}
-		w, err := strconv.ParseFloat(strings.TrimSpace(weight), 64)
-		if err != nil || w < 0 {
-			return nil, fmt.Errorf("bad mix weight %q", weight)
-		}
-		total += w
-		entries = append(entries, mixEntry{class: name, cum: total})
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("mix %q has no positive weight", s)
-	}
-	for i := range entries {
-		entries[i].cum /= total
-	}
-	return entries, nil
-}
-
-func drawClass(rng *rand.Rand, mix []mixEntry) string {
-	x := rng.Float64()
-	for _, e := range mix {
-		if x <= e.cum {
-			return e.class
-		}
-	}
-	return mix[len(mix)-1].class
-}
-
-// pScoreSample is one point of the satisfaction trajectory. Against a
-// coordinator target the pScore column carries cumulative merge
-// comparisons instead (perSec then reads as merge throughput) and the
-// clock column stays zero.
-type pScoreSample struct {
-	Seconds float64 `json:"t"`       // wall seconds since run start
-	PScore  float64 `json:"pScore"`  // sum of per-query satisfactions in the live window
-	Open    int     `json:"open"`    // open queries at scrape time
-	Clock   float64 `json:"clock"`   // server session clock (contract seconds)
-	PerSec  float64 `json:"perSec"`  // pScore delta since previous scrape / wall delta
-	Queries int     `json:"queries"` // queries visible in the stats window
-}
-
-type ttfrSummary struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-	Max   float64 `json:"max"`
-}
-
 type results struct {
-	Config        config         `json:"config"`
-	Submitted     int64          `json:"submitted"`
-	Completed     int64          `json:"completed"`
-	Partials      int64          `json:"partials"` // coordinator target: done with partial=true
-	Cancelled     int64          `json:"cancelled"`
-	Rejected429   int64          `json:"rejected429"`
-	Rejected503   int64          `json:"rejected503"`
-	Rejected409   int64          `json:"rejected409"`
-	Unexpected5xx int64          `json:"unexpected5xx"`
-	StreamErrors  int64          `json:"streamErrors"`
-	Emissions     int64          `json:"emissions"`
-	QPS           float64        `json:"completedPerSecond"`
-	TTFR          ttfrSummary    `json:"ttfrSeconds"`
-	PScore        []pScoreSample `json:"pScoreTrajectory"`
+	Config        config  `json:"config"`
+	Submitted     int64   `json:"submitted"`
+	Completed     int64   `json:"completed"`
+	Partials      int64   `json:"partials"` // coordinator: done with partial=true
+	Cancelled     int64   `json:"cancelled"`
+	Rejected429   int64   `json:"rejected429"`
+	Rejected503   int64   `json:"rejected503"`
+	Rejected409   int64   `json:"rejected409"`
+	Unexpected5xx int64   `json:"unexpected5xx"`
+	StreamErrors  int64   `json:"streamErrors"`
+	Emissions     int64   `json:"emissions"`
+	QPS           float64 `json:"completedPerSecond"`
 }
 
 // session runs one client lifecycle loop until ctx is cancelled: submit
 // (with Retry-After-honoring backoff), stream, maybe cancel, repeat.
-func session(ctx context.Context, id int, cfg config, client *http.Client,
-	mix []mixEntry, cnt *counters, ttfr *sampler) {
+func session(ctx context.Context, id int, cfg config, client *http.Client, cnt *counters) {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)))
 	for ctx.Err() == nil {
-		qid, ok := submitOne(ctx, id, cfg, client, rng, mix, cnt)
+		qid, ok := submitOne(ctx, id, cfg, client, rng, cnt)
 		if !ok {
 			continue
 		}
@@ -238,28 +120,25 @@ func session(ctx context.Context, id int, cfg config, client *http.Client,
 		if rng.Float64() < cfg.CancelPct {
 			cancelAfter = rng.Intn(4) // cancel after 0..3 streamed results
 		}
-		streamOne(ctx, cfg, client, qid, slow, cancelAfter, cnt, ttfr)
+		streamOne(ctx, cfg, client, qid, slow, cancelAfter, cnt)
 	}
 }
 
 // submitOne posts one randomly drawn query, backing off per Retry-After on
-// 429/503 rejections. Returns the query id, or ok=false when the context
-// expired or the submission was rejected (the caller just loops).
+// 429/503/409 rejections. Returns the query id, or ok=false when the
+// context expired or the submission was rejected (the caller just loops).
 func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
-	rng *rand.Rand, mix []mixEntry, cnt *counters) (int, bool) {
+	rng *rand.Rand, cnt *counters) (int, bool) {
 	npref := 1 + rng.Intn(min(3, cfg.Dims))
 	pref := rng.Perm(cfg.Dims)[:npref]
 	sort.Ints(pref)
-	spec := cluster.ContractSpec{Class: drawClass(rng, mix)}
+	spec := cluster.ContractSpec{Class: drawClass(rng)}
 	switch spec.Class {
 	case "softdeadline", "deadline":
-		spec.Deadline = cfg.Deadline * (0.5 + rng.Float64())
+		spec.Deadline = baseDeadline * (0.5 + rng.Float64())
 	case "ratequota", "hybrid":
 		spec.Frac = 0.05 + 0.15*rng.Float64()
 		spec.Interval = 1 + 4*rng.Float64()
-		if spec.Class == "hybrid" {
-			spec.Deadline = cfg.Deadline * (0.5 + rng.Float64())
-		}
 	}
 	body, _ := json.Marshal(cluster.QuerySpec{
 		Name:     fmt.Sprintf("lg-%d", id),
@@ -293,18 +172,12 @@ func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
 			return 0, false
 		}
 		return rep.ID, true
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-		if resp.StatusCode == http.StatusTooManyRequests {
-			cnt.rejected429.Add(1)
-		} else {
-			cnt.rejected503.Add(1)
-		}
-		sleepCtx(ctx, retryAfter(resp, rng))
-		return 0, false
+	case http.StatusTooManyRequests:
+		cnt.rejected429.Add(1)
+	case http.StatusServiceUnavailable:
+		cnt.rejected503.Add(1)
 	case http.StatusConflict:
 		cnt.rejected409.Add(1)
-		sleepCtx(ctx, retryAfter(resp, rng))
-		return 0, false
 	default:
 		if resp.StatusCode >= 500 {
 			cnt.unexpected5xx.Add(1)
@@ -312,6 +185,19 @@ func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
 		sleepCtx(ctx, 100*time.Millisecond)
 		return 0, false
 	}
+	sleepCtx(ctx, retryAfter(resp, rng))
+	return 0, false
+}
+
+// drawClass draws a contract class from contractMix.
+func drawClass(rng *rand.Rand) string {
+	x := rng.Float64()
+	for _, e := range contractMix {
+		if x <= e.cum {
+			return e.class
+		}
+	}
+	return contractMix[len(contractMix)-1].class
 }
 
 // retryAfter reads the server's Retry-After hint (seconds), falling back
@@ -337,12 +223,11 @@ func sleepCtx(ctx context.Context, d time.Duration) {
 	}
 }
 
-// streamOne consumes one query's result stream, recording TTFR at the
-// first emission, optionally throttling reads (slow consumer) and
-// optionally cancelling after cancelAfter emissions.
+// streamOne consumes one query's result stream, optionally throttling
+// reads (slow consumer) and optionally cancelling after cancelAfter
+// emissions.
 func streamOne(ctx context.Context, cfg config, client *http.Client, qid int,
-	slow bool, cancelAfter int, cnt *counters, ttfr *sampler) {
-	submitted := time.Now()
+	slow bool, cancelAfter int, cnt *counters) {
 	req, err := http.NewRequestWithContext(ctx, "GET",
 		fmt.Sprintf("%s/queries/%d/results", cfg.URL, qid), nil)
 	if err != nil {
@@ -368,10 +253,7 @@ func streamOne(ctx context.Context, cfg config, client *http.Client, qid int,
 		return
 	}
 
-	var (
-		streamed int
-		first    = true
-	)
+	streamed := 0
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
@@ -397,10 +279,6 @@ func streamOne(ctx context.Context, cfg config, client *http.Client, qid int,
 			// Coalesced results; counted server-side, nothing to do here.
 		default:
 			cnt.emissions.Add(1)
-			if first {
-				first = false
-				ttfr.add(time.Since(submitted).Seconds())
-			}
 			streamed++
 			if cancelAfter >= 0 && streamed > cancelAfter {
 				cancelOne(ctx, cfg, client, qid, cnt)
@@ -440,118 +318,23 @@ func cancelOne(ctx context.Context, cfg config, client *http.Client, qid int, cn
 	}
 }
 
-// scrapePScore polls /stats once a second, turning per-query satisfactions
-// into the pScore trajectory. Against a coordinator it scrapes the
-// coordinator progress figures instead: cumulative merge comparisons ride
-// in the pScore column so perSec becomes merge throughput.
-func scrapePScore(ctx context.Context, cfg config, client *http.Client, start time.Time) []pScoreSample {
-	var (
-		out      []pScoreSample
-		prev     float64
-		prevWall float64
-	)
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return out
-		case <-tick.C:
-		}
-		req, err := http.NewRequestWithContext(ctx, "GET", cfg.URL+"/stats", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			continue
-		}
-		var (
-			score, clock float64
-			open, nq     int
-		)
-		if cfg.Target == "coordinator" {
-			var st cluster.CoordStats
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			score, open, nq = float64(st.MergeCmps), st.Open, st.Submitted
-		} else {
-			var st caqe.SessionStats
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			for _, q := range st.Queries {
-				score += q.Satisfaction
-			}
-			open, nq, clock = st.Open, len(st.Queries), st.Now
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		wall := time.Since(start).Seconds()
-		sample := pScoreSample{
-			Seconds: wall, PScore: score, Open: open,
-			Clock: clock, Queries: nq,
-		}
-		if prevWall > 0 && wall > prevWall {
-			sample.PerSec = (score - prev) / (wall - prevWall)
-		}
-		prev, prevWall = score, wall
-		out = append(out, sample)
-	}
-}
-
-func summarize(samples []float64) ttfrSummary {
-	if len(samples) == 0 {
-		return ttfrSummary{}
-	}
-	sort.Float64s(samples)
-	var sum float64
-	for _, x := range samples {
-		sum += x
-	}
-	return ttfrSummary{
-		Count: len(samples),
-		Mean:  sum / float64(len(samples)),
-		P50:   percentile(samples, 50),
-		P90:   percentile(samples, 90),
-		P99:   percentile(samples, 99),
-		P999:  percentile(samples, 99.9),
-		Max:   samples[len(samples)-1],
-	}
-}
-
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.URL, "url", "http://localhost:8734", "caqe-serve base URL")
-	flag.StringVar(&cfg.Target, "target", "server", "target role: server (single node) or coordinator (scatter-gather front end)")
+	flag.StringVar(&cfg.URL, "url", "http://localhost:8734", "caqe-serve base URL (server or coordinator)")
 	flag.IntVar(&cfg.Sessions, "sessions", 1000, "concurrent client sessions")
 	flag.DurationVar(&cfg.Duration, "duration", 15*time.Second, "run length")
 	flag.IntVar(&cfg.Dims, "dims", 4, "output dimensionality served (must match caqe-serve -dims)")
 	flag.IntVar(&cfg.Keys, "keys", 2, "join conditions served (must match caqe-serve -keys)")
-	flag.StringVar(&cfg.Mix, "mix",
-		"softdeadline=0.5,deadline=0.15,logdecay=0.15,ratequota=0.1,hybrid=0.1",
-		"contract class mix as class=weight pairs")
 	flag.Float64Var(&cfg.CancelPct, "cancel-frac", 0.1, "fraction of queries cancelled mid-stream")
 	flag.Float64Var(&cfg.SlowPct, "slow-frac", 0.05, "fraction of sessions that read their streams slowly")
 	flag.DurationVar(&cfg.SlowDelay, "slow-delay", 20*time.Millisecond, "per-result read delay for slow sessions")
-	flag.Float64Var(&cfg.Deadline, "deadline", 30, "base contract deadline (contract seconds)")
 	flag.Int64Var(&cfg.Seed, "seed", 1, "workload draw seed")
 	out := flag.String("out", "", "write results JSON here (default stdout)")
-	failOn5xx := flag.Bool("fail-on-5xx", true, "exit nonzero on any 5xx other than Retry-After shedding")
 	flag.Parse()
 	cfg.DurSecs = cfg.Duration.Seconds()
 
-	mix, err := parseMix(cfg.Mix)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "caqe-loadgen: %v\n", err)
-		os.Exit(2)
-	}
 	if cfg.Sessions < 1 || cfg.Keys < 1 || cfg.Dims < 1 {
 		fmt.Fprintln(os.Stderr, "caqe-loadgen: sessions, keys and dims must be positive")
-		os.Exit(2)
-	}
-	if cfg.Target != "server" && cfg.Target != "coordinator" {
-		fmt.Fprintf(os.Stderr, "caqe-loadgen: unknown target %q (server or coordinator)\n", cfg.Target)
 		os.Exit(2)
 	}
 
@@ -571,23 +354,18 @@ func main() {
 
 	var (
 		cnt   counters
-		ttfr  sampler
 		wg    sync.WaitGroup
 		start = time.Now()
 	)
-	scrapeDone := make(chan []pScoreSample, 1)
-	go func() { scrapeDone <- scrapePScore(ctx, cfg, client, start) }()
-
 	wg.Add(cfg.Sessions)
 	for i := 0; i < cfg.Sessions; i++ {
 		go func(id int) {
 			defer wg.Done()
-			session(ctx, id, cfg, client, mix, &cnt, &ttfr)
+			session(ctx, id, cfg, client, &cnt)
 		}(i)
 	}
 	wg.Wait()
 	elapsed := time.Since(start).Seconds()
-	trajectory := <-scrapeDone
 
 	res := results{
 		Config:        cfg,
@@ -602,8 +380,6 @@ func main() {
 		StreamErrors:  cnt.streamErrors.Load(),
 		Emissions:     cnt.emissions.Load(),
 		QPS:           float64(cnt.completed.Load()) / elapsed,
-		TTFR:          summarize(ttfr.snapshot()),
-		PScore:        trajectory,
 	}
 
 	var w io.Writer = os.Stdout
@@ -623,11 +399,10 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr,
-		"caqe-loadgen: %d sessions vs %s, %.1fs: %d submitted, %d completed (%d partial), %d cancelled, %d/429 %d/503 %d/409, %d unexpected 5xx, TTFR p50=%.4fs p99=%.4fs p999=%.4fs\n",
-		cfg.Sessions, cfg.Target, elapsed, res.Submitted, res.Completed, res.Partials, res.Cancelled,
-		res.Rejected429, res.Rejected503, res.Rejected409, res.Unexpected5xx,
-		res.TTFR.P50, res.TTFR.P99, res.TTFR.P999)
-	if *failOn5xx && res.Unexpected5xx > 0 {
+		"caqe-loadgen: %d sessions vs %s, %.1fs: %d submitted, %d completed (%d partial), %d cancelled, %d emissions, %d/429 %d/503 %d/409, %d unexpected 5xx\n",
+		cfg.Sessions, cfg.URL, elapsed, res.Submitted, res.Completed, res.Partials, res.Cancelled,
+		res.Emissions, res.Rejected429, res.Rejected503, res.Rejected409, res.Unexpected5xx)
+	if res.Unexpected5xx > 0 {
 		fmt.Fprintf(os.Stderr, "caqe-loadgen: FAIL: %d unexpected 5xx responses\n", res.Unexpected5xx)
 		os.Exit(1)
 	}

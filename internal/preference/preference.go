@@ -62,11 +62,6 @@ func (s Subspace) Equal(t Subspace) bool {
 	return true
 }
 
-// Union returns s ∪ t as a new normalized subspace.
-func (s Subspace) Union(t Subspace) Subspace {
-	return NewSubspace(append(append([]int(nil), s...), t...)...)
-}
-
 // Key returns a canonical string form usable as a map key, e.g. "d1,d3".
 func (s Subspace) Key() string {
 	var b strings.Builder
@@ -134,19 +129,4 @@ func WeakDominatesIn(v Subspace, a, b []float64) bool {
 func CompareIn(v Subspace, a, b []float64) int {
 	k := Kernel{sub: v}
 	return k.Compare(a, b)
-}
-
-// HasDistinctValues reports whether the DVA property (no two points share a
-// value on any dimension of V) holds over the given points.
-func HasDistinctValues(v Subspace, points [][]float64) bool {
-	for _, k := range v {
-		seen := make(map[float64]bool, len(points))
-		for _, p := range points {
-			if seen[p[k]] {
-				return false
-			}
-			seen[p[k]] = true
-		}
-	}
-	return true
 }

@@ -67,10 +67,6 @@ func TestEqualAndUnion(t *testing.T) {
 	if a.Equal(NewSubspace(1)) || a.Equal(NewSubspace(1, 3)) {
 		t.Errorf("unexpected equality")
 	}
-	u := NewSubspace(1, 3).Union(NewSubspace(2, 3))
-	if !u.Equal(NewSubspace(1, 2, 3)) {
-		t.Errorf("union got %v", u)
-	}
 }
 
 func TestKey(t *testing.T) {
@@ -241,20 +237,5 @@ func TestWeakDominanceIsReflexiveTransitive(t *testing.T) {
 		if WeakDominatesIn(v, a, b) && WeakDominatesIn(v, b, c) && !WeakDominatesIn(v, a, c) {
 			t.Fatalf("weak transitivity violated")
 		}
-	}
-}
-
-func TestHasDistinctValues(t *testing.T) {
-	v := NewSubspace(0, 1)
-	pts := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	if !HasDistinctValues(v, pts) {
-		t.Error("distinct points reported as tied")
-	}
-	pts = append(pts, []float64{1, 9})
-	if HasDistinctValues(v, pts) {
-		t.Error("tie on dimension 0 not detected")
-	}
-	if !HasDistinctValues(NewSubspace(1), pts) {
-		t.Error("dimension 1 is distinct")
 	}
 }

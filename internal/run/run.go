@@ -180,30 +180,6 @@ func (r *Report) AvgSatisfaction() float64 {
 	return sum / float64(len(s))
 }
 
-// WeightedSatisfaction returns the priority-weighted workload satisfaction.
-func (r *Report) WeightedSatisfaction(w *workload.Workload) float64 {
-	s := r.Satisfaction()
-	num, den := 0.0, 0.0
-	for i, v := range s {
-		num += w.Queries[i].Priority * v
-		den += w.Queries[i].Priority
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// TotalPScore returns Σ_i pScore(Q_i) — the optimization objective of
-// Definition 5.
-func (r *Report) TotalPScore() float64 {
-	sum := 0.0
-	for _, t := range r.Trackers {
-		sum += t.PScore()
-	}
-	return sum
-}
-
 // ResultKey identifies one join result for set comparison across strategies.
 type ResultKey struct{ RID, TID int }
 

@@ -58,29 +58,6 @@ func TestOnEmitHook(t *testing.T) {
 	}
 }
 
-func TestWeightedSatisfaction(t *testing.T) {
-	w := testWorkload()
-	rep := NewReport("X", w, nil)
-	rep.Emit(Emission{Query: 0, Time: 50}) // C1 missed: sat 0
-	rep.Emit(Emission{Query: 1, Time: 5})  // C2 early: sat 1
-	rep.Finish(60, metrics.Counters{})
-	// Weighted: (0.9·0 + 0.5·1)/(1.4) ≈ 0.357 < plain avg 0.5.
-	got := rep.WeightedSatisfaction(w)
-	if got < 0.35 || got > 0.36 {
-		t.Fatalf("weighted satisfaction = %g", got)
-	}
-}
-
-func TestTotalPScore(t *testing.T) {
-	rep := NewReport("X", testWorkload(), nil)
-	rep.Emit(Emission{Query: 0, Time: 5})
-	rep.Emit(Emission{Query: 1, Time: 5})
-	rep.Finish(10, metrics.Counters{})
-	if got := rep.TotalPScore(); got != 2 {
-		t.Fatalf("total pScore = %g", got)
-	}
-}
-
 func TestResultSetSorted(t *testing.T) {
 	rep := NewReport("X", testWorkload(), nil)
 	rep.Emit(Emission{Query: 0, RID: 5, TID: 1})

@@ -72,26 +72,6 @@ func (s *Schema) NumAttrs() int { return len(s.AttrNames) }
 // NumKeys returns the number of join key columns.
 func (s *Schema) NumKeys() int { return len(s.KeyNames) }
 
-// AttrIndex returns the position of the named numeric attribute, or -1.
-func (s *Schema) AttrIndex(name string) int {
-	for i, n := range s.AttrNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// KeyIndex returns the position of the named join key column, or -1.
-func (s *Schema) KeyIndex(name string) int {
-	for i, n := range s.KeyNames {
-		if n == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // Validate reports an error if the schema is malformed (empty or duplicate
 // column names).
 func (s *Schema) Validate() error {

@@ -40,12 +40,6 @@ func TestSchemaValidate(t *testing.T) {
 
 func TestSchemaIndices(t *testing.T) {
 	s := validSchema()
-	if s.AttrIndex("a1") != 1 || s.AttrIndex("nope") != -1 {
-		t.Error("AttrIndex broken")
-	}
-	if s.KeyIndex("k0") != 0 || s.KeyIndex("a0") != -1 {
-		t.Error("KeyIndex broken")
-	}
 	if s.NumAttrs() != 2 || s.NumKeys() != 1 {
 		t.Error("counts broken")
 	}

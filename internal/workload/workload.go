@@ -136,15 +136,6 @@ func (w *Workload) QueriesWithJC(jc int) skycube.QSet {
 	return s
 }
 
-// AllQueries returns the set of all query indices.
-func (w *Workload) AllQueries() skycube.QSet {
-	var s skycube.QSet
-	for i := range w.Queries {
-		s = s.Add(i)
-	}
-	return s
-}
-
 // ByPriority returns query indices sorted by descending priority (the
 // processing order used by the non-shared baselines, §7.1), ties broken by
 // index for determinism.

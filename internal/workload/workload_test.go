@@ -100,9 +100,6 @@ func TestQueriesWithJC(t *testing.T) {
 	if s := w.QueriesWithJC(1); s.Has(0) || !s.Has(1) {
 		t.Errorf("QueriesWithJC(1) = %s", s)
 	}
-	if s := w.AllQueries(); s.Count() != 2 {
-		t.Errorf("AllQueries = %s", s)
-	}
 }
 
 func TestByPriorityDescending(t *testing.T) {
