@@ -48,6 +48,22 @@ func TestStrategyListOrder(t *testing.T) {
 	}
 }
 
+// TestEmptyRelationEveryStrategy runs every strategy against an empty T:
+// no join result, so no emission and no error.
+func TestEmptyRelationEveryStrategy(t *testing.T) {
+	w, r, tt, totals := smallSetup(t, 4, 3, 50, 31)
+	empty := tuple.NewRelation(tt.Schema)
+	for _, name := range Names() {
+		rep, err := find(t, name, Options{}).Run(w, r, empty, totals)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := rep.Counters.TuplesEmitted; n != 0 {
+			t.Fatalf("%s emitted %d results from an empty join", name, n)
+		}
+	}
+}
+
 func TestJFSLAccounting(t *testing.T) {
 	w, r, tt, totals := smallSetup(t, 4, 3, 150, 31)
 	rep, err := find(t, "JFSL", Options{}).Run(w, r, tt, totals)

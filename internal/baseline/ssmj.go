@@ -47,7 +47,6 @@ func ssmj(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock, rep 
 func streamingSkylineJoin(jc join.EquiJoin, fs []join.MapFunc, pref preference.Subspace,
 	rs, ts []*tuple.Tuple, clock *metrics.Clock) []join.Result {
 
-	kern := preference.NewKernel(pref)
 	rSorted := append([]*tuple.Tuple(nil), rs...)
 	tSorted := append([]*tuple.Tuple(nil), ts...)
 	sort.SliceStable(rSorted, func(i, j int) bool {
@@ -60,10 +59,7 @@ func streamingSkylineJoin(jc join.EquiJoin, fs []join.MapFunc, pref preference.S
 		clock.CountCellOp(nLogN(len(rSorted)) + nLogN(len(tSorted)))
 	}
 
-	// Global window as skyline points; payload indexes the kept results.
-	var kept []join.Result
-	var window []skyline.Point
-
+	global := skyline.NewWindow[join.Result](pref, clock)
 	i, j := 0, 0
 	for i < len(rSorted) && j < len(tSorted) {
 		if clock != nil {
@@ -85,67 +81,29 @@ func streamingSkylineJoin(jc join.EquiJoin, fs []join.MapFunc, pref preference.S
 			for j2 < len(tSorted) && tSorted[j2].Key(jc.RightKey) == tk {
 				j2++
 			}
-			// Materialize the group's cross product.
-			var group []join.Result
+			// The group's cross product, reduced to its group-local skyline.
+			local := skyline.NewWindow[join.Result](pref, clock)
 			for a := i; a < i2; a++ {
 				for b := j; b < j2; b++ {
 					if clock != nil {
 						clock.CountJoinResult(1)
 					}
-					group = append(group, join.Result{
-						RID: rSorted[a].ID,
-						TID: tSorted[b].ID,
-						Out: join.Project(fs, rSorted[a], tSorted[b]),
-					})
+					out := join.Project(fs, rSorted[a], tSorted[b])
+					local.Insert(out, join.Result{RID: rSorted[a].ID, TID: tSorted[b].ID, Out: out})
 				}
 			}
-			// Group-local skyline prunes within the key group.
-			pts := make([]skyline.Point, len(group))
-			for g, jr := range group {
-				pts[g] = skyline.Point{Vals: jr.Out, Payload: g}
-			}
-			local := skyline.BNL(pref, pts, clock)
-			// Stream survivors into the global window (BNL insert).
-			for _, lp := range local {
-				dominated := false
-				keepWin := window[:0]
-				for _, wp := range window {
-					if dominated {
-						keepWin = append(keepWin, wp)
-						continue
-					}
-					if clock != nil {
-						clock.CountSkylineCmp(1)
-					}
-					switch kern.Compare(wp.Vals, lp.Vals) {
-					case -1:
-						dominated = true
-						keepWin = append(keepWin, wp)
-					case 1:
-						// evicted
-					default:
-						keepWin = append(keepWin, wp)
-					}
-				}
-				window = keepWin
-				if !dominated {
-					window = append(window, skyline.Point{Vals: lp.Vals, Payload: len(kept)})
-					kept = append(kept, group[lp.Payload])
-				}
+			// Stream the survivors into the global window.
+			for _, jr := range local.Items() {
+				global.Insert(jr.Out, jr)
 			}
 			i, j = i2, j2
 		}
 	}
-
-	// Resolve the window back to results.
-	out := make([]join.Result, 0, len(window))
-	for _, wp := range window {
-		out = append(out, kept[wp.Payload])
-	}
-	return out
+	return global.Items()
 }
 
-// nLogN returns ceil(n·log2(n)) for cost accounting.
+// nLogN returns n·⌈log₂n⌉ (n for n ≤ 1) for cost accounting: an upper
+// bound on a comparison sort's work, not ⌈n·log₂n⌉ (n = 3 gives 6, not 5).
 func nLogN(n int) int64 {
 	if n <= 1 {
 		return int64(n)

@@ -4,7 +4,6 @@ import (
 	"caqe/internal/core"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
-	"caqe/internal/preference"
 	"caqe/internal/run"
 	"caqe/internal/skyline"
 	"caqe/internal/tuple"
@@ -33,13 +32,12 @@ func timeShared(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock
 	for qi, q := range w.Queries {
 		jc := w.JoinConds[q.JC]
 		tasks[qi] = &tsTask{
-			query: qi,
-			jc:    jc,
-			fs:    w.OutDims,
-			pref:  q.Pref,
-			kern:  preference.NewKernel(q.Pref),
-			rs:    rs[jc.LeftKey],
-			ts:    ts[jc.RightKey],
+			query:  qi,
+			jc:     jc,
+			fs:     w.OutDims,
+			rs:     rs[jc.LeftKey],
+			ts:     ts[jc.RightKey],
+			window: skyline.NewWindow[join.Result](q.Pref, clock),
 		}
 	}
 
@@ -54,9 +52,8 @@ func timeShared(w *workload.Workload, r, t *tuple.Relation, clock *metrics.Clock
 			if task.done {
 				remaining--
 				now := clock.Now() / metrics.VirtualSecond
-				for _, p := range task.window {
+				for _, jr := range task.window.Items() {
 					clock.CountEmit(1)
-					jr := task.kept[p.Payload]
 					rep.Emit(run.Emission{Query: task.query, RID: jr.RID, TID: jr.TID, Out: jr.Out, Time: now})
 				}
 			}
@@ -71,13 +68,10 @@ type tsTask struct {
 	query  int
 	jc     join.EquiJoin
 	fs     []join.MapFunc
-	pref   preference.Subspace
-	kern   preference.Kernel
 	rs, ts []*tuple.Tuple
 
 	i, j   int // join cursor
-	window []skyline.Point
-	kept   []join.Result // window payloads index this slice
+	window *skyline.Window[join.Result]
 	done   bool
 }
 
@@ -85,7 +79,7 @@ type tsTask struct {
 // skyline window.
 func (k *tsTask) advance(quantum int, clock *metrics.Clock) {
 	for probes := 0; probes < quantum; probes++ {
-		if k.i >= len(k.rs) {
+		if k.i >= len(k.rs) || len(k.ts) == 0 {
 			k.done = true
 			return
 		}
@@ -93,8 +87,8 @@ func (k *tsTask) advance(quantum int, clock *metrics.Clock) {
 		clock.CountJoinProbe(1)
 		if k.jc.Matches(r, t) {
 			clock.CountJoinResult(1)
-			res := join.Result{RID: r.ID, TID: t.ID, Out: join.Project(k.fs, r, t)}
-			k.insert(res, clock)
+			out := join.Project(k.fs, r, t)
+			k.window.Insert(out, join.Result{RID: r.ID, TID: t.ID, Out: out})
 		}
 		k.j++
 		if k.j >= len(k.ts) {
@@ -104,33 +98,5 @@ func (k *tsTask) advance(quantum int, clock *metrics.Clock) {
 	}
 	if k.i >= len(k.rs) {
 		k.done = true
-	}
-}
-
-// insert adds one join result to the BNL window.
-func (k *tsTask) insert(res join.Result, clock *metrics.Clock) {
-	p := skyline.Point{Vals: res.Out, Payload: len(k.kept)}
-	dominated := false
-	keep := k.window[:0]
-	for _, w := range k.window {
-		if dominated {
-			keep = append(keep, w)
-			continue
-		}
-		clock.CountSkylineCmp(1)
-		switch k.kern.Compare(w.Vals, p.Vals) {
-		case -1:
-			dominated = true
-			keep = append(keep, w)
-		case 1:
-			// evicted
-		default:
-			keep = append(keep, w)
-		}
-	}
-	k.window = keep
-	if !dominated {
-		k.window = append(k.window, p)
-		k.kept = append(k.kept, res)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
+	"caqe/internal/skyline"
 	"caqe/internal/trace"
 )
 
@@ -21,15 +22,16 @@ type MergeStats struct {
 // shard id, rid, tid) so merged reports are reproducible regardless of
 // gather timing.
 //
-// Every candidate is compared against the current survivors in insertion
-// order; each pairwise comparison charges one metered skyline comparison
-// on clock (the coordinator's clock — shard executors never see this
-// work). Equal points do not dominate each other, matching the engine's
-// skyline semantics, so ties survive on every shard and here. A
-// single-shard gather keeps every candidate and charges no comparisons —
-// the local skyline is the global one — but it goes through the same
-// ordering and tracing as an N-shard gather where only one shard is
-// non-empty, so the merged report is identical either way.
+// The fold is one skyline.Window: every candidate is compared against the
+// current survivors in insertion order, and each pairwise comparison
+// charges one metered skyline comparison on clock (the coordinator's clock
+// — shard executors never see this work). Equal points do not dominate
+// each other, matching the engine's skyline semantics, so ties survive on
+// every shard and here. A single-shard gather keeps every candidate and
+// charges no comparisons — the local skyline is the global one — but it
+// goes through the same ordering and tracing as an N-shard gather where
+// only one shard is non-empty, so the merged report is identical either
+// way.
 //
 // With a tracer attached, one KindShardMerge event is recorded per
 // non-empty fold step (shard id, candidates in, survivors after, and the
@@ -46,43 +48,21 @@ func Merge(kern *preference.Kernel, byShard [][]Candidate, clock *metrics.Clock,
 		sortMerged(out)
 		return out, st
 	}
-	var survivors []Candidate
+	win := skyline.NewWindow[Candidate](kern.Sub(), clock)
 	for shard, cands := range byShard {
 		if len(cands) == 0 {
 			continue
 		}
 		st.CandsIn += len(cands)
-		var cmps int64
+		before := win.Cmps
 		for _, c := range cands {
-			alive := true
-			keep := survivors[:0]
-			for _, s := range survivors {
-				if !alive {
-					keep = append(keep, s)
-					continue
-				}
-				cmps++
-				sWeakC, cWeakS := kern.Relate(s.Out, c.Out)
-				switch {
-				case sWeakC && !cWeakS: // s strictly dominates c
-					alive = false
-					keep = append(keep, s)
-				case cWeakS && !sWeakC: // c strictly dominates s: drop s
-				default: // incomparable or equal: both stand
-					keep = append(keep, s)
-				}
-			}
-			survivors = keep
-			if alive {
-				survivors = append(survivors, c)
-			}
+			win.Insert(c.Out, c)
 		}
-		clock.CountSkylineCmp(cmps)
-		st.Cmps += cmps
-		traceMergeFold(tr, clock, strategy, query, shard, len(cands), len(survivors), cmps)
+		traceMergeFold(tr, clock, strategy, query, shard, len(cands), len(win.Items()), win.Cmps-before)
 	}
+	survivors := win.Items()
 	sortMerged(survivors)
-	st.CandsOut = len(survivors)
+	st.CandsOut, st.Cmps = len(survivors), win.Cmps
 	return survivors, st
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,6 +105,47 @@ func TestHTTPConnHungShardStillRetries(t *testing.T) {
 
 func mergeCand(shard, rid, tid int, t float64, out ...float64) cluster.Candidate {
 	return cluster.Candidate{Shard: shard, Emission: run.Emission{Query: 0, RID: rid, TID: tid, Out: out, Time: t}}
+}
+
+// TestMergeTwoShards pins a two-shard fold by hand. Shard 0's three
+// candidates take 0+1+2 comparisons. On shard 1, (2,2) is compared with
+// all three survivors and evicts (3,2); (1,5) stops at the first one,
+// (1,4), which dominates it; (4,1) is compared with all three and stays
+// beside its equal. That is 3+1+3 = 7 comparisons, 10 in all.
+func TestMergeTwoShards(t *testing.T) {
+	byShard := [][]cluster.Candidate{
+		{mergeCand(0, 1, 1, 2.0, 1, 4), mergeCand(0, 2, 2, 1.0, 3, 2), mergeCand(0, 3, 3, 1.0, 4, 1)},
+		{mergeCand(1, 10, 10, 1.0, 2, 2), mergeCand(1, 11, 11, 1.0, 1, 5), mergeCand(1, 12, 12, 2.0, 4, 1)},
+	}
+	kern := preference.NewKernel(preference.NewSubspace(0, 1))
+	var evs []trace.Event
+	clock := metrics.NewClock()
+	out, st := cluster.Merge(&kern, byShard, clock,
+		traceFunc(func(ev trace.Event) { evs = append(evs, ev) }), "CAQE", 0)
+
+	if st != (cluster.MergeStats{CandsIn: 6, CandsOut: 4, Cmps: 10}) {
+		t.Fatalf("stats %+v, want 6 in, 4 out, 10 comparisons", st)
+	}
+	if got := clock.Counters().SkylineCmps; got != 10 {
+		t.Fatalf("clock charged %d comparisons, want 10", got)
+	}
+	// (time, shard, rid, tid) order.
+	var rids []int
+	for _, c := range out {
+		rids = append(rids, c.RID)
+	}
+	if want := []int{3, 10, 1, 12}; !reflect.DeepEqual(rids, want) {
+		t.Fatalf("survivors %v, want %v", rids, want)
+	}
+	if len(evs) != 2 {
+		t.Fatalf("traced %d shardmerge events, want 2", len(evs))
+	}
+	for i, want := range []struct{ in, out, cmps int }{{3, 3, 3}, {3, 4, 7}} {
+		if ev := evs[i]; ev.Shard != i || ev.CandsIn != want.in || ev.CandsOut != want.out || ev.Count != want.cmps {
+			t.Fatalf("event %d = %+v, want shard %d, %d in, %d out, %d comparisons",
+				i, ev, i, want.in, want.out, want.cmps)
+		}
+	}
 }
 
 // TestMergeSingleShardAligned pins that a single-shard gather goes through

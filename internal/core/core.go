@@ -32,9 +32,6 @@ type Options struct {
 	// regions use the volume-fraction estimate (default 512; set negative
 	// to always use the volume estimate — the ablation toggle).
 	ExactProgCountCap int64
-	// CmpPerResult is the cost model's expected number of skyline
-	// comparisons per join result (default 4).
-	CmpPerResult float64
 
 	// WallClock switches the engine from the deterministic virtual clock to
 	// real (monotonic) time: contract deadlines become wall deadlines and
@@ -95,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ExactProgCountCap == 0 {
 		o.ExactProgCountCap = 512
-	}
-	if o.CmpPerResult <= 0 {
-		o.CmpPerResult = 4
 	}
 	return o
 }

@@ -76,7 +76,7 @@ func TestNewValidatesInputs(t *testing.T) {
 
 func TestOptionDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TargetCells <= 0 || o.GridResolution <= 0 || o.ExactProgCountCap == 0 || o.CmpPerResult <= 0 {
+	if o.TargetCells <= 0 || o.GridResolution <= 0 || o.ExactProgCountCap == 0 {
 		t.Fatalf("defaults not applied: %+v", o)
 	}
 	// Negative cap disables the exact path but must be preserved.

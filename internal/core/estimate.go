@@ -12,6 +12,10 @@ import (
 	"caqe/internal/region"
 )
 
+// cmpPerResult is the cost model's expected number of skyline comparisons
+// per join result.
+const cmpPerResult = 4
+
 // estimateSelectivities derives σ per join condition from one pass over the
 // key histograms of the rows the join-group filter keeps for the
 // condition's key columns: σ̂ = Σ_v n_R(v)·n_T(v) / (|R_k|·|T_k|), the exact
@@ -89,7 +93,7 @@ func (st *state) costEstimate(rc *region.Region) float64 {
 		pairs := float64(len(left)) * float64(len(right))
 		results := st.jcSigma[j] * pairs
 		t += pairs*metrics.CostJoinProbe +
-			results*(metrics.CostJoinResult+st.e.opt.CmpPerResult*metrics.CostSkylineCmp)
+			results*(metrics.CostJoinResult+cmpPerResult*metrics.CostSkylineCmp)
 	}
 	return t
 }

@@ -3,9 +3,9 @@ package preference
 // Kernel is a dominance comparator bound to one subspace: the value hot
 // loops hold so that a comparison names two points and nothing else. Every
 // relation is one loop over the subspace that leaves on the first dimension
-// that decides it; DominatesIn, WeakDominatesIn and CompareIn are the same
-// loops under their free-function names. Straight-line d = 1..4 arms were
-// tried here and measured slower than the loop at every d (DESIGN.md §7);
+// that decides it; DominatesIn and WeakDominatesIn are the same loops under
+// their free-function names. Straight-line d = 1..4 arms were tried here
+// and measured slower than the loop at every d (DESIGN.md §7);
 // the one specialisation that pays compares points projected ahead of time
 // (Project, WeakLanes: all four lanes, no branch, on operands the scan has
 // in hand), which the sum-sorted windows and the scheduler's frontier both

@@ -87,8 +87,8 @@ func TestKernelAgreesWithGeneric(t *testing.T) {
 			if got := k.Sum(a); got != wantSum {
 				t.Fatalf("size %d: Sum(%v) in %v = %v, want %v", size, a, v, got, wantSum)
 			}
-			if DominatesIn(v, a, b) != aDomB || WeakDominatesIn(v, b, a) != bWeakA || CompareIn(v, a, b) != wantCmp {
-				t.Fatalf("size %d: free functions disagree with the definition on (%v,%v) in %v", size, a, b, v)
+			if DominatesIn(v, a, b) != aDomB || WeakDominatesIn(v, b, a) != bWeakA || k.Compare(b, a) != -wantCmp {
+				t.Fatalf("size %d: free functions or the swapped Compare disagree with the definition on (%v,%v) in %v", size, a, b, v)
 			}
 		}
 	}

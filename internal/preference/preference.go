@@ -123,10 +123,3 @@ func WeakDominatesIn(v Subspace, a, b []float64) bool {
 	}
 	return true
 }
-
-// CompareIn classifies the dominance relationship between a and b in V:
-// -1 if a ≺_V b, +1 if b ≺_V a, 0 if incomparable or equal.
-func CompareIn(v Subspace, a, b []float64) int {
-	k := Kernel{sub: v}
-	return k.Compare(a, b)
-}

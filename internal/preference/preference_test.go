@@ -194,12 +194,15 @@ func TestDominanceInSubspaceImpliedBySuperspace(t *testing.T) {
 	}
 }
 
+// TestCompareInConsistency checks Kernel.Compare against DominatesIn in
+// both directions.
 func TestCompareInConsistency(t *testing.T) {
 	v := NewSubspace(0, 1)
+	k := NewKernel(v)
 	err := quick.Check(func(a0, a1, b0, b1 uint8) bool {
 		a := []float64{float64(a0 % 8), float64(a1 % 8)}
 		b := []float64{float64(b0 % 8), float64(b1 % 8)}
-		c := CompareIn(v, a, b)
+		c := k.Compare(a, b)
 		switch {
 		case DominatesIn(v, a, b):
 			return c == -1
@@ -214,12 +217,14 @@ func TestCompareInConsistency(t *testing.T) {
 	}
 }
 
+// TestCompareInAntisymmetry checks that Kernel.Compare flips sign when its
+// operands swap.
 func TestCompareInAntisymmetry(t *testing.T) {
-	v := NewSubspace(0, 1, 2)
+	k := NewKernel(NewSubspace(0, 1, 2))
 	err := quick.Check(func(a0, a1, a2, b0, b1, b2 uint8) bool {
 		a := []float64{float64(a0 % 4), float64(a1 % 4), float64(a2 % 4)}
 		b := []float64{float64(b0 % 4), float64(b1 % 4), float64(b2 % 4)}
-		return CompareIn(v, a, b) == -CompareIn(v, b, a)
+		return k.Compare(a, b) == -k.Compare(b, a)
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -1,13 +1,18 @@
 // Package skyline implements single-relation skyline algorithms used as
 // building blocks and baselines (§8 of the paper): the naive quadratic
-// algorithm, Block-Nested-Loops (BNL, Börzsönyi et al.), and Sort-Filter-
-// Skyline (SFS, Chomicki et al.).
+// algorithm (the tests' oracle), Block-Nested-Loops (BNL, Börzsönyi et al.)
+// and Sort-Filter-Skyline (SFS, Chomicki et al.).
+//
+// Window is the one incremental BNL window: BNL folds a point set through
+// it, and so does every other block-nested-loops fold in the module — the
+// SSMJ and TimeShared comparison strategies and the cluster coordinator's
+// merge — each carrying its own item type instead of a payload index.
 //
 // All algorithms operate over arbitrary point sets in a given subspace and
 // count every pairwise dominance comparison through an optional
 // metrics.Clock, so that competing strategies can be compared on the paper's
-// "CPU usage" metric. The sort-based algorithms precompute their monotone
-// scores once instead of re-deriving them inside the comparator.
+// "CPU usage" metric. SFS precomputes its monotone scores once instead of
+// re-deriving them inside the comparator.
 package skyline
 
 import (
@@ -60,37 +65,73 @@ func Naive(v preference.Subspace, points []Point, clock *metrics.Clock) []Point 
 	return out
 }
 
-// BNL computes the skyline with the Block-Nested-Loops algorithm: maintain a
-// window of incomparable points; each incoming point is compared against the
-// window, evicting points it dominates and being discarded if dominated.
-func BNL(v preference.Subspace, points []Point, clock *metrics.Clock) []Point {
-	c := counter{clock}
-	kern := preference.NewKernel(v)
-	window := make([]Point, 0, 16)
-	for _, p := range points {
-		dominated := false
-		keep := window[:0]
-		for _, w := range window {
-			if dominated {
-				keep = append(keep, w)
-				continue
-			}
-			c.cmp(1)
-			switch kern.Compare(w.Vals, p.Vals) {
-			case -1: // w dominates p
-				dominated = true
-				keep = append(keep, w)
-			case 1: // p dominates w: evict w
-			default:
-				keep = append(keep, w)
-			}
-		}
-		window = keep
+// Window is an incremental block-nested-loops skyline window over subspace
+// v: the points offered so far that no other offered point strictly
+// dominates, in insertion order, each carrying an item of type T. Equal
+// points do not dominate each other, so ties all stay.
+type Window[T any] struct {
+	kern  preference.Kernel
+	clock *metrics.Clock
+	vals  [][]float64
+	items []T
+	// Cmps counts the dominance comparisons Insert has made.
+	Cmps int64
+}
+
+// NewWindow returns an empty window over subspace v whose comparisons are
+// charged to clock (which may be nil).
+func NewWindow[T any](v preference.Subspace, clock *metrics.Clock) *Window[T] {
+	return &Window[T]{kern: preference.NewKernel(v), clock: clock}
+}
+
+// Insert offers one point (its coordinates and its item) to the window. It
+// compares the newcomer with the window's points in order, one skyline
+// comparison each, until one of them strictly dominates it; the points the
+// newcomer strictly dominates are evicted, every other point stays in
+// place. It reports whether the newcomer joined the window (at the end).
+// vals is kept, not copied.
+func (w *Window[T]) Insert(vals []float64, item T) bool {
+	var cmps int64
+	dominated := false
+	keep := 0
+	for i, wv := range w.vals {
 		if !dominated {
-			window = append(window, p)
+			cmps++
+			switch w.kern.Compare(wv, vals) {
+			case 1:
+				continue // the newcomer strictly dominates wv: evict it
+			case -1:
+				dominated = true
+			}
 		}
+		w.vals[keep], w.items[keep] = wv, w.items[i]
+		keep++
 	}
-	return window
+	w.vals, w.items = w.vals[:keep], w.items[:keep]
+	w.Cmps += cmps
+	if w.clock != nil {
+		w.clock.CountSkylineCmp(cmps)
+	}
+	if dominated {
+		return false
+	}
+	w.vals = append(w.vals, vals)
+	w.items = append(w.items, item)
+	return true
+}
+
+// Items returns the window's items in window order. The slice aliases the
+// window and is valid until the next Insert.
+func (w *Window[T]) Items() []T { return w.items }
+
+// BNL computes the skyline with the Block-Nested-Loops algorithm: every
+// point in input order is inserted into one Window.
+func BNL(v preference.Subspace, points []Point, clock *metrics.Clock) []Point {
+	w := NewWindow[Point](v, clock)
+	for _, p := range points {
+		w.Insert(p.Vals, p)
+	}
+	return w.Items()
 }
 
 // SFS computes the skyline with Sort-Filter-Skyline: first sort by a
@@ -101,7 +142,7 @@ func SFS(v preference.Subspace, points []Point, clock *metrics.Clock) []Point {
 	c := counter{clock}
 	kern := preference.NewKernel(v)
 	window := make([]Point, 0, 16)
-	for _, p := range SortByMonotoneScore(v, points) {
+	for _, p := range sortByMonotoneScore(v, points) {
 		dominated := false
 		for _, w := range window {
 			c.cmp(1)
@@ -137,11 +178,11 @@ func (s *scoredSorter) Swap(i, j int) {
 	s.key[i], s.key[j] = s.key[j], s.key[i]
 }
 
-// SortByMonotoneScore returns a copy of points sorted ascending by the sum
+// sortByMonotoneScore returns a copy of points sorted ascending by the sum
 // of the subspace dimensions (a monotone function of the dominance order:
 // if a ≺_V b then score(a) < score(b)). Ties broken by payload for
 // determinism.
-func SortByMonotoneScore(v preference.Subspace, points []Point) []Point {
+func sortByMonotoneScore(v preference.Subspace, points []Point) []Point {
 	kern := preference.NewKernel(v)
 	sorted := append([]Point(nil), points...)
 	keys := make([]float64, len(sorted))

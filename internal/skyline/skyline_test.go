@@ -2,6 +2,7 @@ package skyline
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestSortByMonotoneScoreRespectsDominance(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randPoints(rng, 60, 3, 8)
 	v := preference.NewSubspace(0, 2)
-	sorted := SortByMonotoneScore(v, pts)
+	sorted := sortByMonotoneScore(v, pts)
 	pos := map[int]int{}
 	for i, p := range sorted {
 		pos[p.Payload] = i
@@ -211,49 +212,46 @@ func TestSubspaceSkylineSupersetsFullSpace(t *testing.T) {
 	}
 }
 
-func TestSaLSaAgreesWithNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 60; trial++ {
-		d := 2 + rng.Intn(3)
-		n := rng.Intn(100)
-		domain := 2 + rng.Intn(15)
-		pts := randPoints(rng, n, d, domain)
-		var dims []int
-		for k := 0; k < d; k++ {
-			dims = append(dims, k)
+// TestWindowInsert pins the window's insert on a hand-worked input in (x, y):
+// the comparisons made up to the first window point that dominates the
+// newcomer, eviction of a middle point with the survivors' order kept, and
+// equal points both staying.
+func TestWindowInsert(t *testing.T) {
+	clock := metrics.NewClock()
+	w := NewWindow[string](preference.NewSubspace(0, 1), clock)
+	steps := []struct {
+		name   string
+		vals   []float64
+		joined bool
+		cmps   int64 // comparisons this insert makes
+		window []string
+	}{
+		{"a", []float64{3, 3}, true, 0, []string{"a"}},
+		{"b", []float64{1, 5}, true, 1, []string{"a", "b"}},
+		{"c", []float64{5, 1}, true, 2, []string{"a", "b", "c"}},
+		// a and d are incomparable, b dominates d: c is never compared.
+		{"d", []float64{2, 6}, false, 2, []string{"a", "b", "c"}},
+		// e dominates b only: b leaves, a and c keep their order.
+		{"e", []float64{1, 4}, true, 3, []string{"a", "c", "e"}},
+		// f equals e: neither dominates the other, both stay.
+		{"f", []float64{1, 4}, true, 3, []string{"a", "c", "e", "f"}},
+	}
+	for _, s := range steps {
+		before := w.Cmps
+		if got := w.Insert(s.vals, s.name); got != s.joined {
+			t.Fatalf("Insert(%s) = %v, want %v", s.name, got, s.joined)
 		}
-		v := preference.NewSubspace(dims[:1+rng.Intn(d)]...)
-		naive := Naive(v, pts, nil)
-		salsa := SaLSa(v, pts, nil)
-		if !samePayloads(naive, salsa) {
-			t.Fatalf("trial %d: SaLSa %v != naive %v (v=%v)", trial, payloads(salsa), payloads(naive), v)
+		if got := w.Cmps - before; got != s.cmps {
+			t.Fatalf("Insert(%s) made %d comparisons, want %d", s.name, got, s.cmps)
+		}
+		if got := w.Items(); !reflect.DeepEqual(got, s.window) {
+			t.Fatalf("after %s: window %v, want %v", s.name, got, s.window)
 		}
 	}
-}
-
-func TestSaLSaStopsEarly(t *testing.T) {
-	// A point near the origin makes the stop value tiny, so SaLSa should
-	// terminate after a small prefix while SFS scans everything.
-	rng := rand.New(rand.NewSource(12))
-	pts := make([]Point, 0, 3001)
-	pts = append(pts, Point{Vals: []float64{1, 1, 1}, Payload: 0})
-	for i := 1; i <= 3000; i++ {
-		pts = append(pts, Point{Vals: []float64{
-			5 + rng.Float64()*95, 5 + rng.Float64()*95, 5 + rng.Float64()*95,
-		}, Payload: i})
+	if w.Cmps != 11 {
+		t.Fatalf("Cmps = %d, want 11", w.Cmps)
 	}
-	v := preference.NewSubspace(0, 1, 2)
-	cs := metrics.NewClock()
-	SaLSa(v, pts, cs)
-	cf := metrics.NewClock()
-	SFS(v, pts, cf)
-	if s, f := cs.Counters().SkylineCmps, cf.Counters().SkylineCmps; s*10 > f {
-		t.Fatalf("SaLSa early stop ineffective: %d vs SFS %d comparisons", s, f)
-	}
-}
-
-func TestSaLSaEmpty(t *testing.T) {
-	if got := SaLSa(preference.NewSubspace(0), nil, nil); got != nil {
-		t.Fatalf("SaLSa(nil) = %v", got)
+	if got := clock.Counters().SkylineCmps; got != w.Cmps {
+		t.Fatalf("clock charged %d comparisons, window counted %d", got, w.Cmps)
 	}
 }
