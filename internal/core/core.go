@@ -187,7 +187,7 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 	if err != nil {
 		return err
 	}
-	shared := skycube.NewSharedSkyline(cuboid, clock)
+	shared := e.newShared(cuboid, space, clock)
 
 	st := newState(e, clock, space, shared, rep, filter)
 	if qremap != nil {
@@ -226,4 +226,14 @@ func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *
 		return nil, nil, nil, fmt.Errorf("core: building min-max cuboid: %w", err)
 	}
 	return cuboid, space, f, nil
+}
+
+// newShared creates the multi-query skyline state over the plan's cuboid,
+// its window keys quantised over the box the output grid spans.
+func (e *Engine) newShared(cuboid *skycube.Cuboid, space *region.Space, clock *metrics.Clock) *skycube.SharedSkyline {
+	hi := make([]float64, len(space.GridLo))
+	for k, lo := range space.GridLo {
+		hi[k] = lo + space.GridStep[k]*float64(e.opt.GridResolution)
+	}
+	return skycube.NewSharedSkylineIn(cuboid, clock, space.GridLo, hi)
 }

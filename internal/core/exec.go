@@ -48,7 +48,7 @@ func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error)
 	if err != nil {
 		return nil, err
 	}
-	shared := skycube.NewSharedSkyline(cuboid, clock)
+	shared := e.newShared(cuboid, space, clock)
 
 	st := newState(e, clock, space, shared, rep, filter)
 	for ri, r := range st.regions {

@@ -14,7 +14,6 @@ import (
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
 	"caqe/internal/run"
-	"caqe/internal/skycube"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
@@ -178,7 +177,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := newState(e, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep, filter)
+			st := newState(e, clock, space, e.newShared(cuboid, space, clock), rep, filter)
 			st.initQueue()
 			for i := 0; st.step(); i++ {
 				if check {

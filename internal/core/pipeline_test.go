@@ -6,7 +6,6 @@ import (
 
 	"caqe/internal/datagen"
 	"caqe/internal/run"
-	"caqe/internal/skycube"
 	"caqe/internal/trace"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
@@ -32,7 +31,7 @@ func newTestState(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, opt
 	}
 	rep := run.NewReport("CAQE", w, nil)
 	rep.StartTrace(eng.opt.Tracer)
-	return newState(eng, clock, space, skycube.NewSharedSkyline(cuboid, clock), rep, filter)
+	return newState(eng, clock, space, eng.newShared(cuboid, space, clock), rep, filter)
 }
 
 // firstLiveRegion returns the first unprocessed region still serving a

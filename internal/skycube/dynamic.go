@@ -41,7 +41,7 @@ func (s *SharedSkyline) AddDynamicQuery(pref preference.Subspace) (int, error) {
 // so it must not alias a slice the caller may still write.
 func (s *SharedSkyline) bindDynamic(sn *sharedNode, qi int, pref preference.Subspace) *sharedNode {
 	if sn == nil {
-		sn = &sharedNode{idx: len(s.nodes), window: make([]sharedEntry, 0, windowPresize)}
+		sn = &sharedNode{idx: len(s.nodes)}
 		s.nodes = append(s.nodes, sn)
 	}
 	sn.sub = append(preference.Subspace(nil), pref...)
@@ -64,7 +64,9 @@ func (s *SharedSkyline) InsertForQuery(payload, qi int) bool {
 	if vals == nil {
 		return false
 	}
-	return s.insertAt(s.prefSN[qi], payload, vals, QSet(0).Add(qi)).Has(qi)
+	sn := s.prefSN[qi]
+	s.spreadLanes(sn, vals)
+	return s.insertAt(sn, payload, vals, QSet(0).Add(qi)).Has(qi)
 }
 
 // RetireQuery scrubs every trace of query qi from the shared skyline so its
@@ -99,36 +101,42 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 		}
 		// Shared cuboid node: scrub the bit entry by entry. Entries dead for
 		// all remaining queries are retired exactly like KillForQueries does.
-		for i := range sn.window {
-			e := &sn.window[i]
-			if e.alive == 0 {
-				continue
-			}
-			e.lineage &^= bit
-			e.alive &^= bit
-			if e.alive == 0 {
-				s.clearMasks(sn, int(e.payload))
-				sn.dead++
+		for _, b := range sn.blocks {
+			for i := range b.e[:b.n] {
+				e := &b.e[i]
+				if e.alive == 0 {
+					continue
+				}
+				e.lineage &^= bit
+				e.alive &^= bit
+				if e.alive == 0 {
+					s.clearMasks(sn, int(e.payload))
+					sn.dead++
+				}
 			}
 		}
-		if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
-			compact(sn)
+		if sn.dead >= compactionSlack && sn.dead*2 >= sn.size {
+			s.compact(sn)
 		}
 	}
 	s.prefSN[qi] = nil
 }
 
-// resetNode empties a node: the window is truncated (keeping its capacity),
-// memberships and payload-mask bits are cleared. The node keeps its slot in
-// s.nodes (masks and iteration stay index-stable) but holds no state.
+// resetNode empties a node: its blocks become spares, memberships and
+// payload-mask bits are cleared. The node keeps its slot in s.nodes (masks
+// and iteration stay index-stable) but holds no state.
 func (s *SharedSkyline) resetNode(sn *sharedNode) {
-	for i := range sn.window {
-		if e := &sn.window[i]; e.alive != 0 {
-			s.clearMasks(sn, int(e.payload))
+	for _, b := range sn.blocks {
+		for i := range b.e[:b.n] {
+			if e := &b.e[i]; e.alive != 0 {
+				s.clearMasks(sn, int(e.payload))
+			}
 		}
 	}
-	sn.window = sn.window[:0]
-	sn.dead = 0
+	s.spare = append(s.spare, sn.blocks...)
+	clear(sn.blocks)
+	sn.blocks = sn.blocks[:0]
+	sn.size, sn.dead = 0, 0
 }
 
 // SetDynamicQuery installs a new query at a previously retired bit position

@@ -12,31 +12,47 @@ import (
 // liveMembers is the reference for node membership: payload -> its live
 // window entry, read off the window by a plain linear pass — what the
 // per-node payload-indexed member arrays used to record. It fails the test
-// if the window is out of sum order or holds two live entries of one
-// payload, the two things find's binary search could not survive.
+// if the window breaks an invariant find's binary search or the block tests
+// rely on: entries out of key order (within a block or across two), two
+// live entries of one payload, a key or lanes that are not the arena's, an
+// empty or overfull block, or a live entry outside its block's bounds.
 func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*sharedEntry {
 	t.Helper()
 	m := make(map[int]*sharedEntry)
-	dead := 0
-	for i := range sn.window {
-		e := &sn.window[i]
-		if i > 0 && sn.window[i-1].sum > e.sum {
-			t.Fatalf("node %d: window out of sum order at %d", sn.idx, i)
+	dead, size := 0, 0
+	var prev *sharedEntry
+	for bi, b := range sn.blocks {
+		if b.n < 1 || b.n > blockCap {
+			t.Fatalf("node %d: block %d holds %d entries", sn.idx, bi, b.n)
 		}
-		if e.alive == 0 {
-			dead++
-			continue
+		size += b.n
+		for i := range b.e[:b.n] {
+			e := &b.e[i]
+			if prev != nil && prev.key > e.key {
+				t.Fatalf("node %d: window out of key order at block %d, entry %d", sn.idx, bi, i)
+			}
+			prev = e
+			if e.alive == 0 {
+				dead++
+				continue
+			}
+			if m[int(e.payload)] != nil {
+				t.Fatalf("node %d: payload %d has two live entries", sn.idx, e.payload)
+			}
+			var p preference.Lanes
+			sn.project(s.PointVals(int(e.payload)), &p)
+			s.spreadLanes(sn, s.PointVals(int(e.payload)))
+			if z := sn.zKey(s.zs); p != e.proj || z != e.key {
+				t.Fatalf("node %d: payload %d sorted under %x with lanes %v, arena gives %x, %v", sn.idx, e.payload, e.key, e.proj, z, p)
+			}
+			if !preference.WeakLanes(&b.lo, &e.proj) || !preference.WeakLanes(&e.proj, &b.hi) {
+				t.Fatalf("node %d: payload %d at %v lies outside its block's bounds %v–%v", sn.idx, e.payload, e.proj, b.lo, b.hi)
+			}
+			m[int(e.payload)] = e
 		}
-		if m[int(e.payload)] != nil {
-			t.Fatalf("node %d: payload %d has two live entries", sn.idx, e.payload)
-		}
-		if got := sn.kern.Sum(s.PointVals(int(e.payload))); got != e.sum {
-			t.Fatalf("node %d: payload %d sorted under %v, arena sums to %v", sn.idx, e.payload, e.sum, got)
-		}
-		m[int(e.payload)] = e
 	}
-	if dead != sn.dead {
-		t.Fatalf("node %d: %d dead entries in the window, counter says %d", sn.idx, dead, sn.dead)
+	if dead != sn.dead || size != sn.size {
+		t.Fatalf("node %d: %d entries, %d dead in the window, counters say %d, %d", sn.idx, size, dead, sn.size, sn.dead)
 	}
 	return m
 }
@@ -89,8 +105,13 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 
 // TestMembershipMatchesReference drives random schedules of every operation
 // that creates, kills or relocates window entries and checks all membership
-// lookups against the linear-pass reference after each one. Coordinates come
-// from a three-value domain, so equal sums (and equal points) are the rule:
+// lookups against the linear-pass reference after each one; the reference
+// also holds every live entry inside its block's bounds and every block in
+// key order. Coordinates come from a three-value domain, so equal keys (and
+// equal points) are the rule, and every schedule runs over two grids: [0, 2],
+// where each value has a quantum of its own, and the unit box, where 1 and 2
+// clamp to one, as an appended row outside the plan's grid does, so that a
+// tie run also holds points that differ:
 // find's walk over the tie run, the dead-entry skip and insertAt's
 // already-a-member exit all run constantly. Four plans: a 4-dimension one,
 // one that outgrows the 64 mask bits mid-schedule (its dynamic nodes get
@@ -99,7 +120,7 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 // 6-dimension nodes, so that both scans compare through the kernel.
 //
 // Each schedule also runs under a clock, and its total comparison count is
-// pinned: the schedules are the one place where re-inserts, dead entries in
+// pinned, per grid and seed: the schedules are the one place where re-inserts, dead entries in
 // the tie run and nodes without a mask bit all meet the insert path's
 // accounting, so a rework of that path must charge exactly these.
 func TestMembershipMatchesReference(t *testing.T) {
@@ -107,14 +128,14 @@ func TestMembershipMatchesReference(t *testing.T) {
 		name  string
 		d     int
 		prefs []preference.Subspace
-		cmps  [3]int64 // SkylineCmps of seeds 1, 2, 3
+		cmps  [2][3]int64 // SkylineCmps over [0, 2] and the unit box, of seeds 1, 2, 3
 	}{
 		{"4d", 4, []preference.Subspace{preference.NewSubspace(0, 1), preference.NewSubspace(1, 2, 3),
-			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, [3]int64{2212, 2566, 1256}},
-		{"outgrows-masks", 6, allSubspaces(6), [3]int64{87703, 72453, 79457}},
-		{"past-64", 7, allSubspaces(7)[:60], [3]int64{72027, 81867, 79875}},
+			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, [2][3]int64{{2177, 2527, 1215}, {2188, 2548, 1248}}},
+		{"outgrows-masks", 6, allSubspaces(6), [2][3]int64{{86344, 73062, 78077}, {87456, 74100, 79622}}},
+		{"past-64", 7, allSubspaces(7)[:60], [2][3]int64{{71675, 82608, 79688}, {72438, 83667, 80387}}},
 		{"wide-masks", 8, []preference.Subspace{preference.NewSubspace(0, 1, 2, 3, 4),
-			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, [3]int64{992, 1026, 2562}},
+			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, [2][3]int64{{940, 960, 2561}, {966, 999, 2617}}},
 	}
 	for _, plan := range plans {
 		t.Run(plan.name, func(t *testing.T) {
@@ -122,16 +143,27 @@ func TestMembershipMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for seed := int64(1); seed <= 3; seed++ {
-				clock := metrics.NewClock()
-				s := NewSharedSkyline(c, clock)
-				runMembershipSchedule(t, s, plan.d, seed)
-				if got, want := clock.Counters().SkylineCmps, plan.cmps[seed-1]; got != want {
-					t.Errorf("seed %d: %d comparisons, want %d", seed, got, want)
+			for g, top := range []float64{2, 1} {
+				for seed := int64(1); seed <= 3; seed++ {
+					clock := metrics.NewClock()
+					s := NewSharedSkylineIn(c, clock, make([]float64, plan.d), box(plan.d, top))
+					runMembershipSchedule(t, s, plan.d, seed)
+					if got, want := clock.Counters().SkylineCmps, plan.cmps[g][seed-1]; got != want {
+						t.Errorf("grid [0, %g], seed %d: %d comparisons, want %d", top, seed, got, want)
+					}
 				}
 			}
 		})
 	}
+}
+
+// box returns d upper bounds, each top.
+func box(d int, top float64) []float64 {
+	hi := make([]float64, d)
+	for k := range hi {
+		hi[k] = top
+	}
+	return hi
 }
 
 // allSubspaces returns every subspace of at least 2 of d dimensions.
@@ -320,8 +352,8 @@ func TestReinsertAfterKillFindsLiveEntry(t *testing.T) {
 	s.Insert(2, []float64{2, 0}, q)
 	s.KillForQueries(1, q)
 	sn := s.prefSN[0]
-	if len(sn.window) != 3 || sn.dead != 1 {
-		t.Fatalf("window %d entries, %d dead: the dead entry should still be there", len(sn.window), sn.dead)
+	if sn.size != 3 || sn.dead != 1 {
+		t.Fatalf("window %d entries, %d dead: the dead entry should still be there", sn.size, sn.dead)
 	}
 	if s.IsCandidate(1, 0) || s.find(sn, 1) != nil {
 		t.Fatal("killed point still found")
@@ -337,8 +369,8 @@ func TestReinsertAfterKillFindsLiveEntry(t *testing.T) {
 		t.Fatalf("Candidates = %v", got)
 	}
 	// Inserting a live member again is a no-op that reports its candidacy.
-	if got := s.Insert(1, []float64{1, 1}, q); got != q || s.find(sn, 1) != e || len(sn.window)-sn.dead != 3 {
-		t.Fatalf("second insert of a live member: returned %v, window %d", got, len(sn.window))
+	if got := s.Insert(1, []float64{1, 1}, q); got != q || s.find(sn, 1) != e || sn.size-sn.dead != 3 {
+		t.Fatalf("second insert of a live member: returned %v, window %d", got, sn.size)
 	}
 	checkMembership(t, s, 3, "reinsert")
 }

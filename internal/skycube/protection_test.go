@@ -16,8 +16,10 @@ import (
 // step the two must agree: the same Insert, Resettle and Remove returns, the
 // same windows entry for entry (clean flags, dead entries and the dead
 // counters included), and no more comparisons on the protected side.
-// Coordinates come from a three- or four-value domain, so equal sums, equal
-// points and clean flags cleared by them are common. The second plan has 5-
+// Coordinates come from a three- or four-value domain, so equal keys, equal
+// points and clean flags cleared by them are common. Each plan runs over two
+// grids: [0, 3], where each value has a quantum of its own, and the unit
+// box, where every value from 1 on clamps to one. The second plan has 5-
 // and 6-dimension nodes, compared through the kernel instead of the lanes;
 // the third has 67 nodes, so three of them have no mask bit (nodeBit).
 func TestProtectionOnlySkipsComparisons(t *testing.T) {
@@ -42,14 +44,17 @@ func TestProtectionOnlySkipsComparisons(t *testing.T) {
 			if len(c.Nodes) != plan.nodes {
 				t.Fatalf("%d nodes, want %d", len(c.Nodes), plan.nodes)
 			}
-			pclock, uclock := metrics.NewClock(), metrics.NewClock()
-			protected, unprotected := NewSharedSkyline(c, pclock), NewSharedSkyline(c, uclock)
-			for _, sn := range unprotected.nodes {
-				sn.childMask = 0
+			for _, top := range []float64{3, 1} {
+				lo, hi := make([]float64, plan.d), box(plan.d, top)
+				pclock, uclock := metrics.NewClock(), metrics.NewClock()
+				protected, unprotected := NewSharedSkylineIn(c, pclock, lo, hi), NewSharedSkylineIn(c, uclock, lo, hi)
+				for _, sn := range unprotected.nodes {
+					sn.childMask = 0
+				}
+				runProtection(t, protected, unprotected, plan.d, len(plan.prefs))
+				t.Logf("grid [0, %g]: %d nodes, %d comparisons protected, %d unprotected",
+					top, len(c.Nodes), pclock.Counters().SkylineCmps, uclock.Counters().SkylineCmps)
 			}
-			runProtection(t, protected, unprotected, plan.d, len(plan.prefs))
-			t.Logf("%d nodes, %d comparisons protected, %d unprotected",
-				len(c.Nodes), pclock.Counters().SkylineCmps, uclock.Counters().SkylineCmps)
 		})
 	}
 }
@@ -119,20 +124,28 @@ func runProtection(t *testing.T, protected, unprotected *SharedSkyline, d, queri
 	}
 }
 
-// sameWindows requires the two skylines' windows to be equal entry for
-// entry, in order, dead entries included, and the protected side to have
-// made no more comparisons than the unprotected one.
+// sameWindows requires the two skylines' windows to be equal block for
+// block (bounds included) and entry for entry, in order, dead entries
+// included, and the protected side to have made no more comparisons than
+// the unprotected one.
 func sameWindows(t *testing.T, protected, unprotected *SharedSkyline, step int, op string) {
 	t.Helper()
 	for i, psn := range protected.nodes {
 		usn := unprotected.nodes[i]
-		if len(psn.window) != len(usn.window) || psn.dead != usn.dead {
-			t.Fatalf("step %d (%s), node %d: %d entries (%d dead) protected, %d (%d dead) unprotected",
-				step, op, i, len(psn.window), psn.dead, len(usn.window), usn.dead)
+		if len(psn.blocks) != len(usn.blocks) || psn.size != usn.size || psn.dead != usn.dead {
+			t.Fatalf("step %d (%s), node %d: %d blocks, %d entries (%d dead) protected, %d blocks, %d (%d dead) unprotected",
+				step, op, i, len(psn.blocks), psn.size, psn.dead, len(usn.blocks), usn.size, usn.dead)
 		}
-		for j := range psn.window {
-			if p, u := &psn.window[j], &usn.window[j]; *p != *u {
-				t.Fatalf("step %d (%s), node %d, entry %d: %+v protected, %+v unprotected", step, op, i, j, *p, *u)
+		for bi, pb := range psn.blocks {
+			ub := usn.blocks[bi]
+			if pb.n != ub.n || pb.lo != ub.lo || pb.hi != ub.hi {
+				t.Fatalf("step %d (%s), node %d, block %d: %d entries in %v–%v protected, %d in %v–%v unprotected",
+					step, op, i, bi, pb.n, pb.lo, pb.hi, ub.n, ub.lo, ub.hi)
+			}
+			for j := range pb.e[:pb.n] {
+				if p, u := &pb.e[j], &ub.e[j]; *p != *u {
+					t.Fatalf("step %d (%s), node %d, block %d, entry %d: %+v protected, %+v unprotected", step, op, i, bi, j, *p, *u)
+				}
 			}
 		}
 	}

@@ -32,18 +32,18 @@ import (
 //
 // Memory layout (DESIGN.md §7): point coordinates live in one slab arena
 // instead of a per-point heap slice; a window holds its entries by value, one
-// cache line each, so a scan walks contiguous memory and compares entry-local
-// projections (sharedEntry.proj); and the child-protection test is a 3-way
-// AND over payload-indexed node bitmasks (a node past the 64th has no bit and
-// protects nothing, which costs comparisons only: nodeBit). Nothing is kept
+// cache line each, in blocks of at most 32 (window.go), so a scan walks
+// contiguous memory and compares entry-local projections (sharedEntry.proj);
+// and the child-protection test is a 3-way AND over payload-indexed node
+// bitmasks (a node past the 64th has no bit and protects nothing, which
+// costs comparisons only: nodeBit). Nothing is kept
 // per (node, payload): a node knows its members only through its window (see
 // find), so standing state is the windows plus a few pointer-free words per
 // join result.
 // Entries killed by KillForQueries are marked dead and batch-compacted
-// instead of spliced one at a time. None of this changes any observable:
-// candidate sets, comparison counts and iteration orders are identical to
-// the reference implementation — dead entries are skipped without
-// accounting, exactly as if they had been removed eagerly.
+// instead of spliced one at a time. None of this changes a candidate set:
+// dead entries are skipped without accounting, exactly as if they had been
+// removed eagerly.
 //
 // Payloads must be small non-negative integers (the engine assigns them
 // sequentially): they index the arena and the masks; Insert states the range.
@@ -53,6 +53,13 @@ type SharedSkyline struct {
 	nodes  []*sharedNode          // aligned with cuboid.Nodes (ascending level)
 	prefSN []*sharedNode          // query index -> node of its full preference
 	points *preference.FlatPoints // payload-indexed coordinate arena (created at first Insert)
+
+	// The window-key grid per output dimension (quantum): values from zlo
+	// on, zscale quanta per unit. zs holds
+	// the point being placed, spread (spreadDims), for insertAt's key.
+	zlo, zscale []float64
+	zs          []uint64
+	spare       []*block // blocks no window holds, for the next split
 
 	// freeNodes holds dedicated dynamic-query nodes whose query retired;
 	// SetDynamicQuery re-keys one of these before appending a fresh node, so
@@ -112,18 +119,19 @@ func maskAt(masks []*[maskChunk]payloadMasks, payload int) *payloadMasks {
 // (TestSharedEntryIsOneCacheLine). Entries move when the window shifts: a
 // *sharedEntry (find's result) is good only until that window's next mutation.
 type sharedEntry struct {
-	payload int32   // Insert guards the range
-	clean   bool    // no compared point weakly dominates it in this subspace
-	sum     float64 // Σ coordinates over the node's subspace (window sort key)
-	lineage QSet    // immutable: queries this point competes for at this node
-	alive   QSet    // queries for which the point is still a skyline candidate here
+	payload int32  // Insert guards the range
+	clean   bool   // no compared point weakly dominates it in this subspace
+	key     uint64 // Z-address of proj (zKey): the window's sort key
+	lineage QSet   // immutable: queries this point competes for at this node
+	alive   QSet   // queries for which the point is still a skyline candidate here
 
-	// proj holds the point projected onto the node's subspace
-	// (preference.Lanes), for subspaces of at most 4 dimensions: every scan
-	// of insertAt and evictMasked compares entry-local fixed-size arrays
-	// under preference.WeakLanes, inlined, so a comparison is no call.
-	// Subspaces with ≥ 5 dimensions leave proj zero and compare through the
-	// kernel against the arena, inlined as well.
+	// proj holds the point on the node's lanes (project): the whole
+	// subspace for subspaces of at most 4 dimensions, where every scan of
+	// insertAt and evictMasked compares entry-local fixed-size arrays under
+	// preference.WeakLanes, inlined, so a comparison is no call. Subspaces
+	// with ≥ 5 dimensions keep their first four here, for the key and the
+	// block bounds, and compare through the kernel against the arena,
+	// inlined as well.
 	//
 	// This is the one specialised comparator in the repository, kept because
 	// it was measured: with the lane conjunctions of insertAt replaced by
@@ -136,14 +144,16 @@ type sharedEntry struct {
 	proj preference.Lanes
 }
 
-// sharedNode keeps its window sorted ascending by the monotone coordinate
-// sum: a point can only be weakly dominated by entries with sum ≤ its own
-// and can only dominate entries with sum ≥ its own, so each insert scans a
-// prefix for dominators and a suffix for evictions — the SFS presorting
-// idea applied incrementally inside the shared plan. The prefix scan finds
-// its own end (the first entry with a larger sum); only member lookups
-// (find, and an insert of a payload that may already be a member)
-// binary-search the sum key.
+// sharedNode keeps its window sorted ascending by the monotone Z-address of
+// its entries' lanes (window.go): a point can only be weakly dominated by
+// entries with a key ≤ its own and can only dominate entries with a key ≥
+// its own, so each insert scans a prefix for dominators and a suffix for
+// evictions — the SFS presorting idea applied incrementally inside the
+// shared plan, with whole blocks ruled out by their bounds. A prefix scan
+// that ends in block 0 finds its own end (the first entry with a larger
+// key); one that goes on, the placement of a survivor and the member
+// lookups (find, and an insert of a payload that may already be a member)
+// binary-search the key.
 type sharedNode struct {
 	node      *Node
 	idx       int    // position in SharedSkyline.nodes (bit index of the masks)
@@ -151,14 +161,15 @@ type sharedNode struct {
 	sub       preference.Subspace
 	kern      preference.Kernel
 	qserve    QSet
-	window    []sharedEntry // by value, sum-ascending; entries move when it shifts
-	dead      int           // window entries with alive == 0 awaiting compaction
+	blocks    []*block // the window: key-ascending, no block empty
+	size      int      // window entries, dead ones included
+	dead      int      // window entries with alive == 0 awaiting compaction
 }
 
 // find returns the live window entry of payload at sn, or nil. Arena slots
 // are write-once while a point is live, so the entry's sort key is
 // recomputable from the arena and the entry can only sit in the window's run
-// of that exact sum (liveInRun). A clear member bit answers without the
+// of that exact key (liveInRun). A clear member bit answers without the
 // search.
 func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
 	if bit := nodeBit(sn); payload < 0 || bit != 0 && (payload>>maskShift >= len(s.masks) || s.mask(payload).member&bit == 0) {
@@ -168,46 +179,47 @@ func (s *SharedSkyline) find(sn *sharedNode, payload int) *sharedEntry {
 	if vals == nil {
 		return nil
 	}
-	return liveInRun(sn, payload, sn.kern.Sum(vals))
+	s.spreadLanes(sn, vals)
+	return liveInRun(sn, payload, sn.zKey(s.zs))
 }
-
-// liveInRun returns the live entry of payload in sn's run of entries with
-// sum sp, or nil: one binary search plus a walk over the ties. Dead entries
-// of the same payload (killed, not yet compacted) are passed over.
-func liveInRun(sn *sharedNode, payload int, sp float64) *sharedEntry {
-	window := sn.window
-	i := sort.Search(len(window), func(i int) bool { return window[i].sum >= sp })
-	for ; i < len(window) && window[i].sum == sp; i++ {
-		if w := &window[i]; int(w.payload) == payload && w.alive != 0 {
-			return w
-		}
-	}
-	return nil
-}
-
-// windowPresize is the initial window capacity of every node.
-const windowPresize = 16
 
 // compactionSlack is the minimum number of dead window entries before a
 // node's window is batch-compacted (and then only once the dead entries are
-// at least half the window). Compaction is invisible to every observable:
-// dead entries are already skipped, uncounted, by all scans.
+// at least half the window). Compaction changes no candidate set: dead
+// entries are already skipped, uncounted, by all scans. It does repack the
+// blocks, and with them the block tests later scans make.
 const compactionSlack = 16
 
-// NewSharedSkyline creates the execution state for a cuboid. The clock may
-// be nil (no accounting).
+// NewSharedSkyline creates the execution state for a cuboid whose points
+// lie in the unit box: NewSharedSkylineIn over [0, 1] in every dimension.
+// The clock may be nil (no accounting).
 func NewSharedSkyline(c *Cuboid, clock *metrics.Clock) *SharedSkyline {
+	return NewSharedSkylineIn(c, clock, nil, nil)
+}
+
+// NewSharedSkylineIn creates the execution state for a cuboid whose points
+// lie in the output-space box [lo, hi] (one bound per output dimension):
+// window keys quantise each dimension linearly over it, and a value outside
+// it, an appended row's, clamps to its edge. A dimension past lo, or one
+// the box gives no extent, quantises over a unit interval from its lower
+// bound. The clock may be nil.
+func NewSharedSkylineIn(c *Cuboid, clock *metrics.Clock, lo, hi []float64) *SharedSkyline {
 	s := &SharedSkyline{
 		cuboid: c,
 		clock:  clock,
 		prefSN: make([]*sharedNode, c.NumQueries()),
+		zlo:    append([]float64(nil), lo...),
+		zscale: make([]float64, len(lo)),
+	}
+	for k := range s.zscale {
+		s.zscale[k] = zTop + 1
+		if ext := hi[k] - lo[k]; ext > 0 {
+			s.zscale[k] /= ext
+		}
 	}
 	byNode := make(map[*Node]*sharedNode, len(c.Nodes))
 	for i, n := range c.Nodes {
-		sn := &sharedNode{
-			node: n, idx: i, sub: n.Sub, kern: preference.NewKernel(n.Sub),
-			qserve: n.QServe, window: make([]sharedEntry, 0, windowPresize),
-		}
+		sn := &sharedNode{node: n, idx: i, sub: n.Sub, kern: preference.NewKernel(n.Sub), qserve: n.QServe}
 		s.nodes = append(s.nodes, sn)
 		byNode[n] = sn
 	}
@@ -246,6 +258,7 @@ func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
 	}
 	s.points.Set(payload, vals)
 	s.growMasks(payload)
+	s.spreadDims(vals)
 	var out QSet
 	for _, sn := range s.nodes {
 		relevant := sn.qserve & lineage
@@ -272,6 +285,7 @@ func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
 // now and those it was one for before.
 func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 	vals := s.points.At(payload)
+	s.spreadDims(vals)
 	s.replacing = true
 	for _, sn := range s.nodes {
 		relevant := sn.qserve & lineage
@@ -295,35 +309,49 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 
 // insertAt performs the windowed insert of one point at one node and
 // returns the queries the point is alive for there (zero: dominated, not
-// inserted). A point that already is a live member is left alone — unless
+// inserted), reading the point's spread dimensions from s.zs, which the
+// caller filled (spreadDims, or spreadLanes for sn alone). A point that
+// already is a live member is left alone — unless
 // Resettle is replacing: then the entry dies, its alive set is left in
 // s.replaced, and the point is judged afresh under relevant.
 //
-// Entries with sum ≤ sp are the dominator candidates and entries with
-// sum ≥ sp the eviction candidates (equal sums are in both). The prefix scan
-// walks the window from its start and stops at the first larger sum, so it
-// finds the end of the prefix itself; a point dominated for every query
-// returns from inside it without ever locating its own slot, and one that
-// survives finds the start of the run of equal sums by walking back over it
-// — ties are rare. A live entry of the payload can only sit in that run, and
+// Entries with key ≤ zp are the dominator candidates and entries with
+// key ≥ zp the eviction candidates (equal keys are in both). The prefix scan
+// walks block 0 from its start: it holds the points small on every lane,
+// which dominate most, and where the prefix ends inside it the walk stops
+// at the first larger key, its end. Where the prefix goes on, the scan
+// binary-searches its end and walks the other blocks back from there: on
+// anti-correlated data p's dominators are its neighbours, which the
+// Z-address keeps just before it. A point dominated for every query returns
+// from inside the scan, most without a search. One that survives finds the
+// start of the run of equal keys by walking back from the prefix's end —
+// ties are rare. A live entry of the payload can only sit in that run, and
 // only a payload whose member bit is set (or any, at a node with no bit) can
 // have one, so only those look it up before the scan, as find does.
 //
-// Neither scan calls anything in its loop: Go does not unswitch loops, and a
-// loop with a call re-reads on every entry what the call might have changed,
-// the window's base and length. The prefix scan runs here, where nearly
-// every visit ends, and the suffix scan in the leaf evictMasked (DESIGN
-// §7.1). TestProtectionOnlySkipsComparisons holds both to a skyline with
-// no protection.
+// A block wholly inside the prefix is first tested against its lower
+// bounds, and one wholly inside the suffix against its upper bounds: a lane
+// on which the block lies entirely beyond p rules out all its entries for
+// one comparison. A block the run's end cuts is scanned entry by entry, and
+// so are the first block of a window of fewer than firstBlockTest blocks in
+// the prefix and the one block of a window that has only one in the suffix.
+//
+// Neither scan calls anything in its loop over entries: Go does not unswitch
+// loops, and a loop with a call re-reads on every entry what the call might
+// have changed. The prefix scan runs here, where nearly every visit ends,
+// and the suffix scan in the leaf evictMasked (DESIGN §7.1).
+// TestProtectionOnlySkipsComparisons holds both to a skyline with no
+// protection.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
-	sp := sn.kern.Sum(vals)
-	// Subspaces of ≥ 5 dimensions do not fit the lanes: the kernel path.
 	var p preference.Lanes
-	fast := sn.kern.Project(vals, &p)
+	sn.project(vals, &p)
+	zp := sn.zKey(s.zs)
+	// Subspaces of ≥ 5 dimensions do not fit the lanes: the kernel path.
+	fast := sn.kern.FitsLanes()
 	bit := nodeBit(sn)
 	pm := s.mask(payload) // the payload's masks, loaded once
 	if bit == 0 || pm.member&bit != 0 {
-		if w := liveInRun(sn, payload, sp); w != nil {
+		if w := liveInRun(sn, payload, zp); w != nil {
 			if !s.replacing {
 				return w.alive
 			}
@@ -344,36 +372,68 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	// p's half of the protection test is hoisted (its bits change only after
 	// both scans): an entry costs one payload-indexed load, and none while
 	// the half is zero, the usual case at the top.
-	hiIdx := len(sn.window)
+	hiB, hiE := len(sn.blocks), 0 // the first entry with a larger key, once found
 	pCleanChildren := pm.clean & sn.childMask
-	for i := range sn.window {
-		w := &sn.window[i]
-		if w.sum > sp {
-			hiIdx = i
-			break
-		}
-		if w.alive == 0 || w.lineage&relevant == 0 {
-			continue // dead, or disjoint lineages never interact
-		}
-		if pCleanChildren != 0 && pCleanChildren&s.mask(int(w.payload)).member != 0 {
-			continue // w provably cannot weakly dominate p here
-		}
-		cmpCount++
-		var wWeakP, pWeakW bool
-		if fast {
-			wWeakP = preference.WeakLanes(&w.proj, &p)
-			if wWeakP {
-				pWeakW = preference.WeakLanes(&p, &w.proj)
-			}
-		} else {
-			wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
-		}
-		if wWeakP {
-			cleanP = false
-			if !pWeakW { // strict: w ≺ p
-				aliveP &^= w.lineage
-				if aliveP == 0 {
+	testFirst := len(sn.blocks) >= firstBlockTest
+prefix:
+	for k := 0; k < len(sn.blocks); k++ {
+		// Block 0 front to back, where the prefix may end; then, if it
+		// goes on, the other blocks from p's position back.
+		bi, step, end := 0, 1, sn.blocks[0].n
+		if k > 0 {
+			if k == 1 {
+				if hiB == 0 {
 					break
+				}
+				hiB, hiE = sn.seek(zp, true)
+			}
+			if bi, step = min(hiB, len(sn.blocks)-1)+1-k, -1; bi == 0 {
+				break
+			}
+			if end = sn.blocks[bi].n; bi == hiB {
+				end = hiE
+			}
+		}
+		b := sn.blocks[bi]
+		if end == b.n && b.e[end-1].key <= zp && (bi > 0 || testFirst) {
+			cmpCount++
+			if !preference.WeakLanes(&b.lo, &p) {
+				continue // no entry of b can weakly dominate p
+			}
+		}
+		i := 0
+		if step < 0 {
+			i = end - 1
+		}
+		for ; i >= 0 && i < end; i += step {
+			w := &b.e[i]
+			if w.key > zp {
+				hiB, hiE = bi, i
+				break prefix
+			}
+			if w.alive == 0 || w.lineage&relevant == 0 {
+				continue // dead, or disjoint lineages never interact
+			}
+			if pCleanChildren != 0 && pCleanChildren&s.mask(int(w.payload)).member != 0 {
+				continue // w provably cannot weakly dominate p here
+			}
+			cmpCount++
+			var wWeakP, pWeakW bool
+			if fast {
+				wWeakP = preference.WeakLanes(&w.proj, &p)
+				if wWeakP {
+					pWeakW = preference.WeakLanes(&p, &w.proj)
+				}
+			} else {
+				wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
+			}
+			if wWeakP {
+				cleanP = false
+				if !pWeakW { // strict: w ≺ p
+					aliveP &^= w.lineage
+					if aliveP == 0 {
+						break prefix
+					}
 				}
 			}
 		}
@@ -388,27 +448,18 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 		}
 		return 0
 	}
-	lowIdx := hiIdx
-	for lowIdx > 0 && sn.window[lowIdx-1].sum == sp {
-		lowIdx--
-	}
 
 	// Suffix scan: which members does p dominate?
-	keepLen, cleanP, n := s.evictMasked(sn, &p, fast, vals, relevant, pm.member&sn.childMask, lowIdx, cleanP)
+	lowB, lowE := sn.tieStart(hiB, hiE, zp)
+	cleanP, n := s.evictMasked(sn, &p, fast, vals, relevant, pm.member&sn.childMask, lowB, lowE, cleanP)
 	cmpCount += n
 	if s.clock != nil && cmpCount > 0 {
 		s.clock.CountSkylineCmp(cmpCount)
 	}
 
-	// Insert p at its sorted position: after the survivors of its equal-sum
-	// run, which start at lowIdx.
-	pos := lowIdx
-	for pos < keepLen && sn.window[pos].sum == sp {
-		pos++
-	}
-	sn.window = append(sn.window, sharedEntry{})
-	copy(sn.window[pos+1:], sn.window[pos:])
-	sn.window[pos] = sharedEntry{payload: int32(payload), sum: sp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p}
+	// Insert p at its sorted position: after the survivors of its equal-key
+	// run.
+	s.place(sn, &sharedEntry{payload: int32(payload), key: zp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p})
 	pm.member |= bit
 	if cleanP {
 		pm.clean |= bit
@@ -418,64 +469,92 @@ func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, re
 	return aliveP
 }
 
-// evictMasked is insertAt's suffix scan: which members from lowIdx on does
-// p dominate? pMemberChildren is p's member half of the protection test.
-// Dead entries met here are compacted away for free, and survivors move down
-// only once a removal has actually happened — the common no-eviction scan
-// writes no slot. An evicted member
-// loses its mask bits, a member p weakly dominates its clean bit. It
-// returns the survivors' count, p's clean flag and the comparisons made.
-// It calls nothing in its loop, so the window's base and length are read
-// once per scan, not once per entry.
-func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bool, vals []float64, relevant QSet, pMemberChildren uint64, lowIdx int, cleanP bool) (keepLen int, clean bool, cmps int64) {
-	window, masks := sn.window, s.masks
-	keepLen = lowIdx
-	dead := 0
-	for idx := lowIdx; idx < len(window); idx++ {
-		w := &window[idx]
-		if w.alive == 0 {
-			dead++
-			continue
-		}
-		if w.lineage&relevant != 0 && (pMemberChildren == 0 || maskAt(masks, int(w.payload)).clean&pMemberChildren == 0) {
+// evictMasked is insertAt's suffix scan: which members from position
+// (bi, ei) on does p dominate? pMemberChildren is p's member half of the
+// protection test. Dead entries met here are compacted away for free, and
+// survivors move down within their block only once a removal has actually
+// happened — the common no-eviction scan writes no slot. A block that
+// loses entries gets its bounds recomputed, and one left empty becomes a
+// spare. An evicted member loses its mask bits, a member p weakly
+// dominates its clean bit. It returns p's clean flag and the comparisons
+// made.
+func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bool, vals []float64, relevant QSet, pMemberChildren uint64, bi, ei int, cleanP bool) (clean bool, cmps int64) {
+	blocks, masks := sn.blocks, s.masks
+	bit := nodeBit(sn)
+	keep, dead, gone := bi, 0, 0
+	for ; bi < len(blocks); bi, ei = bi+1, 0 {
+		b := blocks[bi]
+		if ei == 0 && len(blocks) > 1 {
 			cmps++
-			var pWeakW, wWeakP bool
-			if fast {
-				pWeakW = preference.WeakLanes(p, &w.proj)
+			if !preference.WeakLanes(p, &b.hi) { // p weakly dominates no entry of b
+				blocks[keep] = b
+				keep++
+				continue
+			}
+		}
+		es := b.e[:b.n]
+		n := ei
+		for i := ei; i < len(es); i++ {
+			w := &es[i]
+			if w.alive == 0 {
+				dead++
+				continue
+			}
+			if w.lineage&relevant != 0 && (pMemberChildren == 0 || maskAt(masks, int(w.payload)).clean&pMemberChildren == 0) {
+				cmps++
+				var pWeakW, wWeakP bool
+				if fast {
+					pWeakW = preference.WeakLanes(p, &w.proj)
+					if pWeakW {
+						wWeakP = preference.WeakLanes(&w.proj, p)
+					}
+				} else {
+					pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(int(w.payload)))
+				}
+				if wWeakP && pWeakW { // equal in the subspace
+					cleanP = false
+				}
 				if pWeakW {
-					wWeakP = preference.WeakLanes(&w.proj, p)
-				}
-			} else {
-				pWeakW, wWeakP = sn.kern.Relate(vals, s.points.At(int(w.payload)))
-			}
-			if wWeakP && pWeakW { // equal in the subspace (sum tie)
-				cleanP = false
-			}
-			if pWeakW {
-				bit := nodeBit(sn)
-				if w.clean {
-					w.clean = false
-					maskAt(masks, int(w.payload)).clean &^= bit
-				}
-				if !wWeakP { // strict: p ≺ w
-					w.alive &^= relevant
-					if w.alive == 0 {
-						wm := maskAt(masks, int(w.payload))
-						wm.member &^= bit
-						wm.clean &^= bit
-						continue // evicted: w leaves the window
+					if w.clean {
+						w.clean = false
+						maskAt(masks, int(w.payload)).clean &^= bit
+					}
+					if !wWeakP { // strict: p ≺ w
+						w.alive &^= relevant
+						if w.alive == 0 {
+							wm := maskAt(masks, int(w.payload))
+							wm.member &^= bit
+							wm.clean &^= bit
+							continue // evicted: w leaves the window
+						}
 					}
 				}
 			}
+			if n != i {
+				es[n] = *w
+			}
+			n++
 		}
-		if keepLen != idx {
-			window[keepLen] = *w
+		if n == len(es) {
+			blocks[keep] = b
+			keep++
+			continue
 		}
-		keepLen++
+		gone += len(es) - n
+		b.n = n
+		if n == 0 {
+			s.spare = append(s.spare, b)
+			continue
+		}
+		b.bound()
+		blocks[keep] = b
+		keep++
 	}
-	sn.window = window[:keepLen]
+	clear(blocks[keep:])
+	sn.blocks = blocks[:keep]
+	sn.size -= gone
 	sn.dead -= dead
-	return keepLen, cleanP, cmps
+	return cleanP, cmps
 }
 
 // clearMasks drops payload's member and clean bits for node sn.
@@ -511,8 +590,8 @@ func (s *SharedSkyline) KillForQueries(payload int, dead QSet) {
 func (s *SharedSkyline) bury(sn *sharedNode, payload int) {
 	s.clearMasks(sn, payload)
 	sn.dead++
-	if sn.dead >= compactionSlack && sn.dead*2 >= len(sn.window) {
-		compact(sn)
+	if sn.dead >= compactionSlack && sn.dead*2 >= sn.size {
+		s.compact(sn)
 	}
 }
 
@@ -550,27 +629,16 @@ func (s *SharedSkyline) Remove(payload int, dst []Removed) []Removed {
 	return dst
 }
 
-// compact rewrites a node's window in place without its dead entries,
-// preserving the order of the live ones.
-func compact(sn *sharedNode) {
-	keep := sn.window[:0]
-	for i := range sn.window {
-		if sn.window[i].alive != 0 {
-			keep = append(keep, sn.window[i])
-		}
-	}
-	sn.window = keep
-	sn.dead = 0
-}
-
 // Candidates returns the payloads currently alive for query qi at its full
 // preference node, in ascending payload order (deterministic).
 func (s *SharedSkyline) Candidates(qi int) []int {
 	sn := s.prefSN[qi]
 	var out []int
-	for i := range sn.window {
-		if e := &sn.window[i]; e.alive.Has(qi) {
-			out = append(out, int(e.payload))
+	for _, b := range sn.blocks {
+		for i := range b.e[:b.n] {
+			if e := &b.e[i]; e.alive.Has(qi) {
+				out = append(out, int(e.payload))
+			}
 		}
 	}
 	sort.Ints(out)

@@ -309,8 +309,8 @@ func TestWindowSize(t *testing.T) {
 	one := QSet(0).Add(0)
 	s.Insert(0, []float64{1, 9}, one)
 	s.Insert(1, []float64{9, 1}, one)
-	if sn := s.prefSN[0]; len(sn.window)-sn.dead != 2 {
-		t.Fatalf("window holds %d live entries", len(sn.window)-sn.dead)
+	if sn := s.prefSN[0]; sn.size-sn.dead != 2 {
+		t.Fatalf("window holds %d live entries", sn.size-sn.dead)
 	}
 }
 

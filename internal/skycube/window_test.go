@@ -2,6 +2,7 @@ package skycube
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"unsafe"
 
@@ -26,7 +27,9 @@ func TestFindSurvivesWindowShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSharedSkyline(c, nil)
+	const n = 64
+	y := func(x float64) float64 { return (n - x) * (n - x) }
+	s := NewSharedSkylineIn(c, nil, []float64{0, 0, 0}, []float64{n, y(0), 1})
 	both := QSet(0).Add(0).Add(1)
 	sn := s.prefSN[0] // node {0,1}, serving both queries
 	live := func(p int) *sharedEntry {
@@ -39,22 +42,21 @@ func TestFindSurvivesWindowShifts(t *testing.T) {
 	}
 
 	// A long window: n mutually incomparable points (x up, y down) with
-	// distinct sums, inserted in descending sum order so every insert lands
-	// at the front and shifts all earlier entries.
-	const n = 64
-	y := func(x float64) float64 { return (n - x) * (n - x) }
+	// distinct keys, spread over several blocks, so that inserts shift
+	// entries within a block and split full ones.
 	for p := 0; p < n; p++ {
 		s.Insert(p, []float64{float64(p), y(float64(p)), 0}, both)
 	}
-	if len(sn.window) != n {
-		t.Fatalf("window holds %d entries, want %d", len(sn.window), n)
+	if sn.size != n || len(sn.blocks) < 2 {
+		t.Fatalf("window holds %d entries in %d blocks, want %d in several", sn.size, len(sn.blocks), n)
 	}
 	checkMembership(t, s, n, "fill")
 
 	// An insert into the middle: everything behind it moves up one slot.
 	mid := n
 	s.Insert(mid, []float64{31.5, (y(31) + y(32)) / 2, 0}, both)
-	if e := live(mid); e == &sn.window[0] || e == &sn.window[len(sn.window)-1] {
+	last := sn.blocks[len(sn.blocks)-1]
+	if e := live(mid); e == &sn.blocks[0].e[0] || e == &last.e[last.n-1] {
 		t.Fatal("the middle insert landed at an end of the window")
 	}
 	live(0)
@@ -77,17 +79,17 @@ func TestFindSurvivesWindowShifts(t *testing.T) {
 
 	// Kills mark entries dead in place; the batch compaction then moves every
 	// survivor. The loop runs until the compaction has happened.
-	before := len(sn.window)
+	before := sn.size
 	p := 21
-	for ; len(sn.window) == before; p++ {
+	for ; sn.size == before; p++ {
 		if p >= n {
 			t.Fatal("compaction never triggered")
 		}
 		s.KillForQueries(p, both)
 		checkMembership(t, s, n+2, "kill")
 	}
-	if sn.dead != 0 || len(sn.window) != before-(p-21) {
-		t.Fatalf("after compaction: %d entries, %d dead, killed %d of %d", len(sn.window), sn.dead, p-21, before)
+	if sn.dead != 0 || sn.size != before-(p-21) {
+		t.Fatalf("after compaction: %d entries, %d dead, killed %d of %d", sn.size, sn.dead, p-21, before)
 	}
 	live(killer)
 	live(0)
@@ -101,8 +103,8 @@ func TestFindSurvivesWindowShifts(t *testing.T) {
 	}
 	checkMembership(t, s, n+2, "retire 0")
 	s.RetireQuery(1)
-	if len(sn.window) != 0 || s.find(sn, 0) != nil {
-		t.Fatalf("retiring the last query left %d entries", len(sn.window))
+	if sn.size != 0 || len(sn.blocks) != 0 || s.find(sn, 0) != nil {
+		t.Fatalf("retiring the last query left %d entries", sn.size)
 	}
 	checkMembership(t, s, n+2, "retire 1")
 }
@@ -144,5 +146,100 @@ func TestPayloadRange(t *testing.T) {
 	}
 	if got := s.Candidates(0); !sameInts(got, []int{0}) {
 		t.Fatalf("a refused Insert changed the candidates: %v", got)
+	}
+}
+
+// TestZKeyMonotone: w ⪯ p in a node's subspace implies zKey(w) ≤ zKey(p),
+// the property that lets the prefix scan stop at the first larger key and
+// the suffix scan start at the tie run. Nodes of 1 to 6 dimensions (the
+// last two read only their first four in the key) over three grids: the
+// unit box NewSharedSkyline takes, a box per dimension, and a box that
+// gives one dimension no extent and ends before the last three;
+// coordinates drawn from ties, −0, ±Inf, NaN, values far outside the grid
+// and plain floats. Weak dominance is IEEE ≤ on every dimension, so a
+// NaN coordinate dominates nothing and is dominated by nothing; its key
+// must still be computed.
+func TestZKeyMonotone(t *testing.T) {
+	const dims = 6
+	lo, hi := []float64{0, -5, 10, 0, 0, 100}, []float64{1, 5, 20, 1000, 1e-3, 101}
+	rng := rand.New(rand.NewSource(5))
+	specials := []float64{0, math.Copysign(0, -1), 1, 2, math.Inf(1), math.Inf(-1), math.NaN(), -1e300, 1e300, 1e-310, 0.5}
+	coord := func(k int) float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return specials[rng.Intn(len(specials))]
+		case 1:
+			return float64(rng.Intn(3)) // ties
+		default:
+			return lo[k] + (hi[k]-lo[k])*(rng.Float64()*1.4-0.2) // a fifth outside on each side
+		}
+	}
+	weak := func(sub preference.Subspace, a, b []float64) bool {
+		for _, d := range sub {
+			if !(a[d] <= b[d]) {
+				return false
+			}
+		}
+		return true
+	}
+	c, err := BuildCuboid([]preference.Subspace{preference.NewSubspace(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grids := []*SharedSkyline{
+		NewSharedSkyline(c, nil),
+		NewSharedSkylineIn(c, nil, lo, hi),
+		NewSharedSkylineIn(c, nil, lo[:3], []float64{hi[0], lo[1], hi[2]}),
+	}
+	for _, s := range grids {
+		for size := 1; size <= dims; size++ {
+			pairs := 0
+			for trial := 0; trial < 20000; trial++ {
+				sn := &sharedNode{sub: preference.NewSubspace(rng.Perm(dims)[:size]...)}
+				p, w := make([]float64, dims), make([]float64, dims)
+				for k := range p {
+					p[k] = coord(k)
+					switch rng.Intn(3) {
+					case 0:
+						w[k] = p[k]
+					case 1:
+						w[k] = coord(k)
+					default: // below p where p allows it
+						w[k] = p[k] - math.Abs(coord(k))
+					}
+				}
+				s.spreadDims(p)
+				zp := sn.zKey(s.zs)
+				s.spreadLanes(sn, w)
+				zw := sn.zKey(s.zs)
+				if weak(sn.sub, w, p) {
+					pairs++
+					if zw > zp {
+						t.Fatalf("grid %v, subspace %v: w=%v ⪯ p=%v but zKey %x > %x", s.zscale, sn.sub, w, p, zw, zp)
+					}
+				}
+				if weak(sn.sub, p, w) && zp > zw {
+					t.Fatalf("subspace %v: p=%v ⪯ w=%v but zKey %x > %x", sn.sub, p, w, zp, zw)
+				}
+			}
+			if pairs < 1000 {
+				t.Fatalf("size %d: only %d dominance pairs drawn", size, pairs)
+			}
+		}
+	}
+}
+
+// TestSpreadInterleaves pins spread against the bit-by-bit definition.
+func TestSpreadInterleaves(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		x := uint64(rng.Intn(1 << zBits))
+		var want uint64
+		for b := 0; b < zBits; b++ {
+			want |= (x >> uint(b) & 1) << uint(4*b)
+		}
+		if got := spread(x); got != want {
+			t.Fatalf("spread(%#x) = %#x, want %#x", x, got, want)
+		}
 	}
 }
