@@ -62,8 +62,11 @@ func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 // reference refresh over the current state. The refresh is charged to a
 // scratch clock and the frontier and its dirty flag are put back afterwards,
 // so the execution proceeds exactly as if unchecked (the kept order is left
-// filtered, which is what the next real refresh would do to it first). A
+// refreshed, which is what the next real refresh would do to it first). A
 // frontier no refresh is due for must hold every corner where it lies now.
+// After the refresh every kept corner is either marked minimal and on the
+// frontier, or names as its blocker the first frontier corner that weakly
+// dominates it.
 func checkFrontiers(t *testing.T, label string, st *state) int {
 	t.Helper()
 	for qi := range st.frontier {
@@ -86,7 +89,7 @@ func checkFrontiers(t *testing.T, label string, st *state) int {
 		charged := st.clock.Counters().CellOps
 		var got []int
 		for _, c := range st.frontier[qi] {
-			got = append(got, c.region)
+			got = append(got, int(c.region))
 			if c.lanes != lanesOf(c) {
 				t.Fatalf("%s: query %d: refreshed corner of region %d has lanes %v, want %v", label, qi, c.region, c.lanes, lanesOf(c))
 			}
@@ -96,6 +99,24 @@ func checkFrontiers(t *testing.T, label string, st *state) int {
 		if !slices.Equal(got, want) || charged != cmps {
 			t.Fatalf("%s: query %d (pref %v): frontier %v charging %d comparisons, the sorted live set gives %v charging %d",
 				label, qi, kern.Sub(), got, charged, want, cmps)
+		}
+		for _, c := range st.order[qi] {
+			lo := st.regions[c.region].Lo
+			first := minimalCorner
+			for _, o := range want {
+				if kern.WeakDominates(st.regions[o].Lo, lo) {
+					first = int32(o)
+					break
+				}
+			}
+			if c.blocker == minimalCorner {
+				if !slices.Contains(want, int(c.region)) {
+					t.Fatalf("%s: query %d: region %d is marked minimal, the frontier is %v", label, qi, c.region, want)
+				}
+			} else if c.blocker != first {
+				t.Fatalf("%s: query %d: region %d keeps blocker %d, the first frontier corner dominating it is %d (frontier %v)",
+					label, qi, c.region, c.blocker, first, want)
+			}
 		}
 	}
 	return len(st.frontier)

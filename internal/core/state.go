@@ -118,14 +118,18 @@ type state struct {
 	frontier      [][]liveCorner // per query: minimal best corners of live regions
 	frontierDirty []bool
 	// order holds, per query, the best corners of its live regions in
-	// (sum, region) order as of its last frontier refresh. Between refreshes a
-	// live set only loses members, so a refresh filters the list instead of
-	// re-collecting and re-sorting it — unless gen moved past orderGen: every
-	// site that can add to a live set or move a corner bumps gen (reopen,
-	// bindQuery, reviveAfterAppend's bound recomputation).
+	// (sum, region) order as of its last frontier refresh, each with the
+	// outcome of its last frontier test. Between refreshes a live set only
+	// loses members, so a refresh filters the list instead of re-collecting
+	// and re-sorting it — unless gen moved past orderGen: every site that can
+	// add to a live set or move a corner bumps gen (reopen, bindQuery,
+	// reviveAfterAppend's bound recomputation).
 	order    [][]liveCorner
 	orderGen []uint64
 	gen      uint64
+	// refreshFrontier's scratch: the rank of each region on the frontier
+	// being built. Sized to the region count, it grows only with it.
+	rankScratch []int32
 
 	// Reused scratch (see DESIGN.md §7): join result buffers (one per segment
 	// of a reopened region, see processRegion; the second grows only after a
@@ -153,12 +157,21 @@ type state struct {
 // results can be re-vetted exactly when their blocking region disappears)
 // and the corner projected onto the preference. A preference of ≥ 5
 // dimensions does not fit the lanes; its corners compare through the kernel
-// on the region's Lo.
+// on the region's Lo. In a kept order, blocker is the region of the first
+// frontier corner that weakly dominated the corner at the last refresh, or
+// minimalCorner or untestedCorner.
 type liveCorner struct {
-	sum    float64
-	region int
-	lanes  preference.Lanes
+	sum     float64
+	region  int32
+	blocker int32
+	lanes   preference.Lanes
 }
+
+// The two liveCorner.blocker states that name no region.
+const (
+	untestedCorner int32 = -1 // collected since the last refresh
+	minimalCorner  int32 = -2 // on the frontier
+)
 
 type depEdge struct {
 	dst  int
@@ -503,8 +516,10 @@ func (st *state) vet(qi, p int) {
 	var lanes preference.Lanes
 	st.kerns[qi].Project(out, &lanes)
 	fr := st.frontier[qi]
-	if i := st.firstBlocker(qi, fr, &lanes, out); i < len(fr) {
-		f := fr[i].region
+	i := st.firstBlocker(qi, fr, &lanes, out)
+	st.clock.CountCellOp(int64(min(i+1, len(fr))))
+	if i < len(fr) {
+		f := int(fr[i].region)
 		st.blocked[qi][f] = append(st.blocked[qi][f], p)
 		return
 	}
@@ -514,7 +529,7 @@ func (st *state) vet(qi, p int) {
 // firstBlocker returns the index of the first of query qi's corners cs that
 // weakly dominates point x in the query's preference — lanes being x's
 // projection, which the test reads when the preference fits the lanes — or
-// len(cs) if none does. Each test is charged as one cell-level operation.
+// len(cs) if none does. The caller charges the min(i+1, len(cs)) tests.
 func (st *state) firstBlocker(qi int, cs []liveCorner, lanes *preference.Lanes, x []float64) int {
 	kern := &st.kerns[qi]
 	i := 0
@@ -527,8 +542,12 @@ func (st *state) firstBlocker(qi int, cs []liveCorner, lanes *preference.Lanes, 
 			i++
 		}
 	}
-	st.clock.CountCellOp(int64(min(i+1, len(cs))))
 	return i
+}
+
+// liveIn reports whether region ri is still live for query qi.
+func (st *state) liveIn(qi int, ri int32) bool {
+	return !st.processed[ri] && st.regions[ri].Alive.Has(qi)
 }
 
 // emit delivers one result to one query at the current virtual time. The
@@ -557,9 +576,16 @@ func (st *state) emit(qi, payload int) {
 // The sorted live set is kept across refreshes (state.order): since the
 // last one, regions can only have been processed or discarded for the
 // query, and a stable filter of a sorted list is the sorted remainder, so
-// only after a gen bump is the order collected and sorted afresh. Either
-// way the corners, their order and hence every charged comparison are those
-// of a fresh collect-and-sort.
+// only after a gen bump is the order collected and sorted afresh. Each kept
+// corner also keeps the outcome of its last test, and only a corner whose
+// blocker died (or that was just collected) scans the frontier again. A
+// corner is minimal exactly when no earlier live corner weakly dominates
+// it, so losing corners leaves a minimal one minimal. A live blocker is
+// still the first: a frontier corner before it that blocks the corner now
+// was either on the frontier then, or blocked then by an earlier frontier
+// corner that, dominance being transitive, blocks the corner too. The
+// charge is what a fresh collect-and-sort's scan makes: the frontier so far
+// for a minimal corner, the blocker's rank plus one otherwise.
 func (st *state) refreshFrontier(qi int) {
 	if !st.frontierDirty[qi] {
 		return
@@ -568,19 +594,35 @@ func (st *state) refreshFrontier(qi int) {
 	if st.orderGen[qi] != st.gen {
 		st.collectOrder(qi)
 	}
+	if len(st.rankScratch) < len(st.regions) {
+		st.rankScratch = make([]int32, len(st.regions))
+	}
+	rank := st.rankScratch
 	order := st.order[qi]
 	live := order[:0]
 	minimal := st.frontier[qi][:0]
+	var charged int64
 	for _, c := range order {
-		rf := st.regions[c.region]
-		if st.processed[c.region] || !rf.Alive.Has(qi) {
+		if !st.liveIn(qi, c.region) {
 			continue
 		}
+		if b := c.blocker; b == untestedCorner || b >= 0 && !st.liveIn(qi, b) {
+			if i := st.firstBlocker(qi, minimal, &c.lanes, st.regions[c.region].Lo); i < len(minimal) {
+				c.blocker = minimal[i].region
+			} else {
+				c.blocker = minimalCorner
+			}
+		}
 		live = append(live, c)
-		if st.firstBlocker(qi, minimal, &c.lanes, rf.Lo) == len(minimal) {
+		if c.blocker == minimalCorner {
+			charged += int64(len(minimal))
+			rank[c.region] = int32(len(minimal))
 			minimal = append(minimal, c)
+		} else {
+			charged += int64(rank[c.blocker]) + 1
 		}
 	}
+	st.clock.CountCellOp(charged)
 	st.order[qi], st.frontier[qi] = live, minimal
 }
 
@@ -595,7 +637,7 @@ func (st *state) collectOrder(qi int) {
 		if st.processed[fi] || !rf.Alive.Has(qi) {
 			continue
 		}
-		order = append(order, liveCorner{sum: kern.Sum(rf.Lo), region: fi})
+		order = append(order, liveCorner{sum: kern.Sum(rf.Lo), region: int32(fi), blocker: untestedCorner})
 		kern.Project(rf.Lo, &order[len(order)-1].lanes)
 	}
 	slices.SortFunc(order, func(a, b liveCorner) int {
@@ -605,7 +647,7 @@ func (st *state) collectOrder(qi int) {
 			}
 			return 1
 		}
-		return a.region - b.region
+		return int(a.region - b.region)
 	})
 	st.order[qi], st.orderGen[qi] = order, st.gen
 }
@@ -622,7 +664,7 @@ func (st *state) cornerMoved(r *region.Region) {
 	for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
 		fr := st.frontier[qi]
 		for i := range fr {
-			if fr[i].region == r.ID {
+			if int(fr[i].region) == r.ID {
 				st.kerns[qi].Project(r.Lo, &fr[i].lanes)
 			}
 		}

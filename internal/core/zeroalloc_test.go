@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"unsafe"
 
+	"caqe/internal/datagen"
 	"caqe/internal/metrics"
 	"caqe/internal/run"
 	"caqe/internal/workload"
@@ -54,6 +57,48 @@ func TestUpdateWeightsZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, st.updateWeights); allocs != 0 {
 		t.Fatalf("updateWeights allocates %.1f per decision", allocs)
+	}
+}
+
+// TestRefreshFrontierZeroAlloc pins the frontier refresh at zero allocations
+// once its scratch has grown: a refresh after the query's first frontier
+// region dies (which re-tests the corners it blocked and promotes some), and
+// the full sort-filter after the region comes back and the order is
+// collected afresh, reuse the kept order, the frontier and the rank
+// scratch. A kept corner stays 48 bytes.
+func TestRefreshFrontierZeroAlloc(t *testing.T) {
+	if size := unsafe.Sizeof(liveCorner{}); size != 48 {
+		t.Fatalf("liveCorner is %d bytes, want 48", size)
+	}
+	w := testWorkload(4, 3, workload.UniformPriority, c3s)
+	r, tt := testPair(t, 300, 3, datagen.AntiCorrelated, 0.05, 1)
+	e := mustEngine(t, w, r, tt, Options{})
+	clock := metrics.NewClock()
+	cuboid, space, filter, err := e.plan(clock, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
+	const qi = 0
+	st.frontierDirty[qi] = true
+	st.refreshFrontier(qi)
+	if len(st.frontier[qi]) < 2 || len(st.order[qi]) <= len(st.frontier[qi]) {
+		t.Fatalf("%d live corners, %d on the frontier: nothing to re-test", len(st.order[qi]), len(st.frontier[qi]))
+	}
+	dies := st.regions[st.frontier[qi][0].region]
+	if !slices.ContainsFunc(st.order[qi], func(c liveCorner) bool { return int(c.blocker) == dies.ID }) {
+		t.Fatalf("region %d blocks no corner: its death re-tests nothing", dies.ID)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		dies.Alive &^= 1 << qi
+		st.frontierDirty[qi] = true
+		st.refreshFrontier(qi)
+		dies.Alive |= 1 << qi
+		st.gen++
+		st.frontierDirty[qi] = true
+		st.refreshFrontier(qi)
+	}); allocs != 0 {
+		t.Fatalf("refreshFrontier allocates %.1f per refresh pair", allocs)
 	}
 }
 
