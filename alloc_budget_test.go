@@ -11,12 +11,13 @@ import (
 
 // Ceilings of TestRunAllocBudget. On the repository benchmark's batch-indep
 // input, the join-group filter leaves one caqe.Run 12,666 join results for
-// 854 emissions, and the Run allocates 7.0 MB. The same input under a
+// 854 emissions, and the Run allocates 7.2 MB. The same input under a
 // workload with one LeftDim and one RightDim among its four mappings turns
-// the filter off for both sides: 313 K join results and 34.7 MB, about 96
-// bytes per join result (coordinates, result record, protection masks)
-// plus the plan; its ceiling is the one the unfiltered benchmark input had
-// (37.0 MB at 324 K results, + 25 %). Either report keeps 0.1 MB reachable.
+// the filter off for both sides: 313 K join results and 37.1 MB, about 104
+// bytes per join result (coordinates, result record, protection and
+// candidacy masks) plus the plan; its ceiling is the one the unfiltered
+// benchmark input had (37.0 MB at 324 K results, + 25 %). Either report
+// keeps 0.1 MB reachable.
 // Anything that grows per (cuboid node, join result), is copied as it
 // grows, or lets an emission alias the skyline arena lands far above the
 // ceilings — the layout with all three measured 366.7 MB and 49.9 MB on

@@ -204,12 +204,12 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	// already dominates is discarded for the query exactly as Algorithm 1
 	// discards it mid-run, before it costs a scheduling decision.
 	qbit := skycube.QSet(0).Add(qi)
-	champs := st.champions(qi, st.pending[qi])
+	champs, bound := st.champions(qi, st.pending[qi])
 	for _, r := range serve {
 		if st.processed[r.ID] && st.joinComplete(r, q.JC) {
 			continue
 		}
-		if !st.e.opt.DisableRegionDiscard && st.cornerDominated(qi, champs, r) {
+		if !st.e.opt.DisableRegionDiscard && st.cornerDominated(qi, champs, bound, r) {
 			st.traceDiscard(r.ID, qi)
 			st.clock.CountRegionPruned()
 			continue

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -133,13 +134,14 @@ type state struct {
 
 	// Reused scratch (see DESIGN.md §7): join result buffers (one per segment
 	// of a reopened region, see processRegion; the second grows only after a
-	// mutation), the payloads the open region created, dominance champions,
-	// the gone-region list of emitSafe and updateWeights' satisfaction
-	// values. All are recycled between calls so the steady state of the
+	// mutation), the payloads the open region created, dominance champions
+	// and their bound, the gone-region list of emitSafe and updateWeights'
+	// satisfaction values. All are recycled between calls so the steady state of the
 	// executor allocates only for durable results.
 	js           [2]join.Scratch
 	created      []int
 	champScratch [][]float64
+	boundScratch []float64
 	goneScratch  []int
 	vsScratch    []float64
 	domScratch   [][]*region.Region
@@ -411,12 +413,12 @@ func (st *state) initQueue() {
 func (st *state) discardDominated(rc *region.Region, newPayloads []int) skycube.QSet {
 	var killedQueries skycube.QSet
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
-		champs := st.champions(qi, newPayloads)
+		champs, bound := st.champions(qi, newPayloads)
 		if len(champs) == 0 {
 			continue
 		}
 		for fi, rf := range st.regions {
-			if st.processed[fi] || rf == rc || !rf.Alive.Has(qi) || !st.cornerDominated(qi, champs, rf) {
+			if st.processed[fi] || rf == rc || !rf.Alive.Has(qi) || !st.cornerDominated(qi, champs, bound, rf) {
 				continue
 			}
 			rf.Alive &^= 1 << uint(qi)
@@ -440,31 +442,54 @@ func (st *state) discardDominated(rc *region.Region, newPayloads []int) skycube.
 }
 
 // champions returns the output points of the results among payloads that
-// are current skyline candidates of query qi: only those can
+// are current skyline candidates of query qi — only those can
 // wholesale-dominate a region (dominance is transitive, so the dominators
-// of dominators suffice). The slice is scratch, valid until the next call.
-func (st *state) champions(qi int, payloads []int) [][]float64 {
-	champs := st.champScratch[:0]
+// of dominators suffice) — and their bound: the minimum on each dimension
+// of qi's preference, in preference order, which cornerDominated tests
+// first. The builtin min carries a NaN through, and a NaN bound rules
+// nothing out. Both slices are scratch, valid until the next call.
+func (st *state) champions(qi int, payloads []int) (champs [][]float64, bound []float64) {
+	champs, bound = st.champScratch[:0], st.boundScratch[:0]
+	pref := st.kerns[qi].Sub()
+	for range pref {
+		bound = append(bound, math.Inf(1))
+	}
 	for _, p := range payloads {
 		if st.payloads.at(p).lineage.Has(qi) && st.shared.IsCandidate(p, qi) {
-			champs = append(champs, st.shared.PointVals(p))
+			x := st.shared.PointVals(p)
+			champs = append(champs, x)
+			for k, d := range pref {
+				bound[k] = min(bound[k], x[d])
+			}
 		}
 	}
-	st.champScratch = champs[:0]
-	return champs
+	st.champScratch, st.boundScratch = champs[:0], bound[:0]
+	return champs, bound
 }
 
 // cornerDominated reports whether one of champs dominates the region's best
 // corner in query qi's preference — proof that the region cannot contribute
-// a result to qi. Each test is charged as one cell-level operation.
-func (st *state) cornerDominated(qi int, champs [][]float64, r *region.Region) bool {
-	kern := st.kerns[qi]
-	for _, x := range champs {
-		st.clock.CountCellOp(1)
+// a result to qi. Each test is charged as one cell-level operation. A
+// champion that dominates the corner lies at or below it on every dimension,
+// so a corner strictly below bound (champions) on one dimension is out of
+// every champion's reach: no champion is tested, and the region is charged
+// at once the len(champs) tests that would have found no dominator
+// (DESIGN.md §13).
+func (st *state) cornerDominated(qi int, champs [][]float64, bound []float64, r *region.Region) bool {
+	kern := &st.kerns[qi]
+	for k, d := range kern.Sub() {
+		if r.Lo[d] < bound[k] {
+			st.clock.CountCellOp(int64(len(champs)))
+			return false
+		}
+	}
+	for i, x := range champs {
 		if kern.Dominates(x, r.Lo) {
+			st.clock.CountCellOp(int64(i + 1))
 			return true
 		}
 	}
+	st.clock.CountCellOp(int64(len(champs)))
 	return false
 }
 

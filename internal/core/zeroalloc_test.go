@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"caqe/internal/datagen"
+	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/run"
 	"caqe/internal/workload"
@@ -99,6 +100,53 @@ func TestRefreshFrontierZeroAlloc(t *testing.T) {
 		st.refreshFrontier(qi)
 	}); allocs != 0 {
 		t.Fatalf("refreshFrontier allocates %.1f per refresh pair", allocs)
+	}
+}
+
+// TestDiscardZeroAlloc pins a steady-state discard pass, and the cell join
+// that feeds it, at zero allocations once their scratch has grown: after
+// the first scheduled region's step on anti-correlated data, the discard
+// against every result so far (the champions, their bound and the tests)
+// and the join of a region's cell pair reuse the state's buffers.
+func TestDiscardZeroAlloc(t *testing.T) {
+	w := testWorkload(4, 3, workload.UniformPriority, c3s)
+	r, tt := testPair(t, 300, 3, datagen.AntiCorrelated, 0.05, 1)
+	e := mustEngine(t, w, r, tt, Options{})
+	clock := metrics.NewClock()
+	cuboid, space, filter, err := e.plan(clock, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
+	st.initQueue()
+	if !st.step() {
+		t.Fatal("no region to process")
+	}
+	var payloads []int
+	for c, chunk := range st.payloads {
+		for i := range chunk {
+			payloads = append(payloads, c<<payloadShift+i)
+		}
+	}
+	ri := slices.Index(st.processed, true)
+	rc := st.regions[ri]
+	st.discardDominated(rc, payloads)
+	before := clock.Counters().CellOps
+	st.discardDominated(rc, payloads)
+	if len(payloads) == 0 || clock.Counters().CellOps == before {
+		t.Fatalf("%d results, a discard pass charging %d cell operations: nothing to test", len(payloads), clock.Counters().CellOps-before)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { st.discardDominated(rc, payloads) }); allocs != 0 {
+		t.Fatalf("discardDominated allocates %.1f per pass", allocs)
+	}
+
+	left, right := st.joinRows(rc, 0)
+	var js join.Scratch
+	if res := js.NestedLoop(w.JoinConds[0], w.OutDims, left, right, clock); len(res) == 0 {
+		t.Fatalf("%d × %d rows join to nothing", len(left), len(right))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { js.NestedLoop(w.JoinConds[0], w.OutDims, left, right, clock) }); allocs != 0 {
+		t.Fatalf("NestedLoop allocates %.1f per join", allocs)
 	}
 }
 

@@ -176,10 +176,10 @@ func HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.C
 // ---------------------------------------------------------------------------
 // Scratch: reusable join buffers
 //
-// A Scratch owns the result headers and the flat coordinate backing of the
-// output points, so a caller that joins many cell pairs in sequence (the
-// region executor, the nested-loop baselines) performs zero steady-state
-// allocations per join.
+// A Scratch owns the result headers, the flat coordinate backing of the
+// output points and the right side's keys, so a caller that joins many cell
+// pairs in sequence (the region executor, the nested-loop baselines)
+// performs zero steady-state allocations per join.
 
 // Scratch holds reusable join buffers. The zero value is ready to use. A
 // Scratch must not be used concurrently, and the results of a call are
@@ -189,6 +189,7 @@ func HashJoin(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.C
 type Scratch struct {
 	results []Result
 	flat    []float64 // packed backing for Result.Out
+	keys    []int64   // the right side's join keys, gathered once per call
 }
 
 // NestedLoop materializes the equi-join of two tuple slices under jc into
@@ -196,25 +197,36 @@ type Scratch struct {
 // result to the clock (nil charges nothing). It is the tuple-level join
 // primitive used for cell pairs and the full-relation baseline path.
 // The projected output points are packed into one flat buffer that every
-// Result.Out aliases.
+// Result.Out aliases. Results come in (left, right) order.
+//
+// Every pair is a probe, so the |rs|·|ts| probes and the results are
+// charged with one call each once the loop is done: nothing reads the clock
+// in between, and it counts in integers, so the readings are the per-pair
+// ones. The right side's keys are gathered into the scratch first, so a
+// probe compares two integers from a contiguous array instead of loading
+// two tuples' key slices.
 func (s *Scratch) NestedLoop(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
+	keys := s.keys[:0]
+	for _, t := range ts {
+		keys = append(keys, t.Key(jc.RightKey))
+	}
 	dst, flat := s.results[:0], s.flat[:0]
 	for _, r := range rs {
-		for _, t := range ts {
-			if clock != nil {
-				clock.CountJoinProbe(1)
-			}
-			if !jc.Matches(r, t) {
+		k := r.Key(jc.LeftKey)
+		for j, tk := range keys {
+			if tk != k {
 				continue
 			}
-			if clock != nil {
-				clock.CountJoinResult(1)
-			}
+			t := ts[j]
 			var out []float64
 			flat, out = projectAppend(flat, fs, r, t)
 			dst = append(dst, Result{RID: r.ID, TID: t.ID, Out: out})
 		}
 	}
-	s.results, s.flat = dst, flat
+	if clock != nil {
+		clock.CountJoinProbe(int64(len(rs)) * int64(len(ts)))
+		clock.CountJoinResult(int64(len(dst)))
+	}
+	s.results, s.flat, s.keys = dst, flat, keys
 	return dst
 }

@@ -190,6 +190,66 @@ func TestNestedLoopAccounting(t *testing.T) {
 	}
 }
 
+// referenceNestedLoop is NestedLoop as it read before it gathered the right
+// side's keys and charged once per call: every pair tested with Matches,
+// one probe and, on a match, one result charged as it goes.
+func referenceNestedLoop(jc EquiJoin, fs []MapFunc, rs, ts []*tuple.Tuple, clock *metrics.Clock) []Result {
+	var dst []Result
+	for _, r := range rs {
+		for _, t := range ts {
+			clock.CountJoinProbe(1)
+			if !jc.Matches(r, t) {
+				continue
+			}
+			clock.CountJoinResult(1)
+			dst = append(dst, Result{RID: r.ID, TID: t.ID, Out: Project(fs, r, t)})
+		}
+	}
+	return dst
+}
+
+// TestNestedLoopMatchesReference: on random sides — empty ones, duplicate
+// keys, the two key columns crossed — split as a reopened region's join
+// splits them into its two cursor segments (new left × all right, old left
+// × new right), NestedLoop returns the reference's results in the same
+// order and leaves the clock where the per-pair charges leave it. Both
+// segments keep one Scratch each across trials, as the executor does, so
+// buffers (keys included) longer than the call are reused.
+func TestNestedLoopMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	fs := []MapFunc{Sum("a", 0), Weighted("b", 1, 0, 2, 0.5, 1)}
+	var js [2]Scratch
+	var results int
+	for trial := 0; trial < 500; trial++ {
+		rs := mkTuples(rng, rng.Intn(14), 2, 2, 1+int64(rng.Intn(4)))
+		ts := mkTuples(rng, rng.Intn(14), 2, 2, 1+int64(rng.Intn(4)))
+		jc := EquiJoin{Name: "JC", LeftKey: rng.Intn(2), RightKey: rng.Intn(2)}
+		cl, ct := rng.Intn(len(rs)+1), rng.Intn(len(ts)+1)
+		for s, seg := range [2][2][]*tuple.Tuple{{rs[cl:], ts}, {rs[:cl], ts[ct:]}} {
+			got, want := metrics.NewClock(), metrics.NewClock()
+			a := js[s].NestedLoop(jc, fs, seg[0], seg[1], got)
+			b := referenceNestedLoop(jc, fs, seg[0], seg[1], want)
+			if len(a) != len(b) {
+				t.Fatalf("trial %d, segment %d: %d results, reference %d", trial, s, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].RID != b[i].RID || a[i].TID != b[i].TID || len(a[i].Out) != len(b[i].Out) ||
+					a[i].Out[0] != b[i].Out[0] || a[i].Out[1] != b[i].Out[1] {
+					t.Fatalf("trial %d, segment %d: result %d is %+v, reference %+v", trial, s, i, a[i], b[i])
+				}
+			}
+			if got.Counters() != want.Counters() || got.Now() != want.Now() {
+				t.Fatalf("trial %d, segment %d: charged %v at %g, reference %v at %g",
+					trial, s, got.Counters(), got.Now(), want.Counters(), want.Now())
+			}
+			results += len(a)
+		}
+	}
+	if results < 1000 {
+		t.Fatalf("only %d results over every trial", results)
+	}
+}
+
 func TestHashJoinAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	rs := mkTuples(rng, 25, 1, 1, 4)

@@ -45,46 +45,6 @@ func (r *Region) String() string {
 	return fmt.Sprintf("R%d[%v %v]%s", r.ID, r.Lo, r.Hi, r.Alive)
 }
 
-// FullyDominatesIn reports Definition 8 case (1): r's worst corner weakly
-// dominates o's best corner in subspace v with at least one strict
-// dimension, so every tuple of r dominates every tuple of o.
-func (r *Region) FullyDominatesIn(v preference.Subspace, o *Region) bool {
-	strict := false
-	for _, k := range v {
-		if r.Hi[k] > o.Lo[k] {
-			return false
-		}
-		if r.Hi[k] < o.Lo[k] {
-			strict = true
-		}
-	}
-	return strict
-}
-
-// PartiallyDominatesIn reports Definition 8 case (2): some tuple of r could
-// dominate some tuple of o — r's best corner weakly dominates o's worst
-// corner with a strict dimension — excluding full dominance.
-func (r *Region) PartiallyDominatesIn(v preference.Subspace, o *Region) bool {
-	strict := false
-	for _, k := range v {
-		if r.Lo[k] > o.Hi[k] {
-			return false
-		}
-		if r.Lo[k] < o.Hi[k] {
-			strict = true
-		}
-	}
-	return strict && !r.FullyDominatesIn(v, o)
-}
-
-// BestCornerDominates reports whether r's best corner strictly dominates
-// o's best corner in v. This asymmetric, acyclic relation orders the
-// dependency-graph edges (§5.3.2): if it holds, tuples of r can dominate
-// o's best output cells, so r should be processed first.
-func (r *Region) BestCornerDominates(v preference.Subspace, o *Region) bool {
-	return preference.DominatesIn(v, r.Lo, o.Lo)
-}
-
 // Space is the abstract multi-query output space: all surviving regions
 // plus the output grid geometry.
 type Space struct {

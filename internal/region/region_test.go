@@ -16,6 +16,49 @@ import (
 	"caqe/internal/workload"
 )
 
+// The three relations of Definition 8 and §5.3.2 in their direct form: the
+// oracles that QueryDims.Pair, the one form the coarse prune and the
+// dependency graph use, is held to (TestRegionPairQuerySets).
+
+// fullyDominatesIn reports Definition 8 case (1): r's worst corner weakly
+// dominates o's best corner in subspace v with at least one strict
+// dimension, so every tuple of r dominates every tuple of o.
+func fullyDominatesIn(v preference.Subspace, r, o *Region) bool {
+	strict := false
+	for _, k := range v {
+		if r.Hi[k] > o.Lo[k] {
+			return false
+		}
+		if r.Hi[k] < o.Lo[k] {
+			strict = true
+		}
+	}
+	return strict
+}
+
+// partiallyDominatesIn reports Definition 8 case (2): some tuple of r could
+// dominate some tuple of o — r's best corner weakly dominates o's worst
+// corner with a strict dimension — excluding full dominance.
+func partiallyDominatesIn(v preference.Subspace, r, o *Region) bool {
+	strict := false
+	for _, k := range v {
+		if r.Lo[k] > o.Hi[k] {
+			return false
+		}
+		if r.Lo[k] < o.Hi[k] {
+			strict = true
+		}
+	}
+	return strict && !fullyDominatesIn(v, r, o)
+}
+
+// bestCornerDominates reports whether r's best corner strictly dominates
+// o's best corner in v: the relation that orders the dependency-graph edges
+// (§5.3.2).
+func bestCornerDominates(v preference.Subspace, r, o *Region) bool {
+	return preference.DominatesIn(v, r.Lo, o.Lo)
+}
+
 func testWorkload(nq, dims int) *workload.Workload {
 	w := workload.MustBenchmark(workload.BenchmarkConfig{
 		NumQueries: nq,
@@ -161,25 +204,25 @@ func TestRegionDominancePredicates(t *testing.T) {
 	a := &Region{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
 	b := &Region{Lo: []float64{2, 2}, Hi: []float64{3, 3}}
 	c := &Region{Lo: []float64{0.5, 0.5}, Hi: []float64{2.5, 2.5}}
-	if !a.FullyDominatesIn(v, b) {
+	if !fullyDominatesIn(v, a, b) {
 		t.Error("a should fully dominate b")
 	}
-	if b.FullyDominatesIn(v, a) {
+	if fullyDominatesIn(v, b, a) {
 		t.Error("b must not dominate a")
 	}
-	if a.FullyDominatesIn(v, c) {
+	if fullyDominatesIn(v, a, c) {
 		t.Error("overlapping boxes cannot be fully dominated")
 	}
-	if !a.PartiallyDominatesIn(v, c) {
+	if !partiallyDominatesIn(v, a, c) {
 		t.Error("a should partially dominate c")
 	}
-	if a.PartiallyDominatesIn(v, b) {
+	if partiallyDominatesIn(v, a, b) {
 		t.Error("full dominance must be excluded from partial")
 	}
-	if !a.BestCornerDominates(v, c) {
+	if !bestCornerDominates(v, a, c) {
 		t.Error("a's best corner dominates c's")
 	}
-	if c.BestCornerDominates(v, a) {
+	if bestCornerDominates(v, c, a) {
 		t.Error("c's best corner must not dominate a's")
 	}
 }
@@ -190,11 +233,11 @@ func TestRegionDominanceEqualBoundary(t *testing.T) {
 	b := &Region{Lo: []float64{1, 1}, Hi: []float64{2, 2}}
 	// Touching corners: weak dominance everywhere but no strict dimension
 	// on the shared corner → still dominates (strict via interior).
-	if a.FullyDominatesIn(v, b) {
+	if fullyDominatesIn(v, a, b) {
 		t.Error("u_a == l_b with no strict dimension must not fully dominate")
 	}
 	c := &Region{Lo: []float64{1, 2}, Hi: []float64{2, 3}}
-	if !a.FullyDominatesIn(v, c) {
+	if !fullyDominatesIn(v, a, c) {
 		t.Error("u_a ⪯ l_c with one strict dimension should dominate")
 	}
 }
@@ -248,8 +291,8 @@ func TestRegionPairQuerySets(t *testing.T) {
 				name      string
 				got, want bool
 			}{
-				{"full dominance", (fullStrict &^ fullNotWeak).Has(qi), a.FullyDominatesIn(q.Pref, b)},
-				{"best-corner dominance", (bestStrict &^ bestNotWeak).Has(qi), a.BestCornerDominates(q.Pref, b)},
+				{"full dominance", (fullStrict &^ fullNotWeak).Has(qi), fullyDominatesIn(q.Pref, a, b)},
+				{"best-corner dominance", (bestStrict &^ bestNotWeak).Has(qi), bestCornerDominates(q.Pref, a, b)},
 				{"Lo weakly below Hi", !reachNotWeak.Has(qi), weakReach},
 			} {
 				if c.got != c.want {
@@ -291,7 +334,7 @@ func TestDominatedFractionRange(t *testing.T) {
 			t.Fatalf("fraction %g outside [0,1]", f)
 		}
 		// Full dominance means the whole box is covered.
-		if o.FullyDominatesIn(v, r) && f != 1 {
+		if fullyDominatesIn(v, o, r) && f != 1 {
 			t.Fatalf("fully dominated region has fraction %g", f)
 		}
 	}
@@ -382,7 +425,7 @@ func TestPaperExample16(t *testing.T) {
 
 	nonDominated := func(v preference.Subspace, r *Region) bool {
 		for _, o := range all {
-			if o != r && o.FullyDominatesIn(v, r) {
+			if o != r && fullyDominatesIn(v, o, r) {
 				return false
 			}
 		}
@@ -407,7 +450,7 @@ func TestPaperExample16(t *testing.T) {
 	// End state of the example: SKY_{d2,d3} = {R2, R3} — R1 is fully
 	// dominated there by R3 (u3=(7,6) ≺ l1=(8,8)).
 	v23 := preference.NewSubspace(1, 2)
-	if !r3.FullyDominatesIn(v23, r1) {
+	if !fullyDominatesIn(v23, r3, r1) {
 		t.Error("R3 should fully dominate R1 in {d2,d3}")
 	}
 	if !nonDominated(v23, r2) || !nonDominated(v23, r3) {
@@ -423,13 +466,13 @@ func TestPaperExample17DependencyDirection(t *testing.T) {
 	r2 := &Region{Lo: []float64{3, 5}, Hi: []float64{6, 8}}
 	r1 := &Region{Lo: []float64{5, 8}, Hi: []float64{7, 11}}
 	v := preference.NewSubspace(0, 1)
-	if !r2.BestCornerDominates(v, r1) {
+	if !bestCornerDominates(v, r2, r1) {
 		t.Error("R2's best corner should dominate R1's (edge R2→R1)")
 	}
-	if r1.BestCornerDominates(v, r2) {
+	if bestCornerDominates(v, r1, r2) {
 		t.Error("no reverse edge R1→R2")
 	}
-	if !r2.PartiallyDominatesIn(v, r1) && !r2.FullyDominatesIn(v, r1) {
+	if !partiallyDominatesIn(v, r2, r1) && !fullyDominatesIn(v, r2, r1) {
 		t.Error("R2 should at least partially dominate R1")
 	}
 }
@@ -446,7 +489,7 @@ func TestFullDominanceTransitiveQuick(t *testing.T) {
 			return &Region{Lo: lo, Hi: hi}
 		}
 		a, b, c := mk(0), mk(4), mk(8)
-		if a.FullyDominatesIn(v, b) && b.FullyDominatesIn(v, c) && !a.FullyDominatesIn(v, c) {
+		if fullyDominatesIn(v, a, b) && fullyDominatesIn(v, b, c) && !fullyDominatesIn(v, a, c) {
 			return false
 		}
 		return true

@@ -47,6 +47,7 @@ func (s *SharedSkyline) bindDynamic(sn *sharedNode, qi int, pref preference.Subs
 	sn.sub = append(preference.Subspace(nil), pref...)
 	sn.kern = preference.NewKernel(sn.sub)
 	sn.qserve = QSet(0).Add(qi)
+	sn.prefQ = sn.qserve
 	if s.clock != nil {
 		s.clock.CountCuboidSubspace(1)
 	}
@@ -72,9 +73,10 @@ func (s *SharedSkyline) InsertForQuery(payload, qi int) bool {
 // RetireQuery scrubs every trace of query qi from the shared skyline so its
 // bit position can be handed to a new query (SetDynamicQuery): the engine
 // half of lifting the session-lifetime query cap. At every node serving qi
-// the bit is cleared from the node's QServe set and from each window
-// entry's lineage and alive sets — a stale lineage bit would otherwise let
-// old points interact with the slot's next occupant. A node left serving no
+// the bit is cleared from the node's QServe set, from each window entry's
+// lineage and alive sets and from its payload's cand word — a stale lineage
+// bit would otherwise let old points interact with the slot's next
+// occupant, a stale cand bit make them its candidates. A node left serving no
 // query at all is reset wholesale and, if it is a dedicated dynamic node,
 // recycled through the node freelist.
 //
@@ -109,6 +111,7 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 				}
 				e.lineage &^= bit
 				e.alive &^= bit
+				s.mask(int(e.payload)).cand &^= bit
 				if e.alive == 0 {
 					s.clearMasks(sn, int(e.payload))
 					sn.dead++
@@ -119,6 +122,7 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 			s.compact(sn)
 		}
 	}
+	s.prefSN[qi].prefQ &^= bit
 	s.prefSN[qi] = nil
 }
 

@@ -58,12 +58,23 @@ func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*shared
 }
 
 // checkMembership compares every point lookup — find, the mask bits of every
-// node that has them, IsCandidate, Candidates — with the reference, for
-// every payload ever used plus a few that never were.
+// node that has them, IsCandidate and the cand word behind it, Candidates —
+// with the reference, for every payload ever used plus a few that never
+// were. IsCandidate is asked for every one of the 64 query bits: a retired
+// slot, or one never used, has no candidate.
 func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) {
 	t.Helper()
 	ref := make(map[*sharedNode]map[int]*sharedEntry, len(s.nodes))
 	for _, sn := range s.nodes {
+		var prefQ QSet
+		for qi, p := range s.prefSN {
+			if p == sn {
+				prefQ = prefQ.Add(qi)
+			}
+		}
+		if sn.prefQ != prefQ {
+			t.Fatalf("%s: node %d is the preference node of %v, prefQ says %v", step, sn.idx, prefQ, sn.prefQ)
+		}
 		m := liveMembers(t, s, sn)
 		ref[sn] = m
 		for p := 0; p < payloads+3; p++ {
@@ -80,8 +91,17 @@ func checkMembership(t *testing.T, s *SharedSkyline, payloads int, step string) 
 			}
 		}
 	}
-	for qi, sn := range s.prefSN {
+	for qi := 0; qi < 64; qi++ {
+		var sn *sharedNode
+		if qi < len(s.prefSN) {
+			sn = s.prefSN[qi]
+		}
 		if sn == nil {
+			for p := 0; p < payloads+3; p++ {
+				if s.IsCandidate(p, qi) {
+					t.Fatalf("%s: IsCandidate(%d, %d) for a query with no node", step, p, qi)
+				}
+			}
 			continue
 		}
 		var want []int
@@ -143,14 +163,25 @@ func TestMembershipMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			flips := map[string]int{}
 			for g, top := range []float64{2, 1} {
 				for seed := int64(1); seed <= 3; seed++ {
 					clock := metrics.NewClock()
 					s := NewSharedSkylineIn(c, clock, make([]float64, plan.d), box(plan.d, top))
-					runMembershipSchedule(t, s, plan.d, seed)
+					runMembershipSchedule(t, s, plan.d, seed, flips)
 					if got, want := clock.Counters().SkylineCmps, plan.cmps[g][seed-1]; got != want {
 						t.Errorf("grid [0, %g], seed %d: %d comparisons, want %d", top, seed, got, want)
 					}
+				}
+			}
+			// Every operation that writes alive sets must have moved some
+			// candidacy, so that checkMembership held IsCandidate to the
+			// windows across each kind of write.
+			// "reused-slot" counts the changes to slots SetDynamicQuery gave a
+			// new query after RetireQuery freed them.
+			for _, op := range []string{"insert", "kill", "retire", "resettle", "remove", "reused-slot"} {
+				if flips[op] == 0 {
+					t.Errorf("no %s changed a candidacy", op)
 				}
 			}
 		})
@@ -177,12 +208,25 @@ func allSubspaces(d int) []preference.Subspace {
 	return out
 }
 
-func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {
+// candOf is payload p's cand word, zero where no mask covers it yet.
+func candOf(s *SharedSkyline, p int) QSet {
+	if p>>maskShift < len(s.masks) {
+		return s.mask(p).cand
+	}
+	return 0
+}
+
+// runMembershipSchedule runs one random schedule on s, checking membership
+// after every step, and counts in flips, per operation, the (payload, query)
+// candidacies that the step changed, and under "reused-slot" those of
+// queries admitted into a retired query's slot.
+func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64, flips map[string]int) {
 	rng := rand.New(rand.NewSource(seed))
 	var pts [][]float64 // write-once: a payload keeps its coordinates for good
 	var lineages []QSet
 	dynamic := map[int]bool{} // live dynamically added queries
 	var retired []int         // slots RetireQuery freed
+	var reused QSet           // live queries SetDynamicQuery put in a freed slot
 
 	live := func() QSet {
 		var q QSet
@@ -223,7 +267,12 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {
 		}
 	}
 
+	var cands []QSet // each payload's candidacy before the step
 	for step := 0; step < 400; step++ {
+		cands = cands[:0]
+		for p := range pts {
+			cands = append(cands, candOf(s, p))
+		}
 		op := rng.Intn(20)
 		name := "insert"
 		switch {
@@ -275,6 +324,7 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {
 					qi = l.Next(0)
 				}
 				s.RetireQuery(qi)
+				reused &^= QSet(0).Add(qi)
 				delete(dynamic, qi)
 				retired = append(retired, qi)
 				for p := range lineages {
@@ -289,6 +339,7 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {
 				if err := s.SetDynamicQuery(qi, randPref()); err != nil {
 					t.Fatal(err)
 				}
+				reused = reused.Add(qi)
 				dynamic[qi] = true
 			}
 		default: // the delete repair: a point leaves every window, or is judged afresh
@@ -332,6 +383,10 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64) {
 			}
 		}
 		checkMembership(t, s, len(pts), name)
+		for p, was := range cands {
+			flips[name] += (candOf(s, p) ^ was).Count()
+			flips["reused-slot"] += ((candOf(s, p) ^ was) & reused).Count()
+		}
 	}
 }
 

@@ -91,8 +91,16 @@ type SharedSkyline struct {
 
 // payloadMasks are one payload's node bitmasks: member bit n ⇔ the payload
 // is a live member at node n; clean bit n additionally requires the entry's
-// clean flag. Only nodes 0–63 have a bit (nodeBit).
-type payloadMasks struct{ member, clean uint64 }
+// clean flag. Only nodes 0–63 have a bit (nodeBit). cand is indexed by
+// query, not node: bit q ⇔ the payload's entry at prefSN[q] is live and
+// alive for q — IsCandidate in one load. Every write of an alive set keeps
+// it: clearMasks drops the node's prefQ where an entry dies, and insertAt,
+// evictMasked, KillForQueries and RetireQuery adjust it where an alive set
+// changes otherwise.
+type payloadMasks struct {
+	member, clean uint64
+	cand          QSet
+}
 
 // nodeBit is sn's bit in the payload masks, zero for a node at index ≥ 64
 // (a Go shift by ≥ 64 is 0). A zero bit is in no childMask, so such a node
@@ -161,6 +169,7 @@ type sharedNode struct {
 	sub       preference.Subspace
 	kern      preference.Kernel
 	qserve    QSet
+	prefQ     QSet     // the queries whose full-preference node this is (prefSN)
 	blocks    []*block // the window: key-ascending, no block empty
 	size      int      // window entries, dead ones included
 	dead      int      // window entries with alive == 0 awaiting compaction
@@ -230,6 +239,7 @@ func NewSharedSkylineIn(c *Cuboid, clock *metrics.Clock, lo, hi []float64) *Shar
 	}
 	for i := 0; i < c.NumQueries(); i++ {
 		s.prefSN[i] = byNode[c.PreferenceNode(i)]
+		s.prefSN[i].prefQ = s.prefSN[i].prefQ.Add(i)
 	}
 	if clock != nil {
 		clock.CountCuboidSubspace(int64(len(s.nodes)))
@@ -266,13 +276,8 @@ func (s *SharedSkyline) Insert(payload int, vals []float64, lineage QSet) QSet {
 			continue
 		}
 		// Candidacy is read at the full-preference node of each query
-		// (prefSN covers the cuboid's queries plus any added dynamically).
-		alive := s.insertAt(sn, payload, vals, relevant)
-		for i := alive.Next(0); i >= 0; i = alive.Next(i + 1) {
-			if s.prefSN[i] == sn {
-				out = out.Add(i)
-			}
-		}
+		// (prefQ covers the cuboid's queries plus any added dynamically).
+		out |= s.insertAt(sn, payload, vals, relevant) & sn.prefQ
 	}
 	return out
 }
@@ -293,15 +298,8 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 			continue
 		}
 		s.replaced = 0
-		alive := s.insertAt(sn, payload, vals, relevant)
-		either := alive | s.replaced
-		for i := either.Next(0); i >= 0; i = either.Next(i + 1) {
-			if s.prefSN[i] == sn {
-				bit := QSet(0).Add(i)
-				now |= alive & bit
-				was |= s.replaced & bit
-			}
-		}
+		now |= s.insertAt(sn, payload, vals, relevant) & sn.prefQ
+		was |= s.replaced & sn.prefQ
 	}
 	s.replacing = false
 	return now, was
@@ -461,6 +459,7 @@ prefix:
 	// run.
 	s.place(sn, &sharedEntry{payload: int32(payload), key: zp, lineage: relevant, alive: aliveP, clean: cleanP, proj: p})
 	pm.member |= bit
+	pm.cand |= aliveP & sn.prefQ
 	if cleanP {
 		pm.clean |= bit
 	} else {
@@ -476,11 +475,13 @@ prefix:
 // happened — the common no-eviction scan writes no slot. A block that
 // loses entries gets its bounds recomputed, and one left empty becomes a
 // spare. An evicted member loses its mask bits, a member p weakly
-// dominates its clean bit. It returns p's clean flag and the comparisons
-// made.
+// dominates its clean bit, a member p strictly dominates its candidacy for
+// the relevant queries this node is the preference node of. It returns p's
+// clean flag and the comparisons made.
 func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bool, vals []float64, relevant QSet, pMemberChildren uint64, bi, ei int, cleanP bool) (clean bool, cmps int64) {
 	blocks, masks := sn.blocks, s.masks
 	bit := nodeBit(sn)
+	candDrop := relevant & sn.prefQ
 	keep, dead, gone := bi, 0, 0
 	for ; bi < len(blocks); bi, ei = bi+1, 0 {
 		b := blocks[bi]
@@ -521,6 +522,9 @@ func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bo
 					}
 					if !wWeakP { // strict: p ≺ w
 						w.alive &^= relevant
+						if candDrop != 0 {
+							maskAt(masks, int(w.payload)).cand &^= candDrop
+						}
 						if w.alive == 0 {
 							wm := maskAt(masks, int(w.payload))
 							wm.member &^= bit
@@ -557,12 +561,14 @@ func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bo
 	return cleanP, cmps
 }
 
-// clearMasks drops payload's member and clean bits for node sn.
+// clearMasks drops payload's member and clean bits for node sn, and its
+// candidacy for the queries sn is the preference node of: the entry died.
 func (s *SharedSkyline) clearMasks(sn *sharedNode, payload int) {
 	bit := nodeBit(sn)
 	pm := s.mask(payload)
 	pm.member &^= bit
 	pm.clean &^= bit
+	pm.cand &^= sn.prefQ
 }
 
 // KillForQueries removes candidacy of a point for the given queries across
@@ -578,6 +584,7 @@ func (s *SharedSkyline) KillForQueries(payload int, dead QSet) {
 			continue
 		}
 		e.alive &^= dead
+		s.mask(payload).cand &^= dead & sn.prefQ
 		if e.alive == 0 {
 			s.bury(sn, payload)
 		}
@@ -645,10 +652,10 @@ func (s *SharedSkyline) Candidates(qi int) []int {
 	return out
 }
 
-// IsCandidate reports whether a point is currently alive for query qi.
+// IsCandidate reports whether a point is currently alive for query qi: its
+// cand bit, with no window search.
 func (s *SharedSkyline) IsCandidate(payload, qi int) bool {
-	e := s.find(s.prefSN[qi], payload)
-	return e != nil && e.alive.Has(qi)
+	return payload >= 0 && payload>>maskShift < len(s.masks) && s.mask(payload).cand.Has(qi)
 }
 
 // PointVals returns the stored coordinates of an inserted point (a view
