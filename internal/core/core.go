@@ -27,8 +27,8 @@ type Options struct {
 	// GridResolution is the number of output-grid cells per dimension used
 	// for ProgCount and emission decisions (default 64).
 	GridResolution int
-	// ExactProgCountCap enumerates a region's output cells exactly when
-	// its cell count in the query subspace is at most this value; larger
+	// ExactProgCountCap counts a region's undominated output cells exactly
+	// when its cell count in the query subspace is at most this value; larger
 	// regions use the volume-fraction estimate (default 512; set negative
 	// to always use the volume estimate — the ablation toggle).
 	ExactProgCountCap int64

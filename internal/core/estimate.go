@@ -138,18 +138,19 @@ func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
 
 // progCount implements Definition 11: the number of rc's output cells (in
 // the query's preference subspace) not dominated by any live region that
-// serves the same query. Small regions are enumerated exactly over the
-// output grid; larger ones use the volume-fraction estimate with the
-// independence approximation for the union (see DESIGN.md).
+// serves the same query. Small regions are counted exactly over the output
+// grid; larger ones use the volume-fraction estimate with the independence
+// approximation for the union (see DESIGN.md).
 func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
-	total = float64(st.space.CellCount(rc, pref))
+	cells := st.space.CellCount(rc, pref)
+	total = float64(cells)
 	if len(doms) == 0 {
 		return total, total
 	}
 	cap64 := st.e.opt.ExactProgCountCap
 	if cap64 > 0 && total <= float64(cap64) {
-		return st.exactProgCount(rc, pref, doms), total
+		return st.exactProgCount(rc, pref, doms, cells), total
 	}
 	// Volume estimate: fraction of rc not covered by the union of the
 	// dominated sub-boxes, approximating independence across dominators.
@@ -163,77 +164,100 @@ func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (pr
 	return free * total, total
 }
 
-// exactProgCount enumerates rc's grid cells in the preference subspace and
-// counts those whose lower corner no dominator's best corner weakly
-// dominates. The cell's corner is kept per axis and recomputed, by the same
-// expression, only on the axes the odometer moves; the dominators' corners
-// on the preference axes are gathered into one flat scratch, and the one
-// that covered the last covered cell is tested first (neighbouring cells
-// share their dominators). A cell's outcome does not depend on the order
-// the dominators are tested in, so the count and the one cell operation
-// charged per cell are those of testing every dominator in turn. doms is
-// not empty: progCount answers an empty list itself.
-func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, doms []*region.Region) float64 {
+// exactProgCount counts rc's grid cells in the preference subspace whose
+// lower corner no dominator's best corner weakly dominates; cells is rc's
+// CellCount there. A cell's corner GridLo[k] + coord·GridStep[k] does not
+// fall as coord grows (GridStep > 0), so a dominator covers exactly the
+// cells whose coordinate reaches its threshold on every axis (coverFrom).
+// Along the widest axis, the row axis, the covered cells of a row are then
+// a suffix, and the row's uncovered count is the least row threshold among
+// the dominators whose other thresholds the row reaches. The table holds
+// that least threshold per row for the dominators whose other thresholds
+// equal the row's coordinates; a prefix minimum over each other axis
+// extends it to all that the row reaches, and the count is the table's sum.
+// One cell operation is charged per cell, as testing every cell did. doms
+// is not empty: progCount answers an empty list itself.
+func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, doms []*region.Region, cells int64) float64 {
+	st.clock.CountCellOp(cells)
 	g := st.space
 	n := len(pref)
 	axes := slices.Grow(st.progAxes[:0], 3*n)[:3*n]
-	lo, hi, coord := axes[:n], axes[n:2*n], axes[2*n:]
-	flat := slices.Grow(st.progCorners[:0], (len(doms)+1)*n)[:(len(doms)+1)*n]
-	corner, domLo := flat[:n], flat[n:]
-	st.progAxes, st.progCorners = axes, flat
+	lo, ext, stride := axes[:n], axes[n:2*n], axes[2*n:]
+	row := 0
 	for i, k := range pref {
 		lo[i] = int(math.Floor((rc.Lo[k] - g.GridLo[k]) / g.GridStep[k]))
-		hi[i] = int(math.Floor((rc.Hi[k] - g.GridLo[k]) / g.GridStep[k]))
-		coord[i] = lo[i]
-		corner[i] = g.GridLo[k] + float64(coord[i])*g.GridStep[k]
+		hi := int(math.Floor((rc.Hi[k] - g.GridLo[k]) / g.GridStep[k]))
+		ext[i] = max(hi-lo[i]+1, 1)
+		if ext[i] > ext[row] {
+			row = i
+		}
 	}
-	for j, rf := range doms {
+	size := 1
+	for i := range pref {
+		if i != row {
+			stride[i] = size
+			size *= ext[i]
+		}
+	}
+	axes = slices.Grow(axes, size)[:3*n+size]
+	st.progAxes = axes
+	table := axes[3*n:]
+	for j := range table {
+		table[j] = ext[row]
+	}
+next:
+	for _, rf := range doms {
+		at, t := 0, 0
 		for i, k := range pref {
-			domLo[j*n+i] = rf.Lo[k]
-		}
-	}
-	count := 0.0
-	last := 0
-	for {
-		st.clock.CountCellOp(1)
-		dominated := weakBelow(domLo[last*n:last*n+n], corner)
-		for j := 0; j < len(doms) && !dominated; j++ {
-			if j != last && weakBelow(domLo[j*n:j*n+n], corner) {
-				dominated, last = true, j
+			c := coverFrom(rf.Lo[k], g.GridLo[k], g.GridStep[k], lo[i], ext[i])
+			switch {
+			case c == ext[i]:
+				continue next // covers no cell of rc
+			case i == row:
+				t = c
+			default:
+				at += c * stride[i]
 			}
 		}
-		if !dominated {
-			count++
+		table[at] = min(table[at], t)
+	}
+	for i := range pref {
+		if i == row {
+			continue
 		}
-		// Advance the odometer.
-		i := 0
-		for ; i < n; i++ {
-			k := pref[i]
-			coord[i]++
-			if coord[i] <= hi[i] {
-				corner[i] = g.GridLo[k] + float64(coord[i])*g.GridStep[k]
-				break
+		s, span := stride[i], stride[i]*ext[i]
+		for b := 0; b < size; b += span {
+			for j := b + s; j < b+span; j++ {
+				table[j] = min(table[j], table[j-s])
 			}
-			coord[i] = lo[i]
-			corner[i] = g.GridLo[k] + float64(coord[i])*g.GridStep[k]
-		}
-		if i == n {
-			break
 		}
 	}
-	return count
+	count := 0
+	for _, t := range table {
+		count += t
+	}
+	return float64(count)
 }
 
-// weakBelow reports whether no lane of d lies above c's: d weakly dominates
-// c. A NaN lane counts as not above, as `>` has it.
-func weakBelow(d, c []float64) bool {
-	c = c[:len(d)]
-	for i, v := range d {
-		if v > c[i] {
-			return false
-		}
+// coverFrom returns the first of the ext grid coordinates from lo at which
+// v no longer lies above the cell corner base + coord·step, counted from
+// lo, or ext if v lies above every one. The corners do not fall as coord
+// grows, so the answer is a boundary: a Ceil guess, walked to it with the
+// exact test. A NaN v lies above none, as `>` has it.
+func coverFrom(v, base, step float64, lo, ext int) int {
+	c := 0
+	if guess := math.Ceil((v-base)/step) - float64(lo); guess >= float64(ext) {
+		c = ext
+	} else if guess > 0 {
+		c = int(guess)
 	}
-	return true
+	for c > 0 && !(v > base+float64(lo+c-1)*step) {
+		c--
+	}
+	for c < ext && v > base+float64(lo+c)*step {
+		c++
+	}
+	return c
 }
 
 // progEst implements Eq. 10: the expected number of results of rc that can

@@ -145,10 +145,9 @@ type state struct {
 	goneScratch  []int
 	vsScratch    []float64
 	domScratch   [][]*region.Region
-	// exactProgCount's odometer (lo, hi and coordinate per axis) and its
-	// flat corners (the cell's, then each dominator's).
-	progAxes    []int
-	progCorners []float64
+	// exactProgCount's integers: first coordinate, extent and table stride
+	// per axis, then its threshold table.
+	progAxes []int
 	// Delete's repair lists: window entries taken out, results to re-settle.
 	removedScratch  []skycube.Removed
 	resettleScratch []int

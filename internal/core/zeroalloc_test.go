@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"unsafe"
@@ -8,6 +9,8 @@ import (
 	"caqe/internal/datagen"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
+	"caqe/internal/preference"
+	"caqe/internal/region"
 	"caqe/internal/run"
 	"caqe/internal/workload"
 )
@@ -147,6 +150,30 @@ func TestDiscardZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { js.NestedLoop(w.JoinConds[0], w.OutDims, left, right, clock) }); allocs != 0 {
 		t.Fatalf("NestedLoop allocates %.1f per join", allocs)
+	}
+}
+
+// TestExactProgCountZeroAlloc pins the exact ProgCount at zero allocations
+// once its table has grown: a call reuses the state's integer scratch.
+func TestExactProgCountZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	pref := preference.NewSubspace(0, 1, 2)
+	sp, rc, base, at := progGrid(rng, []int{9, 6, 5})
+	doms := make([]*region.Region, 40)
+	for j := range doms {
+		rf := &region.Region{Lo: make([]float64, 3)}
+		for k := range rf.Lo {
+			rf.Lo[k] = at(k, base[k]+rng.Intn(9))
+		}
+		doms[j] = rf
+	}
+	st := &state{space: sp, clock: metrics.NewClock()}
+	cells := sp.CellCount(rc, pref)
+	if n := st.exactProgCount(rc, pref, doms, cells); n == 0 || n == float64(cells) {
+		t.Fatalf("%g of %d cells uncovered: the table decides nothing", n, cells)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { st.exactProgCount(rc, pref, doms, cells) }); allocs != 0 {
+		t.Fatalf("exactProgCount allocates %.1f per call", allocs)
 	}
 }
 

@@ -387,8 +387,7 @@ func (u QueryDims) Pair(a, b []float64) (notWeak, strict skycube.QSet) {
 }
 
 // CellCount returns the number of grid cells a region spans in subspace v
-// (Definition 10's CellCount), saturating at math.MaxInt64 conceptually but
-// practically capped by float conversion.
+// (Definition 10's CellCount), saturating at 1<<62.
 func (s *Space) CellCount(r *Region, v preference.Subspace) int64 {
 	n := int64(1)
 	for _, k := range v {
@@ -421,7 +420,7 @@ func DominatedFraction(v preference.Subspace, r, o *Region) float64 {
 			}
 			return 0
 		}
-		covered := (r.Hi[k] - math.Max(r.Lo[k], o.Lo[k])) / ext
+		covered := (r.Hi[k] - max(r.Lo[k], o.Lo[k])) / ext
 		if covered <= 0 {
 			return 0
 		}

@@ -319,6 +319,65 @@ func TestCellCountPositive(t *testing.T) {
 	}
 }
 
+// TestBuiltinMaxMatchesMathMax: DominatedFraction takes the larger lower
+// bound with the builtin max, which the compiler inlines, where math.Max is
+// an assembly call on amd64. The two agree bit for bit on every pair of
+// NaN, ±0, ±Inf and ordinary values but one: math.Max puts +Inf before
+// NaN, the builtin NaN before +Inf. In DominatedFraction that pair makes
+// the extent NaN too (r.Lo is NaN, or +Inf with r.Hi ≥ r.Lo), so the
+// fraction is NaN either way; the second half checks the function against
+// its math.Max form on every combination of those values.
+func TestBuiltinMaxMatchesMathMax(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan, inf := math.NaN(), math.Inf(1)
+	vals := []float64{nan, inf, -inf, 0, negZero, 1, -1, 0.5, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	for _, x := range vals {
+		for _, y := range vals {
+			got, want := max(x, y), math.Max(x, y)
+			if (math.IsNaN(x) && y == inf) || (x == inf && math.IsNaN(y)) {
+				if !math.IsNaN(got) || want != inf {
+					t.Errorf("max(%g, %g) = %g, math.Max %g: want NaN and +Inf", x, y, got, want)
+				}
+				continue
+			}
+			if !same(got, want) {
+				t.Errorf("max(%g, %g) = %g (bits %#x), math.Max %g (bits %#x)", x, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+
+	// DominatedFraction as it read with math.Max.
+	withMathMax := func(r, o *Region) float64 {
+		ext := r.Hi[0] - r.Lo[0]
+		if ext <= 0 {
+			if o.Lo[0] <= r.Lo[0] {
+				return 1
+			}
+			return 0
+		}
+		covered := (r.Hi[0] - math.Max(r.Lo[0], o.Lo[0])) / ext
+		if covered <= 0 {
+			return 0
+		}
+		return min(covered, 1)
+	}
+	v := preference.NewSubspace(0)
+	for _, lo := range vals {
+		for _, hi := range vals {
+			for _, olo := range vals {
+				r := &Region{Lo: []float64{lo}, Hi: []float64{hi}}
+				o := &Region{Lo: []float64{olo}}
+				if got, want := DominatedFraction(v, r, o), withMathMax(r, o); !same(got, want) {
+					t.Errorf("DominatedFraction on [%g, %g] by %g = %g, with math.Max %g", lo, hi, olo, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestDominatedFractionRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	v := preference.NewSubspace(0, 1)
