@@ -101,7 +101,7 @@ type (
 )
 
 // Execution tracing, re-exported from internal/trace. A Tracer attached
-// via WithTracer (or Options.Tracer) receives one structured event per
+// via Options.Tracer receives one structured event per
 // optimizer decision, emission batch and feedback update; tracing performs
 // no counted work, so a traced run's report is byte-identical to an
 // untraced one.
@@ -185,10 +185,10 @@ func CustomContract(name string, fn func(ts float64) float64) Contract {
 	return contract.Func(name, fn)
 }
 
-// RunOption configures one aspect of an execution — see WithTotals,
-// WithOnEmit and WithTracer. A bare Options value is also a
-// RunOption (it installs the whole engine-options block). Options apply in
-// the order given.
+// RunOption configures one aspect of an execution — see WithTotals and
+// WithOnEmit. A bare Options value is also a RunOption (it installs the
+// whole engine-options block, trace sink included). Options apply in the
+// order given.
 type RunOption = core.RunOption
 
 // WithTotals supplies the exact final result cardinality of each query for
@@ -204,13 +204,6 @@ func WithTotals(estTotals []int) RunOption {
 // result reporting.
 func WithOnEmit(fn func(Emission)) RunOption {
 	return core.RunOptionFunc(func(c *core.RunConfig) { c.OnEmit = fn })
-}
-
-// WithTracer attaches a structured trace sink to the execution (see
-// NewJSONLTracer, NewTraceAggregator, MultiTracer). It takes precedence
-// over Options.Tracer when both are given.
-func WithTracer(tr Tracer) RunOption {
-	return core.RunOptionFunc(func(c *core.RunConfig) { c.Tracer = tr })
 }
 
 // Run executes the workload with the CAQE engine and returns the report.

@@ -38,7 +38,7 @@ func main() {
 		dims       = flag.Int("dims", 0, fmt.Sprintf("output dimensionality d (default %d)", d.Dims))
 		sel        = flag.Float64("sel", 0, fmt.Sprintf("join selectivity σ (default %g)", d.Selectivity))
 		seed       = flag.Int64("seed", 0, fmt.Sprintf("dataset seed (default %d)", d.Seed))
-		cells      = flag.Int("cells", 0, fmt.Sprintf("quad-tree leaf cells per relation (default %d)", d.TargetCells))
+		cells      = flag.Int("cells", 0, fmt.Sprintf("input leaf cells per relation (default %d)", d.TargetCells))
 		traceFile  = flag.String("trace", "", "write the structured execution trace of every measured run to this JSONL file")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")

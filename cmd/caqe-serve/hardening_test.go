@@ -194,6 +194,14 @@ func TestMetricsExposition(t *testing.T) {
 		t.Errorf("entries_removed %g after deleting a skyline row, want at least 1", v)
 	}
 	metricValue(t, body, `caqe_mutations_total{kind="results_resettled"}`) // present, whatever its value
+	// The trace aggregator hangs on the engine options: it must have seen
+	// the run's scheduling decisions and the delete's delta event.
+	if v := metricValue(t, body, `caqe_trace_events_total{kind="decision"}`); v <= 0 {
+		t.Errorf("decision events %g, want some", v)
+	}
+	if v := metricValue(t, body, `caqe_trace_events_total{kind="delta"}`); v < 1 {
+		t.Errorf("delta events %g after a delete, want at least 1", v)
+	}
 
 	for _, name := range []string{
 		"caqe_http_requests_total", "caqe_http_request_duration_seconds_bucket",

@@ -81,7 +81,7 @@ func main() {
 		keys    = flag.Int("keys", 2, "key columns per relation (one join condition each)")
 		seed    = flag.Int64("seed", 2014, "dataset seed")
 		maxConc = flag.Int("max-concurrent", 16, "maximum simultaneously open queries (0 = engine limit)")
-		cells   = flag.Int("cells", 0, "quad-tree leaf cells per relation (default engine choice)")
+		cells   = flag.Int("cells", 0, "input leaf cells per relation (default engine choice)")
 
 		clock      = flag.String("clock", "virtual", "engine clock: virtual (deterministic) or wall (real-time deadlines)")
 		retryAfter = flag.Int("retry-after", 1, "Retry-After header value in seconds on 429/503 rejections")

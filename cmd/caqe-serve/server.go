@@ -139,9 +139,8 @@ func newServer(cfg serverConfig) (*server, error) {
 		R: r, T: t,
 		JoinConds:     joinConds,
 		OutDims:       outDims,
-		Engine:        caqe.Options{TargetCells: cfg.TargetCells, WallClock: wall},
+		Engine:        caqe.Options{TargetCells: cfg.TargetCells, WallClock: wall, Tracer: agg},
 		MaxConcurrent: cfg.MaxConcurrent,
-		Tracer:        agg,
 		Backpressure: caqe.SessionBackpressure{
 			HighWater: cfg.MaxBuffered,
 			Policy:    caqe.SessionDeliveryPolicy(cfg.BufferPolicy),

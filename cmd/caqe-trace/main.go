@@ -1,5 +1,5 @@
 // Command caqe-trace inspects the structured execution traces written by
-// caqe, caqe-bench and the library's JSONL tracer (-trace / WithTracer):
+// caqe, caqe-bench and the library's JSONL tracer (-trace / Options.Tracer):
 // per-run decision summaries, per-query delivery curves, and side-by-side
 // schedule diffs between strategies.
 //

@@ -163,7 +163,7 @@ func openTracer(path string) (caqe.Tracer, func(), error) {
 }
 
 func runOne(w *workload.Workload, r, t *caqe.Relation, totals []int, name string, verbose bool, tracer caqe.Tracer) error {
-	opts := []caqe.RunOption{caqe.WithTotals(totals), caqe.WithTracer(tracer)}
+	opts := []caqe.RunOption{caqe.Options{Tracer: tracer}, caqe.WithTotals(totals)}
 	if verbose && name == "CAQE" {
 		opts = append(opts, caqe.WithOnEmit(func(e caqe.Emission) {
 			fmt.Printf("[t=%9.2fs] %-4s R#%-5d T#%-5d %v\n", e.Time, w.Queries[e.Query].Name, e.RID, e.TID, e.Out)

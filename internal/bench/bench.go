@@ -35,7 +35,7 @@ type Config struct {
 	NumQueries     int     // |S_Q| (paper: 11)
 	Selectivity    float64 // equi-join selectivity σ
 	Seed           int64   // dataset seed
-	TargetCells    int     // quad-tree leaves per relation
+	TargetCells    int     // input leaf cells per relation
 	GridResolution int     // output grid resolution
 
 	// Tracer, when set, receives the structured execution trace of every

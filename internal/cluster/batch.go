@@ -15,24 +15,14 @@ import (
 )
 
 // Options configures one sharded batch execution. R is range-partitioned
-// and every shard executor runs at the engine's default granularity.
+// and every shard runs CAQE at the engine's default granularity.
 type Options struct {
-	// Shards is the shard count N (0 and 1 both mean unsharded).
+	// Shards is the shard count N (0 means 1).
 	Shards int
-	// Strategy names the per-shard execution technique — any name
-	// baseline.Find knows; default CAQE.
-	Strategy string
-	// Totals supplies per-query final cardinalities for cardinality-based
-	// contracts on the merged report. Shard executors always run
-	// quota-blind (a shard cannot know the global cardinality); with one
-	// shard the totals pass through to the (sole) executor, preserving
-	// byte-identity with an unsharded run.
-	Totals []int
 	// Tracer receives the coordinator's event stream: one run bracket
 	// around the per-(query, shard) merge events and the merged emission
 	// batches. Shard executors run untraced (they execute concurrently;
 	// their schedules are an implementation detail of the scatter phase).
-	// With one shard the tracer attaches to the executor itself.
 	Tracer trace.Tracer
 }
 
@@ -53,17 +43,18 @@ type RunStats struct {
 }
 
 // Run executes the workload sharded: R is partitioned per the topology,
-// every shard runs the named strategy over its partition (concurrently,
-// each on its own engine and virtual clock), and the coordinator gathers
-// the local skylines, translates row IDs back to global, runs the final
+// every shard runs CAQE over its partition (concurrently, each on its own
+// engine and virtual clock, quota-blind), and the coordinator gathers the
+// local skylines, translates row IDs back to global, runs the final
 // dominance-merge pass per query, and delivers the merged result set in
-// deterministic (virtual time, shard id, rid, tid) order.
+// deterministic (virtual time, shard id, rid, tid) order. The merged
+// report has no cardinality totals: no shard knows the global ones.
 //
 // The merged report's counters are the sum of the shard counters plus the
 // merge-pass comparisons; its end time is the latest shard end time plus
 // the merge cost — the makespan of an idealized cluster whose shards run
-// in parallel and whose coordinator then merges. With one shard the shard
-// report passes through verbatim, byte-identical to an unsharded run.
+// in parallel and whose coordinator then merges. One shard takes the same
+// path; its merge charges nothing (Merge).
 func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, *RunStats, error) {
 	if err := w.Validate(); err != nil {
 		return nil, nil, err
@@ -76,38 +67,10 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 	if err != nil {
 		return nil, nil, err
 	}
-	name := opt.Strategy
-	if name == "" {
-		name = "CAQE"
-	}
 	parts, table := m.Partition(r)
 	stats := &RunStats{Map: m, Shards: make([]ShardRun, m.Shards)}
-
-	// Single shard: the coordinator is the identity. Totals and tracer
-	// attach to the one executor, so the report is byte-identical to an
-	// unsharded run (the merge pass and its charges vanish — a
-	// zero-candidate fold costs nothing).
-	if m.Shards == 1 {
-		strat, err := baseline.Find(name, baseline.Options{Tracer: opt.Tracer})
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: %w", err)
-		}
-		rep, err := strat.Run(w, parts[0], t, opt.Totals)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats.Shards[0] = ShardRun{Rows: parts[0].Len(), EndTime: rep.EndTime, Counters: rep.Counters}
-		stats.Merge = make([]MergeStats, len(w.Queries))
-		for qi := range w.Queries {
-			stats.Merge[qi] = MergeStats{CandsIn: len(rep.PerQuery[qi]), CandsOut: len(rep.PerQuery[qi])}
-		}
-		return rep, stats, nil
-	}
-
-	strat, err := baseline.Find(name, baseline.Options{})
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: %w", err)
-	}
+	// CAQE is the first of the compared strategies.
+	strat := baseline.All(baseline.Options{})[0]
 
 	// Scatter: every shard executes independently on its own clock.
 	reps := make([]*run.Report, m.Shards)
@@ -139,7 +102,7 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 
 	// Gather + merge. The coordinator clock starts where the slowest shard
 	// finished; merge comparisons are the only work charged on it.
-	rep := run.NewReport(name, w, opt.Totals)
+	rep := run.NewReport(strat.Name, w, nil)
 	rep.StartTrace(opt.Tracer)
 	clock := metrics.NewClock()
 	clock.Advance(maxEnd * metrics.VirtualSecond)
@@ -156,7 +119,7 @@ func Run(w *workload.Workload, r, t *tuple.Relation, opt Options) (*run.Report, 
 			byShard[s] = cands
 		}
 		kern := preference.NewKernel(w.Queries[qi].Pref)
-		surv, mst := Merge(&kern, byShard, clock, opt.Tracer, name, qi)
+		surv, mst := Merge(&kern, byShard, clock, opt.Tracer, strat.Name, qi)
 		stats.Merge[qi] = mst
 		stats.MergeCmps += mst.Cmps
 		merged = append(merged, surv...)

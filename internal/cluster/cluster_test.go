@@ -103,10 +103,10 @@ func TestShardMapInvariants(t *testing.T) {
 }
 
 // TestShardedRunMatchesUnsharded is the subsystem's core property: for
-// every strategy × distribution × N ∈ {1,2,3,4}, (a) the union of local
-// skylines is a superset of the global skyline, and (b) the coordinator's
+// every distribution × N ∈ {1,2,3,4}, (a) the union of local skylines is
+// a superset of the global skyline, and (b) the coordinator's
 // dominance-merge pass restores exact result-set equality with an
-// unsharded batch run. Run with -race this also shakes the concurrent
+// unsharded CAQE run. Run with -race this also shakes the concurrent
 // scatter.
 func TestShardedRunMatchesUnsharded(t *testing.T) {
 	w := testWorkload()
@@ -116,45 +116,35 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			totals, err := caqe.GroundTruth(w, r, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, name := range caqe.StrategyNames() {
-				t.Run(string(name), func(t *testing.T) {
-					ref, err := caqe.RunStrategy(name, w, r, tt, caqe.WithTotals(totals))
+			t.Run("CAQE", func(t *testing.T) {
+				ref, err := caqe.Run(w, r, tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for shards := 1; shards <= 4; shards++ {
+					rep, stats, err := cluster.Run(w, r, tt, cluster.Options{Shards: shards})
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("N=%d: %v", shards, err)
 					}
-					for shards := 1; shards <= 4; shards++ {
-						rep, stats, err := cluster.Run(w, r, tt, cluster.Options{
-							Shards:   shards,
-							Strategy: string(name),
-							Totals:   totals,
-						})
-						if err != nil {
-							t.Fatalf("N=%d: %v", shards, err)
+					if ok, diff := run.SameResults(ref, rep); !ok {
+						t.Fatalf("N=%d: merged result set differs: %s", shards, diff)
+					}
+					for qi := range w.Queries {
+						ms := stats.Merge[qi]
+						if ms.CandsIn < len(ref.PerQuery[qi]) {
+							t.Fatalf("N=%d query %d: union of local skylines has %d candidates, global skyline %d — superset property violated",
+								shards, qi, ms.CandsIn, len(ref.PerQuery[qi]))
 						}
-						if ok, diff := run.SameResults(ref, rep); !ok {
-							t.Fatalf("N=%d: merged result set differs: %s", shards, diff)
-						}
-						for qi := range w.Queries {
-							ms := stats.Merge[qi]
-							if ms.CandsIn < len(ref.PerQuery[qi]) {
-								t.Fatalf("N=%d query %d: union of local skylines has %d candidates, global skyline %d — superset property violated",
-									shards, qi, ms.CandsIn, len(ref.PerQuery[qi]))
-							}
-							if ms.CandsOut != len(rep.PerQuery[qi]) {
-								t.Fatalf("N=%d query %d: merge reports %d survivors, report has %d",
-									shards, qi, ms.CandsOut, len(rep.PerQuery[qi]))
-							}
-						}
-						if shards == 1 && stats.MergeCmps != 0 {
-							t.Fatalf("N=1 charged %d merge comparisons", stats.MergeCmps)
+						if ms.CandsOut != len(rep.PerQuery[qi]) {
+							t.Fatalf("N=%d query %d: merge reports %d survivors, report has %d",
+								shards, qi, ms.CandsOut, len(rep.PerQuery[qi]))
 						}
 					}
-				})
-			}
+					if shards == 1 && stats.MergeCmps != 0 {
+						t.Fatalf("N=1 charged %d merge comparisons", stats.MergeCmps)
+					}
+				}
+			})
 		})
 	}
 }
@@ -203,31 +193,6 @@ func TestUnionOfLocalSkylinesSuperset(t *testing.T) {
 	}
 }
 
-// TestSingleShardByteIdentical pins the N=1 passthrough: a one-shard
-// sharded run must be byte-identical to the unsharded batch run — same
-// emissions in the same order with equal timestamps, same counters, same
-// end time.
-func TestSingleShardByteIdentical(t *testing.T) {
-	w := testWorkload()
-	r, tt, err := caqe.GeneratePair(240, 3, caqe.Independent, []float64{0.05, 0.05}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	totals, err := caqe.GroundTruth(w, r, tt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := caqe.RunStrategy("CAQE", w, r, tt, caqe.WithTotals(totals))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := cluster.Run(w, r, tt, cluster.Options{Shards: 1, Totals: totals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalReports(t, want, got)
-}
-
 // TestShardedRunTraced checks the coordinator's trace stream: one run
 // bracket, shardmerge events that validate, and counters matching the
 // merge accounting.
@@ -272,34 +237,3 @@ func TestShardedRunTraced(t *testing.T) {
 type traceFunc func(trace.Event)
 
 func (f traceFunc) Trace(ev trace.Event) { f(ev) }
-
-// requireIdenticalReports mirrors the root determinism suite's assertion.
-func requireIdenticalReports(t *testing.T, want, got *run.Report) {
-	t.Helper()
-	if ok, diff := run.SameResults(want, got); !ok {
-		t.Fatalf("result sets differ: %s", diff)
-	}
-	for qi := range want.PerQuery {
-		we, ge := want.PerQuery[qi], got.PerQuery[qi]
-		if len(we) != len(ge) {
-			t.Fatalf("query %d: %d vs %d emissions", qi, len(we), len(ge))
-		}
-		for i := range we {
-			if we[i].RID != ge[i].RID || we[i].TID != ge[i].TID || we[i].Time != ge[i].Time {
-				t.Fatalf("query %d emission %d: (%d,%d,%v) vs (%d,%d,%v)",
-					qi, i, we[i].RID, we[i].TID, we[i].Time, ge[i].RID, ge[i].TID, ge[i].Time)
-			}
-			for k := range we[i].Out {
-				if we[i].Out[k] != ge[i].Out[k] {
-					t.Fatalf("query %d emission %d dim %d: %v vs %v", qi, i, k, we[i].Out[k], ge[i].Out[k])
-				}
-			}
-		}
-	}
-	if want.Counters != got.Counters {
-		t.Fatalf("counters differ:\n  unsharded: %+v\n  sharded:   %+v", want.Counters, got.Counters)
-	}
-	if want.EndTime != got.EndTime {
-		t.Fatalf("end time %v vs %v", want.EndTime, got.EndTime)
-	}
-}

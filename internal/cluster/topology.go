@@ -14,8 +14,8 @@
 // built on.
 //
 // Two execution paths share the topology and merge machinery: Run executes
-// a whole workload batch-style with any strategy per shard (deterministic,
-// used by the property tests), and Coordinator scatters online session
+// a whole workload batch-style with CAQE on every shard (deterministic,
+// used by the property tests and the benchmark), and Coordinator scatters online session
 // queries over ShardConn transports — in-process sessions or remote
 // caqe-serve nodes over HTTP — and gathers, merges and delivers each
 // query's results.

@@ -20,7 +20,7 @@ import (
 
 // Options tunes the CAQE engine. The zero value selects sensible defaults.
 type Options struct {
-	// TargetCells is the desired number of quad-tree leaf cells per input
+	// TargetCells is the desired number of leaf cells per input
 	// relation (default 24). More cells mean finer-grained scheduling at
 	// higher coarse-level cost.
 	TargetCells int

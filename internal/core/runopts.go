@@ -1,14 +1,11 @@
 package core
 
-import (
-	"caqe/internal/run"
-	"caqe/internal/trace"
-)
+import "caqe/internal/run"
 
 // RunConfig is the resolved configuration of one execution entry-point
-// call: the engine options plus the report-level wiring (result totals,
-// the progressive consumption hook, and the trace sink). It is assembled
-// by applying RunOptions in order.
+// call: the engine options (which carry the trace sink) plus the
+// report-level wiring (result totals and the progressive consumption
+// hook). It is assembled by applying RunOptions in order.
 type RunConfig struct {
 	// Opt tunes the engine itself.
 	Opt Options
@@ -18,9 +15,6 @@ type RunConfig struct {
 	// OnEmit is called synchronously for every result the moment it is
 	// proven final.
 	OnEmit func(run.Emission)
-	// Tracer receives the structured execution trace. It takes precedence
-	// over Opt.Tracer when both are set.
-	Tracer trace.Tracer
 }
 
 // RunOption configures one aspect of an execution. Options apply in the
@@ -32,14 +26,8 @@ type RunOption interface {
 }
 
 // ApplyRun makes Options usable directly as a RunOption: it installs the
-// value as the engine options, preserving a tracer installed by an earlier
-// option unless this value carries its own.
-func (o Options) ApplyRun(c *RunConfig) {
-	if o.Tracer == nil {
-		o.Tracer = c.Opt.Tracer
-	}
-	c.Opt = o
-}
+// value as the engine options.
+func (o Options) ApplyRun(c *RunConfig) { c.Opt = o }
 
 // RunOptionFunc adapts a function to the RunOption interface.
 type RunOptionFunc func(*RunConfig)
@@ -47,10 +35,9 @@ type RunOptionFunc func(*RunConfig)
 // ApplyRun implements RunOption.
 func (f RunOptionFunc) ApplyRun(c *RunConfig) { f(c) }
 
-// NewRunConfig applies the options in order and resolves the effective
-// tracer into Opt.Tracer. Nil options are skipped, so call sites migrated
-// from the struct-options signatures that passed a literal nil keep
-// working.
+// NewRunConfig applies the options in order. Nil options are skipped, so
+// call sites migrated from the struct-options signatures that passed a
+// literal nil keep working.
 func NewRunConfig(opts ...RunOption) RunConfig {
 	var cfg RunConfig
 	for _, o := range opts {
@@ -58,9 +45,6 @@ func NewRunConfig(opts ...RunOption) RunConfig {
 			continue
 		}
 		o.ApplyRun(&cfg)
-	}
-	if cfg.Tracer != nil {
-		cfg.Opt.Tracer = cfg.Tracer
 	}
 	return cfg
 }

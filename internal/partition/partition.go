@@ -1,9 +1,11 @@
-// Package partition implements the coarse input abstraction of §5.1: each
-// input relation is partitioned by a d-dimensional quad tree (a 2^d-way
-// recursive midpoint split over the numeric attributes). Every leaf cell
-// carries its tight attribute bounds and, for each join key column, a
-// *signature* capturing the domain values of its member tuples, enabling the
-// coarse-level join test "can this cell pair produce even one join result?".
+// Package partition implements the coarse input abstraction of §5.1. The
+// paper builds it as a d-dimensional quad tree; here each input relation is
+// partitioned by a k-d median split over the numeric attributes, whose leaf
+// count tracks the requested target on every distribution and at every d
+// (DESIGN.md §5). Every leaf cell carries its tight attribute bounds and,
+// for each join key column, a *signature* capturing the domain values of
+// its member tuples, enabling the coarse-level join test "can this cell
+// pair produce even one join result?".
 package partition
 
 import (
@@ -43,7 +45,7 @@ func (s Signature) Intersects(o Signature, clock *metrics.Clock) bool {
 	return false
 }
 
-// Cell is a leaf of the quad tree: an axis-aligned box of the input space
+// Cell is a leaf of the decomposition: an axis-aligned box of the input space
 // with its member tuples and per-key-column signatures. The paper's
 // L_i^R(l_i, u_i) notation maps to Lo and Hi (tight bounds over members).
 type Cell struct {
@@ -62,31 +64,16 @@ func (c *Cell) String() string {
 	return fmt.Sprintf("L%d[%v %v] n=%d", c.ID, c.Lo, c.Hi, len(c.Tuples))
 }
 
-// SplitMode selects the decomposition strategy.
-type SplitMode int
-
-const (
-	// KDMedian recursively bisects the dimension with the largest extent at
-	// its median, yielding a predictable number of equally-populated leaves
-	// (the default: cell count ≈ TargetLeaves regardless of d).
-	KDMedian SplitMode = iota
-	// QuadMidpoint performs the classical 2^d-way midpoint split of the
-	// paper's quad-tree description. Leaf counts depend strongly on the
-	// data distribution and dimensionality.
-	QuadMidpoint
-)
+// maxDepth bounds the split recursion.
+const maxDepth = 12
 
 // Options controls partitioning granularity.
 type Options struct {
-	// Mode selects the decomposition strategy (default KDMedian).
-	Mode SplitMode
-	// TargetLeaves is the desired leaf count for KDMedian (≥ 1).
+	// TargetLeaves is the desired leaf count (values < 1 mean 1).
 	TargetLeaves int
 	// MaxLeafSize is the largest number of tuples a leaf may hold before it
-	// is split (provided MaxDepth allows). Must be ≥ 1.
+	// is split (provided the depth bound allows). Must be ≥ 1.
 	MaxLeafSize int
-	// MaxDepth bounds the recursion; 0 means a sensible default (12).
-	MaxDepth int
 	// Keep, when set, is the join-group filter's verdict per row, indexed
 	// by tuple ID: bit k marks a row that survives for key column k. A row
 	// with no bit set enters no cell. Nil keeps every row for every column.
@@ -94,8 +81,8 @@ type Options struct {
 }
 
 // DefaultOptions returns the granularity used by the benchmark harness:
-// a KDMedian decomposition into approximately targetCells leaves for a
-// relation of n tuples.
+// a decomposition into approximately targetCells leaves for a relation of
+// n tuples.
 func DefaultOptions(n, targetCells int) Options {
 	if targetCells < 1 {
 		targetCells = 1
@@ -104,18 +91,15 @@ func DefaultOptions(n, targetCells int) Options {
 	if leaf < 1 {
 		leaf = 1
 	}
-	return Options{Mode: KDMedian, TargetLeaves: targetCells, MaxLeafSize: leaf, MaxDepth: 12}
+	return Options{TargetLeaves: targetCells, MaxLeafSize: leaf}
 }
 
-// Partition builds the quad tree over the relation's numeric attributes and
-// returns its leaf cells. Cells are assigned sequential IDs in construction
-// order; the decomposition is deterministic for a given relation.
+// Partition splits the relation over its numeric attributes and returns the
+// leaf cells. Cells are assigned sequential IDs in construction order; the
+// decomposition is deterministic for a given relation.
 func Partition(rel *tuple.Relation, opt Options) ([]*Cell, error) {
 	if opt.MaxLeafSize < 1 {
 		return nil, fmt.Errorf("partition: MaxLeafSize must be ≥ 1, got %d", opt.MaxLeafSize)
-	}
-	if opt.MaxDepth <= 0 {
-		opt.MaxDepth = 12
 	}
 	if rel.Len() == 0 {
 		return nil, nil
@@ -123,9 +107,6 @@ func Partition(rel *tuple.Relation, opt Options) ([]*Cell, error) {
 	d := rel.Schema.NumAttrs()
 	if d == 0 {
 		return nil, fmt.Errorf("partition: relation %s has no numeric attributes", rel.Schema.Name)
-	}
-	if d > 16 {
-		return nil, fmt.Errorf("partition: %d dimensions exceeds the 2^d split limit (max 16)", d)
 	}
 
 	members := make([]*tuple.Tuple, 0, rel.Len())
@@ -139,19 +120,7 @@ func Partition(rel *tuple.Relation, opt Options) ([]*Cell, error) {
 	}
 
 	b := &builder{numKeys: rel.Schema.NumKeys(), opt: opt, dims: d}
-	switch opt.Mode {
-	case KDMedian:
-		target := opt.TargetLeaves
-		if target < 1 {
-			target = 1
-		}
-		b.kdSplit(members, target, 0)
-	case QuadMidpoint:
-		lo, hi := rel.Bounds()
-		b.split(members, lo, hi, 0)
-	default:
-		return nil, fmt.Errorf("partition: unknown split mode %d", int(opt.Mode))
-	}
+	b.kdSplit(members, max(opt.TargetLeaves, 1), 0)
 	return b.cells, nil
 }
 
@@ -161,7 +130,7 @@ func (b *builder) kdSplit(members []*tuple.Tuple, budget, depth int) {
 	if len(members) == 0 {
 		return
 	}
-	if budget <= 1 || len(members) <= b.opt.MaxLeafSize || len(members) < 2 || depth >= b.opt.MaxDepth {
+	if budget <= 1 || len(members) <= b.opt.MaxLeafSize || len(members) < 2 || depth >= maxDepth {
 		b.emit(members)
 		return
 	}
@@ -193,59 +162,6 @@ type builder struct {
 	numKeys int
 	opt     Options
 	dims    int
-}
-
-func (b *builder) split(members []*tuple.Tuple, lo, hi []float64, depth int) {
-	if len(members) == 0 {
-		return
-	}
-	if len(members) <= b.opt.MaxLeafSize || depth >= b.opt.MaxDepth || degenerate(lo, hi) {
-		b.emit(members)
-		return
-	}
-	mid := make([]float64, b.dims)
-	for k := 0; k < b.dims; k++ {
-		mid[k] = (lo[k] + hi[k]) / 2
-	}
-	// Bucket members into the 2^d orthants around the midpoint.
-	buckets := make(map[uint32][]*tuple.Tuple)
-	for _, t := range members {
-		var code uint32
-		for k := 0; k < b.dims; k++ {
-			if t.Attr(k) > mid[k] {
-				code |= 1 << uint(k)
-			}
-		}
-		buckets[code] = append(buckets[code], t)
-	}
-	if len(buckets) == 1 {
-		// All members fall into one orthant of the midpoint split (e.g.
-		// heavily clustered data): shrink the box to the tight bounds and
-		// retry once; if that cannot separate them, emit as a leaf.
-		tl, th := tightBounds(members, b.dims)
-		if same(tl, lo) && same(th, hi) {
-			b.emit(members)
-			return
-		}
-		b.split(members, tl, th, depth+1)
-		return
-	}
-	for code := uint32(0); code < 1<<uint(b.dims); code++ {
-		sub := buckets[code]
-		if len(sub) == 0 {
-			continue
-		}
-		clo := make([]float64, b.dims)
-		chi := make([]float64, b.dims)
-		for k := 0; k < b.dims; k++ {
-			if code&(1<<uint(k)) != 0 {
-				clo[k], chi[k] = mid[k], hi[k]
-			} else {
-				clo[k], chi[k] = lo[k], mid[k]
-			}
-		}
-		b.split(sub, clo, chi, depth+1)
-	}
 }
 
 // emit finalizes a leaf: tight bounds, per-key row lists and signatures
@@ -300,22 +216,4 @@ func tightBounds(members []*tuple.Tuple, d int) (lo, hi []float64) {
 		}
 	}
 	return lo, hi
-}
-
-func degenerate(lo, hi []float64) bool {
-	for k := range lo {
-		if hi[k] > lo[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func same(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -34,26 +34,29 @@ func TestKDMedianHitsTarget(t *testing.T) {
 }
 
 func TestCellsPartitionTheRelation(t *testing.T) {
-	for _, mode := range []SplitMode{KDMedian, QuadMidpoint} {
-		rel := testRelation(300, 3, 1, 2)
-		opt := Options{Mode: mode, TargetLeaves: 16, MaxLeafSize: 20, MaxDepth: 12}
-		cells, err := Partition(rel, opt)
-		if err != nil {
-			t.Fatal(err)
+	rel := testRelation(300, 3, 1, 2)
+	cells, err := Partition(rel, Options{TargetLeaves: 16, MaxLeafSize: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExactCover(t, rel, cells)
+}
+
+// requireExactCover fails unless every row of rel sits in exactly one cell.
+func requireExactCover(t *testing.T, rel *tuple.Relation, cells []*Cell) {
+	t.Helper()
+	seen := map[int]int{}
+	for _, c := range cells {
+		for _, tu := range c.Tuples {
+			seen[tu.ID]++
 		}
-		seen := map[int]int{}
-		for _, c := range cells {
-			for _, tu := range c.Tuples {
-				seen[tu.ID]++
-			}
-		}
-		if len(seen) != rel.Len() {
-			t.Fatalf("mode %d: %d of %d tuples covered", mode, len(seen), rel.Len())
-		}
-		for id, n := range seen {
-			if n != 1 {
-				t.Fatalf("mode %d: tuple %d appears in %d cells", mode, id, n)
-			}
+	}
+	if len(seen) != rel.Len() {
+		t.Fatalf("%d of %d tuples covered", len(seen), rel.Len())
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("tuple %d appears in %d cells", id, n)
 		}
 	}
 }
@@ -158,18 +161,16 @@ func TestIdenticalTuples(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		rel.MustAppend([]float64{5, 5}, nil)
 	}
-	for _, mode := range []SplitMode{KDMedian, QuadMidpoint} {
-		cells, err := Partition(rel, Options{Mode: mode, TargetLeaves: 8, MaxLeafSize: 10, MaxDepth: 8})
-		if err != nil {
-			t.Fatalf("mode %d: %v", mode, err)
-		}
-		total := 0
-		for _, c := range cells {
-			total += len(c.Tuples)
-		}
-		if total != 50 {
-			t.Fatalf("mode %d: %d tuples in cells", mode, total)
-		}
+	cells, err := Partition(rel, Options{TargetLeaves: 8, MaxLeafSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, c := range cells {
+		total += len(c.Tuples)
+	}
+	if total != 50 {
+		t.Fatalf("%d tuples in cells", total)
 	}
 }
 
@@ -178,9 +179,6 @@ func TestInvalidOptions(t *testing.T) {
 	if _, err := Partition(rel, Options{MaxLeafSize: 0}); err == nil {
 		t.Error("MaxLeafSize 0 accepted")
 	}
-	if _, err := Partition(rel, Options{Mode: SplitMode(9), MaxLeafSize: 5}); err == nil {
-		t.Error("unknown mode accepted")
-	}
 }
 
 func TestNoNumericAttrsRejected(t *testing.T) {
@@ -188,18 +186,6 @@ func TestNoNumericAttrsRejected(t *testing.T) {
 	rel.MustAppend(nil, []int64{1})
 	if _, err := Partition(rel, Options{MaxLeafSize: 5}); err == nil {
 		t.Error("relation without numeric attributes accepted")
-	}
-}
-
-func TestQuadMidpointRespectsDepth(t *testing.T) {
-	rel := testRelation(256, 2, 0, 7)
-	cells, err := Partition(rel, Options{Mode: QuadMidpoint, MaxLeafSize: 1, MaxDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Depth 2 with 2^2-way splits allows at most 16 leaves.
-	if len(cells) > 16 {
-		t.Fatalf("depth-2 quad tree produced %d cells", len(cells))
 	}
 }
 
@@ -235,17 +221,19 @@ func TestDeterministic(t *testing.T) {
 	}
 }
 
-func TestLargeDimCountRejected(t *testing.T) {
-	schema := tuple.Schema{Name: "W"}
-	for i := 0; i < 17; i++ {
-		schema.AttrNames = append(schema.AttrNames, string(rune('a'+i)))
+// TestLargeDimCountPartitions: the median split has no limit on the number
+// of attributes, so a 17-attribute relation splits into cells that cover
+// every row exactly once.
+func TestLargeDimCountPartitions(t *testing.T) {
+	rel := testRelation(400, 17, 1, 10)
+	cells, err := Partition(rel, DefaultOptions(rel.Len(), 16))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rel := tuple.NewRelation(schema)
-	attrs := make([]float64, 17)
-	rel.MustAppend(attrs, nil)
-	if _, err := Partition(rel, Options{Mode: QuadMidpoint, MaxLeafSize: 1}); err == nil {
-		t.Error("17-dimensional quad split accepted")
+	if len(cells) < 2 {
+		t.Fatalf("17-attribute relation split into %d cells", len(cells))
 	}
+	requireExactCover(t, rel, cells)
 }
 
 // TestPartitionCoverageQuick: for arbitrary small relations and targets,
@@ -293,7 +281,7 @@ func TestKeepSplitsRowsByKeyColumn(t *testing.T) {
 	for i := range keep {
 		keep[i] = uint64(i % 4) // none, key 0, key 1, both
 	}
-	cells, err := Partition(rel, Options{Mode: KDMedian, TargetLeaves: 8, MaxLeafSize: 30, Keep: keep})
+	cells, err := Partition(rel, Options{TargetLeaves: 8, MaxLeafSize: 30, Keep: keep})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ import (
 	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/run"
-	"caqe/internal/trace"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
@@ -71,7 +70,8 @@ type Config struct {
 	JoinConds []join.EquiJoin
 	// OutDims is the shared output space; query preferences index into it.
 	OutDims []join.MapFunc
-	// Engine tunes the underlying CAQE engine.
+	// Engine tunes the underlying CAQE engine; its Tracer receives the
+	// session's structured execution trace.
 	Engine core.Options
 	// MaxConcurrent caps the number of simultaneously open (admitted, not
 	// yet finished) queries; 0 means workload.MaxQueries. Values outside
@@ -84,9 +84,6 @@ type Config struct {
 	// and the real time elapsed since submission (time-to-first-result).
 	// Called on the executor goroutine: keep it cheap and non-blocking.
 	OnFirstResult func(id int, seconds float64)
-	// Tracer, when set, receives the session's structured execution trace
-	// (it overrides Engine.Tracer).
-	Tracer trace.Tracer
 	// Backpressure bounds every handle's delivery buffer between the
 	// executor and its stream consumer; the zero value keeps buffers
 	// unbounded. Backpressure acts strictly on the delivery side — the
@@ -190,9 +187,6 @@ func Open(cfg Config) (*Session, error) {
 	}
 	if cfg.Backpressure.HighWater < 0 {
 		cfg.Backpressure.HighWater = 0
-	}
-	if cfg.Tracer != nil {
-		cfg.Engine.Tracer = cfg.Tracer
 	}
 	s := &Session{
 		cfg:    cfg,

@@ -158,26 +158,3 @@ func (r *Relation) MustAppend(attrs []float64, keys []int64) {
 
 // At returns a pointer to the i-th tuple.
 func (r *Relation) At(i int) *Tuple { return &r.Tuples[i] }
-
-// Bounds returns the per-dimension minimum and maximum over all tuples'
-// numeric attributes. It returns nil slices for an empty relation.
-func (r *Relation) Bounds() (lo, hi []float64) {
-	if len(r.Tuples) == 0 {
-		return nil, nil
-	}
-	d := len(r.Tuples[0].Attrs)
-	lo = append([]float64(nil), r.Tuples[0].Attrs...)
-	hi = append([]float64(nil), r.Tuples[0].Attrs...)
-	for i := 1; i < len(r.Tuples); i++ {
-		a := r.Tuples[i].Attrs
-		for k := 0; k < d; k++ {
-			if a[k] < lo[k] {
-				lo[k] = a[k]
-			}
-			if a[k] > hi[k] {
-				hi[k] = a[k]
-			}
-		}
-	}
-	return lo, hi
-}

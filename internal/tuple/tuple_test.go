@@ -102,20 +102,6 @@ func TestMustAppendPanics(t *testing.T) {
 	NewRelation(validSchema()).MustAppend([]float64{1}, nil)
 }
 
-func TestBounds(t *testing.T) {
-	r := NewRelation(validSchema())
-	if lo, hi := r.Bounds(); lo != nil || hi != nil {
-		t.Error("bounds of empty relation should be nil")
-	}
-	r.MustAppend([]float64{3, -1}, []int64{0})
-	r.MustAppend([]float64{1, 5}, []int64{0})
-	r.MustAppend([]float64{2, 2}, []int64{0})
-	lo, hi := r.Bounds()
-	if lo[0] != 1 || lo[1] != -1 || hi[0] != 3 || hi[1] != 5 {
-		t.Errorf("bounds = %v %v", lo, hi)
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	orig := Tuple{ID: 1, Attrs: []float64{1, 2}, Keys: []int64{3}}
 	c := orig.Clone()

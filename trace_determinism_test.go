@@ -44,7 +44,7 @@ func TestTracingByteIdentical(t *testing.T) {
 					var buf bytes.Buffer
 					jw := caqe.NewJSONLTracer(&buf)
 					traced, err := caqe.RunStrategy(name, w, r, tt,
-						caqe.WithTotals(totals), caqe.WithTracer(jw))
+						caqe.Options{Tracer: jw}, caqe.WithTotals(totals))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -135,7 +135,7 @@ func TestTraceAggregatorIntegration(t *testing.T) {
 	agg := caqe.NewTraceAggregator(w, totals)
 	var buf bytes.Buffer
 	jw := caqe.NewJSONLTracer(&buf)
-	rep, err := caqe.Run(w, r, tt, caqe.WithTotals(totals), caqe.WithTracer(caqe.MultiTracer(agg, jw)))
+	rep, err := caqe.Run(w, r, tt, caqe.Options{Tracer: caqe.MultiTracer(agg, jw)}, caqe.WithTotals(totals))
 	if err != nil {
 		t.Fatal(err)
 	}
