@@ -11,9 +11,10 @@ import (
 
 // Ceilings of TestRunAllocBudget. On the repository benchmark's batch-indep
 // input, the join-group filter leaves one caqe.Run 12,666 join results for
-// 854 emissions, and the Run allocates 7.2 MB. The same input under a
+// 854 emissions, and the Run allocates 3.3 MB, most of it the plan (its
+// dependency graph is one bit per region pair). The same input under a
 // workload with one LeftDim and one RightDim among its four mappings turns
-// the filter off for both sides: 313 K join results and 37.1 MB, about 104
+// the filter off for both sides: 313 K join results and 33.6 MB, about 100
 // bytes per join result (coordinates, result record, protection and
 // candidacy masks) plus the plan; its ceiling is the one the unfiltered
 // benchmark input had (37.0 MB at 324 K results, + 25 %). Either report
@@ -23,9 +24,9 @@ import (
 // ceilings — the layout with all three measured 366.7 MB and 49.9 MB on
 // the unfiltered benchmark input.
 const (
-	filteredAllocCeiling   = 8.75 * (1 << 20) // the filtered Run: the measured 7.0 MB + 25 %
-	unfilteredAllocCeiling = 46 << 20         // the unfiltered Run
-	reportLiveCeiling      = 4 << 20          // bytes a kept Report holds after a GC
+	filteredAllocCeiling   = 4.125 * (1 << 20) // the filtered Run: the measured 3.3 MB + 25 %
+	unfilteredAllocCeiling = 46 << 20          // the unfiltered Run
+	reportLiveCeiling      = 4 << 20           // bytes a kept Report holds after a GC
 )
 
 // TestRunAllocBudget holds per-result state to the size of the windows, not

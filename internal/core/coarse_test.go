@@ -1,0 +1,311 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"caqe/internal/contract"
+	"caqe/internal/datagen"
+	"caqe/internal/join"
+	"caqe/internal/metrics"
+	"caqe/internal/preference"
+	"caqe/internal/region"
+	"caqe/internal/run"
+	"caqe/internal/skycube"
+	"caqe/internal/workload"
+)
+
+// referenceDepGraph is buildDepGraph as it read before the corner index:
+// one QueryDims.Pair per forward pair of regions whose Alive sets meet,
+// charged one cell operation. It returns each region's targets in push
+// order and the indegrees.
+func (st *state) referenceDepGraph() (targets [][]int, indegree []int) {
+	m := len(st.regions)
+	targets = make([][]int, m)
+	indegree = make([]int, m)
+	for i, ri := range st.regions {
+		for j := i + 1; j < m; j++ {
+			rj := st.regions[j]
+			both := ri.Alive & rj.Alive
+			if both == 0 {
+				continue
+			}
+			st.clock.CountCellOp(1)
+			notWeak, strict := st.uses.Pair(ri.Lo, rj.Lo)
+			if mask := both & strict &^ notWeak; mask != 0 {
+				targets[i] = append(targets[i], j)
+				indegree[j]++
+			}
+		}
+	}
+	return targets, indegree
+}
+
+// referenceDominators is dominatorsByQuery as it read before the corner
+// index: one QueryDims.Pair per live region that serves a query of rc.Alive,
+// charged one cell operation.
+func (st *state) referenceDominators(rc *region.Region) [][]*region.Region {
+	doms := make([][]*region.Region, len(st.w.Queries))
+	for fi, rf := range st.regions {
+		both := rf.Alive & rc.Alive
+		if st.processed[fi] || rf == rc || both == 0 {
+			continue
+		}
+		st.clock.CountCellOp(1)
+		notWeak, _ := st.uses.Pair(rf.Lo, rc.Hi)
+		for m := uint64(both &^ notWeak); m != 0; m &= m - 1 {
+			qi := bits.TrailingZeros64(m)
+			doms[qi] = append(doms[qi], rf)
+		}
+	}
+	return doms
+}
+
+// randomCoarseState draws a state with m regions over nd output dimensions
+// and nq queries of random non-empty preferences: bounds that tie often,
+// hold NaN, ±Inf and −0 and sometimes have no extent, Alive sets that are
+// random (empty for one region in ten), and one region in ten processed
+// when processed is set.
+func randomCoarseState(rng *rand.Rand, m, nd, nq int, processed bool) *state {
+	specials := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}
+	w := &workload.Workload{OutDims: make([]join.MapFunc, nd), Queries: make([]workload.Query, nq)}
+	for qi := range w.Queries {
+		for len(w.Queries[qi].Pref) == 0 {
+			w.Queries[qi].Pref = preference.SubspaceFromMask(uint64(rng.Intn(1 << uint(nd))))
+		}
+	}
+	st := &state{e: &Engine{}, w: w, clock: metrics.NewClock(), uses: region.NewQueryDims(w.Queries, nd)}
+	for i := 0; i < m; i++ {
+		r := &region.Region{ID: i, Lo: make([]float64, nd), Hi: make([]float64, nd)}
+		for k := range r.Lo {
+			if rng.Intn(15) == 0 {
+				r.Lo[k] = specials[rng.Intn(len(specials))]
+			} else {
+				r.Lo[k] = float64(rng.Intn(8))
+			}
+			r.Hi[k] = r.Lo[k]
+			if rng.Intn(3) != 0 { // else no extent
+				r.Hi[k] += float64(1 + rng.Intn(3))
+			}
+		}
+		if rng.Intn(10) != 0 {
+			r.Alive = skycube.QSet(rng.Intn(1 << uint(nq)))
+		}
+		st.regions = append(st.regions, r)
+		st.processed = append(st.processed, processed && rng.Intn(10) == 0)
+	}
+	st.inQueue = make([]bool, m)
+	for range w.Queries {
+		st.live = append(st.live, region.NewBits(m))
+	}
+	for ri := range st.regions {
+		st.syncLive(ri)
+	}
+	return st
+}
+
+// checkDepGraph builds st's dependency graph and fails unless its rows,
+// indegrees and charge are the reference loop's, then releases every region
+// in a random order and requires each release to drop exactly the
+// reference targets' indegrees and leave the row empty. It returns the
+// number of edges.
+func checkDepGraph(t *testing.T, rng *rand.Rand, label string, st *state) int {
+	t.Helper()
+	st.clock = metrics.NewClock()
+	wantTargets, wantIndegree := st.referenceDepGraph()
+	wantOps := st.clock.Counters().CellOps
+	st.clock = metrics.NewClock()
+	st.buildDepGraph()
+	if ops := st.clock.Counters().CellOps; ops != wantOps {
+		t.Fatalf("%s: %d cell operations, reference %d", label, ops, wantOps)
+	}
+	if !slices.Equal(st.indegree, wantIndegree) {
+		t.Fatalf("%s: indegrees %v, reference %v", label, st.indegree, wantIndegree)
+	}
+	edges := 0
+	for i, want := range wantTargets {
+		var got []int
+		row := st.edgeRow(i)
+		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
+			got = append(got, j)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: region %d targets %v, reference %v (corner %v, alive %v)", label, i, got, want, st.regions[i].Lo, st.regions[i].Alive)
+		}
+		edges += len(want)
+	}
+	for _, i := range rng.Perm(len(st.regions)) {
+		for _, j := range wantTargets[i] {
+			wantIndegree[j]--
+		}
+		st.releaseEdges(i)
+		if !slices.Equal(st.indegree, wantIndegree) || st.edgeRow(i).Count() != 0 {
+			t.Fatalf("%s: releasing region %d leaves indegrees %v, reference %v, and %d targets", label, i, st.indegree, wantIndegree, st.edgeRow(i).Count())
+		}
+	}
+	return edges
+}
+
+// TestDepGraphMatchesReference: on random states of up to 140 regions (over
+// one, two and three words of region set) and on the plans of generated
+// independent and anti-correlated data, the dependency graph's rows list
+// the reference's targets in its push order, with its indegrees and cell
+// operations, and releasing a region drops its targets' indegrees once.
+func TestDepGraphMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sizes := []int{1, 2, 63, 64, 65, 128, 129}
+	edges := 0
+	for trial := 0; trial < 300; trial++ {
+		m := sizes[trial%len(sizes)]
+		if trial%2 == 1 {
+			m = 1 + rng.Intn(140)
+		}
+		st := randomCoarseState(rng, m, 1+rng.Intn(6), 1+rng.Intn(8), false)
+		edges += checkDepGraph(t, rng, fmt.Sprintf("trial %d (%d regions)", trial, m), st)
+	}
+	for seed, dist := range []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated, datagen.Correlated} {
+		w := testWorkload(4, 3, workload.UniformPriority, c3s)
+		r, tt := testPair(t, 600, 3, dist, 0.05, int64(seed))
+		e := mustEngine(t, w, r, tt, Options{})
+		clock := metrics.NewClock()
+		cuboid, space, filter, err := e.plan(clock, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
+		st.inQueue = make([]bool, len(st.regions))
+		edges += checkDepGraph(t, rng, fmt.Sprintf("%v plan (%d regions)", dist, len(st.regions)), st)
+	}
+	t.Logf("%d edges", edges)
+	if edges < 50000 {
+		t.Fatalf("only %d edges", edges)
+	}
+}
+
+// checkDominators fails unless every query's live set holds exactly the
+// regions unprocessed and Alive for it, and dominatorsByQuery gives every
+// region of st the reference's lists and charge. Both are charged to
+// scratch clocks, so an execution checked between its steps proceeds
+// exactly as if unchecked. It returns the number of dominators listed.
+func checkDominators(t *testing.T, label string, st *state) int {
+	t.Helper()
+	for qi, set := range st.live {
+		for ri, r := range st.regions {
+			if want := !st.processed[ri] && r.Alive.Has(qi); set.Has(ri) != want {
+				t.Fatalf("%s: query %d: region %d live %v, processed %v and alive %v", label, qi, ri, set.Has(ri), st.processed[ri], r.Alive)
+			}
+		}
+	}
+	clock := st.clock
+	defer func() { st.clock = clock }()
+	listed := 0
+	for _, rc := range st.regions {
+		st.clock = metrics.NewClock()
+		want := st.referenceDominators(rc)
+		wantOps := st.clock.Counters().CellOps
+		st.clock = metrics.NewClock()
+		got := st.dominatorsByQuery(rc)
+		if ops := st.clock.Counters().CellOps; ops != wantOps {
+			t.Fatalf("%s: region %d: %d cell operations, reference %d", label, rc.ID, ops, wantOps)
+		}
+		for qi := range st.w.Queries {
+			if !slices.Equal(got[qi], want[qi]) {
+				t.Fatalf("%s: region %d, query %d: dominators %v, reference %v", label, rc.ID, qi, got[qi], want[qi])
+			}
+			listed += len(want[qi])
+		}
+	}
+	return listed
+}
+
+// TestDominatorsMatchReference: dominatorsByQuery lists, for every region and
+// query, the reference's dominators in region order and charges the
+// reference's cell operations — on random states with processed regions,
+// and at every point of checkSchedules' batch runs and random Exec
+// schedules, where Admit, Cancel, Append and Delete grow the plan, move
+// corners, revive and retire regions and reclaim query slots, and every
+// write to a region's Alive set or processed flag must reach the live sets.
+func TestDominatorsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	listed := 0
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(140)
+		st := randomCoarseState(rng, m, 1+rng.Intn(6), 1+rng.Intn(8), true)
+		listed += checkDominators(t, fmt.Sprintf("trial %d (%d regions)", trial, m), st)
+	}
+	const seeds = 12
+	moved, grown := checkSchedules(t, seeds, func(label string, st *state) { listed += checkDominators(t, label, st) })
+	t.Logf("%d dominators listed; %d appends moved a corner, %d admissions and appends added regions", listed, moved, grown)
+	if listed < 100000 || moved == 0 || grown == 0 {
+		t.Fatal("too little coverage")
+	}
+}
+
+// BenchmarkCoarsePlan times the dependency graph and ProgCount's dominators
+// on the plans of the benchmark's batch-indep workload: four 2500-row
+// independent pairs at σ = 0.1 under its 11-query lattice, about 576
+// regions each. One op builds every plan's graph, or lists the dominators
+// of every region of every plan, so even -benchtime 1x reads warm calls;
+// ns/plan is the mean per plan. "index" is the corner-index form, the
+// graph's including the index build; "reference" the region-pair loop the
+// tests compare it with. internal/region's BenchmarkCoarsePlan times the
+// coarse prune the same way.
+//
+//	go test -run '^$' -bench CoarsePlan ./internal/core ./internal/region
+func BenchmarkCoarsePlan(b *testing.B) {
+	w := workload.MustBenchmark(workload.BenchmarkConfig{
+		NumQueries: 11, Dims: 4, Priority: workload.HighDimsHigh,
+		NewContract: func(int) contract.Contract { return contract.C2() },
+	})
+	var plans []*state
+	for i := int64(0); i < 4; i++ {
+		r, tt, err := datagen.Pair(2500, 4, datagen.Independent, []float64{0.1}, 2014+10*i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := New(w, r, tt, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		clock := metrics.NewClock()
+		cuboid, space, filter, err := e.plan(clock, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans = append(plans, newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter))
+	}
+	run := func(b *testing.B, pass func(st *state)) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, st := range plans {
+				pass(st)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(plans)), "ns/plan")
+	}
+	b.Run("depgraph/index", func(b *testing.B) {
+		run(b, func(st *state) {
+			st.ranks = nil
+			st.buildDepGraph()
+		})
+	})
+	b.Run("depgraph/reference", func(b *testing.B) { run(b, func(st *state) { st.referenceDepGraph() }) })
+	b.Run("dominators/index", func(b *testing.B) {
+		run(b, func(st *state) {
+			for _, rc := range st.regions {
+				st.dominatorsByQuery(rc)
+			}
+		})
+	})
+	b.Run("dominators/reference", func(b *testing.B) {
+		run(b, func(st *state) {
+			for _, rc := range st.regions {
+				st.referenceDominators(rc)
+			}
+		})
+	})
+}

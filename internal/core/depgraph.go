@@ -3,12 +3,15 @@ package core
 import (
 	"container/heap"
 	"math"
+	"math/bits"
+
+	"caqe/internal/region"
 )
 
 // buildDepGraph constructs the dependency graph of Definition 9: a directed
-// edge R_i → R_j annotated with the queries W_{i,j} for which R_i's best
-// output cells can dominate R_j's (best-corner dominance in the query's
-// preference subspace). Within one subspace this relation is a strict
+// edge R_i → R_j when the queries W_{i,j} for which R_i's best output cells
+// can dominate R_j's (best-corner dominance in the query's preference
+// subspace) are not empty. Within one subspace this relation is a strict
 // partial order, but its union across queries can contain cycles (R_i
 // before R_j for Q_1 in dims {d1,d2}, R_j before R_i for Q_2 in {d2,d3}),
 // which would deadlock Algorithm 1's root-driven schedule. Edges are
@@ -16,46 +19,80 @@ import (
 // order (ascending region ID, row-major over cell pairs) — whose
 // restriction is always acyclic; dominance edges agreeing with the order
 // are kept, conflicting ones (ambiguous mutual constraints) are dropped.
-// The pipeline order also keeps the root schedule aligned with input
-// cells, which matters when scores tie (see csmHeap).
-// Per-pair dominance geometry is resolved once for every query
-// (region.QueryDims.Pair) and charged as one cell-level operation.
+// The pipeline order also keeps the root schedule aligned with input cells,
+// which matters when scores tie (see csmHeap).
+//
+// Region i's out-edges are one row of depRows, a set over the regions after
+// it: probing the index of every best corner upward with R_i's (the regions
+// whose Lo R_i's weakly dominates, strictly on one dimension), each query of
+// R_i.Alive adds the regions live for it that the probe finds Dominant. The
+// charge is one cell-level operation per pair i < j whose Alive sets meet,
+// as testing pair by pair would make (DESIGN.md §13).
 func (st *state) buildDepGraph() {
 	m := len(st.regions)
-	st.outEdges = make([][]depEdge, m)
 	st.indegree = make([]int, m)
+	st.depWords = (m + 63) / 64
+	st.depRows = nil
 	if st.e.opt.DisableDependencyGraph {
 		return
 	}
+	st.depRows = make([]uint64, m*st.depWords)
+	ranks := st.cornerRanks()
+	meet, serving := st.scratchSets()
+	var charged int64
 	for i, ri := range st.regions {
-		// Only forward edges: the pipeline order is the DAG's linear extension.
-		for j := i + 1; j < m; j++ {
-			rj := st.regions[j]
-			both := ri.Alive & rj.Alive
-			if both == 0 {
-				continue
+		if ri.Alive == 0 {
+			continue
+		}
+		st.probe.Above(ranks, ri.Lo)
+		row := st.edgeRow(i)
+		clear(serving)
+		for qi := ri.Alive.Next(0); qi >= 0; qi = ri.Alive.Next(qi + 1) {
+			live := st.live[qi]
+			st.probe.Dominant(meet, live, st.w.Queries[qi].Pref)
+			for w := range row {
+				row[w] |= meet[w]
+				serving[w] |= live[w]
 			}
-			st.clock.CountCellOp(1)
-			notWeak, strict := st.uses.Pair(ri.Lo, rj.Lo)
-			if mask := both & strict &^ notWeak; mask != 0 {
-				st.outEdges[i] = append(st.outEdges[i], depEdge{dst: j, mask: mask})
-				st.indegree[j]++
+		}
+		// Only forward edges: the pipeline order is the DAG's linear extension.
+		row.UnsetTo(i)
+		serving.UnsetTo(i)
+		charged += int64(serving.Count())
+		for w, word := range row {
+			for ; word != 0; word &= word - 1 {
+				st.indegree[w<<6|bits.TrailingZeros64(word)]++
 			}
 		}
 	}
+	st.clock.CountCellOp(charged)
+}
+
+// edgeRow returns region ri's out-edges: nil for a region the plan gained
+// after the graph was built.
+func (st *state) edgeRow(ri int) region.Bits {
+	if (ri+1)*st.depWords > len(st.depRows) {
+		return nil
+	}
+	return st.depRows[ri*st.depWords : (ri+1)*st.depWords]
 }
 
 // releaseEdges removes the out-edges of a finished (processed or discarded)
-// region, pushing any newly-rooted regions into the priority queue.
+// region, pushing any newly-rooted regions into the priority queue in
+// ascending region order.
 func (st *state) releaseEdges(ri int) {
-	for _, e := range st.outEdges[ri] {
-		st.indegree[e.dst]--
-		if st.indegree[e.dst] == 0 && !st.processed[e.dst] && !st.inQueue[e.dst] && st.pq != nil {
-			st.pq.push(e.dst, st.csm(st.regions[e.dst]))
-			st.inQueue[e.dst] = true
+	row := st.edgeRow(ri)
+	for w, word := range row {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			st.indegree[j]--
+			if st.indegree[j] == 0 && !st.processed[j] && !st.inQueue[j] && st.pq != nil {
+				st.pq.push(j, st.csm(st.regions[j]))
+				st.inQueue[j] = true
+			}
 		}
 	}
-	st.outEdges[ri] = nil
+	clear(row)
 }
 
 // csmHeap is a max-heap of (region, score) used as Algorithm 1's inverted
@@ -112,19 +149,33 @@ func (h *csmHeap) Pop() interface{} {
 	return it
 }
 
+// push adds an entry. It is heap.Push without boxing the item in an
+// interface: the same append and sift-up, and no allocation once the
+// queue's backing array has grown.
 func (h *csmHeap) push(region int, score float64) {
-	heap.Push(h, csmItem{region: region, score: score, bucket: scoreBucket(score)})
+	h.items = append(h.items, csmItem{region: region, score: score, bucket: scoreBucket(score)})
+	heap.Fix(h, len(h.items)-1)
 }
 
 // popBest removes and returns the top entry; ok is false when empty. The
 // returned item carries the score the scheduler is acting on — possibly
 // stale, which is exactly what a decision trace must report (recomputing
 // would advance the clock).
+//
+// Like push, it is heap.Pop without the interface: the last entry takes
+// the root's place and sifts down.
 func (h *csmHeap) popBest() (it csmItem, ok bool) {
-	if h.Len() == 0 {
+	n := len(h.items) - 1
+	if n < 0 {
 		return csmItem{}, false
 	}
-	return heap.Pop(h).(csmItem), true
+	it = h.items[0]
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	if n > 0 {
+		heap.Fix(h, 0)
+	}
+	return it, true
 }
 
 // peekBucket returns the current top score bucket without removing it.

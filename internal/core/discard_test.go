@@ -117,11 +117,16 @@ func TestDiscardMatchesReference(t *testing.T) {
 			st.processed = append(st.processed, rng.Intn(10) == 0)
 		}
 		st.inQueue = make([]bool, nr)
-		st.outEdges = make([][]depEdge, nr)
 		st.indegree = make([]int, nr)
 		rc := st.regions[0]
 		rc.Alive = all
 		st.processed[0] = true
+		for range prefs {
+			st.live = append(st.live, region.NewBits(nr))
+		}
+		for ri := range st.regions {
+			st.syncLive(ri)
+		}
 
 		var payloads []int
 		for n := rng.Intn(12); n > 0; n-- {

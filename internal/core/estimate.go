@@ -106,13 +106,14 @@ func (st *state) cardinality(rc *region.Region, qi int) float64 {
 	return buchta(x, len(st.w.Queries[qi].Pref))
 }
 
-// dominatorsByQuery collects, in one pass over the live regions, the
-// regions whose best corner could dominate at least one output cell of rc,
-// grouped per query of rc.Alive, each list in region order. The per-pair
-// dominance geometry is resolved once for every query (region.QueryDims,
-// the coarse-level sharing of §4.1); one cell operation is charged per live
-// pair, not per query. The returned slices are the state's reused
-// dominator scratch, valid until the next call.
+// dominatorsByQuery collects the regions whose best corner could dominate
+// at least one output cell of rc, grouped per query of rc.Alive, each list
+// in region order: probing the index of every best corner with rc.Hi, the
+// regions live for the query that the probe finds Weak in its preference.
+// The charge is one cell operation per live region other than rc that
+// serves a query of rc.Alive, as testing region by region would make
+// (DESIGN.md §13). The returned slices are the state's reused dominator
+// scratch, valid until the next call.
 func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
 	if len(st.domScratch) < len(st.w.Queries) {
 		st.domScratch = make([][]*region.Region, len(st.w.Queries))
@@ -121,18 +122,24 @@ func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
 	for qi := range doms {
 		doms[qi] = doms[qi][:0]
 	}
-	for fi, rf := range st.regions {
-		both := rf.Alive & rc.Alive
-		if st.processed[fi] || rf == rc || both == 0 {
-			continue
+	st.probe.Below(st.cornerRanks(), rc.Hi)
+	meet, serving := st.scratchSets()
+	clear(serving)
+	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+		live := st.live[qi]
+		for w, bits := range live {
+			serving[w] |= bits
 		}
-		st.clock.CountCellOp(1)
-		notWeak, _ := st.uses.Pair(rf.Lo, rc.Hi)
-		for m := uint64(both &^ notWeak); m != 0; m &= m - 1 {
-			qi := bits.TrailingZeros64(m)
-			doms[qi] = append(doms[qi], rf)
+		st.probe.Weak(meet, live, st.w.Queries[qi].Pref)
+		meet.Unset(rc.ID)
+		for w, word := range meet {
+			for ; word != 0; word &= word - 1 {
+				doms[qi] = append(doms[qi], st.regions[w<<6|bits.TrailingZeros64(word)])
+			}
 		}
 	}
+	serving.Unset(rc.ID)
+	st.clock.CountCellOp(int64(serving.Count()))
 	return doms
 }
 

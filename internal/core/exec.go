@@ -54,6 +54,7 @@ func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error)
 	for ri, r := range st.regions {
 		if r.Alive == 0 {
 			st.processed[ri] = true
+			st.syncLive(ri)
 		}
 	}
 	st.initQueue()
@@ -290,6 +291,7 @@ func (st *state) dropQuery(qi int) {
 			continue
 		}
 		r.Alive &^= bit
+		st.live[qi].Unset(ri)
 		if r.Alive == 0 && !st.processed[ri] {
 			st.processed[ri] = true
 			st.inQueue[ri] = false

@@ -149,7 +149,7 @@ func (e *Engine) OperatorTree() OpNode {
 	}
 	stages := []OpNode{
 		root,
-		{Name: opNamePartitionScan, Detail: fmt.Sprintf("region → quad-tree cell pair, %d join condition(s)", len(e.w.JoinConds))},
+		{Name: opNamePartitionScan, Detail: fmt.Sprintf("region → k-d cell pair, %d join condition(s)", len(e.w.JoinConds))},
 		{Name: opNameSignatureJoin, Detail: "JC mask test + nested-loop join"},
 		{Name: opNameDominanceFilter, Detail: dom},
 		{Name: opNameEmit, Detail: "frontier refresh + safety vet, progressive emission of final results"},

@@ -71,7 +71,7 @@ func TestExplainOperatorTree(t *testing.T) {
 
 	eng := mustEngine(core.Options{TargetCells: 4})
 	const rendered = `CSMScheduler  [Algorithm 1: pop max-CSM root region, lazy score refresh, Eq. 11 feedback]
-  PartitionScan  [region → quad-tree cell pair, 1 join condition(s)]
+  PartitionScan  [region → k-d cell pair, 1 join condition(s)]
     SignatureJoin  [JC mask test + nested-loop join]
       DominanceFilter  [shared skycube insert + dominated-region discard]
         Emit  [frontier refresh + safety vet, progressive emission of final results]

@@ -151,17 +151,30 @@ type keptOrderOp struct {
 }
 
 // TestKeptOrderIsTheSortedLiveSet is the oracle of refreshFrontier's kept
-// order: after every step of a batch run and after every operation of a
-// random StartExec schedule of Admit, Cancel, Seal, Append (including rows
-// that stretch a cell's box, moving region corners) and Delete, each query's
-// frontier refreshed from its kept order must be the one the reference
+// order: at every point checkSchedules stops, each query's frontier
+// refreshed from its kept order must be the one the reference
 // collect-and-sort refresh derives from the current state, charging the same
-// comparisons. Each run is repeated unchecked, and the two reports must be
-// identical.
+// comparisons.
 func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
-	dists := []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated, datagen.Correlated}
-	var checked, moved int
+	var checked int
 	const seeds = 60
+	moved, _ := checkSchedules(t, seeds, func(label string, st *state) { checked += checkFrontiers(t, label, st) })
+	t.Logf("%d seeds: %d frontier checks, %d appends that moved a region's corner", seeds, checked, moved)
+	if moved == 0 {
+		t.Error("no append moved a corner: reviveAfterAppend's recomputation went unexercised")
+	}
+}
+
+// checkSchedules calls check after every step of a batch run and after
+// every operation of a random StartExec schedule of Admit, Cancel, Seal,
+// Append (including rows that stretch a cell's box, moving region corners)
+// and Delete, one of each per seed over generated data. Each run is
+// repeated unchecked, and the two reports must be identical. It returns how
+// many appends moved a region's corner and how many admissions and appends
+// added regions to the plan.
+func checkSchedules(t *testing.T, seeds int64, check func(label string, st *state)) (moved, grown int) {
+	t.Helper()
+	dists := []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated, datagen.Correlated}
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dims, dist := 3+int(seed%4), dists[seed/4%3]
@@ -190,7 +203,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 		label := fmt.Sprintf("seed %d %v d=%d", seed, dist, dims)
 
 		// A batch run, checked after every step.
-		batch := func(check bool) *run.Report {
+		batch := func(checked bool) *run.Report {
 			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{})
 			clock := metrics.NewClock()
 			rep := run.NewReport("CAQE", e.w, nil)
@@ -201,8 +214,8 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			st := newState(e, clock, space, e.newShared(cuboid, space, clock), rep, filter)
 			st.initQueue()
 			for i := 0; st.step(); i++ {
-				if check {
-					checked += checkFrontiers(t, fmt.Sprintf("%s batch step %d", label, i), st)
+				if checked {
+					check(fmt.Sprintf("%s batch step %d", label, i), st)
 				}
 			}
 			st.flushRemaining()
@@ -248,7 +261,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			}
 			ops = append(ops, op)
 		}
-		execRun := func(check bool) *run.Report {
+		execRun := func(checked bool) *run.Report {
 			e := mustEngine(t, mkWorkload(), cloneRel(fullR, base), cloneRel(fullT, base), Options{})
 			rep := run.NewReport("CAQE", e.w, nil)
 			x, err := e.StartExec(metrics.NewClock(), rep)
@@ -257,8 +270,8 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 			}
 			st := x.st
 			at := func(what string) {
-				if check {
-					checked += checkFrontiers(t, fmt.Sprintf("%s after %s", label, what), st)
+				if checked {
+					check(fmt.Sprintf("%s after %s", label, what), st)
 				}
 			}
 			at("start")
@@ -270,8 +283,12 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 						at(fmt.Sprintf("%s step %d", what, k))
 					}
 				case 1:
+					before := len(st.regions)
 					if _, err := x.Admit(op.query, 0); err != nil {
 						t.Fatal(err)
+					}
+					if checked && len(st.regions) > before {
+						grown++
 					}
 				case 2, 3:
 					var picks []int
@@ -300,8 +317,11 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 					if _, _, err := x.Append(op.tab, op.rows); err != nil {
 						t.Fatal(err)
 					}
-					if check && !reflect.DeepEqual(before, cornersOf(st)[:len(before)]) {
+					if checked && !reflect.DeepEqual(before, cornersOf(st)[:len(before)]) {
 						moved++
+					}
+					if checked && len(st.regions) > len(before) {
+						grown++
 					}
 				case 5:
 					// A few rows, or (one delete in four) two thirds of the
@@ -335,10 +355,7 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 		}
 		sameReports(t, label+" exec", execRun(false), execRun(true))
 	}
-	t.Logf("%d seeds: %d frontier checks, %d appends that moved a region's corner", seeds, checked, moved)
-	if moved == 0 {
-		t.Error("no append moved a corner: reviveAfterAppend's recomputation went unexercised")
-	}
+	return moved, grown
 }
 
 // cornersOf copies every region's best corner.

@@ -67,6 +67,7 @@ func (st *state) processRegion(ri int) {
 	st.created = created[:0]
 
 	st.processed[ri] = true
+	st.syncLive(ri)
 	st.clock.CountRegionDone()
 	st.markFrontiersDirty(rc.Alive)
 	var killed skycube.QSet

@@ -74,7 +74,11 @@ type state struct {
 	uses      region.QueryDims    // per output dimension: the queries whose preference reads it
 	kerns     []preference.Kernel // per-query dominance comparator over its preference
 
-	outEdges [][]depEdge
+	// The dependency graph: region i's out-edges are row i of depRows, a set
+	// over region index depWords long (edgeRow); a region the plan gained
+	// after the build has no row.
+	depRows  []uint64
+	depWords int
 	indegree []int
 	pq       *csmHeap
 	inQueue  []bool
@@ -116,6 +120,14 @@ type state struct {
 	// query a later mutation will revive.
 	sealed skycube.QSet
 
+	// live holds, per query, the regions live for it: unprocessed and Alive
+	// for the query. syncLive follows every write to either. ranks indexes
+	// every region's best corner for the coarse tests that probe it
+	// (cornerRanks): a moved corner is re-ranked in place, and a region added
+	// drops the index until the next use rebuilds it.
+	live  []region.Bits
+	ranks *region.CornerRanks
+
 	frontier      [][]liveCorner // per query: minimal best corners of live regions
 	frontierDirty []bool
 	// order holds, per query, the best corners of its live regions in
@@ -145,6 +157,9 @@ type state struct {
 	goneScratch  []int
 	vsScratch    []float64
 	domScratch   [][]*region.Region
+	// The coarse tests' probe of the corner index and their two region sets.
+	probe      region.Probe
+	setScratch [2]region.Bits
 	// exactProgCount's integers: first coordinate, extent and table stride
 	// per axis, then its threshold table.
 	progAxes []int
@@ -174,11 +189,6 @@ const (
 	minimalCorner  int32 = -2 // on the frontier
 )
 
-type depEdge struct {
-	dst  int
-	mask skycube.QSet // W_{i,j}: queries for which src must precede dst
-}
-
 func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skycube.SharedSkyline, rep *run.Report, filter *joinFilter) *state {
 	st := &state{
 		e:         e,
@@ -196,6 +206,9 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 	}
 	for i, q := range e.w.Queries {
 		st.bindQuery(i, q, i)
+	}
+	for ri := range st.regions {
+		st.syncLive(ri)
 	}
 	st.jcQueries = make([]skycube.QSet, len(e.w.JoinConds))
 	for j := range e.w.JoinConds {
@@ -220,6 +233,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.orderGen = append(st.orderGen, 0)
 		st.qremap = append(st.qremap, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
+		st.live = append(st.live, region.NewBits(len(st.regions)))
 	}
 	// Initial weights fold the query priority into the benefit model;
 	// Eq. 11 feedback then re-balances toward unsatisfied queries.
@@ -262,11 +276,17 @@ func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple)
 // born processed with nothing joined, costing the scheduler nothing until
 // reopen revives it.
 func (st *state) growRegions() {
+	if len(st.regions) == len(st.space.Regions) {
+		return
+	}
 	st.regions = st.space.Regions
+	st.ranks = nil
+	for qi, set := range st.live {
+		st.live[qi] = append(set, make(region.Bits, (len(st.regions)+63)/64-len(set))...)
+	}
 	for len(st.processed) < len(st.regions) {
 		st.processed = append(st.processed, true)
 		st.inQueue = append(st.inQueue, false)
-		st.outEdges = append(st.outEdges, nil)
 		st.indegree = append(st.indegree, 0)
 	}
 	if n := len(st.regions) * len(st.w.JoinConds); n > len(st.cursors) {
@@ -287,10 +307,12 @@ func (st *state) reopen(r *region.Region, qs skycube.QSet) bool {
 	st.gen++ // live sets grow: the kept orders are stale
 	if !st.processed[r.ID] {
 		r.Alive |= qs
+		st.syncLive(r.ID)
 		return false
 	}
 	r.Alive = qs
 	st.processed[r.ID] = false
+	st.syncLive(r.ID)
 	if !st.inQueue[r.ID] {
 		st.pq.push(r.ID, st.csm(r))
 		st.inQueue[r.ID] = true
@@ -421,6 +443,7 @@ func (st *state) discardDominated(rc *region.Region, newPayloads []int) skycube.
 				continue
 			}
 			rf.Alive &^= 1 << uint(qi)
+			st.live[qi].Unset(fi)
 			killedQueries = killedQueries.Add(qi)
 			st.traceDiscard(fi, qi)
 			if rf.Alive == 0 {
@@ -685,6 +708,9 @@ func (st *state) collectOrder(qi int) {
 // the region's Lo.
 func (st *state) cornerMoved(r *region.Region) {
 	st.gen++
+	if st.ranks != nil {
+		st.ranks.Move(r.ID, r.Lo)
+	}
 	for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
 		fr := st.frontier[qi]
 		for i := range fr {
@@ -693,6 +719,39 @@ func (st *state) cornerMoved(r *region.Region) {
 			}
 		}
 	}
+}
+
+// syncLive sets region ri's bit in every query's live set to whether the
+// region is live for the query: unprocessed and Alive for it.
+func (st *state) syncLive(ri int) {
+	live := !st.processed[ri]
+	alive := st.regions[ri].Alive
+	for qi, set := range st.live {
+		if live && alive.Has(qi) {
+			set.Set(ri)
+		} else {
+			set.Unset(ri)
+		}
+	}
+}
+
+// cornerRanks returns the index of every region's best corner, built anew
+// after a region was added.
+func (st *state) cornerRanks() *region.CornerRanks {
+	if st.ranks == nil {
+		st.ranks = region.NewCornerRanks(len(st.regions), len(st.w.OutDims), func(i int) []float64 { return st.regions[i].Lo })
+	}
+	return st.ranks
+}
+
+// scratchSets returns the two reused region sets of the coarse tests,
+// sized to the region count.
+func (st *state) scratchSets() (a, b region.Bits) {
+	n := (len(st.regions) + 63) / 64
+	for i := range st.setScratch {
+		st.setScratch[i] = slices.Grow(st.setScratch[i][:0], n)[:n]
+	}
+	return st.setScratch[0], st.setScratch[1]
 }
 
 func (st *state) markFrontiersDirty(qs skycube.QSet) {

@@ -153,6 +153,68 @@ func TestDiscardZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestCoarseProbesZeroAlloc pins the two coarse steps that run per
+// scheduling decision at zero allocations once their scratch has grown:
+// ProgCount's dominator lists, probed on the corner index, and a release of
+// a region's dependency edges that pushes the regions it roots into the
+// queue (scoring each) — restored and released again, so every call finds
+// work.
+func TestCoarseProbesZeroAlloc(t *testing.T) {
+	w := testWorkload(4, 3, workload.UniformPriority, c3s)
+	r, tt := testPair(t, 300, 3, datagen.AntiCorrelated, 0.05, 1)
+	e := mustEngine(t, w, r, tt, Options{})
+	clock := metrics.NewClock()
+	cuboid, space, filter, err := e.plan(clock, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
+	st.initQueue()
+
+	rc := st.regions[len(st.regions)-1]
+	listed := 0
+	for _, doms := range st.dominatorsByQuery(rc) {
+		listed += len(doms)
+	}
+	if listed == 0 {
+		t.Fatalf("region %d has no dominators: nothing to list", rc.ID)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { st.dominatorsByQuery(rc) }); allocs != 0 {
+		t.Fatalf("dominatorsByQuery allocates %.1f per call", allocs)
+	}
+
+	ri := slices.IndexFunc(st.regions, func(r *region.Region) bool {
+		row := st.edgeRow(r.ID)
+		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
+			if st.indegree[j] == 1 {
+				return true
+			}
+		}
+		return false
+	})
+	if ri < 0 {
+		t.Fatal("no region is the last blocker of another: a release roots nothing")
+	}
+	row := slices.Clone(st.edgeRow(ri))
+	indegree := slices.Clone(st.indegree)
+	inQueue := slices.Clone(st.inQueue)
+	queued := len(st.pq.items)
+	release := func() {
+		copy(st.edgeRow(ri), row)
+		copy(st.indegree, indegree)
+		copy(st.inQueue, inQueue)
+		st.pq.items = st.pq.items[:queued]
+		st.releaseEdges(ri)
+	}
+	release()
+	if len(st.pq.items) == queued {
+		t.Fatal("the release pushed nothing")
+	}
+	if allocs := testing.AllocsPerRun(200, release); allocs != 0 {
+		t.Fatalf("releaseEdges allocates %.1f per release", allocs)
+	}
+}
+
 // TestExactProgCountZeroAlloc pins the exact ProgCount at zero allocations
 // once its table has grown: a call reuses the state's integer scratch.
 func TestExactProgCountZeroAlloc(t *testing.T) {

@@ -215,29 +215,64 @@ func (s *Space) initGrid(res int) {
 // filtering against all serving regions (dominated or not) is exact.
 // Regions left with an empty Alive set are discarded.
 //
-// Dominance between a region pair is resolved once for every shared query
-// as query sets (QueryDims.Pair); the pair is charged as one cell-level
-// operation.
+// o fully dominates r in q's preference when o.Hi weakly dominates r.Lo
+// there with one strict dimension: probing the index of every region's Hi
+// with r.Lo, r's killers for q are the regions serving q that the probe
+// finds Dominant. The charge is that of testing, in index order, the
+// regions o ≠ r whose lineage meets r's, one cell-level operation each,
+// until r.Alive is empty (DESIGN.md §13): up to the highest of the queries'
+// first killers when every query dies, all of them when one survives.
 //
 // With keepPruned, dead regions are moved to the tail of the list (IDs
 // after every survivor) instead of discarded; survivors keep the exact IDs
 // of a discarding build and the pruning charges are identical.
 func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
-	uses := NewQueryDims(s.W.Queries, len(s.W.OutDims))
-	for _, r := range s.Regions {
-		for _, o := range s.Regions {
-			if r.Alive == 0 {
-				break
-			}
-			if o == r || o.RQL&r.RQL == 0 {
-				continue
-			}
-			if clock != nil {
-				clock.CountCellOp(1)
-			}
-			notWeak, strict := uses.Pair(o.Hi, r.Lo)
-			r.Alive &^= o.RQL & strict &^ notWeak
+	m := len(s.Regions)
+	ranks := NewCornerRanks(m, len(s.W.OutDims), func(i int) []float64 { return s.Regions[i].Hi })
+	// serving[q]: the regions whose lineage holds q.
+	serving := make([]Bits, len(s.W.Queries))
+	for q := range serving {
+		serving[q] = NewBits(m)
+	}
+	for i, r := range s.Regions {
+		for q := r.RQL.Next(0); q >= 0; q = r.RQL.Next(q + 1) {
+			serving[q].Set(i)
 		}
+	}
+	var probe Probe
+	overlap, killers := NewBits(m), NewBits(m)
+	var charged int64
+	for i, r := range s.Regions {
+		if r.Alive == 0 {
+			continue
+		}
+		clear(overlap)
+		for q := r.RQL.Next(0); q >= 0; q = r.RQL.Next(q + 1) {
+			for w, bits := range serving[q] {
+				overlap[w] |= bits
+			}
+		}
+		overlap.Unset(i)
+		probe.Below(ranks, r.Lo)
+		last := -1 // the highest first killer so far
+		alive := r.Alive
+		for q := r.Alive.Next(0); q >= 0; q = r.Alive.Next(q + 1) {
+			probe.Dominant(killers, serving[q], s.W.Queries[q].Pref)
+			killers.Unset(i)
+			if f := killers.Next(0); f >= 0 {
+				alive &^= 1 << uint(q)
+				last = max(last, f)
+			}
+		}
+		if alive == 0 {
+			charged += int64(overlap.CountTo(last))
+		} else {
+			charged += int64(overlap.Count())
+		}
+		r.Alive = alive
+	}
+	if clock != nil {
+		clock.CountCellOp(charged)
 	}
 	var pruned []*Region
 	kept := s.Regions[:0]

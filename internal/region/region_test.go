@@ -17,8 +17,8 @@ import (
 )
 
 // The three relations of Definition 8 and §5.3.2 in their direct form: the
-// oracles that QueryDims.Pair, the one form the coarse prune and the
-// dependency graph use, is held to (TestRegionPairQuerySets).
+// oracles that QueryDims.Pair is held to (TestRegionPairQuerySets), as the
+// corner index is held to Pair (TestCornerRanksMatchPair).
 
 // fullyDominatesIn reports Definition 8 case (1): r's worst corner weakly
 // dominates o's best corner in subspace v with at least one strict
