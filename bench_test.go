@@ -1,4 +1,4 @@
-// Benchmarks of the comparison strategies and the optimizer toggles at a
+// Benchmarks of the comparison strategies at a
 // reduced scale, reporting virtual seconds (the determinism reference:
 // BenchmarkStrategyCAQE/anti) and satisfaction beside time and allocations.
 // The paper's figures are cmd/caqe-bench's tables (bench_results.txt), and
@@ -12,7 +12,6 @@ import (
 
 	"caqe/internal/baseline"
 	"caqe/internal/contract"
-	"caqe/internal/core"
 	"caqe/internal/datagen"
 	"caqe/internal/workload"
 )
@@ -66,47 +65,3 @@ func BenchmarkStrategySJFSL(b *testing.B)  { benchStrategy(b, "S-JFSL") }
 func BenchmarkStrategyJFSL(b *testing.B)   { benchStrategy(b, "JFSL") }
 func BenchmarkStrategyProgXe(b *testing.B) { benchStrategy(b, "ProgXe+") }
 func BenchmarkStrategySSMJ(b *testing.B)   { benchStrategy(b, "SSMJ") }
-
-// BenchmarkAblations measures the design-choice toggles DESIGN.md calls
-// out: dependency graph, region discard, contract benefit, feedback,
-// exact-vs-volume ProgCount.
-func BenchmarkAblations(b *testing.B) {
-	w := workload.MustBenchmark(workload.BenchmarkConfig{
-		NumQueries: 11, Dims: 4, Priority: workload.HighDimsHigh,
-		NewContract: func(int) contract.Contract { return contract.C3(20) },
-	})
-	r, t, err := datagen.Pair(400, 4, datagen.Independent, []float64{0.05}, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cases := []struct {
-		name string
-		opt  core.Options
-	}{
-		{"full", core.Options{}},
-		{"noDepGraph", core.Options{DisableDependencyGraph: true}},
-		{"noDiscard", core.Options{DisableRegionDiscard: true}},
-		{"noFeedback", core.Options{DisableFeedback: true}},
-		{"countOnly", core.Options{DisableContractBenefit: true}},
-		{"volumeProgCount", core.Options{ExactProgCountCap: -1}},
-		{"dataOrder", core.Options{DataOrderScheduling: true}},
-	}
-	for _, c := range cases {
-		c.opt.TargetCells = 12
-		c.opt.GridResolution = 32
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := core.New(w, r, t, c.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rep, err := eng.Execute(nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(rep.AvgSatisfaction(), "avg-sat")
-				b.ReportMetric(float64(rep.Counters.SkylineCmps), "cmps")
-			}
-		})
-	}
-}

@@ -1,9 +1,10 @@
-// Adaptive scheduling: a side-by-side look at the optimizer's design
-// choices — the contract-driven benefit model, the Eq. 11 satisfaction
-// feedback, the dependency graph and the region discard step — on one
-// deadline-heavy workload. Each ablation runs on identical input and must
-// produce identical results; only the schedule (and therefore satisfaction
-// and work) changes.
+// Adaptive scheduling: a side-by-side look at the three ways the shared
+// engine orders its regions — CAQE's contract-driven benefit model with the
+// Eq. 11 satisfaction feedback, a count-driven benefit (ProgXe+'s ordering)
+// and blind data order (S-JFSL's, which also skips the dependency graph and
+// the region discard) — on one deadline-heavy workload, then the unshared
+// baselines. Each engine runs on identical input and must produce identical
+// results; only the schedule (and therefore satisfaction and work) changes.
 //
 // Run with:
 //
@@ -42,21 +43,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	sjfsl, err := baseline.Find("S-JFSL", baseline.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	dataOrder, _ := sjfsl.Engine()
 	configs := []struct {
 		name string
 		opt  core.Options
 	}{
-		{"CAQE (full)", core.Options{}},
-		{"- contract benefit", core.Options{DisableContractBenefit: true}},
-		{"- feedback (Eq.11)", core.Options{DisableFeedback: true}},
-		{"- dependency graph", core.Options{DisableDependencyGraph: true}},
-		{"- region discard", core.Options{DisableRegionDiscard: true}},
-		{"data order (S-JFSL)", dataOrder},
+		{"CAQE", core.Options{}},
+		{"count-driven", core.Options{DisableContractBenefit: true}},
+		{"data order (S-JFSL)", core.Options{DataOrderScheduling: true}},
 	}
 
 	fmt.Printf("deadline-heavy workload: %d queries, C1(t=100s), N=%d\n\n", len(w.Queries), r.Len())

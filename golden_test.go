@@ -61,13 +61,20 @@ func fingerprint(config string, rep *run.Report) goldenFingerprint {
 
 const goldenPath = "testdata/golden_reports.json"
 
-// goldenConfigs enumerates the executions the golden file pins: every
-// strategy over every distribution on the shared determinism workload, plus
-// a deterministic fake-clock wall-mode CAQE run and a data-order ablation.
-func goldenConfigs(t *testing.T) map[string]func() (*run.Report, error) {
+// goldenInput is one data set the golden file pins: the shared determinism
+// workload over one distribution's generated pair, with its exact totals.
+type goldenInput struct {
+	dist   string
+	w      *caqe.Workload
+	r, t   *caqe.Relation
+	totals []int
+}
+
+// goldenInputs generates the golden data sets, one per distribution.
+func goldenInputs(t *testing.T) []goldenInput {
 	t.Helper()
 	w := determinismWorkload()
-	configs := map[string]func() (*run.Report, error){}
+	var ins []goldenInput
 	for _, dist := range []struct {
 		name string
 		d    caqe.Distribution
@@ -84,21 +91,53 @@ func goldenConfigs(t *testing.T) map[string]func() (*run.Report, error) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		ins = append(ins, goldenInput{dist.name, w, r, tt, totals})
+	}
+	return ins
+}
+
+// goldenConfigs enumerates the executions the golden file pins: every
+// strategy over every distribution on the shared determinism workload, plus
+// a deterministic fake-clock wall-mode CAQE run.
+func goldenConfigs(t *testing.T) map[string]func() (*run.Report, error) {
+	t.Helper()
+	configs := map[string]func() (*run.Report, error){}
+	for _, in := range goldenInputs(t) {
 		for _, name := range caqe.StrategyNames() {
 			name := name
-			configs[fmt.Sprintf("%s/%s", name, dist.name)] = func() (*run.Report, error) {
-				return caqe.RunStrategy(name, w, r, tt, caqe.WithTotals(totals))
+			configs[fmt.Sprintf("%s/%s", name, in.dist)] = func() (*run.Report, error) {
+				return caqe.RunStrategy(name, in.w, in.r, in.t, caqe.WithTotals(in.totals))
 			}
 		}
-		configs[fmt.Sprintf("CAQE-wall-fakens/%s", dist.name)] = func() (*run.Report, error) {
+		configs[fmt.Sprintf("CAQE-wall-fakens/%s", in.dist)] = func() (*run.Report, error) {
 			var ns atomic.Int64
-			return caqe.Run(w, r, tt, caqe.Options{
+			return caqe.Run(in.w, in.r, in.t, caqe.Options{
 				WallClock: true,
 				WallNowNS: func() int64 { return ns.Add(2000) },
-			}, caqe.WithTotals(totals))
+			}, caqe.WithTotals(in.totals))
 		}
 	}
 	return configs
+}
+
+// TestDataOrderAloneIsSJFSL: the data-order switch alone is the S-JFSL
+// engine — no dependency graph, no region discard, no feedback — so a CAQE
+// run with only DataOrderScheduling set reproduces RunStrategy("S-JFSL")
+// byte for byte on every golden data set.
+func TestDataOrderAloneIsSJFSL(t *testing.T) {
+	for _, in := range goldenInputs(t) {
+		t.Run(in.dist, func(t *testing.T) {
+			want, err := caqe.RunStrategy("S-JFSL", in.w, in.r, in.t, caqe.WithTotals(in.totals))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := caqe.Run(in.w, in.r, in.t, caqe.Options{DataOrderScheduling: true}, caqe.WithTotals(in.totals))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalReports(t, want, got)
+		})
+	}
 }
 
 // TestGoldenReports pins the executor's observable behaviour to the

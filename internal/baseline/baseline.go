@@ -99,10 +99,9 @@ func table(opt Options) []Strategy {
 	caqe := engine(core.Options{})
 	// S-JFSL: the shared plan driven blindly in data order, with no
 	// dependency-graph lookahead, no region discarding and no feedback.
-	sjfsl := engine(core.Options{DataOrderScheduling: true, DisableRegionDiscard: true,
-		DisableFeedback: true, DisableDependencyGraph: true})
+	sjfsl := engine(core.Options{DataOrderScheduling: true})
 	// ProgXe+: count-driven region ordering, no feedback.
-	progxe := engine(core.Options{DisableContractBenefit: true, DisableFeedback: true})
+	progxe := engine(core.Options{DisableContractBenefit: true})
 	return []Strategy{
 		newStrategy("CAQE", opt, caqe, wholeWorkload(caqe)),
 		newStrategy("S-JFSL", opt, sjfsl, wholeWorkload(sjfsl)),

@@ -388,8 +388,8 @@ func TestEngineConfigIsWhatRuns(t *testing.T) {
 			}
 			assertIdenticalReports(t, want, got)
 
-			cfg.DisableFeedback = !cfg.DisableFeedback
-			if again, _ := s.Engine(); again.DisableFeedback == cfg.DisableFeedback {
+			cfg.DataOrderScheduling = !cfg.DataOrderScheduling
+			if again, _ := s.Engine(); again.DataOrderScheduling == cfg.DataOrderScheduling {
 				t.Error("changing the returned configuration changed the strategy's")
 			}
 		})

@@ -46,13 +46,13 @@ func (st *state) referenceDepGraph() (targets [][]int, indegree []int) {
 }
 
 // referenceDominators is dominatorsByQuery as it read before the corner
-// index: one QueryDims.Pair per live region that serves a query of rc.Alive,
+// index: one QueryDims.Pair per other region whose Alive set meets rc's,
 // charged one cell operation.
 func (st *state) referenceDominators(rc *region.Region) [][]*region.Region {
 	doms := make([][]*region.Region, len(st.w.Queries))
-	for fi, rf := range st.regions {
+	for _, rf := range st.regions {
 		both := rf.Alive & rc.Alive
-		if st.processed[fi] || rf == rc || both == 0 {
+		if rf == rc || both == 0 {
 			continue
 		}
 		st.clock.CountCellOp(1)
@@ -67,10 +67,9 @@ func (st *state) referenceDominators(rc *region.Region) [][]*region.Region {
 
 // randomCoarseState draws a state with m regions over nd output dimensions
 // and nq queries of random non-empty preferences: bounds that tie often,
-// hold NaN, ±Inf and −0 and sometimes have no extent, Alive sets that are
-// random (empty for one region in ten), and one region in ten processed
-// when processed is set.
-func randomCoarseState(rng *rand.Rand, m, nd, nq int, processed bool) *state {
+// hold NaN, ±Inf and −0 and sometimes have no extent, and Alive sets that
+// are random (empty, the region done, for one region in ten).
+func randomCoarseState(rng *rand.Rand, m, nd, nq int) *state {
 	specials := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}
 	w := &workload.Workload{OutDims: make([]join.MapFunc, nd), Queries: make([]workload.Query, nq)}
 	for qi := range w.Queries {
@@ -96,7 +95,6 @@ func randomCoarseState(rng *rand.Rand, m, nd, nq int, processed bool) *state {
 			r.Alive = skycube.QSet(rng.Intn(1 << uint(nq)))
 		}
 		st.regions = append(st.regions, r)
-		st.processed = append(st.processed, processed && rng.Intn(10) == 0)
 	}
 	st.inQueue = make([]bool, m)
 	for range w.Queries {
@@ -138,6 +136,11 @@ func checkDepGraph(t *testing.T, rng *rand.Rand, label string, st *state) int {
 		}
 		edges += len(want)
 	}
+	// Every region counts as queued, so a release roots nothing into the
+	// scheduler queue these states lack.
+	for i := range st.inQueue {
+		st.inQueue[i] = true
+	}
 	for _, i := range rng.Perm(len(st.regions)) {
 		for _, j := range wantTargets[i] {
 			wantIndegree[j]--
@@ -164,7 +167,7 @@ func TestDepGraphMatchesReference(t *testing.T) {
 		if trial%2 == 1 {
 			m = 1 + rng.Intn(140)
 		}
-		st := randomCoarseState(rng, m, 1+rng.Intn(6), 1+rng.Intn(8), false)
+		st := randomCoarseState(rng, m, 1+rng.Intn(6), 1+rng.Intn(8))
 		edges += checkDepGraph(t, rng, fmt.Sprintf("trial %d (%d regions)", trial, m), st)
 	}
 	for seed, dist := range []datagen.Distribution{datagen.Independent, datagen.AntiCorrelated, datagen.Correlated} {
@@ -186,20 +189,14 @@ func TestDepGraphMatchesReference(t *testing.T) {
 	}
 }
 
-// checkDominators fails unless every query's live set holds exactly the
-// regions unprocessed and Alive for it, and dominatorsByQuery gives every
+// checkDominators fails unless every query's live set is the transpose of
+// the regions' Alive sets (checkLive) and dominatorsByQuery gives every
 // region of st the reference's lists and charge. Both are charged to
 // scratch clocks, so an execution checked between its steps proceeds
 // exactly as if unchecked. It returns the number of dominators listed.
 func checkDominators(t *testing.T, label string, st *state) int {
 	t.Helper()
-	for qi, set := range st.live {
-		for ri, r := range st.regions {
-			if want := !st.processed[ri] && r.Alive.Has(qi); set.Has(ri) != want {
-				t.Fatalf("%s: query %d: region %d live %v, processed %v and alive %v", label, qi, ri, set.Has(ri), st.processed[ri], r.Alive)
-			}
-		}
-	}
+	checkLive(t, label, st)
 	clock := st.clock
 	defer func() { st.clock = clock }()
 	listed := 0
@@ -224,17 +221,17 @@ func checkDominators(t *testing.T, label string, st *state) int {
 
 // TestDominatorsMatchReference: dominatorsByQuery lists, for every region and
 // query, the reference's dominators in region order and charges the
-// reference's cell operations — on random states with processed regions,
-// and at every point of checkSchedules' batch runs and random Exec
+// reference's cell operations — on random states with done regions, and at
+// every point of checkSchedules' batch runs and random Exec
 // schedules, where Admit, Cancel, Append and Delete grow the plan, move
 // corners, revive and retire regions and reclaim query slots, and every
-// write to a region's Alive set or processed flag must reach the live sets.
+// write to a region's Alive set must reach the live sets.
 func TestDominatorsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	listed := 0
 	for trial := 0; trial < 200; trial++ {
 		m := 1 + rng.Intn(140)
-		st := randomCoarseState(rng, m, 1+rng.Intn(6), 1+rng.Intn(8), true)
+		st := randomCoarseState(rng, m, 1+rng.Intn(6), 1+rng.Intn(8))
 		listed += checkDominators(t, fmt.Sprintf("trial %d (%d regions)", trial, m), st)
 	}
 	const seeds = 12

@@ -27,11 +27,6 @@ type Options struct {
 	// GridResolution is the number of output-grid cells per dimension used
 	// for ProgCount and emission decisions (default 64).
 	GridResolution int
-	// ExactProgCountCap counts a region's undominated output cells exactly
-	// when its cell count in the query subspace is at most this value; larger
-	// regions use the volume-fraction estimate (default 512; set negative
-	// to always use the volume estimate — the ablation toggle).
-	ExactProgCountCap int64
 
 	// WallClock switches the engine from the deterministic virtual clock to
 	// real (monotonic) time: contract deadlines become wall deadlines and
@@ -44,23 +39,15 @@ type Options struct {
 	// is set.
 	WallNowNS func() int64
 
-	// DisableFeedback freezes the query weights at their initial values,
-	// disabling the Eq. 11 satisfaction feedback (ablation).
-	DisableFeedback bool
-	// DisableDependencyGraph makes every region an immediate scheduling
-	// candidate, ignoring output dependencies (ablation).
-	DisableDependencyGraph bool
 	// DisableContractBenefit ranks regions purely by estimated output
-	// count rather than contract utility (ablation: a count-driven
-	// scheduler in the CAQE skeleton, ProgXe+-style).
+	// count rather than contract utility: a count-driven scheduler in the
+	// CAQE skeleton, the ProgXe+ comparison strategy (§7.1). With no
+	// contract weights to read, the Eq. 11 feedback is off too.
 	DisableContractBenefit bool
-	// DisableRegionDiscard skips Algorithm 1's "discard regions dominated
-	// by generated tuples" step (ablation; also part of the S-JFSL
-	// configuration).
-	DisableRegionDiscard bool
 	// DataOrderScheduling processes regions blindly in construction order
 	// instead of by CSM — the "pipeline the input through the shared plan"
-	// behaviour of the S-JFSL comparison strategy (§7.1).
+	// behaviour of the S-JFSL comparison strategy (§7.1): no dependency
+	// graph, no region discard and no feedback.
 	DataOrderScheduling bool
 
 	// Tracer, when set, receives the structured execution trace of the
@@ -90,10 +77,13 @@ func (o Options) withDefaults() Options {
 	if o.GridResolution <= 0 {
 		o.GridResolution = 64
 	}
-	if o.ExactProgCountCap == 0 {
-		o.ExactProgCountCap = 512
-	}
 	return o
+}
+
+// feedback reports whether the Eq. 11 satisfaction feedback runs: only
+// where the contract-weighted CSM reads its weights.
+func (o Options) feedback() bool {
+	return !o.DataOrderScheduling && !o.DisableContractBenefit
 }
 
 // Engine executes one workload over one pair of base relations.

@@ -76,13 +76,8 @@ func TestNewValidatesInputs(t *testing.T) {
 
 func TestOptionDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.TargetCells <= 0 || o.GridResolution <= 0 || o.ExactProgCountCap == 0 {
+	if o.TargetCells <= 0 || o.GridResolution <= 0 {
 		t.Fatalf("defaults not applied: %+v", o)
-	}
-	// Negative cap disables the exact path but must be preserved.
-	o = Options{ExactProgCountCap: -1}.withDefaults()
-	if o.ExactProgCountCap != -1 {
-		t.Fatalf("negative cap overridden: %+v", o)
 	}
 }
 
@@ -168,8 +163,9 @@ func TestEmittedResultsAreFinal(t *testing.T) {
 	}
 }
 
-// TestAblationsPreserveCorrectness: every optimizer toggle must change only
-// scheduling, never results.
+// TestAblationsPreserveCorrectness: every engine configuration — the
+// count-driven and data-order schedulers, a coarser grid, finer cells — must
+// change only scheduling, never results.
 func TestAblationsPreserveCorrectness(t *testing.T) {
 	w := testWorkload(4, 3, workload.HighDimsHigh, c3s)
 	r, tt := testPair(t, 200, 3, datagen.Independent, 0.04, 11)
@@ -182,12 +178,8 @@ func TestAblationsPreserveCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	variants := []Options{
-		{DisableFeedback: true},
-		{DisableDependencyGraph: true},
 		{DisableContractBenefit: true},
-		{DisableRegionDiscard: true},
 		{DataOrderScheduling: true},
-		{ExactProgCountCap: -1},
 		{GridResolution: 8},
 		{TargetCells: 12},
 	}

@@ -27,13 +27,14 @@ import (
 // whose Lo R_i's weakly dominates, strictly on one dimension), each query of
 // R_i.Alive adds the regions live for it that the probe finds Dominant. The
 // charge is one cell-level operation per pair i < j whose Alive sets meet,
-// as testing pair by pair would make (DESIGN.md §13).
+// as testing pair by pair would make (DESIGN.md §13). The data-order scheduler
+// builds no graph.
 func (st *state) buildDepGraph() {
 	m := len(st.regions)
 	st.indegree = make([]int, m)
 	st.depWords = (m + 63) / 64
 	st.depRows = nil
-	if st.e.opt.DisableDependencyGraph {
+	if st.e.opt.DataOrderScheduling {
 		return
 	}
 	st.depRows = make([]uint64, m*st.depWords)
@@ -86,7 +87,7 @@ func (st *state) releaseEdges(ri int) {
 		for ; word != 0; word &= word - 1 {
 			j := w<<6 | bits.TrailingZeros64(word)
 			st.indegree[j]--
-			if st.indegree[j] == 0 && !st.processed[j] && !st.inQueue[j] && st.pq != nil {
+			if st.indegree[j] == 0 && st.regions[j].Alive != 0 && !st.inQueue[j] {
 				st.pq.push(j, st.csm(st.regions[j]))
 				st.inQueue[j] = true
 			}
@@ -96,7 +97,7 @@ func (st *state) releaseEdges(ri int) {
 }
 
 // csmHeap is a max-heap of (region, score) used as Algorithm 1's inverted
-// priority queue. Entries may be stale; callers skip processed regions and
+// priority queue. Entries may be stale; callers skip done regions and
 // lazily refresh scores on pop.
 //
 // Scores are compared on a log2 bucket: regions whose benefit estimates are

@@ -13,17 +13,16 @@ import (
 )
 
 // referenceDiscard is discardDominated as it read before the champions'
-// bound: for each query rc serves, the candidates among payloads (read off
-// the windows), then every live region's best corner tested against them
-// one by one, one cell operation per test. It works on copies and changes
-// nothing: it returns the region alive sets and processed flags the pass
-// leaves, and the cell operations it charges.
-func (st *state) referenceDiscard(rc *region.Region, payloads []int) (alive []skycube.QSet, processed []bool, cellOps int64) {
-	processed = slices.Clone(st.processed)
+// bound and the live sets: for each query of qs, the candidates among
+// payloads (read off the windows), then the best corner of every region
+// Alive for the query tested against them one by one, one cell operation
+// per test. It works on copies and changes nothing: it returns the region
+// alive sets the pass leaves and the cell operations it charges.
+func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skycube.QSet, cellOps int64) {
 	for _, rf := range st.regions {
 		alive = append(alive, rf.Alive)
 	}
-	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+	for qi := qs.Next(0); qi >= 0; qi = qs.Next(qi + 1) {
 		cands := st.shared.Candidates(qi)
 		var champs [][]float64
 		for _, p := range payloads {
@@ -36,7 +35,7 @@ func (st *state) referenceDiscard(rc *region.Region, payloads []int) (alive []sk
 		}
 		kern := st.kerns[qi]
 		for fi, rf := range st.regions {
-			if processed[fi] || rf == rc || !alive[fi].Has(qi) {
+			if !alive[fi].Has(qi) {
 				continue
 			}
 			dominated := false
@@ -49,16 +48,16 @@ func (st *state) referenceDiscard(rc *region.Region, payloads []int) (alive []sk
 			}
 			if dominated {
 				alive[fi] &^= 1 << uint(qi)
-				processed[fi] = processed[fi] || alive[fi] == 0
 			}
 		}
 	}
-	return alive, processed, cellOps
+	return alive, cellOps
 }
 
 // TestDiscardMatchesReference: on random plans, champions and regions,
 // discardDominated kills exactly the (region, query) pairs the reference
-// kills, retires the same regions and charges the same cell operations.
+// kills, retires the same regions (empties their Alive sets, and their live
+// sets follow) and charges the same cell operations.
 // Coordinates come from a small domain, so region corners often tie the
 // champions' bound; some champions and corners have a NaN coordinate, some
 // regions a zero-extent dimension, and some plans a preference of five or
@@ -113,14 +112,16 @@ func TestDiscardMatchesReference(t *testing.T) {
 					r.Hi[k] += float64(1 + rng.Intn(2))
 				}
 			}
+			if rng.Intn(10) == 0 {
+				r.Alive = 0 // done
+			}
 			st.regions = append(st.regions, r)
-			st.processed = append(st.processed, rng.Intn(10) == 0)
 		}
 		st.inQueue = make([]bool, nr)
 		st.indegree = make([]int, nr)
-		rc := st.regions[0]
-		rc.Alive = all
-		st.processed[0] = true
+		// Region 0 was just processed for every query: done, as
+		// processRegion leaves it.
+		st.regions[0].Alive = 0
 		for range prefs {
 			st.live = append(st.live, region.NewBits(nr))
 		}
@@ -141,13 +142,13 @@ func TestDiscardMatchesReference(t *testing.T) {
 		}
 
 		// What the bound decides, for the coverage counts.
-		for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+		for qi := all.Next(0); qi >= 0; qi = all.Next(qi + 1) {
 			champs, bound := st.champions(qi, payloads)
 			if len(champs) == 0 {
 				continue
 			}
-			for fi, rf := range st.regions {
-				if st.processed[fi] || rf == rc || !rf.Alive.Has(qi) {
+			for _, rf := range st.regions {
+				if !rf.Alive.Has(qi) {
 					continue
 				}
 				below, tie := false, false
@@ -163,7 +164,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 			}
 		}
 
-		wantAlive, wantProcessed, wantOps := st.referenceDiscard(rc, payloads)
+		wantAlive, wantOps := st.referenceDiscard(all, payloads)
 		var wantKilled skycube.QSet
 		for fi, rf := range st.regions {
 			lost := rf.Alive &^ wantAlive[fi]
@@ -171,16 +172,23 @@ func TestDiscardMatchesReference(t *testing.T) {
 			kills += lost.Count()
 		}
 		before := st.clock.Counters().CellOps
-		if killed := st.discardDominated(rc, payloads); killed != wantKilled {
+		if killed := st.discardDominated(all, payloads); killed != wantKilled {
 			t.Fatalf("trial %d: killed queries %v, reference %v", trial, killed, wantKilled)
 		}
 		if got := st.clock.Counters().CellOps - before; got != wantOps {
 			t.Fatalf("trial %d: %d cell operations, reference %d", trial, got, wantOps)
 		}
 		for fi, rf := range st.regions {
-			if rf.Alive != wantAlive[fi] || st.processed[fi] != wantProcessed[fi] {
-				t.Fatalf("trial %d: region %d alive %v processed %v, reference %v %v (corner %v, prefs %v)",
-					trial, fi, rf.Alive, st.processed[fi], wantAlive[fi], wantProcessed[fi], rf.Lo, prefs)
+			if rf.Alive != wantAlive[fi] {
+				t.Fatalf("trial %d: region %d alive %v, reference %v (corner %v, prefs %v)",
+					trial, fi, rf.Alive, wantAlive[fi], rf.Lo, prefs)
+			}
+		}
+		for qi, set := range st.live {
+			for fi, rf := range st.regions {
+				if set.Has(fi) != rf.Alive.Has(qi) {
+					t.Fatalf("trial %d: query %d: region %d live %v, Alive %v", trial, qi, fi, set.Has(fi), rf.Alive)
+				}
 			}
 		}
 	}

@@ -145,9 +145,10 @@ func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
 
 // progCount implements Definition 11: the number of rc's output cells (in
 // the query's preference subspace) not dominated by any live region that
-// serves the same query. Small regions are counted exactly over the output
-// grid; larger ones use the volume-fraction estimate with the independence
-// approximation for the union (see DESIGN.md).
+// serves the same query. Regions of at most exactProgCountCap cells are
+// counted exactly over the output grid; larger ones use the volume-fraction
+// estimate with the independence approximation for the union (see
+// DESIGN.md).
 func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
 	cells := st.space.CellCount(rc, pref)
@@ -155,8 +156,7 @@ func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (pr
 	if len(doms) == 0 {
 		return total, total
 	}
-	cap64 := st.e.opt.ExactProgCountCap
-	if cap64 > 0 && total <= float64(cap64) {
+	if cells <= exactProgCountCap {
 		return st.exactProgCount(rc, pref, doms, cells), total
 	}
 	// Volume estimate: fraction of rc not covered by the union of the
@@ -170,6 +170,9 @@ func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (pr
 	}
 	return free * total, total
 }
+
+// exactProgCountCap is the largest cell count progCount counts exactly.
+const exactProgCountCap = 512
 
 // exactProgCount counts rc's grid cells in the preference subspace whose
 // lower corner no dominator's best corner weakly dominates; cells is rc's

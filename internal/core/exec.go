@@ -38,8 +38,8 @@ type Exec struct {
 // output space is built with KeepPruned so that regions the coarse-level
 // skyline retires (or cell pairs no initial query joins) keep their
 // geometry available for queries admitted mid-run; the retired tail is
-// born processed and costs the scheduler nothing until an admission
-// revives it.
+// born done (Alive empty) and costs the scheduler nothing until an
+// admission revives it.
 func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error) {
 	if e.opt.DataOrderScheduling {
 		return nil, fmt.Errorf("core: stepping execution requires CSM scheduling (DataOrderScheduling is a batch-only ablation)")
@@ -51,12 +51,6 @@ func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error)
 	shared := e.newShared(cuboid, space, clock)
 
 	st := newState(e, clock, space, shared, rep, filter)
-	for ri, r := range st.regions {
-		if r.Alive == 0 {
-			st.processed[ri] = true
-			st.syncLive(ri)
-		}
-	}
 	st.initQueue()
 	st.deferrals = 0
 	return &Exec{st: st, clock: clock, rep: rep}, nil
@@ -199,18 +193,18 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 		}
 	}
 
-	// Revive the surviving regions for the new query. A processed region
-	// whose join under the condition is complete stays closed — its results
+	// Revive the surviving regions for the new query. A done region whose
+	// join under the condition is complete stays closed — its results
 	// were just seeded — and a region whose best corner a seeded candidate
 	// already dominates is discarded for the query exactly as Algorithm 1
 	// discards it mid-run, before it costs a scheduling decision.
 	qbit := skycube.QSet(0).Add(qi)
 	champs, bound := st.champions(qi, st.pending[qi])
 	for _, r := range serve {
-		if st.processed[r.ID] && st.joinComplete(r, q.JC) {
+		if r.Alive == 0 && st.joinComplete(r, q.JC) {
 			continue
 		}
-		if !st.e.opt.DisableRegionDiscard && st.cornerDominated(qi, champs, bound, r) {
+		if st.cornerDominated(qi, champs, bound, r) {
 			st.traceDiscard(r.ID, qi)
 			st.clock.CountRegionPruned()
 			continue
@@ -286,14 +280,12 @@ func (x *Exec) Cancel(qi int) error {
 func (st *state) dropQuery(qi int) {
 	bit := skycube.QSet(0).Add(qi)
 	st.jcQueries[st.w.Queries[qi].JC] &^= bit
-	for ri, r := range st.regions {
-		if !r.Alive.Has(qi) {
-			continue
-		}
+	live := st.live[qi]
+	for ri := live.Next(0); ri >= 0; ri = live.Next(ri + 1) {
+		r := st.regions[ri]
 		r.Alive &^= bit
-		st.live[qi].Unset(ri)
-		if r.Alive == 0 && !st.processed[ri] {
-			st.processed[ri] = true
+		live.Unset(ri)
+		if r.Alive == 0 {
 			st.inQueue[ri] = false
 			st.clock.CountRegionPruned()
 			st.releaseEdges(ri)
@@ -364,12 +356,7 @@ func (x *Exec) QueryDone(qi int) bool {
 	if len(st.pending[qi]) > 0 || len(st.blocked[qi]) > 0 {
 		return false
 	}
-	for ri, r := range st.regions {
-		if !st.processed[ri] && r.Alive.Has(qi) {
-			return false
-		}
-	}
-	return true
+	return st.live[qi].Next(0) < 0
 }
 
 // Delivered returns the number of results delivered so far to a query.

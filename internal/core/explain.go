@@ -130,7 +130,7 @@ func (e *Engine) OperatorTree() OpNode {
 	if e.opt.DisableContractBenefit {
 		pop = "pop max-count root region (count-driven, no contract benefit)"
 	}
-	if e.opt.DisableFeedback {
+	if !e.opt.feedback() {
 		feedback = "no feedback"
 	}
 	root := OpNode{
@@ -144,7 +144,7 @@ func (e *Engine) OperatorTree() OpNode {
 		}
 	}
 	dom := "shared skycube insert + dominated-region discard"
-	if e.opt.DisableRegionDiscard {
+	if e.opt.DataOrderScheduling {
 		dom = "shared skycube insert; region discard disabled"
 	}
 	stages := []OpNode{

@@ -15,7 +15,7 @@ import (
 // the scheduler at the root (per the engine's options: the ProgXe+ row,
 // taken from the strategy table, ranks by count with no feedback), then the
 // four-stage operator chain — the exact text rendering of the tree, the
-// detail string that follows DisableRegionDiscard, and a JSON round trip,
+// discard detail that follows DataOrderScheduling, and a JSON round trip,
 // the -explain -json contract.
 func TestExplainOperatorTree(t *testing.T) {
 	w := workload.MustBenchmark(workload.BenchmarkConfig{
@@ -79,9 +79,9 @@ func TestExplainOperatorTree(t *testing.T) {
 	if got := eng.OperatorTree().String(); got != rendered {
 		t.Errorf("tree renders as\n%swant\n%s", got, rendered)
 	}
-	noDiscard := mustEngine(core.Options{DisableRegionDiscard: true}).OperatorTree()
+	noDiscard := mustEngine(core.Options{DataOrderScheduling: true}).OperatorTree()
 	if got := noDiscard.Children[0].Children[0].Children[0].Detail; got != "shared skycube insert; region discard disabled" {
-		t.Errorf("DominanceFilter detail under DisableRegionDiscard = %q", got)
+		t.Errorf("DominanceFilter detail under DataOrderScheduling = %q", got)
 	}
 	ex, err := eng.Explain()
 	if err != nil {

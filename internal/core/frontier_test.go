@@ -31,7 +31,7 @@ func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 	}
 	var keys []key
 	for fi, rf := range st.regions {
-		if !st.processed[fi] && rf.Alive.Has(qi) {
+		if rf.Alive.Has(qi) {
 			keys = append(keys, key{kern.Sum(rf.Lo), fi})
 		}
 	}
@@ -165,10 +165,31 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 	}
 }
 
-// checkSchedules calls check after every step of a batch run and after
-// every operation of a random StartExec schedule of Admit, Cancel, Seal,
-// Append (including rows that stretch a cell's box, moving region corners)
-// and Delete, one of each per seed over generated data. Each run is
+// checkLive fails unless every query's live set is the transpose of the
+// regions' Alive sets: region ri is live for query qi exactly when qi is in
+// its Alive set, an empty set marking a region done.
+func checkLive(t *testing.T, label string, st *state) {
+	t.Helper()
+	if len(st.live) != len(st.w.Queries) {
+		t.Fatalf("%s: %d live sets for %d queries", label, len(st.live), len(st.w.Queries))
+	}
+	for qi, set := range st.live {
+		if len(set) != (len(st.regions)+63)/64 {
+			t.Fatalf("%s: query %d: live set of %d words for %d regions", label, qi, len(set), len(st.regions))
+		}
+		for ri, r := range st.regions {
+			if set.Has(ri) != r.Alive.Has(qi) {
+				t.Fatalf("%s: query %d: region %d live %v, Alive %v", label, qi, ri, set.Has(ri), r.Alive)
+			}
+		}
+	}
+}
+
+// checkSchedules calls check, after checkLive, after every step of a batch
+// run and after every operation of a random StartExec schedule of Admit,
+// Cancel, Seal, Append (including rows that stretch a cell's box, moving
+// region corners) and Delete, one of each per seed over generated data.
+// Each run is
 // repeated unchecked, and the two reports must be identical. It returns how
 // many appends moved a region's corner and how many admissions and appends
 // added regions to the plan.
@@ -215,7 +236,9 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 			st.initQueue()
 			for i := 0; st.step(); i++ {
 				if checked {
-					check(fmt.Sprintf("%s batch step %d", label, i), st)
+					at := fmt.Sprintf("%s batch step %d", label, i)
+					checkLive(t, at, st)
+					check(at, st)
 				}
 			}
 			st.flushRemaining()
@@ -271,7 +294,9 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 			st := x.st
 			at := func(what string) {
 				if checked {
-					check(fmt.Sprintf("%s after %s", label, what), st)
+					at := fmt.Sprintf("%s after %s", label, what)
+					checkLive(t, at, st)
+					check(at, st)
 				}
 			}
 			at("start")

@@ -456,7 +456,7 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 		if live == 0 {
 			continue
 		}
-		if st.processed[r.ID] && st.fullyJoined(r) {
+		if r.Alive == 0 && st.fullyJoined(r) {
 			r.RQL |= live
 			continue
 		}

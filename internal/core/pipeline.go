@@ -18,10 +18,12 @@ const (
 // processRegion is Algorithm 1's tuple-level step for one scheduled region:
 // join its cell pair under every condition some alive query uses (each cell's
 // rows that survive the join-group filter for the condition's key column), insert the
-// results into the shared skyline, retire the region, discard the regions
-// its results dominate, release its dependency edges and emit what is now
-// final. The order of the counted operations below is the determinism
-// contract (DESIGN.md §13).
+// results into the shared skyline, retire the region (empty its Alive set),
+// discard the regions its results dominate, release its dependency edges
+// and emit what is now final for the queries it served. The data-order
+// scheduler (S-JFSL) has no dependency graph and discards nothing. The order
+// of the counted operations below is the determinism contract (DESIGN.md
+// §13).
 func (st *state) processRegion(ri int) {
 	rc := st.regions[ri]
 	created := st.created[:0]
@@ -66,21 +68,19 @@ func (st *state) processRegion(ri int) {
 	}
 	st.created = created[:0]
 
-	st.processed[ri] = true
+	served := rc.Alive
+	rc.Alive = 0
 	st.syncLive(ri)
 	st.clock.CountRegionDone()
-	st.markFrontiersDirty(rc.Alive)
+	st.markFrontiersDirty(served)
 	var killed skycube.QSet
-	if !st.e.opt.DisableRegionDiscard {
-		killed = st.discardDominated(rc, created)
-	}
-	// Releasing the region's edges pushes newly-rooted regions into the
-	// scheduler queue, and scoring them advances the clock, so it sits
-	// between the discard pass and the emission sweep. The data-order driver
-	// has no queue.
 	if !st.e.opt.DataOrderScheduling {
+		killed = st.discardDominated(served, created)
+		// Releasing the region's edges pushes newly-rooted regions into
+		// the scheduler queue, and scoring them advances the clock, so it
+		// sits between the discard pass and the emission sweep.
 		st.releaseEdges(ri)
 	}
 	st.traceOpBatch(opNameDominanceFilter, ri, len(created))
-	st.emitSafe(rc.Alive | killed)
+	st.emitSafe(served | killed)
 }

@@ -97,8 +97,8 @@ func progGrid(rng *rand.Rand, ext []int) (sp *region.Space, rc *region.Region, b
 
 // TestExactProgCountMatchesReference: on random grids, regions and
 // dominator lists, exactProgCount returns the reference's count and charges
-// the same cell operations. The regions span 1 to 512 cells (the default
-// ExactProgCountCap) on 1 to 5 axes, some of them of no width. The lists
+// the same cell operations. The regions span 1 to 512 cells
+// (exactProgCountCap) on 1 to 5 axes, some of them of no width. The lists
 // are shuffled draws from a small pool, so they hold duplicates and
 // distinct corners with one threshold; their corners lie on grid lines, one
 // ulp off them or between them, and some are NaN, ±Inf or −0. A third of

@@ -67,8 +67,7 @@ type state struct {
 	rep    *run.Report
 	tracer trace.Tracer
 
-	regions   []*region.Region
-	processed []bool // tuple-level done OR discarded
+	regions   []*region.Region // one with an empty Alive set is done: joined, discarded or retired
 	jcQueries []skycube.QSet
 	jcSigma   []float64
 	uses      region.QueryDims    // per output dimension: the queries whose preference reads it
@@ -120,11 +119,11 @@ type state struct {
 	// query a later mutation will revive.
 	sealed skycube.QSet
 
-	// live holds, per query, the regions live for it: unprocessed and Alive
-	// for the query. syncLive follows every write to either. ranks indexes
-	// every region's best corner for the coarse tests that probe it
-	// (cornerRanks): a moved corner is re-ranked in place, and a region added
-	// drops the index until the next use rebuilds it.
+	// live holds, per query, the regions live for it: the transpose of the
+	// regions' Alive sets, which syncLive follows after every write. ranks
+	// indexes every region's best corner for the coarse tests that probe it
+	// (cornerRanks): a moved corner is re-ranked in place, and a region
+	// added drops the index until the next use rebuilds it.
 	live  []region.Bits
 	ranks *region.CornerRanks
 
@@ -191,18 +190,17 @@ const (
 
 func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skycube.SharedSkyline, rep *run.Report, filter *joinFilter) *state {
 	st := &state{
-		e:         e,
-		w:         e.w,
-		clock:     clock,
-		tracer:    e.opt.Tracer,
-		space:     space,
-		filter:    filter,
-		shared:    shared,
-		rep:       rep,
-		regions:   space.Regions,
-		processed: make([]bool, len(space.Regions)),
-		cursors:   make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
-		uses:      make(region.QueryDims, len(e.w.OutDims)),
+		e:       e,
+		w:       e.w,
+		clock:   clock,
+		tracer:  e.opt.Tracer,
+		space:   space,
+		filter:  filter,
+		shared:  shared,
+		rep:     rep,
+		regions: space.Regions,
+		cursors: make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
+		uses:    make(region.QueryDims, len(e.w.OutDims)),
 	}
 	for i, q := range e.w.Queries {
 		st.bindQuery(i, q, i)
@@ -273,8 +271,8 @@ func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple)
 
 // growRegions extends the per-region executor state over the regions the
 // space gained (ExtendJC at admission, Retest after an append): each is
-// born processed with nothing joined, costing the scheduler nothing until
-// reopen revives it.
+// born done — Alive empty, nothing joined — costing the scheduler nothing
+// until reopen revives it.
 func (st *state) growRegions() {
 	if len(st.regions) == len(st.space.Regions) {
 		return
@@ -284,8 +282,7 @@ func (st *state) growRegions() {
 	for qi, set := range st.live {
 		st.live[qi] = append(set, make(region.Bits, (len(st.regions)+63)/64-len(set))...)
 	}
-	for len(st.processed) < len(st.regions) {
-		st.processed = append(st.processed, true)
+	for len(st.inQueue) < len(st.regions) {
 		st.inQueue = append(st.inQueue, false)
 		st.indegree = append(st.indegree, 0)
 	}
@@ -295,24 +292,21 @@ func (st *state) growRegions() {
 }
 
 // reopen makes a region serve the queries qs. A live region just extends
-// its Alive set; a processed (or retired) one re-enters the scheduling
-// queue alive for qs only — whatever queries it served before already took
-// (and emitted) everything they needed from it, so restoring their bits
-// would wrongly re-block their emissions. The join cursors guarantee the
-// reprocessing never repeats a tuple pair. Reports whether a processed
-// region was revived.
+// its Alive set; a done (processed, discarded or retired) one, its Alive set
+// empty, re-enters the scheduling queue alive for qs only — whatever
+// queries it served before already took (and emitted) everything they
+// needed from it. The join cursors guarantee the reprocessing never repeats
+// a tuple pair. Reports whether a done region was revived.
 func (st *state) reopen(r *region.Region, qs skycube.QSet) bool {
 	r.RQL |= qs
 	st.markFrontiersDirty(qs)
 	st.gen++ // live sets grow: the kept orders are stale
-	if !st.processed[r.ID] {
-		r.Alive |= qs
-		st.syncLive(r.ID)
+	revived := r.Alive == 0
+	r.Alive |= qs
+	st.syncLive(r.ID)
+	if !revived {
 		return false
 	}
-	r.Alive = qs
-	st.processed[r.ID] = false
-	st.syncLive(r.ID)
 	if !st.inQueue[r.ID] {
 		st.pq.push(r.ID, st.csm(r))
 		st.inQueue[r.ID] = true
@@ -348,7 +342,7 @@ func (st *state) step() bool {
 			return false
 		}
 		ri := it.region
-		if st.processed[ri] {
+		if st.regions[ri].Alive == 0 {
 			st.inQueue[ri] = false // stale entry of a region retired in-queue
 			continue
 		}
@@ -382,8 +376,8 @@ func (st *state) step() bool {
 // construction order: the S-JFSL behaviour — all of the plan sharing, none
 // of the contract-driven scheduling.
 func (st *state) runDataOrder() {
-	for ri := range st.regions {
-		if st.processed[ri] {
+	for ri, r := range st.regions {
+		if r.Alive == 0 {
 			continue
 		}
 		st.traceDataOrderDecision(ri)
@@ -393,8 +387,9 @@ func (st *state) runDataOrder() {
 }
 
 // process runs one scheduled region's tuple-level step and applies the
-// Eq. 11 feedback. In wall-clock mode the region doubles as one
-// sample of the processing rate the CSM horizon extrapolates from.
+// Eq. 11 feedback where the CSM reads it. In wall-clock mode the region
+// doubles as one sample of the processing rate the CSM horizon extrapolates
+// from.
 func (st *state) process(ri int) {
 	var workBefore, wallBefore float64
 	wall := st.clock.Wall()
@@ -402,7 +397,7 @@ func (st *state) process(ri int) {
 		workBefore, wallBefore = st.clock.WorkUnits(), st.clock.Now()
 	}
 	st.processRegion(ri)
-	if !st.e.opt.DisableFeedback {
+	if st.e.opt.feedback() {
 		st.updateWeights()
 	}
 	if wall {
@@ -412,13 +407,13 @@ func (st *state) process(ri int) {
 }
 
 // initQueue seeds the priority queue with the dependency-graph roots.
-// Regions already marked processed (the retired tail a KeepPruned build
-// carries for late admissions) never enter the queue.
+// Regions born done (the retired tail a KeepPruned build carries for late
+// admissions, Alive empty) never enter the queue.
 func (st *state) initQueue() {
 	st.pq = newCSMHeap()
 	st.inQueue = make([]bool, len(st.regions))
 	for i := range st.regions {
-		if st.indegree[i] == 0 && !st.processed[i] {
+		if st.indegree[i] == 0 && st.regions[i].Alive != 0 {
 			st.pq.push(i, st.csm(st.regions[i]))
 			st.inQueue[i] = true
 		}
@@ -427,33 +422,33 @@ func (st *state) initQueue() {
 
 // discardDominated implements the "Discard regions dominated by generated
 // tuple(s)" step of Algorithm 1: a generated result that dominates the best
-// corner of an unprocessed region in a query's preference proves that the
-// region cannot contribute any result for that query. Returns the set of
-// queries for which at least one region died (their emission frontiers
-// shrink).
-func (st *state) discardDominated(rc *region.Region, newPayloads []int) skycube.QSet {
+// corner of a live region in a query's preference proves that the region
+// cannot contribute any result for that query. qs are the queries the
+// processed region served; each walks its live set in ascending order.
+// Returns the set of queries for which at least one region died (their
+// emission frontiers shrink).
+func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QSet {
 	var killedQueries skycube.QSet
-	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+	for qi := qs.Next(0); qi >= 0; qi = qs.Next(qi + 1) {
 		champs, bound := st.champions(qi, newPayloads)
 		if len(champs) == 0 {
 			continue
 		}
-		for fi, rf := range st.regions {
-			if st.processed[fi] || rf == rc || !rf.Alive.Has(qi) || !st.cornerDominated(qi, champs, bound, rf) {
+		live := st.live[qi]
+		for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
+			rf := st.regions[fi]
+			if !st.cornerDominated(qi, champs, bound, rf) {
 				continue
 			}
 			rf.Alive &^= 1 << uint(qi)
-			st.live[qi].Unset(fi)
+			live.Unset(fi)
 			killedQueries = killedQueries.Add(qi)
 			st.traceDiscard(fi, qi)
 			if rf.Alive == 0 {
-				st.processed[fi] = true
-				if st.inQueue != nil {
-					// The region dies with its queue entry still
-					// enqueued; mark it out so a later reopen (online
-					// admission) knows to re-push it.
-					st.inQueue[fi] = false
-				}
+				// The region dies with its queue entry still enqueued;
+				// mark it out so a later reopen (online admission) knows
+				// to re-push it.
+				st.inQueue[fi] = false
 				st.clock.CountRegionPruned()
 				st.releaseEdges(fi)
 			}
@@ -529,7 +524,7 @@ func (st *state) emitSafe(affected skycube.QSet) {
 		// ascending region order).
 		gone := st.goneScratch[:0]
 		for f := range st.blocked[qi] {
-			if st.processed[f] || !st.regions[f].Alive.Has(qi) {
+			if !st.live[qi].Has(f) {
 				gone = append(gone, f)
 			}
 		}
@@ -594,7 +589,7 @@ func (st *state) firstBlocker(qi int, cs []liveCorner, lanes *preference.Lanes, 
 
 // liveIn reports whether region ri is still live for query qi.
 func (st *state) liveIn(qi int, ri int32) bool {
-	return !st.processed[ri] && st.regions[ri].Alive.Has(qi)
+	return st.live[qi].Has(int(ri))
 }
 
 // emit delivers one result to one query at the current virtual time. The
@@ -680,10 +675,9 @@ func (st *state) refreshFrontier(qi int) {
 func (st *state) collectOrder(qi int) {
 	kern := &st.kerns[qi]
 	order := st.order[qi][:0]
-	for fi, rf := range st.regions {
-		if st.processed[fi] || !rf.Alive.Has(qi) {
-			continue
-		}
+	live := st.live[qi]
+	for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
+		rf := st.regions[fi]
 		order = append(order, liveCorner{sum: kern.Sum(rf.Lo), region: int32(fi), blocker: untestedCorner})
 		kern.Project(rf.Lo, &order[len(order)-1].lanes)
 	}
@@ -722,12 +716,11 @@ func (st *state) cornerMoved(r *region.Region) {
 }
 
 // syncLive sets region ri's bit in every query's live set to whether the
-// region is live for the query: unprocessed and Alive for it.
+// region is Alive for the query.
 func (st *state) syncLive(ri int) {
-	live := !st.processed[ri]
 	alive := st.regions[ri].Alive
 	for qi, set := range st.live {
-		if live && alive.Has(qi) {
+		if alive.Has(qi) {
 			set.Set(ri)
 		} else {
 			set.Unset(ri)
@@ -863,7 +856,7 @@ func (st *state) traceDecision(ri int, score float64) {
 	ev.CSM = score
 	ruBucket := 0
 	for _, it := range st.pq.items {
-		if st.processed[it.region] || !st.inQueue[it.region] {
+		if st.regions[it.region].Alive == 0 || !st.inQueue[it.region] {
 			continue
 		}
 		ev.Frontier++
@@ -878,15 +871,15 @@ func (st *state) traceDecision(ri int, score float64) {
 
 // traceDataOrderDecision records one blind pipeline-order pick (the
 // DataOrderScheduling / S-JFSL mode): no CSM, no runner-up; the frontier
-// is the count of still-unprocessed regions.
+// is the count of regions not yet done.
 func (st *state) traceDataOrderDecision(ri int) {
 	if st.tracer == nil {
 		return
 	}
 	ev := st.newEvent(trace.KindDecision)
 	ev.Region = ri
-	for fi := range st.regions {
-		if !st.processed[fi] {
+	for _, r := range st.regions {
+		if r.Alive != 0 {
 			ev.Frontier++
 		}
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"caqe/internal/contract"
 	"caqe/internal/datagen"
 	"caqe/internal/run"
+	"caqe/internal/trace"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
@@ -105,26 +107,31 @@ func TestWallClockRealTimeSmoke(t *testing.T) {
 }
 
 // TestWallClockFeedbackStillRuns: Eq. 11 feedback must remain active in
-// wall mode (driven by measured rates rather than counted work). An easy
-// observable: a wall run with feedback disabled and one with it enabled
-// both complete with identical final results.
+// wall mode, driven by measured rates rather than counted work. The trace
+// of a fake-clock wall run over several queries must hold a feedback update
+// that moved some query's weight.
 func TestWallClockFeedbackStillRuns(t *testing.T) {
 	w := wallWorkload(4, 3)
-	r, tt := testPair(t, 200, 3, datagen.Correlated, 0.05, 11)
-	a, err := mustEngine(t, w, r, tt, Options{
-		TargetCells: 8, WallClock: true, WallNowNS: fakeNS(1500),
-	}).Execute(nil)
-	if err != nil {
+	r, tt := testPair(t, 200, 3, datagen.Independent, 0.05, 11)
+	rec := &recorder{}
+	if _, err := mustEngine(t, w, r, tt, Options{
+		TargetCells: 8, WallClock: true, WallNowNS: fakeNS(1500), Tracer: rec,
+	}).Execute(nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := mustEngine(t, w, r, tt, Options{
-		TargetCells: 8, WallClock: true, WallNowNS: fakeNS(1500), DisableFeedback: true,
-	}).Execute(nil)
-	if err != nil {
-		t.Fatal(err)
+	updates, moved := 0, 0
+	for _, ev := range rec.evs {
+		if ev.Kind != trace.KindFeedback {
+			continue
+		}
+		updates++
+		if slices.ContainsFunc(ev.Deltas, func(d float64) bool { return d != 0 }) {
+			moved++
+		}
 	}
-	if ok, diff := run.SameResults(a, b); !ok {
-		t.Fatalf("feedback changed final answers: %s", diff)
+	t.Logf("%d feedback updates, %d moved a weight", updates, moved)
+	if moved == 0 {
+		t.Fatalf("%d feedback updates, none moved a weight", updates)
 	}
 }
 

@@ -131,15 +131,14 @@ func TestDiscardZeroAlloc(t *testing.T) {
 			payloads = append(payloads, c<<payloadShift+i)
 		}
 	}
-	ri := slices.Index(st.processed, true)
-	rc := st.regions[ri]
-	st.discardDominated(rc, payloads)
+	rc := st.regions[slices.IndexFunc(st.regions, func(r *region.Region) bool { return r.Alive == 0 })]
+	st.discardDominated(rc.RQL, payloads)
 	before := clock.Counters().CellOps
-	st.discardDominated(rc, payloads)
+	st.discardDominated(rc.RQL, payloads)
 	if len(payloads) == 0 || clock.Counters().CellOps == before {
 		t.Fatalf("%d results, a discard pass charging %d cell operations: nothing to test", len(payloads), clock.Counters().CellOps-before)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { st.discardDominated(rc, payloads) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { st.discardDominated(rc.RQL, payloads) }); allocs != 0 {
 		t.Fatalf("discardDominated allocates %.1f per pass", allocs)
 	}
 

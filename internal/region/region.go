@@ -31,7 +31,10 @@ type Region struct {
 	RQL skycube.QSet
 	// Alive is RQL minus queries for which the coarse-level skyline proved
 	// the region cannot contribute (§5.2). Execution further shrinks Alive
-	// as tuple-level results dominate the region.
+	// as tuple-level results dominate the region, and empties it once the
+	// region is processed: an empty Alive set is the one mark of a region
+	// that is done (joined, discarded or retired) until an admission or a
+	// mutation reopens it for some queries.
 	Alive skycube.QSet
 	// JCPass is the bitmask of join-condition indices whose signature test
 	// passed for this cell pair, among the conditions tested so far (see
