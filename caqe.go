@@ -250,7 +250,8 @@ func StrategyNames() []StrategyName {
 // side-by-side comparisons on identical inputs. It accepts the same
 // options as Run; of a bare Options value the comparison strategies honor
 // the granularity knobs (TargetCells, GridResolution) and the tracer,
-// while engine-specific ablation toggles apply only to CAQE runs via Run.
+// while the two strategy switches (DataOrderScheduling, DisableContractBenefit)
+// apply only to Run, where they make the engine run S-JFSL or ProgXe+.
 func RunStrategy(name StrategyName, w *Workload, r, t *Relation, opts ...RunOption) (*Report, error) {
 	cfg := core.NewRunConfig(opts...)
 	s, err := baseline.Find(string(name), baseline.Options{

@@ -96,13 +96,7 @@ func randomCoarseState(rng *rand.Rand, m, nd, nq int) *state {
 		}
 		st.regions = append(st.regions, r)
 	}
-	st.inQueue = make([]bool, m)
-	for range w.Queries {
-		st.live = append(st.live, region.NewBits(m))
-	}
-	for ri := range st.regions {
-		st.syncLive(ri)
-	}
+	st.live = newLiveness(st.regions, nq)
 	return st
 }
 
@@ -138,8 +132,8 @@ func checkDepGraph(t *testing.T, rng *rand.Rand, label string, st *state) int {
 	}
 	// Every region counts as queued, so a release roots nothing into the
 	// scheduler queue these states lack.
-	for i := range st.inQueue {
-		st.inQueue[i] = true
+	for i := range st.live.queued {
+		st.live.queued[i] = true
 	}
 	for _, i := range rng.Perm(len(st.regions)) {
 		for _, j := range wantTargets[i] {
@@ -180,7 +174,6 @@ func TestDepGraphMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
-		st.inQueue = make([]bool, len(st.regions))
 		edges += checkDepGraph(t, rng, fmt.Sprintf("%v plan (%d regions)", dist, len(st.regions)), st)
 	}
 	t.Logf("%d edges", edges)
@@ -189,14 +182,12 @@ func TestDepGraphMatchesReference(t *testing.T) {
 	}
 }
 
-// checkDominators fails unless every query's live set is the transpose of
-// the regions' Alive sets (checkLive) and dominatorsByQuery gives every
-// region of st the reference's lists and charge. Both are charged to
-// scratch clocks, so an execution checked between its steps proceeds
-// exactly as if unchecked. It returns the number of dominators listed.
+// checkDominators fails unless dominatorsByQuery gives every region of st
+// the reference's lists and charge. Both are charged to scratch clocks, so
+// an execution checked between its steps proceeds exactly as if unchecked.
+// It returns the number of dominators listed.
 func checkDominators(t *testing.T, label string, st *state) int {
 	t.Helper()
-	checkLive(t, label, st)
 	clock := st.clock
 	defer func() { st.clock = clock }()
 	listed := 0
@@ -286,7 +277,7 @@ func BenchmarkCoarsePlan(b *testing.B) {
 	}
 	b.Run("depgraph/index", func(b *testing.B) {
 		run(b, func(st *state) {
-			st.ranks = nil
+			st.live.index = nil
 			st.buildDepGraph()
 		})
 	})

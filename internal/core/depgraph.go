@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-	"math"
 	"math/bits"
 
 	"caqe/internal/region"
@@ -38,7 +36,7 @@ func (st *state) buildDepGraph() {
 		return
 	}
 	st.depRows = make([]uint64, m*st.depWords)
-	ranks := st.cornerRanks()
+	ranks := st.live.corners(st.regions, len(st.w.OutDims))
 	meet, serving := st.scratchSets()
 	var charged int64
 	for i, ri := range st.regions {
@@ -49,7 +47,7 @@ func (st *state) buildDepGraph() {
 		row := st.edgeRow(i)
 		clear(serving)
 		for qi := ri.Alive.Next(0); qi >= 0; qi = ri.Alive.Next(qi + 1) {
-			live := st.live[qi]
+			live := st.live.sets[qi]
 			st.probe.Dominant(meet, live, st.w.Queries[qi].Pref)
 			for w := range row {
 				row[w] |= meet[w]
@@ -87,102 +85,10 @@ func (st *state) releaseEdges(ri int) {
 		for ; word != 0; word &= word - 1 {
 			j := w<<6 | bits.TrailingZeros64(word)
 			st.indegree[j]--
-			if st.indegree[j] == 0 && st.regions[j].Alive != 0 && !st.inQueue[j] {
-				st.pq.push(j, st.csm(st.regions[j]))
-				st.inQueue[j] = true
+			if st.indegree[j] == 0 && st.regions[j].Alive != 0 && !st.live.queued[j] {
+				st.live.push(j, st.csm(st.regions[j]))
 			}
 		}
 	}
 	clear(row)
-}
-
-// csmHeap is a max-heap of (region, score) used as Algorithm 1's inverted
-// priority queue. Entries may be stale; callers skip done regions and
-// lazily refresh scores on pop.
-//
-// Scores are compared on a log2 bucket: regions whose benefit estimates are
-// within a factor of two are considered equivalent and processed in input
-// pipeline order (ascending region ID, i.e. row-major over the input cell
-// pairs) instead. A result's blocking regions share its input cells, so
-// completing cell pairs systematically maximizes emission opportunities;
-// without this, densely overlapping regions (anti-correlated data) carry
-// near-equal scores whose float noise scatters the schedule across the
-// space and no result's blocking set ever completes until the very end.
-type csmHeap struct{ items []csmItem }
-
-type csmItem struct {
-	region int
-	score  float64
-	bucket int
-}
-
-// scoreBucket returns ⌊log2 score⌋, the exponent of score's binary form
-// (frexp's exponent less one: 2^b ≤ score < 2^(b+1) holds for every finite
-// positive score, subnormals included). Non-positive scores sink below
-// every bucket and +Inf tops them; neither NaN nor +Inf arises from the
-// CSM's finite factors.
-func scoreBucket(score float64) int {
-	switch {
-	case score <= 0:
-		return -1 << 30
-	case score > math.MaxFloat64:
-		return 1 << 30
-	}
-	_, exp := math.Frexp(score)
-	return exp - 1
-}
-
-func newCSMHeap() *csmHeap { return &csmHeap{} }
-
-func (h *csmHeap) Len() int { return len(h.items) }
-func (h *csmHeap) Less(i, j int) bool {
-	if h.items[i].bucket != h.items[j].bucket {
-		return h.items[i].bucket > h.items[j].bucket // max-heap on benefit
-	}
-	return h.items[i].region < h.items[j].region // then pipeline order
-}
-func (h *csmHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *csmHeap) Push(x interface{}) { h.items = append(h.items, x.(csmItem)) }
-func (h *csmHeap) Pop() interface{} {
-	n := len(h.items)
-	it := h.items[n-1]
-	h.items = h.items[:n-1]
-	return it
-}
-
-// push adds an entry. It is heap.Push without boxing the item in an
-// interface: the same append and sift-up, and no allocation once the
-// queue's backing array has grown.
-func (h *csmHeap) push(region int, score float64) {
-	h.items = append(h.items, csmItem{region: region, score: score, bucket: scoreBucket(score)})
-	heap.Fix(h, len(h.items)-1)
-}
-
-// popBest removes and returns the top entry; ok is false when empty. The
-// returned item carries the score the scheduler is acting on — possibly
-// stale, which is exactly what a decision trace must report (recomputing
-// would advance the clock).
-//
-// Like push, it is heap.Pop without the interface: the last entry takes
-// the root's place and sifts down.
-func (h *csmHeap) popBest() (it csmItem, ok bool) {
-	n := len(h.items) - 1
-	if n < 0 {
-		return csmItem{}, false
-	}
-	it = h.items[0]
-	h.items[0] = h.items[n]
-	h.items = h.items[:n]
-	if n > 0 {
-		heap.Fix(h, 0)
-	}
-	return it, true
-}
-
-// peekBucket returns the current top score bucket without removing it.
-func (h *csmHeap) peekBucket() (int, bool) {
-	if h.Len() == 0 {
-		return 0, false
-	}
-	return h.items[0].bucket, true
 }

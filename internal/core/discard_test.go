@@ -117,17 +117,11 @@ func TestDiscardMatchesReference(t *testing.T) {
 			}
 			st.regions = append(st.regions, r)
 		}
-		st.inQueue = make([]bool, nr)
 		st.indegree = make([]int, nr)
 		// Region 0 was just processed for every query: done, as
 		// processRegion leaves it.
 		st.regions[0].Alive = 0
-		for range prefs {
-			st.live = append(st.live, region.NewBits(nr))
-		}
-		for ri := range st.regions {
-			st.syncLive(ri)
-		}
+		st.live = newLiveness(st.regions, nq)
 
 		var payloads []int
 		for n := rng.Intn(12); n > 0; n-- {
@@ -184,7 +178,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 					trial, fi, rf.Alive, wantAlive[fi], rf.Lo, prefs)
 			}
 		}
-		for qi, set := range st.live {
+		for qi, set := range st.live.sets {
 			for fi, rf := range st.regions {
 				if set.Has(fi) != rf.Alive.Has(qi) {
 					t.Fatalf("trial %d: query %d: region %d live %v, Alive %v", trial, qi, fi, set.Has(fi), rf.Alive)

@@ -122,11 +122,11 @@ func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
 	for qi := range doms {
 		doms[qi] = doms[qi][:0]
 	}
-	st.probe.Below(st.cornerRanks(), rc.Hi)
+	st.probe.Below(st.live.corners(st.regions, len(st.w.OutDims)), rc.Hi)
 	meet, serving := st.scratchSets()
 	clear(serving)
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
-		live := st.live[qi]
+		live := st.live.sets[qi]
 		for w, bits := range live {
 			serving[w] |= bits
 		}
@@ -352,7 +352,7 @@ func (st *state) csm(rc *region.Region) float64 {
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
 		est := st.progEst(rc, qi, doms[qi])
 		if st.e.opt.DisableContractBenefit {
-			total += est // count-driven ablation
+			total += est // count-driven: the ProgXe+ strategy
 			continue
 		}
 		u := contract.ExpectedUtilityAt(st.w.Queries[qi].Contract, at)

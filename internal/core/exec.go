@@ -42,7 +42,7 @@ type Exec struct {
 // admission revives it.
 func (e *Engine) StartExec(clock *metrics.Clock, rep *run.Report) (*Exec, error) {
 	if e.opt.DataOrderScheduling {
-		return nil, fmt.Errorf("core: stepping execution requires CSM scheduling (DataOrderScheduling is a batch-only ablation)")
+		return nil, fmt.Errorf("core: stepping execution requires CSM scheduling (DataOrderScheduling, the S-JFSL strategy, runs in batch only)")
 	}
 	cuboid, space, filter, err := e.plan(clock, true)
 	if err != nil {
@@ -280,13 +280,9 @@ func (x *Exec) Cancel(qi int) error {
 func (st *state) dropQuery(qi int) {
 	bit := skycube.QSet(0).Add(qi)
 	st.jcQueries[st.w.Queries[qi].JC] &^= bit
-	live := st.live[qi]
+	live := st.live.sets[qi]
 	for ri := live.Next(0); ri >= 0; ri = live.Next(ri + 1) {
-		r := st.regions[ri]
-		r.Alive &^= bit
-		live.Unset(ri)
-		if r.Alive == 0 {
-			st.inQueue[ri] = false
+		if st.live.kill(st.regions[ri], bit) {
 			st.clock.CountRegionPruned()
 			st.releaseEdges(ri)
 		}
@@ -356,7 +352,7 @@ func (x *Exec) QueryDone(qi int) bool {
 	if len(st.pending[qi]) > 0 || len(st.blocked[qi]) > 0 {
 		return false
 	}
-	return st.live[qi].Next(0) < 0
+	return st.live.sets[qi].Next(0) < 0
 }
 
 // Delivered returns the number of results delivered so far to a query.

@@ -317,3 +317,19 @@ func TestExecAdmitValidates(t *testing.T) {
 		t.Error("cancel of unknown query accepted")
 	}
 }
+
+// TestStartExecRejectsDataOrder: the S-JFSL switch runs in batch only. A
+// stepping execution schedules from the CSM queue over the dependency graph,
+// neither of which a data-order run builds, so StartExec returns an error
+// and no execution, and does not panic.
+func TestStartExecRejectsDataOrder(t *testing.T) {
+	w := testWorkload(3, 3, workload.UniformPriority, c3s)
+	r, tt := testPair(t, 40, 3, datagen.Independent, 0.05, 3)
+	e, err := New(w, r, tt, Options{DataOrderScheduling: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, err := e.StartExec(metrics.NewClock(), run.NewReport("S-JFSL", e.w, nil)); err == nil || x != nil {
+		t.Fatalf("StartExec with DataOrderScheduling: %v, %v; want no execution and an error", x, err)
+	}
+}

@@ -165,15 +165,17 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 	}
 }
 
-// checkLive fails unless every query's live set is the transpose of the
-// regions' Alive sets: region ri is live for query qi exactly when qi is in
-// its Alive set, an empty set marking a region done.
+// checkLive fails unless the liveness records agree: every query's live set
+// is the transpose of the regions' Alive sets (an empty set marking a region
+// done), a queued region is live and has an entry in the CSM queue, and
+// every live region that no dependency edge holds back is queued.
 func checkLive(t *testing.T, label string, st *state) {
 	t.Helper()
-	if len(st.live) != len(st.w.Queries) {
-		t.Fatalf("%s: %d live sets for %d queries", label, len(st.live), len(st.w.Queries))
+	lv := &st.live
+	if len(lv.sets) != len(st.w.Queries) || len(lv.queued) != len(st.regions) {
+		t.Fatalf("%s: %d live sets for %d queries, %d queue flags for %d regions", label, len(lv.sets), len(st.w.Queries), len(lv.queued), len(st.regions))
 	}
-	for qi, set := range st.live {
+	for qi, set := range lv.sets {
 		if len(set) != (len(st.regions)+63)/64 {
 			t.Fatalf("%s: query %d: live set of %d words for %d regions", label, qi, len(set), len(st.regions))
 		}
@@ -181,6 +183,20 @@ func checkLive(t *testing.T, label string, st *state) {
 			if set.Has(ri) != r.Alive.Has(qi) {
 				t.Fatalf("%s: query %d: region %d live %v, Alive %v", label, qi, ri, set.Has(ri), r.Alive)
 			}
+		}
+	}
+	entry := make([]bool, len(st.regions))
+	for _, it := range lv.pq.items {
+		entry[it.region] = true
+	}
+	for ri, r := range st.regions {
+		switch {
+		case lv.queued[ri] && r.Alive == 0:
+			t.Fatalf("%s: region %d is queued and done", label, ri)
+		case lv.queued[ri] && !entry[ri]:
+			t.Fatalf("%s: region %d is queued without a queue entry", label, ri)
+		case r.Alive != 0 && st.indegree[ri] == 0 && !lv.queued[ri]:
+			t.Fatalf("%s: region %d is live (%v) with no blocker and not queued", label, ri, r.Alive)
 		}
 	}
 }

@@ -68,9 +68,7 @@ func (st *state) processRegion(ri int) {
 	}
 	st.created = created[:0]
 
-	served := rc.Alive
-	rc.Alive = 0
-	st.syncLive(ri)
+	served := st.live.finish(rc)
 	st.clock.CountRegionDone()
 	st.markFrontiersDirty(served)
 	var killed skycube.QSet

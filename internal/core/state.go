@@ -79,8 +79,6 @@ type state struct {
 	depRows  []uint64
 	depWords int
 	indegree []int
-	pq       *csmHeap
-	inQueue  []bool
 
 	weights  []float64
 	payloads payloadStore
@@ -119,13 +117,9 @@ type state struct {
 	// query a later mutation will revive.
 	sealed skycube.QSet
 
-	// live holds, per query, the regions live for it: the transpose of the
-	// regions' Alive sets, which syncLive follows after every write. ranks
-	// indexes every region's best corner for the coarse tests that probe it
-	// (cornerRanks): a moved corner is re-ranked in place, and a region
-	// added drops the index until the next use rebuilds it.
-	live  []region.Bits
-	ranks *region.CornerRanks
+	// live owns the regions' Alive sets and the records kept in step with
+	// them: the per-query live sets, the CSM queue and the corner index.
+	live liveness
 
 	frontier      [][]liveCorner // per query: minimal best corners of live regions
 	frontierDirty []bool
@@ -199,14 +193,12 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		shared:  shared,
 		rep:     rep,
 		regions: space.Regions,
+		live:    newLiveness(space.Regions, len(e.w.Queries)),
 		cursors: make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
 		uses:    make(region.QueryDims, len(e.w.OutDims)),
 	}
 	for i, q := range e.w.Queries {
 		st.bindQuery(i, q, i)
-	}
-	for ri := range st.regions {
-		st.syncLive(ri)
 	}
 	st.jcQueries = make([]skycube.QSet, len(e.w.JoinConds))
 	for j := range e.w.JoinConds {
@@ -231,7 +223,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.orderGen = append(st.orderGen, 0)
 		st.qremap = append(st.qremap, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
-		st.live = append(st.live, region.NewBits(len(st.regions)))
+		st.live.grow(len(st.regions), qi+1)
 	}
 	// Initial weights fold the query priority into the benefit model;
 	// Eq. 11 feedback then re-balances toward unsatisfied queries.
@@ -274,18 +266,9 @@ func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple)
 // born done — Alive empty, nothing joined — costing the scheduler nothing
 // until reopen revives it.
 func (st *state) growRegions() {
-	if len(st.regions) == len(st.space.Regions) {
-		return
-	}
 	st.regions = st.space.Regions
-	st.ranks = nil
-	for qi, set := range st.live {
-		st.live[qi] = append(set, make(region.Bits, (len(st.regions)+63)/64-len(set))...)
-	}
-	for len(st.inQueue) < len(st.regions) {
-		st.inQueue = append(st.inQueue, false)
-		st.indegree = append(st.indegree, 0)
-	}
+	st.live.grow(len(st.regions), len(st.weights))
+	st.indegree = append(st.indegree, make([]int, len(st.regions)-len(st.indegree))...)
 	if n := len(st.regions) * len(st.w.JoinConds); n > len(st.cursors) {
 		st.cursors = append(st.cursors, make([]joinCursor, n-len(st.cursors))...)
 	}
@@ -301,16 +284,10 @@ func (st *state) reopen(r *region.Region, qs skycube.QSet) bool {
 	r.RQL |= qs
 	st.markFrontiersDirty(qs)
 	st.gen++ // live sets grow: the kept orders are stale
-	revived := r.Alive == 0
-	r.Alive |= qs
-	st.syncLive(r.ID)
-	if !revived {
+	if !st.live.revive(r, qs) {
 		return false
 	}
-	if !st.inQueue[r.ID] {
-		st.pq.push(r.ID, st.csm(r))
-		st.inQueue[r.ID] = true
-	}
+	st.live.push(r.ID, st.csm(r))
 	return true
 }
 
@@ -336,28 +313,25 @@ func (st *state) run() {
 // interleave scheduling decisions with query admission and cancellation;
 // a plain `for st.step() {}` reproduces the batch loop exactly.
 func (st *state) step() bool {
-	for st.pq.Len() > 0 {
-		it, popped := st.pq.popBest()
-		if !popped {
+	for {
+		it, ok := st.live.pop()
+		if !ok {
 			return false
 		}
 		ri := it.region
 		if st.regions[ri].Alive == 0 {
-			st.inQueue[ri] = false // stale entry of a region retired in-queue
-			continue
+			continue // stale entry of a region retired in-queue
 		}
-		st.inQueue[ri] = false
 		// Lazy refresh: CSM drifts as time advances and regions die. If the
 		// recomputed score falls below the next-best root, reinsert and take
 		// the next entry instead. Recomputing advances the clock (it is
 		// counted coarse work), so deferrals are bounded to guarantee
 		// progress.
 		score := it.score
-		if st.deferrals < 3 && st.pq.Len() > 0 {
+		if st.deferrals < 3 && st.live.pq.Len() > 0 {
 			score = st.csm(st.regions[ri])
-			if next, ok := st.pq.peekBucket(); ok && scoreBucket(score) < next {
-				st.pq.push(ri, score)
-				st.inQueue[ri] = true
+			if scoreBucket(score) < st.live.pq.items[0].bucket {
+				st.live.push(ri, score)
 				st.deferrals++
 				st.traceDefer(ri, score)
 				continue
@@ -369,7 +343,6 @@ func (st *state) step() bool {
 		st.process(ri)
 		return true
 	}
-	return false
 }
 
 // runDataOrder pipelines the regions through the shared plan blindly in
@@ -410,12 +383,9 @@ func (st *state) process(ri int) {
 // Regions born done (the retired tail a KeepPruned build carries for late
 // admissions, Alive empty) never enter the queue.
 func (st *state) initQueue() {
-	st.pq = newCSMHeap()
-	st.inQueue = make([]bool, len(st.regions))
-	for i := range st.regions {
-		if st.indegree[i] == 0 && st.regions[i].Alive != 0 {
-			st.pq.push(i, st.csm(st.regions[i]))
-			st.inQueue[i] = true
+	for i, r := range st.regions {
+		if st.indegree[i] == 0 && r.Alive != 0 {
+			st.live.push(i, st.csm(r))
 		}
 	}
 }
@@ -434,21 +404,15 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 		if len(champs) == 0 {
 			continue
 		}
-		live := st.live[qi]
+		live := st.live.sets[qi]
 		for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
 			rf := st.regions[fi]
 			if !st.cornerDominated(qi, champs, bound, rf) {
 				continue
 			}
-			rf.Alive &^= 1 << uint(qi)
-			live.Unset(fi)
 			killedQueries = killedQueries.Add(qi)
 			st.traceDiscard(fi, qi)
-			if rf.Alive == 0 {
-				// The region dies with its queue entry still enqueued;
-				// mark it out so a later reopen (online admission) knows
-				// to re-push it.
-				st.inQueue[fi] = false
+			if st.live.kill(rf, skycube.QSet(0).Add(qi)) {
 				st.clock.CountRegionPruned()
 				st.releaseEdges(fi)
 			}
@@ -524,7 +488,7 @@ func (st *state) emitSafe(affected skycube.QSet) {
 		// ascending region order).
 		gone := st.goneScratch[:0]
 		for f := range st.blocked[qi] {
-			if !st.live[qi].Has(f) {
+			if !st.live.sets[qi].Has(f) {
 				gone = append(gone, f)
 			}
 		}
@@ -587,11 +551,6 @@ func (st *state) firstBlocker(qi int, cs []liveCorner, lanes *preference.Lanes, 
 	return i
 }
 
-// liveIn reports whether region ri is still live for query qi.
-func (st *state) liveIn(qi int, ri int32) bool {
-	return st.live[qi].Has(int(ri))
-}
-
 // emit delivers one result to one query at the current virtual time. The
 // emission owns its output point: a view into the arena would keep the
 // point's whole slab reachable from the report for as long as a caller holds
@@ -643,12 +602,13 @@ func (st *state) refreshFrontier(qi int) {
 	order := st.order[qi]
 	live := order[:0]
 	minimal := st.frontier[qi][:0]
+	set := st.live.sets[qi]
 	var charged int64
 	for _, c := range order {
-		if !st.liveIn(qi, c.region) {
+		if !set.Has(int(c.region)) {
 			continue
 		}
-		if b := c.blocker; b == untestedCorner || b >= 0 && !st.liveIn(qi, b) {
+		if b := c.blocker; b == untestedCorner || b >= 0 && !set.Has(int(b)) {
 			if i := st.firstBlocker(qi, minimal, &c.lanes, st.regions[c.region].Lo); i < len(minimal) {
 				c.blocker = minimal[i].region
 			} else {
@@ -675,7 +635,7 @@ func (st *state) refreshFrontier(qi int) {
 func (st *state) collectOrder(qi int) {
 	kern := &st.kerns[qi]
 	order := st.order[qi][:0]
-	live := st.live[qi]
+	live := st.live.sets[qi]
 	for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
 		rf := st.regions[fi]
 		order = append(order, liveCorner{sum: kern.Sum(rf.Lo), region: int32(fi), blocker: untestedCorner})
@@ -702,9 +662,7 @@ func (st *state) collectOrder(qi int) {
 // the region's Lo.
 func (st *state) cornerMoved(r *region.Region) {
 	st.gen++
-	if st.ranks != nil {
-		st.ranks.Move(r.ID, r.Lo)
-	}
+	st.live.moveCorner(r)
 	for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
 		fr := st.frontier[qi]
 		for i := range fr {
@@ -713,28 +671,6 @@ func (st *state) cornerMoved(r *region.Region) {
 			}
 		}
 	}
-}
-
-// syncLive sets region ri's bit in every query's live set to whether the
-// region is Alive for the query.
-func (st *state) syncLive(ri int) {
-	alive := st.regions[ri].Alive
-	for qi, set := range st.live {
-		if alive.Has(qi) {
-			set.Set(ri)
-		} else {
-			set.Unset(ri)
-		}
-	}
-}
-
-// cornerRanks returns the index of every region's best corner, built anew
-// after a region was added.
-func (st *state) cornerRanks() *region.CornerRanks {
-	if st.ranks == nil {
-		st.ranks = region.NewCornerRanks(len(st.regions), len(st.w.OutDims), func(i int) []float64 { return st.regions[i].Lo })
-	}
-	return st.ranks
 }
 
 // scratchSets returns the two reused region sets of the coarse tests,
@@ -798,15 +734,9 @@ func (st *state) flushRemaining() {
 		if st.cancelled.Has(qi) {
 			continue
 		}
-		var rest []int
-		rest = append(rest, st.pending[qi]...)
-		var keys []int
-		for f := range st.blocked[qi] {
-			keys = append(keys, f)
-		}
-		sort.Ints(keys)
-		for _, f := range keys {
-			rest = append(rest, st.blocked[qi][f]...)
+		rest := append([]int(nil), st.pending[qi]...)
+		for _, list := range st.blocked[qi] {
+			rest = append(rest, list...) // in map order: rest is sorted below
 		}
 		// Reset rather than nil out: an online session can admit another
 		// query (or revive regions) after a drain, and the executor's
@@ -855,8 +785,8 @@ func (st *state) traceDecision(ri int, score float64) {
 	ev.Region = ri
 	ev.CSM = score
 	ruBucket := 0
-	for _, it := range st.pq.items {
-		if st.regions[it.region].Alive == 0 || !st.inQueue[it.region] {
+	for _, it := range st.live.pq.items {
+		if !st.live.queued[it.region] {
 			continue
 		}
 		ev.Frontier++

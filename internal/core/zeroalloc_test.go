@@ -93,14 +93,21 @@ func TestRefreshFrontierZeroAlloc(t *testing.T) {
 	if !slices.ContainsFunc(st.order[qi], func(c liveCorner) bool { return int(c.blocker) == dies.ID }) {
 		t.Fatalf("region %d blocks no corner: its death re-tests nothing", dies.ID)
 	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		dies.Alive &^= 1 << qi
+	die := func() {
+		st.live.kill(dies, 1<<qi)
 		st.frontierDirty[qi] = true
 		st.refreshFrontier(qi)
-		dies.Alive |= 1 << qi
+	}
+	die()
+	if slices.ContainsFunc(st.frontier[qi], func(c liveCorner) bool { return int(c.region) == dies.ID }) {
+		t.Fatalf("region %d stays on the frontier after it died", dies.ID)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		st.live.revive(dies, 1<<qi)
 		st.gen++
 		st.frontierDirty[qi] = true
 		st.refreshFrontier(qi)
+		die()
 	}); allocs != 0 {
 		t.Fatalf("refreshFrontier allocates %.1f per refresh pair", allocs)
 	}
@@ -196,17 +203,17 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 	}
 	row := slices.Clone(st.edgeRow(ri))
 	indegree := slices.Clone(st.indegree)
-	inQueue := slices.Clone(st.inQueue)
-	queued := len(st.pq.items)
+	queuedFlags := slices.Clone(st.live.queued)
+	queued := len(st.live.pq.items)
 	release := func() {
 		copy(st.edgeRow(ri), row)
 		copy(st.indegree, indegree)
-		copy(st.inQueue, inQueue)
-		st.pq.items = st.pq.items[:queued]
+		copy(st.live.queued, queuedFlags)
+		st.live.pq.items = st.live.pq.items[:queued]
 		st.releaseEdges(ri)
 	}
 	release()
-	if len(st.pq.items) == queued {
+	if len(st.live.pq.items) == queued {
 		t.Fatal("the release pushed nothing")
 	}
 	if allocs := testing.AllocsPerRun(200, release); allocs != 0 {

@@ -30,11 +30,11 @@ type Region struct {
 	// test passed for this cell pair (§5.1).
 	RQL skycube.QSet
 	// Alive is RQL minus queries for which the coarse-level skyline proved
-	// the region cannot contribute (§5.2). Execution further shrinks Alive
-	// as tuple-level results dominate the region, and empties it once the
-	// region is processed: an empty Alive set is the one mark of a region
-	// that is done (joined, discarded or retired) until an admission or a
-	// mutation reopens it for some queries.
+	// the region cannot contribute (§5.2); an empty set marks a done region
+	// (joined, discarded or retired). Once execution starts, only core's
+	// liveness type writes it, keeping the live sets, the queue and the
+	// corner index in step: dominating results shrink it, processing
+	// empties it, and admissions and mutations revive it.
 	Alive skycube.QSet
 	// JCPass is the bitmask of join-condition indices whose signature test
 	// passed for this cell pair, among the conditions tested so far (see
