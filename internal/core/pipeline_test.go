@@ -188,3 +188,56 @@ func TestProcessRegionTraceOrder(t *testing.T) {
 		t.Fatalf("op events %v, want %v", got, want)
 	}
 }
+
+// edgeProbe is a tracer that looks, at the events of one processRegion,
+// at the processed region's out-edges: held is how many it had when the
+// step's decision was traced.
+type edgeProbe struct {
+	t         *testing.T
+	st        *state
+	ri, held  int
+	discards  int // discard events seen while the region still held edges
+	filterOps int // DominanceFilter events after a step that held edges
+}
+
+func (p *edgeProbe) Trace(ev trace.Event) {
+	switch {
+	case ev.Kind == trace.KindDecision:
+		p.ri, p.held = ev.Region, p.st.edgeRow(ev.Region).Count()
+	case p.held == 0:
+	case ev.Kind == trace.KindDiscard:
+		if kept := p.st.edgeRow(p.ri).Count(); kept != p.held {
+			p.t.Fatalf("region %d had released %d of its %d out-edges when the discard killed region %d", p.ri, p.held-kept, p.held, ev.Region)
+		}
+		p.discards++
+	case ev.Kind == trace.KindOpBatch && ev.Op == opNameDominanceFilter:
+		if kept := p.st.edgeRow(p.ri).Count(); kept != 0 {
+			p.t.Fatalf("region %d still held %d of its %d out-edges at its DominanceFilter batch", p.ri, kept, p.held)
+		}
+		p.filterOps++
+	}
+}
+
+// TestReleaseFollowsDiscard: processRegion releases the processed region's
+// out-edges after the discard its results make and before its
+// DominanceFilter batch. The release scores the regions it roots, which
+// advances the clock, and the discard can kill them; in the other order
+// each such score is computed at an earlier time and over queries that
+// are about to die. A tracer checks the edges at every discard and at the
+// batch event, over whole runs on anti-correlated and independent data.
+func TestReleaseFollowsDiscard(t *testing.T) {
+	probe := &edgeProbe{t: t}
+	for seed := int64(0); seed < 4; seed++ {
+		dist := []datagen.Distribution{datagen.AntiCorrelated, datagen.Independent}[seed%2]
+		r, tt := testPair(t, 200, 4, dist, 0.04, seed)
+		st := newTestState(t, testWorkload(6, 4, workload.UniformPriority, c3s), r, tt, Options{TargetCells: 6, Tracer: probe})
+		probe.st, probe.held = st, 0
+		st.initQueue()
+		for st.step() {
+		}
+	}
+	t.Logf("%d discards before a release, %d batches after one", probe.discards, probe.filterOps)
+	if probe.discards == 0 || probe.filterOps == 0 {
+		t.Fatal("no step both held out-edges and discarded a region")
+	}
+}

@@ -126,7 +126,7 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 	s.prefSN[qi] = nil
 }
 
-// resetNode empties a node: its blocks become spares, memberships and
+// resetNode empties a node: its blocks' storage becomes spare, memberships and
 // payload-mask bits are cleared. The node keeps its slot in s.nodes (masks
 // and iteration stay index-stable) but holds no state.
 func (s *SharedSkyline) resetNode(sn *sharedNode) {
@@ -136,8 +136,8 @@ func (s *SharedSkyline) resetNode(sn *sharedNode) {
 				s.clearMasks(sn, int(e.payload))
 			}
 		}
+		s.spare = append(s.spare, b.e)
 	}
-	s.spare = append(s.spare, sn.blocks...)
 	clear(sn.blocks)
 	sn.blocks = sn.blocks[:0]
 	sn.size, sn.dead = 0, 0

@@ -15,7 +15,8 @@ import (
 // if the window breaks an invariant find's binary search or the block tests
 // rely on: entries out of key order (within a block or across two), two
 // live entries of one payload, a key or lanes that are not the arena's, an
-// empty or overfull block, or a live entry outside its block's bounds.
+// empty or overfull block, a head whose last key is not its last entry's,
+// or a live entry outside its block's bounds.
 func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*sharedEntry {
 	t.Helper()
 	m := make(map[int]*sharedEntry)
@@ -24,6 +25,9 @@ func liveMembers(t *testing.T, s *SharedSkyline, sn *sharedNode) map[int]*shared
 	for bi, b := range sn.blocks {
 		if b.n < 1 || b.n > blockCap {
 			t.Fatalf("node %d: block %d holds %d entries", sn.idx, bi, b.n)
+		}
+		if b.last != b.e[b.n-1].key {
+			t.Fatalf("node %d: block %d's head says its last key is %x, its last entry has %x", sn.idx, bi, b.last, b.e[b.n-1].key)
 		}
 		size += b.n
 		for i := range b.e[:b.n] {

@@ -34,12 +34,14 @@ import (
 // instead of a per-point heap slice; a window holds its entries by value, one
 // cache line each, in blocks of at most 32 (window.go), so a scan walks
 // contiguous memory and compares entry-local projections (sharedEntry.proj);
-// and the child-protection test is a 3-way AND over payload-indexed node
-// bitmasks (a node past the 64th has no bit and protects nothing, which
-// costs comparisons only: nodeBit). Nothing is kept
-// per (node, payload): a node knows its members only through its window (see
-// find), so standing state is the windows plus a few pointer-free words per
-// join result.
+// the blocks' heads (bounds, count, last key) are values in one slice too,
+// so the block tests and the binary seek walk contiguous memory and reach
+// a block's entries only to scan them; and the child-protection test is a
+// 3-way AND over payload-indexed node bitmasks (a node past the 64th has no
+// bit and protects nothing, which costs comparisons only: nodeBit). Nothing
+// is kept per (node, payload): a node knows its members only through its
+// window (see find), so standing state is the windows plus a few
+// pointer-free words per join result.
 // Entries killed by KillForQueries are marked dead and batch-compacted
 // instead of spliced one at a time. None of this changes a candidate set:
 // dead entries are skipped without accounting, exactly as if they had been
@@ -59,7 +61,7 @@ type SharedSkyline struct {
 	// the point being placed, spread (spreadDims), for insertAt's key.
 	zlo, zscale []float64
 	zs          []uint64
-	spare       []*block // blocks no window holds, for the next split
+	spare       []*[blockCap]sharedEntry // entry storage no block holds, for the next split
 
 	// freeNodes holds dedicated dynamic-query nodes whose query retired;
 	// SetDynamicQuery re-keys one of these before appending a fresh node, so
@@ -161,7 +163,8 @@ type sharedEntry struct {
 // that ends in block 0 finds its own end (the first entry with a larger
 // key); one that goes on, the placement of a survivor and the member
 // lookups (find, and an insert of a payload that may already be a member)
-// binary-search the key.
+// binary-search the key (seek): over the heads' last keys, then within one
+// block.
 type sharedNode struct {
 	node      *Node
 	idx       int    // position in SharedSkyline.nodes (bit index of the masks)
@@ -169,10 +172,10 @@ type sharedNode struct {
 	sub       preference.Subspace
 	kern      preference.Kernel
 	qserve    QSet
-	prefQ     QSet     // the queries whose full-preference node this is (prefSN)
-	blocks    []*block // the window: key-ascending, no block empty
-	size      int      // window entries, dead ones included
-	dead      int      // window entries with alive == 0 awaiting compaction
+	prefQ     QSet    // the queries whose full-preference node this is (prefSN)
+	blocks    []block // the window's heads: key-ascending, no block empty
+	size      int     // window entries, dead ones included
+	dead      int     // window entries with alive == 0 awaiting compaction
 }
 
 // find returns the live window entry of payload at sn, or nil. Arena slots
@@ -333,11 +336,17 @@ func (s *SharedSkyline) Resettle(payload int, lineage QSet) (now, was QSet) {
 // one comparison. A block the run's end cuts is scanned entry by entry, and
 // so are the first block of a window of fewer than firstBlockTest blocks in
 // the prefix and the one block of a window that has only one in the suffix.
+// Most of the blocks the prefix walks back over are ruled out, so that walk
+// runs in the leaf mayDominate, over the heads alone, up to the next block
+// it must scan.
 //
 // Neither scan calls anything in its loop over entries: Go does not unswitch
 // loops, and a loop with a call re-reads on every entry what the call might
-// have changed. The prefix scan runs here, where nearly every visit ends,
-// and the suffix scan in the leaf evictMasked (DESIGN §7.1).
+// have changed. The prefix scan of a subspace that fits the lanes runs in
+// the leaf prefixLanes, called once per block it scans, which keeps what it
+// reads in registers; a wider subspace's, through the kernel against the
+// arena, runs here. The suffix scan runs in the leaf evictMasked (DESIGN
+// §7.1).
 // TestProtectionOnlySkipsComparisons holds both to a skyline with no
 // protection.
 func (s *SharedSkyline) insertAt(sn *sharedNode, payload int, vals []float64, relevant QSet) QSet {
@@ -388,12 +397,22 @@ prefix:
 			if bi, step = min(hiB, len(sn.blocks)-1)+1-k, -1; bi == 0 {
 				break
 			}
-			if end = sn.blocks[bi].n; bi == hiB {
+			if bi == hiB {
 				end = hiE
+			} else {
+				// bi and every block before it lie inside the prefix: pass
+				// over those whose lower bounds rule out p's dominators.
+				nbi, n := mayDominate(sn.blocks[:bi+1], &p)
+				cmpCount += n
+				if nbi == 0 {
+					break
+				}
+				k += bi - nbi // the next k is the block below nbi
+				bi, end = nbi, sn.blocks[nbi].n
 			}
 		}
-		b := sn.blocks[bi]
-		if end == b.n && b.e[end-1].key <= zp && (bi > 0 || testFirst) {
+		b := &sn.blocks[bi]
+		if k == 0 && testFirst && b.last <= zp { // block 0 inside the prefix
 			cmpCount++
 			if !preference.WeakLanes(&b.lo, &p) {
 				continue // no entry of b can weakly dominate p
@@ -402,6 +421,19 @@ prefix:
 		i := 0
 		if step < 0 {
 			i = end - 1
+		}
+		if fast {
+			var n int64
+			i, aliveP, cleanP, n = prefixLanes(b.e[:end], i, step, &p, zp, relevant, pCleanChildren, s.masks, aliveP, cleanP)
+			cmpCount += n
+			if aliveP == 0 {
+				break
+			}
+			if i >= 0 && i < end { // the first entry with a larger key
+				hiB, hiE = bi, i
+				break
+			}
+			continue
 		}
 		for ; i >= 0 && i < end; i += step {
 			w := &b.e[i]
@@ -416,15 +448,7 @@ prefix:
 				continue // w provably cannot weakly dominate p here
 			}
 			cmpCount++
-			var wWeakP, pWeakW bool
-			if fast {
-				wWeakP = preference.WeakLanes(&w.proj, &p)
-				if wWeakP {
-					pWeakW = preference.WeakLanes(&p, &w.proj)
-				}
-			} else {
-				wWeakP, pWeakW = sn.kern.Relate(s.points.At(int(w.payload)), vals)
-			}
+			wWeakP, pWeakW := sn.kern.Relate(s.points.At(int(w.payload)), vals)
 			if wWeakP {
 				cleanP = false
 				if !pWeakW { // strict: w ≺ p
@@ -468,6 +492,52 @@ prefix:
 	return aliveP
 }
 
+// mayDominate returns the last block of blocks[1:] whose lower bounds
+// allow an entry that weakly dominates p, or 0 if none does, and the block
+// tests made: insertAt's walk back over whole blocks, as a leaf that reads
+// only the heads.
+func mayDominate(blocks []block, p *preference.Lanes) (int, int64) {
+	for bi := len(blocks) - 1; bi > 0; bi-- {
+		if preference.WeakLanes(&blocks[bi].lo, p) {
+			return bi, int64(len(blocks) - bi)
+		}
+	}
+	return 0, int64(len(blocks) - 1)
+}
+
+// prefixLanes is the lanes path of insertAt's prefix scan over one block's
+// entries es, from i on in direction step: a leaf, so that nothing it reads
+// is reloaded per entry. It returns where it stopped (outside es when it ran
+// through, else at the first entry with a key > zp or where p's last alive
+// query fell), p's alive set and clean flag, and the comparisons made.
+func prefixLanes(es []sharedEntry, i, step int, p *preference.Lanes, zp uint64, relevant QSet, pCleanChildren uint64, masks []*[maskChunk]payloadMasks, aliveP QSet, cleanP bool) (int, QSet, bool, int64) {
+	var cmps int64
+	pl := *p // read from the frame: a register fewer for the loop
+	for ; uint(i) < uint(len(es)); i += step {
+		w := &es[i]
+		if w.key > zp {
+			break
+		}
+		if w.alive == 0 || w.lineage&relevant == 0 {
+			continue // dead, or disjoint lineages never interact
+		}
+		if pCleanChildren != 0 && pCleanChildren&maskAt(masks, int(w.payload)).member != 0 {
+			continue // w provably cannot weakly dominate p here
+		}
+		cmps++
+		if preference.WeakLanes(&w.proj, &pl) {
+			cleanP = false
+			if !preference.WeakLanes(&pl, &w.proj) { // strict: w ≺ p
+				aliveP &^= w.lineage
+				if aliveP == 0 {
+					break
+				}
+			}
+		}
+	}
+	return i, aliveP, cleanP, cmps
+}
+
 // evictMasked is insertAt's suffix scan: which members from position
 // (bi, ei) on does p dominate? pMemberChildren is p's member half of the
 // protection test. Dead entries met here are compacted away for free, and
@@ -484,11 +554,13 @@ func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bo
 	candDrop := relevant & sn.prefQ
 	keep, dead, gone := bi, 0, 0
 	for ; bi < len(blocks); bi, ei = bi+1, 0 {
-		b := blocks[bi]
+		b := &blocks[bi]
 		if ei == 0 && len(blocks) > 1 {
 			cmps++
 			if !preference.WeakLanes(p, &b.hi) { // p weakly dominates no entry of b
-				blocks[keep] = b
+				if keep != bi {
+					blocks[keep] = *b
+				}
 				keep++
 				continue
 			}
@@ -540,18 +612,22 @@ func (s *SharedSkyline) evictMasked(sn *sharedNode, p *preference.Lanes, fast bo
 			n++
 		}
 		if n == len(es) {
-			blocks[keep] = b
+			if keep != bi {
+				blocks[keep] = *b
+			}
 			keep++
 			continue
 		}
 		gone += len(es) - n
 		b.n = n
 		if n == 0 {
-			s.spare = append(s.spare, b)
+			s.spare = append(s.spare, b.e)
 			continue
 		}
 		b.bound()
-		blocks[keep] = b
+		if keep != bi {
+			blocks[keep] = *b
+		}
 		keep++
 	}
 	clear(blocks[keep:])

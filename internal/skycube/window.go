@@ -3,7 +3,6 @@ package skycube
 import (
 	"math"
 	"slices"
-	"sort"
 
 	"caqe/internal/preference"
 )
@@ -26,8 +25,8 @@ import (
 //
 // Every block holds at least one entry; its bounds contain the lanes of
 // every live entry it holds (they may be wider: a killed entry does not
-// shrink them). An insert shifts the entries of one block, and splits it
-// when full.
+// shrink them), and its head's last key is its last entry's. An insert
+// shifts the entries of one block, and splits it when full.
 
 // blockCap is the most entries a window block holds.
 const blockCap = 32
@@ -36,15 +35,21 @@ const blockCap = 32
 // test its first block against the block's bounds.
 const firstBlockTest = 8
 
-// block is a run of consecutive window entries with per-lane bounds.
+// block is the head of a run of consecutive window entries: what the walks
+// read about the run, held by value in the node's slice of heads so that a
+// walk over blocks reads one contiguous slice, and a pointer to the entries
+// themselves. last is the key of e[n-1], the one key the binary seek and the
+// prefix walk's block test read.
 type block struct {
 	lo, hi preference.Lanes // contain the lanes of every live entry in e[:n]
 	n      int
-	e      [blockCap]sharedEntry
+	last   uint64 // e[n-1].key: set by bound and wherever n grows
+	e      *[blockCap]sharedEntry
 }
 
-// bound recomputes the block's bounds over its live entries: empty bounds
-// (+Inf above −Inf) when there are none, so that both block tests fail.
+// bound recomputes the block's bounds over its live entries, and its last
+// key: empty bounds (+Inf above −Inf) when there are none, so that both
+// block tests fail.
 func (b *block) bound() {
 	inf := math.Inf(1)
 	b.lo = preference.Lanes{inf, inf, inf, inf}
@@ -53,6 +58,9 @@ func (b *block) bound() {
 		if b.e[i].alive != 0 {
 			b.widen(&b.e[i].proj)
 		}
+	}
+	if b.n > 0 {
+		b.last = b.e[b.n-1].key
 	}
 }
 
@@ -167,17 +175,38 @@ var spreadByte = func() (t [256]uint32) {
 }()
 
 // seek returns the position of the first entry whose key is > z (above) or
-// ≥ z, or (len(blocks), 0) if there is none.
+// ≥ z, or (len(blocks), 0) if there is none: a binary search over the heads'
+// last keys, then one within the block.
 func (sn *sharedNode) seek(z uint64, above bool) (bi, ei int) {
 	blocks := sn.blocks
-	past := func(key uint64) bool { return key > z || !above && key == z }
-	bi = sort.Search(len(blocks), func(i int) bool { return past(blocks[i].e[blocks[i].n-1].key) })
-	if bi == len(blocks) {
-		return bi, 0
+	lo, hi := 0, len(blocks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if past(blocks[m].last, z, above) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	b := blocks[bi]
-	return bi, sort.Search(b.n, func(i int) bool { return past(b.e[i].key) })
+	if lo == len(blocks) {
+		return lo, 0
+	}
+	b := &blocks[lo]
+	i, j := 0, b.n
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if past(b.e[m].key, z, above) {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
+	return lo, i
 }
+
+// past reports whether key lies past z for seek: above it, or at it too
+// unless above.
+func past(key, z uint64, above bool) bool { return key > z || !above && key == z }
 
 // tieStart returns the position of the first entry of the run of key z
 // that ends just before position (bi, ei).
@@ -187,7 +216,7 @@ func (sn *sharedNode) tieStart(bi, ei int, z uint64) (int, int) {
 			if bi == 0 {
 				return 0, 0
 			}
-			if prev := sn.blocks[bi-1]; prev.e[prev.n-1].key == z {
+			if prev := &sn.blocks[bi-1]; prev.last == z {
 				bi, ei = bi-1, prev.n
 			} else {
 				return bi, 0
@@ -205,7 +234,7 @@ func (sn *sharedNode) tieStart(bi, ei int, z uint64) (int, int) {
 // of the same payload (killed, not yet compacted) are passed over.
 func liveInRun(sn *sharedNode, payload int, z uint64) *sharedEntry {
 	for bi, ei := sn.seek(z, false); bi < len(sn.blocks); bi, ei = bi+1, 0 {
-		b := sn.blocks[bi]
+		b := &sn.blocks[bi]
 		for ; ei < b.n; ei++ {
 			w := &b.e[ei]
 			if w.key != z {
@@ -221,7 +250,8 @@ func liveInRun(sn *sharedNode, payload int, z uint64) *sharedEntry {
 
 // place inserts e after every entry whose key is ≤ its own. It shifts the
 // entries of one block; a full block either hands an entry at its end a
-// fresh block or is split in halves.
+// fresh block or is split in halves. The head it writes is taken after the
+// split's insert into the slice of heads, which may move them all.
 func (s *SharedSkyline) place(sn *sharedNode, e *sharedEntry) {
 	bi, ei := sn.seek(e.key, true)
 	if ei == 0 && bi > 0 && (bi == len(sn.blocks) || sn.blocks[bi-1].n < blockCap) {
@@ -230,9 +260,9 @@ func (s *SharedSkyline) place(sn *sharedNode, e *sharedEntry) {
 	if bi == len(sn.blocks) { // an empty window
 		sn.blocks = append(sn.blocks, s.newBlock())
 	}
-	b := sn.blocks[bi]
-	if b.n == blockCap {
+	if b := &sn.blocks[bi]; b.n == blockCap {
 		nb := s.newBlock()
+		into := bi + 1 // the block e goes into
 		if ei < blockCap {
 			const half = blockCap / 2
 			nb.n = copy(nb.e[:], b.e[half:])
@@ -241,37 +271,39 @@ func (s *SharedSkyline) place(sn *sharedNode, e *sharedEntry) {
 			nb.bound()
 			if ei > half {
 				ei -= half
-				b = nb
+			} else {
+				into = bi
 			}
 		} else {
 			ei = 0
-			b = nb
 		}
 		sn.blocks = slices.Insert(sn.blocks, bi+1, nb)
+		bi = into
 	}
+	b := &sn.blocks[bi]
 	copy(b.e[ei+1:b.n+1], b.e[ei:b.n])
 	b.e[ei] = *e
 	b.n++
+	b.last = b.e[b.n-1].key
 	b.widen(&e.proj)
 	sn.size++
 }
 
-// newBlock returns an empty block, a spare one if there is one.
-func (s *SharedSkyline) newBlock() *block {
-	var b *block
+// newBlock returns an empty block, on spare entry storage if there is some.
+func (s *SharedSkyline) newBlock() block {
+	var b block
 	if n := len(s.spare); n > 0 {
-		b, s.spare = s.spare[n-1], s.spare[:n-1]
+		b.e, s.spare = s.spare[n-1], s.spare[:n-1]
 	} else {
-		b = new(block)
+		b.e = new([blockCap]sharedEntry)
 	}
-	b.n = 0
 	b.bound()
 	return b
 }
 
 // compact rewrites a node's window without its dead entries, preserving the
-// order of the live ones, packed into full blocks; the blocks left over
-// become spares.
+// order of the live ones, packed into full blocks; the storage of the blocks
+// left over becomes spare.
 func (s *SharedSkyline) compact(sn *sharedNode) {
 	out, n := 0, 0 // write position: never past the read position
 	for _, b := range sn.blocks {
@@ -290,14 +322,15 @@ func (s *SharedSkyline) compact(sn *sharedNode) {
 	if n == 0 {
 		keep = 0
 	}
-	for i, b := range sn.blocks {
+	for i := range sn.blocks {
+		b := &sn.blocks[i]
 		switch {
 		case i < keep-1:
 			b.n = blockCap
 		case i == keep-1:
 			b.n = n
 		default:
-			s.spare = append(s.spare, b)
+			s.spare = append(s.spare, b.e)
 			continue
 		}
 		b.bound()

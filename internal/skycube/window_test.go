@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"caqe/internal/metrics"
 	"caqe/internal/preference"
 )
 
@@ -21,7 +22,8 @@ func TestSharedEntryIsOneCacheLine(t *testing.T) {
 // the window shifts, so every lookup after a mutation must land on the entry's
 // new slot. Each step below relocates entries in a different way; after each,
 // checkMembership compares find, the masks, IsCandidate and Candidates for
-// every payload with a linear pass over the windows.
+// every payload with a linear pass over the windows, and checks every
+// block head.
 func TestFindSurvivesWindowShifts(t *testing.T) {
 	c, err := BuildCuboid([]preference.Subspace{preference.NewSubspace(0, 1), preference.NewSubspace(0, 1, 2)})
 	if err != nil {
@@ -107,6 +109,51 @@ func TestFindSurvivesWindowShifts(t *testing.T) {
 		t.Fatalf("retiring the last query left %d entries", sn.size)
 	}
 	checkMembership(t, s, n+2, "retire 1")
+
+	// place's three ways through a full block, each on a fresh window of one
+	// full block whose slice of heads has no room for a second, so that the
+	// split's insert moves the heads: the new entry lands in the first half,
+	// in the second half, or past the block's end, where it starts a block
+	// of its own.
+	for _, tc := range []struct {
+		name  string
+		lands func(pos int) bool // pos: the new entry's place among the block's
+		sizes [2]int
+	}{
+		{"split, first half", func(pos int) bool { return pos < blockCap/2 }, [2]int{blockCap/2 + 1, blockCap / 2}},
+		{"split, second half", func(pos int) bool { return pos > blockCap/2 && pos < blockCap }, [2]int{blockCap / 2, blockCap/2 + 1}},
+		{"past a full block", func(pos int) bool { return pos == blockCap }, [2]int{blockCap, 1}},
+	} {
+		s := NewSharedSkylineIn(c, nil, []float64{0, 0, 0}, []float64{n, y(0), 1})
+		sn := s.prefSN[0]
+		for p := 0; p < blockCap; p++ {
+			s.Insert(p, []float64{float64(p), y(float64(p)), 0}, both)
+		}
+		if len(sn.blocks) != 1 || sn.blocks[0].n != blockCap || cap(sn.blocks) != 1 {
+			t.Fatalf("%s: %d blocks (room for %d), want one full block", tc.name, len(sn.blocks), cap(sn.blocks))
+		}
+		// The first point of the curve between two of the window's, or
+		// past them all, whose key lands where the case wants it.
+		var vals []float64
+		for x := 0.5; x < n && vals == nil; x++ {
+			v := []float64{x, y(x), 0}
+			s.spreadLanes(sn, v)
+			if bi, ei := sn.seek(sn.zKey(s.zs), true); tc.lands(bi*blockCap + ei) {
+				vals = v
+			}
+		}
+		if vals == nil {
+			t.Fatalf("%s: no point of the curve lands there", tc.name)
+		}
+		s.Insert(blockCap, vals, both)
+		if len(sn.blocks) != 2 || sn.blocks[0].n != tc.sizes[0] || sn.blocks[1].n != tc.sizes[1] {
+			t.Fatalf("%s: %d blocks, the first two of %d and %d entries, want %v", tc.name, len(sn.blocks), sn.blocks[0].n, sn.blocks[1].n, tc.sizes)
+		}
+		if e := s.find(sn, blockCap); e == nil || e.alive != both {
+			t.Fatalf("%s: find = %+v, want the new point's live entry", tc.name, e)
+		}
+		checkMembership(t, s, blockCap+1, tc.name)
+	}
 }
 
 // TestPayloadRange: a window entry stores its payload as an int32, so Insert
@@ -242,4 +289,53 @@ func TestSpreadInterleaves(t *testing.T) {
 			t.Fatalf("spread(%#x) = %#x, want %#x", x, got, want)
 		}
 	}
+}
+
+// BenchmarkWindowInsert times the insert hop alone: anti-correlated 4-d
+// points (near the plane where the coordinates sum to 2, as batch-anti's
+// join results lie near theirs) inserted into a fresh shared skyline over
+// the 11-query lattice of every subspace of at least two of the four
+// dimensions, each point competing for every query. One op inserts the
+// whole set; ns/cmp is the time per counted SkylineCmp and cmps/op the
+// count, which a change to how fast a comparison runs must leave alone.
+//
+//	go test -run '^$' -bench WindowInsert ./internal/skycube
+func BenchmarkWindowInsert(b *testing.B) {
+	const n, d = 50000, 4
+	rng := rand.New(rand.NewSource(2014))
+	points := make([][]float64, n)
+	for i := range points {
+		p := make([]float64, d)
+		sum := 0.0
+		for k := range p {
+			p[k] = rng.Float64()
+			sum += p[k]
+		}
+		shift := (2-sum)/d + rng.NormFloat64()*0.03
+		for k := range p {
+			p[k] = min(1, max(0, p[k]+shift))
+		}
+		points[i] = p
+	}
+	prefs := allSubspaces(d)
+	c, err := BuildCuboid(prefs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var all QSet
+	for qi := range prefs {
+		all = all.Add(qi)
+	}
+	var cmps int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clock := metrics.NewClock()
+		s := NewSharedSkyline(c, clock)
+		for p, vals := range points {
+			s.Insert(p, vals, all)
+		}
+		cmps = clock.Counters().SkylineCmps
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cmps*int64(b.N)), "ns/cmp")
+	b.ReportMetric(float64(cmps), "cmps/op")
 }
