@@ -233,15 +233,23 @@ func TestDominatorsMatchReference(t *testing.T) {
 	}
 }
 
-// BenchmarkCoarsePlan times the dependency graph and ProgCount's dominators
-// on the plans of the benchmark's batch-indep workload: four 2500-row
-// independent pairs at σ = 0.1 under its 11-query lattice, about 576
-// regions each. One op builds every plan's graph, or lists the dominators
-// of every region of every plan, so even -benchtime 1x reads warm calls;
-// ns/plan is the mean per plan. "index" is the corner-index form, the
-// graph's including the index build; "reference" the region-pair loop the
-// tests compare it with. internal/region's BenchmarkCoarsePlan times the
-// coarse prune the same way.
+// BenchmarkCoarsePlan times the dependency graph, ProgCount's dominators,
+// the region discard and the frontier refresh on the plans of the
+// benchmark's batch-indep workload: four 2500-row independent pairs at
+// σ = 0.1 under its 11-query lattice, about 576 regions each. One op builds
+// every plan's graph, or lists the dominators of every region of every
+// plan, so even -benchtime 1x reads warm calls; ns/plan is the mean per
+// plan. "index" is the corner-index form, the graph's including the index
+// build; "reference" the loop the tests compare it with. The discard and
+// refresh run on copies of the plans after their first 32 region steps:
+// one discard op re-runs, for every query, the discard of each step's
+// results (it kills nothing after the first op), against the walk of the
+// live set with a bound test per region ("reference"); one refresh op, for
+// every query, sorts its live corners afresh, then kills them eight at a
+// time in region order with a refresh after each kill, and revives them,
+// against the collect-and-sort refresh after each kill ("reference").
+// internal/region's BenchmarkCoarsePlan times the coarse prune the same
+// way.
 //
 //	go test -run '^$' -bench CoarsePlan ./internal/core ./internal/region
 func BenchmarkCoarsePlan(b *testing.B) {
@@ -249,24 +257,28 @@ func BenchmarkCoarsePlan(b *testing.B) {
 		NumQueries: 11, Dims: 4, Priority: workload.HighDimsHigh,
 		NewContract: func(int) contract.Contract { return contract.C2() },
 	})
-	var plans []*state
-	for i := int64(0); i < 4; i++ {
-		r, tt, err := datagen.Pair(2500, 4, datagen.Independent, []float64{0.1}, 2014+10*i)
-		if err != nil {
-			b.Fatal(err)
+	newPlans := func() []*state {
+		var plans []*state
+		for i := int64(0); i < 4; i++ {
+			r, tt, err := datagen.Pair(2500, 4, datagen.Independent, []float64{0.1}, 2014+10*i)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, err := New(w, r, tt, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			clock := metrics.NewClock()
+			cuboid, space, filter, err := e.plan(clock, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plans = append(plans, newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter))
 		}
-		e, err := New(w, r, tt, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		clock := metrics.NewClock()
-		cuboid, space, filter, err := e.plan(clock, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plans = append(plans, newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter))
+		return plans
 	}
-	run := func(b *testing.B, pass func(st *state)) {
+	plans := newPlans()
+	run := func(b *testing.B, plans []*state, pass func(st *state)) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, st := range plans {
@@ -276,24 +288,95 @@ func BenchmarkCoarsePlan(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(plans)), "ns/plan")
 	}
 	b.Run("depgraph/index", func(b *testing.B) {
-		run(b, func(st *state) {
+		run(b, plans, func(st *state) {
 			st.live.index = nil
 			st.buildDepGraph()
 		})
 	})
-	b.Run("depgraph/reference", func(b *testing.B) { run(b, func(st *state) { st.referenceDepGraph() }) })
+	b.Run("depgraph/reference", func(b *testing.B) { run(b, plans, func(st *state) { st.referenceDepGraph() }) })
 	b.Run("dominators/index", func(b *testing.B) {
-		run(b, func(st *state) {
+		run(b, plans, func(st *state) {
 			for _, rc := range st.regions {
 				st.dominatorsByQuery(rc)
 			}
 		})
 	})
 	b.Run("dominators/reference", func(b *testing.B) {
-		run(b, func(st *state) {
+		run(b, plans, func(st *state) {
 			for _, rc := range st.regions {
 				st.referenceDominators(rc)
 			}
 		})
+	})
+
+	// The stepped plans: each step's results, and one discard of each.
+	type step struct {
+		qs       skycube.QSet
+		payloads []int
+	}
+	stepped := newPlans()
+	steps := map[*state][]step{}
+	for _, st := range stepped {
+		st.initQueue()
+		for k := 0; k < 32 && st.step(); k++ {
+		}
+		byRegion := map[int][]int{}
+		var order []int
+		for c, chunk := range st.payloads {
+			for i, info := range chunk {
+				if _, ok := byRegion[info.reg]; !ok {
+					order = append(order, info.reg)
+				}
+				byRegion[info.reg] = append(byRegion[info.reg], c<<payloadShift+i)
+			}
+		}
+		for _, ri := range order {
+			s := step{st.regions[ri].RQL, byRegion[ri]}
+			steps[st] = append(steps[st], s)
+			st.discardDominated(s.qs, s.payloads)
+		}
+	}
+	b.Run("discard/index", func(b *testing.B) {
+		run(b, stepped, func(st *state) {
+			for _, s := range steps[st] {
+				st.discardDominated(s.qs, s.payloads)
+			}
+		})
+	})
+	b.Run("discard/reference", func(b *testing.B) {
+		run(b, stepped, func(st *state) {
+			for _, s := range steps[st] {
+				st.boundDiscard(s.qs, s.payloads)
+			}
+		})
+	})
+
+	refresh := func(st *state, after func(qi int)) {
+		for qi := range st.w.Queries {
+			bit := skycube.QSet(0).Add(qi)
+			live := slices.Clone(st.live.sets[qi])
+			st.gen++
+			after(qi)
+			for ri, n := live.Next(0), 0; ri >= 0; ri, n = live.Next(ri+1), n+1 {
+				st.live.kill(st.regions[ri], bit)
+				if n%8 == 7 {
+					after(qi)
+				}
+			}
+			for ri := live.Next(0); ri >= 0; ri = live.Next(ri + 1) {
+				st.live.revive(st.regions[ri], bit)
+			}
+		}
+	}
+	b.Run("refresh/kept", func(b *testing.B) {
+		run(b, stepped, func(st *state) {
+			refresh(st, func(qi int) {
+				st.frontierDirty[qi] = true
+				st.refreshFrontier(qi)
+			})
+		})
+	})
+	b.Run("refresh/reference", func(b *testing.B) {
+		run(b, stepped, func(st *state) { refresh(st, func(qi int) { referenceFrontier(st, qi) }) })
 	})
 }

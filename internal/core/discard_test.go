@@ -6,19 +6,44 @@ import (
 	"slices"
 	"testing"
 
+	"caqe/internal/join"
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
 	"caqe/internal/region"
+	"caqe/internal/run"
 	"caqe/internal/skycube"
+	"caqe/internal/trace"
+	"caqe/internal/workload"
 )
+
+// discardKill is one (region, query) pair a discard pass killed, with the
+// cell operations charged in the pass up to the kill.
+type discardKill struct {
+	region, query int
+	cellOps       int64
+}
+
+// discardTracer records every discard event with the clock's cell
+// operations as the event reads them.
+type discardTracer struct {
+	clock *metrics.Clock
+	kills []discardKill
+}
+
+func (d *discardTracer) Trace(ev trace.Event) {
+	if ev.Kind == trace.KindDiscard {
+		d.kills = append(d.kills, discardKill{ev.Region, ev.Query, d.clock.Counters().CellOps})
+	}
+}
 
 // referenceDiscard is discardDominated as it read before the champions'
 // bound and the live sets: for each query of qs, the candidates among
 // payloads (read off the windows), then the best corner of every region
 // Alive for the query tested against them one by one, one cell operation
 // per test. It works on copies and changes nothing: it returns the region
-// alive sets the pass leaves and the cell operations it charges.
-func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skycube.QSet, cellOps int64) {
+// alive sets the pass leaves, the cell operations it charges and each kill
+// with the cell operations charged up to it.
+func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skycube.QSet, cellOps int64, kills []discardKill) {
 	for _, rf := range st.regions {
 		alive = append(alive, rf.Alive)
 	}
@@ -48,16 +73,48 @@ func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skyc
 			}
 			if dominated {
 				alive[fi] &^= 1 << uint(qi)
+				kills = append(kills, discardKill{fi, qi, cellOps})
 			}
 		}
 	}
-	return alive, cellOps
+	return alive, cellOps, kills
+}
+
+// boundDiscard is discardDominated as it read before the probe of the corner
+// index: every live region of each query takes the bound test, and those it
+// does not rule out take champion tests. BenchmarkCoarsePlan times the
+// probe against it.
+func (st *state) boundDiscard(qs skycube.QSet, newPayloads []int) skycube.QSet {
+	var killedQueries skycube.QSet
+	for qi := qs.Next(0); qi >= 0; qi = qs.Next(qi + 1) {
+		champs, bound := st.champions(qi, newPayloads)
+		if len(champs) == 0 {
+			continue
+		}
+		live := st.live.sets[qi]
+		for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
+			rf := st.regions[fi]
+			if !st.cornerDominated(qi, champs, bound, rf) {
+				continue
+			}
+			killedQueries = killedQueries.Add(qi)
+			st.traceDiscard(fi, qi)
+			if st.live.kill(rf, skycube.QSet(0).Add(qi)) {
+				st.clock.CountRegionPruned()
+				st.releaseEdges(fi)
+			}
+		}
+	}
+	st.markFrontiersDirty(killedQueries)
+	return killedQueries
 }
 
 // TestDiscardMatchesReference: on random plans, champions and regions,
 // discardDominated kills exactly the (region, query) pairs the reference
-// kills, retires the same regions (empties their Alive sets, and their live
-// sets follow) and charges the same cell operations.
+// kills, in its order and with the same cell operations charged before
+// each kill (as the kill's trace event reads the clock), retires the same
+// regions (empties their Alive sets, and their live sets follow) and
+// charges the same cell operations in all.
 // Coordinates come from a small domain, so region corners often tie the
 // champions' bound; some champions and corners have a NaN coordinate, some
 // regions a zero-extent dimension, and some plans a preference of five or
@@ -92,9 +149,16 @@ func TestDiscardMatchesReference(t *testing.T) {
 		randQs := func() skycube.QSet { return 1 + skycube.QSet(rng.Intn(int(all))) } // non-empty
 		st := &state{
 			e:             &Engine{},
+			w:             &workload.Workload{OutDims: make([]join.MapFunc, nd)},
 			clock:         metrics.NewClock(),
+			rep:           &run.Report{},
 			shared:        skycube.NewSharedSkyline(cuboid, nil),
 			frontierDirty: make([]bool, nq),
+		}
+		tracer := &discardTracer{clock: st.clock}
+		st.tracer = tracer
+		for qi := range prefs {
+			st.qremap = append(st.qremap, qi)
 		}
 		for _, pref := range prefs {
 			st.kerns = append(st.kerns, preference.NewKernel(pref))
@@ -158,7 +222,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 			}
 		}
 
-		wantAlive, wantOps := st.referenceDiscard(all, payloads)
+		wantAlive, wantOps, wantKills := st.referenceDiscard(all, payloads)
 		var wantKilled skycube.QSet
 		for fi, rf := range st.regions {
 			lost := rf.Alive &^ wantAlive[fi]
@@ -171,6 +235,12 @@ func TestDiscardMatchesReference(t *testing.T) {
 		}
 		if got := st.clock.Counters().CellOps - before; got != wantOps {
 			t.Fatalf("trial %d: %d cell operations, reference %d", trial, got, wantOps)
+		}
+		for i := range tracer.kills {
+			tracer.kills[i].cellOps -= before
+		}
+		if !slices.Equal(tracer.kills, wantKills) {
+			t.Fatalf("trial %d: kills (region, query, cell operations so far) %v, reference %v", trial, tracer.kills, wantKills)
 		}
 		for fi, rf := range st.regions {
 			if rf.Alive != wantAlive[fi] {

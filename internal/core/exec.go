@@ -289,8 +289,7 @@ func (st *state) dropQuery(qi int) {
 	}
 	st.pending[qi] = st.pending[qi][:0]
 	st.blocked[qi] = make(map[int][]int)
-	st.frontier[qi] = nil
-	st.order[qi] = nil
+	st.releaseFrontier(qi)
 	st.frontierDirty[qi] = false
 }
 

@@ -333,3 +333,48 @@ func TestStartExecRejectsDataOrder(t *testing.T) {
 		t.Fatalf("StartExec with DataOrderScheduling: %v, %v; want no execution and an error", x, err)
 	}
 }
+
+// TestRetiredSlotHoldsNoRecords: a cancelled query, a retired slot and a
+// query with no live region left keep none of their frontier records — the
+// kept corners, the region → position array, the kept set and the
+// frontier — so an execution that binds many slots over its life holds
+// records for its running queries only.
+func TestRetiredSlotHoldsNoRecords(t *testing.T) {
+	w := testWorkload(3, 3, workload.UniformPriority, c3s)
+	r, tt := testPair(t, 120, 3, datagen.AntiCorrelated, 0.05, 5)
+	e := mustEngine(t, w, r, tt, Options{})
+	x, err := e.StartExec(metrics.NewClock(), run.NewReport("CAQE", e.w, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := x.st
+	holds := func(qi int) bool {
+		ko := st.order[qi]
+		return ko.corners != nil || ko.at != nil || ko.kept != nil || ko.n != 0 || st.frontier[qi] != nil
+	}
+	for i := 0; i < 3 && x.Step(); i++ {
+	}
+	for qi := range st.w.Queries {
+		if !holds(qi) {
+			t.Fatalf("query %d holds no records after three steps: nothing to release", qi)
+		}
+	}
+	if err := x.Cancel(0); err != nil {
+		t.Fatal(err)
+	}
+	st.retireSlot(1, x.Now())
+	for qi := 0; qi < 2; qi++ {
+		if holds(qi) {
+			t.Errorf("query %d, gone, holds %d kept corners, %d positions, %d kept words and %d frontier corners",
+				qi, len(st.order[qi].corners), len(st.order[qi].at), len(st.order[qi].kept), len(st.frontier[qi]))
+		}
+	}
+	for x.Step() {
+	}
+	x.Finish()
+	for qi := range st.w.Queries {
+		if holds(qi) {
+			t.Errorf("query %d holds records after the drain", qi)
+		}
+	}
+}

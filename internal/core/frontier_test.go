@@ -60,13 +60,14 @@ func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 // checkFrontiers refreshes every query's frontier from its kept order and
 // compares the corners, their lanes and the comparisons charged with the
 // reference refresh over the current state. The refresh is charged to a
-// scratch clock and the frontier and its dirty flag are put back afterwards,
-// so the execution proceeds exactly as if unchecked (the kept order is left
-// refreshed, which is what the next real refresh would do to it first). A
+// scratch clock, and the frontier, its dirty flag and the kept records are
+// put back afterwards, so the execution proceeds exactly as if unchecked. A
 // frontier no refresh is due for must hold every corner where it lies now.
-// After the refresh every kept corner is either marked minimal and on the
-// frontier, or names as its blocker the first frontier corner that weakly
-// dominates it.
+// After the refresh the kept records must describe the frontier: the kept
+// set is the live set, every live corner is either marked minimal and on
+// the frontier or names as its blocker the first frontier corner that
+// weakly dominates it, and each frontier corner's count and dependents
+// chain hold exactly the live corners it blocks.
 func checkFrontiers(t *testing.T, label string, st *state) int {
 	t.Helper()
 	for qi := range st.frontier {
@@ -83,24 +84,40 @@ func checkFrontiers(t *testing.T, label string, st *state) int {
 			}
 		}
 		saved, dirty, clock := slices.Clone(st.frontier[qi]), st.frontierDirty[qi], st.clock
+		savedOrder := st.order[qi]
+		savedOrder.corners, savedOrder.at, savedOrder.kept = slices.Clone(savedOrder.corners), slices.Clone(savedOrder.at), slices.Clone(savedOrder.kept)
 		st.clock = metrics.NewClock()
 		st.frontierDirty[qi] = true
 		st.refreshFrontier(qi)
 		charged := st.clock.Counters().CellOps
+		ko, fr := st.order[qi], st.frontier[qi]
 		var got []int
-		for _, c := range st.frontier[qi] {
+		for _, c := range fr {
 			got = append(got, int(c.region))
 			if c.lanes != lanesOf(c) {
 				t.Fatalf("%s: query %d: refreshed corner of region %d has lanes %v, want %v", label, qi, c.region, c.lanes, lanesOf(c))
 			}
+			if ko.corners[c.pos].region != c.region {
+				t.Fatalf("%s: query %d: frontier corner of region %d names position %d, which holds region %d", label, qi, c.region, c.pos, ko.corners[c.pos].region)
+			}
 		}
-		st.frontier[qi], st.frontierDirty[qi], st.clock = saved, dirty, clock
 		want, cmps := referenceFrontier(st, qi)
 		if !slices.Equal(got, want) || charged != cmps {
 			t.Fatalf("%s: query %d (pref %v): frontier %v charging %d comparisons, the sorted live set gives %v charging %d",
 				label, qi, kern.Sub(), got, charged, want, cmps)
 		}
-		for _, c := range st.order[qi] {
+		live := st.live.sets[qi]
+		if !slices.Equal(ko.kept, live[:len(ko.kept)]) || slices.ContainsFunc(live[len(ko.kept):], func(w uint64) bool { return w != 0 }) || ko.n != live.Count() {
+			t.Fatalf("%s: query %d: kept set %v of %d members, live set %v", label, qi, ko.kept, ko.n, live)
+		}
+		blocks := map[int32]int32{} // frontier position → live corners it blocks first
+		for p, c := range ko.corners {
+			if !live.Has(int(c.region)) {
+				continue
+			}
+			if ko.at[c.region] != int32(p) {
+				t.Fatalf("%s: query %d: region %d sits at position %d, recorded at %d", label, qi, c.region, p, ko.at[c.region])
+			}
 			lo := st.regions[c.region].Lo
 			first := minimalCorner
 			for _, o := range want {
@@ -113,11 +130,29 @@ func checkFrontiers(t *testing.T, label string, st *state) int {
 				if !slices.Contains(want, int(c.region)) {
 					t.Fatalf("%s: query %d: region %d is marked minimal, the frontier is %v", label, qi, c.region, want)
 				}
-			} else if c.blocker != first {
+				continue
+			}
+			if b := ko.corners[c.blocker].region; b != first {
 				t.Fatalf("%s: query %d: region %d keeps blocker %d, the first frontier corner dominating it is %d (frontier %v)",
-					label, qi, c.region, c.blocker, first, want)
+					label, qi, c.region, b, first, want)
+			}
+			blocks[c.blocker]++
+		}
+		for _, f := range fr {
+			var chained int32
+			for p := ko.corners[f.pos].link; p != noCorner; p = ko.corners[p].link {
+				if c := ko.corners[p]; live.Has(int(c.region)) {
+					if c.blocker != f.pos {
+						t.Fatalf("%s: query %d: region %d is chained to frontier region %d, blocked by position %d", label, qi, c.region, f.region, c.blocker)
+					}
+					chained++
+				}
+			}
+			if n := ko.corners[f.pos].cnt; n != blocks[f.pos] || chained != n {
+				t.Fatalf("%s: query %d: frontier region %d counts %d dependents and chains %d, it blocks %d", label, qi, f.region, n, chained, blocks[f.pos])
 			}
 		}
+		st.frontier[qi], st.frontierDirty[qi], st.clock, st.order[qi] = saved, dirty, clock, savedOrder
 	}
 	return len(st.frontier)
 }

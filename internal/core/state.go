@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -121,21 +122,20 @@ type state struct {
 	// them: the per-query live sets, the CSM queue and the corner index.
 	live liveness
 
-	frontier      [][]liveCorner // per query: minimal best corners of live regions
+	frontier      [][]liveCorner // per query: minimal best corners of live regions, in position order
 	frontierDirty []bool
-	// order holds, per query, the best corners of its live regions in
-	// (sum, region) order as of its last frontier refresh, each with the
-	// outcome of its last frontier test. Between refreshes a live set only
-	// loses members, so a refresh filters the list instead of re-collecting
-	// and re-sorting it — unless gen moved past orderGen: every site that can
-	// add to a live set or move a corner bumps gen (reopen, bindQuery,
+	// order holds, per query, the best corners of its live regions in (sum,
+	// region) order as of the last generation bump, with the outcome of each
+	// one's last frontier test and the live set of the last refresh. Between
+	// bumps a live set only loses members, so a refresh looks only at the
+	// corners that died and at what they blocked; after one (gen moved past
+	// the order's), the order is collected and sorted afresh. Every site that
+	// can add to a live set or move a corner bumps gen (reopen, bindQuery,
 	// reviveAfterAppend's bound recomputation).
-	order    [][]liveCorner
-	orderGen []uint64
-	gen      uint64
-	// refreshFrontier's scratch: the rank of each region on the frontier
-	// being built. Sized to the region count, it grows only with it.
-	rankScratch []int32
+	order []keptOrder
+	gen   uint64
+	// refreshFrontier's scratch: the positions of the corners to re-test.
+	retestScratch []int32
 
 	// Reused scratch (see DESIGN.md §7): join result buffers (one per segment
 	// of a reopened region, see processRegion; the second grows only after a
@@ -150,9 +150,11 @@ type state struct {
 	goneScratch  []int
 	vsScratch    []float64
 	domScratch   [][]*region.Region
-	// The coarse tests' probe of the corner index and their two region sets.
-	probe      region.Probe
-	setScratch [2]region.Bits
+	// The coarse tests' probe of the corner index and their two region sets,
+	// and the discard's own set: the csm it calls uses the other two.
+	probe        region.Probe
+	setScratch   [2]region.Bits
+	reachScratch region.Bits
 	// exactProgCount's integers: first coordinate, extent and table stride
 	// per axis, then its threshold table.
 	progAxes []int
@@ -161,26 +163,61 @@ type state struct {
 	resettleScratch []int
 }
 
-// liveCorner is the best corner of one live region of a query: its sum over
-// the query's preference (the order's sort key), the region (so parked
+// liveCorner is one corner on a query's frontier: the best corner of a live
+// region projected onto the query's preference, the region (so parked
 // results can be re-vetted exactly when their blocking region disappears)
-// and the corner projected onto the preference. A preference of ≥ 5
+// and the corner's position in the kept order. A preference of ≥ 5
 // dimensions does not fit the lanes; its corners compare through the kernel
-// on the region's Lo. In a kept order, blocker is the region of the first
-// frontier corner that weakly dominated the corner at the last refresh, or
-// minimalCorner or untestedCorner.
+// on the region's Lo.
 type liveCorner struct {
+	lanes  preference.Lanes
+	region int32
+	pos    int32
+}
+
+// keptOrder is one query's frontier records between generation bumps
+// (DESIGN.md §13): the corners collected at the last bump in (sum, region)
+// order, each region's position among them, and the regions still live at
+// the last refresh with their count. A dead corner stays in corners until
+// the next bump; kept says which are live.
+type keptOrder struct {
+	corners []keptCorner
+	at      []int32 // region → position in corners; read only for members of kept
+	kept    region.Bits
+	n       int // members of kept
+	gen     uint64
+}
+
+// keptCorner is one corner of a kept order, with the outcome of its last
+// frontier test. blocker is the position of its first blocker, the first
+// frontier corner that weakly dominates it, or minimalCorner. The corners a
+// frontier corner blocks first are its dependents, chained through link: a
+// frontier corner's link is its first dependent, a blocked corner's the
+// next dependent of its blocker, and noCorner ends the chain. A dead corner
+// stays in the chain it was in. cnt counts a frontier corner's live
+// dependents.
+type keptCorner struct {
 	sum     float64
 	region  int32
 	blocker int32
-	lanes   preference.Lanes
+	link    int32
+	cnt     int32
 }
 
-// The two liveCorner.blocker states that name no region.
+// The keptCorner.blocker and link values that name no position.
 const (
-	untestedCorner int32 = -1 // collected since the last refresh
-	minimalCorner  int32 = -2 // on the frontier
+	minimalCorner int32 = -1 // on the frontier
+	noCorner      int32 = -1 // the end of a dependents chain
 )
+
+// block makes the corner at position p a dependent of the frontier corner
+// at position b.
+func (ko *keptOrder) block(p, b int32) {
+	c, f := &ko.corners[p], &ko.corners[b]
+	c.blocker, c.link = b, f.link
+	f.link = p
+	f.cnt++
+}
 
 func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skycube.SharedSkyline, rep *run.Report, filter *joinFilter) *state {
 	st := &state{
@@ -219,8 +256,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.blocked = append(st.blocked, make(map[int][]int))
 		st.frontier = append(st.frontier, nil)
 		st.frontierDirty = append(st.frontierDirty, false)
-		st.order = append(st.order, nil)
-		st.orderGen = append(st.orderGen, 0)
+		st.order = append(st.order, keptOrder{})
 		st.qremap = append(st.qremap, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
 		st.live.grow(len(st.regions), qi+1)
@@ -394,7 +430,12 @@ func (st *state) initQueue() {
 // tuple(s)" step of Algorithm 1: a generated result that dominates the best
 // corner of a live region in a query's preference proves that the region
 // cannot contribute any result for that query. qs are the queries the
-// processed region served; each walks its live set in ascending order.
+// processed region served. For each, one probe of the corner index finds the
+// live regions the champions' bound does not rule out, and only those, in
+// ascending order, take champion tests. A region the bound rules out is
+// charged the len(champs) tests that would have found no dominator, in one
+// call before the next region tested, so the clock every test, kill, trace
+// and release reads is a walk over the whole live set's (DESIGN.md §13).
 // Returns the set of queries for which at least one region died (their
 // emission frontiers shrink).
 func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QSet {
@@ -405,9 +446,18 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 			continue
 		}
 		live := st.live.sets[qi]
-		for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
+		reach := slices.Grow(st.reachScratch[:0], len(live))[:len(live)]
+		st.reachScratch = reach
+		st.live.corners(st.regions, len(st.w.OutDims)).NotBelow(reach, live, st.kerns[qi].Sub(), bound)
+		tests := int64(len(champs))
+		from := 0
+		for fi := reach.Next(0); fi >= 0; fi = reach.Next(fi + 1) {
+			ruledOut := int64(live.CountRange(from, fi))
+			from = fi + 1
 			rf := st.regions[fi]
-			if !st.cornerDominated(qi, champs, bound, rf) {
+			i := st.firstDominator(qi, champs, rf.Lo)
+			st.clock.CountCellOp(ruledOut*tests + int64(min(i+1, len(champs))))
+			if i == len(champs) {
 				continue
 			}
 			killedQueries = killedQueries.Add(qi)
@@ -417,6 +467,7 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 				st.releaseEdges(fi)
 			}
 		}
+		st.clock.CountCellOp(int64(live.CountRange(from, len(st.regions))) * tests)
 	}
 	st.markFrontiersDirty(killedQueries)
 	return killedQueries
@@ -426,9 +477,11 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 // are current skyline candidates of query qi — only those can
 // wholesale-dominate a region (dominance is transitive, so the dominators
 // of dominators suffice) — and their bound: the minimum on each dimension
-// of qi's preference, in preference order, which cornerDominated tests
-// first. The builtin min carries a NaN through, and a NaN bound rules
-// nothing out. Both slices are scratch, valid until the next call.
+// of qi's preference, in preference order. A champion that dominates a
+// corner lies at or below it on every dimension, so a corner strictly below
+// the bound on one dimension is out of every champion's reach. The builtin
+// min carries a NaN through, and a NaN bound rules nothing out. Both slices
+// are scratch, valid until the next call.
 func (st *state) champions(qi int, payloads []int) (champs [][]float64, bound []float64) {
 	champs, bound = st.champScratch[:0], st.boundScratch[:0]
 	pref := st.kerns[qi].Sub()
@@ -450,28 +503,33 @@ func (st *state) champions(qi int, payloads []int) (champs [][]float64, bound []
 
 // cornerDominated reports whether one of champs dominates the region's best
 // corner in query qi's preference — proof that the region cannot contribute
-// a result to qi. Each test is charged as one cell-level operation. A
-// champion that dominates the corner lies at or below it on every dimension,
-// so a corner strictly below bound (champions) on one dimension is out of
-// every champion's reach: no champion is tested, and the region is charged
-// at once the len(champs) tests that would have found no dominator
-// (DESIGN.md §13).
+// a result to qi — for Exec.Admit, which tests a region list, not a live
+// set. Each test is charged as one cell-level operation, and a corner the
+// bound rules out is charged at once the len(champs) tests that would have
+// found no dominator (DESIGN.md §13).
 func (st *state) cornerDominated(qi int, champs [][]float64, bound []float64, r *region.Region) bool {
-	kern := &st.kerns[qi]
-	for k, d := range kern.Sub() {
+	for k, d := range st.kerns[qi].Sub() {
 		if r.Lo[d] < bound[k] {
 			st.clock.CountCellOp(int64(len(champs)))
 			return false
 		}
 	}
+	i := st.firstDominator(qi, champs, r.Lo)
+	st.clock.CountCellOp(int64(min(i+1, len(champs))))
+	return i < len(champs)
+}
+
+// firstDominator returns the index of the first of champs that dominates
+// corner lo in query qi's preference, or len(champs) if none does. The
+// caller charges the min(i+1, len(champs)) tests.
+func (st *state) firstDominator(qi int, champs [][]float64, lo []float64) int {
+	kern := &st.kerns[qi]
 	for i, x := range champs {
-		if kern.Dominates(x, r.Lo) {
-			st.clock.CountCellOp(int64(i + 1))
-			return true
+		if kern.Dominates(x, lo) {
+			return i
 		}
 	}
-	st.clock.CountCellOp(int64(len(champs)))
-	return false
+	return len(champs)
 }
 
 // emitSafe re-evaluates the results of the affected queries and emits every
@@ -572,76 +630,116 @@ func (st *state) emit(qi, payload int) {
 // of a query (the only corners that matter for the safety test). Corners
 // are taken in coordinate-sum order — a monotone function of weak
 // dominance — so each corner need only be checked against the
-// already-accepted minima (the SFS trick), keeping the refresh near-linear.
+// already-accepted minima (the SFS trick).
 //
-// The sorted live set is kept across refreshes (state.order): since the
-// last one, regions can only have been processed or discarded for the
-// query, and a stable filter of a sorted list is the sorted remainder, so
-// only after a gen bump is the order collected and sorted afresh. Each kept
-// corner also keeps the outcome of its last test, and only a corner whose
-// blocker died (or that was just collected) scans the frontier again. A
-// corner is minimal exactly when no earlier live corner weakly dominates
-// it, so losing corners leaves a minimal one minimal. A live blocker is
-// still the first: a frontier corner before it that blocks the corner now
-// was either on the frontier then, or blocked then by an earlier frontier
-// corner that, dominance being transitive, blocks the corner too. The
-// charge is what a fresh collect-and-sort's scan makes: the frontier so far
-// for a minimal corner, the blocker's rank plus one otherwise.
+// The sorted corners are kept across refreshes (state.order) with each
+// one's last outcome, and only a generation bump sorts and filters them
+// afresh (sortFilter). Otherwise regions can only have been processed or
+// discarded for the query since the last refresh, and the refresh looks at
+// the corners that died: kept &^ live. A dead blocked corner leaves its
+// blocker's count. A dead frontier corner leaves the frontier, and its live
+// dependents are re-tested, in position order, against the frontier corners
+// before them; one nothing blocks joins the frontier at its position. Every
+// other corner keeps its outcome with no test: a corner is minimal exactly
+// when no earlier live corner weakly dominates it, so losing corners leaves
+// a minimal one minimal, and a live blocker is still the first (DESIGN.md
+// §13). The charge is what a fresh sort-filter's scan makes — the frontier
+// so far for a minimal corner, its blocker's rank plus one for a blocked
+// one — which, with m frontier corners of which the j-th blocks cnt_j
+// first, is m(m−1)/2 + #blocked + Σ j·cnt_j.
 func (st *state) refreshFrontier(qi int) {
 	if !st.frontierDirty[qi] {
 		return
 	}
 	st.frontierDirty[qi] = false
-	if st.orderGen[qi] != st.gen {
-		st.collectOrder(qi)
+	ko := &st.order[qi]
+	if ko.gen != st.gen {
+		st.sortFilter(qi)
+		return
 	}
-	if len(st.rankScratch) < len(st.regions) {
-		st.rankScratch = make([]int32, len(st.regions))
-	}
-	rank := st.rankScratch
-	order := st.order[qi]
-	live := order[:0]
-	minimal := st.frontier[qi][:0]
-	set := st.live.sets[qi]
-	var charged int64
-	for _, c := range order {
-		if !set.Has(int(c.region)) {
+	live := st.live.sets[qi]
+	retest := st.retestScratch[:0]
+	frontierDied := false
+	for w, word := range ko.kept {
+		dead := word &^ live[w]
+		if dead == 0 {
 			continue
 		}
-		if b := c.blocker; b == untestedCorner || b >= 0 && !set.Has(int(b)) {
-			if i := st.firstBlocker(qi, minimal, &c.lanes, st.regions[c.region].Lo); i < len(minimal) {
-				c.blocker = minimal[i].region
-			} else {
-				c.blocker = minimalCorner
+		ko.kept[w] = word &^ dead
+		ko.n -= bits.OnesCount64(dead)
+		for ; dead != 0; dead &= dead - 1 {
+			c := &ko.corners[ko.at[w<<6|bits.TrailingZeros64(dead)]]
+			if c.blocker != minimalCorner {
+				ko.corners[c.blocker].cnt--
+				continue
+			}
+			frontierDied = true
+			for p := c.link; p != noCorner; p = ko.corners[p].link {
+				if live.Has(int(ko.corners[p].region)) {
+					retest = append(retest, p)
+				}
 			}
 		}
-		live = append(live, c)
-		if c.blocker == minimalCorner {
-			charged += int64(len(minimal))
-			rank[c.region] = int32(len(minimal))
-			minimal = append(minimal, c)
+	}
+	fr := st.frontier[qi]
+	if frontierDied {
+		kept := fr[:0]
+		for _, f := range fr {
+			if live.Has(int(f.region)) {
+				kept = append(kept, f)
+			}
+		}
+		fr = kept
+	}
+	slices.Sort(retest)
+	for _, p := range retest {
+		f, lo := st.frontierCorner(qi, ko, p)
+		k := sort.Search(len(fr), func(j int) bool { return fr[j].pos > p })
+		if i := st.firstBlocker(qi, fr[:k], &f.lanes, lo); i < k {
+			ko.block(p, fr[i].pos)
 		} else {
-			charged += int64(rank[c.blocker]) + 1
+			fr = slices.Insert(fr, k, f)
 		}
 	}
+	st.retestScratch = retest[:0]
+	m := int64(len(fr))
+	charged := m*(m-1)/2 + int64(ko.n) - m
+	for j, f := range fr {
+		charged += int64(j) * int64(ko.corners[f.pos].cnt)
+	}
 	st.clock.CountCellOp(charged)
-	st.order[qi], st.frontier[qi] = live, minimal
+	st.frontier[qi] = fr
+	if ko.n == 0 {
+		st.releaseFrontier(qi)
+	}
 }
 
-// collectOrder rebuilds query qi's kept order: the best corner of every live
-// region, by sum over the preference, then by the (unique) region index — a
-// total order, and, regions being collected in ascending index order, a
-// stable sort on the sum.
-func (st *state) collectOrder(qi int) {
+// releaseFrontier drops query qi's frontier records. A query with no live
+// region holds none, so an execution that binds many slots over its life
+// keeps records for its running queries only; the next refresh after a
+// region revives the query sorts afresh.
+func (st *state) releaseFrontier(qi int) {
+	st.order[qi], st.frontier[qi] = keptOrder{}, nil
+}
+
+// sortFilter rebuilds query qi's kept order and frontier from its live set:
+// the best corner of every live region, by sum over the preference, then by
+// the (unique) region index — a total order, and, regions being collected in
+// ascending index order, a stable sort on the sum — each tested against the
+// frontier so far and charged one cell operation per test.
+func (st *state) sortFilter(qi int) {
 	kern := &st.kerns[qi]
-	order := st.order[qi][:0]
+	ko := &st.order[qi]
 	live := st.live.sets[qi]
+	cs := ko.corners[:0]
 	for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
-		rf := st.regions[fi]
-		order = append(order, liveCorner{sum: kern.Sum(rf.Lo), region: int32(fi), blocker: untestedCorner})
-		kern.Project(rf.Lo, &order[len(order)-1].lanes)
+		cs = append(cs, keptCorner{sum: kern.Sum(st.regions[fi].Lo), region: int32(fi)})
 	}
-	slices.SortFunc(order, func(a, b liveCorner) int {
+	if len(cs) == 0 {
+		st.releaseFrontier(qi)
+		return
+	}
+	slices.SortFunc(cs, func(a, b keptCorner) int {
 		if a.sum != b.sum {
 			if a.sum < b.sum {
 				return -1
@@ -650,7 +748,36 @@ func (st *state) collectOrder(qi int) {
 		}
 		return int(a.region - b.region)
 	})
-	st.order[qi], st.orderGen[qi] = order, st.gen
+	ko.corners, ko.n, ko.gen = cs, len(cs), st.gen
+	ko.at = slices.Grow(ko.at[:0], len(st.regions))[:len(st.regions)]
+	ko.kept = append(ko.kept[:0], live...)
+	fr := st.frontier[qi][:0]
+	var charged int64
+	for p := range cs {
+		ko.at[cs[p].region] = int32(p)
+		f, lo := st.frontierCorner(qi, ko, int32(p))
+		if i := st.firstBlocker(qi, fr, &f.lanes, lo); i < len(fr) {
+			charged += int64(i) + 1
+			ko.block(int32(p), fr[i].pos)
+		} else {
+			charged += int64(len(fr))
+			fr = append(fr, f)
+		}
+	}
+	st.clock.CountCellOp(charged)
+	st.frontier[qi] = fr
+}
+
+// frontierCorner makes the kept corner at position p a frontier corner with
+// no dependents, as it would be if no earlier frontier corner blocks it, and
+// returns its frontier entry and its region's best corner.
+func (st *state) frontierCorner(qi int, ko *keptOrder, p int32) (liveCorner, []float64) {
+	c := &ko.corners[p]
+	c.blocker, c.link, c.cnt = minimalCorner, noCorner, 0
+	lo := st.regions[c.region].Lo
+	f := liveCorner{region: c.region, pos: p}
+	st.kerns[qi].Project(lo, &f.lanes)
+	return f, lo
 }
 
 // cornerMoved follows a region's best corner recomputed in place: every kept

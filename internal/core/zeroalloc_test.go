@@ -65,14 +65,18 @@ func TestUpdateWeightsZeroAlloc(t *testing.T) {
 }
 
 // TestRefreshFrontierZeroAlloc pins the frontier refresh at zero allocations
-// once its scratch has grown: a refresh after the query's first frontier
-// region dies (which re-tests the corners it blocked and promotes some), and
-// the full sort-filter after the region comes back and the order is
-// collected afresh, reuse the kept order, the frontier and the rank
-// scratch. A kept corner stays 48 bytes.
+// once its scratch has grown: the refresh after the query's first frontier
+// region dies, which takes the kept path, re-tests the corners the region
+// blocked and promotes some to the frontier, and the full sort-filter after
+// the region comes back and the order is collected afresh, reuse the kept
+// records, the frontier and the re-test scratch. A kept corner stays 24
+// bytes and a frontier corner 40.
 func TestRefreshFrontierZeroAlloc(t *testing.T) {
-	if size := unsafe.Sizeof(liveCorner{}); size != 48 {
-		t.Fatalf("liveCorner is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(keptCorner{}); size != 24 {
+		t.Fatalf("keptCorner is %d bytes, want 24", size)
+	}
+	if size := unsafe.Sizeof(liveCorner{}); size != 40 {
+		t.Fatalf("liveCorner is %d bytes, want 40", size)
 	}
 	w := testWorkload(4, 3, workload.UniformPriority, c3s)
 	r, tt := testPair(t, 300, 3, datagen.AntiCorrelated, 0.05, 1)
@@ -86,21 +90,27 @@ func TestRefreshFrontierZeroAlloc(t *testing.T) {
 	const qi = 0
 	st.frontierDirty[qi] = true
 	st.refreshFrontier(qi)
-	if len(st.frontier[qi]) < 2 || len(st.order[qi]) <= len(st.frontier[qi]) {
-		t.Fatalf("%d live corners, %d on the frontier: nothing to re-test", len(st.order[qi]), len(st.frontier[qi]))
+	ko := &st.order[qi]
+	if len(st.frontier[qi]) < 2 || ko.n <= len(st.frontier[qi]) {
+		t.Fatalf("%d live corners, %d on the frontier: nothing to re-test", ko.n, len(st.frontier[qi]))
 	}
-	dies := st.regions[st.frontier[qi][0].region]
-	if !slices.ContainsFunc(st.order[qi], func(c liveCorner) bool { return int(c.blocker) == dies.ID }) {
-		t.Fatalf("region %d blocks no corner: its death re-tests nothing", dies.ID)
-	}
+	first := st.frontier[qi][0]
+	dies := st.regions[first.region]
+	before := slices.Clone(st.frontier[qi])
 	die := func() {
 		st.live.kill(dies, 1<<qi)
 		st.frontierDirty[qi] = true
 		st.refreshFrontier(qi)
 	}
 	die()
-	if slices.ContainsFunc(st.frontier[qi], func(c liveCorner) bool { return int(c.region) == dies.ID }) {
+	if ko.gen != st.gen {
+		t.Fatal("the refresh after a death sorted afresh")
+	}
+	if slices.ContainsFunc(st.frontier[qi], func(c liveCorner) bool { return c.region == first.region }) {
 		t.Fatalf("region %d stays on the frontier after it died", dies.ID)
+	}
+	if !slices.ContainsFunc(st.frontier[qi], func(c liveCorner) bool { return !slices.Contains(before, c) }) {
+		t.Fatalf("region %d's death promotes none of the corners it blocked", dies.ID)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		st.live.revive(dies, 1<<qi)

@@ -69,6 +69,23 @@ func (b Bits) CountTo(i int) int {
 	return n + bits.OnesCount64(b[i>>6]<<uint(63-i&63))
 }
 
+// CountRange returns the number of members in [from, to).
+func (b Bits) CountRange(from, to int) int {
+	if from >= to {
+		return 0
+	}
+	fw, tw := from>>6, (to-1)>>6
+	lo, hi := ^uint64(0)<<uint(from&63), ^uint64(0)>>uint(63-(to-1)&63)
+	if fw == tw {
+		return bits.OnesCount64(b[fw] & lo & hi)
+	}
+	n := bits.OnesCount64(b[fw]&lo) + bits.OnesCount64(b[tw]&hi)
+	for _, w := range b[fw+1 : tw] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // CornerRanks indexes one corner of a region list — every region's Lo, or
 // every region's Hi — by rank on each output dimension: the regions whose
 // corner lies at or below, or at or above, a probe on one dimension come out
@@ -173,6 +190,30 @@ func (c *CornerRanks) Move(i int, x []float64) {
 			from = min(from, to)
 		}
 		c.remark(k, from)
+	}
+}
+
+// NotBelow writes into dst the members of within whose corner lies strictly
+// below x[k] on no dimension dims[k]. With x the per-dimension minimum of
+// some points, only these regions' corners can lie at or above one of the
+// points on every dimension of dims. A NaN coordinate lies below nothing,
+// and nothing lies below a NaN x[k], so neither rules a region out. Each
+// dimension costs its rank search, one kept prefix set and fewer than
+// rankStride single bits.
+func (c *CornerRanks) NotBelow(dst, within Bits, dims preference.Subspace, x []float64) {
+	copy(dst, within)
+	for k, d := range dims {
+		if math.IsNaN(x[k]) {
+			continue
+		}
+		lt, _ := c.ranks(d, x[k])
+		dd, r := &c.dims[d], lt/rankStride
+		for w, m := range dd.marks[r*c.words : (r+1)*c.words] {
+			dst[w] &^= m
+		}
+		for _, i := range dd.ids[r*rankStride : lt] {
+			dst.Unset(int(i))
+		}
 	}
 }
 

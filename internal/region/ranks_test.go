@@ -66,6 +66,135 @@ func TestBitsMatchesBools(t *testing.T) {
 	}
 }
 
+// TestCountRangeMatchesBits holds CountRange to a count of Has over the
+// range, for every range whose ends lie on or next to a word edge (and a few
+// random ones) of random sets of up to 200 indices, empty sets and full ones
+// among them.
+func TestCountRangeMatchesBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	for trial := 0; trial < 60; trial++ {
+		n := []int{1, 63, 64, 65, 128, 130, 200}[trial%7]
+		b := NewBits(n)
+		fill := []int{0, 1, 2, 3}[trial/7%4] // empty, sparse, dense, full
+		for i := 0; i < n; i++ {
+			if fill == 3 || fill > 0 && rng.Intn(4-fill) == 0 {
+				b.Set(i)
+			}
+		}
+		var ends []int
+		for e := 0; e <= n; e += 64 {
+			ends = append(ends, e-1, e, e+1)
+		}
+		ends = append(ends, n-1, n, rng.Intn(n+1), rng.Intn(n+1))
+		for _, from := range ends {
+			for _, to := range ends {
+				if from < 0 || to < 0 || from > n || to > n {
+					continue
+				}
+				want := 0
+				for i := from; i < to; i++ {
+					if b.Has(i) {
+						want++
+					}
+				}
+				if got := b.CountRange(from, to); got != want {
+					t.Fatalf("trial %d (%d indices): CountRange(%d, %d) = %d, want %d", trial, n, from, to, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNotBelowMatchesLoop holds NotBelow to the loop it replaces in the
+// region discard: a member of within is kept unless its corner lies strictly
+// below x[k] on some dimension dims[k]. Corner sets of m ∈ {1, 63, 64, 65,
+// 130} regions tie the probe often and hold NaN, ±Inf and −0; probes hold
+// them too, a NaN among them, and the preference may be empty, as may
+// within. The checks are repeated after regions move.
+func TestNotBelowMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	specials := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0}
+	draw := func() float64 {
+		if rng.Intn(5) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return float64(rng.Intn(9)) / 2
+	}
+	sizes := []int{1, 63, 64, 65, 130}
+	var kept, ruledOut, ties, nanProbes int
+	for trial := 0; trial < 300; trial++ {
+		nd := 1 + rng.Intn(6)
+		m := sizes[trial%len(sizes)]
+		corners := make([][]float64, m)
+		for i := range corners {
+			corners[i] = make([]float64, nd)
+			for k := range corners[i] {
+				corners[i][k] = draw()
+			}
+		}
+		c := NewCornerRanks(m, nd, func(i int) []float64 { return corners[i] })
+		within, dst := NewBits(m), NewBits(m)
+		check := func(label string) {
+			for n := 0; n < 6; n++ {
+				dims := preference.SubspaceFromMask(uint64(rng.Intn(1 << uint(nd))))
+				x := make([]float64, len(dims))
+				for k := range x {
+					x[k] = draw()
+					if math.IsNaN(x[k]) {
+						nanProbes++
+					}
+				}
+				clear(within)
+				if n > 0 {
+					for i := 0; i < m; i++ {
+						if rng.Intn(4) != 0 {
+							within.Set(i)
+						}
+					}
+				}
+				for i := range dst {
+					dst[i] = rng.Uint64() // NotBelow must overwrite every word
+				}
+				c.NotBelow(dst, within, dims, x)
+				for i := 0; i < m; i++ {
+					want := within.Has(i)
+					for k, d := range dims {
+						if corners[i][d] < x[k] {
+							want = false
+						} else if corners[i][d] == x[k] && within.Has(i) {
+							ties++
+						}
+					}
+					if dst.Has(i) != want {
+						t.Fatalf("%s: region %d at %v, dims %v, probe %v: kept %v, want %v", label, i, corners[i], dims, x, dst.Has(i), want)
+					}
+					if want {
+						kept++
+					} else if within.Has(i) {
+						ruledOut++
+					}
+				}
+				if m%64 != 0 && dst[len(dst)-1]>>uint(m%64) != 0 {
+					t.Fatalf("%s: bits set past region %d", label, m-1)
+				}
+			}
+		}
+		check(fmt.Sprintf("trial %d", trial))
+		for n := 0; n < 3; n++ {
+			i := rng.Intn(m)
+			for k := range corners[i] {
+				corners[i][k] = draw()
+			}
+			c.Move(i, corners[i])
+			check(fmt.Sprintf("trial %d after move %d", trial, n))
+		}
+	}
+	t.Logf("%d kept, %d ruled out, %d ties with the probe, %d NaN probe coordinates", kept, ruledOut, ties, nanProbes)
+	if kept < 1000 || ruledOut < 1000 || ties < 1000 || nanProbes < 100 {
+		t.Fatalf("too little coverage: %d kept, %d ruled out, %d ties, %d NaN probe coordinates", kept, ruledOut, ties, nanProbes)
+	}
+}
+
 // TestCornerRanksMatchPair holds the corner index to QueryDims.Pair, the
 // region-pair test it replaces in the coarse prune, the dependency graph
 // and ProgCount's dominators. Corner sets of m ∈ {1, 63, 64, 65, 130}
