@@ -96,7 +96,7 @@ func randomCoarseState(rng *rand.Rand, m, nd, nq int) *state {
 		}
 		st.regions = append(st.regions, r)
 	}
-	st.live = newLiveness(st.regions, nq)
+	st.live = newLiveness(st.regions, nd, nq)
 	return st
 }
 
@@ -183,9 +183,11 @@ func TestDepGraphMatchesReference(t *testing.T) {
 }
 
 // checkDominators fails unless dominatorsByQuery gives every region of st
-// the reference's lists and charge. Both are charged to scratch clocks, so
-// an execution checked between its steps proceeds exactly as if unchecked.
-// It returns the number of dominators listed.
+// the reference's dominators, as a set per query of the region's Alive set
+// (the reference lists none for another query), and its charge. Both are
+// charged to scratch clocks, so an execution checked between its steps
+// proceeds exactly as if unchecked. It returns the number of dominators
+// listed.
 func checkDominators(t *testing.T, label string, st *state) int {
 	t.Helper()
 	clock := st.clock
@@ -201,8 +203,18 @@ func checkDominators(t *testing.T, label string, st *state) int {
 			t.Fatalf("%s: region %d: %d cell operations, reference %d", label, rc.ID, ops, wantOps)
 		}
 		for qi := range st.w.Queries {
-			if !slices.Equal(got[qi], want[qi]) {
-				t.Fatalf("%s: region %d, query %d: dominators %v, reference %v", label, rc.ID, qi, got[qi], want[qi])
+			if !rc.Alive.Has(qi) {
+				if len(want[qi]) != 0 {
+					t.Fatalf("%s: region %d, query %d outside its Alive set: reference dominators %v", label, rc.ID, qi, want[qi])
+				}
+				continue
+			}
+			var members []*region.Region
+			for ri := got[qi].Next(0); ri >= 0; ri = got[qi].Next(ri + 1) {
+				members = append(members, st.regions[ri])
+			}
+			if !slices.Equal(members, want[qi]) {
+				t.Fatalf("%s: region %d, query %d: dominators %v, reference %v", label, rc.ID, qi, members, want[qi])
 			}
 			listed += len(want[qi])
 		}
@@ -210,8 +222,8 @@ func checkDominators(t *testing.T, label string, st *state) int {
 	return listed
 }
 
-// TestDominatorsMatchReference: dominatorsByQuery lists, for every region and
-// query, the reference's dominators in region order and charges the
+// TestDominatorsMatchReference: dominatorsByQuery finds, for every region
+// and query it serves, the reference's dominators and charges the
 // reference's cell operations — on random states with done regions, and at
 // every point of checkSchedules' batch runs and random Exec
 // schedules, where Admit, Cancel, Append and Delete grow the plan, move
@@ -234,13 +246,18 @@ func TestDominatorsMatchReference(t *testing.T) {
 }
 
 // BenchmarkCoarsePlan times the dependency graph, ProgCount's dominators,
-// the region discard and the frontier refresh on the plans of the
+// the CSM, the region discard and the frontier refresh on the plans of the
 // benchmark's batch-indep workload: four 2500-row independent pairs at
 // σ = 0.1 under its 11-query lattice, about 576 regions each. One op builds
-// every plan's graph, or lists the dominators of every region of every
-// plan, so even -benchtime 1x reads warm calls; ns/plan is the mean per
-// plan. "index" is the corner-index form, the graph's including the index
-// build; "reference" the loop the tests compare it with. The discard and
+// every plan's graph, finds the dominators of every region of every plan,
+// or scores every live region, so even -benchtime 1x reads warm calls;
+// ns/plan is the mean per plan. "index" is the corner-index form, the
+// graph's including the index build; "reference" the loop the tests compare
+// it with. The CSM runs on the dominator sets, every ProgCount computed
+// afresh (csm/sets: a generation bump before each pass) or kept from the
+// pass before (csm/kept), against the list path its test compares it with
+// (csm/reference: referenceCSM), here on lists read off the same sets
+// into reused slices, as dominatorsByQuery made them before. The discard and
 // refresh run on copies of the plans after their first 32 region steps:
 // one discard op re-runs, for every query, the discard of each step's
 // results (it kills nothing after the first op), against the walk of the
@@ -306,6 +323,37 @@ func BenchmarkCoarsePlan(b *testing.B) {
 			for _, rc := range st.regions {
 				st.referenceDominators(rc)
 			}
+		})
+	})
+	scoreLive := func(st *state, score func(rc *region.Region) float64) {
+		for _, rc := range st.regions {
+			if rc.Alive != 0 {
+				coarseSink = score(rc)
+			}
+		}
+	}
+	b.Run("csm/sets", func(b *testing.B) {
+		run(b, plans, func(st *state) {
+			st.gen++
+			scoreLive(st, st.csm)
+		})
+	})
+	b.Run("csm/kept", func(b *testing.B) { run(b, plans, func(st *state) { scoreLive(st, st.csm) }) })
+	lists := make([][]*region.Region, len(w.Queries))
+	b.Run("csm/reference", func(b *testing.B) {
+		run(b, plans, func(st *state) {
+			scoreLive(st, func(rc *region.Region) float64 {
+				sets := st.dominatorsByQuery(rc)
+				for qi := range lists {
+					lists[qi] = lists[qi][:0]
+					if rc.Alive.Has(qi) {
+						for ri := sets[qi].Next(0); ri >= 0; ri = sets[qi].Next(ri + 1) {
+							lists[qi] = append(lists[qi], st.regions[ri])
+						}
+					}
+				}
+				return st.referenceCSM(rc, lists)
+			})
 		})
 	})
 
@@ -380,3 +428,5 @@ func BenchmarkCoarsePlan(b *testing.B) {
 		run(b, stepped, func(st *state) { refresh(st, func(qi int) { referenceFrontier(st, qi) }) })
 	})
 }
+
+var coarseSink float64

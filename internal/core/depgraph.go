@@ -36,7 +36,7 @@ func (st *state) buildDepGraph() {
 		return
 	}
 	st.depRows = make([]uint64, m*st.depWords)
-	ranks := st.live.corners(st.regions, len(st.w.OutDims))
+	ranks := st.live.corners()
 	meet, serving := st.scratchSets()
 	var charged int64
 	for i, ri := range st.regions {

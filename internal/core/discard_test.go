@@ -185,7 +185,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 		// Region 0 was just processed for every query: done, as
 		// processRegion leaves it.
 		st.regions[0].Alive = 0
-		st.live = newLiveness(st.regions, nq)
+		st.live = newLiveness(st.regions, nd, nq)
 
 		var payloads []int
 		for n := rng.Intn(12); n > 0; n-- {

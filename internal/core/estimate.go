@@ -106,91 +106,133 @@ func (st *state) cardinality(rc *region.Region, qi int) float64 {
 	return buchta(x, len(st.w.Queries[qi].Pref))
 }
 
-// dominatorsByQuery collects the regions whose best corner could dominate
-// at least one output cell of rc, grouped per query of rc.Alive, each list
-// in region order: probing the index of every best corner with rc.Hi, the
-// regions live for the query that the probe finds Weak in its preference.
-// The charge is one cell operation per live region other than rc that
-// serves a query of rc.Alive, as testing region by region would make
-// (DESIGN.md §13). The returned slices are the state's reused dominator
-// scratch, valid until the next call.
-func (st *state) dominatorsByQuery(rc *region.Region) [][]*region.Region {
-	if len(st.domScratch) < len(st.w.Queries) {
-		st.domScratch = make([][]*region.Region, len(st.w.Queries))
+// dominatorsByQuery finds the regions whose best corner could dominate at
+// least one output cell of rc, as one set per query of rc.Alive: probing
+// the index of every best corner with rc.Hi, the regions live for the
+// query that the probe finds Weak in its preference. The charge is one cell
+// operation per live region other than rc that serves a query of rc.Alive,
+// as testing region by region would make (DESIGN.md §13). The sets are the
+// state's reused scratch, valid until the next call; a query outside
+// rc.Alive keeps a stale one.
+func (st *state) dominatorsByQuery(rc *region.Region) []region.Bits {
+	for len(st.domSets) < len(st.w.Queries) {
+		st.domSets = append(st.domSets, nil)
 	}
-	doms := st.domScratch
-	for qi := range doms {
-		doms[qi] = doms[qi][:0]
-	}
-	st.probe.Below(st.live.corners(st.regions, len(st.w.OutDims)), rc.Hi)
-	meet, serving := st.scratchSets()
+	st.probe.Below(st.live.corners(), rc.Hi)
+	_, serving := st.scratchSets()
 	clear(serving)
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
 		live := st.live.sets[qi]
 		for w, bits := range live {
 			serving[w] |= bits
 		}
-		st.probe.Weak(meet, live, st.w.Queries[qi].Pref)
-		meet.Unset(rc.ID)
-		for w, word := range meet {
-			for ; word != 0; word &= word - 1 {
-				doms[qi] = append(doms[qi], st.regions[w<<6|bits.TrailingZeros64(word)])
-			}
-		}
+		doms := slices.Grow(st.domSets[qi][:0], len(serving))[:len(serving)]
+		st.probe.Weak(doms, live, st.w.Queries[qi].Pref)
+		doms.Unset(rc.ID)
+		st.domSets[qi] = doms
 	}
 	serving.Unset(rc.ID)
 	st.clock.CountCellOp(int64(serving.Count()))
-	return doms
+	return st.domSets
+}
+
+// progKept is the record of a region's last ProgCount for one query slot:
+// the generation it was computed in, the number of dominators it saw, and
+// its value. Within a generation a live set only loses members and no
+// region's box moves, so a dominator set of the same size is the same set,
+// and the value stands (DESIGN.md §13).
+type progKept struct {
+	gen  uint64
+	n    int32
+	prog float64
 }
 
 // progCount implements Definition 11: the number of rc's output cells (in
 // the query's preference subspace) not dominated by any live region that
-// serves the same query. Regions of at most exactProgCountCap cells are
-// counted exactly over the output grid; larger ones use the volume-fraction
-// estimate with the independence approximation for the union (see
-// DESIGN.md).
-func (st *state) progCount(rc *region.Region, qi int, doms []*region.Region) (prog, total float64) {
+// serves the same query, doms being those regions. A value kept from the
+// same generation and as many dominators is returned again with the charge
+// of computing it; otherwise freshProgCount computes it.
+func (st *state) progCount(rc *region.Region, qi int, doms region.Bits) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
 	cells := st.space.CellCount(rc, pref)
 	total = float64(cells)
-	if len(doms) == 0 {
+	n := int32(doms.Count())
+	if n == 0 {
 		return total, total
 	}
+	k := st.keptProg(rc.ID, qi)
+	if k.gen == st.gen && k.n == n {
+		if cells <= exactProgCountCap {
+			st.clock.CountCellOp(cells)
+		}
+		return k.prog, total
+	}
+	prog = st.freshProgCount(rc, pref, doms, cells)
+	*k = progKept{gen: st.gen, n: n, prog: prog}
+	return prog, total
+}
+
+// keptProg returns the ProgCount record of region ri for query slot qi,
+// growing the records over the plan's regions and slots.
+func (st *state) keptProg(ri, qi int) *progKept {
+	for len(st.kept) <= qi {
+		st.kept = append(st.kept, nil)
+	}
+	if k := st.kept[qi]; ri >= len(k) {
+		st.kept[qi] = append(k, make([]progKept, len(st.regions)-len(k))...)
+	}
+	return &st.kept[qi][ri]
+}
+
+// freshProgCount computes ProgCount for a non-empty dominator set, reading
+// the dominators' best corners from the corner table. Regions of at most
+// exactProgCountCap cells are counted exactly over the output grid; larger
+// ones use the volume-fraction estimate with the independence
+// approximation for the union (see DESIGN.md), folded in ascending region
+// order.
+func (st *state) freshProgCount(rc *region.Region, pref preference.Subspace, doms region.Bits, cells int64) float64 {
 	if cells <= exactProgCountCap {
-		return st.exactProgCount(rc, pref, doms, cells), total
+		return st.exactProgCount(rc, pref, doms, st.live.lo, cells)
 	}
 	// Volume estimate: fraction of rc not covered by the union of the
-	// dominated sub-boxes, approximating independence across dominators.
+	// dominated sub-boxes, rc's box read once.
+	st.progBox.Read(pref, rc)
+	nd := len(rc.Lo)
 	free := 1.0
-	for _, rf := range doms {
-		free *= 1 - region.DominatedFraction(pref, rc, rf)
-		if free <= 0 {
-			return 0, total
+	for w, word := range doms {
+		for ; word != 0; word &= word - 1 {
+			corner := st.live.lo[(w<<6|bits.TrailingZeros64(word))*nd:]
+			free *= 1 - st.progBox.DominatedFraction(corner)
+			if free <= 0 {
+				return 0
+			}
 		}
 	}
-	return free * total, total
+	return free * float64(cells)
 }
 
 // exactProgCountCap is the largest cell count progCount counts exactly.
 const exactProgCountCap = 512
 
 // exactProgCount counts rc's grid cells in the preference subspace whose
-// lower corner no dominator's best corner weakly dominates; cells is rc's
-// CellCount there. A cell's corner GridLo[k] + coord·GridStep[k] does not
-// fall as coord grows (GridStep > 0), so a dominator covers exactly the
-// cells whose coordinate reaches its threshold on every axis (coverFrom).
-// Along the widest axis, the row axis, the covered cells of a row are then
-// a suffix, and the row's uncovered count is the least row threshold among
-// the dominators whose other thresholds the row reaches. The table holds
-// that least threshold per row for the dominators whose other thresholds
-// equal the row's coordinates; a prefix minimum over each other axis
-// extends it to all that the row reaches, and the count is the table's sum.
-// One cell operation is charged per cell, as testing every cell did. doms
-// is not empty: progCount answers an empty list itself.
-func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, doms []*region.Region, cells int64) float64 {
+// lower corner no dominator's best corner weakly dominates; the dominators
+// are the members of doms, region i's corner row i of the region-major
+// table corners (len(rc.Lo) values a row), and cells is rc's CellCount
+// there. A cell's corner GridLo[k] + coord·GridStep[k] does not fall as
+// coord grows (GridStep > 0), so a dominator covers exactly the cells whose
+// coordinate reaches its threshold on every axis (coverFrom). Along the
+// widest axis, the row axis, the covered cells of a row are then a suffix,
+// and the row's uncovered count is the least row threshold among the
+// dominators whose other thresholds the row reaches. The table holds that
+// least threshold per row for the dominators whose other thresholds equal
+// the row's coordinates; a prefix minimum over each other axis extends it
+// to all that the row reaches, and the count is the table's sum. One cell
+// operation is charged per cell, as testing every cell did. doms is not
+// empty: progCount answers an empty set itself.
+func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, doms region.Bits, corners []float64, cells int64) float64 {
 	st.clock.CountCellOp(cells)
 	g := st.space
-	n := len(pref)
+	n, nd := len(pref), len(rc.Lo)
 	axes := slices.Grow(st.progAxes[:0], 3*n)[:3*n]
 	lo, ext, stride := axes[:n], axes[n:2*n], axes[2*n:]
 	row := 0
@@ -215,21 +257,24 @@ func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, dom
 	for j := range table {
 		table[j] = ext[row]
 	}
-next:
-	for _, rf := range doms {
-		at, t := 0, 0
-		for i, k := range pref {
-			c := coverFrom(rf.Lo[k], g.GridLo[k], g.GridStep[k], lo[i], ext[i])
-			switch {
-			case c == ext[i]:
-				continue next // covers no cell of rc
-			case i == row:
-				t = c
-			default:
-				at += c * stride[i]
+	for w, word := range doms {
+	next:
+		for ; word != 0; word &= word - 1 {
+			corner := corners[(w<<6|bits.TrailingZeros64(word))*nd:]
+			at, t := 0, 0
+			for i, k := range pref {
+				c := coverFrom(corner[k], g.GridLo[k], g.GridStep[k], lo[i], ext[i])
+				switch {
+				case c == ext[i]:
+					continue next // covers no cell of rc
+				case i == row:
+					t = c
+				default:
+					at += c * stride[i]
+				}
 			}
+			table[at] = min(table[at], t)
 		}
-		table[at] = min(table[at], t)
 	}
 	for i := range pref {
 		if i == row {
@@ -272,7 +317,7 @@ func coverFrom(v, base, step float64, lo, ext int) int {
 
 // progEst implements Eq. 10: the expected number of results of rc that can
 // be progressively output for query qi right after its processing.
-func (st *state) progEst(rc *region.Region, qi int, doms []*region.Region) float64 {
+func (st *state) progEst(rc *region.Region, qi int, doms region.Bits) float64 {
 	prog, total := st.progCount(rc, qi, doms)
 	if total <= 0 {
 		return 0

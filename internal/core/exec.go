@@ -162,7 +162,6 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	}
 	st.bindQuery(qi, q, x.rep.AddQuery(q.Contract.NewTracker(estTotal)))
 	st.jcQueries[q.JC] = st.jcQueries[q.JC].Add(qi)
-	st.domScratch = nil // re-sized lazily on next use
 
 	// Region space: test the query's join condition over every cell pair if
 	// no earlier query used it; fresh tail regions start retired and only
@@ -289,7 +288,7 @@ func (st *state) dropQuery(qi int) {
 	}
 	st.pending[qi] = st.pending[qi][:0]
 	st.blocked[qi] = make(map[int][]int)
-	st.releaseFrontier(qi)
+	st.releaseRecords(qi)
 	st.frontierDirty[qi] = false
 }
 

@@ -337,8 +337,8 @@ func TestStartExecRejectsDataOrder(t *testing.T) {
 // TestRetiredSlotHoldsNoRecords: a cancelled query, a retired slot and a
 // query with no live region left keep none of their frontier records — the
 // kept corners, the region → position array, the kept set and the
-// frontier — so an execution that binds many slots over its life holds
-// records for its running queries only.
+// frontier — nor their ProgCount records, so an execution that binds many
+// slots over its life holds records for its running queries only.
 func TestRetiredSlotHoldsNoRecords(t *testing.T) {
 	w := testWorkload(3, 3, workload.UniformPriority, c3s)
 	r, tt := testPair(t, 120, 3, datagen.AntiCorrelated, 0.05, 5)
@@ -348,14 +348,20 @@ func TestRetiredSlotHoldsNoRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := x.st
+	progRecords := func(qi int) []progKept {
+		if qi < len(st.kept) {
+			return st.kept[qi]
+		}
+		return nil
+	}
 	holds := func(qi int) bool {
 		ko := st.order[qi]
-		return ko.corners != nil || ko.at != nil || ko.kept != nil || ko.n != 0 || st.frontier[qi] != nil
+		return ko.corners != nil || ko.at != nil || ko.kept != nil || ko.n != 0 || st.frontier[qi] != nil || progRecords(qi) != nil
 	}
 	for i := 0; i < 3 && x.Step(); i++ {
 	}
 	for qi := range st.w.Queries {
-		if !holds(qi) {
+		if !holds(qi) || progRecords(qi) == nil {
 			t.Fatalf("query %d holds no records after three steps: nothing to release", qi)
 		}
 	}
@@ -365,8 +371,8 @@ func TestRetiredSlotHoldsNoRecords(t *testing.T) {
 	st.retireSlot(1, x.Now())
 	for qi := 0; qi < 2; qi++ {
 		if holds(qi) {
-			t.Errorf("query %d, gone, holds %d kept corners, %d positions, %d kept words and %d frontier corners",
-				qi, len(st.order[qi].corners), len(st.order[qi].at), len(st.order[qi].kept), len(st.frontier[qi]))
+			t.Errorf("query %d, gone, holds %d kept corners, %d positions, %d kept words, %d frontier corners and %d ProgCount records",
+				qi, len(st.order[qi].corners), len(st.order[qi].at), len(st.order[qi].kept), len(st.frontier[qi]), len(progRecords(qi)))
 		}
 	}
 	for x.Step() {

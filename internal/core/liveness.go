@@ -3,6 +3,7 @@ package core
 import (
 	"container/heap"
 	"math"
+	"slices"
 
 	"caqe/internal/region"
 	"caqe/internal/skycube"
@@ -10,31 +11,41 @@ import (
 
 // liveness owns the one fact Algorithm 1 turns on for every region: the
 // queries it is still alive for, an empty Alive set marking a region done
-// (DESIGN.md §13). Its methods are the only writes to that fact's four
-// records: each region's Alive set, its transpose per query, the region's
-// place in the CSM queue and the index of every best corner. Each returns
-// what changed, so callers release edges, mark frontiers, count and trace.
+// (DESIGN.md §13). Its methods are the only writes to that fact's records:
+// each region's Alive set, its transpose per query, the region's place in
+// the CSM queue, and every best corner, in a flat table and in an index.
+// Each returns what changed, so callers release edges, mark frontiers,
+// count and trace.
 type liveness struct {
 	sets   []region.Bits       // per query: the regions live for it
 	pq     csmHeap             // the CSM queue; a done region's entries are stale
 	queued []bool              // per region: its latest entry in pq is current; only a live region's is
+	nd     int                 // output dimensions: the width of a row of lo
+	lo     []float64           // region-major: each region's best corner, one row of nd values
 	index  *region.CornerRanks // nil after the plan grew, until the next use rebuilds it
 }
 
-// newLiveness takes over the Alive sets of a plan's regions for nq queries.
-func newLiveness(regions []*region.Region, nq int) liveness {
-	var lv liveness
-	lv.grow(len(regions), nq)
+// newLiveness takes over the Alive sets and best corners of a plan's
+// regions over nd output dimensions for nq queries.
+func newLiveness(regions []*region.Region, nd, nq int) liveness {
+	lv := liveness{nd: nd}
+	lv.grow(regions, nq)
 	for _, r := range regions {
 		lv.revive(r, r.Alive)
 	}
 	return lv
 }
 
-// grow extends the records over n regions and nq query slots. A region the
-// plan gains is born done, and drops the corner index.
-func (lv *liveness) grow(n, nq int) {
+// grow extends the records over the plan's regions and nq query slots. A
+// region the plan gains is born done, appends its best corner to the table
+// and drops the corner index.
+func (lv *liveness) grow(regions []*region.Region, nq int) {
+	n := len(regions)
 	if n > len(lv.queued) {
+		lv.lo = slices.Grow(lv.lo, (n-len(lv.queued))*lv.nd)
+		for _, r := range regions[len(lv.queued):] {
+			lv.lo = append(lv.lo, r.Lo...)
+		}
 		lv.queued = append(lv.queued, make([]bool, n-len(lv.queued))...)
 		lv.index = nil
 	}
@@ -99,18 +110,22 @@ func (lv *liveness) pop() (it csmItem, ok bool) {
 	return it, true
 }
 
-// moveCorner re-ranks region r's best corner, recomputed in place.
+// moveCorner follows region r's best corner, recomputed in place: its row
+// of the table is rewritten and the index re-ranks it.
 func (lv *liveness) moveCorner(r *region.Region) {
+	copy(lv.corner(r.ID), r.Lo)
 	if lv.index != nil {
 		lv.index.Move(r.ID, r.Lo)
 	}
 }
 
-// corners returns the index of every region's best corner over nd output
-// dimensions.
-func (lv *liveness) corners(regions []*region.Region, nd int) *region.CornerRanks {
+// corner returns region i's row of the corner table.
+func (lv *liveness) corner(i int) []float64 { return lv.lo[i*lv.nd : (i+1)*lv.nd] }
+
+// corners returns the index of every region's best corner.
+func (lv *liveness) corners() *region.CornerRanks {
 	if lv.index == nil {
-		lv.index = region.NewCornerRanks(len(regions), nd, func(i int) []float64 { return regions[i].Lo })
+		lv.index = region.NewCornerRanks(len(lv.queued), lv.nd, lv.corner)
 	}
 	return lv.index
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"caqe/internal/contract"
 	"caqe/internal/metrics"
 	"caqe/internal/preference"
 	"caqe/internal/region"
@@ -59,6 +61,154 @@ func (st *state) referenceExactProgCount(rc *region.Region, qi int, pref prefere
 	return count
 }
 
+// listForm turns a dominator list into the set form exactProgCount reads,
+// reusing the buffers set and corners: member i is the list's i-th entry,
+// whose best corner is row i of the table. Duplicates in the list stay
+// separate members.
+func listForm(set region.Bits, corners []float64, doms []*region.Region) (region.Bits, []float64) {
+	n := (len(doms) + 63) / 64
+	set = slices.Grow(set[:0], n)[:n]
+	clear(set)
+	corners = corners[:0]
+	for i, rf := range doms {
+		set.Set(i)
+		corners = append(corners, rf.Lo...)
+	}
+	return set, corners
+}
+
+// referenceProgCount's box and list form, reused as the list path reused
+// its scratch.
+var (
+	refBox     region.Box
+	refSet     region.Bits
+	refCorners []float64
+)
+
+// referenceProgCount is progCount as it read over dominator lists, before
+// the corner table and the kept values: the volume estimate folds
+// Box.DominatedFraction over the list's corners, the exact count runs on
+// the list's set form.
+func (st *state) referenceProgCount(rc *region.Region, qi int, doms []*region.Region) (prog, total float64) {
+	pref := st.w.Queries[qi].Pref
+	cells := st.space.CellCount(rc, pref)
+	total = float64(cells)
+	if len(doms) == 0 {
+		return total, total
+	}
+	if cells <= exactProgCountCap {
+		refSet, refCorners = listForm(refSet, refCorners, doms)
+		return st.exactProgCount(rc, pref, refSet, refCorners, cells), total
+	}
+	refBox.Read(pref, rc)
+	free := 1.0
+	for _, rf := range doms {
+		free *= 1 - refBox.DominatedFraction(rf.Lo)
+		if free <= 0 {
+			return 0, total
+		}
+	}
+	return free * total, total
+}
+
+// referenceCSM is csm on the list path: the dominator lists doms, per
+// query, and referenceProgCount, every query valued as csm values it.
+func (st *state) referenceCSM(rc *region.Region, doms [][]*region.Region) float64 {
+	at := st.finishAt(st.costEstimate(rc))
+	total := 0.0
+	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+		est := 0.0
+		if prog, cells := st.referenceProgCount(rc, qi, doms[qi]); cells > 0 {
+			est = (prog / cells) * st.cardinality(rc, qi)
+		}
+		if st.e.opt.DisableContractBenefit {
+			total += est
+			continue
+		}
+		total += st.weights[qi] * est * contract.ExpectedUtilityAt(st.w.Queries[qi].Contract, at)
+	}
+	return total
+}
+
+// checkProgCounts scores every live region of st as csm does and fails
+// unless, for every query the region serves, progCount's value (a kept one
+// where its record is current) equals freshProgCount's and the list
+// path's bit for bit, with the same cell operations, and csm equals
+// referenceCSM. Everything is charged to scratch clocks. It returns how
+// many values were kept, and how many records of an older generation saw
+// as many dominators: those only the generation check turns away.
+func checkProgCounts(t *testing.T, label string, st *state) (kept, stale int) {
+	t.Helper()
+	clock := st.clock
+	defer func() { st.clock = clock }()
+	charged := func(f func() float64) (float64, int64) {
+		st.clock = metrics.NewClock()
+		v := f()
+		return v, st.clock.Counters().CellOps
+	}
+	for _, rc := range st.regions {
+		if rc.Alive == 0 {
+			continue
+		}
+		st.clock = metrics.NewClock()
+		lists := st.referenceDominators(rc)
+		sets := st.dominatorsByQuery(rc)
+		for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+			pref := st.w.Queries[qi].Pref
+			doms := sets[qi]
+			n := int32(doms.Count())
+			if k := *st.keptProg(rc.ID, qi); n > 0 && k.n == n {
+				if k.gen == st.gen {
+					kept++
+				} else {
+					stale++
+				}
+			}
+			got, gotOps := charged(func() float64 { prog, _ := st.progCount(rc, qi, doms); return prog })
+			fresh, freshOps := charged(func() float64 {
+				cells := st.space.CellCount(rc, pref)
+				if n == 0 {
+					return float64(cells)
+				}
+				return st.freshProgCount(rc, pref, doms, cells)
+			})
+			list, listOps := charged(func() float64 { prog, _ := st.referenceProgCount(rc, qi, lists[qi]); return prog })
+			if math.Float64bits(got) != math.Float64bits(fresh) || gotOps != freshOps {
+				t.Fatalf("%s: region %d, query %d (%d dominators): ProgCount %v charging %d, fresh %v charging %d", label, rc.ID, qi, n, got, gotOps, fresh, freshOps)
+			}
+			if math.Float64bits(fresh) != math.Float64bits(list) || freshOps != listOps {
+				t.Fatalf("%s: region %d, query %d (%d dominators): ProgCount %v charging %d, list path %v charging %d", label, rc.ID, qi, n, fresh, freshOps, list, listOps)
+			}
+		}
+		got, gotOps := charged(func() float64 { return st.csm(rc) })
+		want, wantOps := charged(func() float64 { return st.referenceCSM(rc, st.referenceDominators(rc)) })
+		if math.Float64bits(got) != math.Float64bits(want) || gotOps != wantOps {
+			t.Fatalf("%s: region %d: csm %v charging %d, list path %v charging %d", label, rc.ID, got, gotOps, want, wantOps)
+		}
+	}
+	return kept, stale
+}
+
+// TestProgCountReuseMatchesFresh: at every point of checkSchedules' batch
+// runs and random Exec schedules, where Admit, Cancel, Seal, Append and
+// Delete grow the plan, move corners, revive regions and rebind query
+// slots, every live region's ProgCount for every query it serves equals a
+// fresh one and the list path's bit for bit, with the same charge — kept
+// values included, from the run's own CSM evaluations and from earlier
+// checks of the same generation — and so does its CSM.
+func TestProgCountReuseMatchesFresh(t *testing.T) {
+	kept, stale := 0, 0
+	const seeds = 12
+	moved, grown := checkSchedules(t, seeds, func(label string, st *state) {
+		k, s := checkProgCounts(t, label, st)
+		kept, stale = kept+k, stale+s
+	})
+	t.Logf("%d values kept, %d records of an older generation with as many dominators; %d appends moved a corner, %d admissions and appends added regions", kept, stale, moved, grown)
+	if kept < 10000 || stale < 100 || moved == 0 || grown == 0 {
+		t.Fatal("too little coverage")
+	}
+}
+
 // progGrid draws a grid on len(ext) axes and a region on it spanning about
 // ext[k] cells along axis k, a single cell being of no width half the time.
 // at(k, c) is a value on the grid line c cells up axis k, one ulp off it, or
@@ -96,7 +246,8 @@ func progGrid(rng *rand.Rand, ext []int) (sp *region.Space, rc *region.Region, b
 }
 
 // TestExactProgCountMatchesReference: on random grids, regions and
-// dominator lists, exactProgCount returns the reference's count and charges
+// dominator lists, exactProgCount on the list's set form (listForm) returns
+// the reference's count and charges
 // the same cell operations. The regions span 1 to 512 cells
 // (exactProgCountCap) on 1 to 5 axes, some of them of no width. The lists
 // are shuffled draws from a small pool, so they hold duplicates and
@@ -176,7 +327,8 @@ func TestExactProgCountMatchesReference(t *testing.T) {
 		fast.space = sp
 		before := fast.clock.Counters().CellOps
 		want := ref.referenceExactProgCount(rc, 0, pref, doms)
-		got := fast.exactProgCount(rc, pref, doms, sp.CellCount(rc, pref))
+		set, corners := listForm(nil, nil, doms)
+		got := fast.exactProgCount(rc, pref, set, corners, sp.CellCount(rc, pref))
 		if got != want {
 			t.Fatalf("trial %d: count %g, reference %g (region %v, pref %v)", trial, got, want, rc, pref)
 		}
@@ -210,18 +362,20 @@ func TestExactProgCountMatchesReference(t *testing.T) {
 // about 340 cells and about 60 dominators spread over the region. One op is
 // a pass over 64 such inputs, each state's scratch grown beforehand, so
 // even -benchtime 1x reads warm calls; ns/call is the mean per input.
-// "table" is exactProgCount, "reference" the enumeration the test compares
-// it with.
+// "table" is exactProgCount on the inputs' set form, "reference" the
+// enumeration the test compares it with.
 //
 //	go test -run '^$' -bench ExactProgCount ./internal/core
 func BenchmarkExactProgCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	type progCase struct {
-		st    *state
-		rc    *region.Region
-		pref  preference.Subspace
-		doms  []*region.Region
-		cells int64
+		st      *state
+		rc      *region.Region
+		pref    preference.Subspace
+		doms    []*region.Region
+		set     region.Bits
+		corners []float64
+		cells   int64
 	}
 	cases := make([]progCase, 64)
 	for c := range cases {
@@ -243,8 +397,9 @@ func BenchmarkExactProgCount(b *testing.B) {
 		}
 		st := &state{space: sp, clock: metrics.NewClock()}
 		cells := sp.CellCount(rc, pref)
-		st.exactProgCount(rc, pref, doms, cells)
-		cases[c] = progCase{st, rc, pref, doms, cells}
+		set, corners := listForm(nil, nil, doms)
+		st.exactProgCount(rc, pref, set, corners, cells)
+		cases[c] = progCase{st, rc, pref, doms, set, corners, cells}
 	}
 	run := func(b *testing.B, count func(c progCase) float64) {
 		b.ResetTimer()
@@ -256,7 +411,7 @@ func BenchmarkExactProgCount(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cases)), "ns/call")
 	}
 	b.Run("table", func(b *testing.B) {
-		run(b, func(c progCase) float64 { return c.st.exactProgCount(c.rc, c.pref, c.doms, c.cells) })
+		run(b, func(c progCase) float64 { return c.st.exactProgCount(c.rc, c.pref, c.set, c.corners, c.cells) })
 	})
 	b.Run("reference", func(b *testing.B) {
 		run(b, func(c progCase) float64 { return c.st.referenceExactProgCount(c.rc, 0, c.pref, c.doms) })

@@ -149,15 +149,19 @@ type state struct {
 	boundScratch []float64
 	goneScratch  []int
 	vsScratch    []float64
-	domScratch   [][]*region.Region
 	// The coarse tests' probe of the corner index and their two region sets,
 	// and the discard's own set: the csm it calls uses the other two.
 	probe        region.Probe
 	setScratch   [2]region.Bits
 	reachScratch region.Bits
+	// The CSM's dominator set per query slot, and per slot and region the
+	// record of its last ProgCount (progKept).
+	domSets []region.Bits
+	kept    [][]progKept
 	// exactProgCount's integers: first coordinate, extent and table stride
-	// per axis, then its threshold table.
+	// per axis, then its threshold table; the volume estimate's box.
 	progAxes []int
+	progBox  region.Box
 	// Delete's repair lists: window entries taken out, results to re-settle.
 	removedScratch  []skycube.Removed
 	resettleScratch []int
@@ -230,7 +234,7 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		shared:  shared,
 		rep:     rep,
 		regions: space.Regions,
-		live:    newLiveness(space.Regions, len(e.w.Queries)),
+		live:    newLiveness(space.Regions, len(e.w.OutDims), len(e.w.Queries)),
 		cursors: make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
 		uses:    make(region.QueryDims, len(e.w.OutDims)),
 	}
@@ -259,7 +263,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.order = append(st.order, keptOrder{})
 		st.qremap = append(st.qremap, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
-		st.live.grow(len(st.regions), qi+1)
+		st.live.grow(st.regions, qi+1)
 	}
 	// Initial weights fold the query priority into the benefit model;
 	// Eq. 11 feedback then re-balances toward unsatisfied queries.
@@ -303,7 +307,7 @@ func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple)
 // until reopen revives it.
 func (st *state) growRegions() {
 	st.regions = st.space.Regions
-	st.live.grow(len(st.regions), len(st.weights))
+	st.live.grow(st.regions, len(st.weights))
 	st.indegree = append(st.indegree, make([]int, len(st.regions)-len(st.indegree))...)
 	if n := len(st.regions) * len(st.w.JoinConds); n > len(st.cursors) {
 		st.cursors = append(st.cursors, make([]joinCursor, n-len(st.cursors))...)
@@ -448,7 +452,7 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 		live := st.live.sets[qi]
 		reach := slices.Grow(st.reachScratch[:0], len(live))[:len(live)]
 		st.reachScratch = reach
-		st.live.corners(st.regions, len(st.w.OutDims)).NotBelow(reach, live, st.kerns[qi].Sub(), bound)
+		st.live.corners().NotBelow(reach, live, st.kerns[qi].Sub(), bound)
 		tests := int64(len(champs))
 		from := 0
 		for fi := reach.Next(0); fi >= 0; fi = reach.Next(fi + 1) {
@@ -710,16 +714,20 @@ func (st *state) refreshFrontier(qi int) {
 	st.clock.CountCellOp(charged)
 	st.frontier[qi] = fr
 	if ko.n == 0 {
-		st.releaseFrontier(qi)
+		st.releaseRecords(qi)
 	}
 }
 
-// releaseFrontier drops query qi's frontier records. A query with no live
-// region holds none, so an execution that binds many slots over its life
-// keeps records for its running queries only; the next refresh after a
-// region revives the query sorts afresh.
-func (st *state) releaseFrontier(qi int) {
+// releaseRecords drops query qi's frontier records and its ProgCount
+// records. A query with no live region holds none, so an execution that
+// binds many slots over its life keeps records for its running queries
+// only; the next refresh after a region revives the query sorts afresh, and
+// the revival's generation bump had staled the ProgCounts anyway.
+func (st *state) releaseRecords(qi int) {
 	st.order[qi], st.frontier[qi] = keptOrder{}, nil
+	if qi < len(st.kept) {
+		st.kept[qi] = nil
+	}
 }
 
 // sortFilter rebuilds query qi's kept order and frontier from its live set:
@@ -736,7 +744,7 @@ func (st *state) sortFilter(qi int) {
 		cs = append(cs, keptCorner{sum: kern.Sum(st.regions[fi].Lo), region: int32(fi)})
 	}
 	if len(cs) == 0 {
-		st.releaseFrontier(qi)
+		st.releaseRecords(qi)
 		return
 	}
 	slices.SortFunc(cs, func(a, b keptCorner) int {

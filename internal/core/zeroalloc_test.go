@@ -169,9 +169,10 @@ func TestDiscardZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestCoarseProbesZeroAlloc pins the two coarse steps that run per
-// scheduling decision at zero allocations once their scratch has grown:
-// ProgCount's dominator lists, probed on the corner index, and a release of
+// TestCoarseProbesZeroAlloc pins the coarse steps that run per scheduling
+// decision at zero allocations once their scratch has grown: ProgCount's
+// dominator sets, probed on the corner index; the CSM of every live region,
+// its ProgCounts computed afresh and kept; and a release of
 // a region's dependency edges that pushes the regions it roots into the
 // queue (scoring each) — restored and released again, so every call finds
 // work.
@@ -189,14 +190,55 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 
 	rc := st.regions[len(st.regions)-1]
 	listed := 0
-	for _, doms := range st.dominatorsByQuery(rc) {
-		listed += len(doms)
+	doms := st.dominatorsByQuery(rc)
+	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+		listed += doms[qi].Count()
 	}
 	if listed == 0 {
 		t.Fatalf("region %d has no dominators: nothing to list", rc.ID)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { st.dominatorsByQuery(rc) }); allocs != 0 {
 		t.Fatalf("dominatorsByQuery allocates %.1f per call", allocs)
+	}
+
+	// The CSM of every live region, computed afresh (a generation bump
+	// stales every kept value) and then kept.
+	exact, volume := 0, 0
+	for _, r := range st.regions {
+		for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
+			if st.space.CellCount(r, w.Queries[qi].Pref) <= exactProgCountCap {
+				exact++
+			} else {
+				volume++
+			}
+		}
+	}
+	if exact == 0 || volume == 0 {
+		t.Fatalf("%d exact and %d estimated ProgCounts: a path goes untested", exact, volume)
+	}
+	scoreAll := func() {
+		for _, r := range st.regions {
+			if r.Alive != 0 {
+				st.csm(r)
+			}
+		}
+	}
+	scoreAll()
+	if allocs := testing.AllocsPerRun(50, func() { st.gen++; scoreAll() }); allocs != 0 {
+		t.Fatalf("csm allocates %.1f per pass computing ProgCount afresh", allocs)
+	}
+	hits := 0
+	doms = st.dominatorsByQuery(rc)
+	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+		if k := *st.keptProg(rc.ID, qi); k.gen == st.gen && k.n == int32(doms[qi].Count()) && k.n > 0 {
+			hits++
+		}
+	}
+	if hits == 0 {
+		t.Fatalf("region %d keeps no ProgCount: nothing to reuse", rc.ID)
+	}
+	if allocs := testing.AllocsPerRun(50, scoreAll); allocs != 0 {
+		t.Fatalf("csm allocates %.1f per pass reusing kept ProgCounts", allocs)
 	}
 
 	ri := slices.IndexFunc(st.regions, func(r *region.Region) bool {
@@ -247,10 +289,11 @@ func TestExactProgCountZeroAlloc(t *testing.T) {
 	}
 	st := &state{space: sp, clock: metrics.NewClock()}
 	cells := sp.CellCount(rc, pref)
-	if n := st.exactProgCount(rc, pref, doms, cells); n == 0 || n == float64(cells) {
+	set, corners := listForm(nil, nil, doms)
+	if n := st.exactProgCount(rc, pref, set, corners, cells); n == 0 || n == float64(cells) {
 		t.Fatalf("%g of %d cells uncovered: the table decides nothing", n, cells)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { st.exactProgCount(rc, pref, doms, cells) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { st.exactProgCount(rc, pref, set, corners, cells) }); allocs != 0 {
 		t.Fatalf("exactProgCount allocates %.1f per call", allocs)
 	}
 }

@@ -9,8 +9,9 @@
 package partition
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"caqe/internal/metrics"
 	"caqe/internal/tuple"
@@ -33,7 +34,7 @@ func (s Signature) Intersects(o Signature, clock *metrics.Clock) bool {
 	for v := range small {
 		keys = append(keys, v)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	for _, v := range keys {
 		if clock != nil {
 			clock.CountCellOp(1)
@@ -145,12 +146,14 @@ func (b *builder) kdSplit(members []*tuple.Tuple, budget, depth int) {
 		b.emit(members) // all members identical on every dimension
 		return
 	}
+	// Attributes are finite and IDs unique within a relation, so the order
+	// is total and an unstable sort gives the one result.
 	sorted := append([]*tuple.Tuple(nil), members...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		if sorted[i].Attr(dim) != sorted[j].Attr(dim) {
-			return sorted[i].Attr(dim) < sorted[j].Attr(dim)
+	slices.SortFunc(sorted, func(a, b *tuple.Tuple) int {
+		if c := cmp.Compare(a.Attr(dim), b.Attr(dim)); c != 0 {
+			return c
 		}
-		return sorted[i].ID < sorted[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	mid := len(sorted) / 2
 	b.kdSplit(sorted[:mid], budget/2, depth+1)

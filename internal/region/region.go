@@ -442,23 +442,42 @@ func (s *Space) CellCount(r *Region, v preference.Subspace) int64 {
 	return n
 }
 
-// DominatedFraction estimates the fraction of r's volume in subspace v that
-// is dominated by the best corner of o: the sub-box of r weakly dominated
-// by o.Lo on every dimension of v. Used by the volume-based ProgCount
-// estimator (see DESIGN.md).
-func DominatedFraction(v preference.Subspace, r, o *Region) float64 {
-	f := 1.0
+// Box is a region's box on the axes of one subspace, read once so that
+// many best corners can be tested against it: Lo[i], Hi[i] and the extent
+// Ext[i] = Hi[i] − Lo[i] on axis V[i].
+type Box struct {
+	V           preference.Subspace
+	Lo, Hi, Ext []float64
+}
+
+// Read sets b to r's box on the axes of v, reusing b's buffers.
+func (b *Box) Read(v preference.Subspace, r *Region) {
+	b.V = v
+	b.Lo, b.Hi, b.Ext = b.Lo[:0], b.Hi[:0], b.Ext[:0]
 	for _, k := range v {
-		ext := r.Hi[k] - r.Lo[k]
+		b.Lo = append(b.Lo, r.Lo[k])
+		b.Hi = append(b.Hi, r.Hi[k])
+		b.Ext = append(b.Ext, r.Hi[k]-r.Lo[k])
+	}
+}
+
+// DominatedFraction estimates the fraction of the box's volume that is
+// dominated by a best corner (indexed by output dimension): the sub-box
+// weakly dominated by the corner on every axis. Used by the volume-based
+// ProgCount estimator (see DESIGN.md).
+func (b *Box) DominatedFraction(corner []float64) float64 {
+	f := 1.0
+	for i, k := range b.V {
+		ext := b.Ext[i]
 		if ext <= 0 {
 			// Degenerate extent: the dimension is a point; dominated iff
-			// o's best corner is at or below it.
-			if o.Lo[k] <= r.Lo[k] {
+			// the corner is at or below it.
+			if corner[k] <= b.Lo[i] {
 				continue
 			}
 			return 0
 		}
-		covered := (r.Hi[k] - max(r.Lo[k], o.Lo[k])) / ext
+		covered := (b.Hi[i] - max(b.Lo[i], corner[k])) / ext
 		if covered <= 0 {
 			return 0
 		}
