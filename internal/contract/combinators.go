@@ -78,7 +78,7 @@ func (c *composite) utilityAt(ts float64) float64 {
 	}
 	u := 0.0
 	for i, comp := range c.components {
-		u += c.weights[i] * ExpectedUtilityAt(comp, ts)
+		u += float64(c.weights[i] * ExpectedUtilityAt(comp, ts))
 	}
 	return u
 }
@@ -118,7 +118,7 @@ func (t *compositeTracker) Utilities() []float64 {
 		} else {
 			u := 0.0
 			for i := range per {
-				u += t.c.weights[i] * per[i][k]
+				u += float64(t.c.weights[i] * per[i][k])
 			}
 			out[k] = u
 		}

@@ -251,7 +251,7 @@ func (t *cardTracker) Finalize(end float64) {
 func (t *cardTracker) PScore() float64 {
 	s := t.sum
 	if t.curCount > 0 { // provisional utility for the open interval
-		s += float64(t.curCount) * t.intervalUtility(t.curCount)
+		s += float64(float64(t.curCount) * t.intervalUtility(t.curCount))
 	}
 	return s
 }

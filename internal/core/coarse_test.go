@@ -35,7 +35,7 @@ func (st *state) referenceDepGraph() (targets [][]int, indegree []int) {
 				continue
 			}
 			st.clock.CountCellOp(1)
-			notWeak, strict := st.uses.Pair(ri.Lo, rj.Lo)
+			notWeak, strict := st.uses.Pair(st.space.LoRow(i), st.space.LoRow(j))
 			if mask := both & strict &^ notWeak; mask != 0 {
 				targets[i] = append(targets[i], j)
 				indegree[j]++
@@ -56,7 +56,7 @@ func (st *state) referenceDominators(rc *region.Region) [][]*region.Region {
 			continue
 		}
 		st.clock.CountCellOp(1)
-		notWeak, _ := st.uses.Pair(rf.Lo, rc.Hi)
+		notWeak, _ := st.uses.Pair(st.space.LoRow(rf.ID), st.space.HiRow(rc.ID))
 		for m := uint64(both &^ notWeak); m != 0; m &= m - 1 {
 			qi := bits.TrailingZeros64(m)
 			doms[qi] = append(doms[qi], rf)
@@ -77,26 +77,29 @@ func randomCoarseState(rng *rand.Rand, m, nd, nq int) *state {
 			w.Queries[qi].Pref = preference.SubspaceFromMask(uint64(rng.Intn(1 << uint(nd))))
 		}
 	}
-	st := &state{e: &Engine{}, w: w, clock: metrics.NewClock(), uses: region.NewQueryDims(w.Queries, nd)}
+	sp := &region.Space{W: w}
 	for i := 0; i < m; i++ {
-		r := &region.Region{ID: i, Lo: make([]float64, nd), Hi: make([]float64, nd)}
-		for k := range r.Lo {
+		r := &region.Region{ID: i}
+		for k := 0; k < nd; k++ {
+			var lo float64
 			if rng.Intn(15) == 0 {
-				r.Lo[k] = specials[rng.Intn(len(specials))]
+				lo = specials[rng.Intn(len(specials))]
 			} else {
-				r.Lo[k] = float64(rng.Intn(8))
+				lo = float64(rng.Intn(8))
 			}
-			r.Hi[k] = r.Lo[k]
+			hi := lo
 			if rng.Intn(3) != 0 { // else no extent
-				r.Hi[k] += float64(1 + rng.Intn(3))
+				hi += float64(1 + rng.Intn(3))
 			}
+			sp.BoxLo, sp.BoxHi = append(sp.BoxLo, lo), append(sp.BoxHi, hi)
 		}
 		if rng.Intn(10) != 0 {
 			r.Alive = skycube.QSet(rng.Intn(1 << uint(nq)))
 		}
-		st.regions = append(st.regions, r)
+		sp.Regions = append(sp.Regions, r)
 	}
-	st.live = newLiveness(st.regions, nd, nq)
+	st := &state{e: &Engine{}, w: w, clock: metrics.NewClock(), uses: region.NewQueryDims(w.Queries, nd), space: sp, regions: sp.Regions}
+	st.live = newLiveness(sp, nq)
 	return st
 }
 
@@ -126,7 +129,7 @@ func checkDepGraph(t *testing.T, rng *rand.Rand, label string, st *state) int {
 			got = append(got, j)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: region %d targets %v, reference %v (corner %v, alive %v)", label, i, got, want, st.regions[i].Lo, st.regions[i].Alive)
+			t.Fatalf("%s: region %d targets %v, reference %v (corner %v, alive %v)", label, i, got, want, st.space.LoRow(i), st.regions[i].Alive)
 		}
 		edges += len(want)
 	}

@@ -223,7 +223,7 @@ func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *
 func (e *Engine) newShared(cuboid *skycube.Cuboid, space *region.Space, clock *metrics.Clock) *skycube.SharedSkyline {
 	hi := make([]float64, len(space.GridLo))
 	for k, lo := range space.GridLo {
-		hi[k] = lo + space.GridStep[k]*float64(e.opt.GridResolution)
+		hi[k] = lo + float64(space.GridStep[k]*float64(e.opt.GridResolution))
 	}
 	return skycube.NewSharedSkylineIn(cuboid, clock, space.GridLo, hi)
 }

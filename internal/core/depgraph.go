@@ -22,7 +22,7 @@ import (
 //
 // Region i's out-edges are one row of depRows, a set over the regions after
 // it: probing the index of every best corner upward with R_i's (the regions
-// whose Lo R_i's weakly dominates, strictly on one dimension), each query of
+// best corner R_i's weakly dominates, strictly on one dimension), each query of
 // R_i.Alive adds the regions live for it that the probe finds Dominant. The
 // charge is one cell-level operation per pair i < j whose Alive sets meet,
 // as testing pair by pair would make (DESIGN.md §13). The data-order scheduler
@@ -43,7 +43,7 @@ func (st *state) buildDepGraph() {
 		if ri.Alive == 0 {
 			continue
 		}
-		st.probe.Above(ranks, ri.Lo)
+		st.probe.Above(ranks, st.space.LoRow(i))
 		row := st.edgeRow(i)
 		clear(serving)
 		for qi := ri.Alive.Next(0); qi >= 0; qi = ri.Alive.Next(qi + 1) {

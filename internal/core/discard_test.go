@@ -59,14 +59,14 @@ func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skyc
 			continue
 		}
 		kern := st.kerns[qi]
-		for fi, rf := range st.regions {
+		for fi := range st.regions {
 			if !alive[fi].Has(qi) {
 				continue
 			}
 			dominated := false
 			for _, x := range champs {
 				cellOps++
-				if kern.Dominates(x, rf.Lo) {
+				if kern.Dominates(x, st.space.LoRow(fi)) {
 					dominated = true
 					break
 				}
@@ -94,7 +94,7 @@ func (st *state) boundDiscard(qs skycube.QSet, newPayloads []int) skycube.QSet {
 		live := st.live.sets[qi]
 		for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
 			rf := st.regions[fi]
-			if !st.cornerDominated(qi, champs, bound, rf) {
+			if !st.cornerDominated(qi, champs, bound, st.space.LoRow(fi)) {
 				continue
 			}
 			killedQueries = killedQueries.Add(qi)
@@ -147,9 +147,11 @@ func TestDiscardMatchesReference(t *testing.T) {
 		}
 		all := skycube.QSet(1<<uint(nq) - 1)
 		randQs := func() skycube.QSet { return 1 + skycube.QSet(rng.Intn(int(all))) } // non-empty
+		sp := &region.Space{W: &workload.Workload{OutDims: make([]join.MapFunc, nd)}}
 		st := &state{
 			e:             &Engine{},
-			w:             &workload.Workload{OutDims: make([]join.MapFunc, nd)},
+			w:             sp.W,
+			space:         sp,
 			clock:         metrics.NewClock(),
 			rep:           &run.Report{},
 			shared:        skycube.NewSharedSkyline(cuboid, nil),
@@ -168,24 +170,26 @@ func TestDiscardMatchesReference(t *testing.T) {
 		}
 		nr := 1 + rng.Intn(30)
 		for i := 0; i < nr; i++ {
-			r := &region.Region{ID: i, Lo: make([]float64, nd), Hi: make([]float64, nd), Alive: randQs()}
-			for k := range r.Lo {
-				r.Lo[k] = coord()
-				r.Hi[k] = r.Lo[k]
+			r := &region.Region{ID: i, Alive: randQs()}
+			for k := 0; k < nd; k++ {
+				lo := coord()
+				hi := lo
 				if rng.Intn(3) != 0 { // else a zero-extent dimension
-					r.Hi[k] += float64(1 + rng.Intn(2))
+					hi += float64(1 + rng.Intn(2))
 				}
+				sp.BoxLo, sp.BoxHi = append(sp.BoxLo, lo), append(sp.BoxHi, hi)
 			}
 			if rng.Intn(10) == 0 {
 				r.Alive = 0 // done
 			}
-			st.regions = append(st.regions, r)
+			sp.Regions = append(sp.Regions, r)
 		}
+		st.regions = sp.Regions
 		st.indegree = make([]int, nr)
 		// Region 0 was just processed for every query: done, as
 		// processRegion leaves it.
 		st.regions[0].Alive = 0
-		st.live = newLiveness(st.regions, nd, nq)
+		st.live = newLiveness(sp, nq)
 
 		var payloads []int
 		for n := rng.Intn(12); n > 0; n-- {
@@ -205,14 +209,15 @@ func TestDiscardMatchesReference(t *testing.T) {
 			if len(champs) == 0 {
 				continue
 			}
-			for _, rf := range st.regions {
+			for fi, rf := range st.regions {
 				if !rf.Alive.Has(qi) {
 					continue
 				}
+				lo := st.space.LoRow(fi)
 				below, tie := false, false
 				for k, d := range prefs[qi] {
-					below = below || rf.Lo[d] < bound[k]
-					tie = tie || rf.Lo[d] == bound[k]
+					below = below || lo[d] < bound[k]
+					tie = tie || lo[d] == bound[k]
 				}
 				if below {
 					ruledOut++
@@ -245,7 +250,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 		for fi, rf := range st.regions {
 			if rf.Alive != wantAlive[fi] {
 				t.Fatalf("trial %d: region %d alive %v, reference %v (corner %v, prefs %v)",
-					trial, fi, rf.Alive, wantAlive[fi], rf.Lo, prefs)
+					trial, fi, rf.Alive, wantAlive[fi], st.space.LoRow(fi), prefs)
 			}
 		}
 		for qi, set := range st.live.sets {

@@ -92,8 +92,8 @@ func (st *state) costEstimate(rc *region.Region) float64 {
 		left, right := st.joinRows(rc, j)
 		pairs := float64(len(left)) * float64(len(right))
 		results := st.jcSigma[j] * pairs
-		t += pairs*metrics.CostJoinProbe +
-			results*(metrics.CostJoinResult+cmpPerResult*metrics.CostSkylineCmp)
+		t += float64(pairs*metrics.CostJoinProbe) +
+			float64(results*(metrics.CostJoinResult+cmpPerResult*metrics.CostSkylineCmp))
 	}
 	return t
 }
@@ -107,18 +107,18 @@ func (st *state) cardinality(rc *region.Region, qi int) float64 {
 }
 
 // dominatorsByQuery finds the regions whose best corner could dominate at
-// least one output cell of rc, as one set per query of rc.Alive: probing
-// the index of every best corner with rc.Hi, the regions live for the
-// query that the probe finds Weak in its preference. The charge is one cell
-// operation per live region other than rc that serves a query of rc.Alive,
-// as testing region by region would make (DESIGN.md §13). The sets are the
-// state's reused scratch, valid until the next call; a query outside
+// least one output cell of rc, as one set per query of rc.Alive: probing the
+// index of every best corner with rc's upper bounds, the regions live for
+// the query that the probe finds Weak in its preference. The charge is one
+// cell operation per live region other than rc that serves a query of
+// rc.Alive, as testing region by region would make (DESIGN.md §13). The sets
+// are the state's reused scratch, valid until the next call; a query outside
 // rc.Alive keeps a stale one.
 func (st *state) dominatorsByQuery(rc *region.Region) []region.Bits {
 	for len(st.domSets) < len(st.w.Queries) {
 		st.domSets = append(st.domSets, nil)
 	}
-	st.probe.Below(st.live.corners(), rc.Hi)
+	st.probe.Below(st.live.corners(), st.space.HiRow(rc.ID))
 	_, serving := st.scratchSets()
 	clear(serving)
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
@@ -154,7 +154,8 @@ type progKept struct {
 // of computing it; otherwise freshProgCount computes it.
 func (st *state) progCount(rc *region.Region, qi int, doms region.Bits) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
-	cells := st.space.CellCount(rc, pref)
+	lo, hi := st.space.LoRow(rc.ID), st.space.HiRow(rc.ID)
+	cells := st.space.CellCount(lo, hi, pref)
 	total = float64(cells)
 	n := int32(doms.Count())
 	if n == 0 {
@@ -167,7 +168,7 @@ func (st *state) progCount(rc *region.Region, qi int, doms region.Bits) (prog, t
 		}
 		return k.prog, total
 	}
-	prog = st.freshProgCount(rc, pref, doms, cells)
+	prog = st.freshProgCount(lo, hi, pref, doms, cells)
 	*k = progKept{gen: st.gen, n: n, prog: prog}
 	return prog, total
 }
@@ -184,25 +185,24 @@ func (st *state) keptProg(ri, qi int) *progKept {
 	return &st.kept[qi][ri]
 }
 
-// freshProgCount computes ProgCount for a non-empty dominator set, reading
-// the dominators' best corners from the corner table. Regions of at most
-// exactProgCountCap cells are counted exactly over the output grid; larger
-// ones use the volume-fraction estimate with the independence
-// approximation for the union (see DESIGN.md), folded in ascending region
-// order.
-func (st *state) freshProgCount(rc *region.Region, pref preference.Subspace, doms region.Bits, cells int64) float64 {
+// freshProgCount computes ProgCount, for a non-empty dominator set, of the
+// region whose box is lo..hi, reading the dominators' best corners from the
+// bounds table. Regions of at most exactProgCountCap cells are counted
+// exactly over the output grid; larger ones use the volume-fraction
+// estimate with the independence approximation for the union (see
+// DESIGN.md), folded in ascending region order.
+func (st *state) freshProgCount(lo, hi []float64, pref preference.Subspace, doms region.Bits, cells int64) float64 {
 	if cells <= exactProgCountCap {
-		return st.exactProgCount(rc, pref, doms, st.live.lo, cells)
+		return st.exactProgCount(lo, hi, pref, doms, st.space.BoxLo, cells)
 	}
-	// Volume estimate: fraction of rc not covered by the union of the
-	// dominated sub-boxes, rc's box read once.
-	st.progBox.Read(pref, rc)
-	nd := len(rc.Lo)
+	// Volume estimate: fraction of the box not covered by the union of the
+	// dominated sub-boxes.
+	nd := len(lo)
 	free := 1.0
 	for w, word := range doms {
 		for ; word != 0; word &= word - 1 {
-			corner := st.live.lo[(w<<6|bits.TrailingZeros64(word))*nd:]
-			free *= 1 - st.progBox.DominatedFraction(corner)
+			corner := st.space.BoxLo[(w<<6|bits.TrailingZeros64(word))*nd:]
+			free *= 1 - region.DominatedFraction(pref, lo, hi, corner)
 			if free <= 0 {
 				return 0
 			}
@@ -214,32 +214,32 @@ func (st *state) freshProgCount(rc *region.Region, pref preference.Subspace, dom
 // exactProgCountCap is the largest cell count progCount counts exactly.
 const exactProgCountCap = 512
 
-// exactProgCount counts rc's grid cells in the preference subspace whose
-// lower corner no dominator's best corner weakly dominates; the dominators
-// are the members of doms, region i's corner row i of the region-major
-// table corners (len(rc.Lo) values a row), and cells is rc's CellCount
-// there. A cell's corner GridLo[k] + coord·GridStep[k] does not fall as
-// coord grows (GridStep > 0), so a dominator covers exactly the cells whose
-// coordinate reaches its threshold on every axis (coverFrom). Along the
-// widest axis, the row axis, the covered cells of a row are then a suffix,
-// and the row's uncovered count is the least row threshold among the
+// exactProgCount counts the grid cells of the box lo..hi in the preference
+// subspace whose lower corner no dominator's best corner weakly dominates;
+// the dominators are the members of doms, region i's corner row i of the
+// region-major table corners (len(lo) values a row), and cells is the box's
+// CellCount there. A cell's corner GridLo[k] + coord·GridStep[k] does not
+// fall as coord grows (GridStep > 0), so a dominator covers exactly the
+// cells whose coordinate reaches its threshold on every axis (coverFrom).
+// Along the widest axis, the row axis, the covered cells of a row are then a
+// suffix, and the row's uncovered count is the least row threshold among the
 // dominators whose other thresholds the row reaches. The table holds that
 // least threshold per row for the dominators whose other thresholds equal
-// the row's coordinates; a prefix minimum over each other axis extends it
-// to all that the row reaches, and the count is the table's sum. One cell
+// the row's coordinates; a prefix minimum over each other axis extends it to
+// all that the row reaches, and the count is the table's sum. One cell
 // operation is charged per cell, as testing every cell did. doms is not
 // empty: progCount answers an empty set itself.
-func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, doms region.Bits, corners []float64, cells int64) float64 {
+func (st *state) exactProgCount(lo, hi []float64, pref preference.Subspace, doms region.Bits, corners []float64, cells int64) float64 {
 	st.clock.CountCellOp(cells)
 	g := st.space
-	n, nd := len(pref), len(rc.Lo)
+	n, nd := len(pref), len(lo)
 	axes := slices.Grow(st.progAxes[:0], 3*n)[:3*n]
-	lo, ext, stride := axes[:n], axes[n:2*n], axes[2*n:]
+	first, ext, stride := axes[:n], axes[n:2*n], axes[2*n:]
 	row := 0
 	for i, k := range pref {
-		lo[i] = int(math.Floor((rc.Lo[k] - g.GridLo[k]) / g.GridStep[k]))
-		hi := int(math.Floor((rc.Hi[k] - g.GridLo[k]) / g.GridStep[k]))
-		ext[i] = max(hi-lo[i]+1, 1)
+		first[i] = int(math.Floor((lo[k] - g.GridLo[k]) / g.GridStep[k]))
+		last := int(math.Floor((hi[k] - g.GridLo[k]) / g.GridStep[k]))
+		ext[i] = max(last-first[i]+1, 1)
 		if ext[i] > ext[row] {
 			row = i
 		}
@@ -263,10 +263,10 @@ func (st *state) exactProgCount(rc *region.Region, pref preference.Subspace, dom
 			corner := corners[(w<<6|bits.TrailingZeros64(word))*nd:]
 			at, t := 0, 0
 			for i, k := range pref {
-				c := coverFrom(corner[k], g.GridLo[k], g.GridStep[k], lo[i], ext[i])
+				c := coverFrom(corner[k], g.GridLo[k], g.GridStep[k], first[i], ext[i])
 				switch {
 				case c == ext[i]:
-					continue next // covers no cell of rc
+					continue next // covers no cell of the box
 				case i == row:
 					t = c
 				default:
@@ -306,10 +306,10 @@ func coverFrom(v, base, step float64, lo, ext int) int {
 	} else if guess > 0 {
 		c = int(guess)
 	}
-	for c > 0 && !(v > base+float64(lo+c-1)*step) {
+	for c > 0 && !(v > base+float64(float64(lo+c-1)*step)) {
 		c--
 	}
-	for c < ext && v > base+float64(lo+c)*step {
+	for c < ext && v > base+float64(float64(lo+c)*step) {
 		c++
 	}
 	return c
@@ -357,7 +357,7 @@ func (r *rateEstimator) observe(dWork, dSec float64) {
 	if r.ewma == 0 {
 		r.ewma = sample
 	} else {
-		r.ewma += rateEWMAAlpha * (sample - r.ewma)
+		r.ewma += float64(rateEWMAAlpha * (sample - r.ewma))
 	}
 	r.accWork, r.accSec = 0, 0
 }
@@ -401,7 +401,7 @@ func (st *state) csm(rc *region.Region) float64 {
 			continue
 		}
 		u := contract.ExpectedUtilityAt(st.w.Queries[qi].Contract, at)
-		total += st.weights[qi] * est * u
+		total += float64(st.weights[qi] * est * u)
 	}
 	return total
 }

@@ -203,7 +203,7 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 		if r.Alive == 0 && st.joinComplete(r, q.JC) {
 			continue
 		}
-		if st.cornerDominated(qi, champs, bound, r) {
+		if st.cornerDominated(qi, champs, bound, st.space.LoRow(r.ID)) {
 			st.traceDiscard(r.ID, qi)
 			st.clock.CountRegionPruned()
 			continue
@@ -236,7 +236,7 @@ func (st *state) admissionCandidates(qi, jc int) []*region.Region {
 				continue
 			}
 			st.clock.CountCellOp(1)
-			notWeak, strict := st.uses.Pair(o.Hi, r.Lo)
+			notWeak, strict := st.uses.Pair(st.space.HiRow(o.ID), st.space.LoRow(r.ID))
 			if (strict &^ notWeak).Has(qi) {
 				dead = true
 				break

@@ -130,7 +130,7 @@ func (f *joinFilter) widen(side int, tp *tuple.Tuple) {
 func (f *joinFilter) margin() float64 {
 	m := 1.0
 	for _, d := range f.w.OutDims {
-		m = max(m, math.Abs(d.Bias)+d.LeftW*f.abs[0]+d.RightW*f.abs[1])
+		m = max(m, math.Abs(d.Bias)+float64(d.LeftW*f.abs[0])+float64(d.RightW*f.abs[1]))
 	}
 	return 16 * (math.Nextafter(m, math.Inf(1)) - m)
 }

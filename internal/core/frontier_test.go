@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -21,8 +22,8 @@ import (
 // referenceFrontier is the refresh the kept order replaced: collect every
 // live region of query qi, sort by (best-corner sum over the preference,
 // region), and keep each corner no kept one weakly dominates, comparing
-// through the kernel on the regions' Lo. It returns the frontier's regions
-// in order and the number of comparisons made.
+// through the kernel on the regions' best corners. It returns the
+// frontier's regions in order and the number of comparisons made.
 func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 	kern := st.kerns[qi]
 	type key struct {
@@ -32,7 +33,7 @@ func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 	var keys []key
 	for fi, rf := range st.regions {
 		if rf.Alive.Has(qi) {
-			keys = append(keys, key{kern.Sum(rf.Lo), fi})
+			keys = append(keys, key{kern.Sum(st.space.LoRow(fi)), fi})
 		}
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -45,7 +46,7 @@ func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 		dominated := false
 		for _, o := range regions {
 			cmps++
-			if kern.WeakDominates(st.regions[o].Lo, st.regions[k.region].Lo) {
+			if kern.WeakDominates(st.space.LoRow(o), st.space.LoRow(k.region)) {
 				dominated = true
 				break
 			}
@@ -73,7 +74,7 @@ func checkFrontiers(t *testing.T, label string, st *state) int {
 	for qi := range st.frontier {
 		kern := &st.kerns[qi]
 		lanesOf := func(c liveCorner) (l preference.Lanes) {
-			kern.Project(st.regions[c.region].Lo, &l)
+			kern.Project(st.space.LoRow(int(c.region)), &l)
 			return l
 		}
 		if !st.frontierDirty[qi] {
@@ -118,10 +119,10 @@ func checkFrontiers(t *testing.T, label string, st *state) int {
 			if ko.at[c.region] != int32(p) {
 				t.Fatalf("%s: query %d: region %d sits at position %d, recorded at %d", label, qi, c.region, p, ko.at[c.region])
 			}
-			lo := st.regions[c.region].Lo
+			lo := st.space.LoRow(int(c.region))
 			first := minimalCorner
 			for _, o := range want {
-				if kern.WeakDominates(st.regions[o].Lo, lo) {
+				if kern.WeakDominates(st.space.LoRow(o), lo) {
 					first = int32(o)
 					break
 				}
@@ -203,9 +204,24 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 // checkLive fails unless the liveness records agree: every query's live set
 // is the transpose of the regions' Alive sets (an empty set marking a region
 // done), a queued region is live and has an entry in the CSM queue, and
-// every live region that no dependency edge holds back is queued.
+// every live region that no dependency edge holds back is queued. The
+// bounds table must hold exactly one row per region, each region's rows
+// its cells' current Bounds bit for bit.
 func checkLive(t *testing.T, label string, st *state) {
 	t.Helper()
+	sp, nd := st.space, len(st.w.OutDims)
+	if len(sp.BoxLo) != len(st.regions)*nd || len(sp.BoxHi) != len(st.regions)*nd {
+		t.Fatalf("%s: bounds table of %d and %d values for %d regions of %d dimensions", label, len(sp.BoxLo), len(sp.BoxHi), len(st.regions), nd)
+	}
+	for ri, r := range st.regions {
+		lo, hi := sp.LoRow(ri), sp.HiRow(ri)
+		for k, f := range st.w.OutDims {
+			wantLo, wantHi := f.Bounds(r.RCell.Lo, r.RCell.Hi, r.TCell.Lo, r.TCell.Hi)
+			if math.Float64bits(lo[k]) != math.Float64bits(wantLo) || math.Float64bits(hi[k]) != math.Float64bits(wantHi) {
+				t.Fatalf("%s: region %d, dimension %d: box [%v, %v], its cells give [%v, %v]", label, ri, k, lo[k], hi[k], wantLo, wantHi)
+			}
+		}
+	}
 	lv := &st.live
 	if len(lv.sets) != len(st.w.Queries) || len(lv.queued) != len(st.regions) {
 		t.Fatalf("%s: %d live sets for %d queries, %d queue flags for %d regions", label, len(lv.sets), len(st.w.Queries), len(lv.queued), len(st.regions))
@@ -437,8 +453,8 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 // cornersOf copies every region's best corner.
 func cornersOf(st *state) [][]float64 {
 	out := make([][]float64, len(st.regions))
-	for i, r := range st.regions {
-		out[i] = slices.Clone(r.Lo)
+	for i := range st.regions {
+		out[i] = slices.Clone(st.space.LoRow(i))
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"math"
-	"slices"
 
 	"caqe/internal/region"
 	"caqe/internal/skycube"
@@ -13,39 +12,32 @@ import (
 // queries it is still alive for, an empty Alive set marking a region done
 // (DESIGN.md §13). Its methods are the only writes to that fact's records:
 // each region's Alive set, its transpose per query, the region's place in
-// the CSM queue, and every best corner, in a flat table and in an index.
-// Each returns what changed, so callers release edges, mark frontiers,
-// count and trace.
+// the CSM queue, and the index of every best corner, built over the plan's
+// bounds table (region.Space). Each returns what changed, so callers
+// release edges, mark frontiers, count and trace.
 type liveness struct {
 	sets   []region.Bits       // per query: the regions live for it
 	pq     csmHeap             // the CSM queue; a done region's entries are stale
 	queued []bool              // per region: its latest entry in pq is current; only a live region's is
-	nd     int                 // output dimensions: the width of a row of lo
-	lo     []float64           // region-major: each region's best corner, one row of nd values
+	space  *region.Space       // the plan, whose table holds every best corner
 	index  *region.CornerRanks // nil after the plan grew, until the next use rebuilds it
 }
 
-// newLiveness takes over the Alive sets and best corners of a plan's
-// regions over nd output dimensions for nq queries.
-func newLiveness(regions []*region.Region, nd, nq int) liveness {
-	lv := liveness{nd: nd}
-	lv.grow(regions, nq)
-	for _, r := range regions {
+// newLiveness takes over the Alive sets of a plan's regions for nq queries.
+func newLiveness(space *region.Space, nq int) liveness {
+	lv := liveness{space: space}
+	lv.grow(nq)
+	for _, r := range space.Regions {
 		lv.revive(r, r.Alive)
 	}
 	return lv
 }
 
 // grow extends the records over the plan's regions and nq query slots. A
-// region the plan gains is born done, appends its best corner to the table
-// and drops the corner index.
-func (lv *liveness) grow(regions []*region.Region, nq int) {
-	n := len(regions)
+// region the plan gains is born done and drops the corner index.
+func (lv *liveness) grow(nq int) {
+	n := len(lv.space.Regions)
 	if n > len(lv.queued) {
-		lv.lo = slices.Grow(lv.lo, (n-len(lv.queued))*lv.nd)
-		for _, r := range regions[len(lv.queued):] {
-			lv.lo = append(lv.lo, r.Lo...)
-		}
 		lv.queued = append(lv.queued, make([]bool, n-len(lv.queued))...)
 		lv.index = nil
 	}
@@ -110,22 +102,18 @@ func (lv *liveness) pop() (it csmItem, ok bool) {
 	return it, true
 }
 
-// moveCorner follows region r's best corner, recomputed in place: its row
-// of the table is rewritten and the index re-ranks it.
+// moveCorner follows region r's best corner, recomputed in place in the
+// table: the index re-ranks it.
 func (lv *liveness) moveCorner(r *region.Region) {
-	copy(lv.corner(r.ID), r.Lo)
 	if lv.index != nil {
-		lv.index.Move(r.ID, r.Lo)
+		lv.index.Move(r.ID, lv.space.LoRow(r.ID))
 	}
 }
-
-// corner returns region i's row of the corner table.
-func (lv *liveness) corner(i int) []float64 { return lv.lo[i*lv.nd : (i+1)*lv.nd] }
 
 // corners returns the index of every region's best corner.
 func (lv *liveness) corners() *region.CornerRanks {
 	if lv.index == nil {
-		lv.index = region.NewCornerRanks(len(lv.queued), lv.nd, lv.corner)
+		lv.index = region.NewCornerRanks(len(lv.queued), len(lv.space.W.OutDims), lv.space.LoRow)
 	}
 	return lv.index
 }

@@ -335,9 +335,7 @@ func (st *state) reviveAfterAppend(tab Table, touched map[int]bool, stats *Delta
 		if !touched[c.ID] {
 			continue
 		}
-		for k, f := range st.w.OutDims {
-			r.Lo[k], r.Hi[k] = f.Bounds(r.RCell.Lo, r.RCell.Hi, r.TCell.Lo, r.TCell.Hi)
-		}
+		st.space.Bound(r)
 		st.cornerMoved(r)
 		if live := st.liveFor(r); live != 0 && st.reopen(r, live) {
 			stats.RegionsRevived++

@@ -14,13 +14,14 @@ import (
 
 // referenceExactProgCount is exactProgCount as it read before it kept the
 // cell corner per axis and the dominators' corners in a flat scratch: every
-// dominator, in list order, recomputing the corner on every axis it reads.
-func (st *state) referenceExactProgCount(rc *region.Region, qi int, pref preference.Subspace, doms []*region.Region) float64 {
+// dominator's best corner, in list order, recomputing the cell corner on
+// every axis it reads.
+func (st *state) referenceExactProgCount(rlo, rhi []float64, pref preference.Subspace, doms [][]float64) float64 {
 	lo := make([]int, len(pref))
 	hi := make([]int, len(pref))
 	for i, k := range pref {
-		lo[i] = int(math.Floor((rc.Lo[k] - st.space.GridLo[k]) / st.space.GridStep[k]))
-		hi[i] = int(math.Floor((rc.Hi[k] - st.space.GridLo[k]) / st.space.GridStep[k]))
+		lo[i] = int(math.Floor((rlo[k] - st.space.GridLo[k]) / st.space.GridStep[k]))
+		hi[i] = int(math.Floor((rhi[k] - st.space.GridLo[k]) / st.space.GridStep[k]))
 	}
 	coord := append([]int(nil), lo...)
 	count := 0.0
@@ -31,8 +32,8 @@ func (st *state) referenceExactProgCount(rc *region.Region, qi int, pref prefere
 		for _, rf := range doms {
 			ok := true
 			for i, k := range pref {
-				corner := st.space.GridLo[k] + float64(coord[i])*st.space.GridStep[k]
-				if rf.Lo[k] > corner {
+				corner := st.space.GridLo[k] + float64(float64(coord[i])*st.space.GridStep[k])
+				if rf[k] > corner {
 					ok = false
 					break
 				}
@@ -61,49 +62,52 @@ func (st *state) referenceExactProgCount(rc *region.Region, qi int, pref prefere
 	return count
 }
 
-// listForm turns a dominator list into the set form exactProgCount reads,
-// reusing the buffers set and corners: member i is the list's i-th entry,
-// whose best corner is row i of the table. Duplicates in the list stay
-// separate members.
-func listForm(set region.Bits, corners []float64, doms []*region.Region) (region.Bits, []float64) {
+// listForm turns a list of dominators' best corners into the set form
+// exactProgCount reads, reusing the buffers set and corners: member i is
+// the list's i-th entry, its corner row i of the table. Duplicates in the
+// list stay separate members.
+func listForm(set region.Bits, corners []float64, doms [][]float64) (region.Bits, []float64) {
 	n := (len(doms) + 63) / 64
 	set = slices.Grow(set[:0], n)[:n]
 	clear(set)
 	corners = corners[:0]
 	for i, rf := range doms {
 		set.Set(i)
-		corners = append(corners, rf.Lo...)
+		corners = append(corners, rf...)
 	}
 	return set, corners
 }
 
-// referenceProgCount's box and list form, reused as the list path reused
-// its scratch.
+// referenceProgCount's list form, reused as the list path reused its
+// scratch.
 var (
-	refBox     region.Box
 	refSet     region.Bits
 	refCorners []float64
 )
 
 // referenceProgCount is progCount as it read over dominator lists, before
 // the corner table and the kept values: the volume estimate folds
-// Box.DominatedFraction over the list's corners, the exact count runs on
+// DominatedFraction over the list's corners, the exact count runs on
 // the list's set form.
 func (st *state) referenceProgCount(rc *region.Region, qi int, doms []*region.Region) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
-	cells := st.space.CellCount(rc, pref)
+	lo, hi := st.space.LoRow(rc.ID), st.space.HiRow(rc.ID)
+	cells := st.space.CellCount(lo, hi, pref)
 	total = float64(cells)
 	if len(doms) == 0 {
 		return total, total
 	}
-	if cells <= exactProgCountCap {
-		refSet, refCorners = listForm(refSet, refCorners, doms)
-		return st.exactProgCount(rc, pref, refSet, refCorners, cells), total
+	corners := make([][]float64, len(doms))
+	for i, rf := range doms {
+		corners[i] = st.space.LoRow(rf.ID)
 	}
-	refBox.Read(pref, rc)
+	if cells <= exactProgCountCap {
+		refSet, refCorners = listForm(refSet, refCorners, corners)
+		return st.exactProgCount(lo, hi, pref, refSet, refCorners, cells), total
+	}
 	free := 1.0
-	for _, rf := range doms {
-		free *= 1 - refBox.DominatedFraction(rf.Lo)
+	for _, corner := range corners {
+		free *= 1 - region.DominatedFraction(pref, lo, hi, corner)
 		if free <= 0 {
 			return 0, total
 		}
@@ -125,7 +129,7 @@ func (st *state) referenceCSM(rc *region.Region, doms [][]*region.Region) float6
 			total += est
 			continue
 		}
-		total += st.weights[qi] * est * contract.ExpectedUtilityAt(st.w.Queries[qi].Contract, at)
+		total += float64(st.weights[qi] * est * contract.ExpectedUtilityAt(st.w.Queries[qi].Contract, at))
 	}
 	return total
 }
@@ -166,11 +170,12 @@ func checkProgCounts(t *testing.T, label string, st *state) (kept, stale int) {
 			}
 			got, gotOps := charged(func() float64 { prog, _ := st.progCount(rc, qi, doms); return prog })
 			fresh, freshOps := charged(func() float64 {
-				cells := st.space.CellCount(rc, pref)
+				lo, hi := st.space.LoRow(rc.ID), st.space.HiRow(rc.ID)
+				cells := st.space.CellCount(lo, hi, pref)
 				if n == 0 {
 					return float64(cells)
 				}
-				return st.freshProgCount(rc, pref, doms, cells)
+				return st.freshProgCount(lo, hi, pref, doms, cells)
 			})
 			list, listOps := charged(func() float64 { prog, _ := st.referenceProgCount(rc, qi, lists[qi]); return prog })
 			if math.Float64bits(got) != math.Float64bits(fresh) || gotOps != freshOps {
@@ -209,12 +214,12 @@ func TestProgCountReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// progGrid draws a grid on len(ext) axes and a region on it spanning about
-// ext[k] cells along axis k, a single cell being of no width half the time.
-// at(k, c) is a value on the grid line c cells up axis k, one ulp off it, or
-// a random fraction into that cell; base[k] is the region's first cell on
-// axis k.
-func progGrid(rng *rand.Rand, ext []int) (sp *region.Space, rc *region.Region, base []int, at func(k, c int) float64) {
+// progGrid draws a grid on len(ext) axes and a region's box lo..hi on it
+// spanning about ext[k] cells along axis k, a single cell being of no width
+// half the time. at(k, c) is a value on the grid line c cells up axis k, one
+// ulp off it, or a random fraction into that cell; base[k] is the box's
+// first cell on axis k.
+func progGrid(rng *rand.Rand, ext []int) (sp *region.Space, lo, hi []float64, base []int, at func(k, c int) float64) {
 	nd := len(ext)
 	steps := []float64{0.25, 0.1, 1, 3.7}
 	sp = &region.Space{GridLo: make([]float64, nd), GridStep: make([]float64, nd)}
@@ -232,17 +237,17 @@ func progGrid(rng *rand.Rand, ext []int) (sp *region.Space, rc *region.Region, b
 		}
 		return v
 	}
-	rc = &region.Region{Lo: make([]float64, nd), Hi: make([]float64, nd)}
+	lo, hi = make([]float64, nd), make([]float64, nd)
 	base = make([]int, nd)
 	for k := 0; k < nd; k++ {
 		base[k] = rng.Intn(4)
-		rc.Lo[k] = at(k, base[k])
-		rc.Hi[k] = rc.Lo[k]
+		lo[k] = at(k, base[k])
+		hi[k] = lo[k]
 		if ext[k] > 1 || rng.Intn(2) == 0 {
-			rc.Hi[k] = max(rc.Lo[k], at(k, base[k]+ext[k]-1))
+			hi[k] = max(lo[k], at(k, base[k]+ext[k]-1))
 		}
 	}
-	return sp, rc, base, at
+	return sp, lo, hi, base, at
 }
 
 // TestExactProgCountMatchesReference: on random grids, regions and
@@ -283,40 +288,40 @@ func TestExactProgCountMatchesReference(t *testing.T) {
 			}
 			budget /= ext[k]
 		}
-		sp, rc, base, at := progGrid(rng, ext)
+		sp, lo, hi, base, at := progGrid(rng, ext)
 		mode := rng.Intn(3)
-		var pool []*region.Region
+		var pool [][]float64
 		for n := 1 + rng.Intn(8); n > 0; n-- {
-			rf := &region.Region{Lo: make([]float64, nd)}
-			for k := range rf.Lo {
+			rf := make([]float64, nd)
+			for k := range rf {
 				if rng.Intn(12) == 0 {
-					rf.Lo[k] = specials[rng.Intn(len(specials))]
+					rf[k] = specials[rng.Intn(len(specials))]
 				} else {
-					rf.Lo[k] = at(k, base[k]+rng.Intn(ext[k]+2)-1)
+					rf[k] = at(k, base[k]+rng.Intn(ext[k]+2)-1)
 				}
 			}
 			if mode == 1 { // beyond the region's last cell on one axis
 				k := pref[rng.Intn(len(pref))]
-				rf.Lo[k] = math.Inf(1)
+				rf[k] = math.Inf(1)
 				if rng.Intn(2) == 0 {
-					rf.Lo[k] = at(k, base[k]+ext[k]+rng.Intn(2))
+					rf[k] = at(k, base[k]+ext[k]+rng.Intn(2))
 				}
 			}
 			pool = append(pool, rf)
 		}
-		doms := make([]*region.Region, 1+rng.Intn(12))
+		doms := make([][]float64, 1+rng.Intn(12))
 		for i := range doms {
 			doms[i] = pool[rng.Intn(len(pool))]
 		}
 		if mode == 2 { // at or below the region's first corner on every axis
-			rf := &region.Region{Lo: make([]float64, nd)}
-			for k := range rf.Lo {
-				rf.Lo[k] = sp.GridLo[k] + float64(base[k]-rng.Intn(2))*sp.GridStep[k]
+			rf := make([]float64, nd)
+			for k := range rf {
+				rf[k] = sp.GridLo[k] + float64(base[k]-rng.Intn(2))*sp.GridStep[k]
 				if rng.Intn(4) == 0 {
-					rf.Lo[k] = specials[rng.Intn(len(specials))]
+					rf[k] = specials[rng.Intn(len(specials))]
 				}
-				if rf.Lo[k] > sp.GridLo[k]+float64(base[k])*sp.GridStep[k] {
-					rf.Lo[k] = math.Inf(-1) // a special above the corner
+				if rf[k] > sp.GridLo[k]+float64(base[k])*sp.GridStep[k] {
+					rf[k] = math.Inf(-1) // a special above the corner
 				}
 			}
 			doms = append(doms, rf)
@@ -326,11 +331,11 @@ func TestExactProgCountMatchesReference(t *testing.T) {
 		ref := &state{space: sp, clock: metrics.NewClock()}
 		fast.space = sp
 		before := fast.clock.Counters().CellOps
-		want := ref.referenceExactProgCount(rc, 0, pref, doms)
+		want := ref.referenceExactProgCount(lo, hi, pref, doms)
 		set, corners := listForm(nil, nil, doms)
-		got := fast.exactProgCount(rc, pref, set, corners, sp.CellCount(rc, pref))
+		got := fast.exactProgCount(lo, hi, pref, set, corners, sp.CellCount(lo, hi, pref))
 		if got != want {
-			t.Fatalf("trial %d: count %g, reference %g (region %v, pref %v)", trial, got, want, rc, pref)
+			t.Fatalf("trial %d: count %g, reference %g (box %v..%v, pref %v)", trial, got, want, lo, hi, pref)
 		}
 		cells := ref.clock.Counters().CellOps
 		if gotOps := fast.clock.Counters().CellOps - before; gotOps != cells {
@@ -370,9 +375,9 @@ func BenchmarkExactProgCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	type progCase struct {
 		st      *state
-		rc      *region.Region
+		lo, hi  []float64
 		pref    preference.Subspace
-		doms    []*region.Region
+		doms    [][]float64
 		set     region.Bits
 		corners []float64
 		cells   int64
@@ -386,20 +391,20 @@ func BenchmarkExactProgCount(b *testing.B) {
 		for i := range ext {
 			ext[i] = max(1, int(side*(0.6+0.8*rng.Float64())+0.5))
 		}
-		sp, rc, base, at := progGrid(rng, ext)
-		doms := make([]*region.Region, 45+rng.Intn(30))
+		sp, lo, hi, base, at := progGrid(rng, ext)
+		doms := make([][]float64, 45+rng.Intn(30))
 		for j := range doms {
-			rf := &region.Region{Lo: make([]float64, nd)}
-			for k := range rf.Lo {
-				rf.Lo[k] = at(k, base[k]+rng.Intn(ext[k]+1)-1)
+			rf := make([]float64, nd)
+			for k := range rf {
+				rf[k] = at(k, base[k]+rng.Intn(ext[k]+1)-1)
 			}
 			doms[j] = rf
 		}
 		st := &state{space: sp, clock: metrics.NewClock()}
-		cells := sp.CellCount(rc, pref)
+		cells := sp.CellCount(lo, hi, pref)
 		set, corners := listForm(nil, nil, doms)
-		st.exactProgCount(rc, pref, set, corners, cells)
-		cases[c] = progCase{st, rc, pref, doms, set, corners, cells}
+		st.exactProgCount(lo, hi, pref, set, corners, cells)
+		cases[c] = progCase{st, lo, hi, pref, doms, set, corners, cells}
 	}
 	run := func(b *testing.B, count func(c progCase) float64) {
 		b.ResetTimer()
@@ -411,10 +416,10 @@ func BenchmarkExactProgCount(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cases)), "ns/call")
 	}
 	b.Run("table", func(b *testing.B) {
-		run(b, func(c progCase) float64 { return c.st.exactProgCount(c.rc, c.pref, c.set, c.corners, c.cells) })
+		run(b, func(c progCase) float64 { return c.st.exactProgCount(c.lo, c.hi, c.pref, c.set, c.corners, c.cells) })
 	})
 	b.Run("reference", func(b *testing.B) {
-		run(b, func(c progCase) float64 { return c.st.referenceExactProgCount(c.rc, 0, c.pref, c.doms) })
+		run(b, func(c progCase) float64 { return c.st.referenceExactProgCount(c.lo, c.hi, c.pref, c.doms) })
 	})
 }
 

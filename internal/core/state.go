@@ -159,9 +159,8 @@ type state struct {
 	domSets []region.Bits
 	kept    [][]progKept
 	// exactProgCount's integers: first coordinate, extent and table stride
-	// per axis, then its threshold table; the volume estimate's box.
+	// per axis, then its threshold table.
 	progAxes []int
-	progBox  region.Box
 	// Delete's repair lists: window entries taken out, results to re-settle.
 	removedScratch  []skycube.Removed
 	resettleScratch []int
@@ -172,7 +171,7 @@ type state struct {
 // results can be re-vetted exactly when their blocking region disappears)
 // and the corner's position in the kept order. A preference of ≥ 5
 // dimensions does not fit the lanes; its corners compare through the kernel
-// on the region's Lo.
+// on the region's row of the bounds table.
 type liveCorner struct {
 	lanes  preference.Lanes
 	region int32
@@ -234,7 +233,7 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		shared:  shared,
 		rep:     rep,
 		regions: space.Regions,
-		live:    newLiveness(space.Regions, len(e.w.OutDims), len(e.w.Queries)),
+		live:    newLiveness(space, len(e.w.Queries)),
 		cursors: make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
 		uses:    make(region.QueryDims, len(e.w.OutDims)),
 	}
@@ -263,7 +262,7 @@ func (st *state) bindQuery(qi int, q workload.Query, reportIdx int) {
 		st.order = append(st.order, keptOrder{})
 		st.qremap = append(st.qremap, 0)
 		st.kerns = append(st.kerns, preference.Kernel{})
-		st.live.grow(st.regions, qi+1)
+		st.live.grow(qi + 1)
 	}
 	// Initial weights fold the query priority into the benefit model;
 	// Eq. 11 feedback then re-balances toward unsatisfied queries.
@@ -307,7 +306,7 @@ func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple)
 // until reopen revives it.
 func (st *state) growRegions() {
 	st.regions = st.space.Regions
-	st.live.grow(st.regions, len(st.weights))
+	st.live.grow(len(st.weights))
 	st.indegree = append(st.indegree, make([]int, len(st.regions)-len(st.indegree))...)
 	if n := len(st.regions) * len(st.w.JoinConds); n > len(st.cursors) {
 		st.cursors = append(st.cursors, make([]joinCursor, n-len(st.cursors))...)
@@ -458,15 +457,14 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 		for fi := reach.Next(0); fi >= 0; fi = reach.Next(fi + 1) {
 			ruledOut := int64(live.CountRange(from, fi))
 			from = fi + 1
-			rf := st.regions[fi]
-			i := st.firstDominator(qi, champs, rf.Lo)
+			i := st.firstDominator(qi, champs, st.space.LoRow(fi))
 			st.clock.CountCellOp(ruledOut*tests + int64(min(i+1, len(champs))))
 			if i == len(champs) {
 				continue
 			}
 			killedQueries = killedQueries.Add(qi)
 			st.traceDiscard(fi, qi)
-			if st.live.kill(rf, skycube.QSet(0).Add(qi)) {
+			if st.live.kill(st.regions[fi], skycube.QSet(0).Add(qi)) {
 				st.clock.CountRegionPruned()
 				st.releaseEdges(fi)
 			}
@@ -505,20 +503,20 @@ func (st *state) champions(qi int, payloads []int) (champs [][]float64, bound []
 	return champs, bound
 }
 
-// cornerDominated reports whether one of champs dominates the region's best
-// corner in query qi's preference — proof that the region cannot contribute
-// a result to qi — for Exec.Admit, which tests a region list, not a live
-// set. Each test is charged as one cell-level operation, and a corner the
-// bound rules out is charged at once the len(champs) tests that would have
-// found no dominator (DESIGN.md §13).
-func (st *state) cornerDominated(qi int, champs [][]float64, bound []float64, r *region.Region) bool {
+// cornerDominated reports whether one of champs dominates a region's best
+// corner lo in query qi's preference — proof that the region cannot
+// contribute a result to qi — for Exec.Admit, which tests a region list, not
+// a live set. Each test is charged as one cell-level operation, and a corner
+// the bound rules out is charged at once the len(champs) tests that would
+// have found no dominator (DESIGN.md §13).
+func (st *state) cornerDominated(qi int, champs [][]float64, bound []float64, lo []float64) bool {
 	for k, d := range st.kerns[qi].Sub() {
-		if r.Lo[d] < bound[k] {
+		if lo[d] < bound[k] {
 			st.clock.CountCellOp(int64(len(champs)))
 			return false
 		}
 	}
-	i := st.firstDominator(qi, champs, r.Lo)
+	i := st.firstDominator(qi, champs, lo)
 	st.clock.CountCellOp(int64(min(i+1, len(champs))))
 	return i < len(champs)
 }
@@ -606,7 +604,7 @@ func (st *state) firstBlocker(qi int, cs []liveCorner, lanes *preference.Lanes, 
 			i++
 		}
 	} else {
-		for i < len(cs) && !kern.WeakDominates(st.regions[cs[i].region].Lo, x) {
+		for i < len(cs) && !kern.WeakDominates(st.space.LoRow(int(cs[i].region)), x) {
 			i++
 		}
 	}
@@ -741,7 +739,7 @@ func (st *state) sortFilter(qi int) {
 	live := st.live.sets[qi]
 	cs := ko.corners[:0]
 	for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
-		cs = append(cs, keptCorner{sum: kern.Sum(st.regions[fi].Lo), region: int32(fi)})
+		cs = append(cs, keptCorner{sum: kern.Sum(st.space.LoRow(fi)), region: int32(fi)})
 	}
 	if len(cs) == 0 {
 		st.releaseRecords(qi)
@@ -782,7 +780,7 @@ func (st *state) sortFilter(qi int) {
 func (st *state) frontierCorner(qi int, ko *keptOrder, p int32) (liveCorner, []float64) {
 	c := &ko.corners[p]
 	c.blocker, c.link, c.cnt = minimalCorner, noCorner, 0
-	lo := st.regions[c.region].Lo
+	lo := st.space.LoRow(int(c.region))
 	f := liveCorner{region: c.region, pos: p}
 	st.kerns[qi].Project(lo, &f.lanes)
 	return f, lo
@@ -794,7 +792,7 @@ func (st *state) frontierCorner(qi int, ko *keptOrder, p int32) (liveCorner, []f
 // queries of the region's passing conditions; a query the region is still
 // alive for after Withdraw took its condition keeps its frontier, whose
 // safety test then reads the corner where it lies now, as it would through
-// the region's Lo.
+// the table.
 func (st *state) cornerMoved(r *region.Region) {
 	st.gen++
 	st.live.moveCorner(r)
@@ -802,7 +800,7 @@ func (st *state) cornerMoved(r *region.Region) {
 		fr := st.frontier[qi]
 		for i := range fr {
 			if int(fr[i].region) == r.ID {
-				st.kerns[qi].Project(r.Lo, &fr[i].lanes)
+				st.kerns[qi].Project(st.space.LoRow(r.ID), &fr[i].lanes)
 			}
 		}
 	}

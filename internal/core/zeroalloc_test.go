@@ -206,7 +206,7 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 	exact, volume := 0, 0
 	for _, r := range st.regions {
 		for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
-			if st.space.CellCount(r, w.Queries[qi].Pref) <= exactProgCountCap {
+			if st.space.CellCount(st.space.LoRow(r.ID), st.space.HiRow(r.ID), w.Queries[qi].Pref) <= exactProgCountCap {
 				exact++
 			} else {
 				volume++
@@ -278,22 +278,22 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 func TestExactProgCountZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pref := preference.NewSubspace(0, 1, 2)
-	sp, rc, base, at := progGrid(rng, []int{9, 6, 5})
-	doms := make([]*region.Region, 40)
+	sp, lo, hi, base, at := progGrid(rng, []int{9, 6, 5})
+	doms := make([][]float64, 40)
 	for j := range doms {
-		rf := &region.Region{Lo: make([]float64, 3)}
-		for k := range rf.Lo {
-			rf.Lo[k] = at(k, base[k]+rng.Intn(9))
+		rf := make([]float64, 3)
+		for k := range rf {
+			rf[k] = at(k, base[k]+rng.Intn(9))
 		}
 		doms[j] = rf
 	}
 	st := &state{space: sp, clock: metrics.NewClock()}
-	cells := sp.CellCount(rc, pref)
+	cells := sp.CellCount(lo, hi, pref)
 	set, corners := listForm(nil, nil, doms)
-	if n := st.exactProgCount(rc, pref, set, corners, cells); n == 0 || n == float64(cells) {
+	if n := st.exactProgCount(lo, hi, pref, set, corners, cells); n == 0 || n == float64(cells) {
 		t.Fatalf("%g of %d cells uncovered: the table decides nothing", n, cells)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { st.exactProgCount(rc, pref, set, corners, cells) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { st.exactProgCount(lo, hi, pref, set, corners, cells) }); allocs != 0 {
 		t.Fatalf("exactProgCount allocates %.1f per call", allocs)
 	}
 }

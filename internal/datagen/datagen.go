@@ -151,7 +151,7 @@ func drawPoint(rng *rand.Rand, d int, dist Distribution) []float64 {
 }
 
 func uniform(rng *rand.Rand) float64 {
-	return AttrMin + rng.Float64()*(AttrMax-AttrMin)
+	return AttrMin + float64(rng.Float64()*(AttrMax-AttrMin))
 }
 
 // correlatedPoint follows the classic construction: pick a base value v on
@@ -161,7 +161,7 @@ func correlatedPoint(rng *rand.Rand, d int) []float64 {
 	v := peakedValue(rng)
 	p := make([]float64, d)
 	for k := range p {
-		p[k] = clamp(v + rng.NormFloat64()*(AttrMax-AttrMin)*0.05)
+		p[k] = clamp(v + float64(rng.NormFloat64()*(AttrMax-AttrMin)*0.05))
 	}
 	return p
 }
@@ -179,10 +179,10 @@ func antiCorrelatedPoint(rng *rand.Rand, d int) []float64 {
 		p[k] = uniform(rng)
 		sum += p[k]
 	}
-	shift := (target - sum) / float64(d)
+	shift := (float64(target) - sum) / float64(d)
 	off := rng.NormFloat64() * (AttrMax - AttrMin) * 0.03
 	for k := range p {
-		p[k] = clamp(p[k] + shift + off)
+		p[k] = clamp(p[k] + shift + float64(off))
 	}
 	return p
 }
@@ -190,8 +190,8 @@ func antiCorrelatedPoint(rng *rand.Rand, d int) []float64 {
 // peakedValue draws a value concentrated around the middle of the range
 // (sum of two uniforms, i.e. a triangular distribution).
 func peakedValue(rng *rand.Rand) float64 {
-	u := (rng.Float64() + rng.Float64()) / 2
-	return AttrMin + u*(AttrMax-AttrMin)
+	u := (float64(rng.Float64()) + float64(rng.Float64())) / 2
+	return AttrMin + float64(u*(AttrMax-AttrMin))
 }
 
 func clamp(v float64) float64 {

@@ -87,10 +87,10 @@ func (f MapFunc) Validate() error {
 func (f MapFunc) Eval(r, t *tuple.Tuple) float64 {
 	v := f.Bias
 	if f.LeftAttr >= 0 {
-		v += f.LeftW * r.Attr(f.LeftAttr)
+		v += float64(f.LeftW * r.Attr(f.LeftAttr))
 	}
 	if f.RightAttr >= 0 {
-		v += f.RightW * t.Attr(f.RightAttr)
+		v += float64(f.RightW * t.Attr(f.RightAttr))
 	}
 	return v
 }
@@ -100,12 +100,12 @@ func (f MapFunc) Eval(r, t *tuple.Tuple) float64 {
 func (f MapFunc) Bounds(lR, uR, lT, uT []float64) (lo, hi float64) {
 	lo, hi = f.Bias, f.Bias
 	if f.LeftAttr >= 0 {
-		lo += f.LeftW * lR[f.LeftAttr]
-		hi += f.LeftW * uR[f.LeftAttr]
+		lo += float64(f.LeftW * lR[f.LeftAttr])
+		hi += float64(f.LeftW * uR[f.LeftAttr])
 	}
 	if f.RightAttr >= 0 {
-		lo += f.RightW * lT[f.RightAttr]
-		hi += f.RightW * uT[f.RightAttr]
+		lo += float64(f.RightW * lT[f.RightAttr])
+		hi += float64(f.RightW * uT[f.RightAttr])
 	}
 	return lo, hi
 }

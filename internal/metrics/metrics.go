@@ -164,7 +164,7 @@ func (k *Clock) WorkUnits() float64 { return float64(k.deci) / deciPerUnit }
 // deci-unit. Negative d is ignored.
 func (k *Clock) Advance(d float64) {
 	if d > 0 {
-		k.deci += int64(d*deciPerUnit + 0.5)
+		k.deci += int64(float64(d*deciPerUnit) + 0.5)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"caqe/internal/contract"
@@ -333,7 +334,8 @@ func TestCornerRanksMatchPair(t *testing.T) {
 
 // referenceCoarsePrune is coarsePrune as it read before the corner index:
 // every region against every other whose lineage meets its own, one
-// QueryDims.Pair per pair, until the region's Alive set is empty.
+// QueryDims.Pair per pair, until the region's Alive set is empty. The
+// bounds table is rebuilt row by row in the new order.
 func (s *Space) referenceCoarsePrune(clock *metrics.Clock, keepPruned bool) {
 	uses := NewQueryDims(s.W.Queries, len(s.W.OutDims))
 	for _, r := range s.Regions {
@@ -347,14 +349,19 @@ func (s *Space) referenceCoarsePrune(clock *metrics.Clock, keepPruned bool) {
 			if clock != nil {
 				clock.CountCellOp(1)
 			}
-			notWeak, strict := uses.Pair(o.Hi, r.Lo)
+			notWeak, strict := uses.Pair(s.HiRow(o.ID), s.LoRow(r.ID))
 			r.Alive &^= o.RQL & strict &^ notWeak
 		}
+	}
+	var lo, hi []float64
+	move := func(r *Region) {
+		lo, hi = append(lo, s.LoRow(r.ID)...), append(hi, s.HiRow(r.ID)...)
 	}
 	var pruned []*Region
 	kept := s.Regions[:0]
 	for _, r := range s.Regions {
 		if r.Alive != 0 {
+			move(r)
 			r.ID = len(kept)
 			kept = append(kept, r)
 			continue
@@ -369,16 +376,18 @@ func (s *Space) referenceCoarsePrune(clock *metrics.Clock, keepPruned bool) {
 		}
 	}
 	for _, r := range pruned {
+		move(r)
 		r.ID = len(kept)
 		kept = append(kept, r)
 	}
-	s.Regions = kept
+	s.Regions, s.BoxLo, s.BoxHi = kept, lo, hi
 }
 
-// cloneSpace copies a space's region list and pair index; cells and bounds
-// are shared, since pruning writes neither.
+// cloneSpace copies a space's region list, bounds table and pair index;
+// cells are shared, since pruning writes none.
 func cloneSpace(s *Space) *Space {
 	c := *s
+	c.BoxLo, c.BoxHi = slices.Clone(s.BoxLo), slices.Clone(s.BoxHi)
 	c.Regions = make([]*Region, len(s.Regions))
 	c.byPair = make(map[[2]int]*Region, len(s.byPair))
 	for i, r := range s.Regions {
@@ -390,7 +399,8 @@ func cloneSpace(s *Space) *Space {
 }
 
 // unprunedSpace is BuildSpace up to its coarse prune: the regions of every
-// cell pair that passes a condition some query uses, Alive their lineage.
+// cell pair that passes a condition some query uses, Alive their lineage,
+// with their boxes.
 func unprunedSpace(w *workload.Workload, rcells, tcells []*partition.Cell) *Space {
 	s := &Space{W: w, RCells: rcells, TCells: tcells, byPair: make(map[[2]int]*Region)}
 	for j := range w.JoinConds {
@@ -410,12 +420,14 @@ func unprunedSpace(w *workload.Workload, rcells, tcells []*partition.Cell) *Spac
 			}
 		}
 	}
+	s.boxNew(0)
 	return s
 }
 
 // TestCoarsePruneMatchesReference: on random plans and on plans joined from
 // generated data, coarsePrune leaves the reference's regions in the
-// reference's order — Alive and lineage, IDs, the pair index — and charges
+// reference's order — Alive and lineage, IDs, the pair index, each box in
+// its region's row of the bounds table, bit for bit — and charges
 // the same cell operations and pruned regions, with KeepPruned on and off.
 // The random plans' bounds tie often and hold NaN, ±Inf and −0, some
 // dimensions have no extent, and every lineage is a random non-empty set of
@@ -435,18 +447,19 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 		}
 		s := &Space{W: w, byPair: make(map[[2]int]*Region)}
 		for i, m := 0, 1+rng.Intn(140); i < m; i++ {
-			r := &Region{ID: i, RCell: &partition.Cell{ID: i / 12}, TCell: &partition.Cell{ID: i % 12},
-				Lo: make([]float64, nd), Hi: make([]float64, nd)}
-			for k := range r.Lo {
+			r := &Region{ID: i, RCell: &partition.Cell{ID: i / 12}, TCell: &partition.Cell{ID: i % 12}}
+			for k := 0; k < nd; k++ {
+				var lo float64
 				if rng.Intn(12) == 0 {
-					r.Lo[k] = specials[rng.Intn(len(specials))]
+					lo = specials[rng.Intn(len(specials))]
 				} else {
-					r.Lo[k] = float64(rng.Intn(10))
+					lo = float64(rng.Intn(10))
 				}
-				r.Hi[k] = r.Lo[k]
+				hi := lo
 				if rng.Intn(3) != 0 { // else no extent
-					r.Hi[k] += float64(1 + rng.Intn(3))
+					hi += float64(1 + rng.Intn(3))
 				}
+				s.BoxLo, s.BoxHi = append(s.BoxLo, lo), append(s.BoxHi, hi)
 			}
 			r.RQL = 1 + skycube.QSet(rng.Intn(1<<uint(nq)-1))
 			r.Alive = r.RQL
@@ -486,6 +499,9 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 					t.Fatalf("%s: pair %v indexed %v, reference %v", label, key, got.byPair[key] == r, ref.byPair[key] == o)
 				}
 			}
+			if !sameBits(got.BoxLo, ref.BoxLo) || !sameBits(got.BoxHi, ref.BoxHi) {
+				t.Fatalf("%s: bounds table\n%v\n%v\nreference\n%v\n%v", label, got.BoxLo, got.BoxHi, ref.BoxLo, ref.BoxHi)
+			}
 			if keep {
 				continue
 			}
@@ -504,6 +520,11 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 	if allDead < 1000 || someAlive < 1000 || pruned != allDead {
 		t.Fatalf("too little coverage: %d dead, %d partly alive, %d pruned", allDead, someAlive, pruned)
 	}
+}
+
+// sameBits reports whether two tables hold the same values bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // BenchmarkCoarsePlan times the coarse prune on plans shaped like the

@@ -7,8 +7,8 @@
 package region
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"caqe/internal/metrics"
 	"caqe/internal/partition"
@@ -19,12 +19,11 @@ import (
 
 // Region is one d-dimensional region of the output space: the image of a
 // pair of input cells under the workload's mapping functions, annotated
-// with the queries it serves.
+// with the queries it serves. Its box is row ID of Space's bounds table.
 type Region struct {
-	ID     int
-	RCell  *partition.Cell
-	TCell  *partition.Cell
-	Lo, Hi []float64 // exact output bounds per output dimension
+	ID    int
+	RCell *partition.Cell
+	TCell *partition.Cell
 
 	// RQL is the region query lineage: every query whose join signature
 	// test passed for this cell pair (§5.1).
@@ -43,16 +42,18 @@ type Region struct {
 	JCPass uint64
 }
 
-// String renders the region compactly.
-func (r *Region) String() string {
-	return fmt.Sprintf("R%d[%v %v]%s", r.ID, r.Lo, r.Hi, r.Alive)
-}
-
-// Space is the abstract multi-query output space: all surviving regions
-// plus the output grid geometry.
+// Space is the abstract multi-query output space: all surviving regions,
+// their boxes and the output grid geometry. BoxLo and BoxHi are the bounds
+// table, the one home of every box: row i, nd = len(W.OutDims) values, holds
+// region i's exact output bounds (LoRow, HiRow). Only this package writes
+// it: Bound, when a region is created or an append stretched its cell, and
+// coarsePrune's renumbering, which moves each row with its ID. A row is a
+// view, valid until the plan gains a region (ExtendJC, Retest): no caller
+// holds one across those calls.
 type Space struct {
-	W       *workload.Workload
-	Regions []*Region
+	W            *workload.Workload
+	Regions      []*Region
+	BoxLo, BoxHi []float64
 
 	GridLo   []float64 // global lower bound of the output space
 	GridStep []float64 // grid cell extent per output dimension
@@ -129,6 +130,7 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 			reg.Alive = reg.RQL
 		}
 	}
+	s.boxNew(0)
 
 	s.initGrid(res)
 	s.coarsePrune(clock, opt.KeepPruned)
@@ -140,9 +142,9 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 // grows until a delete rebuilds it, and Withdraw follows every rebuild, so a
 // recorded pass still holds), each charged to the clock as one
 // cell operation plus the intersection probes. A pair whose first test
-// passes gains its region, appended at the tail with exact output bounds
-// and empty lineage. The pair's region, or nil if it still has none, is
-// returned.
+// passes gains its region, appended at the tail with empty lineage; its
+// caller then gives it its box (boxNew). The pair's region, or nil if it
+// still has none, is returned.
 func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Clock) *Region {
 	key := [2]int{rc.ID, tc.ID}
 	reg := s.byPair[key]
@@ -158,16 +160,7 @@ func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Cloc
 			continue
 		}
 		if reg == nil {
-			reg = &Region{
-				ID:    len(s.Regions),
-				RCell: rc,
-				TCell: tc,
-				Lo:    make([]float64, len(s.W.OutDims)),
-				Hi:    make([]float64, len(s.W.OutDims)),
-			}
-			for k, f := range s.W.OutDims {
-				reg.Lo[k], reg.Hi[k] = f.Bounds(rc.Lo, rc.Hi, tc.Lo, tc.Hi)
-			}
+			reg = &Region{ID: len(s.Regions), RCell: rc, TCell: tc}
 			s.Regions = append(s.Regions, reg)
 			s.byPair[key] = reg
 		}
@@ -175,6 +168,33 @@ func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Cloc
 	}
 	return reg
 }
+
+// boxNew grows the bounds table once over the regions joinPair appended
+// from index from on, and computes their boxes.
+func (s *Space) boxNew(from int) {
+	n := len(s.Regions) * len(s.W.OutDims)
+	s.BoxLo, s.BoxHi = slices.Grow(s.BoxLo, n-len(s.BoxLo))[:n], slices.Grow(s.BoxHi, n-len(s.BoxHi))[:n]
+	for _, r := range s.Regions[from:] {
+		s.Bound(r)
+	}
+}
+
+// Bound computes region r's box from its cells' boxes by interval
+// arithmetic over the mapping functions.
+func (s *Space) Bound(r *Region) {
+	lo, hi := s.LoRow(r.ID), s.HiRow(r.ID)
+	for k, f := range s.W.OutDims {
+		lo[k], hi[k] = f.Bounds(r.RCell.Lo, r.RCell.Hi, r.TCell.Lo, r.TCell.Hi)
+	}
+}
+
+// LoRow returns region i's lower bounds, its best corner.
+func (s *Space) LoRow(i int) []float64 { return row(s.BoxLo, i, len(s.W.OutDims)) }
+
+// HiRow returns region i's upper bounds.
+func (s *Space) HiRow(i int) []float64 { return row(s.BoxHi, i, len(s.W.OutDims)) }
+
+func row(table []float64, i, nd int) []float64 { return table[i*nd : (i+1)*nd : (i+1)*nd] }
 
 // initGrid derives the global output bounds and grid steps.
 func (s *Space) initGrid(res int) {
@@ -192,14 +212,13 @@ func (s *Space) initGrid(res int) {
 		s.GridLo[k] = math.Inf(1)
 		hi[k] = math.Inf(-1)
 	}
-	for _, r := range s.Regions {
-		for k := 0; k < nd; k++ {
-			if r.Lo[k] < s.GridLo[k] {
-				s.GridLo[k] = r.Lo[k]
-			}
-			if r.Hi[k] > hi[k] {
-				hi[k] = r.Hi[k]
-			}
+	for j := range s.BoxLo {
+		k := j % nd
+		if s.BoxLo[j] < s.GridLo[k] {
+			s.GridLo[k] = s.BoxLo[j]
+		}
+		if s.BoxHi[j] > hi[k] {
+			hi[k] = s.BoxHi[j]
 		}
 	}
 	for k := 0; k < nd; k++ {
@@ -228,10 +247,11 @@ func (s *Space) initGrid(res int) {
 //
 // With keepPruned, dead regions are moved to the tail of the list (IDs
 // after every survivor) instead of discarded; survivors keep the exact IDs
-// of a discarding build and the pruning charges are identical.
+// of a discarding build and the pruning charges are identical. Each box
+// moves with its region's ID, survivors' rows compacted in place.
 func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 	m := len(s.Regions)
-	ranks := NewCornerRanks(m, len(s.W.OutDims), func(i int) []float64 { return s.Regions[i].Hi })
+	ranks := NewCornerRanks(m, len(s.W.OutDims), s.HiRow)
 	// serving[q]: the regions whose lineage holds q.
 	serving := make([]Bits, len(s.W.Queries))
 	for q := range serving {
@@ -256,7 +276,7 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 			}
 		}
 		overlap.Unset(i)
-		probe.Below(ranks, r.Lo)
+		probe.Below(ranks, s.LoRow(i))
 		last := -1 // the highest first killer so far
 		alive := r.Alive
 		for q := r.Alive.Next(0); q >= 0; q = r.Alive.Next(q + 1) {
@@ -278,9 +298,12 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 		clock.CountCellOp(charged)
 	}
 	var pruned []*Region
+	var tailLo, tailHi []float64 // the pruned regions' rows
 	kept := s.Regions[:0]
 	for _, r := range s.Regions {
 		if r.Alive != 0 {
+			copy(s.LoRow(len(kept)), s.LoRow(r.ID))
+			copy(s.HiRow(len(kept)), s.HiRow(r.ID))
 			r.ID = len(kept)
 			kept = append(kept, r)
 			continue
@@ -290,10 +313,13 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 		}
 		if keepPruned {
 			pruned = append(pruned, r)
+			tailLo, tailHi = append(tailLo, s.LoRow(r.ID)...), append(tailHi, s.HiRow(r.ID)...)
 		} else {
 			delete(s.byPair, [2]int{r.RCell.ID, r.TCell.ID})
 		}
 	}
+	n := len(kept) * len(s.W.OutDims)
+	s.BoxLo, s.BoxHi = append(s.BoxLo[:n], tailLo...), append(s.BoxHi[:n], tailHi...)
 	for _, r := range pruned {
 		r.ID = len(kept)
 		kept = append(kept, r)
@@ -314,11 +340,13 @@ func (s *Space) ExtendJC(j int, clock *metrics.Clock) {
 		return
 	}
 	s.TestedJC |= 1 << uint(j)
+	before := len(s.Regions)
 	for _, rc := range s.RCells {
 		for _, tc := range s.TCells {
 			s.joinPair(rc, tc, 1<<uint(j), clock)
 		}
 	}
+	s.boxNew(before)
 }
 
 // Retest re-runs the coarse-level join for leaf cells whose signatures
@@ -342,6 +370,7 @@ func (s *Space) Retest(cells []*partition.Cell, onT bool, clock *metrics.Clock) 
 			s.joinPair(rc, tc, s.TestedJC, clock)
 		}
 	}
+	s.boxNew(before)
 	return len(s.Regions) - before
 }
 
@@ -424,13 +453,13 @@ func (u QueryDims) Pair(a, b []float64) (notWeak, strict skycube.QSet) {
 	return notWeak, strict
 }
 
-// CellCount returns the number of grid cells a region spans in subspace v
-// (Definition 10's CellCount), saturating at 1<<62.
-func (s *Space) CellCount(r *Region, v preference.Subspace) int64 {
+// CellCount returns the number of grid cells the box lo..hi spans in
+// subspace v (Definition 10's CellCount), saturating at 1<<62.
+func (s *Space) CellCount(lo, hi []float64, v preference.Subspace) int64 {
 	n := int64(1)
 	for _, k := range v {
-		span := int64(math.Floor((r.Hi[k]-s.GridLo[k])/s.GridStep[k])) -
-			int64(math.Floor((r.Lo[k]-s.GridLo[k])/s.GridStep[k])) + 1
+		span := int64(math.Floor((hi[k]-s.GridLo[k])/s.GridStep[k])) -
+			int64(math.Floor((lo[k]-s.GridLo[k])/s.GridStep[k])) + 1
 		if span < 1 {
 			span = 1
 		}
@@ -442,42 +471,23 @@ func (s *Space) CellCount(r *Region, v preference.Subspace) int64 {
 	return n
 }
 
-// Box is a region's box on the axes of one subspace, read once so that
-// many best corners can be tested against it: Lo[i], Hi[i] and the extent
-// Ext[i] = Hi[i] − Lo[i] on axis V[i].
-type Box struct {
-	V           preference.Subspace
-	Lo, Hi, Ext []float64
-}
-
-// Read sets b to r's box on the axes of v, reusing b's buffers.
-func (b *Box) Read(v preference.Subspace, r *Region) {
-	b.V = v
-	b.Lo, b.Hi, b.Ext = b.Lo[:0], b.Hi[:0], b.Ext[:0]
-	for _, k := range v {
-		b.Lo = append(b.Lo, r.Lo[k])
-		b.Hi = append(b.Hi, r.Hi[k])
-		b.Ext = append(b.Ext, r.Hi[k]-r.Lo[k])
-	}
-}
-
-// DominatedFraction estimates the fraction of the box's volume that is
-// dominated by a best corner (indexed by output dimension): the sub-box
-// weakly dominated by the corner on every axis. Used by the volume-based
-// ProgCount estimator (see DESIGN.md).
-func (b *Box) DominatedFraction(corner []float64) float64 {
+// DominatedFraction estimates the fraction of the volume of the box lo..hi
+// on the axes of v that is dominated by a best corner: the sub-box weakly
+// dominated by the corner on every axis. Used by the volume-based ProgCount
+// estimator (see DESIGN.md).
+func DominatedFraction(v preference.Subspace, lo, hi, corner []float64) float64 {
 	f := 1.0
-	for i, k := range b.V {
-		ext := b.Ext[i]
+	for _, k := range v {
+		ext := hi[k] - lo[k]
 		if ext <= 0 {
 			// Degenerate extent: the dimension is a point; dominated iff
 			// the corner is at or below it.
-			if corner[k] <= b.Lo[i] {
+			if corner[k] <= lo[k] {
 				continue
 			}
 			return 0
 		}
-		covered := (b.Hi[i] - max(b.Lo[i], corner[k])) / ext
+		covered := (hi[k] - max(lo[k], corner[k])) / ext
 		if covered <= 0 {
 			return 0
 		}

@@ -20,16 +20,20 @@ import (
 // oracles that QueryDims.Pair is held to (TestRegionPairQuerySets), as the
 // corner index is held to Pair (TestCornerRanksMatchPair).
 
+// box is a region's box as the predicates read it: lower and upper bounds
+// per output dimension.
+type box struct{ lo, hi []float64 }
+
 // fullyDominatesIn reports Definition 8 case (1): r's worst corner weakly
 // dominates o's best corner in subspace v with at least one strict
 // dimension, so every tuple of r dominates every tuple of o.
-func fullyDominatesIn(v preference.Subspace, r, o *Region) bool {
+func fullyDominatesIn(v preference.Subspace, r, o box) bool {
 	strict := false
 	for _, k := range v {
-		if r.Hi[k] > o.Lo[k] {
+		if r.hi[k] > o.lo[k] {
 			return false
 		}
-		if r.Hi[k] < o.Lo[k] {
+		if r.hi[k] < o.lo[k] {
 			strict = true
 		}
 	}
@@ -39,13 +43,13 @@ func fullyDominatesIn(v preference.Subspace, r, o *Region) bool {
 // partiallyDominatesIn reports Definition 8 case (2): some tuple of r could
 // dominate some tuple of o — r's best corner weakly dominates o's worst
 // corner with a strict dimension — excluding full dominance.
-func partiallyDominatesIn(v preference.Subspace, r, o *Region) bool {
+func partiallyDominatesIn(v preference.Subspace, r, o box) bool {
 	strict := false
 	for _, k := range v {
-		if r.Lo[k] > o.Hi[k] {
+		if r.lo[k] > o.hi[k] {
 			return false
 		}
-		if r.Lo[k] < o.Hi[k] {
+		if r.lo[k] < o.hi[k] {
 			strict = true
 		}
 	}
@@ -55,8 +59,8 @@ func partiallyDominatesIn(v preference.Subspace, r, o *Region) bool {
 // bestCornerDominates reports whether r's best corner strictly dominates
 // o's best corner in v: the relation that orders the dependency-graph edges
 // (§5.3.2).
-func bestCornerDominates(v preference.Subspace, r, o *Region) bool {
-	return preference.DominatesIn(v, r.Lo, o.Lo)
+func bestCornerDominates(v preference.Subspace, r, o box) bool {
+	return preference.DominatesIn(v, r.lo, o.lo)
 }
 
 func testWorkload(nq, dims int) *workload.Workload {
@@ -129,11 +133,12 @@ func TestRegionBoundsContainJoinOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, reg := range s.Regions {
+		lo, hi := s.LoRow(reg.ID), s.HiRow(reg.ID)
 		results := new(join.Scratch).NestedLoop(w.JoinConds[0], w.OutDims, reg.RCell.Tuples, reg.TCell.Tuples, nil)
 		for _, res := range results {
 			for k := range res.Out {
-				if res.Out[k] < reg.Lo[k]-1e-9 || res.Out[k] > reg.Hi[k]+1e-9 {
-					t.Fatalf("output %v outside region box [%v, %v]", res.Out, reg.Lo, reg.Hi)
+				if res.Out[k] < lo[k]-1e-9 || res.Out[k] > hi[k]+1e-9 {
+					t.Fatalf("output %v outside region box [%v, %v]", res.Out, lo, hi)
 				}
 			}
 		}
@@ -201,9 +206,9 @@ func containsTuple(c *partition.Cell, id int) bool {
 
 func TestRegionDominancePredicates(t *testing.T) {
 	v := preference.NewSubspace(0, 1)
-	a := &Region{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
-	b := &Region{Lo: []float64{2, 2}, Hi: []float64{3, 3}}
-	c := &Region{Lo: []float64{0.5, 0.5}, Hi: []float64{2.5, 2.5}}
+	a := box{lo: []float64{0, 0}, hi: []float64{1, 1}}
+	b := box{lo: []float64{2, 2}, hi: []float64{3, 3}}
+	c := box{lo: []float64{0.5, 0.5}, hi: []float64{2.5, 2.5}}
 	if !fullyDominatesIn(v, a, b) {
 		t.Error("a should fully dominate b")
 	}
@@ -229,14 +234,14 @@ func TestRegionDominancePredicates(t *testing.T) {
 
 func TestRegionDominanceEqualBoundary(t *testing.T) {
 	v := preference.NewSubspace(0, 1)
-	a := &Region{Lo: []float64{0, 0}, Hi: []float64{1, 1}}
-	b := &Region{Lo: []float64{1, 1}, Hi: []float64{2, 2}}
+	a := box{lo: []float64{0, 0}, hi: []float64{1, 1}}
+	b := box{lo: []float64{1, 1}, hi: []float64{2, 2}}
 	// Touching corners: weak dominance everywhere but no strict dimension
 	// on the shared corner → still dominates (strict via interior).
 	if fullyDominatesIn(v, a, b) {
 		t.Error("u_a == l_b with no strict dimension must not fully dominate")
 	}
-	c := &Region{Lo: []float64{1, 2}, Hi: []float64{2, 3}}
+	c := box{lo: []float64{1, 2}, hi: []float64{2, 3}}
 	if !fullyDominatesIn(v, a, c) {
 		t.Error("u_a ⪯ l_c with one strict dimension should dominate")
 	}
@@ -270,22 +275,22 @@ func TestRegionPairQuerySets(t *testing.T) {
 			qs[qi].Pref = randPref(nd)
 			u.Bind(qi, qs[qi].Pref)
 		}
-		mk := func() *Region {
-			r := &Region{Lo: make([]float64, nd), Hi: make([]float64, nd)}
-			for k := range r.Lo {
+		mk := func() box {
+			r := box{lo: make([]float64, nd), hi: make([]float64, nd)}
+			for k := range r.lo {
 				x, y := vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals))]
-				r.Lo[k], r.Hi[k] = math.Min(x, y), math.Max(x, y)
+				r.lo[k], r.hi[k] = math.Min(x, y), math.Max(x, y)
 			}
 			return r
 		}
 		a, b := mk(), mk()
-		fullNotWeak, fullStrict := u.Pair(a.Hi, b.Lo)
-		bestNotWeak, bestStrict := u.Pair(a.Lo, b.Lo)
-		reachNotWeak, _ := u.Pair(a.Lo, b.Hi)
+		fullNotWeak, fullStrict := u.Pair(a.hi, b.lo)
+		bestNotWeak, bestStrict := u.Pair(a.lo, b.lo)
+		reachNotWeak, _ := u.Pair(a.lo, b.hi)
 		for qi, q := range qs {
 			weakReach := true
 			for _, k := range q.Pref {
-				weakReach = weakReach && a.Lo[k] <= b.Hi[k]
+				weakReach = weakReach && a.lo[k] <= b.hi[k]
 			}
 			for _, c := range []struct {
 				name      string
@@ -313,7 +318,7 @@ func TestCellCountPositive(t *testing.T) {
 	}
 	v := preference.NewSubspace(0, 1)
 	for _, reg := range s.Regions {
-		if n := s.CellCount(reg, v); n < 1 {
+		if n := s.CellCount(s.LoRow(reg.ID), s.HiRow(reg.ID), v); n < 1 {
 			t.Fatalf("region %v has cell count %d", reg, n)
 		}
 	}
@@ -321,13 +326,11 @@ func TestCellCountPositive(t *testing.T) {
 
 // dominatedFraction is the fraction of r's box in v that o's best corner
 // dominates.
-func dominatedFraction(v preference.Subspace, r, o *Region) float64 {
-	var b Box
-	b.Read(v, r)
-	return b.DominatedFraction(o.Lo)
+func dominatedFraction(v preference.Subspace, r, o box) float64 {
+	return DominatedFraction(v, r.lo, r.hi, o.lo)
 }
 
-// TestBuiltinMaxMatchesMathMax: Box.DominatedFraction takes the larger lower
+// TestBuiltinMaxMatchesMathMax: DominatedFraction takes the larger lower
 // bound with the builtin max, which the compiler inlines, where math.Max is
 // an assembly call on amd64. The two agree bit for bit on every pair of
 // NaN, ±0, ±Inf and ordinary values but one: math.Max puts +Inf before
@@ -358,15 +361,15 @@ func TestBuiltinMaxMatchesMathMax(t *testing.T) {
 	}
 
 	// DominatedFraction as it read with math.Max.
-	withMathMax := func(r, o *Region) float64 {
-		ext := r.Hi[0] - r.Lo[0]
+	withMathMax := func(r, o box) float64 {
+		ext := r.hi[0] - r.lo[0]
 		if ext <= 0 {
-			if o.Lo[0] <= r.Lo[0] {
+			if o.lo[0] <= r.lo[0] {
 				return 1
 			}
 			return 0
 		}
-		covered := (r.Hi[0] - math.Max(r.Lo[0], o.Lo[0])) / ext
+		covered := (r.hi[0] - math.Max(r.lo[0], o.lo[0])) / ext
 		if covered <= 0 {
 			return 0
 		}
@@ -376,8 +379,8 @@ func TestBuiltinMaxMatchesMathMax(t *testing.T) {
 	for _, lo := range vals {
 		for _, hi := range vals {
 			for _, olo := range vals {
-				r := &Region{Lo: []float64{lo}, Hi: []float64{hi}}
-				o := &Region{Lo: []float64{olo}}
+				r := box{lo: []float64{lo}, hi: []float64{hi}}
+				o := box{lo: []float64{olo}}
 				if got, want := dominatedFraction(v, r, o), withMathMax(r, o); !same(got, want) {
 					t.Errorf("DominatedFraction on [%g, %g] by %g = %g, with math.Max %g", lo, hi, olo, got, want)
 				}
@@ -390,10 +393,10 @@ func TestDominatedFractionRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	v := preference.NewSubspace(0, 1)
 	for i := 0; i < 500; i++ {
-		mk := func() *Region {
+		mk := func() box {
 			lo := []float64{rng.Float64() * 10, rng.Float64() * 10}
 			hi := []float64{lo[0] + rng.Float64()*10, lo[1] + rng.Float64()*10}
-			return &Region{Lo: lo, Hi: hi}
+			return box{lo: lo, hi: hi}
 		}
 		r, o := mk(), mk()
 		f := dominatedFraction(v, r, o)
@@ -409,9 +412,9 @@ func TestDominatedFractionRange(t *testing.T) {
 
 func TestDominatedFractionDegenerate(t *testing.T) {
 	v := preference.NewSubspace(0, 1)
-	r := &Region{Lo: []float64{5, 5}, Hi: []float64{5, 5}} // a point
-	better := &Region{Lo: []float64{1, 1}, Hi: []float64{2, 2}}
-	worse := &Region{Lo: []float64{7, 7}, Hi: []float64{9, 9}}
+	r := box{lo: []float64{5, 5}, hi: []float64{5, 5}} // a point
+	better := box{lo: []float64{1, 1}, hi: []float64{2, 2}}
+	worse := box{lo: []float64{7, 7}, hi: []float64{9, 9}}
 	if f := dominatedFraction(v, r, better); f != 1 {
 		t.Fatalf("point region below o.Lo: fraction %g", f)
 	}
@@ -485,14 +488,15 @@ func TestRegionIDsSequentialAfterPrune(t *testing.T) {
 //
 //	R1[(6,8,8,4) (8,10,10,6)]  R2[(8,6,6,5) (10,8,8,7)]  R3[(7,5,4,1) (9,7,6,4)]
 func TestPaperExample16(t *testing.T) {
-	r1 := &Region{Lo: []float64{6, 8, 8, 4}, Hi: []float64{8, 10, 10, 6}}
-	r2 := &Region{Lo: []float64{8, 6, 6, 5}, Hi: []float64{10, 8, 8, 7}}
-	r3 := &Region{Lo: []float64{7, 5, 4, 1}, Hi: []float64{9, 7, 6, 4}}
-	all := []*Region{r1, r2, r3}
+	r1 := box{lo: []float64{6, 8, 8, 4}, hi: []float64{8, 10, 10, 6}}
+	r2 := box{lo: []float64{8, 6, 6, 5}, hi: []float64{10, 8, 8, 7}}
+	r3 := box{lo: []float64{7, 5, 4, 1}, hi: []float64{9, 7, 6, 4}}
+	all := []box{r1, r2, r3}
 
-	nonDominated := func(v preference.Subspace, r *Region) bool {
-		for _, o := range all {
-			if o != r && fullyDominatesIn(v, o, r) {
+	// nonDominated reports whether no other region fully dominates all[i].
+	nonDominated := func(v preference.Subspace, i int) bool {
+		for j, o := range all {
+			if j != i && fullyDominatesIn(v, o, all[i]) {
 				return false
 			}
 		}
@@ -500,18 +504,18 @@ func TestPaperExample16(t *testing.T) {
 	}
 
 	// Level 0: R1 belongs to SKY_{d1}; R3 to SKY_{d2}, SKY_{d3}, SKY_{d4}.
-	if !nonDominated(preference.NewSubspace(0), r1) {
+	if !nonDominated(preference.NewSubspace(0), 0) {
 		t.Error("R1 should be non-dominated in {d1}")
 	}
 	for _, k := range []int{1, 2, 3} {
-		if !nonDominated(preference.NewSubspace(k), r3) {
+		if !nonDominated(preference.NewSubspace(k), 2) {
 			t.Errorf("R3 should be non-dominated in {d%d}", k+1)
 		}
 	}
 	// Level 1: SKY_{d1,d2} contains R1 and R3 (Theorem 1 lifts their
 	// level-0 membership).
 	v12 := preference.NewSubspace(0, 1)
-	if !nonDominated(v12, r1) || !nonDominated(v12, r3) {
+	if !nonDominated(v12, 0) || !nonDominated(v12, 2) {
 		t.Error("R1 and R3 should be non-dominated in {d1,d2}")
 	}
 	// End state of the example: SKY_{d2,d3} = {R2, R3} — R1 is fully
@@ -520,7 +524,7 @@ func TestPaperExample16(t *testing.T) {
 	if !fullyDominatesIn(v23, r3, r1) {
 		t.Error("R3 should fully dominate R1 in {d2,d3}")
 	}
-	if !nonDominated(v23, r2) || !nonDominated(v23, r3) {
+	if !nonDominated(v23, 1) || !nonDominated(v23, 2) {
 		t.Error("SKY_{d2,d3} should retain R2 and R3")
 	}
 }
@@ -530,8 +534,8 @@ func TestPaperExample16(t *testing.T) {
 // precede it — best-corner dominance gives the edge direction R2 → R1.
 func TestPaperExample17DependencyDirection(t *testing.T) {
 	// R2's best cells around (3,5); R1 lives up at (5,8)+.
-	r2 := &Region{Lo: []float64{3, 5}, Hi: []float64{6, 8}}
-	r1 := &Region{Lo: []float64{5, 8}, Hi: []float64{7, 11}}
+	r2 := box{lo: []float64{3, 5}, hi: []float64{6, 8}}
+	r1 := box{lo: []float64{5, 8}, hi: []float64{7, 11}}
 	v := preference.NewSubspace(0, 1)
 	if !bestCornerDominates(v, r2, r1) {
 		t.Error("R2's best corner should dominate R1's (edge R2→R1)")
@@ -550,10 +554,10 @@ func TestPaperExample17DependencyDirection(t *testing.T) {
 func TestFullDominanceTransitiveQuick(t *testing.T) {
 	v := preference.NewSubspace(0, 1)
 	check := func(raw [12]uint8) bool {
-		mk := func(off int) *Region {
+		mk := func(off int) box {
 			lo := []float64{float64(raw[off] % 6), float64(raw[off+1] % 6)}
 			hi := []float64{lo[0] + float64(raw[off+2]%3), lo[1] + float64(raw[off+3]%3)}
-			return &Region{Lo: lo, Hi: hi}
+			return box{lo: lo, hi: hi}
 		}
 		a, b, c := mk(0), mk(4), mk(8)
 		if fullyDominatesIn(v, a, b) && fullyDominatesIn(v, b, c) && !fullyDominatesIn(v, a, c) {
