@@ -11,10 +11,10 @@ import (
 
 // Ceilings of TestRunAllocBudget. On the repository benchmark's batch-indep
 // input, the join-group filter leaves one caqe.Run 12,666 join results for
-// 854 emissions, and the Run allocates 3.1 MB, most of it the plan (its
+// 854 emissions, and the Run allocates 3.06 MB, most of it the plan (its
 // dependency graph is one bit per region pair). The same input under a
 // workload with one LeftDim and one RightDim among its four mappings turns
-// the filter off for both sides: 313 K join results and 33.5 MB, about 100
+// the filter off for both sides: 313 K join results and 33.4 MB, about 100
 // bytes per join result (coordinates, result record, protection and
 // candidacy masks) plus the plan; its ceiling is the one the unfiltered
 // benchmark input had (37.0 MB at 324 K results, + 25 %). Either report
@@ -24,9 +24,9 @@ import (
 // ceilings — the layout with all three measured 366.7 MB and 49.9 MB on
 // the unfiltered benchmark input.
 const (
-	filteredAllocCeiling   = 3.875 * (1 << 20) // the filtered Run: the measured 3.1 MB + 25 %
-	unfilteredAllocCeiling = 46 << 20          // the unfiltered Run
-	reportLiveCeiling      = 4 << 20           // bytes a kept Report holds after a GC
+	filteredAllocCeiling   = 3.828125 * (1 << 20) // the filtered Run: the measured 3.06 MB + 25 %
+	unfilteredAllocCeiling = 46 << 20             // the unfiltered Run
+	reportLiveCeiling      = 4 << 20              // bytes a kept Report holds after a GC
 )
 
 // TestRunAllocBudget holds per-result state to the size of the windows, not

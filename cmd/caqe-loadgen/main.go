@@ -135,10 +135,10 @@ func submitOne(ctx context.Context, id int, cfg config, client *http.Client,
 	spec := cluster.ContractSpec{Class: drawClass(rng)}
 	switch spec.Class {
 	case "softdeadline", "deadline":
-		spec.Deadline = baseDeadline * (0.5 + rng.Float64())
+		spec.Deadline = baseDeadline * (0.5 + float64(rng.Float64()))
 	case "ratequota", "hybrid":
-		spec.Frac = 0.05 + 0.15*rng.Float64()
-		spec.Interval = 1 + 4*rng.Float64()
+		spec.Frac = 0.05 + float64(0.15*rng.Float64())
+		spec.Interval = 1 + float64(4*rng.Float64())
 	}
 	body, _ := json.Marshal(cluster.QuerySpec{
 		Name:     fmt.Sprintf("lg-%d", id),
@@ -211,7 +211,7 @@ func retryAfter(resp *http.Response, rng *rand.Rand) time.Duration {
 	}
 	// Full jitter in (0.1, 1.1] * base keeps retries spread out while
 	// still honoring the server's order of magnitude.
-	return time.Duration((0.1 + rng.Float64()) * float64(base))
+	return time.Duration((0.1 + float64(rng.Float64())) * float64(base))
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) {

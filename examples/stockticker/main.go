@@ -39,9 +39,9 @@ func main() {
 	})
 	for i := 0; i < 600; i++ {
 		stocks.MustAppend([]float64{
-			1 + rng.Float64()*99,
-			1 + rng.Float64()*99,
-			1 + rng.Float64()*99,
+			1 + float64(rng.Float64()*99),
+			1 + float64(rng.Float64()*99),
+			1 + float64(rng.Float64()*99),
 		}, []int64{rng.Int63n(sectors)})
 	}
 
@@ -54,9 +54,9 @@ func main() {
 	})
 	for i := 0; i < 600; i++ {
 		sentiment.MustAppend([]float64{
-			1 + rng.Float64()*99,
-			1 + rng.Float64()*99,
-			1 + rng.Float64()*99,
+			1 + float64(rng.Float64()*99),
+			1 + float64(rng.Float64()*99),
+			1 + float64(rng.Float64()*99),
 		}, []int64{rng.Int63n(sectors)})
 	}
 

@@ -38,7 +38,7 @@ func main() {
 	})
 	for i := 0; i < 500; i++ {
 		retailers.MustAppend([]float64{
-			1 + rng.Float64()*99, 1 + rng.Float64()*99, 1 + rng.Float64()*99,
+			1 + float64(rng.Float64()*99), 1 + float64(rng.Float64()*99), 1 + float64(rng.Float64()*99),
 		}, []int64{rng.Int63n(countries), rng.Int63n(parts)})
 	}
 
@@ -52,7 +52,7 @@ func main() {
 	})
 	for i := 0; i < 500; i++ {
 		transporters.MustAppend([]float64{
-			1 + rng.Float64()*99, 1 + rng.Float64()*99, 1 + rng.Float64()*99,
+			1 + float64(rng.Float64()*99), 1 + float64(rng.Float64()*99), 1 + float64(rng.Float64()*99),
 		}, []int64{rng.Int63n(countries), rng.Int63n(parts)})
 	}
 

@@ -47,9 +47,9 @@ func buildData(seed int64) (*caqe.Relation, *caqe.Relation) {
 		KeyNames:  []string{"city"},
 	})
 	for i := 0; i < 700; i++ {
-		price := 40 + rng.Float64()*360
+		price := 40 + float64(rng.Float64()*360)
 		// Pricier hotels tend to be better rated (correlation with noise).
-		rating := 1 + 4*(price-40)/360 + rng.NormFloat64()*0.8
+		rating := 1 + 4*(price-40)/360 + float64(rng.NormFloat64()*0.8)
 		if rating < 1 {
 			rating = 1
 		}
@@ -68,8 +68,8 @@ func buildData(seed int64) (*caqe.Relation, *caqe.Relation) {
 		KeyNames:  []string{"city"},
 	})
 	for i := 0; i < 700; i++ {
-		price := 15 + rng.Float64()*180
-		rating := 1 + rng.Float64()*4
+		price := 15 + float64(rng.Float64()*180)
+		rating := 1 + float64(rng.Float64()*4)
 		sights := float64(1 + rng.Intn(15))
 		tours.MustAppend(
 			[]float64{price, 5 - rating, 100 - sights},

@@ -24,12 +24,12 @@ import (
 // charged one cell operation. It returns each region's targets in push
 // order and the indegrees.
 func (st *state) referenceDepGraph() (targets [][]int, indegree []int) {
-	m := len(st.regions)
+	m := len(st.space.Regions)
 	targets = make([][]int, m)
 	indegree = make([]int, m)
-	for i, ri := range st.regions {
+	for i, ri := range st.space.Regions {
 		for j := i + 1; j < m; j++ {
-			rj := st.regions[j]
+			rj := st.space.Regions[j]
 			both := ri.Alive & rj.Alive
 			if both == 0 {
 				continue
@@ -46,20 +46,20 @@ func (st *state) referenceDepGraph() (targets [][]int, indegree []int) {
 }
 
 // referenceDominators is dominatorsByQuery as it read before the corner
-// index: one QueryDims.Pair per other region whose Alive set meets rc's,
-// charged one cell operation.
-func (st *state) referenceDominators(rc *region.Region) [][]*region.Region {
-	doms := make([][]*region.Region, len(st.w.Queries))
-	for _, rf := range st.regions {
-		both := rf.Alive & rc.Alive
-		if rf == rc || both == 0 {
+// index: one QueryDims.Pair per other region whose Alive set meets region
+// ri's, charged one cell operation.
+func (st *state) referenceDominators(ri int) [][]int {
+	doms := make([][]int, len(st.w.Queries))
+	for fi, rf := range st.space.Regions {
+		both := rf.Alive & st.space.Regions[ri].Alive
+		if fi == ri || both == 0 {
 			continue
 		}
 		st.clock.CountCellOp(1)
-		notWeak, _ := st.uses.Pair(st.space.LoRow(rf.ID), st.space.HiRow(rc.ID))
+		notWeak, _ := st.uses.Pair(st.space.LoRow(fi), st.space.HiRow(ri))
 		for m := uint64(both &^ notWeak); m != 0; m &= m - 1 {
 			qi := bits.TrailingZeros64(m)
-			doms[qi] = append(doms[qi], rf)
+			doms[qi] = append(doms[qi], fi)
 		}
 	}
 	return doms
@@ -79,7 +79,7 @@ func randomCoarseState(rng *rand.Rand, m, nd, nq int) *state {
 	}
 	sp := &region.Space{W: w}
 	for i := 0; i < m; i++ {
-		r := &region.Region{ID: i}
+		var r region.Region
 		for k := 0; k < nd; k++ {
 			var lo float64
 			if rng.Intn(15) == 0 {
@@ -98,7 +98,7 @@ func randomCoarseState(rng *rand.Rand, m, nd, nq int) *state {
 		}
 		sp.Regions = append(sp.Regions, r)
 	}
-	st := &state{e: &Engine{}, w: w, clock: metrics.NewClock(), uses: region.NewQueryDims(w.Queries, nd), space: sp, regions: sp.Regions}
+	st := &state{e: &Engine{}, w: w, clock: metrics.NewClock(), uses: region.NewQueryDims(w.Queries, nd), space: sp}
 	st.live = newLiveness(sp, nq)
 	return st
 }
@@ -129,7 +129,7 @@ func checkDepGraph(t *testing.T, rng *rand.Rand, label string, st *state) int {
 			got = append(got, j)
 		}
 		if !slices.Equal(got, want) {
-			t.Fatalf("%s: region %d targets %v, reference %v (corner %v, alive %v)", label, i, got, want, st.space.LoRow(i), st.regions[i].Alive)
+			t.Fatalf("%s: region %d targets %v, reference %v (corner %v, alive %v)", label, i, got, want, st.space.LoRow(i), st.space.Regions[i].Alive)
 		}
 		edges += len(want)
 	}
@@ -138,7 +138,7 @@ func checkDepGraph(t *testing.T, rng *rand.Rand, label string, st *state) int {
 	for i := range st.live.queued {
 		st.live.queued[i] = true
 	}
-	for _, i := range rng.Perm(len(st.regions)) {
+	for _, i := range rng.Perm(len(st.space.Regions)) {
 		for _, j := range wantTargets[i] {
 			wantIndegree[j]--
 		}
@@ -177,7 +177,7 @@ func TestDepGraphMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
-		edges += checkDepGraph(t, rng, fmt.Sprintf("%v plan (%d regions)", dist, len(st.regions)), st)
+		edges += checkDepGraph(t, rng, fmt.Sprintf("%v plan (%d regions)", dist, len(st.space.Regions)), st)
 	}
 	t.Logf("%d edges", edges)
 	if edges < 50000 {
@@ -196,28 +196,28 @@ func checkDominators(t *testing.T, label string, st *state) int {
 	clock := st.clock
 	defer func() { st.clock = clock }()
 	listed := 0
-	for _, rc := range st.regions {
+	for ri := range st.space.Regions {
 		st.clock = metrics.NewClock()
-		want := st.referenceDominators(rc)
+		want := st.referenceDominators(ri)
 		wantOps := st.clock.Counters().CellOps
 		st.clock = metrics.NewClock()
-		got := st.dominatorsByQuery(rc)
+		got := st.dominatorsByQuery(ri)
 		if ops := st.clock.Counters().CellOps; ops != wantOps {
-			t.Fatalf("%s: region %d: %d cell operations, reference %d", label, rc.ID, ops, wantOps)
+			t.Fatalf("%s: region %d: %d cell operations, reference %d", label, ri, ops, wantOps)
 		}
 		for qi := range st.w.Queries {
-			if !rc.Alive.Has(qi) {
+			if !st.space.Regions[ri].Alive.Has(qi) {
 				if len(want[qi]) != 0 {
-					t.Fatalf("%s: region %d, query %d outside its Alive set: reference dominators %v", label, rc.ID, qi, want[qi])
+					t.Fatalf("%s: region %d, query %d outside its Alive set: reference dominators %v", label, ri, qi, want[qi])
 				}
 				continue
 			}
-			var members []*region.Region
-			for ri := got[qi].Next(0); ri >= 0; ri = got[qi].Next(ri + 1) {
-				members = append(members, st.regions[ri])
+			var members []int
+			for fi := got[qi].Next(0); fi >= 0; fi = got[qi].Next(fi + 1) {
+				members = append(members, fi)
 			}
 			if !slices.Equal(members, want[qi]) {
-				t.Fatalf("%s: region %d, query %d: dominators %v, reference %v", label, rc.ID, qi, members, want[qi])
+				t.Fatalf("%s: region %d, query %d: dominators %v, reference %v", label, ri, qi, members, want[qi])
 			}
 			listed += len(want[qi])
 		}
@@ -316,22 +316,22 @@ func BenchmarkCoarsePlan(b *testing.B) {
 	b.Run("depgraph/reference", func(b *testing.B) { run(b, plans, func(st *state) { st.referenceDepGraph() }) })
 	b.Run("dominators/index", func(b *testing.B) {
 		run(b, plans, func(st *state) {
-			for _, rc := range st.regions {
-				st.dominatorsByQuery(rc)
+			for ri := range st.space.Regions {
+				st.dominatorsByQuery(ri)
 			}
 		})
 	})
 	b.Run("dominators/reference", func(b *testing.B) {
 		run(b, plans, func(st *state) {
-			for _, rc := range st.regions {
-				st.referenceDominators(rc)
+			for ri := range st.space.Regions {
+				st.referenceDominators(ri)
 			}
 		})
 	})
-	scoreLive := func(st *state, score func(rc *region.Region) float64) {
-		for _, rc := range st.regions {
-			if rc.Alive != 0 {
-				coarseSink = score(rc)
+	scoreLive := func(st *state, score func(ri int) float64) {
+		for ri, r := range st.space.Regions {
+			if r.Alive != 0 {
+				coarseSink = score(ri)
 			}
 		}
 	}
@@ -342,20 +342,20 @@ func BenchmarkCoarsePlan(b *testing.B) {
 		})
 	})
 	b.Run("csm/kept", func(b *testing.B) { run(b, plans, func(st *state) { scoreLive(st, st.csm) }) })
-	lists := make([][]*region.Region, len(w.Queries))
+	lists := make([][]int, len(w.Queries))
 	b.Run("csm/reference", func(b *testing.B) {
 		run(b, plans, func(st *state) {
-			scoreLive(st, func(rc *region.Region) float64 {
-				sets := st.dominatorsByQuery(rc)
+			scoreLive(st, func(ri int) float64 {
+				sets := st.dominatorsByQuery(ri)
 				for qi := range lists {
 					lists[qi] = lists[qi][:0]
-					if rc.Alive.Has(qi) {
-						for ri := sets[qi].Next(0); ri >= 0; ri = sets[qi].Next(ri + 1) {
-							lists[qi] = append(lists[qi], st.regions[ri])
+					if st.space.Regions[ri].Alive.Has(qi) {
+						for fi := sets[qi].Next(0); fi >= 0; fi = sets[qi].Next(fi + 1) {
+							lists[qi] = append(lists[qi], fi)
 						}
 					}
 				}
-				return st.referenceCSM(rc, lists)
+				return st.referenceCSM(ri, lists)
 			})
 		})
 	})
@@ -382,7 +382,7 @@ func BenchmarkCoarsePlan(b *testing.B) {
 			}
 		}
 		for _, ri := range order {
-			s := step{st.regions[ri].RQL, byRegion[ri]}
+			s := step{st.space.Regions[ri].RQL, byRegion[ri]}
 			steps[st] = append(steps[st], s)
 			st.discardDominated(s.qs, s.payloads)
 		}
@@ -409,13 +409,13 @@ func BenchmarkCoarsePlan(b *testing.B) {
 			st.gen++
 			after(qi)
 			for ri, n := live.Next(0), 0; ri >= 0; ri, n = live.Next(ri+1), n+1 {
-				st.live.kill(st.regions[ri], bit)
+				st.live.kill(ri, bit)
 				if n%8 == 7 {
 					after(qi)
 				}
 			}
 			for ri := live.Next(0); ri >= 0; ri = live.Next(ri + 1) {
-				st.live.revive(st.regions[ri], bit)
+				st.live.revive(ri, bit)
 			}
 		}
 	}

@@ -28,7 +28,7 @@ import (
 // as testing pair by pair would make (DESIGN.md §13). The data-order scheduler
 // builds no graph.
 func (st *state) buildDepGraph() {
-	m := len(st.regions)
+	m := len(st.space.Regions)
 	st.indegree = make([]int, m)
 	st.depWords = (m + 63) / 64
 	st.depRows = nil
@@ -39,14 +39,14 @@ func (st *state) buildDepGraph() {
 	ranks := st.live.corners()
 	meet, serving := st.scratchSets()
 	var charged int64
-	for i, ri := range st.regions {
-		if ri.Alive == 0 {
+	for i, r := range st.space.Regions {
+		if r.Alive == 0 {
 			continue
 		}
 		st.probe.Above(ranks, st.space.LoRow(i))
 		row := st.edgeRow(i)
 		clear(serving)
-		for qi := ri.Alive.Next(0); qi >= 0; qi = ri.Alive.Next(qi + 1) {
+		for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
 			live := st.live.sets[qi]
 			st.probe.Dominant(meet, live, st.w.Queries[qi].Pref)
 			for w := range row {
@@ -85,8 +85,8 @@ func (st *state) releaseEdges(ri int) {
 		for ; word != 0; word &= word - 1 {
 			j := w<<6 | bits.TrailingZeros64(word)
 			st.indegree[j]--
-			if st.indegree[j] == 0 && st.regions[j].Alive != 0 && !st.live.queued[j] {
-				st.live.push(j, st.csm(st.regions[j]))
+			if st.indegree[j] == 0 && st.space.Regions[j].Alive != 0 && !st.live.queued[j] {
+				st.live.push(j, st.csm(j))
 			}
 		}
 	}

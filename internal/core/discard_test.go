@@ -44,7 +44,7 @@ func (d *discardTracer) Trace(ev trace.Event) {
 // alive sets the pass leaves, the cell operations it charges and each kill
 // with the cell operations charged up to it.
 func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skycube.QSet, cellOps int64, kills []discardKill) {
-	for _, rf := range st.regions {
+	for _, rf := range st.space.Regions {
 		alive = append(alive, rf.Alive)
 	}
 	for qi := qs.Next(0); qi >= 0; qi = qs.Next(qi + 1) {
@@ -59,7 +59,7 @@ func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skyc
 			continue
 		}
 		kern := st.kerns[qi]
-		for fi := range st.regions {
+		for fi := range st.space.Regions {
 			if !alive[fi].Has(qi) {
 				continue
 			}
@@ -93,13 +93,12 @@ func (st *state) boundDiscard(qs skycube.QSet, newPayloads []int) skycube.QSet {
 		}
 		live := st.live.sets[qi]
 		for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
-			rf := st.regions[fi]
 			if !st.cornerDominated(qi, champs, bound, st.space.LoRow(fi)) {
 				continue
 			}
 			killedQueries = killedQueries.Add(qi)
 			st.traceDiscard(fi, qi)
-			if st.live.kill(rf, skycube.QSet(0).Add(qi)) {
+			if st.live.kill(fi, skycube.QSet(0).Add(qi)) {
 				st.clock.CountRegionPruned()
 				st.releaseEdges(fi)
 			}
@@ -170,7 +169,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 		}
 		nr := 1 + rng.Intn(30)
 		for i := 0; i < nr; i++ {
-			r := &region.Region{ID: i, Alive: randQs()}
+			r := region.Region{Alive: randQs()}
 			for k := 0; k < nd; k++ {
 				lo := coord()
 				hi := lo
@@ -184,11 +183,10 @@ func TestDiscardMatchesReference(t *testing.T) {
 			}
 			sp.Regions = append(sp.Regions, r)
 		}
-		st.regions = sp.Regions
 		st.indegree = make([]int, nr)
 		// Region 0 was just processed for every query: done, as
 		// processRegion leaves it.
-		st.regions[0].Alive = 0
+		st.space.Regions[0].Alive = 0
 		st.live = newLiveness(sp, nq)
 
 		var payloads []int
@@ -209,7 +207,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 			if len(champs) == 0 {
 				continue
 			}
-			for fi, rf := range st.regions {
+			for fi, rf := range st.space.Regions {
 				if !rf.Alive.Has(qi) {
 					continue
 				}
@@ -229,7 +227,7 @@ func TestDiscardMatchesReference(t *testing.T) {
 
 		wantAlive, wantOps, wantKills := st.referenceDiscard(all, payloads)
 		var wantKilled skycube.QSet
-		for fi, rf := range st.regions {
+		for fi, rf := range st.space.Regions {
 			lost := rf.Alive &^ wantAlive[fi]
 			wantKilled |= lost
 			kills += lost.Count()
@@ -247,14 +245,14 @@ func TestDiscardMatchesReference(t *testing.T) {
 		if !slices.Equal(tracer.kills, wantKills) {
 			t.Fatalf("trial %d: kills (region, query, cell operations so far) %v, reference %v", trial, tracer.kills, wantKills)
 		}
-		for fi, rf := range st.regions {
+		for fi, rf := range st.space.Regions {
 			if rf.Alive != wantAlive[fi] {
 				t.Fatalf("trial %d: region %d alive %v, reference %v (corner %v, prefs %v)",
 					trial, fi, rf.Alive, wantAlive[fi], st.space.LoRow(fi), prefs)
 			}
 		}
 		for qi, set := range st.live.sets {
-			for fi, rf := range st.regions {
+			for fi, rf := range st.space.Regions {
 				if set.Has(fi) != rf.Alive.Has(qi) {
 					t.Fatalf("trial %d: query %d: region %d live %v, Alive %v", trial, qi, fi, set.Has(fi), rf.Alive)
 				}

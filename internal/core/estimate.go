@@ -83,13 +83,13 @@ func (st *state) sigmaFor(qi int) float64 {
 // costEstimate predicts t_c, the virtual time needed for the tuple-level
 // processing of a region: the join probes of every relevant join condition
 // plus the materialization and skyline handling of the expected results.
-func (st *state) costEstimate(rc *region.Region) float64 {
+func (st *state) costEstimate(ri int) float64 {
 	t := 0.0
 	for j := range st.w.JoinConds {
-		if st.jcQueries[j]&rc.Alive == 0 {
+		if st.jcQueries[j]&st.space.Regions[ri].Alive == 0 {
 			continue
 		}
-		left, right := st.joinRows(rc, j)
+		left, right := st.joinRows(ri, j)
 		pairs := float64(len(left)) * float64(len(right))
 		results := st.jcSigma[j] * pairs
 		t += float64(pairs*metrics.CostJoinProbe) +
@@ -98,40 +98,41 @@ func (st *state) costEstimate(rc *region.Region) float64 {
 	return t
 }
 
-// cardinality implements Eq. 9 for one region and query: the expected
+// cardinality implements Eq. 9 for region ri and query qi: the expected
 // number of skyline results among the region's join output.
-func (st *state) cardinality(rc *region.Region, qi int) float64 {
-	left, right := st.joinRows(rc, st.w.Queries[qi].JC)
+func (st *state) cardinality(ri, qi int) float64 {
+	left, right := st.joinRows(ri, st.w.Queries[qi].JC)
 	x := st.sigmaFor(qi) * float64(len(left)) * float64(len(right))
 	return buchta(x, len(st.w.Queries[qi].Pref))
 }
 
 // dominatorsByQuery finds the regions whose best corner could dominate at
-// least one output cell of rc, as one set per query of rc.Alive: probing the
-// index of every best corner with rc's upper bounds, the regions live for
-// the query that the probe finds Weak in its preference. The charge is one
-// cell operation per live region other than rc that serves a query of
-// rc.Alive, as testing region by region would make (DESIGN.md §13). The sets
-// are the state's reused scratch, valid until the next call; a query outside
-// rc.Alive keeps a stale one.
-func (st *state) dominatorsByQuery(rc *region.Region) []region.Bits {
+// least one output cell of region ri, as one set per query of its Alive
+// set: probing the index of every best corner with ri's upper bounds, the
+// regions live for the query that the probe finds Weak in its preference.
+// The charge is one cell operation per live region other than ri that
+// serves a query of its Alive set, as testing region by region would make
+// (DESIGN.md §13). The sets are the state's reused scratch, valid until the
+// next call; a query outside the Alive set keeps a stale one.
+func (st *state) dominatorsByQuery(ri int) []region.Bits {
 	for len(st.domSets) < len(st.w.Queries) {
 		st.domSets = append(st.domSets, nil)
 	}
-	st.probe.Below(st.live.corners(), st.space.HiRow(rc.ID))
+	st.probe.Below(st.live.corners(), st.space.HiRow(ri))
 	_, serving := st.scratchSets()
 	clear(serving)
-	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+	alive := st.space.Regions[ri].Alive
+	for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
 		live := st.live.sets[qi]
 		for w, bits := range live {
 			serving[w] |= bits
 		}
 		doms := slices.Grow(st.domSets[qi][:0], len(serving))[:len(serving)]
 		st.probe.Weak(doms, live, st.w.Queries[qi].Pref)
-		doms.Unset(rc.ID)
+		doms.Unset(ri)
 		st.domSets[qi] = doms
 	}
-	serving.Unset(rc.ID)
+	serving.Unset(ri)
 	st.clock.CountCellOp(int64(serving.Count()))
 	return st.domSets
 }
@@ -147,21 +148,21 @@ type progKept struct {
 	prog float64
 }
 
-// progCount implements Definition 11: the number of rc's output cells (in
-// the query's preference subspace) not dominated by any live region that
-// serves the same query, doms being those regions. A value kept from the
-// same generation and as many dominators is returned again with the charge
-// of computing it; otherwise freshProgCount computes it.
-func (st *state) progCount(rc *region.Region, qi int, doms region.Bits) (prog, total float64) {
+// progCount implements Definition 11: the number of region ri's output
+// cells (in the query's preference subspace) not dominated by any live
+// region that serves the same query, doms being those regions. A value kept
+// from the same generation and as many dominators is returned again with
+// the charge of computing it; otherwise freshProgCount computes it.
+func (st *state) progCount(ri, qi int, doms region.Bits) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
-	lo, hi := st.space.LoRow(rc.ID), st.space.HiRow(rc.ID)
+	lo, hi := st.space.LoRow(ri), st.space.HiRow(ri)
 	cells := st.space.CellCount(lo, hi, pref)
 	total = float64(cells)
 	n := int32(doms.Count())
 	if n == 0 {
 		return total, total
 	}
-	k := st.keptProg(rc.ID, qi)
+	k := st.keptProg(ri, qi)
 	if k.gen == st.gen && k.n == n {
 		if cells <= exactProgCountCap {
 			st.clock.CountCellOp(cells)
@@ -180,7 +181,7 @@ func (st *state) keptProg(ri, qi int) *progKept {
 		st.kept = append(st.kept, nil)
 	}
 	if k := st.kept[qi]; ri >= len(k) {
-		st.kept[qi] = append(k, make([]progKept, len(st.regions)-len(k))...)
+		st.kept[qi] = append(k, make([]progKept, len(st.space.Regions)-len(k))...)
 	}
 	return &st.kept[qi][ri]
 }
@@ -315,14 +316,14 @@ func coverFrom(v, base, step float64, lo, ext int) int {
 	return c
 }
 
-// progEst implements Eq. 10: the expected number of results of rc that can
-// be progressively output for query qi right after its processing.
-func (st *state) progEst(rc *region.Region, qi int, doms region.Bits) float64 {
-	prog, total := st.progCount(rc, qi, doms)
+// progEst implements Eq. 10: the expected number of results of region ri
+// that can be progressively output for query qi right after its processing.
+func (st *state) progEst(ri, qi int, doms region.Bits) float64 {
+	prog, total := st.progCount(ri, qi, doms)
 	if total <= 0 {
 		return 0
 	}
-	return (prog / total) * st.cardinality(rc, qi)
+	return (prog / total) * st.cardinality(ri, qi)
 }
 
 // rateEstimator tracks the measured processing rate — counted work units
@@ -389,13 +390,14 @@ func (st *state) finishAt(tc float64) float64 {
 // region: the weighted sum over served queries of the expected progressive
 // output, valued at the utility a tuple would have when the region's
 // tuple-level processing completes (t_curr + t_c).
-func (st *state) csm(rc *region.Region) float64 {
-	tc := st.costEstimate(rc)
+func (st *state) csm(ri int) float64 {
+	tc := st.costEstimate(ri)
 	at := st.finishAt(tc)
-	doms := st.dominatorsByQuery(rc)
+	doms := st.dominatorsByQuery(ri)
 	total := 0.0
-	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
-		est := st.progEst(rc, qi, doms[qi])
+	alive := st.space.Regions[ri].Alive
+	for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
+		est := st.progEst(ri, qi, doms[qi])
 		if st.e.opt.DisableContractBenefit {
 			total += est // count-driven: the ProgXe+ strategy
 			continue

@@ -182,7 +182,7 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	for c, chunk := range st.payloads {
 		for i := range chunk {
 			info := &chunk[i]
-			if info.jc != q.JC || !st.regions[info.reg].RQL.Has(qi) {
+			if info.jc != q.JC || !st.space.Regions[info.reg].RQL.Has(qi) {
 				continue
 			}
 			info.lineage = info.lineage.Add(qi)
@@ -199,16 +199,16 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 	// discards it mid-run, before it costs a scheduling decision.
 	qbit := skycube.QSet(0).Add(qi)
 	champs, bound := st.champions(qi, st.pending[qi])
-	for _, r := range serve {
-		if r.Alive == 0 && st.joinComplete(r, q.JC) {
+	for ri := serve.Next(0); ri >= 0; ri = serve.Next(ri + 1) {
+		if st.space.Regions[ri].Alive == 0 && st.joinComplete(ri, q.JC) {
 			continue
 		}
-		if st.cornerDominated(qi, champs, bound, st.space.LoRow(r.ID)) {
-			st.traceDiscard(r.ID, qi)
+		if st.cornerDominated(qi, champs, bound, st.space.LoRow(ri)) {
+			st.traceDiscard(ri, qi)
 			st.clock.CountRegionPruned()
 			continue
 		}
-		st.reopen(r, qbit)
+		st.reopen(ri, qbit)
 	}
 	st.emitSafe(qbit)
 	x.drained = false
@@ -219,35 +219,31 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 // (§5.2 at admission): of the regions whose pair passed join condition jc,
 // one fully dominated in the query's preference by another cannot
 // contribute a result. The survivors gain the query in their lineage and
-// are returned.
-func (st *state) admissionCandidates(qi, jc int) []*region.Region {
+// are returned as a set of region indices.
+func (st *state) admissionCandidates(qi, jc int) region.Bits {
 	jbit := uint64(1) << uint(jc)
-	var cands []*region.Region
-	for _, r := range st.regions {
-		if r.JCPass&jbit != 0 {
-			cands = append(cands, r)
+	regs := st.space.Regions
+	var cands []int
+	for ri := range regs {
+		if regs[ri].JCPass&jbit != 0 {
+			cands = append(cands, ri)
 		}
 	}
-	var serve []*region.Region
-	for _, r := range cands {
-		dead := false
+	serve := region.NewBits(len(regs))
+next:
+	for _, ri := range cands {
 		for _, o := range cands {
-			if o == r {
+			if o == ri {
 				continue
 			}
 			st.clock.CountCellOp(1)
-			notWeak, strict := st.uses.Pair(st.space.HiRow(o.ID), st.space.LoRow(r.ID))
-			if (strict &^ notWeak).Has(qi) {
-				dead = true
-				break
+			if notWeak, strict := st.uses.Pair(st.space.HiRow(o), st.space.LoRow(ri)); (strict &^ notWeak).Has(qi) {
+				st.clock.CountRegionPruned()
+				continue next
 			}
 		}
-		if dead {
-			st.clock.CountRegionPruned()
-			continue
-		}
-		r.RQL = r.RQL.Add(qi)
-		serve = append(serve, r)
+		regs[ri].RQL = regs[ri].RQL.Add(qi)
+		serve.Set(ri)
 	}
 	return serve
 }
@@ -281,7 +277,7 @@ func (st *state) dropQuery(qi int) {
 	st.jcQueries[st.w.Queries[qi].JC] &^= bit
 	live := st.live.sets[qi]
 	for ri := live.Next(0); ri >= 0; ri = live.Next(ri + 1) {
-		if st.live.kill(st.regions[ri], bit) {
+		if st.live.kill(ri, bit) {
 			st.clock.CountRegionPruned()
 			st.releaseEdges(ri)
 		}
@@ -308,8 +304,8 @@ func (st *state) retireSlot(qi int, now float64) {
 	st.cancelled &^= bit
 	st.sealed &^= bit
 	st.dropQuery(qi)
-	for _, r := range st.regions {
-		r.RQL &^= bit
+	for ri := range st.space.Regions {
+		st.space.Regions[ri].RQL &^= bit
 	}
 	for _, chunk := range st.payloads {
 		for i := range chunk {

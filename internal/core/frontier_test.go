@@ -31,7 +31,7 @@ func referenceFrontier(st *state, qi int) (regions []int, cmps int64) {
 		region int
 	}
 	var keys []key
-	for fi, rf := range st.regions {
+	for fi, rf := range st.space.Regions {
 		if rf.Alive.Has(qi) {
 			keys = append(keys, key{kern.Sum(st.space.LoRow(fi)), fi})
 		}
@@ -206,14 +206,35 @@ func TestKeptOrderIsTheSortedLiveSet(t *testing.T) {
 // done), a queued region is live and has an entry in the CSM queue, and
 // every live region that no dependency edge holds back is queued. The
 // bounds table must hold exactly one row per region, each region's rows
-// its cells' current Bounds bit for bit.
+// its cells' current Bounds bit for bit, and the pair index one entry per
+// cell pair: each region's names it, every other is -1.
 func checkLive(t *testing.T, label string, st *state) {
 	t.Helper()
 	sp, nd := st.space, len(st.w.OutDims)
-	if len(sp.BoxLo) != len(st.regions)*nd || len(sp.BoxHi) != len(st.regions)*nd {
-		t.Fatalf("%s: bounds table of %d and %d values for %d regions of %d dimensions", label, len(sp.BoxLo), len(sp.BoxHi), len(st.regions), nd)
+	pairs := sp.PairIndex()
+	if len(pairs) != len(sp.RCells)*len(sp.TCells) {
+		t.Fatalf("%s: pair index of %d entries for %d × %d cells", label, len(pairs), len(sp.RCells), len(sp.TCells))
 	}
-	for ri, r := range st.regions {
+	for ri, r := range sp.Regions {
+		if at := r.RCell.ID*len(sp.TCells) + r.TCell.ID; pairs[at] != int32(ri) {
+			t.Fatalf("%s: region %d over cells (%d, %d) is indexed as %d", label, ri, r.RCell.ID, r.TCell.ID, pairs[at])
+		}
+	}
+	named := 0
+	for _, e := range pairs {
+		if e >= 0 {
+			named++
+		} else if e != -1 {
+			t.Fatalf("%s: pair index entry %d", label, e)
+		}
+	}
+	if named != len(sp.Regions) {
+		t.Fatalf("%s: %d pair index entries name a region, %d regions", label, named, len(sp.Regions))
+	}
+	if len(sp.BoxLo) != len(st.space.Regions)*nd || len(sp.BoxHi) != len(st.space.Regions)*nd {
+		t.Fatalf("%s: bounds table of %d and %d values for %d regions of %d dimensions", label, len(sp.BoxLo), len(sp.BoxHi), len(st.space.Regions), nd)
+	}
+	for ri, r := range st.space.Regions {
 		lo, hi := sp.LoRow(ri), sp.HiRow(ri)
 		for k, f := range st.w.OutDims {
 			wantLo, wantHi := f.Bounds(r.RCell.Lo, r.RCell.Hi, r.TCell.Lo, r.TCell.Hi)
@@ -223,24 +244,24 @@ func checkLive(t *testing.T, label string, st *state) {
 		}
 	}
 	lv := &st.live
-	if len(lv.sets) != len(st.w.Queries) || len(lv.queued) != len(st.regions) {
-		t.Fatalf("%s: %d live sets for %d queries, %d queue flags for %d regions", label, len(lv.sets), len(st.w.Queries), len(lv.queued), len(st.regions))
+	if len(lv.sets) != len(st.w.Queries) || len(lv.queued) != len(st.space.Regions) {
+		t.Fatalf("%s: %d live sets for %d queries, %d queue flags for %d regions", label, len(lv.sets), len(st.w.Queries), len(lv.queued), len(st.space.Regions))
 	}
 	for qi, set := range lv.sets {
-		if len(set) != (len(st.regions)+63)/64 {
-			t.Fatalf("%s: query %d: live set of %d words for %d regions", label, qi, len(set), len(st.regions))
+		if len(set) != (len(st.space.Regions)+63)/64 {
+			t.Fatalf("%s: query %d: live set of %d words for %d regions", label, qi, len(set), len(st.space.Regions))
 		}
-		for ri, r := range st.regions {
+		for ri, r := range st.space.Regions {
 			if set.Has(ri) != r.Alive.Has(qi) {
 				t.Fatalf("%s: query %d: region %d live %v, Alive %v", label, qi, ri, set.Has(ri), r.Alive)
 			}
 		}
 	}
-	entry := make([]bool, len(st.regions))
+	entry := make([]bool, len(st.space.Regions))
 	for _, it := range lv.pq.items {
 		entry[it.region] = true
 	}
-	for ri, r := range st.regions {
+	for ri, r := range st.space.Regions {
 		switch {
 		case lv.queued[ri] && r.Alive == 0:
 			t.Fatalf("%s: region %d is queued and done", label, ri)
@@ -375,11 +396,11 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 						at(fmt.Sprintf("%s step %d", what, k))
 					}
 				case 1:
-					before := len(st.regions)
+					before := len(st.space.Regions)
 					if _, err := x.Admit(op.query, 0); err != nil {
 						t.Fatal(err)
 					}
-					if checked && len(st.regions) > before {
+					if checked && len(st.space.Regions) > before {
 						grown++
 					}
 				case 2, 3:
@@ -412,7 +433,7 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 					if checked && !reflect.DeepEqual(before, cornersOf(st)[:len(before)]) {
 						moved++
 					}
-					if checked && len(st.regions) > len(before) {
+					if checked && len(st.space.Regions) > len(before) {
 						grown++
 					}
 				case 5:
@@ -452,8 +473,8 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 
 // cornersOf copies every region's best corner.
 func cornersOf(st *state) [][]float64 {
-	out := make([][]float64, len(st.regions))
-	for i := range st.regions {
+	out := make([][]float64, len(st.space.Regions))
+	for i := range st.space.Regions {
 		out[i] = slices.Clone(st.space.LoRow(i))
 	}
 	return out

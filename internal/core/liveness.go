@@ -27,8 +27,8 @@ type liveness struct {
 func newLiveness(space *region.Space, nq int) liveness {
 	lv := liveness{space: space}
 	lv.grow(nq)
-	for _, r := range space.Regions {
-		lv.revive(r, r.Alive)
+	for ri, r := range space.Regions {
+		lv.revive(ri, r.Alive)
 	}
 	return lv
 }
@@ -49,31 +49,33 @@ func (lv *liveness) grow(nq int) {
 	}
 }
 
-// kill takes the queries qs, for which region r is live, out of its Alive
+// kill takes the queries qs, for which region ri is live, out of its Alive
 // set and reports whether the region is now done, its queue entry stale.
-func (lv *liveness) kill(r *region.Region, qs skycube.QSet) bool {
+func (lv *liveness) kill(ri int, qs skycube.QSet) bool {
+	r := &lv.space.Regions[ri]
 	r.Alive &^= qs
 	for qi := qs.Next(0); qi >= 0; qi = qs.Next(qi + 1) {
-		lv.sets[qi].Unset(r.ID)
+		lv.sets[qi].Unset(ri)
 	}
-	lv.queued[r.ID] = lv.queued[r.ID] && r.Alive != 0
+	lv.queued[ri] = lv.queued[ri] && r.Alive != 0
 	return r.Alive == 0
 }
 
-// finish marks a processed region done and returns the queries it served.
-func (lv *liveness) finish(r *region.Region) skycube.QSet {
-	served := r.Alive
-	lv.kill(r, served)
+// finish marks processed region ri done and returns the queries it served.
+func (lv *liveness) finish(ri int) skycube.QSet {
+	served := lv.space.Regions[ri].Alive
+	lv.kill(ri, served)
 	return served
 }
 
-// revive makes region r live for the queries qs and reports whether it was
+// revive makes region ri live for the queries qs and reports whether it was
 // done: it then needs a queue entry.
-func (lv *liveness) revive(r *region.Region, qs skycube.QSet) bool {
+func (lv *liveness) revive(ri int, qs skycube.QSet) bool {
+	r := &lv.space.Regions[ri]
 	done := r.Alive == 0
 	r.Alive |= qs
 	for qi := qs.Next(0); qi >= 0; qi = qs.Next(qi + 1) {
-		lv.sets[qi].Set(r.ID)
+		lv.sets[qi].Set(ri)
 	}
 	return done
 }
@@ -102,11 +104,11 @@ func (lv *liveness) pop() (it csmItem, ok bool) {
 	return it, true
 }
 
-// moveCorner follows region r's best corner, recomputed in place in the
+// moveCorner follows region ri's best corner, recomputed in place in the
 // table: the index re-ranks it.
-func (lv *liveness) moveCorner(r *region.Region) {
+func (lv *liveness) moveCorner(ri int) {
 	if lv.index != nil {
-		lv.index.Move(r.ID, lv.space.LoRow(r.ID))
+		lv.index.Move(ri, lv.space.LoRow(ri))
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"caqe/internal/partition"
 	"caqe/internal/region"
@@ -122,6 +122,12 @@ func (st *state) cellsFor(tab Table) []*partition.Cell {
 	return st.space.TCells
 }
 
+// cellSets returns an empty set of cell IDs per side, with room for the
+// cell placeTuple may open: a side gains one only while it has none.
+func (st *state) cellSets() [2]region.Bits {
+	return [2]region.Bits{region.NewBits(len(st.space.RCells) + 1), region.NewBits(len(st.space.TCells) + 1)}
+}
+
 // Append applies new rows to one base relation of a running execution.
 // Each row first meets the join-group filter (joinFilter.admit, each
 // comparison charged): a row a live row of its group beats is left out of
@@ -152,7 +158,7 @@ func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 	st.indexTuples()
 
 	ids := make([]int, len(rows))
-	touched := [2]map[int]bool{{}, {}}
+	touched := st.cellSets()
 	cmps := st.filter.cmps
 	for i, row := range rows {
 		id := rel.Len()
@@ -165,7 +171,7 @@ func (x *Exec) Append(tab Table, rows []TupleData) ([]int, DeltaStats, error) {
 			st.grantAll(Table(side), readmitted, touched[side])
 		}
 		if keep != 0 {
-			touched[tab][st.placeTuple(tab, st.cellCopy(tab, id), keep)] = true
+			touched[tab].Set(st.placeTuple(tab, st.cellCopy(tab, id), keep))
 		}
 	}
 	st.clock.CountSkylineCmp(st.filter.cmps - cmps)
@@ -189,17 +195,17 @@ func (st *state) cellCopy(tab Table, id int) *tuple.Tuple {
 // order, to the lists of the key columns each gained: within its cell when
 // it has one, else placed as an appended row is. The cells that grew are
 // marked in touched.
-func (st *state) grantAll(tab Table, rows map[int]uint64, touched map[int]bool) {
+func (st *state) grantAll(tab Table, rows map[int]uint64, touched region.Bits) {
 	ids := make([]int, 0, len(rows))
 	for id := range rows {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		bits := rows[id]
 		loc, ok := st.tupleLoc[tab][id]
 		if !ok {
-			touched[st.placeTuple(tab, st.cellCopy(tab, id), bits)] = true
+			touched.Set(st.placeTuple(tab, st.cellCopy(tab, id), bits))
 			continue
 		}
 		c := st.cellsFor(tab)[loc.cell]
@@ -210,7 +216,7 @@ func (st *state) grantAll(tab Table, rows map[int]uint64, touched map[int]bool) 
 				c.Sigs[k][tp.Key(k)] = struct{}{}
 			}
 		}
-		touched[loc.cell] = true
+		touched.Set(loc.cell)
 	}
 }
 
@@ -218,24 +224,14 @@ func (st *state) grantAll(tab Table, rows map[int]uint64, touched map[int]bool) 
 // their signatures are re-tested against the opposite side, the regions
 // the space gained join the executor, and every region over a touched cell
 // is revived.
-func (st *state) spread(touched [2]map[int]bool, stats *DeltaStats) {
+func (st *state) spread(touched [2]region.Bits, stats *DeltaStats) {
 	for side, set := range touched {
-		if len(set) == 0 {
-			continue
+		if n := set.Count(); n != 0 {
+			stats.CellsTouched += n
+			stats.RegionsCreated += st.space.Retest(set, side == int(TableT), st.clock)
+			st.growRegions()
+			st.reviveAfterAppend(Table(side), set, stats)
 		}
-		order := make([]int, 0, len(set))
-		for ci := range set {
-			order = append(order, ci)
-		}
-		sort.Ints(order)
-		cells := make([]*partition.Cell, len(order))
-		for i, ci := range order {
-			cells[i] = st.cellsFor(Table(side))[ci]
-		}
-		stats.CellsTouched += len(order)
-		stats.RegionsCreated += st.space.Retest(cells, side == int(TableT), st.clock)
-		st.growRegions()
-		st.reviveAfterAppend(Table(side), set, stats)
 	}
 }
 
@@ -266,25 +262,16 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple, keep uint64) int {
 		}
 	}
 	if best < 0 {
-		c := &partition.Cell{
-			ID: len(cells),
-			Lo: append([]float64(nil), tp.Attrs...),
-			Hi: append([]float64(nil), tp.Attrs...),
-		}
-		c.Rows = make([][]*tuple.Tuple, st.relFor(tab).Schema.NumKeys())
-		c.Sigs = make([]partition.Signature, len(c.Rows))
+		nk := st.relFor(tab).Schema.NumKeys()
+		c := &partition.Cell{ID: len(cells), Lo: slices.Clone(tp.Attrs), Hi: slices.Clone(tp.Attrs),
+			Rows: make([][]*tuple.Tuple, nk), Sigs: make([]partition.Signature, nk)}
 		for k := range c.Sigs {
 			c.Sigs[k] = partition.Signature{}
 		}
-		if tab == TableR {
-			st.space.RCells = append(st.space.RCells, c)
-		} else {
-			st.space.TCells = append(st.space.TCells, c)
-		}
-		cells = st.cellsFor(tab)
+		st.space.AddCell(c, tab == TableT)
 		best = c.ID
 	}
-	c := cells[best]
+	c := st.cellsFor(tab)[best]
 	for k, v := range tp.Attrs {
 		if v < c.Lo[k] {
 			c.Lo[k] = v
@@ -304,13 +291,13 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple, keep uint64) int {
 	return best
 }
 
-// liveFor returns every query a region can serve now: the union of live
+// liveFor returns every query region ri can serve now: the union of live
 // queries over its passing conditions. Cancelled and sealed queries are
 // already absent from jcQueries.
-func (st *state) liveFor(r *region.Region) skycube.QSet {
+func (st *state) liveFor(ri int) skycube.QSet {
 	var qs skycube.QSet
 	for j := range st.w.JoinConds {
-		if r.JCPass&(1<<uint(j)) != 0 {
+		if st.space.Regions[ri].JCPass&(1<<uint(j)) != 0 {
 			qs |= st.jcQueries[j]
 		}
 	}
@@ -326,18 +313,18 @@ func (st *state) liveFor(r *region.Region) skycube.QSet {
 // regions may have been broken by the mutation, and tuple-level discarding
 // re-derives any still-valid prune. Untouched regions keep their state:
 // appends only add results, so prior discards remain sound.
-func (st *state) reviveAfterAppend(tab Table, touched map[int]bool, stats *DeltaStats) {
-	for _, r := range st.regions {
+func (st *state) reviveAfterAppend(tab Table, touched region.Bits, stats *DeltaStats) {
+	for ri, r := range st.space.Regions {
 		c := r.RCell
 		if tab == TableT {
 			c = r.TCell
 		}
-		if !touched[c.ID] {
+		if !touched.Has(c.ID) {
 			continue
 		}
-		st.space.Bound(r)
-		st.cornerMoved(r)
-		if live := st.liveFor(r); live != 0 && st.reopen(r, live) {
+		st.space.Bound(ri)
+		st.cornerMoved(ri)
+		if live := st.liveFor(ri); live != 0 && st.reopen(ri, live) {
 			stats.RegionsRevived++
 		}
 	}
@@ -390,12 +377,12 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	// Tombstone in place, in the relation and in the row's cell (which holds
 	// its own copy of an appended row).
 	sentinel := tombstoneFor(tab)
-	touched := make(map[int]bool)
+	touched := region.NewBits(len(st.cellsFor(tab)))
 	for _, id := range ids {
 		keys := [][]int64{rel.At(id).Keys}
 		if loc, ok := st.tupleLoc[side][id]; ok {
 			keys = append(keys, st.cellsFor(tab)[loc.cell].Tuples[loc.pos].Keys)
-			touched[loc.cell] = true
+			touched.Set(loc.cell)
 		}
 		for _, ks := range keys {
 			for k := range ks {
@@ -404,13 +391,13 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 		}
 	}
 	stats.Deleted = len(ids)
-	stats.CellsTouched = len(touched)
+	stats.CellsTouched = touched.Count()
 
 	// A signature is the key set of the cell's live rows. Left as it was, a
 	// pair whose only matches were deleted would keep passing its
 	// condition, and the next admission would prune other regions against
 	// one that can no longer produce anything.
-	for ci := range touched {
+	for ci := touched.Next(0); ci >= 0; ci = touched.Next(ci + 1) {
 		c := st.cellsFor(tab)[ci]
 		for k, rows := range c.Rows {
 			c.Sigs[k] = partition.Signature{}
@@ -423,8 +410,7 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	}
 	st.space.Withdraw(touched, tab == TableT, st.clock)
 
-	var grown [2]map[int]bool
-	grown[side] = make(map[int]bool)
+	grown := st.cellSets()
 	st.grantAll(tab, back, grown[side])
 	st.spread(grown, &stats)
 
@@ -449,16 +435,16 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	// joined", and any of them may have rested on a deleted dominator.
 	// Fully-joined regions already contributed all their results, so the
 	// lineage grant below covers them.
-	for _, r := range st.regions {
-		live := st.liveFor(r)
+	for ri := range st.space.Regions {
+		live := st.liveFor(ri)
 		if live == 0 {
 			continue
 		}
-		if r.Alive == 0 && st.fullyJoined(r) {
+		if r := &st.space.Regions[ri]; r.Alive == 0 && st.fullyJoined(ri) {
 			r.RQL |= live
 			continue
 		}
-		if st.reopen(r, live) {
+		if st.reopen(ri, live) {
 			stats.RegionsRevived++
 		}
 	}
@@ -526,11 +512,11 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	return stats, nil
 }
 
-// fullyJoined reports whether a region's tuple-level join has consumed
+// fullyJoined reports whether region ri's tuple-level join has consumed
 // every current tuple pair for every condition with live queries.
-func (st *state) fullyJoined(r *region.Region) bool {
+func (st *state) fullyJoined(ri int) bool {
 	for j := range st.w.JoinConds {
-		if r.JCPass&(1<<uint(j)) != 0 && st.jcQueries[j] != 0 && !st.joinComplete(r, j) {
+		if st.space.Regions[ri].JCPass&(1<<uint(j)) != 0 && st.jcQueries[j] != 0 && !st.joinComplete(ri, j) {
 			return false
 		}
 	}

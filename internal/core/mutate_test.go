@@ -521,7 +521,7 @@ func TestAppendAfterExtendJCKeepsCellPairsUnique(t *testing.T) {
 	x.Finish()
 
 	pairs := make(map[[2]int]int)
-	for _, r := range x.st.regions {
+	for _, r := range x.st.space.Regions {
 		pairs[[2]int{r.RCell.ID, r.TCell.ID}]++
 	}
 	dup := 0
@@ -532,6 +532,57 @@ func TestAppendAfterExtendJCKeepsCellPairsUnique(t *testing.T) {
 		t.Errorf("%d regions duplicate another region's cell pair", dup)
 	}
 	checkIncremental(t, "append-admit-append", batchReport(t, standingWorkload(1), fullR, fullT), rep, a, lastMut, nil, nil)
+}
+
+// TestAppendOpensFirstCellMatchesBatch: a side that starts with no rows has
+// no cells and the plan no regions, so the first append to it opens the
+// side's first cell (Space.AddCell re-strides the pair index) and the
+// retest creates every region; a query admitted afterwards tests its new
+// condition over the grown cell lists. With either side starting empty, the
+// standing query and the late one deliver exactly the batch results over
+// the final data, and the liveness records and the pair index agree after
+// every operation.
+func TestAppendOpensFirstCellMatchesBatch(t *testing.T) {
+	const full, base = 80, 50
+	fullR, fullT, err := datagen.Pair(full, 3, datagen.Independent, []float64{0.05, 0.05}, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := batchReport(t, standingWorkload(1), fullR, fullT)
+	for _, empty := range []Table{TableR, TableT} {
+		label := tableName(empty) + " empty"
+		from := [2]int{base, base}
+		from[empty] = 0
+		rep := run.NewReport("CAQE", standingWorkload(0), nil)
+		x, err := mustEngine(t, standingWorkload(0), cloneRel(fullR, from[0]), cloneRel(fullT, from[1]), Options{}).StartExec(metrics.NewClock(), rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLive(t, label+" at start", x.st)
+		idle(x)
+		for _, tab := range []Table{empty, 1 - empty} {
+			mustAppend(t, x, tab, rowsFrom([2]*tuple.Relation{fullR, fullT}[tab], from[tab], full))
+			checkLive(t, label+" after the append to "+tableName(tab), x.st)
+		}
+		if n := len(x.st.cellsFor(empty)); n != 1 {
+			t.Fatalf("%s: the appends opened %d cells on the empty side, want 1", label, n)
+		}
+		lastMut := x.Now()
+		idle(x)
+		if late := mustAdmit(t, x, lateQuery("late0", 1)); x.ReportIndex(late) != 1 {
+			t.Fatalf("%s: the late query reports as query %d, its batch twin is query 1", label, x.ReportIndex(late))
+		}
+		checkLive(t, label+" after the admission", x.st)
+		idle(x)
+		checkLive(t, label+" after the drain", x.st)
+		x.Finish()
+		for qi := range batch.PerQuery {
+			checkIncremental(t, label, batch, rep, qi, lastMut, nil, nil)
+			if got, want := rep.ResultSet(qi), batch.ResultSet(qi); len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: query %d delivered %d results, batch over the final data %d", label, qi, len(got), len(want))
+			}
+		}
+	}
 }
 
 // TestAdmitKeepsUnsealedDoneSlot: with every slot taken, a query that is

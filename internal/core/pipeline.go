@@ -25,17 +25,16 @@ const (
 // of the counted operations below is the determinism contract (DESIGN.md
 // §13).
 func (st *state) processRegion(ri int) {
-	rc := st.regions[ri]
 	created := st.created[:0]
 	for j, jc := range st.w.JoinConds {
-		left, right := st.joinRows(rc, j)
+		left, right := st.joinRows(ri, j)
 		st.traceOpBatch(opNamePartitionScan, ri, len(left)*len(right))
 		// Signature mask test: queries alive on the region that use the
 		// condition, minus a condition whose cursor already covers the cells —
 		// what lets late admissions and mutations reopen a region without
 		// re-emitting.
-		qmask := st.jcQueries[j] & rc.Alive
-		if qmask == 0 || st.joinComplete(rc, j) {
+		qmask := st.jcQueries[j] & st.space.Regions[ri].Alive
+		if qmask == 0 || st.joinComplete(ri, j) {
 			continue
 		}
 		cur := st.cursor(ri, j)
@@ -68,7 +67,7 @@ func (st *state) processRegion(ri int) {
 	}
 	st.created = created[:0]
 
-	served := st.live.finish(rc)
+	served := st.live.finish(ri)
 	st.clock.CountRegionDone()
 	st.markFrontiersDirty(served)
 	var killed skycube.QSet

@@ -37,8 +37,8 @@ func newTestState(t *testing.T, w *workload.Workload, r, tt *tuple.Relation, opt
 // firstLiveRegion returns the first region still serving a query.
 func firstLiveRegion(t *testing.T, st *state) int {
 	t.Helper()
-	for ri := range st.regions {
-		if st.regions[ri].Alive != 0 {
+	for ri := range st.space.Regions {
+		if st.space.Regions[ri].Alive != 0 {
 			return ri
 		}
 	}
@@ -57,7 +57,7 @@ func TestPipelineProcessRetiresRegion(t *testing.T) {
 	before := st.clock.Counters()
 	st.processRegion(ri)
 	after := st.clock.Counters()
-	if st.regions[ri].Alive != 0 {
+	if st.space.Regions[ri].Alive != 0 {
 		t.Error("region not retired")
 	}
 	if after.RegionsDone != before.RegionsDone+1 {
@@ -65,7 +65,7 @@ func TestPipelineProcessRetiresRegion(t *testing.T) {
 	}
 	joined := false
 	for j := range st.w.JoinConds {
-		joined = joined || st.joinComplete(st.regions[ri], j)
+		joined = joined || st.joinComplete(ri, j)
 	}
 	if !joined {
 		t.Error("SignatureJoin did not record the joined conditions")
@@ -87,7 +87,7 @@ func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 	st.initQueue()
 	ri := firstLiveRegion(t, st)
 	for j := range st.w.JoinConds {
-		left, right := st.joinRows(st.regions[ri], j)
+		left, right := st.joinRows(ri, j)
 		*st.cursor(ri, j) = joinCursor{len(left), len(right)}
 	}
 	before := st.clock.Counters()
@@ -99,7 +99,7 @@ func TestSignatureJoinSkipsJoinedConditions(t *testing.T) {
 	if len(st.payloads) != 0 {
 		t.Errorf("%d payloads materialized from a fully-joined region", len(st.payloads))
 	}
-	if st.regions[ri].Alive != 0 {
+	if st.space.Regions[ri].Alive != 0 {
 		t.Error("region must still retire")
 	}
 }
@@ -134,7 +134,6 @@ func TestProcessRegionTraceOrder(t *testing.T) {
 		t.Fatalf("step opened with %+v, want a decision", evs)
 	}
 	ri := evs[0].Region
-	rc := st.regions[ri]
 
 	type opEv struct {
 		op   string
@@ -143,7 +142,7 @@ func TestProcessRegionTraceOrder(t *testing.T) {
 	var want []opEv
 	created := 0
 	for j, jc := range st.w.JoinConds {
-		left, right := st.joinRows(rc, j)
+		left, right := st.joinRows(ri, j)
 		want = append(want, opEv{opNamePartitionScan, len(left) * len(right)})
 		results := 0
 		for _, l := range left {

@@ -89,17 +89,17 @@ var (
 // the corner table and the kept values: the volume estimate folds
 // DominatedFraction over the list's corners, the exact count runs on
 // the list's set form.
-func (st *state) referenceProgCount(rc *region.Region, qi int, doms []*region.Region) (prog, total float64) {
+func (st *state) referenceProgCount(ri, qi int, doms []int) (prog, total float64) {
 	pref := st.w.Queries[qi].Pref
-	lo, hi := st.space.LoRow(rc.ID), st.space.HiRow(rc.ID)
+	lo, hi := st.space.LoRow(ri), st.space.HiRow(ri)
 	cells := st.space.CellCount(lo, hi, pref)
 	total = float64(cells)
 	if len(doms) == 0 {
 		return total, total
 	}
 	corners := make([][]float64, len(doms))
-	for i, rf := range doms {
-		corners[i] = st.space.LoRow(rf.ID)
+	for i, fi := range doms {
+		corners[i] = st.space.LoRow(fi)
 	}
 	if cells <= exactProgCountCap {
 		refSet, refCorners = listForm(refSet, refCorners, corners)
@@ -117,13 +117,14 @@ func (st *state) referenceProgCount(rc *region.Region, qi int, doms []*region.Re
 
 // referenceCSM is csm on the list path: the dominator lists doms, per
 // query, and referenceProgCount, every query valued as csm values it.
-func (st *state) referenceCSM(rc *region.Region, doms [][]*region.Region) float64 {
-	at := st.finishAt(st.costEstimate(rc))
+func (st *state) referenceCSM(ri int, doms [][]int) float64 {
+	at := st.finishAt(st.costEstimate(ri))
 	total := 0.0
-	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
+	alive := st.space.Regions[ri].Alive
+	for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
 		est := 0.0
-		if prog, cells := st.referenceProgCount(rc, qi, doms[qi]); cells > 0 {
-			est = (prog / cells) * st.cardinality(rc, qi)
+		if prog, cells := st.referenceProgCount(ri, qi, doms[qi]); cells > 0 {
+			est = (prog / cells) * st.cardinality(ri, qi)
 		}
 		if st.e.opt.DisableContractBenefit {
 			total += est
@@ -150,45 +151,45 @@ func checkProgCounts(t *testing.T, label string, st *state) (kept, stale int) {
 		v := f()
 		return v, st.clock.Counters().CellOps
 	}
-	for _, rc := range st.regions {
+	for ri, rc := range st.space.Regions {
 		if rc.Alive == 0 {
 			continue
 		}
 		st.clock = metrics.NewClock()
-		lists := st.referenceDominators(rc)
-		sets := st.dominatorsByQuery(rc)
+		lists := st.referenceDominators(ri)
+		sets := st.dominatorsByQuery(ri)
 		for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
 			pref := st.w.Queries[qi].Pref
 			doms := sets[qi]
 			n := int32(doms.Count())
-			if k := *st.keptProg(rc.ID, qi); n > 0 && k.n == n {
+			if k := *st.keptProg(ri, qi); n > 0 && k.n == n {
 				if k.gen == st.gen {
 					kept++
 				} else {
 					stale++
 				}
 			}
-			got, gotOps := charged(func() float64 { prog, _ := st.progCount(rc, qi, doms); return prog })
+			got, gotOps := charged(func() float64 { prog, _ := st.progCount(ri, qi, doms); return prog })
 			fresh, freshOps := charged(func() float64 {
-				lo, hi := st.space.LoRow(rc.ID), st.space.HiRow(rc.ID)
+				lo, hi := st.space.LoRow(ri), st.space.HiRow(ri)
 				cells := st.space.CellCount(lo, hi, pref)
 				if n == 0 {
 					return float64(cells)
 				}
 				return st.freshProgCount(lo, hi, pref, doms, cells)
 			})
-			list, listOps := charged(func() float64 { prog, _ := st.referenceProgCount(rc, qi, lists[qi]); return prog })
+			list, listOps := charged(func() float64 { prog, _ := st.referenceProgCount(ri, qi, lists[qi]); return prog })
 			if math.Float64bits(got) != math.Float64bits(fresh) || gotOps != freshOps {
-				t.Fatalf("%s: region %d, query %d (%d dominators): ProgCount %v charging %d, fresh %v charging %d", label, rc.ID, qi, n, got, gotOps, fresh, freshOps)
+				t.Fatalf("%s: region %d, query %d (%d dominators): ProgCount %v charging %d, fresh %v charging %d", label, ri, qi, n, got, gotOps, fresh, freshOps)
 			}
 			if math.Float64bits(fresh) != math.Float64bits(list) || freshOps != listOps {
-				t.Fatalf("%s: region %d, query %d (%d dominators): ProgCount %v charging %d, list path %v charging %d", label, rc.ID, qi, n, fresh, freshOps, list, listOps)
+				t.Fatalf("%s: region %d, query %d (%d dominators): ProgCount %v charging %d, list path %v charging %d", label, ri, qi, n, fresh, freshOps, list, listOps)
 			}
 		}
-		got, gotOps := charged(func() float64 { return st.csm(rc) })
-		want, wantOps := charged(func() float64 { return st.referenceCSM(rc, st.referenceDominators(rc)) })
+		got, gotOps := charged(func() float64 { return st.csm(ri) })
+		want, wantOps := charged(func() float64 { return st.referenceCSM(ri, st.referenceDominators(ri)) })
 		if math.Float64bits(got) != math.Float64bits(want) || gotOps != wantOps {
-			t.Fatalf("%s: region %d: csm %v charging %d, list path %v charging %d", label, rc.ID, got, gotOps, want, wantOps)
+			t.Fatalf("%s: region %d: csm %v charging %d, list path %v charging %d", label, ri, got, gotOps, want, wantOps)
 		}
 	}
 	return kept, stale

@@ -68,7 +68,6 @@ type state struct {
 	rep    *run.Report
 	tracer trace.Tracer
 
-	regions   []*region.Region // one with an empty Alive set is done: joined, discarded or retired
 	jcQueries []skycube.QSet
 	jcSigma   []float64
 	uses      region.QueryDims    // per output dimension: the queries whose preference reads it
@@ -232,7 +231,6 @@ func newState(e *Engine, clock *metrics.Clock, space *region.Space, shared *skyc
 		filter:  filter,
 		shared:  shared,
 		rep:     rep,
-		regions: space.Regions,
 		live:    newLiveness(space, len(e.w.Queries)),
 		cursors: make([]joinCursor, len(space.Regions)*len(e.w.JoinConds)),
 		uses:    make(region.QueryDims, len(e.w.OutDims)),
@@ -285,18 +283,18 @@ func (st *state) cursor(ri, jc int) *joinCursor {
 	return &st.cursors[ri*len(st.w.JoinConds)+jc]
 }
 
-// joinComplete reports whether the region's tuple-level join under
+// joinComplete reports whether region ri's tuple-level join under
 // condition jc has consumed every current row pair of its cells' lists.
-func (st *state) joinComplete(r *region.Region, jc int) bool {
-	cur := st.cursor(r.ID, jc)
-	left, right := st.joinRows(r, jc)
+func (st *state) joinComplete(ri, jc int) bool {
+	cur := st.cursor(ri, jc)
+	left, right := st.joinRows(ri, jc)
 	return cur.nr == len(left) && cur.nt == len(right)
 }
 
-// joinRows returns the rows a region joins under condition jc: its cells'
+// joinRows returns the rows region ri joins under condition jc: its cells'
 // lists for the condition's key columns.
-func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple) {
-	c := st.w.JoinConds[jc]
+func (st *state) joinRows(ri, jc int) (left, right []*tuple.Tuple) {
+	c, r := st.w.JoinConds[jc], &st.space.Regions[ri]
 	return r.RCell.Rows[c.LeftKey], r.TCell.Rows[c.RightKey]
 }
 
@@ -305,28 +303,28 @@ func (st *state) joinRows(r *region.Region, jc int) (left, right []*tuple.Tuple)
 // born done — Alive empty, nothing joined — costing the scheduler nothing
 // until reopen revives it.
 func (st *state) growRegions() {
-	st.regions = st.space.Regions
+	m := len(st.space.Regions)
 	st.live.grow(len(st.weights))
-	st.indegree = append(st.indegree, make([]int, len(st.regions)-len(st.indegree))...)
-	if n := len(st.regions) * len(st.w.JoinConds); n > len(st.cursors) {
+	st.indegree = append(st.indegree, make([]int, m-len(st.indegree))...)
+	if n := m * len(st.w.JoinConds); n > len(st.cursors) {
 		st.cursors = append(st.cursors, make([]joinCursor, n-len(st.cursors))...)
 	}
 }
 
-// reopen makes a region serve the queries qs. A live region just extends
+// reopen makes region ri serve the queries qs. A live region just extends
 // its Alive set; a done (processed, discarded or retired) one, its Alive set
 // empty, re-enters the scheduling queue alive for qs only — whatever
 // queries it served before already took (and emitted) everything they
 // needed from it. The join cursors guarantee the reprocessing never repeats
 // a tuple pair. Reports whether a done region was revived.
-func (st *state) reopen(r *region.Region, qs skycube.QSet) bool {
-	r.RQL |= qs
+func (st *state) reopen(ri int, qs skycube.QSet) bool {
+	st.space.Regions[ri].RQL |= qs
 	st.markFrontiersDirty(qs)
 	st.gen++ // live sets grow: the kept orders are stale
-	if !st.live.revive(r, qs) {
+	if !st.live.revive(ri, qs) {
 		return false
 	}
-	st.live.push(r.ID, st.csm(r))
+	st.live.push(ri, st.csm(ri))
 	return true
 }
 
@@ -358,7 +356,7 @@ func (st *state) step() bool {
 			return false
 		}
 		ri := it.region
-		if st.regions[ri].Alive == 0 {
+		if st.space.Regions[ri].Alive == 0 {
 			continue // stale entry of a region retired in-queue
 		}
 		// Lazy refresh: CSM drifts as time advances and regions die. If the
@@ -368,7 +366,7 @@ func (st *state) step() bool {
 		// progress.
 		score := it.score
 		if st.deferrals < 3 && st.live.pq.Len() > 0 {
-			score = st.csm(st.regions[ri])
+			score = st.csm(ri)
 			if scoreBucket(score) < st.live.pq.items[0].bucket {
 				st.live.push(ri, score)
 				st.deferrals++
@@ -388,12 +386,11 @@ func (st *state) step() bool {
 // construction order: the S-JFSL behaviour — all of the plan sharing, none
 // of the contract-driven scheduling.
 func (st *state) runDataOrder() {
-	for ri, r := range st.regions {
-		if r.Alive == 0 {
-			continue
+	for ri := range st.space.Regions {
+		if st.space.Regions[ri].Alive != 0 {
+			st.traceDataOrderDecision(ri)
+			st.process(ri)
 		}
-		st.traceDataOrderDecision(ri)
-		st.process(ri)
 	}
 	st.flushRemaining()
 }
@@ -422,9 +419,9 @@ func (st *state) process(ri int) {
 // Regions born done (the retired tail a KeepPruned build carries for late
 // admissions, Alive empty) never enter the queue.
 func (st *state) initQueue() {
-	for i, r := range st.regions {
+	for i, r := range st.space.Regions {
 		if st.indegree[i] == 0 && r.Alive != 0 {
-			st.live.push(i, st.csm(r))
+			st.live.push(i, st.csm(i))
 		}
 	}
 }
@@ -464,12 +461,12 @@ func (st *state) discardDominated(qs skycube.QSet, newPayloads []int) skycube.QS
 			}
 			killedQueries = killedQueries.Add(qi)
 			st.traceDiscard(fi, qi)
-			if st.live.kill(st.regions[fi], skycube.QSet(0).Add(qi)) {
+			if st.live.kill(fi, skycube.QSet(0).Add(qi)) {
 				st.clock.CountRegionPruned()
 				st.releaseEdges(fi)
 			}
 		}
-		st.clock.CountCellOp(int64(live.CountRange(from, len(st.regions))) * tests)
+		st.clock.CountCellOp(int64(live.CountRange(from, len(st.space.Regions))) * tests)
 	}
 	st.markFrontiersDirty(killedQueries)
 	return killedQueries
@@ -755,7 +752,7 @@ func (st *state) sortFilter(qi int) {
 		return int(a.region - b.region)
 	})
 	ko.corners, ko.n, ko.gen = cs, len(cs), st.gen
-	ko.at = slices.Grow(ko.at[:0], len(st.regions))[:len(st.regions)]
+	ko.at = slices.Grow(ko.at[:0], len(st.space.Regions))[:len(st.space.Regions)]
 	ko.kept = append(ko.kept[:0], live...)
 	fr := st.frontier[qi][:0]
 	var charged int64
@@ -793,14 +790,15 @@ func (st *state) frontierCorner(qi int, ko *keptOrder, p int32) (liveCorner, []f
 // alive for after Withdraw took its condition keeps its frontier, whose
 // safety test then reads the corner where it lies now, as it would through
 // the table.
-func (st *state) cornerMoved(r *region.Region) {
+func (st *state) cornerMoved(ri int) {
 	st.gen++
-	st.live.moveCorner(r)
-	for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
+	st.live.moveCorner(ri)
+	alive := st.space.Regions[ri].Alive
+	for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
 		fr := st.frontier[qi]
 		for i := range fr {
-			if int(fr[i].region) == r.ID {
-				st.kerns[qi].Project(st.space.LoRow(r.ID), &fr[i].lanes)
+			if int(fr[i].region) == ri {
+				st.kerns[qi].Project(st.space.LoRow(ri), &fr[i].lanes)
 			}
 		}
 	}
@@ -809,7 +807,7 @@ func (st *state) cornerMoved(r *region.Region) {
 // scratchSets returns the two reused region sets of the coarse tests,
 // sized to the region count.
 func (st *state) scratchSets() (a, b region.Bits) {
-	n := (len(st.regions) + 63) / 64
+	n := (len(st.space.Regions) + 63) / 64
 	for i := range st.setScratch {
 		st.setScratch[i] = slices.Grow(st.setScratch[i][:0], n)[:n]
 	}
@@ -928,7 +926,7 @@ func (st *state) traceDecision(ri int, score float64) {
 			ev.RunnerUp, ev.RunnerUpCSM, ruBucket = it.region, it.score, it.bucket
 		}
 	}
-	ev.Queries = st.reportQueries(st.regions[ri].Alive)
+	ev.Queries = st.reportQueries(st.space.Regions[ri].Alive)
 	st.tracer.Trace(ev)
 }
 
@@ -941,12 +939,12 @@ func (st *state) traceDataOrderDecision(ri int) {
 	}
 	ev := st.newEvent(trace.KindDecision)
 	ev.Region = ri
-	for _, r := range st.regions {
+	for _, r := range st.space.Regions {
 		if r.Alive != 0 {
 			ev.Frontier++
 		}
 	}
-	ev.Queries = st.reportQueries(st.regions[ri].Alive)
+	ev.Queries = st.reportQueries(st.space.Regions[ri].Alive)
 	st.tracer.Trace(ev)
 }
 

@@ -95,7 +95,7 @@ func TestRefreshFrontierZeroAlloc(t *testing.T) {
 		t.Fatalf("%d live corners, %d on the frontier: nothing to re-test", ko.n, len(st.frontier[qi]))
 	}
 	first := st.frontier[qi][0]
-	dies := st.regions[first.region]
+	dies := int(first.region)
 	before := slices.Clone(st.frontier[qi])
 	die := func() {
 		st.live.kill(dies, 1<<qi)
@@ -107,10 +107,10 @@ func TestRefreshFrontierZeroAlloc(t *testing.T) {
 		t.Fatal("the refresh after a death sorted afresh")
 	}
 	if slices.ContainsFunc(st.frontier[qi], func(c liveCorner) bool { return c.region == first.region }) {
-		t.Fatalf("region %d stays on the frontier after it died", dies.ID)
+		t.Fatalf("region %d stays on the frontier after it died", dies)
 	}
 	if !slices.ContainsFunc(st.frontier[qi], func(c liveCorner) bool { return !slices.Contains(before, c) }) {
-		t.Fatalf("region %d's death promotes none of the corners it blocked", dies.ID)
+		t.Fatalf("region %d's death promotes none of the corners it blocked", dies)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
 		st.live.revive(dies, 1<<qi)
@@ -148,7 +148,8 @@ func TestDiscardZeroAlloc(t *testing.T) {
 			payloads = append(payloads, c<<payloadShift+i)
 		}
 	}
-	rc := st.regions[slices.IndexFunc(st.regions, func(r *region.Region) bool { return r.Alive == 0 })]
+	ri := slices.IndexFunc(st.space.Regions, func(r region.Region) bool { return r.Alive == 0 })
+	rc := st.space.Regions[ri]
 	st.discardDominated(rc.RQL, payloads)
 	before := clock.Counters().CellOps
 	st.discardDominated(rc.RQL, payloads)
@@ -159,7 +160,7 @@ func TestDiscardZeroAlloc(t *testing.T) {
 		t.Fatalf("discardDominated allocates %.1f per pass", allocs)
 	}
 
-	left, right := st.joinRows(rc, 0)
+	left, right := st.joinRows(ri, 0)
 	var js join.Scratch
 	if res := js.NestedLoop(w.JoinConds[0], w.OutDims, left, right, clock); len(res) == 0 {
 		t.Fatalf("%d × %d rows join to nothing", len(left), len(right))
@@ -188,25 +189,26 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 	st := newState(e, clock, space, e.newShared(cuboid, space, clock), run.NewReport("CAQE", e.w, nil), filter)
 	st.initQueue()
 
-	rc := st.regions[len(st.regions)-1]
+	last := len(st.space.Regions) - 1
+	rc := st.space.Regions[last]
 	listed := 0
-	doms := st.dominatorsByQuery(rc)
+	doms := st.dominatorsByQuery(last)
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
 		listed += doms[qi].Count()
 	}
 	if listed == 0 {
-		t.Fatalf("region %d has no dominators: nothing to list", rc.ID)
+		t.Fatalf("region %d has no dominators: nothing to list", last)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { st.dominatorsByQuery(rc) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { st.dominatorsByQuery(last) }); allocs != 0 {
 		t.Fatalf("dominatorsByQuery allocates %.1f per call", allocs)
 	}
 
 	// The CSM of every live region, computed afresh (a generation bump
 	// stales every kept value) and then kept.
 	exact, volume := 0, 0
-	for _, r := range st.regions {
+	for ri, r := range st.space.Regions {
 		for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
-			if st.space.CellCount(st.space.LoRow(r.ID), st.space.HiRow(r.ID), w.Queries[qi].Pref) <= exactProgCountCap {
+			if st.space.CellCount(st.space.LoRow(ri), st.space.HiRow(ri), w.Queries[qi].Pref) <= exactProgCountCap {
 				exact++
 			} else {
 				volume++
@@ -217,9 +219,9 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 		t.Fatalf("%d exact and %d estimated ProgCounts: a path goes untested", exact, volume)
 	}
 	scoreAll := func() {
-		for _, r := range st.regions {
+		for ri, r := range st.space.Regions {
 			if r.Alive != 0 {
-				st.csm(r)
+				st.csm(ri)
 			}
 		}
 	}
@@ -228,28 +230,28 @@ func TestCoarseProbesZeroAlloc(t *testing.T) {
 		t.Fatalf("csm allocates %.1f per pass computing ProgCount afresh", allocs)
 	}
 	hits := 0
-	doms = st.dominatorsByQuery(rc)
+	doms = st.dominatorsByQuery(last)
 	for qi := rc.Alive.Next(0); qi >= 0; qi = rc.Alive.Next(qi + 1) {
-		if k := *st.keptProg(rc.ID, qi); k.gen == st.gen && k.n == int32(doms[qi].Count()) && k.n > 0 {
+		if k := *st.keptProg(last, qi); k.gen == st.gen && k.n == int32(doms[qi].Count()) && k.n > 0 {
 			hits++
 		}
 	}
 	if hits == 0 {
-		t.Fatalf("region %d keeps no ProgCount: nothing to reuse", rc.ID)
+		t.Fatalf("region %d keeps no ProgCount: nothing to reuse", last)
 	}
 	if allocs := testing.AllocsPerRun(50, scoreAll); allocs != 0 {
 		t.Fatalf("csm allocates %.1f per pass reusing kept ProgCounts", allocs)
 	}
 
-	ri := slices.IndexFunc(st.regions, func(r *region.Region) bool {
-		row := st.edgeRow(r.ID)
-		for j := row.Next(0); j >= 0; j = row.Next(j + 1) {
+	ri := -1 // the first region that is the last blocker of another
+	for i := 0; i < len(st.space.Regions) && ri < 0; i++ {
+		row := st.edgeRow(i)
+		for j := row.Next(0); j >= 0 && ri < 0; j = row.Next(j + 1) {
 			if st.indegree[j] == 1 {
-				return true
+				ri = i
 			}
 		}
-		return false
-	})
+	}
 	if ri < 0 {
 		t.Fatal("no region is the last blocker of another: a release roots nothing")
 	}

@@ -335,52 +335,57 @@ func TestCornerRanksMatchPair(t *testing.T) {
 // referenceCoarsePrune is coarsePrune as it read before the corner index:
 // every region against every other whose lineage meets its own, one
 // QueryDims.Pair per pair, until the region's Alive set is empty. The
-// bounds table is rebuilt row by row in the new order.
+// region list and bounds table are rebuilt in the new order, and each pair
+// index entry follows its region to its new position.
 func (s *Space) referenceCoarsePrune(clock *metrics.Clock, keepPruned bool) {
 	uses := NewQueryDims(s.W.Queries, len(s.W.OutDims))
-	for _, r := range s.Regions {
-		for _, o := range s.Regions {
+	for i := range s.Regions {
+		r := &s.Regions[i]
+		for j, o := range s.Regions {
 			if r.Alive == 0 {
 				break
 			}
-			if o == r || o.RQL&r.RQL == 0 {
+			if j == i || o.RQL&r.RQL == 0 {
 				continue
 			}
 			if clock != nil {
 				clock.CountCellOp(1)
 			}
-			notWeak, strict := uses.Pair(s.HiRow(o.ID), s.LoRow(r.ID))
+			notWeak, strict := uses.Pair(s.HiRow(j), s.LoRow(i))
 			r.Alive &^= o.RQL & strict &^ notWeak
 		}
 	}
+	var regs []Region
 	var lo, hi []float64
-	move := func(r *Region) {
-		lo, hi = append(lo, s.LoRow(r.ID)...), append(hi, s.HiRow(r.ID)...)
+	at := make([]int32, len(s.Regions)) // old position → new, or -1
+	move := func(i int) {
+		at[i] = int32(len(regs))
+		regs = append(regs, s.Regions[i])
+		lo, hi = append(lo, s.LoRow(i)...), append(hi, s.HiRow(i)...)
 	}
-	var pruned []*Region
-	kept := s.Regions[:0]
-	for _, r := range s.Regions {
+	var pruned []int
+	for i, r := range s.Regions {
+		at[i] = -1
 		if r.Alive != 0 {
-			move(r)
-			r.ID = len(kept)
-			kept = append(kept, r)
+			move(i)
 			continue
 		}
 		if clock != nil {
 			clock.CountRegionPruned()
 		}
 		if keepPruned {
-			pruned = append(pruned, r)
-		} else {
-			delete(s.byPair, [2]int{r.RCell.ID, r.TCell.ID})
+			pruned = append(pruned, i)
 		}
 	}
-	for _, r := range pruned {
-		move(r)
-		r.ID = len(kept)
-		kept = append(kept, r)
+	for _, i := range pruned {
+		move(i)
 	}
-	s.Regions, s.BoxLo, s.BoxHi = kept, lo, hi
+	for k, old := range s.pairs {
+		if old >= 0 {
+			s.pairs[k] = at[old]
+		}
+	}
+	s.Regions, s.BoxLo, s.BoxHi = regs, lo, hi
 }
 
 // cloneSpace copies a space's region list, bounds table and pair index;
@@ -388,13 +393,7 @@ func (s *Space) referenceCoarsePrune(clock *metrics.Clock, keepPruned bool) {
 func cloneSpace(s *Space) *Space {
 	c := *s
 	c.BoxLo, c.BoxHi = slices.Clone(s.BoxLo), slices.Clone(s.BoxHi)
-	c.Regions = make([]*Region, len(s.Regions))
-	c.byPair = make(map[[2]int]*Region, len(s.byPair))
-	for i, r := range s.Regions {
-		cp := *r
-		c.Regions[i] = &cp
-		c.byPair[[2]int{r.RCell.ID, r.TCell.ID}] = &cp
-	}
+	c.Regions, c.pairs = slices.Clone(s.Regions), slices.Clone(s.pairs)
 	return &c
 }
 
@@ -402,7 +401,8 @@ func cloneSpace(s *Space) *Space {
 // cell pair that passes a condition some query uses, Alive their lineage,
 // with their boxes.
 func unprunedSpace(w *workload.Workload, rcells, tcells []*partition.Cell) *Space {
-	s := &Space{W: w, RCells: rcells, TCells: tcells, byPair: make(map[[2]int]*Region)}
+	s := &Space{W: w, RCells: rcells, TCells: tcells}
+	s.reindex()
 	for j := range w.JoinConds {
 		if w.QueriesWithJC(j) != 0 {
 			s.TestedJC |= 1 << uint(j)
@@ -410,7 +410,8 @@ func unprunedSpace(w *workload.Workload, rcells, tcells []*partition.Cell) *Spac
 	}
 	for _, rc := range rcells {
 		for _, tc := range tcells {
-			if reg := s.joinPair(rc, tc, s.TestedJC, nil); reg != nil {
+			if ri := s.joinPair(rc, tc, s.TestedJC, nil); ri >= 0 {
+				reg := &s.Regions[ri]
 				for j := range w.JoinConds {
 					if reg.JCPass&(1<<uint(j)) != 0 {
 						reg.RQL |= w.QueriesWithJC(j)
@@ -426,7 +427,7 @@ func unprunedSpace(w *workload.Workload, rcells, tcells []*partition.Cell) *Spac
 
 // TestCoarsePruneMatchesReference: on random plans and on plans joined from
 // generated data, coarsePrune leaves the reference's regions in the
-// reference's order — Alive and lineage, IDs, the pair index, each box in
+// reference's order — Alive and lineage, positions, the pair index, each box in
 // its region's row of the bounds table, bit for bit — and charges
 // the same cell operations and pruned regions, with KeepPruned on and off.
 // The random plans' bounds tie often and hold NaN, ±Inf and −0, some
@@ -445,9 +446,18 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 				w.Queries[qi].Pref = preference.SubspaceFromMask(uint64(rng.Intn(1 << uint(nd))))
 			}
 		}
-		s := &Space{W: w, byPair: make(map[[2]int]*Region)}
-		for i, m := 0, 1+rng.Intn(140); i < m; i++ {
-			r := &Region{ID: i, RCell: &partition.Cell{ID: i / 12}, TCell: &partition.Cell{ID: i % 12}}
+		// Region i is over cell pair (i/12, i%12), pair index entry i; the
+		// last R cell's pairs past the last region have none.
+		m := 1 + rng.Intn(140)
+		s := &Space{W: w, RCells: make([]*partition.Cell, (m+11)/12), TCells: make([]*partition.Cell, 12)}
+		for _, cells := range [][]*partition.Cell{s.RCells, s.TCells} {
+			for c := range cells {
+				cells[c] = &partition.Cell{ID: c}
+			}
+		}
+		s.reindex()
+		for i := 0; i < m; i++ {
+			r := Region{RCell: s.RCells[i/12], TCell: s.TCells[i%12]}
 			for k := 0; k < nd; k++ {
 				var lo float64
 				if rng.Intn(12) == 0 {
@@ -464,7 +474,7 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 			r.RQL = 1 + skycube.QSet(rng.Intn(1<<uint(nq)-1))
 			r.Alive = r.RQL
 			s.Regions = append(s.Regions, r)
-			s.byPair[[2]int{r.RCell.ID, r.TCell.ID}] = r
+			s.pairs[i] = int32(i)
 		}
 		spaces = append(spaces, s)
 	}
@@ -486,18 +496,17 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 			if refClock.Counters() != gotClock.Counters() {
 				t.Fatalf("%s: counters %+v, reference %+v", label, gotClock.Counters(), refClock.Counters())
 			}
-			if len(got.Regions) != len(ref.Regions) || len(got.byPair) != len(ref.byPair) {
-				t.Fatalf("%s: %d regions, %d indexed, reference %d, %d", label, len(got.Regions), len(got.byPair), len(ref.Regions), len(ref.byPair))
+			if len(got.Regions) != len(ref.Regions) {
+				t.Fatalf("%s: %d regions, reference %d", label, len(got.Regions), len(ref.Regions))
 			}
 			for i, r := range got.Regions {
-				o := ref.Regions[i]
-				if r.ID != o.ID || r.RCell != o.RCell || r.TCell != o.TCell || r.Alive != o.Alive || r.RQL != o.RQL {
+				if o := ref.Regions[i]; r != o {
 					t.Fatalf("%s: position %d holds %v (pair %d,%d), reference %v (pair %d,%d)",
 						label, i, r, r.RCell.ID, r.TCell.ID, o, o.RCell.ID, o.TCell.ID)
 				}
-				if key := [2]int{r.RCell.ID, r.TCell.ID}; (got.byPair[key] == r) != (ref.byPair[key] == o) {
-					t.Fatalf("%s: pair %v indexed %v, reference %v", label, key, got.byPair[key] == r, ref.byPair[key] == o)
-				}
+			}
+			if !slices.Equal(got.pairs, ref.pairs) {
+				t.Fatalf("%s: pair index %v, reference %v", label, got.pairs, ref.pairs)
 			}
 			if !sameBits(got.BoxLo, ref.BoxLo) || !sameBits(got.BoxHi, ref.BoxHi) {
 				t.Fatalf("%s: bounds table\n%v\n%v\nreference\n%v\n%v", label, got.BoxLo, got.BoxHi, ref.BoxLo, ref.BoxHi)
@@ -505,11 +514,12 @@ func TestCoarsePruneMatchesReference(t *testing.T) {
 			if keep {
 				continue
 			}
-			for _, r := range s.Regions {
-				switch o := ref.byPair[[2]int{r.RCell.ID, r.TCell.ID}]; {
-				case o == nil:
+			for k, old := range s.pairs {
+				switch o := ref.pairs[k]; {
+				case old < 0:
+				case o < 0:
 					allDead++
-				case o.Alive != r.RQL:
+				case ref.Regions[o].Alive != s.Regions[old].RQL:
 					someAlive++
 				}
 			}

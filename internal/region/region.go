@@ -19,9 +19,8 @@ import (
 
 // Region is one d-dimensional region of the output space: the image of a
 // pair of input cells under the workload's mapping functions, annotated
-// with the queries it serves. Its box is row ID of Space's bounds table.
+// with the queries it serves. A region is its index in Space.Regions.
 type Region struct {
-	ID    int
 	RCell *partition.Cell
 	TCell *partition.Cell
 
@@ -43,16 +42,15 @@ type Region struct {
 }
 
 // Space is the abstract multi-query output space: all surviving regions,
-// their boxes and the output grid geometry. BoxLo and BoxHi are the bounds
-// table, the one home of every box: row i, nd = len(W.OutDims) values, holds
-// region i's exact output bounds (LoRow, HiRow). Only this package writes
-// it: Bound, when a region is created or an append stretched its cell, and
-// coarsePrune's renumbering, which moves each row with its ID. A row is a
-// view, valid until the plan gains a region (ExtendJC, Retest): no caller
-// holds one across those calls.
+// held by value and addressed by index, their boxes and the output grid
+// geometry. BoxLo and BoxHi are the bounds table, the one home of every box:
+// row i, nd = len(W.OutDims) values, holds region i's bounds (LoRow, HiRow).
+// Only this package writes it: Bound, and coarsePrune's compaction. A row,
+// like a pointer into Regions, is valid until the plan gains a region
+// (ExtendJC, Retest): no caller holds one across those calls.
 type Space struct {
 	W            *workload.Workload
-	Regions      []*Region
+	Regions      []Region
 	BoxLo, BoxHi []float64
 
 	GridLo   []float64 // global lower bound of the output space
@@ -67,9 +65,8 @@ type Space struct {
 	// referenced by at least one query; ExtendJC adds the rest on demand).
 	TestedJC uint64
 
-	// byPair indexes Regions by (R cell ID, T cell ID): every cell pair has
-	// at most one region, and joinPair is the only place one is created.
-	byPair map[[2]int]*Region
+	// pairs: entry rc·len(TCells)+tc is the region over cells (rc, tc), or -1.
+	pairs []int32
 }
 
 // Options configures MQLA.
@@ -101,27 +98,25 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 		res = 64
 	}
 
+	s := &Space{W: w, RCells: rcells, TCells: tcells}
+	s.reindex()
 	// Queries grouped by join condition so each signature test is shared.
 	jcQueries := make([]skycube.QSet, len(w.JoinConds))
 	for j := range w.JoinConds {
-		jcQueries[j] = w.QueriesWithJC(j)
-	}
-
-	s := &Space{W: w, RCells: rcells, TCells: tcells, byPair: make(map[[2]int]*Region)}
-	for j := range w.JoinConds {
-		if jcQueries[j] != 0 {
+		if jcQueries[j] = w.QueriesWithJC(j); jcQueries[j] != 0 {
 			s.TestedJC |= 1 << uint(j)
 		}
 	}
 	for _, rc := range rcells {
 		for _, tc := range tcells {
-			reg := s.joinPair(rc, tc, s.TestedJC, clock)
-			if reg == nil {
+			ri := s.joinPair(rc, tc, s.TestedJC, clock)
+			if ri < 0 {
 				if clock != nil {
 					clock.CountRegionPruned()
 				}
 				continue
 			}
+			reg := &s.Regions[ri]
 			for j := range w.JoinConds {
 				if reg.JCPass&(1<<uint(j)) != 0 {
 					reg.RQL |= jcQueries[j]
@@ -140,17 +135,16 @@ func BuildSpace(w *workload.Workload, rcells, tcells []*partition.Cell, opt Opti
 // joinPair runs the coarse-level join of one cell pair: the signature test
 // of every condition in jcs the pair does not already pass (a signature
 // grows until a delete rebuilds it, and Withdraw follows every rebuild, so a
-// recorded pass still holds), each charged to the clock as one
-// cell operation plus the intersection probes. A pair whose first test
-// passes gains its region, appended at the tail with empty lineage; its
-// caller then gives it its box (boxNew). The pair's region, or nil if it
-// still has none, is returned.
-func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Clock) *Region {
-	key := [2]int{rc.ID, tc.ID}
-	reg := s.byPair[key]
+// recorded pass still holds), each charged to the clock as one cell
+// operation plus the intersection probes. A pair whose first test passes
+// gains its region, appended at the tail with empty lineage; its caller
+// then gives it its box (boxNew). The pair's region, or -1, is returned.
+func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Clock) int {
+	at := rc.ID*len(s.TCells) + tc.ID
+	ri := int(s.pairs[at])
 	for j, jc := range s.W.JoinConds {
 		jbit := uint64(1) << uint(j)
-		if jcs&jbit == 0 || (reg != nil && reg.JCPass&jbit != 0) {
+		if jcs&jbit == 0 || (ri >= 0 && s.Regions[ri].JCPass&jbit != 0) {
 			continue
 		}
 		if clock != nil {
@@ -159,14 +153,40 @@ func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Cloc
 		if !rc.Sigs[jc.LeftKey].Intersects(tc.Sigs[jc.RightKey], clock) {
 			continue
 		}
-		if reg == nil {
-			reg = &Region{ID: len(s.Regions), RCell: rc, TCell: tc}
-			s.Regions = append(s.Regions, reg)
-			s.byPair[key] = reg
+		if ri < 0 {
+			ri = len(s.Regions)
+			s.Regions = append(s.Regions, Region{RCell: rc, TCell: tc})
+			s.pairs[at] = int32(ri)
 		}
-		reg.JCPass |= jbit
+		s.Regions[ri].JCPass |= jbit
 	}
-	return reg
+	return ri
+}
+
+// reindex rebuilds the pair index from the cell lists and Regions.
+func (s *Space) reindex() {
+	n := len(s.RCells) * len(s.TCells)
+	s.pairs = slices.Grow(s.pairs[:0], n)[:n]
+	for i := range s.pairs {
+		s.pairs[i] = -1
+	}
+	for i, r := range s.Regions {
+		s.pairs[r.RCell.ID*len(s.TCells)+r.TCell.ID] = int32(i)
+	}
+}
+
+// PairIndex returns the pair index (see pairs), for reading.
+func (s *Space) PairIndex() []int32 { return s.pairs }
+
+// AddCell appends a cell, its ID its position, to the R cells, or the T
+// cells when onT is set, and re-strides the pair index over it.
+func (s *Space) AddCell(c *partition.Cell, onT bool) {
+	if onT {
+		s.TCells = append(s.TCells, c)
+	} else {
+		s.RCells = append(s.RCells, c)
+	}
+	s.reindex()
 }
 
 // boxNew grows the bounds table once over the regions joinPair appended
@@ -174,15 +194,15 @@ func (s *Space) joinPair(rc, tc *partition.Cell, jcs uint64, clock *metrics.Cloc
 func (s *Space) boxNew(from int) {
 	n := len(s.Regions) * len(s.W.OutDims)
 	s.BoxLo, s.BoxHi = slices.Grow(s.BoxLo, n-len(s.BoxLo))[:n], slices.Grow(s.BoxHi, n-len(s.BoxHi))[:n]
-	for _, r := range s.Regions[from:] {
-		s.Bound(r)
+	for i := from; i < len(s.Regions); i++ {
+		s.Bound(i)
 	}
 }
 
-// Bound computes region r's box from its cells' boxes by interval
+// Bound computes region i's box from its cells' boxes by interval
 // arithmetic over the mapping functions.
-func (s *Space) Bound(r *Region) {
-	lo, hi := s.LoRow(r.ID), s.HiRow(r.ID)
+func (s *Space) Bound(i int) {
+	r, lo, hi := &s.Regions[i], s.LoRow(i), s.HiRow(i)
 	for k, f := range s.W.OutDims {
 		lo[k], hi[k] = f.Bounds(r.RCell.Lo, r.RCell.Hi, r.TCell.Lo, r.TCell.Hi)
 	}
@@ -245,10 +265,10 @@ func (s *Space) initGrid(res int) {
 // until r.Alive is empty (DESIGN.md §13): up to the highest of the queries'
 // first killers when every query dies, all of them when one survives.
 //
-// With keepPruned, dead regions are moved to the tail of the list (IDs
-// after every survivor) instead of discarded; survivors keep the exact IDs
-// of a discarding build and the pruning charges are identical. Each box
-// moves with its region's ID, survivors' rows compacted in place.
+// With keepPruned, dead regions are moved to the tail of the list (indices
+// after every survivor) instead of discarded; survivors keep the exact
+// indices of a discarding build and the pruning charges are identical. Each
+// box moves with its region, and the pair index is rewritten.
 func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 	m := len(s.Regions)
 	ranks := NewCornerRanks(m, len(s.W.OutDims), s.HiRow)
@@ -292,20 +312,20 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 		} else {
 			charged += int64(overlap.Count())
 		}
-		r.Alive = alive
+		s.Regions[i].Alive = alive
 	}
 	if clock != nil {
 		clock.CountCellOp(charged)
 	}
-	var pruned []*Region
+	var pruned []Region
 	var tailLo, tailHi []float64 // the pruned regions' rows
-	kept := s.Regions[:0]
-	for _, r := range s.Regions {
+	kept := 0
+	for i, r := range s.Regions {
 		if r.Alive != 0 {
-			copy(s.LoRow(len(kept)), s.LoRow(r.ID))
-			copy(s.HiRow(len(kept)), s.HiRow(r.ID))
-			r.ID = len(kept)
-			kept = append(kept, r)
+			copy(s.LoRow(kept), s.LoRow(i))
+			copy(s.HiRow(kept), s.HiRow(i))
+			s.Regions[kept] = r
+			kept++
 			continue
 		}
 		if clock != nil {
@@ -313,18 +333,13 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 		}
 		if keepPruned {
 			pruned = append(pruned, r)
-			tailLo, tailHi = append(tailLo, s.LoRow(r.ID)...), append(tailHi, s.HiRow(r.ID)...)
-		} else {
-			delete(s.byPair, [2]int{r.RCell.ID, r.TCell.ID})
+			tailLo, tailHi = append(tailLo, s.LoRow(i)...), append(tailHi, s.HiRow(i)...)
 		}
 	}
-	n := len(kept) * len(s.W.OutDims)
+	n := kept * len(s.W.OutDims)
 	s.BoxLo, s.BoxHi = append(s.BoxLo[:n], tailLo...), append(s.BoxHi[:n], tailHi...)
-	for _, r := range pruned {
-		r.ID = len(kept)
-		kept = append(kept, r)
-	}
-	s.Regions = kept
+	s.Regions = append(s.Regions[:kept], pruned...)
+	s.reindex()
 }
 
 // ExtendJC runs the coarse-level join for one join condition that was not
@@ -350,22 +365,22 @@ func (s *Space) ExtendJC(j int, clock *metrics.Clock) {
 }
 
 // Retest re-runs the coarse-level join for leaf cells whose signatures
-// grew (an append placed tuples in them): each of cells — R cells, or T
-// cells when onT is set — is paired with every cell of the opposite side
-// over every condition tested so far. A pair that starts passing marks
-// JCPass on its region or gains a fresh tail region exactly as in ExtendJC;
-// the number of regions created is returned.
-func (s *Space) Retest(cells []*partition.Cell, onT bool, clock *metrics.Clock) int {
+// grew (an append placed tuples in them): each cell of touched — R cell
+// IDs, or T cell IDs when onT is set — in ascending order is paired with
+// every cell of the opposite side over every condition tested so far. A
+// pair that starts passing marks JCPass on its region or gains a fresh tail
+// region exactly as in ExtendJC; the number of regions created is returned.
+func (s *Space) Retest(touched Bits, onT bool, clock *metrics.Clock) int {
 	before := len(s.Regions)
-	opp := s.TCells
+	cells, opp := s.RCells, s.TCells
 	if onT {
-		opp = s.RCells
+		cells, opp = opp, cells
 	}
-	for _, c := range cells {
+	for ci := touched.Next(0); ci >= 0; ci = touched.Next(ci + 1) {
 		for _, oc := range opp {
-			rc, tc := c, oc
+			rc, tc := cells[ci], oc
 			if onT {
-				rc, tc = oc, c
+				rc, tc = oc, rc
 			}
 			s.joinPair(rc, tc, s.TestedJC, clock)
 		}
@@ -383,13 +398,14 @@ func (s *Space) Retest(cells []*partition.Cell, onT bool, clock *metrics.Clock) 
 // admission neither serves a query from it nor prunes another region against
 // it. The region keeps its slot and cursors; joinPair re-tests a withdrawn
 // condition on the next Retest of either cell.
-func (s *Space) Withdraw(touched map[int]bool, onT bool, clock *metrics.Clock) {
-	for _, reg := range s.Regions {
+func (s *Space) Withdraw(touched Bits, onT bool, clock *metrics.Clock) {
+	for i := range s.Regions {
+		reg := &s.Regions[i]
 		c := reg.RCell
 		if onT {
 			c = reg.TCell
 		}
-		if !touched[c.ID] {
+		if !touched.Has(c.ID) {
 			continue
 		}
 		for j, jc := range s.W.JoinConds {

@@ -3,6 +3,7 @@ package region
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -105,8 +106,8 @@ func TestBuildSpaceRQLMatchesBruteForce(t *testing.T) {
 	// sharing pair must either appear or have been pruned for all queries.
 	type pair struct{ a, b int }
 	present := map[pair]*Region{}
-	for _, reg := range s.Regions {
-		present[pair{reg.RCell.ID, reg.TCell.ID}] = reg
+	for i, reg := range s.Regions {
+		present[pair{reg.RCell.ID, reg.TCell.ID}] = &s.Regions[i]
 	}
 	jc := w.JoinConds[0]
 	for _, a := range rc {
@@ -132,8 +133,8 @@ func TestRegionBoundsContainJoinOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, reg := range s.Regions {
-		lo, hi := s.LoRow(reg.ID), s.HiRow(reg.ID)
+	for i, reg := range s.Regions {
+		lo, hi := s.LoRow(i), s.HiRow(i)
 		results := new(join.Scratch).NestedLoop(w.JoinConds[0], w.OutDims, reg.RCell.Tuples, reg.TCell.Tuples, nil)
 		for _, res := range results {
 			for k := range res.Out {
@@ -317,8 +318,8 @@ func TestCellCountPositive(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := preference.NewSubspace(0, 1)
-	for _, reg := range s.Regions {
-		if n := s.CellCount(s.LoRow(reg.ID), s.HiRow(reg.ID), v); n < 1 {
+	for i, reg := range s.Regions {
+		if n := s.CellCount(s.LoRow(i), s.HiRow(i), v); n < 1 {
 			t.Fatalf("region %v has cell count %d", reg, n)
 		}
 	}
@@ -468,16 +469,44 @@ func TestEmptySpaceGrid(t *testing.T) {
 	}
 }
 
+// TestRegionIDsSequentialAfterPrune: a region is its index, so once the
+// coarse prune has compacted the list, with KeepPruned off and on, the pair
+// index names every region at its new position and no other entry names
+// one.
 func TestRegionIDsSequentialAfterPrune(t *testing.T) {
 	w := testWorkload(4, 3)
-	_, _, rc, tc := testData(t, 200, 3, 10)
-	s, err := BuildSpace(w, rc, tc, Options{GridResolution: 16}, nil)
+	r, tt, err := datagen.Pair(1000, 3, datagen.Independent, []float64{0.1}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, reg := range s.Regions {
-		if reg.ID != i {
-			t.Fatalf("region at index %d has ID %d", i, reg.ID)
+	var cells [2][]*partition.Cell
+	for side, rel := range []*tuple.Relation{r, tt} {
+		if cells[side], err = partition.Partition(rel, partition.DefaultOptions(rel.Len(), 24)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc, tc := cells[0], cells[1]
+	for _, keep := range []bool{false, true} {
+		s, err := BuildSpace(w, rc, tc, Options{GridResolution: 16, KeepPruned: keep}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int32, len(rc)*len(tc))
+		for i := range want {
+			want[i] = -1
+		}
+		retired := 0
+		for i, reg := range s.Regions {
+			want[reg.RCell.ID*len(tc)+reg.TCell.ID] = int32(i)
+			if reg.Alive == 0 {
+				retired++
+			}
+		}
+		if !slices.Equal(s.PairIndex(), want) {
+			t.Fatalf("KeepPruned %v: pair index %v, want %v", keep, s.PairIndex(), want)
+		}
+		if keep && retired == 0 {
+			t.Fatal("the prune retired no region: nothing was compacted")
 		}
 	}
 }
