@@ -306,10 +306,14 @@ func (c *hybridContract) NewTracker(estTotal int) Tracker {
 
 // hybridTracker composes the cardinality tracker with the per-tuple time
 // decay. Because the cardinality component of an interval resolves when the
-// interval closes, the product is applied per tuple at resolution time.
+// interval closes, the product is applied per tuple at resolution time:
+// each closed interval's terms are added to sum, in observation order, as
+// it closes, so PScore adds only the open interval's.
 type hybridTracker struct {
 	card      *cardTracker
 	timeUtils []float64 // 1/ts per observed tuple, observation order
+	closed    int       // tuples of closed intervals, their terms in sum
+	sum       float64
 }
 
 func timeDecay(ts float64) float64 {
@@ -322,32 +326,51 @@ func timeDecay(ts float64) float64 {
 func (t *hybridTracker) Observe(ts float64) {
 	t.card.Observe(ts)
 	t.timeUtils = append(t.timeUtils, timeDecay(ts))
+	t.settle()
 }
 
-func (t *hybridTracker) Finalize(end float64) { t.card.Finalize(end) }
+func (t *hybridTracker) Finalize(end float64) {
+	t.card.Finalize(end)
+	t.settle()
+}
+
+// term is tuple i's utility under cardinality utility cu. The 1/ts decay
+// only scales down reward. A quota-shortfall penalty (negative cardinality
+// utility) must pass through undiluted: multiplying a negative utility by a
+// decay < 1 would *shrink* the penalty as delivery gets later, rewarding
+// exactly the behaviour the hybrid contract is meant to punish.
+func (t *hybridTracker) term(cu float64, i int) float64 {
+	if cu < 0 {
+		return cu
+	}
+	return float64(cu * t.timeUtils[i])
+}
+
+// settle adds the terms of the intervals closed since the last call to sum.
+func (t *hybridTracker) settle() {
+	for ; t.closed < len(t.card.utils); t.closed++ {
+		t.sum += t.term(t.card.utils[t.closed], t.closed)
+	}
+}
 
 func (t *hybridTracker) Utilities() []float64 {
 	cu := t.card.Utilities()
 	out := make([]float64, len(cu))
 	for i := range cu {
-		// The 1/ts decay only scales down reward. A quota-shortfall
-		// penalty (negative cardinality utility) must pass through
-		// undiluted: multiplying a negative utility by a decay < 1 would
-		// *shrink* the penalty as delivery gets later, rewarding exactly
-		// the behaviour the hybrid contract is meant to punish.
-		if cu[i] < 0 {
-			out[i] = cu[i]
-		} else {
-			out[i] = cu[i] * t.timeUtils[i]
-		}
+		out[i] = t.term(cu[i], i)
 	}
 	return out
 }
 
+// PScore is the sum of Utilities in order: the closed intervals' running
+// sum, then the open interval's terms.
 func (t *hybridTracker) PScore() float64 {
-	s := 0.0
-	for _, u := range t.Utilities() {
-		s += u
+	s := t.sum
+	if n := t.card.curCount; n > 0 {
+		u := t.card.intervalUtility(n)
+		for i := t.closed; i < t.closed+n; i++ {
+			s += t.term(u, i)
+		}
 	}
 	return s
 }

@@ -1,7 +1,9 @@
 package contract
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -534,4 +536,76 @@ func TestCombinatorsPanicOnBadInput(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// fullPScore is the hybrid score as one pass over every utility, the way
+// PScore read before it kept a running sum.
+func fullPScore(tr Tracker) float64 {
+	s := 0.0
+	for _, u := range tr.Utilities() {
+		s += u
+	}
+	return s
+}
+
+// TestHybridRunningSumMatchesFullPass requires C5's running sum to give
+// the full pass's bits after every Observe and Finalize, on random
+// timestamps: some at or below 1 s (no decay), some out of order, and
+// totals that leave some intervals short of the quota (negative terms).
+func TestHybridRunningSumMatchesFullPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	short, met := 0, 0
+	for trial := range 300 {
+		tr := C5(0.05+0.3*rng.Float64(), 0.5+4*rng.Float64()).NewTracker(rng.Intn(200))
+		ts := 0.0
+		check := func(what string) {
+			t.Helper()
+			want := fullPScore(tr)
+			if got := tr.PScore(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d after %s: PScore %v, full pass %v", trial, what, got, want)
+			}
+			if n := tr.Count(); n > 0 {
+				if got, want := tr.Runtime(), clamp01(want/float64(n)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d after %s: Runtime %v, full pass %v", trial, what, got, want)
+				}
+			}
+		}
+		for range rng.Intn(120) {
+			switch rng.Intn(6) {
+			case 0: // a burst: the same instant
+			case 1:
+				ts = math.Max(0, ts-rng.Float64()) // out of order
+			default:
+				ts += rng.ExpFloat64() * 0.7
+			}
+			tr.Observe(ts)
+			check(fmt.Sprintf("Observe(%g)", ts))
+		}
+		tr.Finalize(ts + rng.Float64()*10)
+		check("Finalize")
+		for _, u := range tr.Utilities() {
+			if u < 0 {
+				short++
+			} else {
+				met++
+			}
+		}
+	}
+	if short == 0 || met == 0 {
+		t.Fatalf("the trials miss a case: %d short, %d met", short, met)
+	}
+}
+
+// TestHybridRuntimeAllocatesNothing: an Eq. 11 update reads C5's running
+// sum, not a copy of every utility so far.
+func TestHybridRuntimeAllocatesNothing(t *testing.T) {
+	tr := C5(0.2, 5).NewTracker(50)
+	for ts := 0.5; ts < 60; ts += 0.37 {
+		tr.Observe(ts)
+	}
+	var sink float64
+	if n := testing.AllocsPerRun(100, func() { sink += tr.Runtime() }); n != 0 {
+		t.Fatalf("Runtime allocates %v times per call", n)
+	}
+	_ = sink
 }

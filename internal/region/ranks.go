@@ -1,7 +1,6 @@
 package region
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -119,26 +118,23 @@ const rankStride = 16
 // output dimensions.
 func NewCornerRanks(m, nd int, corner func(i int) []float64) *CornerRanks {
 	c := &CornerRanks{words: (m + 63) / 64, dims: make([]rankDim, nd)}
-	type ranked struct {
-		v float64
-		i int32
-	}
-	order := make([]ranked, 0, m)
+	keys := make([]uint64, 0, m)
+	var sorter KeySorter
 	for k := range c.dims {
-		order = order[:0]
+		d := &c.dims[k]
+		keys, d.ids = keys[:0], make([]int32, 0, m)
 		for i := 0; i < m; i++ {
 			if v := corner(i)[k]; !math.IsNaN(v) {
-				order = append(order, ranked{v, int32(i)})
+				keys = append(keys, FloatKey(v))
+				d.ids = append(d.ids, int32(i))
 			}
 		}
-		// Equal coordinates may lie in any order: a rank is never taken
-		// between two of them.
-		slices.SortFunc(order, func(a, b ranked) int { return cmp.Compare(a.v, b.v) })
-		d := &c.dims[k]
-		d.vals = make([]float64, len(order))
-		d.ids = make([]int32, len(order))
-		for p, o := range order {
-			d.vals[p], d.ids[p] = o.v, o.i
+		// Equal coordinates may lie in any order (−0 below +0 here): a rank
+		// is never taken between two of them.
+		sorter.Sort(keys, d.ids)
+		d.vals = make([]float64, len(d.ids))
+		for p, id := range d.ids {
+			d.vals[p] = corner(int(id))[k]
 		}
 		d.all = NewBits(m)
 		c.remark(k, 0)
