@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	caqe-serve [-addr :8734] [-n rows] [-dims d] [-dist independent|correlated|anticorrelated]
+//	caqe-serve [-addr :8734] [-n rows] [-dims d] [-dist independent|correlated|anti-correlated]
 //	           [-sel σ] [-keys k] [-seed s] [-max-concurrent m] [-cells c]
 //	           [-clock virtual|wall] [-retry-after s]
 //	           [-max-buffered n] [-buffer-policy block-executor-never|disconnect-slow]
@@ -76,7 +76,7 @@ func main() {
 		addr    = flag.String("addr", ":8734", "listen address")
 		n       = flag.Int("n", 2000, "rows per generated relation")
 		dims    = flag.Int("dims", 4, "output dimensionality d")
-		dist    = flag.String("dist", "independent", "data distribution: independent, correlated, anticorrelated")
+		dist    = flag.String("dist", "independent", "data distribution: independent, correlated or anticorrelated (also ind, cor, anti, anti-correlated; any case)")
 		sel     = flag.Float64("sel", 0.01, "join selectivity per key column")
 		keys    = flag.Int("keys", 2, "key columns per relation (one join condition each)")
 		seed    = flag.Int64("seed", 2014, "dataset seed")

@@ -8,6 +8,7 @@ import (
 
 	"caqe"
 	"caqe/internal/cluster"
+	"caqe/internal/datagen"
 	"caqe/internal/trace"
 )
 
@@ -68,16 +69,12 @@ type server struct {
 // Shard nodes and in-process coordinator shards call it with the same
 // shared parameters and therefore see the same data.
 func buildDataset(n, dims, keys int, distName string, sel float64, seed int64) (r, t *caqe.Relation, joinConds []caqe.EquiJoin, outDims []caqe.MapFunc, err error) {
-	var dist caqe.Distribution
-	switch strings.ToLower(distName) {
-	case "", "independent":
-		dist = caqe.Independent
-	case "correlated":
-		dist = caqe.Correlated
-	case "anticorrelated":
-		dist = caqe.AntiCorrelated
-	default:
-		return nil, nil, nil, nil, fmt.Errorf("unknown distribution %q", distName)
+	if distName == "" {
+		distName = "independent"
+	}
+	dist, err := datagen.ParseDistribution(strings.ToLower(distName))
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	if keys < 1 {
 		return nil, nil, nil, nil, fmt.Errorf("need at least one key column, got %d", keys)

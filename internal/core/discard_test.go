@@ -8,11 +8,13 @@ import (
 
 	"caqe/internal/join"
 	"caqe/internal/metrics"
+	"caqe/internal/partition"
 	"caqe/internal/preference"
 	"caqe/internal/region"
 	"caqe/internal/run"
 	"caqe/internal/skycube"
 	"caqe/internal/trace"
+	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
 
@@ -78,6 +80,23 @@ func (st *state) referenceDiscard(qs skycube.QSet, payloads []int) (alive []skyc
 		}
 	}
 	return alive, cellOps, kills
+}
+
+// cornerDominated reports whether one of champs dominates a region's best
+// corner lo in query qi's preference, as the discard and the admission
+// decided it before the probe of the corner index: each test is charged as
+// one cell-level operation, and a corner the bound rules out is charged at
+// once the len(champs) tests that would have found no dominator.
+func (st *state) cornerDominated(qi int, champs [][]float64, bound []float64, lo []float64) bool {
+	for k, d := range st.kerns[qi].Sub() {
+		if lo[d] < bound[k] {
+			st.clock.CountCellOp(int64(len(champs)))
+			return false
+		}
+	}
+	i := st.firstDominator(qi, champs, lo)
+	st.clock.CountCellOp(int64(min(i+1, len(champs))))
+	return i < len(champs)
 }
 
 // boundDiscard is discardDominated as it read before the probe of the corner
@@ -262,5 +281,152 @@ func TestDiscardMatchesReference(t *testing.T) {
 	t.Logf("%d (region, query) pairs killed, %d ruled out by the bound, %d tying it; %d wide preferences", kills, ruledOut, ties, wide)
 	if kills < 1000 || ruledOut < 1000 || ties < 1000 || wide < 100 {
 		t.Fatalf("too little coverage: %d pairs killed, %d ruled out, %d ties, %d wide preferences", kills, ruledOut, ties, wide)
+	}
+}
+
+// referenceReviveAdmitted is reviveAdmitted as it read before the probe of
+// the corner index: every region of serve not skipped takes cornerDominated.
+func (st *state) referenceReviveAdmitted(qi, jc int, serve region.Bits) {
+	qbit := skycube.QSet(0).Add(qi)
+	champs, bound := st.champions(qi, st.pending[qi])
+	for ri := serve.Next(0); ri >= 0; ri = serve.Next(ri + 1) {
+		if st.space.Regions[ri].Alive == 0 && st.joinComplete(ri, jc) {
+			continue
+		}
+		if st.cornerDominated(qi, champs, bound, st.space.LoRow(ri)) {
+			st.traceDiscard(ri, qi)
+			st.clock.CountRegionPruned()
+			continue
+		}
+		st.reopen(ri, qbit)
+	}
+}
+
+// TestAdmissionMatchesReference: on random plans, seeded candidates and
+// region lists, Admit's revive pass (reviveAdmitted) discards exactly the
+// regions the cornerDominated loop it replaced discards, in its order and
+// with the same cell operations charged before each discard, reopens the
+// same regions for the admitted query, and charges the same cell operations
+// and pruned regions in all. Coordinates come from a small domain with both
+// zeros, so corners often tie the champions' bound at −0 against +0; some
+// corners and champions have a NaN coordinate, and some admissions seed no
+// champion at all. Done regions joined everything and are skipped, as a
+// done region's revive would need a full plan.
+func TestAdmissionMatchesReference(t *testing.T) {
+	domain := []float64{0, 1, 1, 2, 3, math.Copysign(0, -1)}
+	var kills, ruledOut, signedZeros, nanCorners, empty int
+	for trial := int64(0); trial < 1500; trial++ {
+		build := func() (*state, *discardTracer, int, region.Bits) {
+			rng := rand.New(rand.NewSource(trial))
+			coord := func() float64 {
+				if rng.Intn(20) == 0 {
+					return math.NaN()
+				}
+				return domain[rng.Intn(len(domain))]
+			}
+			nd, nq := 2+rng.Intn(5), 2+rng.Intn(3)
+			qi := nq - 1 // the admitted query: no region is live for it yet
+			prefs := make([]preference.Subspace, nq)
+			for i := range prefs {
+				for len(prefs[i]) == 0 {
+					prefs[i] = preference.SubspaceFromMask(uint64(rng.Intn(1 << uint(nd))))
+				}
+			}
+			cuboid, err := skycube.BuildCuboid(prefs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := &workload.Workload{OutDims: make([]join.MapFunc, nd), JoinConds: []join.EquiJoin{{}}}
+			sp := &region.Space{W: w}
+			st := &state{
+				e:             &Engine{},
+				w:             w,
+				space:         sp,
+				clock:         metrics.NewClock(),
+				rep:           &run.Report{},
+				shared:        skycube.NewSharedSkyline(cuboid, nil),
+				frontierDirty: make([]bool, nq),
+				pending:       make([][]int, nq),
+			}
+			tracer := &discardTracer{clock: st.clock}
+			st.tracer = tracer
+			for i, pref := range prefs {
+				st.qremap = append(st.qremap, i)
+				st.kerns = append(st.kerns, preference.NewKernel(pref))
+			}
+			joined := &partition.Cell{Rows: make([][]*tuple.Tuple, 1)} // no rows: every join complete
+			nr := 1 + rng.Intn(30)
+			serve := region.NewBits(nr)
+			for ri := 0; ri < nr; ri++ {
+				r := region.Region{RCell: joined, TCell: joined}
+				if rng.Intn(6) != 0 {
+					r.Alive = 1 + skycube.QSet(rng.Intn(1<<uint(qi)-1)) // live for some earlier query
+				}
+				for k := 0; k < nd; k++ {
+					lo := coord()
+					sp.BoxLo, sp.BoxHi = append(sp.BoxLo, lo), append(sp.BoxHi, lo+1)
+				}
+				sp.Regions = append(sp.Regions, r)
+				if rng.Intn(4) != 0 {
+					serve.Set(ri)
+				}
+			}
+			st.indegree = make([]int, nr)
+			st.cursors = make([]joinCursor, nr)
+			st.live = newLiveness(sp, nq)
+			for n := rng.Intn(8); n > 0; n-- {
+				x := make([]float64, nd)
+				for k := range x {
+					x[k] = coord()
+				}
+				lineage := skycube.QSet(1 + rng.Intn(1<<uint(nq)-1))
+				p := st.payloads.add(payloadInfo{lineage: lineage})
+				st.shared.Insert(p, x, lineage)
+				st.pending[qi] = append(st.pending[qi], p)
+			}
+			return st, tracer, qi, serve
+		}
+
+		st, tracer, qi, serve := build()
+		champs, bound := st.champions(qi, st.pending[qi])
+		if len(champs) == 0 {
+			empty++
+		}
+		for ri := serve.Next(0); ri >= 0; ri = serve.Next(ri + 1) {
+			lo, below := st.space.LoRow(ri), false
+			for k, d := range st.kerns[qi].Sub() {
+				switch {
+				case math.IsNaN(lo[d]):
+					nanCorners++
+				case lo[d] == bound[k] && math.Signbit(lo[d]) != math.Signbit(bound[k]):
+					signedZeros++
+				}
+				below = below || lo[d] < bound[k]
+			}
+			if below && len(champs) > 0 {
+				ruledOut++
+			}
+		}
+
+		ref, refTracer, _, _ := build()
+		ref.referenceReviveAdmitted(qi, 0, serve)
+		st.reviveAdmitted(qi, 0, serve)
+		kills += len(refTracer.kills)
+		if got, want := st.clock.Counters(), ref.clock.Counters(); got.CellOps != want.CellOps || got.RegionsPruned != want.RegionsPruned {
+			t.Fatalf("trial %d: %d cell operations and %d pruned, reference %d and %d", trial, got.CellOps, got.RegionsPruned, want.CellOps, want.RegionsPruned)
+		}
+		if !slices.Equal(tracer.kills, refTracer.kills) {
+			t.Fatalf("trial %d: discards (region, query, cell operations so far) %v, reference %v", trial, tracer.kills, refTracer.kills)
+		}
+		for ri, r := range st.space.Regions {
+			if want := ref.space.Regions[ri]; r.Alive != want.Alive || r.RQL != want.RQL {
+				t.Fatalf("trial %d: region %d alive %v, lineage %v; reference %v, %v", trial, ri, r.Alive, r.RQL, want.Alive, want.RQL)
+			}
+		}
+	}
+	t.Logf("%d discards, %d region tests ruled out by the bound, %d corners at a zero of the bound's other sign, %d NaN corner coordinates, %d admissions without a champion",
+		kills, ruledOut, signedZeros, nanCorners, empty)
+	if kills < 500 || ruledOut < 500 || signedZeros < 100 || nanCorners < 100 || empty < 100 {
+		t.Fatalf("too little coverage")
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"caqe/internal/metrics"
 	"caqe/internal/region"
@@ -192,27 +193,43 @@ func (x *Exec) Admit(q workload.Query, estTotal int) (int, error) {
 		}
 	}
 
-	// Revive the surviving regions for the new query. A done region whose
-	// join under the condition is complete stays closed — its results
-	// were just seeded — and a region whose best corner a seeded candidate
-	// already dominates is discarded for the query exactly as Algorithm 1
-	// discards it mid-run, before it costs a scheduling decision.
+	st.reviveAdmitted(qi, q.JC, serve)
+	st.emitSafe(skycube.QSet(0).Add(qi))
+	x.drained = false
+	return qi, nil
+}
+
+// reviveAdmitted revives the regions of serve for query qi, just admitted
+// under join condition jc. A done region whose join under the condition is
+// complete stays closed — its results were just seeded — and a region whose
+// best corner a seeded candidate already dominates is discarded for the
+// query exactly as Algorithm 1 discards it mid-run, before it costs a
+// scheduling decision. The corners out of every candidate's reach are ruled
+// out by the discard's probe (discardDominated); each region is charged the
+// champion tests it would have taken, a ruled-out one all of them
+// (DESIGN.md §13).
+func (st *state) reviveAdmitted(qi, jc int, serve region.Bits) {
 	qbit := skycube.QSet(0).Add(qi)
 	champs, bound := st.champions(qi, st.pending[qi])
+	reach := slices.Grow(st.reachScratch[:0], len(serve))[:len(serve)]
+	st.reachScratch = reach
+	st.live.corners().NotBelow(reach, serve, st.kerns[qi].Sub(), bound)
 	for ri := serve.Next(0); ri >= 0; ri = serve.Next(ri + 1) {
-		if st.space.Regions[ri].Alive == 0 && st.joinComplete(ri, q.JC) {
+		if st.space.Regions[ri].Alive == 0 && st.joinComplete(ri, jc) {
 			continue
 		}
-		if st.cornerDominated(qi, champs, bound, st.space.LoRow(ri)) {
+		i := len(champs)
+		if reach.Has(ri) {
+			i = st.firstDominator(qi, champs, st.space.LoRow(ri))
+		}
+		st.clock.CountCellOp(int64(min(i+1, len(champs))))
+		if i < len(champs) {
 			st.traceDiscard(ri, qi)
 			st.clock.CountRegionPruned()
 			continue
 		}
 		st.reopen(ri, qbit)
 	}
-	st.emitSafe(qbit)
-	x.drained = false
-	return qi, nil
 }
 
 // admissionCandidates runs the coarse-level skyline for the new query alone

@@ -208,17 +208,6 @@ func (f *joinFilter) margin() float64 {
 	return 16 * (math.Nextafter(m, math.Inf(1)) - m)
 }
 
-// beats reports whether y beats x by the margin on every attribute a
-// mapping reads.
-func (f *joinFilter) beats(rule *sideRule, y, x *tuple.Tuple) bool {
-	for _, rw := range rule.reads {
-		if !(rw.w*(x.Attrs[rw.attr]-y.Attrs[rw.attr]) > f.tau) {
-			return false
-		}
-	}
-	return true
-}
-
 // compare orders two rows of one side by (sum, ID). Rounding is monotone,
 // so a row's beater never has a larger sum; one that ties comes after the
 // row when its ID is larger, and then the row is kept, which costs a join
@@ -233,22 +222,6 @@ func (f *joinFilter) compare(side int, a, b int32) int {
 	return int(a - b)
 }
 
-// beaten reports whether a live row among ids that survives for key column
-// k beats x, counting each comparison.
-func (f *joinFilter) beaten(side, k int, ids []int32, x *tuple.Tuple, deleted map[int]bool) bool {
-	rule, keep, bit := &f.sides[side], f.keep[side], uint64(1)<<uint(k)
-	for _, id := range ids {
-		if keep[id]&bit == 0 || len(deleted) > 0 && deleted[int(id)] {
-			continue
-		}
-		f.cmps++
-		if f.beats(rule, f.rels[side].At(int(id)), x) {
-			return true
-		}
-	}
-	return false
-}
-
 // readmit re-checks the dropped live rows of group g of key column k on one
 // side, in (sum, ID) order, each against the kept live rows before it. A
 // row none of them beats survives for k from now on and is recorded in
@@ -256,20 +229,16 @@ func (f *joinFilter) beaten(side, k int, ids []int32, x *tuple.Tuple, deleted ma
 // beater whenever a live one exists. The invariant every mutation keeps: a
 // dropped live row is beaten, by the current margin, by a kept live row of
 // its group. The walk copies the attributes of the kept live rows it has
-// passed back to back, so each check scans them in order, making the
-// comparisons beaten would make over the group's prefix.
+// passed back to back, so each check scans them in (sum, ID) order.
 func (f *joinFilter) readmit(side, k, g int, deleted map[int]bool, back map[int]uint64) {
 	keep, bit := f.keep[side], uint64(1)<<uint(k)
-	rel, reads := f.rels[side], f.sides[side].reads
+	reads := f.sides[side].reads
 	walk, m := f.walk[:0], 0
 	for _, id := range f.groups[side][k].groups[g] {
 		if len(deleted) > 0 && deleted[int(id)] {
 			continue
 		}
-		tp := rel.At(int(id))
-		for _, rw := range reads {
-			walk = append(walk, tp.Attrs[rw.attr])
-		}
+		walk = f.row(walk, side, id)
 		if keep[id]&bit == 0 {
 			if f.beatenIn(reads, walk, m) {
 				walk = walk[:m*len(reads)]
@@ -281,6 +250,16 @@ func (f *joinFilter) readmit(side, k, g int, deleted map[int]bool, back map[int]
 		m++
 	}
 	f.walk = walk
+}
+
+// row appends the attributes of row id of one side that the mappings read
+// to walk, in reads order.
+func (f *joinFilter) row(walk []float64, side int, id int32) []float64 {
+	tp := f.rels[side].At(int(id))
+	for _, rw := range f.sides[side].reads {
+		walk = append(walk, tp.Attrs[rw.attr])
+	}
+	return walk
 }
 
 // beatenIn reports whether one of the first m rows of rows, whose
@@ -298,7 +277,9 @@ func (f *joinFilter) beatenIn(reads []attrWeight, rows []float64, m int) bool {
 	return false
 }
 
-// beatsRow is beats over two rows' read attributes, in reads order.
+// beatsRow reports whether row y beats row x by the margin tau on every
+// attribute a mapping reads, given both rows' read attributes in reads
+// order.
 func beatsRow(reads []attrWeight, ya, xa []float64, tau float64) bool {
 	ya, xa = ya[:len(reads)], xa[:len(reads)]
 	for j, rw := range reads {
@@ -352,11 +333,15 @@ func (f *joinFilter) release(side int, ids []int, deleted map[int]bool) map[int]
 }
 
 // admit decides the verdict of row id, just appended to one side, against
-// the kept live rows of its groups, and files the row in them. A margin the
-// row widens leaves drops decided under the old one unproven, so every group
-// of both sides is re-checked first; the rows that come back are returned as
-// recheck returns them. An append drops no row already kept: its results
-// may have been joined, and dropping it would mean retracting them.
+// the kept live rows of its groups that come before it in (sum, ID) order,
+// with readmit's comparator (beatsRow), and files the row in them. Each
+// candidate's read attributes are copied into the walk's scratch after the
+// row's own as it is compared, so the check stops at the first beater and
+// copies no row past it. A margin the row widens leaves drops decided under
+// the old one unproven, so every group of both sides is re-checked first;
+// the rows that come back are returned as recheck returns them. An append
+// drops no row already kept: its results may have been joined, and dropping
+// it would mean retracting them.
 func (f *joinFilter) admit(side, id int, deleted [2]map[int]bool) (uint64, [2]map[int]uint64) {
 	var back [2]map[int]uint64
 	old := f.tau
@@ -365,12 +350,14 @@ func (f *joinFilter) admit(side, id int, deleted [2]map[int]bool) (uint64, [2]ma
 	if f.tau = f.margin(); !(f.tau <= old) {
 		back = f.recheck(deleted)
 	}
-	rule := &f.sides[side]
+	rule, keep, gone := &f.sides[side], f.keep[side], deleted[side]
 	mask := ^uint64(0)
 	if rule.on {
 		mask = 0
+		f.walk = f.row(slices.Grow(f.walk[:0], 2*len(rule.reads)), side, int32(id))
+		xa, n := f.walk, len(f.walk)
 		for _, k := range rule.keys {
-			g := &f.groups[side][k]
+			g, bit := &f.groups[side][k], uint64(1)<<uint(k)
 			key := x.Key(k)
 			gi, found := slices.BinarySearch(g.vals, key)
 			var ids []int32
@@ -378,8 +365,17 @@ func (f *joinFilter) admit(side, id int, deleted [2]map[int]bool) (uint64, [2]ma
 				ids = g.groups[gi]
 			}
 			pos := sort.Search(len(ids), func(p int) bool { return f.compare(side, ids[p], int32(id)) > 0 })
-			if !f.beaten(side, k, ids[:pos], x, deleted[side]) {
-				mask |= 1 << uint(k)
+			mask |= bit
+			for _, y := range ids[:pos] {
+				if keep[y]&bit == 0 || len(gone) > 0 && gone[int(y)] {
+					continue
+				}
+				ya := f.row(xa, side, y)[n:]
+				f.cmps++
+				if beatsRow(rule.reads, ya, xa, f.tau) {
+					mask &^= bit
+					break
+				}
 			}
 			g.file(gi, found, key, pos, int32(id))
 		}

@@ -276,9 +276,9 @@ func checkLive(t *testing.T, label string, st *state) {
 // checkSchedules calls check, after checkLive, after every step of a batch
 // run and after every operation of a random StartExec schedule of Admit,
 // Cancel, Seal, Append (including rows that stretch a cell's box, moving
-// region corners) and Delete, one of each per seed over generated data.
-// Each run is
-// repeated unchecked, and the two reports must be identical. It returns how
+// region corners) and Delete, one of each per seed over generated data; on
+// the schedule, checkCells runs after checkLive too. Each run is repeated
+// unchecked, and the two reports must be identical. It returns how
 // many appends moved a region's corner and how many admissions and appends
 // added regions to the plan.
 func checkSchedules(t *testing.T, seeds int64, check func(label string, st *state)) (moved, grown int) {
@@ -384,6 +384,7 @@ func checkSchedules(t *testing.T, seeds int64, check func(label string, st *stat
 				if checked {
 					at := fmt.Sprintf("%s after %s", label, what)
 					checkLive(t, at, st)
+					checkCells(t, at, st)
 					check(at, st)
 				}
 			}

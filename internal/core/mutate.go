@@ -27,6 +27,17 @@ func tableName(tab Table) string {
 	return "t"
 }
 
+// ParseTable returns the table a mutation names, "r" or "t" in either case.
+func ParseTable(name string) (Table, bool) {
+	switch name {
+	case "r", "R":
+		return TableR, true
+	case "t", "T":
+		return TableT, true
+	}
+	return 0, false
+}
+
 // TupleData is one row of an append: numeric attributes and join keys
 // shaped like the target relation's schema.
 type TupleData struct {
@@ -55,6 +66,21 @@ func (row TupleData) Check(schema *tuple.Schema) error {
 	return nil
 }
 
+// CheckDelete is the delete rule, stated once for the engine and the session
+// that queues deletes ahead of it: every row of ids is below n, the table's
+// row count, is not in deleted and is named once. Callers prefix the error
+// with their package name.
+func CheckDelete(table string, ids []int, n int, deleted map[int]bool) error {
+	seen := make(map[int]bool, len(ids))
+	for _, id := range ids {
+		if id < 0 || id >= n || deleted[id] || seen[id] {
+			return fmt.Errorf("delete of unknown, duplicate or already-deleted %s row %d", table, id)
+		}
+		seen[id] = true
+	}
+	return nil
+}
+
 // DeltaStats summarizes one applied mutation.
 type DeltaStats struct {
 	Appended       int `json:"appended"`
@@ -67,6 +93,17 @@ type DeltaStats struct {
 	// re-settled in it because they rested on one or gained a query.
 	EntriesRemoved int `json:"entriesRemoved"`
 	Resettled      int `json:"resettled"`
+}
+
+// Add accumulates the counters of o.
+func (d *DeltaStats) Add(o DeltaStats) {
+	d.Appended += o.Appended
+	d.Deleted += o.Deleted
+	d.CellsTouched += o.CellsTouched
+	d.RegionsRevived += o.RegionsRevived
+	d.RegionsCreated += o.RegionsCreated
+	d.EntriesRemoved += o.EntriesRemoved
+	d.Resettled += o.Resettled
 }
 
 // Deleted tuples stay in place under reserved join keys that can never
@@ -84,6 +121,14 @@ func tombstoneFor(tab Table) int64 {
 		return TombstoneKeyR
 	}
 	return TombstoneKeyT
+}
+
+// Tombstone overwrites keys, the join keys of a deleted row of tab, with the
+// table's reserved key.
+func Tombstone(tab Table, keys []int64) {
+	for k := range keys {
+		keys[k] = tombstoneFor(tab)
+	}
 }
 
 // tupleAddr locates a tuple inside the partition: cell index and position
@@ -209,13 +254,7 @@ func (st *state) grantAll(tab Table, rows map[int]uint64, touched region.Bits) {
 			continue
 		}
 		c := st.cellsFor(tab)[loc.cell]
-		tp := c.Tuples[loc.pos]
-		for k := range c.Rows {
-			if bits&(1<<uint(k)) != 0 {
-				c.Rows[k] = append(c.Rows[k], tp)
-				c.Sigs[k][tp.Key(k)] = struct{}{}
-			}
-		}
+		fileRow(c, c.Tuples[loc.pos], bits)
 		touched.Set(loc.cell)
 	}
 }
@@ -282,13 +321,19 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple, keep uint64) int {
 	}
 	st.tupleLoc[int(tab)][tp.ID] = tupleAddr{best, len(c.Tuples)}
 	c.Tuples = append(c.Tuples, tp)
+	fileRow(c, tp, keep)
+	return best
+}
+
+// fileRow adds tp, a row of cell c, to the row lists and signatures of the
+// key columns in keep.
+func fileRow(c *partition.Cell, tp *tuple.Tuple, keep uint64) {
 	for k := range c.Rows {
 		if keep&(1<<uint(k)) != 0 {
 			c.Rows[k] = append(c.Rows[k], tp)
 			c.Sigs[k][tp.Key(k)] = struct{}{}
 		}
 	}
-	return best
 }
 
 // liveFor returns every query region ri can serve now: the union of live
@@ -354,12 +399,8 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	st.indexTuples()
 	side := int(tab)
 	rel := st.relFor(tab)
-	seen := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		if id < 0 || id >= rel.Len() || st.deleted[side][id] || seen[id] {
-			return stats, fmt.Errorf("core: delete of unknown, duplicate or already-deleted %s row %d", tableName(tab), id)
-		}
-		seen[id] = true
+	if err := CheckDelete(tableName(tab), ids, rel.Len(), st.deleted[side]); err != nil {
+		return stats, fmt.Errorf("core: %w", err)
 	}
 
 	// Re-admission: a row the join-group filter dropped because a deleted
@@ -376,18 +417,12 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 
 	// Tombstone in place, in the relation and in the row's cell (which holds
 	// its own copy of an appended row).
-	sentinel := tombstoneFor(tab)
 	touched := region.NewBits(len(st.cellsFor(tab)))
 	for _, id := range ids {
-		keys := [][]int64{rel.At(id).Keys}
+		Tombstone(tab, rel.At(id).Keys)
 		if loc, ok := st.tupleLoc[side][id]; ok {
-			keys = append(keys, st.cellsFor(tab)[loc.cell].Tuples[loc.pos].Keys)
+			Tombstone(tab, st.cellsFor(tab)[loc.cell].Tuples[loc.pos].Keys)
 			touched.Set(loc.cell)
-		}
-		for _, ks := range keys {
-			for k := range ks {
-				ks[k] = sentinel
-			}
 		}
 	}
 	stats.Deleted = len(ids)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"caqe/internal/datagen"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
+	"caqe/internal/partition"
 	"caqe/internal/preference"
 	"caqe/internal/region"
 	"caqe/internal/run"
@@ -90,12 +92,14 @@ func runWithMutations(t *testing.T, w *workload.Workload, r, tt *tuple.Relation,
 			if _, _, err := x.Append(m.tab, m.rows); err != nil {
 				t.Fatal(err)
 			}
+			checkCells(t, fmt.Sprintf("append after step %d", steps), x.st)
 		}
 		if len(m.del) > 0 {
 			d, err := x.Delete(m.tab, m.del)
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkCells(t, fmt.Sprintf("delete after step %d", steps), x.st)
 			repair.EntriesRemoved += d.EntriesRemoved
 			repair.Resettled += d.Resettled
 		}
@@ -105,6 +109,49 @@ func runWithMutations(t *testing.T, w *workload.Workload, r, tt *tuple.Relation,
 	}
 	x.Finish()
 	return rep, lastMut, repair
+}
+
+// checkCells fails unless every cell's key lists and signatures follow the
+// join-group filter and the deletes: Rows[k] holds, once each, exactly the
+// cell's rows whose filter mask grants key column k (deleted ones stay,
+// tombstoned), so every live row sits in the lists its mask grants, and
+// Sigs[k] is exactly the key set of the rows of Rows[k] that are not
+// deleted.
+func checkCells(t *testing.T, label string, st *state) {
+	t.Helper()
+	for side, cells := range [2][]*partition.Cell{st.space.RCells, st.space.TCells} {
+		keep, deleted := st.filter.keep[side], st.deleted[side]
+		for _, c := range cells {
+			for k := range c.Rows {
+				in := make(map[int]bool, len(c.Rows[k]))
+				sig := partition.Signature{}
+				for _, tp := range c.Rows[k] {
+					if in[tp.ID] {
+						t.Fatalf("%s: side %d cell %d lists row %d twice for key %d", label, side, c.ID, tp.ID, k)
+					}
+					in[tp.ID] = true
+					if !deleted[tp.ID] {
+						sig[tp.Key(k)] = struct{}{}
+					}
+				}
+				held := 0
+				for _, tp := range c.Tuples {
+					if granted := keep[tp.ID]&(1<<uint(k)) != 0; granted != in[tp.ID] {
+						t.Fatalf("%s: side %d cell %d: row %d granted key %d %v, listed %v", label, side, c.ID, tp.ID, k, granted, in[tp.ID])
+					}
+					if in[tp.ID] {
+						held++
+					}
+				}
+				if held != len(in) {
+					t.Fatalf("%s: side %d cell %d lists %d rows for key %d, %d of them its own", label, side, c.ID, len(in), k, held)
+				}
+				if !maps.Equal(sig, c.Sigs[k]) {
+					t.Fatalf("%s: side %d cell %d key %d: signature of %d keys, its live rows have %d", label, side, c.ID, k, len(c.Sigs[k]), len(sig))
+				}
+			}
+		}
+	}
 }
 
 // checkIncremental asserts the mutation soundness contract for one query:

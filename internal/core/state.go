@@ -500,24 +500,6 @@ func (st *state) champions(qi int, payloads []int) (champs [][]float64, bound []
 	return champs, bound
 }
 
-// cornerDominated reports whether one of champs dominates a region's best
-// corner lo in query qi's preference — proof that the region cannot
-// contribute a result to qi — for Exec.Admit, which tests a region list, not
-// a live set. Each test is charged as one cell-level operation, and a corner
-// the bound rules out is charged at once the len(champs) tests that would
-// have found no dominator (DESIGN.md §13).
-func (st *state) cornerDominated(qi int, champs [][]float64, bound []float64, lo []float64) bool {
-	for k, d := range st.kerns[qi].Sub() {
-		if lo[d] < bound[k] {
-			st.clock.CountCellOp(int64(len(champs)))
-			return false
-		}
-	}
-	i := st.firstDominator(qi, champs, lo)
-	st.clock.CountCellOp(int64(min(i+1, len(champs))))
-	return i < len(champs)
-}
-
 // firstDominator returns the index of the first of champs that dominates
 // corner lo in query qi's preference, or len(champs) if none does. The
 // caller charges the min(i+1, len(champs)) tests.

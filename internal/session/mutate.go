@@ -37,16 +37,11 @@ type MutationResult struct {
 	Applied bool  `json:"applied"`
 }
 
-// MutationStats accumulates the session's applied mutations.
+// MutationStats accumulates the session's applied mutations: the engine's
+// counters, summed, and the accepted mutations awaiting their anchor.
 type MutationStats struct {
-	Appended       int `json:"appended"`       // rows appended
-	Deleted        int `json:"deleted"`        // rows deleted
-	CellsTouched   int `json:"cellsTouched"`   // partition cells touched
-	RegionsRevived int `json:"regionsRevived"` // processed regions reopened
-	RegionsCreated int `json:"regionsCreated"` // regions born from new cell pairs
-	EntriesRemoved int `json:"entriesRemoved"` // live skyline window entries of deleted rows' results taken out
-	Resettled      int `json:"resettled"`      // surviving results re-settled in the skyline by deletes
-	Pending        int `json:"pending"`        // accepted mutations awaiting their anchor
+	core.DeltaStats
+	Pending int `json:"pending"`
 }
 
 // Mutate submits one batch of base-table changes. The mutation is
@@ -65,16 +60,6 @@ func (s *Session) Mutate(m Mutation) (MutationResult, error) {
 	return res, err
 }
 
-func tableOf(name string) (core.Table, error) {
-	switch name {
-	case "r", "R":
-		return core.TableR, nil
-	case "t", "T":
-		return core.TableT, nil
-	}
-	return 0, fmt.Errorf("session: unknown table %q (want \"r\" or \"t\")", name)
-}
-
 func (s *Session) relFor(tab core.Table) *tuple.Relation {
 	if tab == core.TableR {
 		return s.cfg.R
@@ -90,9 +75,9 @@ func (s *Session) mutate(m Mutation) (MutationResult, error) {
 	if s.draining {
 		return res, ErrDraining
 	}
-	tab, err := tableOf(m.Table)
-	if err != nil {
-		return res, err
+	tab, ok := core.ParseTable(m.Table)
+	if !ok {
+		return res, fmt.Errorf("session: unknown table %q (want \"r\" or \"t\")", m.Table)
 	}
 	if len(m.Append) == 0 && len(m.Delete) == 0 {
 		return res, fmt.Errorf("session: empty mutation for table %q", m.Table)
@@ -107,15 +92,12 @@ func (s *Session) mutate(m Mutation) (MutationResult, error) {
 			return res, fmt.Errorf("session: append row %d to %s: %w", i, m.Table, err)
 		}
 	}
-	// Deletes are validated against the session's ID horizon — including
-	// IDs reserved by still-queued appends, which FIFO order guarantees
-	// exist by the time this mutation applies.
-	seen := make(map[int]bool, len(m.Delete))
-	for _, id := range m.Delete {
-		if id < 0 || id >= s.nextID[side]+len(m.Append) || s.gone[side][id] || seen[id] {
-			return res, fmt.Errorf("session: delete of unknown, duplicate or already-deleted %s row %d", m.Table, id)
-		}
-		seen[id] = true
+	// Deletes are validated by the engine's rule against the session's ID
+	// horizon — including IDs reserved by still-queued appends and by this
+	// mutation's own, which FIFO order guarantees exist by the time it
+	// applies.
+	if err := core.CheckDelete(m.Table, m.Delete, s.nextID[side]+len(m.Append), s.gone[side]); err != nil {
+		return res, fmt.Errorf("session: %w", err)
 	}
 
 	ids := make([]int, len(m.Append))
@@ -151,15 +133,8 @@ func (s *Session) applyPreStart(tab core.Table, m Mutation) {
 	for _, row := range m.Append {
 		rel.MustAppend(append([]float64(nil), row.Attrs...), append([]int64(nil), row.Keys...))
 	}
-	sentinel := core.TombstoneKeyR
-	if tab == core.TableT {
-		sentinel = core.TombstoneKeyT
-	}
 	for _, id := range m.Delete {
-		rt := rel.At(id)
-		for k := range rt.Keys {
-			rt.Keys[k] = sentinel
-		}
+		core.Tombstone(tab, rel.At(id).Keys)
 	}
 	s.mstats.Appended += len(m.Append)
 	s.mstats.Deleted += len(m.Delete)
@@ -200,23 +175,13 @@ func (s *Session) applyMutation(p pendingMutation) {
 		if len(ids) > 0 && ids[0] != p.ids[0] {
 			panic(fmt.Sprintf("session: engine assigned row ID %d, reserved %d", ids[0], p.ids[0]))
 		}
-		s.accumulate(d)
+		s.mstats.Add(d)
 	}
 	if len(p.m.Delete) > 0 {
 		d, err := s.x.Delete(p.tab, p.m.Delete)
 		if err != nil {
 			panic(fmt.Sprintf("session: queued delete failed: %v", err))
 		}
-		s.accumulate(d)
+		s.mstats.Add(d)
 	}
-}
-
-func (s *Session) accumulate(d core.DeltaStats) {
-	s.mstats.Appended += d.Appended
-	s.mstats.Deleted += d.Deleted
-	s.mstats.CellsTouched += d.CellsTouched
-	s.mstats.RegionsRevived += d.RegionsRevived
-	s.mstats.RegionsCreated += d.RegionsCreated
-	s.mstats.EntriesRemoved += d.EntriesRemoved
-	s.mstats.Resettled += d.Resettled
 }

@@ -308,6 +308,82 @@ func TestSessionMutateValidation(t *testing.T) {
 	}
 }
 
+// TestSessionDeletesOfReservedRows pins the delete rule's ID horizon: a
+// delete may name rows a still-queued anchored append reserved and rows its
+// own mutation appends, and each such delete is accepted and then applied
+// by the engine without an executor panic (which would cancel the stream).
+// Both mutations queue before the start, so they apply back to back at the
+// drain, and the standing query converges to the final dataset's results.
+func TestSessionDeletesOfReservedRows(t *testing.T) {
+	const dims, full, base = 3, 56, 40
+	const mid = 48 // rows [base, mid) ride the anchored append, [mid, full) the second mutation
+	w := testWorkload(t, 1, dims)
+	fullR, fullT := testData(t, full, dims, 59)
+
+	s := openFrom(t, w, cloneRel(fullR, base), cloneRel(fullT, base), 0)
+	defer s.Close()
+	q := w.Queries[0]
+	q.Standing = true
+	h, err := s.Submit(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := s.Mutate(Mutation{Table: "r", Append: rowsFrom(fullR, base, mid), AnchorAt: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Applied || first.IDs[0] != base {
+		t.Fatalf("anchored append: %+v", first)
+	}
+	// Two rows the queued append reserved, two of this mutation's own rows
+	// and one base row, in no particular order.
+	deletes := []int{mid + 1, base + 2, 3, full - 1, base}
+	second, err := s.Mutate(Mutation{Table: "R", Append: rowsFrom(fullR, mid, full), Delete: deletes})
+	if err != nil {
+		t.Fatalf("delete of reserved rows rejected: %v", err)
+	}
+	if second.Applied || second.IDs[0] != mid {
+		t.Fatalf("queued append and delete: %+v", second)
+	}
+	for _, id := range []int{base + 2, full - 1, full} {
+		if _, err := s.Mutate(Mutation{Table: "r", Delete: []int{id}}); err == nil {
+			t.Errorf("delete of row %d accepted: already deleted or past every reservation", id)
+		}
+	}
+
+	// The final dataset: every row appended, the deleted ones tombstoned.
+	finalR := cloneRel(fullR, full)
+	for _, id := range deletes {
+		core.Tombstone(core.TableR, finalR.At(id).Keys)
+	}
+	finalSet := asSet(batchReference(t, testWorkload(t, 1, dims), finalR, cloneRel(fullT, base)).ResultSet(0))
+	allowed := asSet(batchReference(t, testWorkload(t, 1, dims), cloneRel(fullR, base), cloneRel(fullT, base)).ResultSet(0))
+	for k := range finalSet {
+		allowed[k] = true
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	collectUntil(t, h, finalSet, allowed, make(map[run.ResultKey]bool), 10*time.Second)
+
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatalf("session closed after applying the deletes: %v", err)
+	}
+	if m := st.Mutations; m.Pending != 0 || m.Appended != full-base || m.Deleted != len(deletes) {
+		t.Errorf("mutation stats %+v, want %d appended, %d deleted, none pending", m, full-base, len(deletes))
+	}
+	if h.State() != string(StateRunning) {
+		t.Fatalf("standing query state %q, want running", h.State())
+	}
+	if err := s.Cancel(h.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSessionPreStartMutationBatchIdentical pins that an unanchored
 // pre-start mutation folds into the initial dataset: the session's report
 // is byte-identical to a batch run over the mutated relations.

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"caqe/internal/core"
 )
 
 // TestQueryStatsJSONRoundTrip pins the wire shape of per-query stats:
@@ -43,8 +45,8 @@ func TestQueryStatsJSONRoundTrip(t *testing.T) {
 
 // TestMutationStatsJSONRoundTrip pins the wire shape of the mutation
 // counters /stats serves: every key is present at zero — the two that
-// explain a delete's cost included — and a marshal/unmarshal cycle is
-// lossless.
+// explain a delete's cost included — the engine's counters come first in
+// their declared order, and a marshal/unmarshal cycle is lossless.
 func TestMutationStatsJSONRoundTrip(t *testing.T) {
 	b, err := json.Marshal(MutationStats{})
 	if err != nil {
@@ -56,10 +58,14 @@ func TestMutationStatsJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	full := MutationStats{Appended: 9, Deleted: 4, CellsTouched: 7, RegionsRevived: 31, RegionsCreated: 2, EntriesRemoved: 5, Resettled: 40, Pending: 1}
+	full := MutationStats{DeltaStats: core.DeltaStats{Appended: 9, Deleted: 4, CellsTouched: 7, RegionsRevived: 31, RegionsCreated: 2, EntriesRemoved: 5, Resettled: 40}, Pending: 1}
 	b, err = json.Marshal(full)
 	if err != nil {
 		t.Fatal(err)
+	}
+	const want = `{"appended":9,"deleted":4,"cellsTouched":7,"regionsRevived":31,"regionsCreated":2,"entriesRemoved":5,"resettled":40,"pending":1}`
+	if string(b) != want {
+		t.Errorf("marshalled %s, want %s", b, want)
 	}
 	var back MutationStats
 	if err := json.Unmarshal(b, &back); err != nil {

@@ -10,7 +10,7 @@ import (
 // TestSharedSkylineInsertZeroAllocs pins the steady state of the shared
 // skyline at zero heap allocations per insert: once the arena, the
 // per-payload bitmask arrays and the windows have grown to working size,
-// inserting (and killing) further points must not allocate. Window entries
+// inserting (and removing) further points must not allocate. Window entries
 // are values inside the window's backing array — truncation, compaction and
 // reset all keep its capacity — so there is no per-entry object to recycle
 // and only growth past the high-water mark allocates. It runs on a plan with
@@ -64,14 +64,15 @@ func TestSharedSkylineInsertZeroAllocs(t *testing.T) {
 				s.Insert(p, point(), all)
 			}
 			vals := point()
+			var removed []Removed
 			for i := 0; i < 128; i++ {
 				s.Insert(base, point(), all)
-				s.KillForQueries(base, all)
+				removed = s.Remove(base, removed[:0])
 			}
 
 			allocs := testing.AllocsPerRun(64, func() {
 				s.Insert(base, vals, all)
-				s.KillForQueries(base, all)
+				removed = s.Remove(base, removed[:0])
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state Insert: %v allocs/op, want 0", allocs)

@@ -102,7 +102,8 @@ func (s *SharedSkyline) RetireQuery(qi int) {
 			continue
 		}
 		// Shared cuboid node: scrub the bit entry by entry. Entries dead for
-		// all remaining queries are retired exactly like KillForQueries does.
+		// all remaining queries are marked dead as bury marks them, and the
+		// node compacts once at the end.
 		for _, b := range sn.blocks {
 			for i := range b.e[:b.n] {
 				e := &b.e[i]

@@ -155,11 +155,11 @@ func TestMembershipMatchesReference(t *testing.T) {
 		cmps  [2][3]int64 // SkylineCmps over [0, 2] and the unit box, of seeds 1, 2, 3
 	}{
 		{"4d", 4, []preference.Subspace{preference.NewSubspace(0, 1), preference.NewSubspace(1, 2, 3),
-			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, [2][3]int64{{2177, 2527, 1215}, {2188, 2548, 1248}}},
-		{"outgrows-masks", 6, allSubspaces(6), [2][3]int64{{86344, 73062, 78077}, {87456, 74100, 79622}}},
-		{"past-64", 7, allSubspaces(7)[:60], [2][3]int64{{71675, 82608, 79688}, {72438, 83667, 80387}}},
+			preference.NewSubspace(0, 1, 2), preference.NewSubspace(2, 3)}, [2][3]int64{{3707, 3711, 1677}, {3719, 3747, 1715}}},
+		{"outgrows-masks", 6, allSubspaces(6), [2][3]int64{{100379, 94586, 100184}, {101207, 95788, 101654}}},
+		{"past-64", 7, allSubspaces(7)[:60], [2][3]int64{{88854, 104848, 108479}, {89310, 106158, 109261}}},
 		{"wide-masks", 8, []preference.Subspace{preference.NewSubspace(0, 1, 2, 3, 4),
-			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, [2][3]int64{{940, 960, 2561}, {966, 999, 2617}}},
+			preference.NewSubspace(2, 3, 4, 5, 6, 7)}, [2][3]int64{{1207, 1154, 4217}, {1220, 1186, 4294}}},
 	}
 	for _, plan := range plans {
 		t.Run(plan.name, func(t *testing.T) {
@@ -183,7 +183,7 @@ func TestMembershipMatchesReference(t *testing.T) {
 			// windows across each kind of write.
 			// "reused-slot" counts the changes to slots SetDynamicQuery gave a
 			// new query after RetireQuery freed them.
-			for _, op := range []string{"insert", "kill", "retire", "resettle", "remove", "reused-slot"} {
+			for _, op := range []string{"insert", "retire", "resettle", "remove", "reused-slot"} {
 				if flips[op] == 0 {
 					t.Errorf("no %s changed a candidacy", op)
 				}
@@ -296,9 +296,13 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64, fl
 			if l := lineages[p] & live(); l != 0 {
 				insert(p, l)
 			}
-		case op < 14:
-			name = "kill"
-			s.KillForQueries(rng.Intn(len(pts)), randSubset(live()))
+		case op < 14: // the delete's lineage grant: judged afresh under a grown lineage
+			name = "resettle"
+			p := rng.Intn(len(pts))
+			lineages[p] |= randSubset(live())
+			if l := lineages[p] & live(); l != 0 {
+				s.Resettle(p, l)
+			}
 		case op < 16: // seed an existing point into a dynamic query's node
 			name = "insert-for-query"
 			if len(dynamic) > 0 {
@@ -395,7 +399,7 @@ func runMembershipSchedule(t *testing.T, s *SharedSkyline, d int, seed int64, fl
 }
 
 // TestReinsertAfterKillFindsLiveEntry is the one schedule the old member
-// arrays made trivial and a sum-run lookup could get wrong: a killed point
+// arrays made trivial and a sum-run lookup could get wrong: a removed point
 // whose dead entry is still in the window (compaction is batched) must not
 // be found, and inserting it again must resolve to the new, live entry.
 func TestReinsertAfterKillFindsLiveEntry(t *testing.T) {
@@ -409,13 +413,13 @@ func TestReinsertAfterKillFindsLiveEntry(t *testing.T) {
 	s.Insert(0, []float64{0, 2}, q)
 	s.Insert(1, []float64{1, 1}, q)
 	s.Insert(2, []float64{2, 0}, q)
-	s.KillForQueries(1, q)
+	s.Remove(1, nil)
 	sn := s.prefSN[0]
 	if sn.size != 3 || sn.dead != 1 {
 		t.Fatalf("window %d entries, %d dead: the dead entry should still be there", sn.size, sn.dead)
 	}
 	if s.IsCandidate(1, 0) || s.find(sn, 1) != nil {
-		t.Fatal("killed point still found")
+		t.Fatal("removed point still found")
 	}
 	if got := s.Insert(1, []float64{1, 1}, q); got != q {
 		t.Fatalf("reinsert returned %v", got)

@@ -11,8 +11,7 @@ import (
 // TestProtectionOnlySkipsComparisons holds the child-protection proof to a
 // skyline that never protects. Protection may only skip comparisons whose
 // outcome could not have mattered, so one random schedule of Insert,
-// Resettle, Remove and KillForQueries drives two shared skylines over one
-// cuboid, one as built and one with every childMask zeroed, and after every
+// Resettle and Remove drives two shared skylines over one cuboid, one as built and one with every childMask zeroed, and after every
 // step the two must agree: the same Insert, Resettle and Remove returns, the
 // same windows entry for entry (clean flags, dead entries and the dead
 // counters included), and no more comparisons on the protected side.
@@ -93,12 +92,7 @@ func runProtection(t *testing.T, protected, unprotected *SharedSkyline, d, queri
 			if got, want := protected.Insert(pi, pts[pi], lineages[pi]), unprotected.Insert(pi, pts[pi], lineages[pi]); got != want {
 				t.Fatalf("step %d: re-Insert(%d) = %v protected, %v unprotected", step, pi, got, want)
 			}
-		case op < 16:
-			name = "kill"
-			pi, dead := rng.Intn(len(pts)), randSubset()
-			protected.KillForQueries(pi, dead)
-			unprotected.KillForQueries(pi, dead)
-		case op < 18: // judged afresh, its lineage possibly grown
+		case op < 17: // judged afresh, its lineage possibly grown
 			name = "resettle"
 			pi := rng.Intn(len(pts))
 			lineages[pi] |= randSubset()

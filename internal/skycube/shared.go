@@ -42,8 +42,8 @@ import (
 // is kept per (node, payload): a node knows its members only through its
 // window (see find), so standing state is the windows plus a few
 // pointer-free words per join result.
-// Entries killed by KillForQueries are marked dead and batch-compacted
-// instead of spliced one at a time. None of this changes a candidate set:
+// Entries taken out by Remove or RetireQuery are marked dead and
+// batch-compacted instead of spliced one at a time. None of this changes a candidate set:
 // dead entries are skipped without accounting, exactly as if they had been
 // removed eagerly.
 //
@@ -97,8 +97,7 @@ type SharedSkyline struct {
 // query, not node: bit q ⇔ the payload's entry at prefSN[q] is live and
 // alive for q — IsCandidate in one load. Every write of an alive set keeps
 // it: clearMasks drops the node's prefQ where an entry dies, and insertAt,
-// evictMasked, KillForQueries and RetireQuery adjust it where an alive set
-// changes otherwise.
+// evictMasked and RetireQuery adjust it where an alive set changes otherwise.
 type payloadMasks struct {
 	member, clean uint64
 	cand          QSet
@@ -645,26 +644,6 @@ func (s *SharedSkyline) clearMasks(sn *sharedNode, payload int) {
 	pm.member &^= bit
 	pm.clean &^= bit
 	pm.cand &^= sn.prefQ
-}
-
-// KillForQueries removes candidacy of a point for the given queries across
-// all nodes (used when region-level knowledge invalidates join results that
-// were already inserted). Points with no remaining alive bits are marked
-// dead immediately — every scan skips them from then on — and their window
-// slots are reclaimed in batched compaction passes rather than spliced one
-// at a time.
-func (s *SharedSkyline) KillForQueries(payload int, dead QSet) {
-	for _, sn := range s.nodes {
-		e := s.find(sn, payload)
-		if e == nil {
-			continue
-		}
-		e.alive &^= dead
-		s.mask(payload).cand &^= dead & sn.prefQ
-		if e.alive == 0 {
-			s.bury(sn, payload)
-		}
-	}
 }
 
 // bury retires the window entry of payload at sn that just lost its last

@@ -222,37 +222,6 @@ func TestSharedSkylineSavesComparisons(t *testing.T) {
 	t.Logf("shared=%d independent=%d (%.1fx saving)", shared, indep, float64(indep)/float64(shared))
 }
 
-func TestKillForQueries(t *testing.T) {
-	prefs := []preference.Subspace{
-		preference.NewSubspace(0, 1),
-		preference.NewSubspace(0, 1),
-	}
-	c, err := BuildCuboid(prefs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewSharedSkyline(c, nil)
-	both := QSet(0).Add(0).Add(1)
-	s.Insert(0, []float64{1, 1}, both)
-	if !s.IsCandidate(0, 0) || !s.IsCandidate(0, 1) {
-		t.Fatal("inserted point not a candidate")
-	}
-	s.KillForQueries(0, QSet(0).Add(0))
-	if s.IsCandidate(0, 0) {
-		t.Fatal("kill for query 0 ineffective")
-	}
-	if !s.IsCandidate(0, 1) {
-		t.Fatal("kill for query 0 leaked to query 1")
-	}
-	s.KillForQueries(0, QSet(0).Add(1))
-	if s.IsCandidate(0, 1) {
-		t.Fatal("second kill ineffective")
-	}
-	if got := s.Candidates(1); len(got) != 0 {
-		t.Fatalf("candidates after full kill: %v", got)
-	}
-}
-
 func TestInsertReturnsCandidacy(t *testing.T) {
 	prefs := []preference.Subspace{preference.NewSubspace(0, 1)}
 	c, _ := BuildCuboid(prefs)

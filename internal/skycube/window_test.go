@@ -79,16 +79,16 @@ func TestFindSurvivesWindowShifts(t *testing.T) {
 	live(21)
 	checkMembership(t, s, n+2, "evicting insert")
 
-	// Kills mark entries dead in place; the batch compaction then moves every
-	// survivor. The loop runs until the compaction has happened.
+	// Removes mark entries dead in place; the batch compaction then moves
+	// every survivor. The loop runs until the compaction has happened.
 	before := sn.size
 	p := 21
 	for ; sn.size == before; p++ {
 		if p >= n {
 			t.Fatal("compaction never triggered")
 		}
-		s.KillForQueries(p, both)
-		checkMembership(t, s, n+2, "kill")
+		s.Remove(p, nil)
+		checkMembership(t, s, n+2, "remove")
 	}
 	if sn.dead != 0 || sn.size != before-(p-21) {
 		t.Fatalf("after compaction: %d entries, %d dead, killed %d of %d", sn.size, sn.dead, p-21, before)
