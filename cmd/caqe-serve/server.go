@@ -202,11 +202,13 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// after the first call.
 		_ = s.sess.Start()
 	}
-	writeJSON(w, http.StatusCreated, submitReply(h))
+	// The state the query's admission left it in: the live state would race
+	// the executor, which may finish the query before it is read.
+	writeJSON(w, http.StatusCreated, submitReply(h, h.AdmittedState()))
 }
 
-func submitReply(h *caqe.SessionHandle) cluster.SubmitReply {
-	return cluster.SubmitReply{ID: h.ID(), Name: h.Name(), State: h.State(), Arrival: h.Arrival()}
+func submitReply(h *caqe.SessionHandle, state string) cluster.SubmitReply {
+	return cluster.SubmitReply{ID: h.ID(), Name: h.Name(), State: state, Arrival: h.Arrival()}
 }
 
 func (s *server) handle(w http.ResponseWriter, r *http.Request) (*caqe.SessionHandle, bool) {
@@ -231,7 +233,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, submitReply(h))
+	writeJSON(w, http.StatusOK, submitReply(h, h.State()))
 }
 
 func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -195,16 +195,9 @@ func (e *Engine) ExecuteInto(clock *metrics.Clock, rep *run.Report, qremap []int
 // clock, which may be nil. keepPruned is region.Options'.
 func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *region.Space, *joinFilter, error) {
 	f := newJoinFilter(e.w, e.r, e.t, clock)
-	var cells [2][]*partition.Cell
-	for side, rel := range f.rels {
-		opt := partition.DefaultOptions(f.survivors(side), e.opt.TargetCells)
-		if f.sides[side].on {
-			opt.Keep = f.keep[side]
-		}
-		var err error
-		if cells[side], err = partition.Partition(rel, opt); err != nil {
-			return nil, nil, nil, fmt.Errorf("core: partitioning %s: %w", rel.Schema.Name, err)
-		}
+	cells, err := e.partition(f)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	space, err := region.BuildSpace(e.w, cells[0], cells[1],
 		region.Options{GridResolution: e.opt.GridResolution, KeepPruned: keepPruned}, clock)
@@ -216,6 +209,21 @@ func (e *Engine) plan(clock *metrics.Clock, keepPruned bool) (*skycube.Cuboid, *
 		return nil, nil, nil, fmt.Errorf("core: building min-max cuboid: %w", err)
 	}
 	return cuboid, space, f, nil
+}
+
+// partition splits the filter's survivors of each side into leaf cells,
+// each side sized by its survivor count.
+func (e *Engine) partition(f *joinFilter) (cells [2][]*partition.Cell, err error) {
+	for side, rel := range f.rels {
+		opt := partition.DefaultOptions(f.survivors(side), e.opt.TargetCells)
+		if f.sides[side].on {
+			opt.Keep = f.keep[side]
+		}
+		if cells[side], err = partition.Partition(rel, opt); err != nil {
+			return cells, fmt.Errorf("core: partitioning %s: %w", rel.Schema.Name, err)
+		}
+	}
+	return cells, nil
 }
 
 // newShared creates the multi-query skyline state over the plan's cuboid,

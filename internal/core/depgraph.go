@@ -21,12 +21,14 @@ import (
 // which matters when scores tie (see csmHeap).
 //
 // Region i's out-edges are one row of depRows, a set over the regions after
-// it: probing the index of every best corner upward with R_i's (the regions
-// best corner R_i's weakly dominates, strictly on one dimension), each query of
-// R_i.Alive adds the regions live for it that the probe finds Dominant. The
+// it: probing the index of every best corner upward with R_i's own (the
+// regions whose best corner R_i's weakly dominates, strictly on one
+// dimension), each query of R_i.Alive adds the regions live for it that the
+// probe finds dominant. Only the words from R_i's on are probed and folded:
+// every edge to a region before R_i would be dropped (DESIGN.md §13). The
 // charge is one cell-level operation per pair i < j whose Alive sets meet,
-// as testing pair by pair would make (DESIGN.md §13). The data-order scheduler
-// builds no graph.
+// as testing pair by pair would make. The data-order scheduler builds no
+// graph.
 func (st *state) buildDepGraph() {
 	m := len(st.space.Regions)
 	st.indegree = make([]int, m)
@@ -37,29 +39,20 @@ func (st *state) buildDepGraph() {
 	}
 	st.depRows = make([]uint64, m*st.depWords)
 	ranks := st.live.corners()
-	meet, serving := st.scratchSets()
+	_, serving := st.scratchSets()
 	var charged int64
 	for i, r := range st.space.Regions {
 		if r.Alive == 0 {
 			continue
 		}
-		st.probe.Above(ranks, st.space.LoRow(i))
+		st.probe.AboveOwn(ranks, i)
 		row := st.edgeRow(i)
-		clear(serving)
-		for qi := r.Alive.Next(0); qi >= 0; qi = r.Alive.Next(qi + 1) {
-			live := st.live.sets[qi]
-			st.probe.Dominant(meet, live, st.w.Queries[qi].Pref)
-			for w := range row {
-				row[w] |= meet[w]
-				serving[w] |= live[w]
-			}
-		}
-		// Only forward edges: the pipeline order is the DAG's linear extension.
+		st.probe.DominantFold(row, serving, st.live.sets, r.Alive, st.w.Queries)
 		row.UnsetTo(i)
 		serving.UnsetTo(i)
 		charged += int64(serving.Count())
-		for w, word := range row {
-			for ; word != 0; word &= word - 1 {
+		for w := i >> 6; w < len(row); w++ {
+			for word := row[w]; word != 0; word &= word - 1 {
 				st.indegree[w<<6|bits.TrailingZeros64(word)]++
 			}
 		}

@@ -120,17 +120,13 @@ func (st *state) dominatorsByQuery(ri int) []region.Bits {
 	}
 	st.probe.Below(st.live.corners(), st.space.HiRow(ri))
 	_, serving := st.scratchSets()
-	clear(serving)
 	alive := st.space.Regions[ri].Alive
 	for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
-		live := st.live.sets[qi]
-		for w, bits := range live {
-			serving[w] |= bits
-		}
-		doms := slices.Grow(st.domSets[qi][:0], len(serving))[:len(serving)]
-		st.probe.Weak(doms, live, st.w.Queries[qi].Pref)
-		doms.Unset(ri)
-		st.domSets[qi] = doms
+		st.domSets[qi] = slices.Grow(st.domSets[qi][:0], len(serving))[:len(serving)]
+	}
+	st.probe.WeakFold(st.domSets, serving, st.live.sets, alive, st.w.Queries)
+	for qi := alive.Next(0); qi >= 0; qi = alive.Next(qi + 1) {
+		st.domSets[qi].Unset(ri)
 	}
 	serving.Unset(ri)
 	st.clock.CountCellOp(int64(serving.Count()))

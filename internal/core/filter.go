@@ -6,7 +6,7 @@ import (
 	"sort"
 
 	"caqe/internal/metrics"
-	"caqe/internal/region"
+	"caqe/internal/partition"
 	"caqe/internal/tuple"
 	"caqe/internal/workload"
 )
@@ -184,13 +184,13 @@ func (f *joinFilter) group(side int, sc *groupScratch) {
 
 // groupScratch is group's working memory, shared by both sides.
 type groupScratch struct {
-	sorter    region.KeySorter
+	sorter    partition.KeySorter
 	keys, col []uint64
 	order     []int32
 }
 
 // sumKey is a row sum's radix key: −0 ties +0, as compare has it.
-func sumKey(s float64) uint64 { return region.FloatKey(s + 0) }
+func sumKey(s float64) uint64 { return partition.FloatKey(s + 0) }
 
 // margin is the smallest weighted attribute gap the rule accepts as a beat:
 // 16·ulp(M), where M = max over mappings of |Bias| + LeftW·A_R + RightW·A_T

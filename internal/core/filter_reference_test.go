@@ -12,6 +12,7 @@ import (
 	"caqe/internal/datagen"
 	"caqe/internal/join"
 	"caqe/internal/metrics"
+	"caqe/internal/partition"
 	"caqe/internal/region"
 	"caqe/internal/run"
 	"caqe/internal/tuple"
@@ -422,14 +423,17 @@ func TestJoinFilterMatchesReference(t *testing.T) {
 
 // BenchmarkPlan times the plan's pieces on the four 2500-row independent
 // pairs BenchmarkCoarsePlan uses: the join-group filter beside its
-// reference, the Hi corner-rank index over the built space, and the whole
-// plan through newState.
+// reference, the k-d partition of both sides' survivors, the output space
+// built over their cell pairs with its coarse prune, the Hi corner-rank
+// index over the built space, and the whole plan through newState.
 func BenchmarkPlan(b *testing.B) {
 	w := workload.MustBenchmark(workload.BenchmarkConfig{
 		NumQueries: 11, Dims: 4, Priority: workload.HighDimsHigh,
 		NewContract: func(int) contract.Contract { return contract.C2() },
 	})
 	var engines []*Engine
+	var filters []*joinFilter
+	var cells [][2][]*partition.Cell
 	var spaces []*region.Space
 	for i := int64(0); i < 4; i++ {
 		r, tt, err := datagen.Pair(2500, 4, datagen.Independent, []float64{0.1}, 2014+10*i)
@@ -440,11 +444,16 @@ func BenchmarkPlan(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		f := newJoinFilter(w, r, tt, nil)
+		c, err := e.partition(f)
+		if err != nil {
+			b.Fatal(err)
+		}
 		_, space, _, err := e.plan(nil, false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		engines, spaces = append(engines, e), append(spaces, space)
+		engines, filters, cells, spaces = append(engines, e), append(filters, f), append(cells, c), append(spaces, space)
 	}
 	each := func(b *testing.B, pass func(i int)) {
 		b.ResetTimer()
@@ -460,6 +469,21 @@ func BenchmarkPlan(b *testing.B) {
 	})
 	b.Run("filter/reference", func(b *testing.B) {
 		each(b, func(i int) { newReferenceJoinFilter(w, engines[i].r, engines[i].t) })
+	})
+	b.Run("partition", func(b *testing.B) {
+		each(b, func(i int) {
+			if _, err := engines[i].partition(filters[i]); err != nil {
+				b.Fatal(err)
+			}
+		})
+	})
+	b.Run("space", func(b *testing.B) {
+		each(b, func(i int) {
+			opt := region.Options{GridResolution: engines[i].opt.GridResolution}
+			if _, err := region.BuildSpace(w, cells[i][0], cells[i][1], opt, metrics.NewClock()); err != nil {
+				b.Fatal(err)
+			}
+		})
 	})
 	b.Run("ranks", func(b *testing.B) {
 		each(b, func(i int) {

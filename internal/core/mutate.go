@@ -304,9 +304,6 @@ func (st *state) placeTuple(tab Table, tp *tuple.Tuple, keep uint64) int {
 		nk := st.relFor(tab).Schema.NumKeys()
 		c := &partition.Cell{ID: len(cells), Lo: slices.Clone(tp.Attrs), Hi: slices.Clone(tp.Attrs),
 			Rows: make([][]*tuple.Tuple, nk), Sigs: make([]partition.Signature, nk)}
-		for k := range c.Sigs {
-			c.Sigs[k] = partition.Signature{}
-		}
 		st.space.AddCell(c, tab == TableT)
 		best = c.ID
 	}
@@ -331,7 +328,7 @@ func fileRow(c *partition.Cell, tp *tuple.Tuple, keep uint64) {
 	for k := range c.Rows {
 		if keep&(1<<uint(k)) != 0 {
 			c.Rows[k] = append(c.Rows[k], tp)
-			c.Sigs[k][tp.Key(k)] = struct{}{}
+			c.Sigs[k] = c.Sigs[k].Insert(tp.Key(k))
 		}
 	}
 }
@@ -435,12 +432,13 @@ func (x *Exec) Delete(tab Table, ids []int) (DeltaStats, error) {
 	for ci := touched.Next(0); ci >= 0; ci = touched.Next(ci + 1) {
 		c := st.cellsFor(tab)[ci]
 		for k, rows := range c.Rows {
-			c.Sigs[k] = partition.Signature{}
+			live := c.Sigs[k][:0]
 			for _, tp := range rows {
 				if !st.deleted[side][tp.ID] {
-					c.Sigs[k][tp.Key(k)] = struct{}{}
+					live = append(live, tp.Key(k))
 				}
 			}
+			c.Sigs[k] = partition.NewSignature(live)
 		}
 	}
 	st.space.Withdraw(touched, tab == TableT, st.clock)

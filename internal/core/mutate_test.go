@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -124,14 +123,14 @@ func checkCells(t *testing.T, label string, st *state) {
 		for _, c := range cells {
 			for k := range c.Rows {
 				in := make(map[int]bool, len(c.Rows[k]))
-				sig := partition.Signature{}
+				var live []int64
 				for _, tp := range c.Rows[k] {
 					if in[tp.ID] {
 						t.Fatalf("%s: side %d cell %d lists row %d twice for key %d", label, side, c.ID, tp.ID, k)
 					}
 					in[tp.ID] = true
 					if !deleted[tp.ID] {
-						sig[tp.Key(k)] = struct{}{}
+						live = append(live, tp.Key(k))
 					}
 				}
 				held := 0
@@ -146,8 +145,8 @@ func checkCells(t *testing.T, label string, st *state) {
 				if held != len(in) {
 					t.Fatalf("%s: side %d cell %d lists %d rows for key %d, %d of them its own", label, side, c.ID, len(in), k, held)
 				}
-				if !maps.Equal(sig, c.Sigs[k]) {
-					t.Fatalf("%s: side %d cell %d key %d: signature of %d keys, its live rows have %d", label, side, c.ID, k, len(c.Sigs[k]), len(sig))
+				if sig := partition.NewSignature(live); !slices.Equal(sig, c.Sigs[k]) {
+					t.Fatalf("%s: side %d cell %d key %d: signature %v, its live rows have %v", label, side, c.ID, k, c.Sigs[k], sig)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 
 	"caqe/internal/join"
 	"caqe/internal/metrics"
+	"caqe/internal/partition"
 	"caqe/internal/preference"
 	"caqe/internal/region"
 	"caqe/internal/run"
@@ -153,6 +154,12 @@ type state struct {
 	probe        region.Probe
 	setScratch   [2]region.Bits
 	reachScratch region.Bits
+	// sortFilter's order: each live region's sum, by region, and the sums'
+	// keys with their regions.
+	sortSums []float64
+	sortKeys []uint64
+	sortIDs  []int32
+	sorter   partition.KeySorter
 	// The CSM's dominator set per query slot, and per slot and region the
 	// record of its last ProgCount (progKept).
 	domSets []region.Bits
@@ -708,31 +715,31 @@ func (st *state) releaseRecords(qi int) {
 }
 
 // sortFilter rebuilds query qi's kept order and frontier from its live set:
-// the best corner of every live region, by sum over the preference, then by
-// the (unique) region index — a total order, and, regions being collected in
-// ascending index order, a stable sort on the sum — each tested against the
-// frontier so far and charged one cell operation per test.
+// the best corner of every live region, by sum over the preference (−0 tied
+// with +0), then by the (unique) region index — a total order, and, regions
+// being collected in ascending index order, a stable sort on the sum's key
+// — each tested against the frontier so far and charged one cell operation
+// per test.
 func (st *state) sortFilter(qi int) {
 	kern := &st.kerns[qi]
 	ko := &st.order[qi]
 	live := st.live.sets[qi]
-	cs := ko.corners[:0]
+	sums := slices.Grow(st.sortSums[:0], len(st.space.Regions))[:len(st.space.Regions)]
+	keys, ids := st.sortKeys[:0], st.sortIDs[:0]
 	for fi := live.Next(0); fi >= 0; fi = live.Next(fi + 1) {
-		cs = append(cs, keptCorner{sum: kern.Sum(st.space.LoRow(fi)), region: int32(fi)})
+		sums[fi] = kern.Sum(st.space.LoRow(fi))
+		keys, ids = append(keys, partition.FloatKey(sums[fi]+0)), append(ids, int32(fi))
 	}
-	if len(cs) == 0 {
+	st.sortSums, st.sortKeys, st.sortIDs = sums, keys, ids
+	if len(ids) == 0 {
 		st.releaseRecords(qi)
 		return
 	}
-	slices.SortFunc(cs, func(a, b keptCorner) int {
-		if a.sum != b.sum {
-			if a.sum < b.sum {
-				return -1
-			}
-			return 1
-		}
-		return int(a.region - b.region)
-	})
+	st.sorter.Sort(keys, ids)
+	cs := ko.corners[:0]
+	for _, fi := range ids {
+		cs = append(cs, keptCorner{sum: sums[fi], region: fi})
+	}
 	ko.corners, ko.n, ko.gen = cs, len(cs), st.gen
 	ko.at = slices.Grow(ko.at[:0], len(st.space.Regions))[:len(st.space.Regions)]
 	ko.kept = append(ko.kept[:0], live...)

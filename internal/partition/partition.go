@@ -9,7 +9,6 @@
 package partition
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -18,32 +17,54 @@ import (
 )
 
 // Signature is the set of distinct join-key values present in a cell for one
-// key column (Example 14's L[country], L[part] sets).
-type Signature map[int64]struct{}
+// key column (Example 14's L[country], L[part] sets), held as an ascending
+// run of distinct values.
+type Signature []int64
 
 // Intersects reports whether the two signatures share any value — the
-// condition |Sig_a ∩ Sig_b| ≠ ∅ of §5.1. The smaller signature is probed
-// against the larger in ascending value order, so the number of probes
-// charged to the clock is deterministic (map iteration order is not).
+// condition |Sig_a ∩ Sig_b| ≠ ∅ of §5.1. The smaller signature (s on a tie)
+// is probed against the larger in ascending value order, one cell-level
+// operation charged to the clock per probed value up to the first hit; both
+// runs being ascending, the probes are one merge walk.
 func (s Signature) Intersects(o Signature, clock *metrics.Clock) bool {
 	small, large := s, o
 	if len(large) < len(small) {
 		small, large = large, small
 	}
-	keys := make([]int64, 0, len(small))
-	for v := range small {
-		keys = append(keys, v)
-	}
-	slices.Sort(keys)
-	for _, v := range keys {
-		if clock != nil {
-			clock.CountCellOp(1)
+	probes, hit, j := len(small), false, 0
+	for i, v := range small {
+		for j < len(large) && large[j] < v {
+			j++
 		}
-		if _, ok := large[v]; ok {
-			return true
+		if j == len(large) {
+			break // every later probe misses too
+		}
+		if large[j] == v {
+			probes, hit = i+1, true
+			break
 		}
 	}
-	return false
+	if clock != nil {
+		clock.CountCellOp(int64(probes))
+	}
+	return hit
+}
+
+// Insert returns the signature with v added, in order; a value already
+// present leaves it as it is.
+func (s Signature) Insert(v int64) Signature {
+	at, found := slices.BinarySearch(s, v)
+	if found {
+		return s
+	}
+	return slices.Insert(s, at, v)
+}
+
+// NewSignature sorts and deduplicates vals in place and returns the
+// signature they form, capped at its length.
+func NewSignature(vals []int64) Signature {
+	slices.Sort(vals)
+	return slices.Clip(slices.Compact(vals))
 }
 
 // Cell is a leaf of the decomposition: an axis-aligned box of the input space
@@ -97,7 +118,10 @@ func DefaultOptions(n, targetCells int) Options {
 
 // Partition splits the relation over its numeric attributes and returns the
 // leaf cells. Cells are assigned sequential IDs in construction order; the
-// decomposition is deterministic for a given relation.
+// decomposition is deterministic for a given relation. The cells' structs,
+// bounds, member and row lists and signatures are capped subslices of a
+// few arrays shared by the relation's cells, so a list a mutation appends
+// to is reallocated for its own cell alone.
 func Partition(rel *tuple.Relation, opt Options) ([]*Cell, error) {
 	if opt.MaxLeafSize < 1 {
 		return nil, fmt.Errorf("partition: MaxLeafSize must be ≥ 1, got %d", opt.MaxLeafSize)
@@ -110,113 +134,149 @@ func Partition(rel *tuple.Relation, opt Options) ([]*Cell, error) {
 		return nil, fmt.Errorf("partition: relation %s has no numeric attributes", rel.Schema.Name)
 	}
 
-	members := make([]*tuple.Tuple, 0, rel.Len())
+	b := &builder{rel: rel, opt: opt, dims: d, order: make([]int32, 0, rel.Len())}
 	for i := range rel.Tuples {
-		if tp := rel.At(i); opt.Keep == nil || opt.Keep[tp.ID] != 0 {
-			members = append(members, tp)
+		if opt.Keep == nil || opt.Keep[rel.Tuples[i].ID] != 0 {
+			b.order = append(b.order, int32(i))
 		}
 	}
-	if len(members) == 0 {
+	if len(b.order) == 0 {
 		return nil, nil
 	}
-
-	b := &builder{numKeys: rel.Schema.NumKeys(), opt: opt, dims: d}
-	b.kdSplit(members, max(opt.TargetLeaves, 1), 0)
-	return b.cells, nil
+	b.keys = make([]uint64, len(b.order))
+	b.kdSplit(0, len(b.order), max(opt.TargetLeaves, 1), 0)
+	return b.cells(), nil
 }
 
-// kdSplit bisects the dimension with the largest extent at its median until
+type builder struct {
+	rel  *tuple.Relation
+	opt  Options
+	dims int
+	// order holds the members' row positions; the members of every node of
+	// the split are one span of it, in the order of the node's parent's
+	// split (row order at the root).
+	order  []int32
+	keys   []uint64
+	sorter KeySorter
+	leaves [][2]int // the leaves' spans of order, in emission order
+}
+
+// kdSplit bisects the span [lo, hi) of the members on the dimension with
+// the largest extent at its median, ordering it by (attribute, ID), until
 // the leaf budget is spent or leaves reach MaxLeafSize.
-func (b *builder) kdSplit(members []*tuple.Tuple, budget, depth int) {
-	if len(members) == 0 {
+func (b *builder) kdSplit(lo, hi, budget, depth int) {
+	n := hi - lo
+	if n == 0 {
 		return
 	}
-	if budget <= 1 || len(members) <= b.opt.MaxLeafSize || len(members) < 2 || depth >= maxDepth {
-		b.emit(members)
+	if budget <= 1 || n <= b.opt.MaxLeafSize || n < 2 || depth >= maxDepth {
+		b.leaves = append(b.leaves, [2]int{lo, hi})
 		return
 	}
-	lo, hi := tightBounds(members, b.dims)
+	seg, keys := b.order[lo:hi], b.keys[lo:hi]
 	dim, ext := 0, -1.0
 	for k := 0; k < b.dims; k++ {
-		if e := hi[k] - lo[k]; e > ext {
+		mn := b.rel.Tuples[seg[0]].Attrs[k]
+		mx := mn
+		for _, i := range seg[1:] {
+			if x := b.rel.Tuples[i].Attrs[k]; x < mn {
+				mn = x
+			} else if x > mx {
+				mx = x
+			}
+		}
+		if e := mx - mn; e > ext {
 			dim, ext = k, e
 		}
 	}
 	if ext <= 0 {
-		b.emit(members) // all members identical on every dimension
+		b.leaves = append(b.leaves, [2]int{lo, hi}) // all members identical on every dimension
 		return
 	}
 	// Attributes are finite and IDs unique within a relation, so the order
-	// is total and an unstable sort gives the one result.
-	sorted := append([]*tuple.Tuple(nil), members...)
-	slices.SortFunc(sorted, func(a, b *tuple.Tuple) int {
-		if c := cmp.Compare(a.Attr(dim), b.Attr(dim)); c != 0 {
-			return c
+	// is total: a sort on the attribute (−0 tied with +0), then each run of
+	// tied attributes sorted on ID.
+	for j, i := range seg {
+		keys[j] = FloatKey(b.rel.Tuples[i].Attrs[dim] + 0)
+	}
+	b.sorter.Sort(keys, seg)
+	for j := 0; j < n; {
+		e := j + 1
+		for e < n && keys[e] == keys[j] {
+			e++
 		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	mid := len(sorted) / 2
-	b.kdSplit(sorted[:mid], budget/2, depth+1)
-	b.kdSplit(sorted[mid:], budget-budget/2, depth+1)
+		if e-j > 1 {
+			for p := j; p < e; p++ {
+				keys[p] = uint64(b.rel.Tuples[seg[p]].ID) ^ 1<<63
+			}
+			b.sorter.Sort(keys[j:e], seg[j:e])
+		}
+		j = e
+	}
+	mid := lo + n/2
+	b.kdSplit(lo, mid, budget/2, depth+1)
+	b.kdSplit(mid, hi, budget-budget/2, depth+1)
 }
 
-type builder struct {
-	cells   []*Cell
-	numKeys int
-	opt     Options
-	dims    int
-}
-
-// emit finalizes a leaf: tight bounds, per-key row lists and signatures
-// over its members. The member slice is capacity-clamped, since it shares
-// its backing with the leaf's siblings: a row appended to one leaf later
-// must not overwrite another's. A key column every member survives for
-// shares the member slice the same way.
-func (b *builder) emit(members []*tuple.Tuple) {
-	members = members[:len(members):len(members)]
-	lo, hi := tightBounds(members, b.dims)
-	c := &Cell{ID: len(b.cells), Lo: lo, Hi: hi, Tuples: members}
-	c.Rows = make([][]*tuple.Tuple, b.numKeys)
-	c.Sigs = make([]Signature, b.numKeys)
-	for k := 0; k < b.numKeys; k++ {
-		rows := members
-		if keep := b.opt.Keep; keep != nil {
-			bit, n := uint64(1)<<uint(k), 0
-			for _, t := range members {
-				if keep[t.ID]&bit != 0 {
-					n++
+// cells finalizes the leaves: tight bounds, per-key row lists and
+// signatures over their members, each list a capped subslice of its side's
+// one array, so a row appended to one cell's list later cannot overwrite
+// another's. A key column every member of a cell survives for shares its
+// member list.
+func (b *builder) cells() []*Cell {
+	nk, nl, d := b.rel.Schema.NumKeys(), len(b.leaves), b.dims
+	cells, out := make([]Cell, nl), make([]*Cell, nl)
+	members := make([]*tuple.Tuple, len(b.order))
+	for j, i := range b.order {
+		members[j] = &b.rel.Tuples[i]
+	}
+	bounds := make([]float64, 2*nl*d)
+	rows, sigs := make([][]*tuple.Tuple, nl*nk), make([]Signature, nl*nk)
+	var rowArena []*tuple.Tuple
+	if b.opt.Keep != nil {
+		rowArena = make([]*tuple.Tuple, 0, len(members)*nk)
+	}
+	sigArena, at := make([]int64, len(members)*nk), 0
+	for ci, span := range b.leaves {
+		c := &cells[ci]
+		ms := members[span[0]:span[1]:span[1]]
+		lo, hi := bounds[2*ci*d:(2*ci+1)*d:(2*ci+1)*d], bounds[(2*ci+1)*d:(2*ci+2)*d:(2*ci+2)*d]
+		copy(lo, ms[0].Attrs)
+		copy(hi, ms[0].Attrs)
+		for _, t := range ms[1:] {
+			for k, x := range t.Attrs[:d] {
+				if x < lo[k] {
+					lo[k] = x
+				}
+				if x > hi[k] {
+					hi[k] = x
 				}
 			}
-			if n < len(members) {
-				rows = make([]*tuple.Tuple, 0, n)
-				for _, t := range members {
-					if keep[t.ID]&bit != 0 {
-						rows = append(rows, t)
+		}
+		*c = Cell{ID: ci, Lo: lo, Hi: hi, Tuples: ms, Rows: rows[ci*nk : (ci+1)*nk : (ci+1)*nk], Sigs: sigs[ci*nk : (ci+1)*nk : (ci+1)*nk]}
+		for k := range nk {
+			rs := ms
+			if b.opt.Keep != nil {
+				bit, from := uint64(1)<<uint(k), len(rowArena)
+				for _, t := range ms {
+					if b.opt.Keep[t.ID]&bit != 0 {
+						rowArena = append(rowArena, t)
 					}
 				}
+				if len(rowArena)-from < len(ms) {
+					rs = rowArena[from:len(rowArena):len(rowArena)]
+				} else {
+					rowArena = rowArena[:from]
+				}
 			}
+			run := sigArena[at : at+len(rs)]
+			for j, t := range rs {
+				run[j] = t.Key(k)
+			}
+			c.Rows[k], c.Sigs[k] = rs, NewSignature(run)
+			at += len(c.Sigs[k])
 		}
-		sig := make(Signature)
-		for _, t := range rows {
-			sig[t.Key(k)] = struct{}{}
-		}
-		c.Rows[k], c.Sigs[k] = rows, sig
+		out[ci] = c
 	}
-	b.cells = append(b.cells, c)
-}
-
-func tightBounds(members []*tuple.Tuple, d int) (lo, hi []float64) {
-	lo = append([]float64(nil), members[0].Attrs...)
-	hi = append([]float64(nil), members[0].Attrs...)
-	for _, t := range members[1:] {
-		for k := 0; k < d; k++ {
-			if t.Attr(k) < lo[k] {
-				lo[k] = t.Attr(k)
-			}
-			if t.Attr(k) > hi[k] {
-				hi[k] = t.Attr(k)
-			}
-		}
-	}
-	return lo, hi
+	return out
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -103,7 +104,7 @@ func TestSignaturesMatchMembers(t *testing.T) {
 					c.ID, k, len(c.Sigs[k]), len(want))
 			}
 			for v := range want {
-				if _, ok := c.Sigs[k][v]; !ok {
+				if _, ok := slices.BinarySearch(c.Sigs[k], v); !ok {
 					t.Fatalf("cell %d key %d: value %d missing from signature", c.ID, k, v)
 				}
 			}
@@ -112,9 +113,9 @@ func TestSignaturesMatchMembers(t *testing.T) {
 }
 
 func TestSignatureIntersects(t *testing.T) {
-	a := Signature{1: {}, 2: {}, 3: {}}
-	b := Signature{3: {}, 4: {}}
-	c := Signature{5: {}}
+	a := Signature{1, 2, 3}
+	b := Signature{3, 4}
+	c := Signature{5}
 	if !a.Intersects(b, nil) || !b.Intersects(a, nil) {
 		t.Error("overlapping signatures reported disjoint")
 	}
@@ -300,12 +301,12 @@ func TestKeepSplitsRowsByKeyColumn(t *testing.T) {
 					want++
 				}
 			}
-			sig := Signature{}
+			sig := map[int64]bool{}
 			for _, tu := range rows {
 				if keep[tu.ID]&(1<<uint(k)) == 0 {
 					t.Errorf("cell %d lists row %d under key %d, not kept for it", c.ID, tu.ID, k)
 				}
-				sig[tu.Key(k)] = struct{}{}
+				sig[tu.Key(k)] = true
 			}
 			if len(rows) != want || len(sig) != len(c.Sigs[k]) {
 				t.Errorf("cell %d key %d: %d rows, %d signature values; want %d, %d", c.ID, k, len(rows), len(c.Sigs[k]), want, len(sig))

@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
+	"caqe/internal/partition"
 	"caqe/internal/preference"
+	"caqe/internal/skycube"
+	"caqe/internal/workload"
 )
 
 // Bits is a set of region indices, 64 to a word: index i is bit i%64 of
@@ -108,6 +110,7 @@ type CornerRanks struct {
 type rankDim struct {
 	vals  []float64 // the coordinates, ascending, NaN left out
 	ids   []int32   // the region of each coordinate
+	pos   []int32   // the rank of each region's coordinate, -1 for NaN
 	marks []uint64  // row r, words long: the regions of vals[:r*rankStride]
 	all   Bits      // the regions of every coordinate
 }
@@ -119,22 +122,25 @@ const rankStride = 16
 func NewCornerRanks(m, nd int, corner func(i int) []float64) *CornerRanks {
 	c := &CornerRanks{words: (m + 63) / 64, dims: make([]rankDim, nd)}
 	keys := make([]uint64, 0, m)
-	var sorter KeySorter
+	var sorter partition.KeySorter
 	for k := range c.dims {
 		d := &c.dims[k]
 		keys, d.ids = keys[:0], make([]int32, 0, m)
 		for i := 0; i < m; i++ {
 			if v := corner(i)[k]; !math.IsNaN(v) {
-				keys = append(keys, FloatKey(v))
+				keys = append(keys, partition.FloatKey(v))
 				d.ids = append(d.ids, int32(i))
 			}
 		}
 		// Equal coordinates may lie in any order (−0 below +0 here): a rank
 		// is never taken between two of them.
 		sorter.Sort(keys, d.ids)
-		d.vals = make([]float64, len(d.ids))
+		d.vals, d.pos = make([]float64, len(d.ids)), make([]int32, m)
+		for i := range d.pos {
+			d.pos[i] = -1
+		}
 		for p, id := range d.ids {
-			d.vals[p] = corner(int(id))[k]
+			d.vals[p], d.pos[id] = corner(int(id))[k], int32(p)
 		}
 		d.all = NewBits(m)
 		c.remark(k, 0)
@@ -167,8 +173,7 @@ func (c *CornerRanks) remark(k, from int) {
 func (c *CornerRanks) Move(i int, x []float64) {
 	for k := range c.dims {
 		d := &c.dims[k]
-		v := x[k]
-		at := slices.Index(d.ids, int32(i))
+		v, at := x[k], int(d.pos[i])
 		if at >= 0 && d.vals[at] == v {
 			d.vals[at] = v // the rank holds; a zero may change sign
 			continue
@@ -178,12 +183,16 @@ func (c *CornerRanks) Move(i int, x []float64) {
 			from = at
 			d.ids = slices.Delete(d.ids, at, at+1)
 			d.vals = slices.Delete(d.vals, at, at+1)
+			d.pos[i] = -1
 		}
 		if !math.IsNaN(v) {
-			to := sort.Search(len(d.vals), func(p int) bool { return d.vals[p] > v })
+			to := upperRank(d.vals, v)
 			d.ids = slices.Insert(d.ids, to, int32(i))
 			d.vals = slices.Insert(d.vals, to, v)
 			from = min(from, to)
+		}
+		for p := from; p < len(d.ids); p++ {
+			d.pos[d.ids[p]] = int32(p)
 		}
 		c.remark(k, from)
 	}
@@ -228,106 +237,208 @@ func (c *CornerRanks) prefix(dst Bits, k, p int) {
 // (lt) and at or below it (le); x is not NaN.
 func (c *CornerRanks) ranks(k int, x float64) (lt, le int) {
 	vals := c.dims[k].vals
-	le = sort.Search(len(vals), func(p int) bool { return vals[p] > x })
-	lt = sort.Search(le, func(p int) bool { return vals[p] >= x })
+	le = upperRank(vals, x)
+	lo := 0
+	for hi := le; lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); vals[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, le
+}
+
+// ownRanks is ranks at region i's own coordinate on dimension k, read from
+// its rank and those of its ties; both are -1 for a NaN coordinate.
+func (c *CornerRanks) ownRanks(k, i int) (lt, le int) {
+	d := &c.dims[k]
+	at := int(d.pos[i])
+	if at < 0 {
+		return -1, -1
+	}
+	x := d.vals[at]
+	lt, le = at, at+1
+	for lt > 0 && d.vals[lt-1] == x {
+		lt--
+	}
+	for le < len(d.vals) && d.vals[le] == x {
+		le++
+	}
 	return lt, le
 }
 
-// below writes into le the regions whose corner lies at or below x on
-// dimension k, and into lt those strictly below it.
-func (c *CornerRanks) below(k int, x float64, le, lt Bits) {
-	if math.IsNaN(x) {
-		clear(le)
-		clear(lt)
-		return
+// upperRank returns the number of ascending vals at or below x: the first rank
+// above it.
+func upperRank(vals []float64, x float64) int {
+	lo := 0
+	for hi := len(vals); lo < hi; {
+		if mid := int(uint(lo+hi) >> 1); vals[mid] <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	nlt, nle := c.ranks(k, x)
-	c.prefix(le, k, nle)
-	c.prefix(lt, k, nlt)
-}
-
-// above writes into ge the regions whose corner lies at or above x on
-// dimension k, and into gt those strictly above it.
-func (c *CornerRanks) above(k int, x float64, ge, gt Bits) {
-	if math.IsNaN(x) {
-		clear(ge)
-		clear(gt)
-		return
-	}
-	nlt, nle := c.ranks(k, x)
-	c.prefix(ge, k, nlt)
-	c.prefix(gt, k, nle)
-	all := c.dims[k].all
-	for w := range all {
-		ge[w] = all[w] &^ ge[w]
-		gt[w] = all[w] &^ gt[w]
-	}
+	return lo
 }
 
 // Probe holds one corner's per-dimension sets against a CornerRanks: the
 // weak sets (at or below the corner for Below, at or above it for Above)
-// and the strict ones. Its buffers grow to the index and are reused.
+// and the strict ones, over the regions from its first word on. The sets
+// are word-major — word w of dimension k's set at w·nd+k — so one word of
+// every dimension lies together for the folds, which pass over the words
+// once and fold each query's dimensions in turn. Its buffers grow to the
+// index and are reused.
 type Probe struct {
-	words        int
-	weak, strict []uint64 // dimension-major, words per dimension
+	words, nd, from int
+	lt, le          []int // per dimension, the probe's ranks; -1 for NaN
+	weak, strict    []uint64
 }
 
-func (p *Probe) grow(c *CornerRanks) {
-	p.words = c.words
-	n := len(c.dims) * c.words
+func (p *Probe) grow(c *CornerRanks, from int) {
+	p.words, p.nd, p.from = c.words, len(c.dims), from
+	n := p.nd * p.words
 	p.weak = slices.Grow(p.weak[:0], n)[:n]
 	p.strict = slices.Grow(p.strict[:0], n)[:n]
+	p.lt = slices.Grow(p.lt[:0], p.nd)[:p.nd]
+	p.le = slices.Grow(p.le[:0], p.nd)[:p.nd]
 }
 
-func (p *Probe) sets(k int) (weak, strict Bits) {
-	at := k * p.words
-	return p.weak[at : at+p.words], p.strict[at : at+p.words]
+// rank finds the ranks of corner x on every dimension of c.
+func (p *Probe) rank(c *CornerRanks, x []float64) {
+	p.grow(c, 0)
+	for k := range c.dims {
+		if math.IsNaN(x[k]) {
+			p.lt[k], p.le[k] = -1, -1
+			continue
+		}
+		p.lt[k], p.le[k] = c.ranks(k, x[k])
+	}
+}
+
+// fill writes every dimension's sets from its ranks, upward for an Above
+// probe.
+func (p *Probe) fill(c *CornerRanks, up bool) {
+	for k := range c.dims {
+		if p.lt[k] < 0 {
+			p.empty(k)
+			continue
+		}
+		p.column(c, k, p.lt[k], p.le[k], up)
+	}
 }
 
 // Below probes c with corner x on every dimension: the regions whose corner
 // lies at or below x, and strictly below it.
 func (p *Probe) Below(c *CornerRanks, x []float64) {
-	p.grow(c)
-	for k := range c.dims {
-		weak, strict := p.sets(k)
-		c.below(k, x[k], weak, strict)
-	}
+	p.rank(c, x)
+	p.fill(c, false)
 }
 
 // Above probes c with corner x on every dimension: the regions whose corner
 // lies at or above x, and strictly above it.
 func (p *Probe) Above(c *CornerRanks, x []float64) {
-	p.grow(c)
+	p.rank(c, x)
+	p.fill(c, true)
+}
+
+// AboveOwn is Above with region i's own corner in c, over the regions from
+// i's word on: the ranks are read from the index, and the words before
+// i's are left as they were.
+func (p *Probe) AboveOwn(c *CornerRanks, i int) {
+	p.grow(c, i>>6)
 	for k := range c.dims {
-		weak, strict := p.sets(k)
-		c.above(k, x[k], weak, strict)
+		p.lt[k], p.le[k] = c.ownRanks(k, i)
+	}
+	p.fill(c, true)
+}
+
+// empty clears dimension k's sets: a NaN lies at or below nothing and at or
+// above nothing.
+func (p *Probe) empty(k int) {
+	for at := p.from*p.nd + k; at < len(p.weak); at += p.nd {
+		p.weak[at], p.strict[at] = 0, 0
 	}
 }
 
-// Weak writes into dst the members of within that are weak on every
-// dimension of pref: for a Below probe, the regions whose corner weakly
-// dominates the probe in pref; for an Above probe, those it weakly
-// dominates. An empty pref keeps all of within.
-func (p *Probe) Weak(dst, within Bits, pref preference.Subspace) {
-	for w := range dst {
-		m := within[w]
-		for _, k := range pref {
-			m &= p.weak[k*p.words+w]
+// column writes dimension k's sets from the ranks lt ≤ le of the probe on
+// it: for a Below probe the regions of the le lowest coordinates (weak) and
+// of the lt lowest (strict), for an Above probe the complements of the lt
+// lowest (weak) and of the le lowest (strict). Both start from the kept
+// prefix set nearest lt, or its complement; each region of the ranks
+// between the two (at most rankStride/2, short of the last kept set) then
+// flips in both, and each region tied with the probe in the one set that
+// differs.
+func (p *Probe) column(c *CornerRanks, k, lt, le int, up bool) {
+	d, nd := &c.dims[k], p.nd
+	r := min((lt+rankStride/2)/rankStride, len(d.ids)/rankStride) // the nearest kept set
+	marks := d.marks[r*c.words : (r+1)*c.words]
+	for w := p.from; w < p.words; w++ {
+		m := marks[w]
+		if up {
+			m = d.all[w] &^ m
 		}
-		dst[w] = m
+		p.weak[w*nd+k], p.strict[w*nd+k] = m, m
+	}
+	for _, i := range d.ids[min(r*rankStride, lt):max(r*rankStride, lt)] {
+		if w := int(i) >> 6; w >= p.from {
+			p.weak[w*nd+k] ^= 1 << uint(i&63)
+			p.strict[w*nd+k] ^= 1 << uint(i&63)
+		}
+	}
+	ties := p.weak
+	if up {
+		ties = p.strict
+	}
+	for _, i := range d.ids[lt:le] {
+		if w := int(i) >> 6; w >= p.from {
+			ties[w*nd+k] ^= 1 << uint(i&63)
+		}
 	}
 }
 
-// Dominant writes into dst the members of within that are weak on every
-// dimension of pref and strict on one: the dominance of Weak. An empty pref
-// keeps none.
-func (p *Probe) Dominant(dst, within Bits, pref preference.Subspace) {
-	for w := range dst {
-		m, s := within[w], uint64(0)
-		for _, k := range pref {
-			m &= p.weak[k*p.words+w]
-			s |= p.strict[k*p.words+w]
+// WeakFold writes into dst[q], for each query q of qs, the members of sets[q]
+// that are weak on every dimension of q's preference — for a Below probe,
+// the regions whose corner weakly dominates the probe there; for an Above
+// probe, those it weakly dominates — and into union the union of those
+// sets[q], from the probe's first word on. An empty preference keeps all of
+// sets[q].
+func (p *Probe) WeakFold(dst []Bits, union Bits, sets []Bits, qs skycube.QSet, queries []workload.Query) {
+	for w := p.from; w < p.words; w++ {
+		weak := p.weak[w*p.nd : (w+1)*p.nd]
+		u := uint64(0)
+		for b := uint64(qs); b != 0; b &= b - 1 {
+			q := bits.TrailingZeros64(b)
+			m := sets[q][w]
+			u |= m
+			for _, k := range queries[q].Pref {
+				m &= weak[k]
+			}
+			dst[q][w] = m
 		}
-		dst[w] = m & s
+		union[w] = u
+	}
+}
+
+// DominantFold writes into dst the union, over each query q of qs, of the
+// members of sets[q] that are weak on every dimension of q's preference and
+// strict on one — the dominance of WeakFold — and into union the union of
+// those sets[q], from the probe's first word on. An empty preference keeps
+// none.
+func (p *Probe) DominantFold(dst, union Bits, sets []Bits, qs skycube.QSet, queries []workload.Query) {
+	for w := p.from; w < p.words; w++ {
+		weak, strict := p.weak[w*p.nd:(w+1)*p.nd], p.strict[w*p.nd:(w+1)*p.nd]
+		u, dom := uint64(0), uint64(0)
+		for b := uint64(qs); b != 0; b &= b - 1 {
+			q := bits.TrailingZeros64(b)
+			m, s := sets[q][w], uint64(0)
+			u |= m
+			for _, k := range queries[q].Pref {
+				m &= weak[k]
+				s |= strict[k]
+			}
+			dom |= m & s
+		}
+		dst[w], union[w] = dom, u
 	}
 }

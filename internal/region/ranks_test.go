@@ -203,10 +203,13 @@ func TestNotBelowMatchesLoop(t *testing.T) {
 // sometimes one value on every region of a dimension (a zero-extent
 // dimension of the set); the queries' preferences may be empty. For random
 // probes, each dimension's four sets must be the regions the comparison
-// selects, and, for each query, Weak the regions Pair finds weakly
-// dominating (the probe, or the probed corner), the OR of the strict sets
-// over the preference Pair's strict set, and Dominant their meet, within a
-// random subset. The checks are repeated after regions move, a NaN
+// selects, and, for each query, WeakFold's set the regions Pair finds
+// weakly dominating (the probe, or the probed corner), the OR of the
+// strict sets over the preference Pair's strict set, and DominantFold's
+// set their meet, within a random subset; DominantFold over every query is
+// the union of the queries' sets. A region's own corner probed by AboveOwn
+// must give Above's sets and folds from the region's word on, and leave the
+// words before it alone. The checks are repeated after regions move, a NaN
 // coordinate among the moves.
 func TestCornerRanksMatchPair(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -218,7 +221,7 @@ func TestCornerRanksMatchPair(t *testing.T) {
 		return float64(rng.Intn(9)) / 2
 	}
 	sizes := []int{1, 63, 64, 65, 130}
-	var checks, weakHits, domHits, moves int
+	var checks, weakHits, domHits, moves, ownChecks int
 	for trial := 0; trial < 300; trial++ {
 		nd := 1 + rng.Intn(6)
 		m := sizes[trial%len(sizes)]
@@ -242,9 +245,14 @@ func TestCornerRanksMatchPair(t *testing.T) {
 		u := NewQueryDims(qs, nd)
 		c := NewCornerRanks(m, nd, func(i int) []float64 { return corners[i] })
 
-		var p Probe
-		le, lt, ge, gt := NewBits(m), NewBits(m), NewBits(m), NewBits(m)
-		within, weak, dom, strict := NewBits(m), NewBits(m), NewBits(m), NewBits(m)
+		var p, own Probe
+		within, strict := NewBits(m), NewBits(m)
+		sets, doms := make([]Bits, len(qs)), make([]Bits, len(qs))
+		for qi := range qs {
+			sets[qi], doms[qi] = within, NewBits(m)
+		}
+		union, dom, all := NewBits(m), NewBits(m), NewBits(m)
+		everyQuery := skycube.QSet(1)<<uint(len(qs)) - 1
 		check := func(label string) {
 			for n := 0; n < 6; n++ {
 				x := make([]float64, nd)
@@ -261,8 +269,10 @@ func TestCornerRanksMatchPair(t *testing.T) {
 					}
 				}
 				for k := 0; k < nd; k++ {
-					c.below(k, x[k], le, lt)
-					c.above(k, x[k], ge, gt)
+					p.Below(c, x)
+					le, lt := p.sets(k)
+					p.Above(c, x)
+					ge, gt := p.sets(k)
 					for i, a := range corners {
 						v := a[k]
 						if le.Has(i) != (v <= x[k]) || lt.Has(i) != (v < x[k]) || ge.Has(i) != (v >= x[k]) || gt.Has(i) != (v > x[k]) {
@@ -277,18 +287,23 @@ func TestCornerRanksMatchPair(t *testing.T) {
 					} else {
 						p.Above(c, x)
 					}
+					p.WeakFold(doms, union, sets, everyQuery, qs)
+					if !slices.Equal(union, within) {
+						t.Fatalf("%s: WeakFold's union %v, want %v", label, union, within)
+					}
+					p.DominantFold(all, union, sets, everyQuery, qs)
+					anyDom := NewBits(m)
 					for qi, q := range qs {
-						p.Weak(weak, within, q.Pref)
-						p.Dominant(dom, within, q.Pref)
+						weak := doms[qi]
+						p.DominantFold(dom, union, sets, skycube.QSet(0).Add(qi), qs)
+						for w := range dom {
+							anyDom[w] |= dom[w]
+						}
 						clear(strict)
 						for _, k := range q.Pref {
-							if below {
-								c.below(k, x[k], le, lt)
-							} else {
-								c.above(k, x[k], le, lt)
-							}
+							_, s := p.sets(k)
 							for w := range strict {
-								strict[w] |= lt[w]
+								strict[w] |= s[w]
 							}
 						}
 						for i, a := range corners {
@@ -310,7 +325,32 @@ func TestCornerRanksMatchPair(t *testing.T) {
 							checks++
 						}
 					}
+					if !slices.Equal(all, anyDom) {
+						t.Fatalf("%s: below %v: DominantFold over every query %v, the union of each query's %v", label, below, all, anyDom)
+					}
 				}
+				// A region's own corner: AboveOwn reads its ranks from the
+				// index and fills the words from the region's on.
+				i := rng.Intn(m)
+				p.Above(c, corners[i])
+				own.AboveOwn(c, i)
+				for k := 0; k < nd; k++ {
+					pw, ps := p.sets(k)
+					ow, os := own.sets(k)
+					if from := i >> 6; !slices.Equal(pw[from:], ow[from:]) || !slices.Equal(ps[from:], os[from:]) {
+						t.Fatalf("%s: region %d's own corner %v, dimension %d: AboveOwn %v %v, Above %v %v", label, i, corners[i], k, ow, os, pw, ps)
+					}
+				}
+				for w := range dom {
+					dom[w] = rng.Uint64() // the words before i's must stay as they are
+				}
+				before := slices.Clone(dom)
+				own.DominantFold(dom, union, sets, everyQuery, qs)
+				p.DominantFold(all, union, sets, everyQuery, qs)
+				if from := i >> 6; !slices.Equal(dom[from:], all[from:]) || !slices.Equal(dom[:from], before[:from]) {
+					t.Fatalf("%s: region %d: DominantFold after AboveOwn %v (before %v), after Above %v", label, i, dom, before, all)
+				}
+				ownChecks++
 			}
 		}
 		check(fmt.Sprintf("trial %d (m %d, d %d)", trial, m, nd))
@@ -326,10 +366,20 @@ func TestCornerRanksMatchPair(t *testing.T) {
 		}
 		check(fmt.Sprintf("trial %d (m %d, d %d) after moves", trial, m, nd))
 	}
-	t.Logf("%d (probe, query, corner) checks: %d weak, %d dominant; %d moves", checks, weakHits, domHits, moves)
-	if weakHits < checks/10 || domHits < checks/20 || moves < 300 {
+	t.Logf("%d (probe, query, corner) checks: %d weak, %d dominant; %d moves; %d own-corner probes", checks, weakHits, domHits, moves, ownChecks)
+	if weakHits < checks/10 || domHits < checks/20 || moves < 300 || ownChecks < 3000 {
 		t.Fatal("too little coverage")
 	}
+}
+
+// sets returns dimension k's weak and strict sets of the probe, the words
+// before its first empty.
+func (p *Probe) sets(k int) (weak, strict Bits) {
+	weak, strict = make(Bits, p.words), make(Bits, p.words)
+	for w := p.from; w < p.words; w++ {
+		weak[w], strict[w] = p.weak[w*p.nd+k], p.strict[w*p.nd+k]
+	}
+	return weak, strict
 }
 
 // referenceCoarsePrune is coarsePrune as it read before the corner index:

@@ -8,6 +8,7 @@ package region
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"caqe/internal/metrics"
@@ -259,8 +260,9 @@ func (s *Space) initGrid(res int) {
 //
 // o fully dominates r in q's preference when o.Hi weakly dominates r.Lo
 // there with one strict dimension: probing the index of every region's Hi
-// with r.Lo, r's killers for q are the regions serving q that the probe
-// finds Dominant. The charge is that of testing, in index order, the
+// with r.Lo, r's killers for q are the regions serving q whose Hi the probe
+// finds weakly below r.Lo on every dimension of q's preference and strictly
+// on one. The charge is that of testing, in index order, the
 // regions o ≠ r whose lineage meets r's, one cell-level operation each,
 // until r.Alive is empty (DESIGN.md §13): up to the highest of the queries'
 // first killers when every query dies, all of them when one survives.
@@ -283,35 +285,74 @@ func (s *Space) coarsePrune(clock *metrics.Clock, keepPruned bool) {
 		}
 	}
 	var probe Probe
-	overlap, killers := NewBits(m), NewBits(m)
+	nd := len(s.W.OutDims)
+	overlap, overRQL, others := NewBits(m), skycube.QSet(0), 0 // the regions whose lineage meets overRQL, less one
 	var charged int64
 	for i, r := range s.Regions {
 		if r.Alive == 0 {
 			continue
 		}
-		clear(overlap)
-		for q := r.RQL.Next(0); q >= 0; q = r.RQL.Next(q + 1) {
-			for w, bits := range serving[q] {
-				overlap[w] |= bits
+		if r.RQL != overRQL {
+			clear(overlap)
+			for q := r.RQL.Next(0); q >= 0; q = r.RQL.Next(q + 1) {
+				for w, set := range serving[q] {
+					overlap[w] |= set
+				}
+			}
+			overRQL, others = r.RQL, overlap.Count()-1
+		}
+		// A query one of whose dimensions has no corner at or below the
+		// probe's has no killer; the others fold the probe's sets in one
+		// pass over the words, until each has its first killer.
+		probe.rank(ranks, s.LoRow(i))
+		alive, pending := r.Alive, skycube.QSet(0)
+		for q := alive.Next(0); q >= 0; q = alive.Next(q + 1) {
+			pref := s.W.Queries[q].Pref
+			killable := len(pref) > 0
+			for _, k := range pref {
+				killable = killable && probe.le[k] > 0
+			}
+			if killable {
+				pending = pending.Add(q)
 			}
 		}
-		overlap.Unset(i)
-		probe.Below(ranks, s.LoRow(i))
-		last := -1 // the highest first killer so far
-		alive := r.Alive
-		for q := r.Alive.Next(0); q >= 0; q = r.Alive.Next(q + 1) {
-			probe.Dominant(killers, serving[q], s.W.Queries[q].Pref)
-			killers.Unset(i)
-			if f := killers.Next(0); f >= 0 {
-				alive &^= 1 << uint(q)
-				last = max(last, f)
+		if pending == 0 {
+			charged += int64(others)
+			continue
+		}
+		probe.fill(ranks, false)
+		n := 0 // the overlap's members in the words passed
+		for w := 0; w < probe.words && pending != 0; w++ {
+			weak, strict := probe.weak[w*nd:(w+1)*nd], probe.strict[w*nd:(w+1)*nd]
+			self := uint64(0)
+			if i>>6 == w {
+				self = 1 << uint(i&63)
 			}
+			last := 0
+			for b := uint64(pending); b != 0; b &= b - 1 {
+				q := bits.TrailingZeros64(b)
+				kill, st := serving[q][w]&^self, uint64(0)
+				for _, k := range s.W.Queries[q].Pref {
+					kill &= weak[k]
+					st |= strict[k]
+				}
+				if kill &= st; kill != 0 {
+					alive &^= 1 << uint(q)
+					pending &^= 1 << uint(q)
+					last = max(last, bits.TrailingZeros64(kill))
+				}
+			}
+			over := overlap[w] &^ self
+			if alive == 0 { // the overlap up to the highest first killer, in this word
+				n += bits.OnesCount64(over << uint(63-last))
+				break
+			}
+			n += bits.OnesCount64(over)
 		}
-		if alive == 0 {
-			charged += int64(overlap.CountTo(last))
-		} else {
-			charged += int64(overlap.Count())
+		if alive != 0 {
+			n = others
 		}
+		charged += int64(n)
 		s.Regions[i].Alive = alive
 	}
 	if clock != nil {

@@ -172,6 +172,7 @@ type Handle struct {
 
 	mu           sync.Mutex
 	st           queryState
+	admitted     string // State as the command that admitted the query left it
 	ring         emitRing
 	closed       bool // stream complete: no further pushes
 	lagging      bool
@@ -250,6 +251,25 @@ func (h *Handle) State() string {
 		return string(StateLagging)
 	}
 	return string(h.st)
+}
+
+// AdmittedState returns the query's state as the executor command that
+// admitted it left it: queued for a query waiting for the session to
+// start, otherwise what its admission made of it, before any later step of
+// the executor ran. Unlike State it does not depend on when it is read.
+func (h *Handle) AdmittedState() string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.admitted
+}
+
+// markAdmitted records the current state as the admitted one (executor
+// goroutine, at the end of the command that admits the query).
+func (h *Handle) markAdmitted() {
+	st := h.State()
+	h.mu.Lock()
+	h.admitted = st
+	h.mu.Unlock()
 }
 
 func (h *Handle) state() queryState {

@@ -375,6 +375,7 @@ func (s *Session) submit(q workload.Query, estTotal int) (*Handle, error) {
 	if !s.started {
 		h.query, h.estTotal = q, estTotal
 		h.setState(StateQueued)
+		h.markAdmitted()
 		s.handles = append(s.handles, h)
 		return h, nil
 	}
@@ -413,6 +414,7 @@ func (s *Session) submit(q workload.Query, estTotal int) (*Handle, error) {
 		old.local = -1 // slot reclaimed; the old query's results live on in the report
 	}
 	s.byLocal[local] = h
+	h.markAdmitted()
 	s.handles = append(s.handles, h)
 	return h, nil
 }
@@ -473,6 +475,7 @@ func (s *Session) start() error {
 	s.started = true
 	for _, h := range s.byLocal {
 		h.setState(StateRunning)
+		h.markAdmitted()
 	}
 	return nil
 }
