@@ -330,12 +330,10 @@ type (
 	SessionHandle = session.Handle
 	SessionStats  = session.Stats
 	SessionQuery  = session.QueryStats
-	// SessionBackpressure bounds per-handle delivery buffers; see
-	// SessionConfig.Backpressure and the delivery policies below.
+	// SessionBackpressure bounds per-handle delivery buffers; past the
+	// mark a stream coalesces its oldest results behind a lag notice. See
+	// SessionConfig.Backpressure.
 	SessionBackpressure = session.Backpressure
-	// SessionDeliveryPolicy selects the over-high-water behavior of a
-	// handle's delivery buffer.
-	SessionDeliveryPolicy = session.DeliveryPolicy
 	// SessionStreamEvent is one item of SessionHandle.Events: an emission,
 	// or a lag notice when the consumer fell behind.
 	SessionStreamEvent = session.StreamEvent
@@ -354,13 +352,6 @@ type (
 	// TupleData is one appended row: attributes and join keys shaped like
 	// the target relation's schema.
 	TupleData = core.TupleData
-)
-
-// Delivery policies for SessionBackpressure: keep streaming with bounded
-// memory and lag notices, or sever streams whose consumers stall.
-const (
-	BlockExecutorNever = session.PolicyBlockExecutorNever
-	DisconnectSlow     = session.PolicyDisconnectSlow
 )
 
 // MaxConcurrentQueries is the engine's representation limit on

@@ -39,7 +39,6 @@ type coordServer struct {
 type coordDaemonConfig struct {
 	ShardURLs   string // comma-separated base URLs, in shard order
 	LocalShards int    // >0: run the shards in this process instead
-	Partition   string
 
 	N, Dims, Keys int
 	Dist          string
@@ -72,7 +71,7 @@ func newCoordinatorDaemon(cfg coordDaemonConfig) (*coordServer, error) {
 	}
 	// The coordinator derives the same partition tables the shards derive
 	// their slices from — pure topology, no data exchange.
-	m, err := cluster.NewShardMap(shards, cluster.Strategy(cfg.Partition))
+	m, err := cluster.NewShardMap(shards, cluster.PartitionRange)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func startShardNodes(t *testing.T, count int, wrap func(shard int, h http.Handle
 	var cleanups []func()
 	for s := 0; s < count; s++ {
 		cfg := testConfig()
-		cfg.ShardIndex, cfg.ShardCount, cfg.Partition = s, count, "range"
+		cfg.ShardIndex, cfg.ShardCount = s, count
 		srv, err := newServer(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -47,8 +48,8 @@ func startShardNodes(t *testing.T, count int, wrap func(shard int, h http.Handle
 func startCoordinator(t *testing.T, urls []string, retries int) (*coordServer, *httptest.Server) {
 	t.Helper()
 	cs, err := newCoordinatorDaemon(coordDaemonConfig{
-		ShardURLs: strings.Join(urls, ","), Partition: "range",
-		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
+		ShardURLs: strings.Join(urls, ","), N: testN,
+		Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
 		Retries: retries, RetryBackoff: 5 * time.Millisecond, SubmitTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -247,8 +248,7 @@ func TestCoordinatorE2ERetryAndPartial(t *testing.T) {
 // -local-shards flag: one binary, N shard sessions, exact results.
 func TestCoordinatorLocalShards(t *testing.T) {
 	cs, err := newCoordinatorDaemon(coordDaemonConfig{
-		LocalShards: 3, Partition: "hash",
-		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
+		LocalShards: 3, N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,5 +283,105 @@ func TestCoordinatorLocalShards(t *testing.T) {
 	_, code := submit(t, ts, testQueries()[0])
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d", code)
+	}
+}
+
+// coordRequest sends one bodiless request to a coordinator's query path and
+// decodes the coordQueryStatus reply of a 200.
+func coordRequest(t *testing.T, ts *httptest.Server, method string, id int) (coordQueryStatus, int) {
+	t.Helper()
+	req, err := http.NewRequest(method, fmt.Sprintf("%s/queries/%d", ts.URL, id), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st coordQueryStatus
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st, resp.StatusCode
+}
+
+func healthz(t *testing.T, ts *httptest.Server) int {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestCoordinatorStatusCancelHealthz covers the coordinator's query
+// endpoints over HTTP shards. The shards hold every result stream until
+// the cancel went out, so the cancel lands while the query is gathering:
+// DELETE /queries/{id} sends one DELETE to each shard node and the query
+// ends cancelled, which GET /queries/{id} then reports. /healthz turns 503
+// once the coordinator drains.
+func TestCoordinatorStatusCancelHealthz(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	var deletes atomic.Int32
+	urls, drainShards := startShardNodes(t, 3, func(shard int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			switch {
+			case r.Method == http.MethodDelete:
+				deletes.Add(1)
+			case strings.HasSuffix(r.URL.Path, "/results"):
+				<-release
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	defer drainShards()
+	cs, ts := startCoordinator(t, urls, 0)
+	defer cs.drain()
+	defer unblock()
+
+	if code := healthz(t, ts); code != http.StatusOK {
+		t.Fatalf("healthz: %d", code)
+	}
+	qres, code := submit(t, ts, testQueries()[0])
+	if code != http.StatusCreated {
+		t.Fatalf("submit status %d", code)
+	}
+	st, code := coordRequest(t, ts, http.MethodGet, qres.ID)
+	if code != http.StatusOK || st.ID != qres.ID || st.Name != qres.Name || st.State != "running" || st.Results != 0 {
+		t.Fatalf("status %d %+v, want 200 running with no results", code, st)
+	}
+	st, code = coordRequest(t, ts, http.MethodDelete, qres.ID)
+	if code != http.StatusOK || st.State != "running" {
+		t.Fatalf("cancel %d %+v, want 200 running (gather held)", code, st)
+	}
+	if n := deletes.Load(); n != 3 {
+		t.Fatalf("cancel reached %d of 3 shards", n)
+	}
+
+	unblock()
+	got, end := streamCoordResults(t, ts, qres.ID)
+	if end.State != "cancelled" || end.Partial {
+		t.Fatalf("end %+v, want cancelled and not partial", end)
+	}
+	st, code = coordRequest(t, ts, http.MethodGet, qres.ID)
+	if code != http.StatusOK || st.State != "cancelled" || st.Results != len(got) || len(st.FailedShards) != 0 {
+		t.Fatalf("status %d %+v after cancel, want cancelled with %d results", code, st, len(got))
+	}
+	if _, code := coordRequest(t, ts, http.MethodGet, qres.ID+1); code != http.StatusNotFound {
+		t.Fatalf("unknown query: %d, want 404", code)
+	}
+	if _, code := coordRequest(t, ts, http.MethodDelete, qres.ID+1); code != http.StatusNotFound {
+		t.Fatalf("cancel of unknown query: %d, want 404", code)
+	}
+
+	cs.drain()
+	if code := healthz(t, ts); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz while draining: %d, want 503", code)
 	}
 }

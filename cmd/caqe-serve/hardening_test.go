@@ -299,8 +299,7 @@ func TestEncodeErrorSurfaced(t *testing.T) {
 	// of the merged set is not written into the dead connection.
 	logBuf.Reset()
 	cs, err := newCoordinatorDaemon(coordDaemonConfig{
-		LocalShards: 2, Partition: "range",
-		N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
+		LocalShards: 2, N: testN, Dims: testDims, Keys: testKeys, Sel: testSel, Seed: testSeed,
 		frontConfig: frontConfig{Logger: log.New(&logBuf, "", 0)},
 	})
 	if err != nil {
@@ -382,42 +381,7 @@ func TestLoadShed503(t *testing.T) {
 	}
 }
 
-// TestDisconnectSlowWire pins the wire protocol of a severed stream: under
-// -buffer-policy disconnect-slow a consumer arriving after its buffer
-// overflowed gets an immediate terminal record with done=false and
-// reason=slow-consumer — and the query itself still ran to completion.
-func TestDisconnectSlowWire(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBuffered = 2
-	cfg.BufferPolicy = "disconnect-slow"
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
-	defer srv.drain()
-
-	qres, status := submit(t, ts, testQueries()[1]) // beta: ~32 results, far past the mark
-	if status != http.StatusCreated {
-		t.Fatalf("submit: %d", status)
-	}
-	waitState(t, ts, qres.ID, "done")
-
-	es, lags, end := streamResults(t, ts, qres.ID)
-	if len(es) != 0 || len(lags) != 0 {
-		t.Errorf("severed stream delivered %d emissions and %d lag notices", len(es), len(lags))
-	}
-	if end.Done == nil || *end.Done || end.Reason != "slow-consumer" {
-		t.Errorf("terminal record %+v, want done=false reason=slow-consumer", end)
-	}
-	body := scrapeMetrics(t, ts)
-	if v := metricValue(t, body, "caqe_stream_disconnects_total"); v == 0 {
-		t.Error("disconnect not counted in /metrics")
-	}
-}
-
-// TestLagNoticeWire pins the block-executor-never wire protocol: a consumer
+// TestLagNoticeWire pins the lag wire protocol: a consumer
 // arriving after the buffer overflowed receives a {"lag":n} notice followed
 // by the newest high-water-bounded emissions and a done record whose
 // coalesced count matches the notice.

@@ -9,8 +9,7 @@
 //	caqe-serve [-addr :8734] [-n rows] [-dims d] [-dist independent|correlated|anti-correlated]
 //	           [-sel σ] [-keys k] [-seed s] [-max-concurrent m] [-cells c]
 //	           [-clock virtual|wall] [-retry-after s]
-//	           [-max-buffered n] [-buffer-policy block-executor-never|disconnect-slow]
-//	           [-max-buffered-total n] [-stream-write-timeout d]
+//	           [-max-buffered n] [-max-buffered-total n] [-stream-write-timeout d]
 //	           [-read-header-timeout d] [-idle-timeout d]
 //
 // Endpoints:
@@ -36,11 +35,11 @@
 // -max-buffered-total — with 503. Retryable rejections (429 and 503)
 // carry a Retry-After header (-retry-after seconds).
 // Each query's delivery buffer is bounded by -max-buffered; past it the
-// stream either coalesces its oldest undelivered results behind a lag
-// notice (block-executor-never) or is severed while the query keeps
-// running (disconnect-slow). On SIGTERM/SIGINT the server stops admitting,
-// drains every running query to its full result set (streams receive
-// their tails and close), then shuts down.
+// stream coalesces its oldest undelivered results behind a lag notice and
+// keeps streaming, and the executor never waits for a consumer. On
+// SIGTERM/SIGINT the server stops admitting, drains every running query to
+// its full result set (streams receive their tails and close), then shuts
+// down.
 package main
 
 import (
@@ -87,7 +86,6 @@ func main() {
 		retryAfter = flag.Int("retry-after", 1, "Retry-After header value in seconds on 429/503 rejections")
 
 		maxBuffered = flag.Int("max-buffered", 4096, "per-query delivery-buffer high-water mark in emissions (0 = unbounded)")
-		bufPolicy   = flag.String("buffer-policy", "block-executor-never", "past the high-water mark: block-executor-never (coalesce + lag notice) or disconnect-slow (sever the stream)")
 		maxBufTotal = flag.Int("max-buffered-total", 65536, "shed new submissions with 503 while aggregate buffered emissions exceed this (0 = never shed)")
 		streamWrite = flag.Duration("stream-write-timeout", 30*time.Second, "deadline for each individual result-stream write (0 = none)")
 
@@ -97,7 +95,6 @@ func main() {
 		role       = flag.String("role", "server", "server (single node), shard (serve one partition of R), or coordinator (scatter/gather across shard nodes)")
 		shardIndex = flag.Int("shard-index", 0, "shard role: this node's shard id in [0, shard-count)")
 		shardCount = flag.Int("shard-count", 1, "shard role: total shards in the cluster topology")
-		partition  = flag.String("partition", "range", "R partition strategy for shard and coordinator roles: range or hash (must match cluster-wide)")
 
 		shardURLs     = flag.String("shards", "", "coordinator: comma-separated shard node base URLs, in shard order")
 		localShards   = flag.Int("local-shards", 0, "coordinator: run N in-process shards instead of remote nodes (fast path, one binary)")
@@ -124,16 +121,16 @@ func main() {
 		cfg := serverConfig{
 			N: *n, Dims: *dims, Dist: *dist, Sel: *sel, Keys: *keys, Seed: *seed,
 			MaxConcurrent: *maxConc, TargetCells: *cells,
-			Clock: *clock, MaxBuffered: *maxBuffered, BufferPolicy: *bufPolicy,
+			Clock: *clock, MaxBuffered: *maxBuffered,
 			MaxBufferedTotal: *maxBufTotal, frontConfig: fc,
 		}
 		if *role == "shard" {
-			cfg.ShardIndex, cfg.ShardCount, cfg.Partition = *shardIndex, *shardCount, *partition
+			cfg.ShardIndex, cfg.ShardCount = *shardIndex, *shardCount
 		}
 		srv, err = newServer(cfg)
 	case "coordinator":
 		srv, err = newCoordinatorDaemon(coordDaemonConfig{
-			ShardURLs: *shardURLs, LocalShards: *localShards, Partition: *partition,
+			ShardURLs: *shardURLs, LocalShards: *localShards,
 			N: *n, Dims: *dims, Dist: *dist, Sel: *sel, Keys: *keys, Seed: *seed,
 			TargetCells: *cells, MaxConcurrent: *maxConc,
 			Retries: *shardRetries, RetryBackoff: *shardBackoff,
@@ -151,8 +148,8 @@ func main() {
 	hs := newHTTPServer(*addr, srv.routes(), *readHeader, *idle)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("caqe-serve: %s listening on %s (%d rows, d=%d, %d join conditions, buffer %d/%s)",
-		*role, *addr, *n, *dims, *keys, *maxBuffered, *bufPolicy)
+	log.Printf("caqe-serve: %s listening on %s (%d rows, d=%d, %d join conditions, buffer %d)",
+		*role, *addr, *n, *dims, *keys, *maxBuffered)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)

@@ -178,8 +178,6 @@ func (s *server) sessionFamilies() []metrics.PromFamily {
 		counterFamily("caqe_stream_coalesced_total",
 			"Emissions coalesced out of streams (dropped from delivery, never from the report).",
 			st.Delivery.Coalesced),
-		counterFamily("caqe_stream_disconnects_total",
-			"Streams severed by the disconnect-slow policy.", st.Delivery.Disconnects),
 		counterFamily("caqe_stream_abandons_total",
 			"Streams abandoned by their consumer (client disconnect).", st.Delivery.Abandons),
 		labeled(metrics.PromGauge, "caqe_query_delivered", "Results delivered per query.", "query", delivered...),

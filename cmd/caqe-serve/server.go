@@ -24,11 +24,9 @@ type serverConfig struct {
 
 	// ShardCount > 1 runs this node as shard ShardIndex of an N-shard
 	// cluster: the node generates the full dataset from the shared
-	// parameters, keeps only its partition of R (T is replicated), and
-	// serves it like any other session. Partition selects the strategy
-	// ("range" or "hash", default range) and must match the coordinator's.
+	// parameters, keeps only its range partition of R (T is replicated),
+	// and serves it like any other session.
 	ShardIndex, ShardCount int
-	Partition              string
 
 	// Clock selects the engine clock: "virtual" (default; deterministic,
 	// contract deadlines in virtual seconds) or "wall" (real time; contract
@@ -37,10 +35,8 @@ type serverConfig struct {
 	Clock string
 
 	// MaxBuffered is the per-query delivery-buffer high-water mark
-	// (0 = unbounded); BufferPolicy selects what happens past it
-	// ("block-executor-never" or "disconnect-slow", empty = the former).
-	MaxBuffered  int
-	BufferPolicy string
+	// (0 = unbounded); past it a stream coalesces behind a lag notice.
+	MaxBuffered int
 	// MaxBufferedTotal sheds new submissions with 503 while the aggregate
 	// buffered-emission count is at or above it (0 = no shedding).
 	MaxBufferedTotal int
@@ -119,7 +115,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
 			return nil, fmt.Errorf("shard index %d outside [0, %d)", cfg.ShardIndex, cfg.ShardCount)
 		}
-		m, err := cluster.NewShardMap(cfg.ShardCount, cluster.Strategy(cfg.Partition))
+		m, err := cluster.NewShardMap(cfg.ShardCount, cluster.PartitionRange)
 		if err != nil {
 			return nil, err
 		}
@@ -134,14 +130,11 @@ func newServer(cfg serverConfig) (*server, error) {
 	f := newFront(cfg.frontConfig)
 	sess, err := caqe.OpenSession(caqe.SessionConfig{
 		R: r, T: t,
-		JoinConds:     joinConds,
-		OutDims:       outDims,
-		Engine:        caqe.Options{TargetCells: cfg.TargetCells, WallClock: wall, Tracer: agg},
-		MaxConcurrent: cfg.MaxConcurrent,
-		Backpressure: caqe.SessionBackpressure{
-			HighWater: cfg.MaxBuffered,
-			Policy:    caqe.SessionDeliveryPolicy(cfg.BufferPolicy),
-		},
+		JoinConds:       joinConds,
+		OutDims:         outDims,
+		Engine:          caqe.Options{TargetCells: cfg.TargetCells, WallClock: wall, Tracer: agg},
+		MaxConcurrent:   cfg.MaxConcurrent,
+		Backpressure:    caqe.SessionBackpressure{HighWater: cfg.MaxBuffered},
 		GlobalHighWater: cfg.MaxBufferedTotal,
 		OnFirstResult:   func(id int, seconds float64) { f.sm.ttfr.Observe(seconds) },
 	})
@@ -319,13 +312,9 @@ func (s *server) handleResults(w http.ResponseWriter, r *http.Request) {
 			var ok bool
 			switch {
 			case !open:
-				ss := h.StreamStats()
-				end := cluster.StreamEnd{Done: true, State: h.State(), Coalesced: ss.Coalesced}
-				if ss.Disconnected {
-					end.Done = false
-					end.Reason = "slow-consumer"
-				}
-				ok = st.write("done", end)
+				ok = st.write("done", cluster.StreamEnd{
+					Done: true, State: h.State(), Coalesced: h.StreamStats().Coalesced,
+				})
 			case ev.Lag > 0:
 				s.sm.lagNotices.Add(1)
 				ok = st.write("lag", cluster.LagRecord{Lag: ev.Lag})

@@ -43,53 +43,52 @@ var testDists = []struct {
 }
 
 // TestShardMapInvariants checks that every topology partitions the row-ID
-// space disjointly and exhaustively, that ShardOf agrees with Table, and
-// that Partition renumbers densely against the translation table.
+// space into contiguous blocks disjointly and exhaustively, that ShardOf
+// agrees with Table, and that Partition renumbers densely against the
+// translation table.
 func TestShardMapInvariants(t *testing.T) {
 	r, _, err := caqe.GeneratePair(97, 3, caqe.Independent, []float64{0.1, 0.1}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := 97
-	for _, strategy := range []cluster.Strategy{cluster.PartitionRange, cluster.PartitionHash} {
-		for shards := 1; shards <= 5; shards++ {
-			m, err := cluster.NewShardMap(shards, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			table := m.Table(n)
-			seen := make(map[int]bool, n)
-			for s, rids := range table {
-				for local, rid := range rids {
-					if seen[rid] {
-						t.Fatalf("%s/N=%d: row %d assigned twice", strategy, shards, rid)
-					}
-					seen[rid] = true
-					if got := m.ShardOf(rid, n); got != s {
-						t.Fatalf("%s/N=%d: ShardOf(%d)=%d but table says %d", strategy, shards, rid, got, s)
-					}
-					if strategy == cluster.PartitionRange && local > 0 && rids[local-1]+1 != rid {
-						t.Fatalf("range/N=%d: shard %d not contiguous at %d", shards, s, rid)
-					}
+	for shards := 1; shards <= 5; shards++ {
+		m, err := cluster.NewShardMap(shards, cluster.PartitionRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := m.Table(n)
+		seen := make(map[int]bool, n)
+		for s, rids := range table {
+			for local, rid := range rids {
+				if seen[rid] {
+					t.Fatalf("N=%d: row %d assigned twice", shards, rid)
+				}
+				seen[rid] = true
+				if got := m.ShardOf(rid, n); got != s {
+					t.Fatalf("N=%d: ShardOf(%d)=%d but table says %d", shards, rid, got, s)
+				}
+				if local > 0 && rids[local-1]+1 != rid {
+					t.Fatalf("N=%d: shard %d not contiguous at %d", shards, s, rid)
 				}
 			}
-			if len(seen) != n {
-				t.Fatalf("%s/N=%d: %d of %d rows assigned", strategy, shards, len(seen), n)
+		}
+		if len(seen) != n {
+			t.Fatalf("N=%d: %d of %d rows assigned", shards, len(seen), n)
+		}
+		parts, ptable := m.Partition(r)
+		for s, part := range parts {
+			if part.Len() != len(ptable[s]) {
+				t.Fatalf("N=%d: shard %d has %d rows, table %d", shards, s, part.Len(), len(ptable[s]))
 			}
-			parts, ptable := m.Partition(r)
-			for s, part := range parts {
-				if part.Len() != len(ptable[s]) {
-					t.Fatalf("%s/N=%d: shard %d has %d rows, table %d", strategy, shards, s, part.Len(), len(ptable[s]))
+			for local := 0; local < part.Len(); local++ {
+				if part.At(local).ID != local {
+					t.Fatalf("N=%d: shard %d row %d has non-dense id %d", shards, s, local, part.At(local).ID)
 				}
-				for local := 0; local < part.Len(); local++ {
-					if part.At(local).ID != local {
-						t.Fatalf("%s/N=%d: shard %d row %d has non-dense id %d", strategy, shards, s, local, part.At(local).ID)
-					}
-					global := ptable[s][local]
-					want := r.At(global)
-					if &part.At(local).Attrs[0] != &want.Attrs[0] {
-						t.Fatalf("%s/N=%d: shard %d row %d does not share attrs with global %d", strategy, shards, s, local, global)
-					}
+				global := ptable[s][local]
+				want := r.At(global)
+				if &part.At(local).Attrs[0] != &want.Attrs[0] {
+					t.Fatalf("N=%d: shard %d row %d does not share attrs with global %d", shards, s, local, global)
 				}
 			}
 		}
@@ -97,8 +96,13 @@ func TestShardMapInvariants(t *testing.T) {
 	if _, err := cluster.NewShardMap(0, cluster.PartitionRange); err == nil {
 		t.Fatal("expected error for 0 shards")
 	}
-	if _, err := cluster.NewShardMap(2, "zigzag"); err == nil {
-		t.Fatal("expected error for unknown strategy")
+	if _, err := cluster.NewShardMap(2, ""); err != nil {
+		t.Fatalf("empty strategy: %v, want range", err)
+	}
+	for _, bad := range []cluster.Strategy{"hash", "zigzag"} {
+		if _, err := cluster.NewShardMap(2, bad); err == nil {
+			t.Fatalf("expected error for strategy %q", bad)
+		}
 	}
 }
 
@@ -151,46 +155,45 @@ func TestShardedRunMatchesUnsharded(t *testing.T) {
 
 // TestUnionOfLocalSkylinesSuperset verifies the superset property directly
 // from independently executed shard legs (not via Run's own accounting):
-// every global-skyline member appears in some shard's local skyline.
+// every global-skyline member appears in some shard's local skyline of a
+// range-partitioned R.
 func TestUnionOfLocalSkylinesSuperset(t *testing.T) {
 	w := testWorkload()
-	for _, strategy := range []cluster.Strategy{cluster.PartitionRange, cluster.PartitionHash} {
-		t.Run(string(strategy), func(t *testing.T) {
-			r, tt, err := caqe.GeneratePair(240, 3, caqe.AntiCorrelated, []float64{0.05, 0.05}, 7)
+	t.Run(string(cluster.PartitionRange), func(t *testing.T) {
+		r, tt, err := caqe.GeneratePair(240, 3, caqe.AntiCorrelated, []float64{0.05, 0.05}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := caqe.Run(w, r, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cluster.NewShardMap(3, cluster.PartitionRange)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, table := m.Partition(r)
+		type key struct{ q, rid, tid int }
+		union := make(map[key]bool)
+		for s, part := range parts {
+			local, err := caqe.Run(w, part, tt)
 			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := caqe.Run(w, r, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := cluster.NewShardMap(3, strategy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			parts, table := m.Partition(r)
-			type key struct{ q, rid, tid int }
-			union := make(map[key]bool)
-			for s, part := range parts {
-				local, err := caqe.Run(w, part, tt)
-				if err != nil {
-					t.Fatalf("shard %d: %v", s, err)
-				}
-				for qi := range w.Queries {
-					for _, k := range local.ResultSet(qi) {
-						union[key{qi, table[s][k.RID], k.TID}] = true
-					}
-				}
+				t.Fatalf("shard %d: %v", s, err)
 			}
 			for qi := range w.Queries {
-				for _, k := range ref.ResultSet(qi) {
-					if !union[key{qi, k.RID, k.TID}] {
-						t.Fatalf("query %d: global skyline member %v missing from union of local skylines", qi, k)
-					}
+				for _, k := range local.ResultSet(qi) {
+					union[key{qi, table[s][k.RID], k.TID}] = true
 				}
 			}
-		})
-	}
+		}
+		for qi := range w.Queries {
+			for _, k := range ref.ResultSet(qi) {
+				if !union[key{qi, k.RID, k.TID}] {
+					t.Fatalf("query %d: global skyline member %v missing from union of local skylines", qi, k)
+				}
+			}
+		}
+	})
 }
 
 // TestShardedRunTraced checks the coordinator's trace stream: one run

@@ -223,8 +223,8 @@ type httpQuery struct {
 
 // Gather streams the shard's NDJSON results to completion, row IDs as the
 // shard sent them. Any lossiness — a lag notice, a non-zero coalesced
-// count, a disconnect-policy end, a dropped connection — is an error: a
-// lossy stream is not a complete local skyline. Whatever was gathered is
+// count, a done:false end, a dropped connection — is an error: a lossy
+// stream is not a complete local skyline. Whatever was gathered is
 // returned regardless.
 func (q *httpQuery) Gather(ctx context.Context) ([]run.Emission, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,

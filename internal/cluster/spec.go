@@ -124,17 +124,15 @@ type Candidate struct {
 	Shard int `json:"shard"`
 }
 
-// StreamEnd is the terminal record of a result stream. Done reports
-// whether the stream carried the query to its terminal state — a client
-// that never sees a StreamEnd knows the connection was severed mid-run, and
-// one that sees Done false knows the server cut a lagging stream loose
-// (Reason "slow-consumer") while the query kept running. MergedEnd is set
-// on coordinator streams only.
+// StreamEnd is the terminal record of a result stream: the stream carried
+// the query to its terminal state State, and Done is always true. A client
+// that never sees a StreamEnd knows the connection was severed mid-run.
+// Coalesced counts the emissions dropped from this stream behind lag
+// notices. MergedEnd is set on coordinator streams only.
 type StreamEnd struct {
 	Done      bool   `json:"done"`
 	State     string `json:"state"`
 	Coalesced int64  `json:"coalesced,omitempty"` // emissions dropped from this stream
-	Reason    string `json:"reason,omitempty"`
 	*MergedEnd
 }
 
@@ -156,7 +154,6 @@ type StreamRecord struct {
 	Done         *bool  `json:"done"`
 	State        string `json:"state"`
 	Coalesced    int64  `json:"coalesced"`
-	Reason       string `json:"reason"`
 	Partial      bool   `json:"partial"`
 	FailedShards []int  `json:"failedShards"`
 	Results      int    `json:"results"`

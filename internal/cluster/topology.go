@@ -3,15 +3,14 @@
 // at a coordinator.
 //
 // The topology is static: a ShardMap describes how the left relation R is
-// partitioned across N shards (hash or range over row IDs) while T is
-// replicated to every shard. Because the partitions of R are disjoint and
-// T is complete everywhere, every join pair (r, t) is produced on exactly
-// one shard, so each shard's result stream for a query is the local
-// skyline of a disjoint slice of the query's join output. The union of
-// local skylines is then a superset of the global skyline, and one final
-// dominance pass over the union (Merge) restores exact result-set
-// equality — the classical distributed-skyline argument the subsystem is
-// built on.
+// range-partitioned across N shards by row ID while T is replicated to
+// every shard. Because the partitions of R are disjoint and T is complete
+// everywhere, every join pair (r, t) is produced on exactly one shard, so
+// each shard's result stream for a query is the local skyline of a
+// disjoint slice of the query's join output. The union of local skylines
+// is then a superset of the global skyline, and one final dominance pass
+// over the union (Merge) restores exact result-set equality — the
+// classical distributed-skyline argument the subsystem is built on.
 //
 // Two execution paths share the topology and merge machinery: Run executes
 // a whole workload batch-style with CAQE on every shard (deterministic,
@@ -32,50 +31,33 @@ import (
 	"caqe/internal/tuple"
 )
 
-// Strategy selects how row IDs of R map to shards.
+// Strategy names how row IDs of R map to shards. Range is the only one:
+// merging local skylines gives the global skyline under any split of R.
 type Strategy string
 
-const (
-	// PartitionRange assigns contiguous row-ID blocks: shard i holds rows
-	// [⌊i·n/N⌋, ⌊(i+1)·n/N⌋).
-	PartitionRange Strategy = "range"
-	// PartitionHash assigns each row by a deterministic integer hash of its
-	// ID, decorrelating shard membership from data order.
-	PartitionHash Strategy = "hash"
-)
+// PartitionRange assigns contiguous row-ID blocks: shard i holds rows
+// [⌊i·n/N⌋, ⌊(i+1)·n/N⌋).
+const PartitionRange Strategy = "range"
 
-// ShardMap is the static cluster topology: N shards and the partitioning
-// strategy for R. The mapping depends only on (row count, N, strategy), so
-// a remote shard node can derive its own partition from the shared dataset
-// parameters and the coordinator can derive the matching local→global row
-// ID translation without ever seeing the data.
+// ShardMap is the static cluster topology: N shards over range-partitioned
+// R. The mapping depends only on (row count, N), so a remote shard node can
+// derive its own partition from the shared dataset parameters and the
+// coordinator can derive the matching local→global row ID translation
+// without ever seeing the data.
 type ShardMap struct {
-	Shards   int
-	Strategy Strategy
+	Shards int
 }
 
-// NewShardMap validates and returns a topology.
+// NewShardMap validates and returns a topology; strategy is "" or
+// PartitionRange.
 func NewShardMap(shards int, strategy Strategy) (ShardMap, error) {
 	if shards < 1 {
 		return ShardMap{}, fmt.Errorf("cluster: need at least 1 shard, got %d", shards)
 	}
-	switch strategy {
-	case "":
-		strategy = PartitionRange
-	case PartitionRange, PartitionHash:
-	default:
-		return ShardMap{}, fmt.Errorf("cluster: unknown partition strategy %q (range or hash)", strategy)
+	if strategy != "" && strategy != PartitionRange {
+		return ShardMap{}, fmt.Errorf("cluster: unknown partition strategy %q (range)", strategy)
 	}
-	return ShardMap{Shards: shards, Strategy: strategy}, nil
-}
-
-// hashRID is a deterministic 64-bit integer mix (splitmix64 finalizer) so
-// hash partitioning is stable across processes without seeding.
-func hashRID(rid int) uint64 {
-	x := uint64(rid) + 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return ShardMap{Shards: shards}, nil
 }
 
 // ShardOf returns the shard owning global row ID rid of an n-row R.
@@ -83,28 +65,23 @@ func (m ShardMap) ShardOf(rid, n int) int {
 	if m.Shards <= 1 {
 		return 0
 	}
-	switch m.Strategy {
-	case PartitionHash:
-		return int(hashRID(rid) % uint64(m.Shards))
-	default: // range
-		// Inverse of the block bounds ⌊i·n/N⌋: rid·N/n truncated, clamped
-		// against boundary rounding.
-		i := rid * m.Shards / n
-		for i > 0 && rid < i*n/m.Shards {
-			i--
-		}
-		for i < m.Shards-1 && rid >= (i+1)*n/m.Shards {
-			i++
-		}
-		return i
+	// Inverse of the block bounds ⌊i·n/N⌋: rid·N/n truncated, clamped
+	// against boundary rounding.
+	i := rid * m.Shards / n
+	for i > 0 && rid < i*n/m.Shards {
+		i--
 	}
+	for i < m.Shards-1 && rid >= (i+1)*n/m.Shards {
+		i++
+	}
+	return i
 }
 
 // Table returns, for each shard, the ordered list of global row IDs it
 // owns: table[s][local] = global. It is the local→global translation the
-// gather layer applies to shard emissions, derived purely from (n, N,
-// strategy) — shard workers renumber their partition densely from 0, so a
-// shard's local RID k always refers to the k-th global ID in its list.
+// gather layer applies to shard emissions, derived purely from (n, N) —
+// shard workers renumber their partition densely from 0, so a shard's
+// local RID k always refers to the k-th global ID in its list.
 func (m ShardMap) Table(n int) [][]int {
 	table := make([][]int, m.Shards)
 	for rid := 0; rid < n; rid++ {

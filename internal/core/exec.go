@@ -77,12 +77,6 @@ func (x *Exec) Step() bool {
 // Now returns the current virtual time in seconds.
 func (x *Exec) Now() float64 { return x.clock.Now() / metrics.VirtualSecond }
 
-// NumQueries returns the number of query slots the execution currently
-// holds, including cancelled or drained ones awaiting reuse. Local indices
-// are stable while a query is live but are recycled once all 64 slots fill
-// (see Admit); report indices are the never-reused identifiers.
-func (x *Exec) NumQueries() int { return len(x.st.w.Queries) }
-
 // Finish finalizes the report with the current virtual time and counters.
 func (x *Exec) Finish() {
 	x.rep.Finish(x.clock.Now()/metrics.VirtualSecond, x.clock.Counters())
@@ -364,9 +358,4 @@ func (x *Exec) QueryDone(qi int) bool {
 		return false
 	}
 	return st.live.sets[qi].Next(0) < 0
-}
-
-// Delivered returns the number of results delivered so far to a query.
-func (x *Exec) Delivered(qi int) int {
-	return len(x.rep.PerQuery[x.st.qremap[qi]])
 }

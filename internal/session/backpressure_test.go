@@ -116,31 +116,6 @@ func TestHandleLagAccounting(t *testing.T) {
 	}
 }
 
-// TestHandleDisconnectSlow pins the severing policy: the push that finds
-// the buffer at its mark releases it, closes the stream, and later pushes
-// are discarded while the query (conceptually) keeps running.
-func TestHandleDisconnectSlow(t *testing.T) {
-	h := newHandle(0, "q", Backpressure{HighWater: 2, Policy: PolicyDisconnectSlow})
-	h.setState(StateRunning)
-	for i := 0; i < 5; i++ {
-		h.push(emission(i))
-	}
-	ss := h.StreamStats()
-	if !ss.Disconnected {
-		t.Fatal("not disconnected past the mark")
-	}
-	if ss.Buffered != 0 {
-		t.Fatalf("buffer holds %d after disconnect, want released", ss.Buffered)
-	}
-	n := 0
-	for range h.Events() {
-		n++
-	}
-	if n != 0 {
-		t.Fatalf("severed stream delivered %d events", n)
-	}
-}
-
 func openBP(t *testing.T, nq int, bp Backpressure, global int) (*Session, *run.Report, []*Handle) {
 	t.Helper()
 	const dims = 4
@@ -273,61 +248,71 @@ func TestSessionGlobalHighWater(t *testing.T) {
 	if _, err := s.Submit(w.Queries[1], 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("submit over the global mark: %v, want ErrOverloaded", err)
 	}
-	for range h.Results() {
+	for range h.Events() {
 	}
 	if _, err := s.Submit(w.Queries[1], 0); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
 
-// TestSessionPolicyValidation rejects unknown delivery policies at Open.
-func TestSessionPolicyValidation(t *testing.T) {
-	const dims = 4
-	w := testWorkload(t, 1, dims)
-	r, tt := testData(t, 20, dims, 3)
-	_, err := Open(Config{
-		R: r, T: tt,
-		JoinConds:    w.JoinConds,
-		OutDims:      w.OutDims,
-		Backpressure: Backpressure{Policy: "drop-everything"},
-	})
-	if err == nil {
-		t.Fatal("unknown policy accepted")
+// TestAbandonReleasesBuffer pins what an abandoned stream holds: nothing.
+// Abandon releases the delivery buffer and later pushes are dropped, so the
+// handle neither lags nor counts against the global high-water mark — a
+// client that walks away from a standing query cannot shed the next
+// submission with ErrOverloaded.
+func TestAbandonReleasesBuffer(t *testing.T) {
+	h := newHandle(0, "q", Backpressure{HighWater: 8})
+	h.setState(StateRunning)
+	for i := 0; i < 4; i++ {
+		h.push(emission(i))
 	}
-}
+	h.Abandon()
+	for i := 4; i < 24; i++ {
+		h.push(emission(i))
+	}
+	if st := h.State(); st != string(StateRunning) {
+		t.Errorf("state %q after abandon, want running", st)
+	}
+	ss := h.StreamStats()
+	if ss.Buffered != 0 || ss.Lagging || !ss.Abandoned {
+		t.Fatalf("stats %+v after abandon, want buffered=0, not lagging, abandoned", ss)
+	}
+	n := 0
+	for range h.Events() {
+		n++
+	}
+	if n != 0 {
+		t.Fatalf("abandoned stream delivered %d events", n)
+	}
 
-// TestSessionDisconnectSlowKeepsRunning runs a session under the severing
-// policy with stalled consumers: streams are cut, yet every query still
-// runs to completion with its full report (the executor is never blocked
-// or perturbed by delivery).
-func TestSessionDisconnectSlowKeepsRunning(t *testing.T) {
-	s, ref, handles := openBP(t, 4, Backpressure{HighWater: 2, Policy: PolicyDisconnectSlow}, 0)
-	if err := s.Close(); err != nil {
+	const dims = 4
+	w := testWorkload(t, 2, dims)
+	r, tt := testData(t, 80, dims, 7)
+	s, err := Open(Config{
+		R: r, T: tt,
+		JoinConds:       w.JoinConds,
+		OutDims:         w.OutDims,
+		GlobalHighWater: 1,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.Report()
-	if !reflect.DeepEqual(ref.PerQuery, rep.PerQuery) {
-		t.Error("disconnect-slow perturbed the report")
+	defer s.Close()
+	q, err := s.Submit(w.Queries[0], 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := s.stats()
-	for qi, qs := range st.Queries {
-		if want := len(ref.PerQuery[qi]); qs.Delivered != want {
-			t.Errorf("query %d delivered %d, want %d", qi, qs.Delivered, want)
-		}
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
 	}
-	if ref.EndTime != rep.EndTime {
-		t.Errorf("end time %v vs %v", ref.EndTime, rep.EndTime)
+	if len(s.Report().PerQuery[0]) == 0 {
+		t.Fatal("workload produced no emissions; shedding cannot bind")
 	}
-	var severed int64
-	for _, h := range handles {
-		if h.StreamStats().Disconnected {
-			severed++
-		}
+	if _, err := s.Submit(w.Queries[1], 0); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("submit over the global mark: %v, want ErrOverloaded", err)
 	}
-	if severed != st.Delivery.Disconnects {
-		t.Errorf("stats count %d disconnects, handles show %d", st.Delivery.Disconnects, severed)
-	}
-	if severed == 0 {
-		t.Error("no stream was severed despite stalled consumers and a 2-emission mark")
+	q.Abandon()
+	if _, err := s.Submit(w.Queries[1], 0); err != nil {
+		t.Fatalf("submit after abandon: %v", err)
 	}
 }

@@ -8,43 +8,17 @@ import (
 	"caqe/internal/workload"
 )
 
-// DeliveryPolicy selects what a handle does with new emissions once its
-// delivery buffer holds Backpressure.HighWater of them. Either way the
-// executor never blocks and the execution report is untouched —
-// backpressure acts strictly on the delivery side of the pump.
-type DeliveryPolicy string
-
-const (
-	// PolicyBlockExecutorNever (the default) keeps the stream open: past
-	// the high-water mark the handle enters the lagging state, the oldest
-	// buffered emission is coalesced away for each new one, and the stream
-	// receives a lag notice (StreamEvent.Lag) carrying the coalesced count
-	// before delivery resumes. Memory stays O(HighWater): the buffer is a
-	// ring that never grows past the mark.
-	PolicyBlockExecutorNever DeliveryPolicy = "block-executor-never"
-	// PolicyDisconnectSlow severs the stream at the high-water mark: the
-	// buffer is released, the events channel closes, and the query keeps
-	// running to completion (exactly as if the consumer had gone away and
-	// Abandon had been called — but initiated by the server side).
-	PolicyDisconnectSlow DeliveryPolicy = "disconnect-slow"
-)
-
-// Backpressure bounds one handle's delivery buffer.
+// Backpressure bounds one handle's delivery buffer. Past the mark the
+// executor never blocks and the execution report is untouched: the handle
+// enters the lagging state, the oldest buffered emission is coalesced away
+// for each new one, and the stream receives a lag notice (StreamEvent.Lag)
+// carrying the coalesced count before delivery resumes. Memory stays
+// O(HighWater): the buffer is a ring that never grows past the mark.
 type Backpressure struct {
 	// HighWater is the maximum number of emissions buffered per handle
 	// between the executor and the consumer; 0 means unbounded (the
 	// pre-backpressure semantics).
 	HighWater int
-	// Policy selects the over-the-mark behavior; empty means
-	// PolicyBlockExecutorNever.
-	Policy DeliveryPolicy
-}
-
-func (b Backpressure) policy() DeliveryPolicy {
-	if b.Policy == "" {
-		return PolicyBlockExecutorNever
-	}
-	return b.Policy
 }
 
 // StreamEvent is one item of a handle's delivery stream: an emission, or —
@@ -58,13 +32,12 @@ type StreamEvent struct {
 
 // StreamStats is a point-in-time view of one handle's delivery pipeline.
 type StreamStats struct {
-	Buffered     int   `json:"buffered"`               // emissions currently buffered
-	HighWater    int   `json:"highWater"`              // max simultaneously buffered so far
-	Lagging      bool  `json:"lagging,omitempty"`      // over the mark with undelivered lag
-	Coalesced    int64 `json:"coalesced,omitempty"`    // emissions dropped from the stream so far
-	LagEvents    int64 `json:"lagEvents,omitempty"`    // transitions into the lagging state
-	Disconnected bool  `json:"disconnected,omitempty"` // severed by PolicyDisconnectSlow
-	Abandoned    bool  `json:"abandoned,omitempty"`    // consumer called Abandon
+	Buffered  int   `json:"buffered"`            // emissions currently buffered
+	HighWater int   `json:"highWater"`           // max simultaneously buffered so far
+	Lagging   bool  `json:"lagging,omitempty"`   // over the mark with undelivered lag
+	Coalesced int64 `json:"coalesced,omitempty"` // emissions dropped from the stream so far
+	LagEvents int64 `json:"lagEvents,omitempty"` // transitions into the lagging state
+	Abandoned bool  `json:"abandoned,omitempty"` // consumer called Abandon
 }
 
 // emitRing is the handle's delivery buffer: a ring of emissions. An
@@ -139,26 +112,19 @@ func (r *emitRing) drain(dst []run.Emission) ([]run.Emission, int64) {
 	return dst, lag
 }
 
-// reset releases the ring's storage (disconnect path).
-func (r *emitRing) reset() {
-	r.buf = nil
-	r.start, r.n = 0, 0
-}
-
 // Handle is one submitted query's view of the session: identity, arrival
 // time, lifecycle state and the stream of guaranteed-final results.
 //
 // The executor pushes emissions into a per-handle ring bounded by the
 // session's Backpressure configuration and never blocks on a consumer; a
-// per-handle pump goroutine (started by the first Events or Results call)
-// drains the ring into the public channel and closes it when the query can
-// receive no further results.
+// per-handle pump goroutine (started by the first Events call) drains the
+// ring into the public channel and closes it when the query can receive no
+// further results.
 type Handle struct {
 	id        int
 	name      string
 	arrival   float64   // virtual seconds at admission (0 for initial queries)
 	submitted time.Time // real time of submission (time-to-first-result base)
-	bp        Backpressure
 
 	// Executor-owned; query and estTotal only matter while queued. local is
 	// the engine slot currently assigned to the query (-1 while queued, or
@@ -170,25 +136,21 @@ type Handle struct {
 	estTotal int
 	ttfr     float64 // real seconds to first result; 0 until one lands
 
-	mu           sync.Mutex
-	st           queryState
-	admitted     string // State as the command that admitted the query left it
-	ring         emitRing
-	closed       bool // stream complete: no further pushes
-	lagging      bool
-	disconnected bool
-	abandoned    bool
-	highWater    int   // max ring occupancy observed
-	lagEvents    int64 // transitions into the lagging state
-	coalesced    int64 // emissions coalesced out of the stream, lifetime
+	mu        sync.Mutex
+	st        queryState
+	admitted  string // State as the command that admitted the query left it
+	ring      emitRing
+	closed    bool // stream complete: no further pushes
+	lagging   bool
+	abandoned bool  // no consumer will read again: no further pushes
+	highWater int   // max ring occupancy observed
+	lagEvents int64 // transitions into the lagging state
+	coalesced int64 // emissions coalesced out of the stream, lifetime
 
-	pumpOnce    sync.Once
-	out         chan StreamEvent
-	resultsOnce sync.Once
-	res         chan run.Emission
-	signal      chan struct{} // 1-buffered nudge: buffer or closed changed
-	dropped     chan struct{} // closed when the consumer abandons the stream
-	discon      chan struct{} // closed when PolicyDisconnectSlow severs it
+	pumpOnce sync.Once
+	out      chan StreamEvent
+	signal   chan struct{} // 1-buffered nudge: buffer or closed changed
+	dropped  chan struct{} // closed when the consumer abandons the stream
 }
 
 func newHandle(id int, name string, bp Backpressure) *Handle {
@@ -196,13 +158,11 @@ func newHandle(id int, name string, bp Backpressure) *Handle {
 		id:        id,
 		name:      name,
 		submitted: time.Now(),
-		bp:        bp,
 		local:     -1,
 		repIdx:    -1,
 		st:        StateQueued,
 		signal:    make(chan struct{}, 1),
 		dropped:   make(chan struct{}),
-		discon:    make(chan struct{}),
 	}
 	h.ring.limit = bp.HighWater
 	return h
@@ -289,31 +249,22 @@ func (h *Handle) StreamStats() StreamStats {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return StreamStats{
-		Buffered:     h.ring.n,
-		HighWater:    h.highWater,
-		Lagging:      h.lagging,
-		Coalesced:    h.coalesced,
-		LagEvents:    h.lagEvents,
-		Disconnected: h.disconnected,
-		Abandoned:    h.abandoned,
+		Buffered:  h.ring.n,
+		HighWater: h.highWater,
+		Lagging:   h.lagging,
+		Coalesced: h.coalesced,
+		LagEvents: h.lagEvents,
+		Abandoned: h.abandoned,
 	}
 }
 
 // push appends one emission to the stream (executor goroutine only). It
-// never blocks: past the high-water mark the configured policy either
-// coalesces the oldest buffered emission or severs the stream.
+// never blocks: past the high-water mark it coalesces the oldest buffered
+// emission. A closed or abandoned stream takes no more emissions.
 func (h *Handle) push(e run.Emission) {
 	h.mu.Lock()
-	if h.closed || h.disconnected {
+	if h.closed || h.abandoned {
 		h.mu.Unlock()
-		return
-	}
-	if h.bp.HighWater > 0 && h.ring.n >= h.bp.HighWater && h.bp.policy() == PolicyDisconnectSlow {
-		h.disconnected = true
-		h.ring.reset()
-		close(h.discon)
-		h.mu.Unlock()
-		h.nudge()
 		return
 	}
 	if h.ring.push(e) {
@@ -349,11 +300,10 @@ func (h *Handle) nudge() {
 // Events returns the query's delivery stream: guaranteed-final emissions
 // interleaved with lag notices (StreamEvent.Lag > 0) wherever the consumer
 // fell behind and emissions were coalesced away. The channel closes when
-// the query has received its full result set, was cancelled, or the stream
-// was severed by PolicyDisconnectSlow (StreamStats.Disconnected tells the
-// difference). The stream is single-consumer: all calls return the same
-// channel, and Events and Results must not be mixed on one handle. An
-// emission's Out is the slice the session's report holds: read-only.
+// the query has received its full result set or was cancelled, or once
+// the consumer abandons it. The stream is single-consumer: all calls
+// return the same channel. An emission's Out is the slice the session's
+// report holds: read-only.
 func (h *Handle) Events() <-chan StreamEvent {
 	h.pumpOnce.Do(func() {
 		h.out = make(chan StreamEvent)
@@ -362,56 +312,30 @@ func (h *Handle) Events() <-chan StreamEvent {
 	return h.out
 }
 
-// Results returns the query's result stream with lag notices filtered out.
-// Every emission is a guaranteed-final tuple; the channel closes when the
-// query has received its full result set or was cancelled. The stream is
-// single-consumer: all calls return the same channel.
-func (h *Handle) Results() <-chan run.Emission {
-	h.resultsOnce.Do(func() {
-		h.res = make(chan run.Emission)
-		evs := h.Events()
-		go func() {
-			defer close(h.res)
-			for ev := range evs {
-				if ev.Lag > 0 {
-					continue
-				}
-				select {
-				case h.res <- ev.Emission:
-				case <-h.dropped:
-					return
-				}
-			}
-		}()
-	})
-	return h.res
-}
-
 // Abandon tells the pump no consumer will read the stream again, unblocking
-// and terminating it (the events channel closes). Sessions serving network
-// clients call this when the client disconnects; the query itself keeps
-// running until cancelled.
+// and terminating it (the events channel closes), and releases the
+// delivery buffer: later emissions are not buffered, so an abandoned
+// stream counts nothing against the session's global high-water mark.
+// Sessions serving network clients call this when the client disconnects;
+// the query itself keeps running until cancelled.
 func (h *Handle) Abandon() {
 	h.mu.Lock()
-	select {
-	case <-h.dropped:
-	default:
+	if !h.abandoned {
 		h.abandoned = true
+		h.ring = emitRing{}
+		h.lagging = false
 		close(h.dropped)
 	}
 	h.mu.Unlock()
 }
 
 // send delivers one event, returning false — after closing the stream —
-// when the consumer abandoned it or the disconnect policy severed it.
+// when the consumer abandoned it.
 func (h *Handle) send(ev StreamEvent) bool {
 	select {
 	case h.out <- ev:
 		return true
 	case <-h.dropped:
-		close(h.out)
-		return false
-	case <-h.discon:
 		close(h.out)
 		return false
 	}
@@ -425,7 +349,6 @@ func (h *Handle) pump() {
 		batch, lag = h.ring.drain(batch[:0])
 		h.lagging = false // buffer empty: consumer is caught up again
 		done := h.closed
-		disc := h.disconnected
 		h.mu.Unlock()
 		if lag > 0 {
 			// The coalesced emissions predate everything drained just now,
@@ -438,10 +361,6 @@ func (h *Handle) pump() {
 			if !h.send(StreamEvent{Emission: e}) {
 				return
 			}
-		}
-		if disc {
-			close(h.out)
-			return
 		}
 		if done {
 			// Everything buffered before the close flag was set has been
@@ -460,8 +379,6 @@ func (h *Handle) pump() {
 		case <-h.dropped:
 			close(h.out)
 			return
-		case <-h.discon:
-			// Next iteration observes the disconnect flag and closes.
 		}
 	}
 }

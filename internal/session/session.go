@@ -180,11 +180,6 @@ func Open(cfg Config) (*Session, error) {
 	if cfg.MaxConcurrent == 0 {
 		cfg.MaxConcurrent = workload.MaxQueries
 	}
-	switch cfg.Backpressure.policy() {
-	case PolicyBlockExecutorNever, PolicyDisconnectSlow:
-	default:
-		return nil, fmt.Errorf("session: unknown delivery policy %q", cfg.Backpressure.Policy)
-	}
 	if cfg.Backpressure.HighWater < 0 {
 		cfg.Backpressure.HighWater = 0
 	}
@@ -561,12 +556,11 @@ type QueryStats struct {
 
 // DeliveryStats aggregates the delivery pipeline across every handle.
 type DeliveryStats struct {
-	Buffered    int   `json:"buffered"`    // emissions currently buffered, all handles
-	HighWater   int   `json:"highWater"`   // max per-handle occupancy ever observed
-	LagEvents   int64 `json:"lagEvents"`   // transitions into the lagging state
-	Coalesced   int64 `json:"coalesced"`   // emissions coalesced out of streams
-	Disconnects int64 `json:"disconnects"` // streams severed by PolicyDisconnectSlow
-	Abandons    int64 `json:"abandons"`    // streams abandoned by their consumer
+	Buffered  int   `json:"buffered"`  // emissions currently buffered, all handles
+	HighWater int   `json:"highWater"` // max per-handle occupancy ever observed
+	LagEvents int64 `json:"lagEvents"` // transitions into the lagging state
+	Coalesced int64 `json:"coalesced"` // emissions coalesced out of streams
+	Abandons  int64 `json:"abandons"`  // streams abandoned by their consumer
 }
 
 // Stats is a point-in-time view of the session.
@@ -629,9 +623,6 @@ func (s *Session) stats() Stats {
 		}
 		st.Delivery.LagEvents += ss.LagEvents
 		st.Delivery.Coalesced += ss.Coalesced
-		if ss.Disconnected {
-			st.Delivery.Disconnects++
-		}
 		if ss.Abandoned {
 			st.Delivery.Abandons++
 		}

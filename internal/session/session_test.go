@@ -134,8 +134,8 @@ func TestSessionStreams(t *testing.T) {
 		wg.Add(1)
 		go func(i int, h *Handle) {
 			defer wg.Done()
-			for e := range h.Results() {
-				got[i] = append(got[i], e)
+			for ev := range h.Events() {
+				got[i] = append(got[i], ev.Emission)
 			}
 		}(i, h)
 	}
@@ -228,7 +228,7 @@ func TestSessionCancel(t *testing.T) {
 	if handles[queuedVictim].State() != string(StateCancelled) {
 		t.Errorf("queued victim state %s", handles[queuedVictim].State())
 	}
-	if _, open := <-handles[queuedVictim].Results(); open {
+	if _, open := <-handles[queuedVictim].Events(); open {
 		t.Error("queued victim stream delivered a result")
 	}
 
@@ -249,7 +249,7 @@ func TestSessionCancel(t *testing.T) {
 		t.Errorf("cancel of unknown query: %v", err)
 	}
 	// The victim's stream must close even though the session keeps running.
-	for range handles[victim].Results() {
+	for range handles[victim].Events() {
 	}
 	if st := handles[victim].State(); st != string(StateCancelled) && st != string(StateDone) {
 		t.Errorf("victim state %s", st)
@@ -348,7 +348,7 @@ func TestSessionLifetimeCapLifted(t *testing.T) {
 		t.Fatalf("submission past the old cap: %v", err)
 	}
 	got := 0
-	for range h.Results() {
+	for range h.Events() {
 		got++
 	}
 	if h.State() != string(StateDone) {
@@ -432,8 +432,8 @@ func TestSessionStats(t *testing.T) {
 }
 
 // TestSessionConcurrentOps hammers one session from many goroutines —
-// submissions, cancellations, stats, stream consumption — and relies on
-// the race detector to catch executor-synchronization bugs.
+// submissions, cancellations, stats, stream consumption and abandonment —
+// and relies on the race detector to catch executor-synchronization bugs.
 func TestSessionConcurrentOps(t *testing.T) {
 	const dims = 4
 	w := testWorkload(t, 4, dims)
@@ -452,9 +452,11 @@ func TestSessionConcurrentOps(t *testing.T) {
 				}
 				if g%2 == 0 {
 					go func() {
-						for range h.Results() {
+						for range h.Events() {
 						}
 					}()
+				} else if i%2 == 0 {
+					h.Abandon() // while the executor may still push into it
 				}
 				if i%2 == 1 {
 					_ = s.Cancel(h.ID())

@@ -242,9 +242,6 @@ func enumerateSubsets(p preference.Subspace, fn func(mask uint64)) {
 	}
 }
 
-// Node returns the cuboid node for the given subspace, or nil.
-func (c *Cuboid) Node(sub preference.Subspace) *Node { return c.byKey[sub.Key()] }
-
 // PreferenceNode returns the node holding query i's full preference.
 func (c *Cuboid) PreferenceNode(i int) *Node { return c.prefN[i] }
 
